@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage verify-diff verify-smoke bench bench-fast bench-cache bench-batch bench-bnb bench-bnb-parallel bench-record bench-compare campaign-smoke obs-smoke service-smoke examples experiments clean
+.PHONY: install test coverage verify-diff verify-smoke bench bench-fast bench-cache bench-batch bench-bnb bench-bnb-parallel bench-record bench-compare perfbench-test campaign-smoke obs-smoke service-smoke examples experiments clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -81,6 +81,12 @@ bench-record:
 bench-compare:
 	$(PYTHON) -m repro bench compare
 	$(PYTHON) scripts/bench_compare_smoke.py
+
+# The repo benchmark's own tests (perfbench/): metric tables, seeded
+# inputs, output checks, and the layer wrappers that patch the search,
+# batch and evaluator entry points by name. About 20 s.
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 
 # End-to-end robustness smoke: runs a tiny campaign, SIGKILLs it mid-run,
 # resumes from the journal, and checks best-EDP parity plus fault-injection

@@ -28,6 +28,7 @@ from repro.model.evaluator import Evaluator
 from repro.problem.workload import Workload
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
+from repro.search.loop import check_batch_size
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
 
@@ -48,8 +49,10 @@ class MapperConfig:
         constraints: dataflow constraints applied to the mapspace.
         use_batch: price candidates through the vectorized batch engine
             when it supports the triple (bit-exact; falls back to the
-            scalar evaluator otherwise).
-        batch_size: candidates per packed batch on the batch path.
+            scalar evaluator otherwise). The scalar evaluator caches every
+            evaluation, the batch engine only improvements.
+        batch_size: candidates priced per chunk (random, exhaustive,
+            branch-bound leaf batches); must be >= 1 for every strategy.
         workers: process count for the branch-bound strategy (subtree
             work-sharing with a shared incumbent; results stay
             bit-identical to the serial walk). Other strategies ignore it.
@@ -68,6 +71,9 @@ class MapperConfig:
     batch_size: int = 512
     workers: int = 1
     start_method: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_batch_size(self.batch_size)
 
 
 class Mapper:
@@ -169,7 +175,6 @@ class Mapper:
                 objective=self.config.objective,
                 seed=effective_seed,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         if strategy == "annealing":
@@ -182,7 +187,6 @@ class Mapper:
                 steps=self.config.max_evaluations,
                 seed=effective_seed,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         raise SearchError(

@@ -376,15 +376,12 @@ class MapSpace:
         space's slots one-to-one (both derive the same fixed skeleton from
         the architecture), and its virtual position numbering honours the
         constraints' fixed permutations so materialized batch rows equal
-        what :meth:`assemble` produces with ``rng=None``. Returns ``None``
-        when NumPy is unavailable.
+        what :meth:`assemble` produces with ``rng=None``.
         """
         if self._batch_layout is not None:
             return self._batch_layout
-        from repro.model.batch import HAS_NUMPY, BatchLayout
+        from repro.model.batch import BatchLayout
 
-        if not HAS_NUMPY:
-            return None
         priorities = {
             level.name: self.constraints.permutation(level.name)
             for level in self.arch.levels
@@ -479,8 +476,6 @@ class MapSpace:
         fanout filter, which silently drops rows).
         """
         layout = self.batch_layout()
-        if layout is None:
-            raise MapspaceError("batch enumeration requires NumPy")
         if batch_size < 1:
             raise MapspaceError("batch_size must be >= 1")
         if tags is not None and len(tags) != len(prefixes):

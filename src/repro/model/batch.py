@@ -54,13 +54,7 @@ from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import scope as _obs
 from repro.problem.workload import Workload
 
-try:  # pragma: no cover - exercised via the scalar-fallback tests
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 #: Default number of candidates packed per batch. Large enough to amortize
 #: kernel launch overhead, small enough that a pruned batch wastes little.
@@ -161,8 +155,6 @@ class BatchLayout:
         workload: Workload,
         permutation_priority: Optional[Dict[str, Optional[Tuple[str, ...]]]] = None,
     ) -> None:
-        if not HAS_NUMPY:
-            raise RuntimeError("BatchLayout requires NumPy")
         self.arch = arch
         self.workload = workload
         self.columns = derive_columns(arch)
@@ -518,7 +510,8 @@ class CandidateOutcome:
 
     ``metric`` is ``inf`` for invalid or pruned candidates. ``evaluation``
     is populated only when a full scalar :class:`Evaluation` was produced
-    anyway (cache hits and fallback rows); improvements should be
+    anyway (cache hits, fallback rows, and every candidate of
+    :class:`~repro.search.loop.ScalarPricer`); improvements should be
     re-priced through :meth:`Evaluator.evaluate_fresh` by the caller.
     ``energy_pj``/``cycles``/``utilization`` carry the bit-exact component
     metrics for valid, unpruned candidates (multi-objective searches need
@@ -533,6 +526,20 @@ class CandidateOutcome:
     energy_pj: Optional[float] = None
     cycles: Optional[int] = None
     utilization: Optional[float] = None
+
+    @classmethod
+    def of(cls, evaluation: Evaluation, objective: str) -> "CandidateOutcome":
+        """The outcome of a candidate priced by the scalar evaluator."""
+        valid = evaluation.valid
+        return cls(
+            valid=valid,
+            pruned=False,
+            metric=evaluation.metric(objective) if valid else float("inf"),
+            evaluation=evaluation,
+            energy_pj=evaluation.energy_pj if valid else None,
+            cycles=evaluation.cycles if valid else None,
+            utilization=evaluation.utilization if valid else None,
+        )
 
 
 @dataclass
@@ -563,9 +570,9 @@ class BatchEvaluator:
     ``energy_pj``, ``cycles``, EDP, and ``utilization`` for every row it
     prices vectorized; rows it cannot represent go through the scalar
     evaluator unchanged. Check :attr:`supported` before use — searches
-    keep their scalar loops when the engine is unavailable (no NumPy,
-    NoC/static energy or bandwidth stalls enabled, or degenerate tensor
-    paths).
+    price through the scalar evaluator instead when the engine is
+    unavailable (NoC/static energy or bandwidth stalls enabled, or
+    degenerate tensor paths).
     """
 
     def __init__(
@@ -589,8 +596,6 @@ class BatchEvaluator:
 
     @staticmethod
     def _support_check(evaluator: Evaluator) -> Tuple[bool, str]:
-        if not HAS_NUMPY:
-            return False, "numpy unavailable"
         if evaluator.include_noc or evaluator.include_static:
             return False, "NoC/static energy components enabled"
         if any(
@@ -813,15 +818,7 @@ class BatchEvaluator:
                 if hit is not None:
                     if hit.mapping is not mapping:
                         hit = replace(hit, mapping=mapping)
-                    outcomes[i] = CandidateOutcome(
-                        valid=hit.valid,
-                        pruned=False,
-                        metric=hit.metric(objective) if hit.valid else float("inf"),
-                        evaluation=hit,
-                        energy_pj=hit.energy_pj if hit.valid else None,
-                        cycles=hit.cycles if hit.valid else None,
-                        utilization=hit.utilization if hit.valid else None,
-                    )
+                    outcomes[i] = CandidateOutcome.of(hit, objective)
                     continue
             misses.append(mapping)
             miss_rows.append(i)

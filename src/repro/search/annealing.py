@@ -15,9 +15,9 @@ from typing import Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
-from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.model.evaluator import Evaluator
+from repro.search.loop import RunLedger, batch_engine_for
+from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
 
@@ -36,15 +36,11 @@ class SimulatedAnnealing:
         seed: RNG seed or generator.
         use_batch: price candidates through the vectorized
             :class:`~repro.model.batch.BatchEvaluator` when it supports
-            this (arch, workload, evaluator) triple, falling back to the
-            scalar evaluator otherwise — the same wiring as the other
-            searchers. The Metropolis chain is inherently sequential
-            (each step's candidate depends on the previous acceptance),
-            so candidates are priced one at a time; the engine is
-            bit-exact and evaluation consumes no RNG, so the trajectory
-            is identical to the scalar path.
-        batch_size: unused (the chain prices single candidates); kept for
-            signature uniformity with the other searchers.
+            this (arch, workload, evaluator) triple, else through the
+            scalar evaluator; the engine is bit-exact and pricing
+            consumes no RNG, so the trajectory is the same either way.
+        batch_engine: optional shared engine to price through instead of
+            building one.
     """
 
     def __init__(
@@ -58,7 +54,6 @@ class SimulatedAnnealing:
         restarts: int = 1,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = 512,
         batch_engine=None,
     ) -> None:
         if steps < 1:
@@ -78,84 +73,31 @@ class SimulatedAnnealing:
         self.restarts = restarts
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = batch_size
         self.batch_engine = batch_engine
 
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        evaluations = 0
-        num_valid = 0
-        curve = []
+        engine = batch_engine_for(
+            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
+        )
         # Nominal plan: one seed draw + `steps` neighbors per restart.
         # Infeasible-seed retries can exceed it; the tracker clamps the
         # fraction at 1.0 and finish() snaps short runs up to it.
-        timer = SearchTimer(
-            self.evaluator,
-            driver="annealing",
-            total_units=self.restarts * (self.steps + 1),
+        ledger = RunLedger(
+            self.evaluator, "annealing", self.objective,
+            total_units=self.restarts * (self.steps + 1), engine=engine,
         )
-        engine = self._batch_engine()
 
-        def evaluate(genome):
-            nonlocal evaluations, num_valid, best, best_metric
-            timer.progress.advance(1)
-            mapping = self.mapspace.assemble(genome, self.rng)
-            if engine is not None:
-                # Batch-of-one: the Metropolis chain is sequential, but
-                # pricing through the engine keeps the scalar evaluator
-                # off the hot path and the trajectory bit-identical
-                # (evaluation consumes no RNG).
-                outcome = engine.evaluate_mappings(
-                    [mapping], objective=self.objective, prune=False
-                )[0]
-                evaluations += 1
-                if not outcome.valid:
-                    return float("inf")
-                num_valid += 1
-                metric = outcome.metric
-                evaluation = outcome.evaluation
-            else:
-                evaluation = self.evaluator.evaluate(mapping)
-                evaluations += 1
-                if not evaluation.valid:
-                    return float("inf")
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
-            if metric < best_metric:
-                if evaluation is None:
-                    evaluation = self.evaluator.evaluate_fresh(mapping)
-                best, best_metric = evaluation, metric
-                curve.append(
-                    ConvergencePoint(evaluations=evaluations, best_metric=metric)
-                )
-                obs.inc("search.improvements", driver="annealing")
-                obs.set_gauge("search.best_metric", metric, driver="annealing")
-                timer.progress.improved(metric)
-            return metric
+        def evaluate(genome) -> float:
+            # The Metropolis chain is sequential (each step's candidate
+            # depends on the previous acceptance), so candidates are
+            # priced one at a time; pricing consumes no RNG.
+            mappings = [self.mapspace.assemble(genome, self.rng)]
+            outcomes = ledger.price(mappings)
+            ledger.record(mappings, outcomes)
+            return outcomes[0].metric
 
-        with timer, obs.trace(
-            "search.run", driver="annealing",
-            mode="batch" if engine is not None else "scalar",
+        with ledger, obs.trace(
+            "search.run", driver="annealing", mode=ledger.mode,
             objective=self.objective,
         ):
             for restart in range(self.restarts):
@@ -184,16 +126,7 @@ class SimulatedAnnealing:
                         else:
                             obs.inc("search.rejects", driver="annealing")
                         temperature *= self.cooling
-            obs.inc("search.candidates", evaluations, driver="annealing")
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by="budget",
-            curve=curve,
-            stats=timer.stats(evaluations, engine=engine),
-        )
+        return ledger.result("budget")
 
     def _accept(self, current: float, candidate: float, temperature: float) -> bool:
         if candidate <= current:

@@ -62,8 +62,8 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.result import SearchResult
 from repro.search.worker_pool import LocalIncumbent
 from repro.utils.rng import make_rng
 
@@ -122,7 +122,7 @@ class _SubtreeWalker:
         batch_size: int,
         limit: Optional[int],
         incumbent,
-        tracker=None,
+        ledger=None,
     ) -> None:
         self.mapspace = mapspace
         self.engine = engine
@@ -134,10 +134,12 @@ class _SubtreeWalker:
         self.batch_size = batch_size
         self.limit = limit
         self.incumbent = incumbent
-        #: Optional ProgressTracker advanced as cells are covered (serial
-        #: search passes the timer's; parallel workers leave it None and
-        #: the driver advances per arriving unit instead).
-        self.tracker = tracker
+        #: Optional RunLedger: its improvement hook records every accepted
+        #: improvement, and its progress tracker advances as cells are
+        #: covered. The serial search and the parallel driver pass theirs;
+        #: parallel workers leave it None (the driver advances per
+        #: arriving unit and re-prices their claims through its own).
+        self.ledger = ledger
         self.menu_by_dim = dict(self.dims_order)
         self.num_dims = len(self.dims_order)
         #: Workload dim order — the canonical signature axis (matches
@@ -165,7 +167,6 @@ class _SubtreeWalker:
         self.best_metric = float("inf")
         self.best_chains: Optional[Dict[str, object]] = None
         self.best_signature: Optional[Tuple[int, ...]] = None
-        self.curve: List[ConvergencePoint] = []
 
         self._cut = float(incumbent.read())
         # Leaf subtrees are buffered and flushed together so their rows
@@ -182,8 +183,8 @@ class _SubtreeWalker:
         if cells <= 0:
             return
         self.cells_covered += cells
-        if self.tracker is not None:
-            self.tracker.advance(cells)
+        if self.ledger is not None:
+            self.ledger.progress.advance(cells)
 
     # -- improvements ----------------------------------------------------
 
@@ -215,13 +216,8 @@ class _SubtreeWalker:
         self.best_metric = metric
         self.best_chains = dict(chains) if chains is not None else None
         self.best_signature = tuple(int(x) for x in signature)
-        self.curve.append(
-            ConvergencePoint(evaluations=self.evaluations, best_metric=metric)
-        )
-        obs.inc("search.improvements", driver="branch-bound")
-        obs.set_gauge("search.best_metric", metric, driver="branch-bound")
-        if self.tracker is not None:
-            self.tracker.improved(metric)
+        if self.ledger is not None:
+            self.ledger.improved(metric, evaluation, self.evaluations)
         return True
 
     def price_mappings(self, mappings, chains_list=None) -> None:
@@ -505,9 +501,9 @@ class BranchBoundSearch:
             free); exceeding it raises. ``None`` disables the cap. With
             ``workers > 1`` the cap applies per work unit, not globally.
         seed: RNG seed or generator (consumed only by the warm start).
-        use_batch: allow the vectorized engine; without it (or NumPy, or
-            an unsupported evaluator config) the search falls back to the
-            scalar exhaustive sweep.
+        use_batch: allow the vectorized engine; without it (or with an
+            evaluator configuration the engine does not support) the
+            search falls back to the scalar exhaustive sweep.
         workers: fan top-level subtrees over a process pool when > 1
             (see :mod:`repro.search.branch_bound_parallel`); the best
             metric is bit-identical to the serial walk. Ignored on the
@@ -535,8 +531,6 @@ class BranchBoundSearch:
             raise SearchError("warm_samples must be >= 0")
         if leaf_width < 1:
             raise SearchError("leaf_width must be >= 1")
-        if batch_size < 1:
-            raise SearchError("batch_size must be >= 1")
         if workers < 1:
             raise SearchError("workers must be >= 1")
         self.mapspace = mapspace
@@ -544,27 +538,15 @@ class BranchBoundSearch:
         self.objective = objective
         self.warm_samples = warm_samples
         self.leaf_width = leaf_width
-        self.batch_size = batch_size
+        self.batch_size = check_batch_size(batch_size)
         self.limit = limit
         self.rng = make_rng(seed)
         self.use_batch = use_batch
         self.workers = workers
         self.start_method = start_method
 
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
-        engine = self._batch_engine()
+        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
         if engine is None:
             return self._run_scalar_fallback()
         if self.workers > 1:
@@ -636,11 +618,12 @@ class BranchBoundSearch:
         total_cells = 1
         for _, menu in menus:
             total_cells *= len(menu)
-        timer = SearchTimer(
-            self.evaluator, driver="branch-bound", total_units=total_cells
+        ledger = RunLedger(
+            self.evaluator, "branch-bound", self.objective,
+            total_units=total_cells, engine=engine,
         )
-        with timer, obs.trace(
-            "search.run", driver="branch-bound", mode="batch",
+        with ledger, obs.trace(
+            "search.run", driver="branch-bound", mode=ledger.mode,
             objective=self.objective,
         ):
             walker = _SubtreeWalker(
@@ -654,7 +637,7 @@ class BranchBoundSearch:
                 batch_size=self.batch_size,
                 limit=self.limit,
                 incumbent=LocalIncumbent(len(menus)),
-                tracker=timer.progress,
+                ledger=ledger,
             )
             warm_metric = self._warm_start(walker)
             root_bound = walker.walk(())
@@ -668,8 +651,11 @@ class BranchBoundSearch:
                     "search.bound_tightness", tightness, driver="branch-bound"
                 )
 
-        stats = timer.stats(walker.evaluations, engine=engine)
-        stats["bnb"] = _bnb_stats(
+        # The walker counts rows itself (parallel workers have no ledger).
+        ledger.evaluations = walker.evaluations
+        ledger.num_valid = walker.num_valid
+        result = ledger.result("exhausted")
+        result.stats["bnb"] = _bnb_stats(
             nodes_expanded=walker.nodes_expanded,
             leaves_deferred=walker.leaves_deferred,
             subtrees_pruned=walker.subtrees_pruned,
@@ -678,15 +664,7 @@ class BranchBoundSearch:
             bound_tightness=tightness,
             warm_start_metric=warm_metric,
         )
-        return SearchResult(
-            best=walker.best,
-            objective=self.objective,
-            num_evaluated=walker.evaluations,
-            num_valid=walker.num_valid,
-            terminated_by="exhausted",
-            curve=walker.curve,
-            stats=stats,
-        )
+        return result
 
 
 def _bnb_stats(

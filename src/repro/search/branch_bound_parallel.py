@@ -52,7 +52,8 @@ from repro.mapspace.factory import make_mapspace
 from repro.model.eval_cache import EvaluationCache
 from repro.model.evaluator import Evaluator
 from repro.model.shm import ShmArrayBundle
-from repro.obs import SearchTimer, empty_batch_stats
+from repro.obs import empty_batch_stats
+from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
     OBS_SNAPSHOT_KEY,
@@ -98,7 +99,7 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
     )
     layout = mapspace.batch_layout()
     engine = BatchEvaluator(evaluator, layout=layout)
-    if layout is None or not engine.supported:
+    if not engine.supported:
         raise SearchError(
             "batch engine unsupported in branch-and-bound worker"
         )
@@ -297,12 +298,13 @@ def run_parallel_tree(search, engine) -> SearchResult:
     total_units = 1
     for _, menu in menus:
         total_units *= len(menu)
-    timer = SearchTimer(
-        evaluator, driver="branch-bound", total_units=total_units
+    ledger = RunLedger(
+        evaluator, "branch-bound", search.objective,
+        total_units=total_units, engine=engine,
     )
     bundles: List[ShmArrayBundle] = []
     try:
-        with timer, obs.trace(
+        with ledger, obs.trace(
             "search.run", driver="branch-bound", mode="parallel",
             objective=search.objective, workers=workers,
         ):
@@ -320,7 +322,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 batch_size=search.batch_size,
                 limit=search.limit,
                 incumbent=LocalIncumbent(num_dims),
-                tracker=timer.progress,
+                ledger=ledger,
             )
             warm_metric = search._warm_start(walker)
             root_bound = float(bound_engine.bound({}, search.objective))
@@ -440,15 +442,15 @@ def run_parallel_tree(search, engine) -> SearchResult:
             def _on_unit_result(result: Dict[str, Any]) -> None:
                 nonlocal seen_best
                 if result["kind"] == "walk":
-                    timer.progress.advance(walker.suffix_product[depth])
+                    ledger.progress.advance(walker.suffix_product[depth])
                 else:
-                    timer.progress.advance(
+                    ledger.progress.advance(
                         result["counters"]["evaluations"]
                     )
                 metric = result["metric"]
                 if metric < seen_best:
                     seen_best = metric
-                    timer.progress.improved(float(metric))
+                    ledger.progress.improved(float(metric))
 
             if jobs:
                 results, pool_mode, _ = run_jobs(
@@ -550,9 +552,11 @@ def run_parallel_tree(search, engine) -> SearchResult:
         for bundle in bundles:
             bundle.release()
 
-    total_evaluations = walker.evaluations + worker_evaluations
-    stats = timer.stats(total_evaluations, engine=engine)
-    batch_stats = stats.get("batch") or empty_batch_stats()
+    ledger.evaluations = walker.evaluations + worker_evaluations
+    ledger.num_valid = walker.num_valid + worker_valid
+    result = ledger.result("exhausted")
+    stats = result.stats
+    batch_stats = stats["batch"]
     for key in ("batches", "candidates", "pruned", "fallback"):
         batch_stats[key] += batch_totals[key]
     batch_stats["prune_rate"] = (
@@ -578,12 +582,4 @@ def run_parallel_tree(search, engine) -> SearchResult:
         "transport": bundles[0].transport if bundles else None,
         "units": unit_rows,
     }
-    return SearchResult(
-        best=walker.best,
-        objective=search.objective,
-        num_evaluated=total_evaluations,
-        num_valid=walker.num_valid + worker_valid,
-        terminated_by="exhausted",
-        curve=walker.curve,
-        stats=stats,
-    )
+    return result

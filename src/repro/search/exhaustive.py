@@ -2,38 +2,44 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
 
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
-from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.model.evaluator import Evaluator
+from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.result import SearchResult
 
 
 class ExhaustiveSearch:
     """Evaluate every mapping of a mapspace, each exactly once.
 
-    By default the sweep runs through the vectorized batch engine
-    (:class:`~repro.model.batch.BatchEvaluator`): candidates are packed
-    straight from the chain enumerator into columnar batches and priced in
-    bulk, with admissible lower-bound pruning skipping the expensive
-    traffic stage for candidates that provably cannot beat the incumbent.
-    Results are bit-exact against the scalar path. The scalar loop is kept
-    for permutation sweeps and NumPy-less environments.
+    Candidates come from one of two sources and feed the same run
+    ledger. By default they are packed straight from the chain enumerator
+    into columnar batches and priced in bulk by the vectorized
+    :class:`~repro.model.batch.BatchEvaluator`, with admissible
+    lower-bound pruning skipping the expensive traffic stage for
+    candidates that provably cannot beat the incumbent. Permutation
+    sweeps, ``use_batch=False``, and evaluator configurations the engine
+    does not support enumerate ``Mapping`` objects in chunks and price
+    them through the scalar evaluator instead. Results are bit-exact
+    across the two sources.
 
     Args:
         mapspace: must be small enough to enumerate.
         evaluator: prices each mapping.
         objective: optimization metric name.
-        permutations: also enumerate temporal loop orders (scalar path).
+        permutations: also enumerate temporal loop orders (scalar source).
         limit: safety cap on enumerated mappings; exceeding it raises.
         use_batch: price candidates through the batch engine when it
             supports this (arch, workload, evaluator) triple.
-        batch_size: candidates per packed batch.
-        prune: enable lower-bound pruning on the batch path. Never changes
-            the search outcome — only which candidates get fully priced.
+        batch_size: candidates per packed batch or scalar chunk (>= 1).
+        prune: enable lower-bound pruning on the packed source. Never
+            changes the search outcome, only which candidates get fully
+            priced.
+        batch_engine: optional shared engine to price through instead of
+            building one.
     """
 
     def __init__(
@@ -54,173 +60,67 @@ class ExhaustiveSearch:
         self.permutations = permutations
         self.limit = limit
         self.use_batch = use_batch
-        self.batch_size = batch_size
+        self.batch_size = check_batch_size(batch_size)
         self.prune = prune
         self.batch_engine = batch_engine
 
-    def _batch_engine(self):
-        """The batch engine, or None when this sweep must run scalar."""
-        if not self.use_batch or self.permutations:
-            # Permutation sweeps leave the columnar grid (several temporal
-            # loops per level per dim) — enumerate them scalar.
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
-
     def run(self) -> SearchResult:
-        engine = self._batch_engine()
-        if engine is not None:
-            return self._run_batched(engine)
-        return self._run_scalar()
-
-    def _run_batched(self, engine) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        num_valid = 0
-        evaluations = 0
-        curve = []
-        # Clamp so the limit check below always fires before a batch that
-        # would push past the cap is priced (and bound batch memory).
-        batch_size = max(1, min(self.batch_size, self.limit + 1))
-        # Pre-filter menu product: cheap, and only an over-estimate —
-        # finish() snaps the progress fraction to 1.0 at the end.
-        timer = SearchTimer(
-            self.evaluator,
-            driver="exhaustive",
-            total_units=self.mapspace.enumeration_upper_bound(),
+        # Permutation sweeps leave the columnar grid (several temporal
+        # loops per level per dim), so they always enumerate scalar.
+        engine = None if self.permutations else batch_engine_for(
+            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
         )
-        with timer, obs.trace(
-            "search.run", driver="exhaustive", mode="batch",
-            objective=self.objective,
-        ):
-            for batch in self.mapspace.iter_batches(batch_size=batch_size):
-                if evaluations + batch.size > self.limit:
-                    raise SearchError(
-                        f"exhaustive search exceeded limit of {self.limit} "
-                        "mappings"
-                    )
-                with obs.trace("search.batch", size=batch.size):
-                    outcome = engine.evaluate_batch(
-                        batch,
-                        objective=self.objective,
-                        incumbent=best_metric,
-                        prune=self.prune,
-                    )
-                obs.inc("search.candidates", batch.size, driver="exhaustive")
-                timer.progress.advance(batch.size)
-                for i in range(batch.size):
-                    evaluations += 1
-                    if not outcome.valid[i]:
-                        continue
-                    num_valid += 1
-                    if outcome.pruned[i]:
-                        continue  # provably no better than the incumbent
-                    metric = float(outcome.metric[i])
-                    if metric < best_metric:
-                        evaluation = outcome.evaluations.get(i)
-                        if evaluation is None:
-                            evaluation = self.evaluator.evaluate_fresh(
-                                batch.mapping_at(i)
-                            )
-                        best = evaluation
-                        best_metric = metric
-                        curve.append(
-                            ConvergencePoint(
-                                evaluations=evaluations, best_metric=metric
-                            )
-                        )
-                        obs.inc("search.improvements", driver="exhaustive")
-                        obs.set_gauge(
-                            "search.best_metric", metric, driver="exhaustive"
-                        )
-                        timer.progress.improved(metric)
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by="exhausted",
-            curve=curve,
-            stats=timer.stats(evaluations, engine=engine),
-        )
-
-    def _run_scalar(self) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        num_valid = 0
-        evaluations = 0
-        curve = []
-        # Permutation sweeps multiply the space by per-level orderings the
-        # menu product doesn't see — leave their total unknown rather than
-        # report a fraction that sails past 1.0.
-        timer = SearchTimer(
-            self.evaluator,
-            driver="exhaustive",
+        # The pre-filter menu product is cheap and only an over-estimate:
+        # the tracker snaps the fraction to 1.0 at the end. Permutation
+        # sweeps multiply the space by per-level orderings the product
+        # doesn't see, so their total stays unknown.
+        ledger = RunLedger(
+            self.evaluator, "exhaustive", self.objective,
             total_units=(
                 None
                 if self.permutations
                 else self.mapspace.enumeration_upper_bound()
             ),
+            engine=engine,
         )
-        with timer, obs.trace(
-            "search.run", driver="exhaustive", mode="scalar",
+        # Clamp so the limit check always fires before a chunk that would
+        # push past the cap is priced (and bound chunk memory).
+        batch_size = max(1, min(self.batch_size, self.limit + 1))
+        with ledger, obs.trace(
+            "search.run", driver="exhaustive", mode=ledger.mode,
             objective=self.objective,
         ):
-            for mapping in self.mapspace.enumerate_mappings(
-                permutations=self.permutations
-            ):
-                # No dedup: chain enumeration emits each candidate exactly
-                # once (distinct chain combinations produce distinct cells,
-                # hence distinct signatures), so a seen-set would only hide
-                # a count mismatch against the batched path. The
-                # enumeration-count-parity invariant checks this.
-                evaluations += 1
-                if evaluations > self.limit:
-                    raise SearchError(
-                        f"exhaustive search exceeded limit of {self.limit} "
-                        "mappings"
-                    )
-                evaluation = self.evaluator.evaluate(mapping)
-                timer.progress.advance(1)
-                if not evaluation.valid:
-                    continue
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
-                if metric < best_metric:
-                    best = evaluation
-                    best_metric = metric
-                    curve.append(
-                        ConvergencePoint(
-                            evaluations=evaluations, best_metric=metric
+            if engine is not None:
+                for batch in self.mapspace.iter_batches(batch_size=batch_size):
+                    self._check_limit(ledger.evaluations + batch.size)
+                    with obs.trace("search.batch", size=batch.size):
+                        outcome = engine.evaluate_batch(
+                            batch,
+                            objective=self.objective,
+                            incumbent=ledger.best_metric,
+                            prune=self.prune,
                         )
-                    )
-                    obs.inc("search.improvements", driver="exhaustive")
-                    obs.set_gauge(
-                        "search.best_metric", metric, driver="exhaustive"
-                    )
-                    timer.progress.improved(metric)
-            obs.inc("search.candidates", evaluations, driver="exhaustive")
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by="exhausted",
-            curve=curve,
-            stats=timer.stats(evaluations),
-        )
+                    ledger.record_batch(batch, outcome)
+            else:
+                # No dedup: chain enumeration emits each candidate exactly
+                # once, so a seen-set would only hide a count mismatch
+                # against the packed source (the enumeration-count-parity
+                # invariant checks this).
+                candidates = self.mapspace.enumerate_mappings(
+                    permutations=self.permutations
+                )
+                while chunk := list(islice(candidates, batch_size)):
+                    self._check_limit(ledger.evaluations + len(chunk))
+                    with obs.trace("search.batch", size=len(chunk)):
+                        outcomes = ledger.price(chunk)
+                    ledger.record(chunk, outcomes)
+        return ledger.result("exhausted")
+
+    def _check_limit(self, evaluations: int) -> None:
+        if evaluations > self.limit:
+            raise SearchError(
+                f"exhaustive search exceeded limit of {self.limit} mappings"
+            )
 
 
 def exhaustive_search(

@@ -20,9 +20,9 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.allocation import DimChain
 from repro.mapspace.generator import MapSpace
-from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.model.evaluator import Evaluator
+from repro.search.loop import RunLedger, batch_engine_for
+from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
 Genome = Dict[str, DimChain]
@@ -41,14 +41,13 @@ class GeneticSearch:
         tournament: tournament size for parent selection.
         seed: RNG seed or generator.
         use_batch: score each population through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when supported.
-            Genomes are assembled in population order before scoring (the
-            RNG stream is untouched by evaluation), and the engine is
-            bit-exact, so the evolution trajectory is identical to the
-            scalar path. Pruning stays off — selection needs every
-            individual's fitness, not just the incumbent-beaters.
-        batch_size: unused on the scalar path; populations are scored as
-            one batch each (they are search-sized, not sweep-sized).
+            :class:`~repro.model.batch.BatchEvaluator` when supported,
+            else through the scalar evaluator. Genomes are assembled in
+            population order before scoring (pricing consumes no RNG) and
+            the engine is bit-exact, so the evolution trajectory is the
+            same either way. Each population is priced as one chunk.
+        batch_engine: optional shared engine to price through instead of
+            building one.
     """
 
     def __init__(
@@ -62,7 +61,6 @@ class GeneticSearch:
         tournament: int = 3,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = 512,
         batch_engine=None,
     ) -> None:
         if population_size < 2:
@@ -82,102 +80,35 @@ class GeneticSearch:
         self.tournament = tournament
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = batch_size
         self.batch_engine = batch_engine
-
-    def _batch_engine(self):
-        """The batch engine, or None when scoring must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # Injected shared engine (see RandomSearch._batch_engine).
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
 
     def run(self) -> SearchResult:
         """Evolve the population and return the best mapping found."""
-        engine = self._batch_engine()
-        timer = SearchTimer(
-            self.evaluator,
-            driver="genetic",
-            total_units=(self.generations + 1) * self.population_size,
+        engine = batch_engine_for(
+            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
         )
-        evaluations = 0
-        num_valid = 0
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        curve: List[ConvergencePoint] = []
-        scored: List[Tuple[float, Genome]] = []
+        ledger = RunLedger(
+            self.evaluator, "genetic", self.objective,
+            total_units=(self.generations + 1) * self.population_size,
+            engine=engine,
+        )
 
         def score_population(genomes: List[Genome]) -> List[float]:
             """Fitness of a whole population, in population order.
 
             All genomes are assembled first (the only RNG consumer), then
-            priced in one batch when the engine is available — the stream
-            and the metrics match per-genome scalar scoring exactly.
+            priced together; pruning stays off because selection needs
+            every individual's fitness, not just the incumbent-beaters.
             """
-            nonlocal evaluations, num_valid, best, best_metric
             mappings = [
                 self.mapspace.assemble(genome, self.rng) for genome in genomes
             ]
-            outcomes = None
-            if engine is not None:
-                outcomes = engine.evaluate_mappings(
-                    mappings, objective=self.objective, prune=False
-                )
-            metrics: List[float] = []
-            for index, mapping in enumerate(mappings):
-                if outcomes is not None:
-                    outcome = outcomes[index]
-                    valid = outcome.valid
-                    metric = outcome.metric
-                    evaluation = outcome.evaluation
-                else:
-                    evaluation = self.evaluator.evaluate(mapping)
-                    valid = evaluation.valid
-                    metric = (
-                        evaluation.metric(self.objective)
-                        if valid
-                        else float("inf")
-                    )
-                evaluations += 1
-                if not valid:
-                    metrics.append(float("inf"))
-                    continue
-                num_valid += 1
-                if metric < best_metric:
-                    if evaluation is None:
-                        evaluation = self.evaluator.evaluate_fresh(mapping)
-                    best = evaluation
-                    best_metric = metric
-                    curve.append(
-                        ConvergencePoint(
-                            evaluations=evaluations, best_metric=metric
-                        )
-                    )
-                    obs.inc("search.improvements", driver="genetic")
-                    obs.set_gauge(
-                        "search.best_metric", metric, driver="genetic"
-                    )
-                    timer.progress.improved(metric)
-                metrics.append(metric)
-            obs.inc("search.candidates", len(genomes), driver="genetic")
-            timer.progress.advance(len(genomes))
-            return metrics
+            outcomes = ledger.price(mappings)
+            ledger.record(mappings, outcomes)
+            return [outcome.metric for outcome in outcomes]
 
-        with timer, obs.trace(
-            "search.run", driver="genetic",
-            mode="batch" if engine is not None else "scalar",
+        with ledger, obs.trace(
+            "search.run", driver="genetic", mode=ledger.mode,
             objective=self.objective,
         ):
             population = [
@@ -203,16 +134,7 @@ class GeneticSearch:
                     pool.sort(key=lambda pair: pair[0])
                     scored = pool[: self.population_size]
                 obs.inc("search.generations", driver="genetic")
-        stats = timer.stats(evaluations, engine=engine)
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by="budget",
-            curve=curve,
-            stats=stats,
-        )
+        return ledger.result("budget")
 
     def _select(self, scored: List[Tuple[float, Genome]]) -> Genome:
         contenders = [

@@ -32,6 +32,7 @@ from repro.mapspace.generator import MapspaceKind
 from repro.model.eval_cache import DEFAULT_CACHE_SIZE, EvaluationCache
 from repro.model.evaluator import Evaluator
 from repro.obs import SearchTimer, TIMING_BUCKETS
+from repro.search.loop import check_batch_size
 from repro.search.random_search import DEFAULT_PATIENCE, RandomSearch
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
@@ -179,6 +180,7 @@ def parallel_random_search(
     """
     if workers < 1:
         raise SearchError("workers must be >= 1")
+    check_batch_size(batch_size)
     rng = make_rng(seed)
     seeds = [rng.getrandbits(32) for _ in range(workers)]
     state: Dict[str, Any] = {

@@ -16,7 +16,7 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
+from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
 from repro.utils.rng import make_rng
 
 
@@ -80,13 +80,13 @@ class ParetoSearch:
         evaluator: prices each mapping.
         max_evaluations: sampling budget.
         seed: RNG seed or generator.
-        use_batch: price sampled candidates in chunks through the
-            vectorized :class:`~repro.model.batch.BatchEvaluator` when it
-            supports the triple (bit-exact; scalar fallback otherwise).
-            Sampling consumes the RNG stream one draw at a time and
-            evaluation consumes none, so chunked pricing visits exactly
-            the candidates the scalar path would.
-        batch_size: candidates per chunk on the batch path.
+        use_batch: price sampled candidates through the vectorized
+            :class:`~repro.model.batch.BatchEvaluator` when it supports
+            the triple, else through the scalar evaluator (bit-exact
+            either way). Sampling consumes the RNG stream one draw at a
+            time and pricing consumes none, so both visit exactly the
+            same candidates.
+        batch_size: candidates sampled and priced per chunk (>= 1).
     """
 
     def __init__(
@@ -100,107 +100,58 @@ class ParetoSearch:
     ) -> None:
         if max_evaluations < 1:
             raise SearchError("max_evaluations must be >= 1")
-        if batch_size < 1:
-            raise SearchError("batch_size must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
         self.max_evaluations = max_evaluations
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = batch_size
-
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
+        self.batch_size = check_batch_size(batch_size)
 
     def run(self) -> ParetoSearchResult:
-        result = ParetoSearchResult()
-        timer = SearchTimer(
-            self.evaluator, driver="pareto", total_units=self.max_evaluations
+        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
+        # No scalar incumbent in a multi-objective search: the ledger only
+        # counts, and the progress timeline records frontier growth.
+        ledger = RunLedger(
+            self.evaluator, "pareto",
+            total_units=self.max_evaluations, engine=engine,
         )
-        engine = self._batch_engine()
-        with timer, obs.trace(
-            "search.run", driver="pareto",
-            mode="batch" if engine is not None else "scalar",
-        ):
-            if engine is not None:
-                frontier = self._run_batched(engine, result, timer)
-            else:
-                frontier = self._run_scalar(result, timer)
-            obs.inc("search.candidates", result.num_evaluated, driver="pareto")
+        frontier: List[Evaluation] = []
+        with ledger, obs.trace("search.run", driver="pareto", mode=ledger.mode):
+            while ledger.evaluations < self.max_evaluations:
+                chunk = min(
+                    self.batch_size, self.max_evaluations - ledger.evaluations
+                )
+                mappings = [
+                    self.mapspace.sample(self.rng) for _ in range(chunk)
+                ]
+                outcomes = ledger.price(mappings)
+                ledger.count(chunk)
+                for mapping, outcome in zip(mappings, outcomes):
+                    if not outcome.valid:
+                        continue
+                    ledger.num_valid += 1
+                    energy, cycles = outcome.energy_pj, outcome.cycles
+                    if any(
+                        _dominates_xy(kept.energy_pj, kept.cycles, energy, cycles)
+                        for kept in frontier
+                    ):
+                        continue
+                    # Materialize the full Evaluation only for frontier
+                    # entrants: dominated candidates never leave the batch.
+                    evaluation = outcome.evaluation
+                    if evaluation is None:
+                        evaluation = self.evaluator.evaluate_fresh(mapping)
+                    frontier[:] = [
+                        kept
+                        for kept in frontier
+                        if not _dominates(evaluation, kept)
+                    ]
+                    frontier.append(evaluation)
+                    ledger.progress.improved(float(len(frontier)))
         frontier.sort(key=lambda e: (e.energy_pj, e.cycles))
-        result.frontier = frontier
-        result.stats = timer.stats(result.num_evaluated, engine=engine)
-        return result
-
-    def _run_scalar(
-        self, result: ParetoSearchResult, timer: SearchTimer
-    ) -> List[Evaluation]:
-        frontier: List[Evaluation] = []
-        for _ in range(self.max_evaluations):
-            mapping = self.mapspace.sample(self.rng)
-            evaluation = self.evaluator.evaluate(mapping)
-            result.num_evaluated += 1
-            timer.progress.advance(1)
-            if not evaluation.valid:
-                continue
-            result.num_valid += 1
-            if self._admit(frontier, evaluation):
-                # No scalar incumbent in a multi-objective search: the
-                # convergence timeline records frontier growth instead.
-                timer.progress.improved(float(len(frontier)))
-        return frontier
-
-    def _run_batched(
-        self, engine, result: ParetoSearchResult, timer: SearchTimer
-    ) -> List[Evaluation]:
-        frontier: List[Evaluation] = []
-        remaining = self.max_evaluations
-        while remaining > 0:
-            chunk_size = min(self.batch_size, remaining)
-            mappings = [
-                self.mapspace.sample(self.rng) for _ in range(chunk_size)
-            ]
-            outcomes = engine.evaluate_mappings(mappings, prune=False)
-            result.num_evaluated += chunk_size
-            timer.progress.advance(chunk_size)
-            remaining -= chunk_size
-            for mapping, outcome in zip(mappings, outcomes):
-                if not outcome.valid:
-                    continue
-                result.num_valid += 1
-                energy, cycles = outcome.energy_pj, outcome.cycles
-                if any(
-                    _dominates_xy(kept.energy_pj, kept.cycles, energy, cycles)
-                    for kept in frontier
-                ):
-                    continue
-                # Materialize the full Evaluation only for frontier
-                # entrants — dominated candidates never leave the batch.
-                evaluation = outcome.evaluation
-                if evaluation is None:
-                    evaluation = self.evaluator.evaluate_fresh(mapping)
-                if self._admit(frontier, evaluation):
-                    timer.progress.improved(float(len(frontier)))
-        return frontier
-
-    @staticmethod
-    def _admit(
-        frontier: List[Evaluation], evaluation: Evaluation
-    ) -> bool:
-        """Admit a non-dominated evaluation; True when the frontier grew."""
-        if any(_dominates(kept, evaluation) for kept in frontier):
-            return False
-        frontier[:] = [
-            kept for kept in frontier if not _dominates(evaluation, kept)
-        ]
-        frontier.append(evaluation)
-        return True
+        return ParetoSearchResult(
+            frontier=frontier,
+            num_evaluated=ledger.evaluations,
+            num_valid=ledger.num_valid,
+            stats=ledger.stats(),
+        )

@@ -14,9 +14,9 @@ from typing import Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
-from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.model.evaluator import Evaluator
+from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
 #: The paper's per-thread termination criterion (Section IV-B): 3000
@@ -43,11 +43,13 @@ class RandomSearch:
         seed: RNG seed or generator for reproducibility.
         use_batch: price candidates through the vectorized
             :class:`~repro.model.batch.BatchEvaluator` when it supports
-            this (arch, workload, evaluator) triple. Draws, metrics,
-            improvements, and termination are identical to the scalar
-            loop (bit-exact engine + chunk sizes bounded by the remaining
-            patience, so the RNG stream never runs ahead).
-        batch_size: candidates priced per batch on the batch path.
+            this (arch, workload, evaluator) triple, else through the
+            scalar evaluator (which caches every evaluation). Draws,
+            metrics, improvements, and termination are identical either
+            way (see :mod:`repro.search.loop`).
+        batch_size: candidates sampled and priced per chunk (>= 1).
+        batch_engine: optional shared engine to price through instead of
+            building one.
     """
 
     def __init__(
@@ -73,178 +75,52 @@ class RandomSearch:
         self.patience = patience
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = batch_size
+        self.batch_size = check_batch_size(batch_size)
         self.batch_engine = batch_engine
-
-    def _batch_engine(self):
-        """The batch engine, or None when this search must run scalar."""
-        if not self.use_batch:
-            return None
-        if self.batch_engine is not None:
-            # An injected engine (the service's shared cross-job batching
-            # layer) skips construction; it must match this mapspace's
-            # layout, which the service guarantees by keying engines on
-            # the same (arch, workload, kind, constraints) signature.
-            return (
-                self.batch_engine
-                if getattr(self.batch_engine, "supported", False)
-                else None
-            )
-        layout = self.mapspace.batch_layout()
-        if layout is None:
-            return None
-        from repro.model.batch import BatchEvaluator
-
-        engine = BatchEvaluator(self.evaluator, layout=layout)
-        return engine if engine.supported else None
 
     def run(self) -> SearchResult:
         """Run the search to termination."""
-        engine = self._batch_engine()
-        if engine is not None:
-            return self._run_batched(engine)
-        return self._run_scalar()
-
-    def _run_batched(self, engine) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        consecutive_non_improving = 0
-        num_valid = 0
-        evaluations = 0
-        curve = []
-        terminated_by = "budget"
-        timer = SearchTimer(
-            self.evaluator, driver="random", total_units=self.max_evaluations
+        engine = batch_engine_for(
+            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
         )
-        with timer, obs.trace(
-            "search.run", driver="random", mode="batch",
+        ledger = RunLedger(
+            self.evaluator, "random", self.objective,
+            total_units=self.max_evaluations, engine=engine,
+        )
+        consecutive_non_improving = 0
+        terminated_by = "budget"
+        with ledger, obs.trace(
+            "search.run", driver="random", mode=ledger.mode,
             objective=self.objective,
         ):
-            while evaluations < self.max_evaluations:
-                # A chunk never outruns the scalar loop's stopping point: it
-                # is capped by both the remaining budget and the draws still
-                # needed to exhaust patience, so a patience break can only
-                # land on the chunk's last draw and the RNG stream stays
-                # position-identical to the scalar path.
-                room = self.max_evaluations - evaluations
+            while ledger.evaluations < self.max_evaluations:
+                # A chunk never outruns a one-at-a-time loop's stopping
+                # point: it is capped by both the remaining budget and the
+                # draws still needed to exhaust patience, so a patience
+                # stop can only land on the chunk's last draw and the RNG
+                # stream never runs ahead.
+                chunk = min(
+                    self.batch_size, self.max_evaluations - ledger.evaluations
+                )
                 if self.patience is not None:
-                    room = min(room, self.patience - consecutive_non_improving)
-                chunk = max(1, min(self.batch_size, room))
+                    chunk = min(chunk, self.patience - consecutive_non_improving)
                 with obs.trace("search.batch", size=chunk):
                     mappings = [
                         self.mapspace.sample(self.rng) for _ in range(chunk)
                     ]
-                    outcomes = engine.evaluate_mappings(
-                        mappings,
-                        objective=self.objective,
-                        incumbent=best_metric,
-                        prune=True,
-                    )
-                obs.inc("search.candidates", chunk, driver="random")
-                timer.progress.advance(chunk)
-                stop = False
-                for mapping, outcome in zip(mappings, outcomes):
-                    evaluations += 1
-                    if not outcome.valid:
-                        continue
-                    num_valid += 1
-                    if not outcome.pruned and outcome.metric < best_metric:
-                        evaluation = outcome.evaluation
-                        if evaluation is None:
-                            evaluation = self.evaluator.evaluate_fresh(mapping)
-                        best = evaluation
-                        best_metric = outcome.metric
+                    outcomes = ledger.price(mappings, prune=True)
+                for improved in ledger.record(mappings, outcomes):
+                    if improved:
                         consecutive_non_improving = 0
-                        curve.append(
-                            ConvergencePoint(
-                                evaluations=evaluations,
-                                best_metric=outcome.metric,
-                            )
-                        )
-                        obs.inc("search.improvements", driver="random")
-                        obs.set_gauge(
-                            "search.best_metric", outcome.metric,
-                            driver="random",
-                        )
-                        timer.progress.improved(outcome.metric)
-                    else:
+                    elif improved is not None:
                         consecutive_non_improving += 1
-                        if (
-                            self.patience is not None
-                            and consecutive_non_improving >= self.patience
-                        ):
-                            terminated_by = "patience"
-                            stop = True
-                            break
-                if stop:
+                if (
+                    self.patience is not None
+                    and consecutive_non_improving >= self.patience
+                ):
+                    terminated_by = "patience"
                     break
-        stats = timer.stats(evaluations, engine=engine)
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by=terminated_by,
-            curve=curve,
-            stats=stats,
-        )
-
-    def _run_scalar(self) -> SearchResult:
-        best: Optional[Evaluation] = None
-        best_metric = float("inf")
-        consecutive_non_improving = 0
-        num_valid = 0
-        curve = []
-        terminated_by = "budget"
-        timer = SearchTimer(
-            self.evaluator, driver="random", total_units=self.max_evaluations
-        )
-        with timer, obs.trace(
-            "search.run", driver="random", mode="scalar",
-            objective=self.objective,
-        ):
-            for evaluations in range(1, self.max_evaluations + 1):
-                mapping = self.mapspace.sample(self.rng)
-                evaluation = self.evaluator.evaluate(mapping)
-                timer.progress.advance(1)
-                if not evaluation.valid:
-                    continue
-                num_valid += 1
-                metric = evaluation.metric(self.objective)
-                if metric < best_metric:
-                    best = evaluation
-                    best_metric = metric
-                    consecutive_non_improving = 0
-                    curve.append(
-                        ConvergencePoint(
-                            evaluations=evaluations, best_metric=metric
-                        )
-                    )
-                    obs.inc("search.improvements", driver="random")
-                    obs.set_gauge(
-                        "search.best_metric", metric, driver="random"
-                    )
-                    timer.progress.improved(metric)
-                else:
-                    consecutive_non_improving += 1
-                    if (
-                        self.patience is not None
-                        and consecutive_non_improving >= self.patience
-                    ):
-                        terminated_by = "patience"
-                        break
-            else:
-                evaluations = self.max_evaluations
-            obs.inc("search.candidates", evaluations, driver="random")
-        return SearchResult(
-            best=best,
-            objective=self.objective,
-            num_evaluated=evaluations,
-            num_valid=num_valid,
-            terminated_by=terminated_by,
-            curve=curve,
-            stats=timer.stats(evaluations),
-        )
+        return ledger.result(terminated_by)
 
 
 def random_search(

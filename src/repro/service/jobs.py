@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs
 from repro.arch.spec import Architecture
 from repro.core.mapper import Mapper, MapperConfig
-from repro.exceptions import ReproError, ServiceError, SpecError
+from repro.exceptions import ReproError, SearchError, ServiceError, SpecError
 from repro.io.journal import Journal
 from repro.io.serde import (
     architecture_from_dict,
@@ -150,7 +150,7 @@ def parse_search_spec(payload: Any) -> SearchSpec:
             overrides[key] = payload[key]
     try:
         config = MapperConfig(**overrides)
-    except TypeError as error:
+    except (TypeError, SearchError) as error:
         raise SpecError(f"bad search configuration: {error}") from error
     # Resolve every search key (default or override) into the normalized
     # form so "omitted" and "explicitly the default" coalesce.

@@ -240,7 +240,7 @@ def check_prune_parity(
     table = estimate_energy_table(arch)
     engine = BatchEvaluator(Evaluator(arch, workload, table))
     if not engine.supported:
-        return 0, []  # NumPy absent: nothing to compare
+        return 0, []  # engine unsupported: nothing to compare
     space = MapSpace(arch, workload, MapspaceKind.RUBY)
     # A draw can land on all-invalid mappings (infinite metric everywhere),
     # which would make the parity check vacuous — resample until at least

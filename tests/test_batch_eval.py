@@ -15,8 +15,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.arch import (
     eyeriss_like,
     simba_like,
@@ -30,8 +28,10 @@ from repro.model import BatchEvaluator, Evaluator, pack_mappings
 from repro.model.eval_cache import EvaluationCache
 from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
+from repro.search.annealing import SimulatedAnnealing
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
+from repro.search.pareto_search import ParetoSearch
 from repro.search.random_search import RandomSearch
 
 KINDS = ("pfm", "ruby", "ruby-s", "ruby-t")
@@ -232,6 +232,52 @@ def test_genetic_batch_parity():
         ).run()
 
     _assert_same_result(search(False), search(True), check_stats_batch=True)
+
+
+def test_annealing_batch_parity():
+    """Batch-of-one pricing walks the same Metropolis chain."""
+    arch = eyeriss_like()
+    workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
+
+    def search(use_batch):
+        return SimulatedAnnealing(
+            make_mapspace(arch, workload, "ruby-s"),
+            Evaluator(arch, workload),
+            steps=120,
+            restarts=2,
+            seed=13,
+            use_batch=use_batch,
+        ).run()
+
+    _assert_same_result(search(False), search(True), check_stats_batch=True)
+
+
+def test_pareto_batch_parity():
+    """Chunked batch pricing keeps exactly the scalar frontier."""
+    arch = simba_like()
+    workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
+
+    def search(use_batch):
+        return ParetoSearch(
+            make_mapspace(arch, workload, "ruby-s"),
+            Evaluator(arch, workload),
+            max_evaluations=300,
+            seed=17,
+            use_batch=use_batch,
+            batch_size=64,
+        ).run()
+
+    scalar, batched = search(False), search(True)
+    assert scalar.num_evaluated == batched.num_evaluated == 300
+    assert scalar.num_valid == batched.num_valid
+    assert scalar.frontier, "no valid mapping sampled"
+    assert [
+        (e.energy_pj, e.cycles, e.mapping.signature()) for e in scalar.frontier
+    ] == [
+        (e.energy_pj, e.cycles, e.mapping.signature()) for e in batched.frontier
+    ]
+    assert scalar.stats["batch"]["candidates"] == 0
+    assert batched.stats["batch"]["candidates"] == batched.num_evaluated
 
 
 def test_exhaustive_limit_enforced_on_batch_path():

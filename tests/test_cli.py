@@ -40,6 +40,25 @@ class TestSearchCommand:
         assert "EDP=" in out
         assert "utilization=" in out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--searcher", "random"],
+            ["--searcher", "random", "--workers", "2"],
+            ["--searcher", "exhaustive"],
+            ["--searcher", "branch-bound"],
+            ["--searcher", "genetic"],
+            ["--searcher", "annealing"],
+        ],
+    )
+    def test_bad_batch_size_exits_with_search_error_code(self, extra, capsys):
+        code = main(
+            ["search", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
+             "--batch-size", "0"] + extra
+        )
+        assert code == 5
+        assert "batch_size" in capsys.readouterr().err
+
     def test_search_saves_and_reevaluates(self, tmp_path, capsys):
         mapping_path = tmp_path / "m.json"
         workload_path = tmp_path / "w.json"

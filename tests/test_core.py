@@ -67,6 +67,19 @@ class TestMapper:
         with pytest.raises(SearchError):
             find_best_mapping(toy_arch, vector100, strategy="quantum")
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize(
+        "strategy",
+        ["random", "exhaustive", "branch-bound", "genetic", "annealing"],
+    )
+    def test_bad_batch_size_rejected_for_every_strategy(
+        self, toy_arch, vector100, strategy, batch_size
+    ):
+        with pytest.raises(SearchError, match="batch_size"):
+            find_best_mapping(
+                toy_arch, vector100, strategy=strategy, batch_size=batch_size
+            )
+
     def test_ruby_s_at_least_as_good_as_pfm_exhaustive(self, toy_arch, vector100):
         # Ruby-S is a strict superset of PFM: its exhaustive optimum can
         # never be worse.

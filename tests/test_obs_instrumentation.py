@@ -149,6 +149,55 @@ class TestSearchSpans:
         assert default_registry().names() == []
 
 
+class TestRunLedgerCounts:
+    """Each non-tree searcher counts through one ledger on both paths."""
+
+    @pytest.mark.parametrize("use_batch", [False, True])
+    @pytest.mark.parametrize(
+        "driver", ["random", "exhaustive", "genetic", "annealing", "pareto"]
+    )
+    def test_candidates_and_improvements_match_result(
+        self, toy_arch, vector100, driver, use_batch
+    ):
+        from repro.search.pareto_search import ParetoSearch
+
+        space = ruby_s_mapspace(toy_arch, vector100)
+        evaluator = Evaluator(toy_arch, vector100)
+        runs = {
+            "random": lambda: random_search(
+                space, evaluator, seed=0, max_evaluations=150,
+                use_batch=use_batch, batch_size=64,
+            ),
+            "exhaustive": lambda: exhaustive_search(
+                space, evaluator, use_batch=use_batch, batch_size=64
+            ),
+            "genetic": lambda: GeneticSearch(
+                space, evaluator, population_size=8, generations=3, seed=0,
+                use_batch=use_batch,
+            ).run(),
+            "annealing": lambda: SimulatedAnnealing(
+                space, evaluator, steps=40, seed=0, use_batch=use_batch
+            ).run(),
+            "pareto": lambda: ParetoSearch(
+                space, evaluator, max_evaluations=150, seed=0,
+                use_batch=use_batch, batch_size=64,
+            ).run(),
+        }
+        registry = MetricsRegistry()
+        with obs_scope(registry=registry):
+            result = runs[driver]()
+        candidates = registry.counter("search.candidates").value(driver=driver)
+        assert candidates == result.num_evaluated > 0
+        # Pareto keeps a frontier, not a scalar incumbent: no curve, and
+        # no improvement counts.
+        curve = getattr(result, "curve", [])
+        improvements = registry.counter("search.improvements").value(
+            driver=driver
+        )
+        assert improvements == len(curve)
+        assert (result.stats["batch"]["candidates"] > 0) == use_batch
+
+
 class TestParallelObs:
     def test_worker_snapshots_merge_into_ambient_registry(
         self, toy_arch, vector100

@@ -153,6 +153,19 @@ class TestParseSearchSpec:
         with pytest.raises(SpecError, match="JSON object"):
             parse_search_spec([1, 2, 3])
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize(
+        "strategy",
+        ["random", "exhaustive", "branch-bound", "genetic", "annealing"],
+    )
+    def test_bad_batch_size_rejected_for_every_strategy(
+        self, strategy, batch_size
+    ):
+        with pytest.raises(SpecError, match="batch_size"):
+            parse_search_spec(
+                request_payload(strategy=strategy, batch_size=batch_size)
+            )
+
 
 class TestAdmissionController:
     def test_admits_below_limit_and_rejects_at_limit(self):
@@ -442,6 +455,16 @@ class TestServiceHTTP:
         assert body["error"]["type"] == "SpecError"
         assert body["error"]["http_status"] == 400
         assert body["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize("strategy", ["random", "branch-bound"])
+    def test_bad_batch_size_maps_to_400_at_submit(self, service, strategy):
+        status, body, _ = post_json(
+            service.url + "/v1/search",
+            request_payload(strategy=strategy, batch_size=0),
+        )
+        assert status == 400
+        assert body["error"]["type"] == "SpecError"
+        assert "batch_size" in body["error"]["message"]
 
     def test_invalid_json_body_maps_to_400(self, service):
         status, body, _ = http(service.url + "/v1/search", data=b"{nope")

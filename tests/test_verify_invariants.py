@@ -31,7 +31,6 @@ class TestIndividualInvariants:
         assert violations == []
 
     def test_prune_parity_holds(self):
-        pytest.importorskip("numpy")
         checked, violations = check_prune_parity(seed=0)
         assert checked > 0
         assert violations == []
