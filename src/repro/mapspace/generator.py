@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.arch.spec import Architecture
 from repro.exceptions import MapspaceError
@@ -21,6 +23,12 @@ from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.slots import Slot, build_slots
 from repro.obs import scope as _obs
 from repro.utils.rng import make_rng
+
+#: Flat candidate indices unravelled per enumeration step. Bounded so the
+#: step's index, mask and gather temporaries stay small: on a conv5_expand
+#: sweep, 65,536-row steps raised peak RSS from 41 MB to 62 MB for no
+#: reliable speedup.
+_INDEX_CHUNK = 2048
 
 
 class MapspaceKind(str, enum.Enum):
@@ -95,6 +103,7 @@ class MapSpace:
             )
         self._batch_layout = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
+        self._menu_tables_cache: Optional[list] = None
 
     def _initial_budgets(self) -> Dict[int, int]:
         return {
@@ -175,7 +184,12 @@ class MapSpace:
         return budgets
 
     def chains_within_fanout(self, chains: Dict[str, DimChain]) -> bool:
-        """True if the joint spatial allocation fits every slot cap."""
+        """True if the joint spatial allocation fits every slot cap.
+
+        ``chains`` may be a prefix: unassigned dimensions contribute a
+        spatial bound of at least 1, so a prefix that already exceeds a
+        cap has no feasible completion and its subtree can be discarded.
+        """
         for offset, slot in enumerate(self.slots):
             if not slot.spatial:
                 continue
@@ -222,7 +236,7 @@ class MapSpace:
         product *before* joint-fanout filtering.
 
         Costs one multiply per dimension (menus are cached), unlike
-        :meth:`count_completions`, which walks the whole product. Used as
+        :meth:`count_completions`, which filters the whole product. Used as
         the total-work estimate for exhaustive-search progress tracking —
         an over-estimate only tightens to 1.0 when the run finishes.
         """
@@ -230,23 +244,6 @@ class MapSpace:
         for _, menu in self.dim_chain_menus():
             total *= len(menu)
         return total
-
-    def prefix_feasible(self, chains: Dict[str, DimChain]) -> bool:
-        """True when some completion of ``chains`` can fit the fanout caps.
-
-        Unassigned dimensions contribute a spatial bound of at least 1, so
-        a prefix whose running per-slot product already exceeds a cap has
-        no feasible completion — the whole subtree can be discarded.
-        """
-        for offset, slot in enumerate(self.slots):
-            if not slot.spatial:
-                continue
-            used = 1
-            for chain in chains.values():
-                used *= chain.bounds[offset]
-            if used > slot.fanout_cap:
-                return False
-        return True
 
     def count_completions(
         self, prefix: Optional[Dict[str, DimChain]] = None
@@ -257,21 +254,10 @@ class MapSpace:
         with the prefix dims pinned; ``prefix=None`` counts the whole flat
         enumeration. Summed over all chains of any one dimension this
         reproduces the flat count exactly (the prefix tree partitions the
-        enumeration) — asserted by the prefix-counting tests.
+        enumeration) — asserted by the prefix-counting tests. Counts the
+        same index rows :meth:`iter_prefix_batches` packs, without packing.
         """
-        prefix = prefix or {}
-        per_dim = [
-            [prefix[dim]] if dim in prefix else list(menu)
-            for dim, menu in self.dim_chain_menus()
-        ]
-        spatial_offsets = [
-            offset for offset, slot in enumerate(self.slots) if slot.spatial
-        ]
-        count = 0
-        for combo in itertools.product(*per_dim):
-            if self._fanout_ok(combo, spatial_offsets):
-                count += 1
-        return count
+        return sum(len(rows) for rows in self._feasible_index_rows([prefix])[1])
 
     def sample_many(
         self, count: int, rng: Optional[random.Random] = None
@@ -341,21 +327,12 @@ class MapSpace:
         dim order; with True all temporal orders per level are emitted.
         Only feasible for toy problems — imperfect mapspaces are huge.
         """
-        dims = list(self.workload.dim_names)
-        per_dim = [
-            list(
-                self.allocator.enumerate_chains(dim, self.workload.size(dim))
-            )
-            for dim in dims
-        ]
-        spatial_offsets = [
-            offset for offset, slot in enumerate(self.slots) if slot.spatial
-        ]
+        menus = [menu for _, menu in self.dim_chain_menus()]
         emitted = 0
-        for combo in itertools.product(*per_dim):
-            if not self._fanout_ok(combo, spatial_offsets):
-                continue
+        for combo in itertools.product(*menus):
             chains = {chain.dim: chain for chain in combo}
+            if not self.chains_within_fanout(chains):
+                continue
             base = self.assemble(chains, rng=None)
             if permutations:
                 for mapping in self._permute(base):
@@ -437,7 +414,7 @@ class MapSpace:
         completion of theirs is enumerable). Each surviving unit is
         returned as ``(indices, prefix)`` — the menu-index tuple along
         ``dims`` plus the pinned-chain dict ready for
-        :meth:`prefix_feasible` / :meth:`iter_prefix_batches` — so a
+        :meth:`chains_within_fanout` / :meth:`iter_prefix_batches` — so a
         parallel driver can bound, order, and dispatch them as jobs while
         workers reconstruct the same unit from the tiny index tuple.
         """
@@ -450,14 +427,14 @@ class MapSpace:
             prefix = {
                 dim: menu[k] for (dim, menu), k in zip(menu_list, combo)
             }
-            if not self.prefix_feasible(prefix):
+            if not self.chains_within_fanout(prefix):
                 continue
             units.append((combo, prefix))
         return units
 
     def iter_prefix_batches(
         self,
-        prefixes: Sequence[Optional[Dict[str, DimChain]]],
+        prefixes: Union[Sequence[Optional[Dict[str, DimChain]]], np.ndarray],
         batch_size: int = 512,
         tags: Optional[Sequence[int]] = None,
     ) -> Iterator["object"]:
@@ -468,6 +445,12 @@ class MapSpace:
         still produces full-width batches — one partial batch per call,
         not one per subtree. Within each prefix the candidate order
         matches :meth:`iter_batches` exactly.
+
+        ``prefixes`` may also be given as menu-index rows: an
+        ``(n, num_dims)`` int64 array in workload dim order holding each
+        pinned dimension's index into :meth:`dim_chain_menus` and ``-1``
+        for a free dimension — the branch-and-bound leaf flush's form,
+        which skips resolving chain objects.
 
         ``tags`` — when given, one int per prefix — stamps every row of a
         yielded batch with its source prefix's tag in ``batch.tags``, so
@@ -480,127 +463,143 @@ class MapSpace:
             raise MapspaceError("batch_size must be >= 1")
         if tags is not None and len(tags) != len(prefixes):
             raise MapspaceError("tags must align one-to-one with prefixes")
-        import numpy as np
-
         from repro.model.batch import MappingBatch
 
-        dims = list(self.workload.dim_names)
-        # The menus and their packed arrays never change for a given
-        # mapspace; cache them (the branch-and-bound leaf flush calls this
-        # many times per search). entry_by_id short-circuits the pinned
-        # branch below for chains drawn from these same menus.
-        cached = getattr(self, "_menu_entry_cache", None)
-        if cached is None:
-            menu_entries = {
-                dim: [
-                    (
-                        chain,
-                        np.asarray(chain.bounds, dtype=np.int64),
-                        np.asarray(chain.remainders, dtype=np.int64),
-                    )
-                    for chain in menu
-                ]
-                for dim, menu in self.dim_chain_menus()
-            }
-            entry_by_id = {
-                id(entry[0]): entry
-                for entries in menu_entries.values()
-                for entry in entries
-            }
-            cached = (menu_entries, entry_by_id)
-            self._menu_entry_cache = cached
-        menu_entries, entry_by_id = cached
-        spatial_caps = [
-            (offset, slot.fanout_cap)
-            for offset, slot in enumerate(self.slots)
-            if slot.spatial
-        ]
-        shape = (batch_size, len(self.slots), len(dims))
-        # Positions are row-constant on the virtual grid; a read-only
-        # broadcast view is enough (kernels never write pos).
-        pos = np.broadcast_to(layout.grid_pos[None, :, :], shape)
-        bounds = np.ones(shape, dtype=np.int64)
-        rems = np.ones(shape, dtype=np.int64)
-        tag_buf = (
-            np.zeros(batch_size, dtype=np.int64) if tags is not None else None
+        tables, chunks = self._feasible_index_rows(
+            prefixes, tags, chunk=max(_INDEX_CHUNK, batch_size)
         )
-        fill = 0
-        for prefix_index, prefix in enumerate(prefixes):
-            row_tag = tags[prefix_index] if tags is not None else 0
-            prefix = prefix or {}
-            per_dim = [
-                (
-                    [
-                        entry_by_id.get(id(prefix[dim]))
-                        or (
-                            prefix[dim],
-                            np.asarray(prefix[dim].bounds, dtype=np.int64),
-                            np.asarray(
-                                prefix[dim].remainders, dtype=np.int64
-                            ),
-                        )
-                    ]
-                    if dim in prefix
-                    else menu_entries[dim]
-                )
-                for dim in dims
-            ]
-            for combo in itertools.product(*per_dim):
-                feasible = True
-                for offset, cap in spatial_caps:
-                    product = 1
-                    for chain, _, _ in combo:
-                        product *= chain.bounds[offset]
-                    if product > cap:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                for d, (_, chain_bounds, chain_rems) in enumerate(combo):
-                    bounds[fill, :, d] = chain_bounds
-                    rems[fill, :, d] = chain_rems
-                if tag_buf is not None:
-                    tag_buf[fill] = row_tag
-                fill += 1
-                if fill == batch_size:
-                    _obs.inc("mapspace.batches")
-                    _obs.inc("mapspace.candidates", batch_size)
-                    yield MappingBatch(
-                        layout=layout,
-                        bounds=bounds,
-                        rems=rems,
-                        pos=pos,
-                        fallback=np.zeros(batch_size, dtype=bool),
-                        tags=tag_buf,
-                    )
-                    bounds = np.ones(shape, dtype=np.int64)
-                    rems = np.ones(shape, dtype=np.int64)
-                    if tag_buf is not None:
-                        tag_buf = np.zeros(batch_size, dtype=np.int64)
-                    fill = 0
-        if fill:
+
+        def pack(rows):
+            n = len(rows)
+            shape = (n, len(self.slots), len(tables))
+            bounds = np.empty(shape, dtype=np.int64)
+            rems = np.empty(shape, dtype=np.int64)
+            for d, table in enumerate(tables):
+                cells = table[rows[:, d]]
+                bounds[:, :, d] = cells[:, 0]
+                rems[:, :, d] = cells[:, 1]
             _obs.inc("mapspace.batches")
-            _obs.inc("mapspace.candidates", fill)
-            yield MappingBatch(
+            _obs.inc("mapspace.candidates", n)
+            # Positions are row-constant on the virtual grid; a read-only
+            # broadcast view is enough (kernels never write pos).
+            return MappingBatch(
                 layout=layout,
-                bounds=bounds[:fill],
-                rems=rems[:fill],
-                pos=pos[:fill],
-                fallback=np.zeros(fill, dtype=bool),
-                tags=tag_buf[:fill] if tag_buf is not None else None,
+                bounds=bounds,
+                rems=rems,
+                pos=np.broadcast_to(layout.grid_pos[None, :, :], shape),
+                fallback=np.zeros(n, dtype=bool),
+                tags=rows[:, -1].copy() if tags is not None else None,
             )
 
-    def _fanout_ok(
-        self, combo: Sequence[DimChain], spatial_offsets: List[int]
-    ) -> bool:
-        for offset in spatial_offsets:
-            cap = self.slots[offset].fanout_cap
-            product = 1
-            for chain in combo:
-                product *= chain.bounds[offset]
-            if product > cap:
-                return False
-        return True
+        held = np.empty((0, len(tables) + 1), dtype=np.int64)
+        for rows in chunks:
+            held = np.concatenate([held, rows])
+            full = len(held) - len(held) % batch_size
+            for start in range(0, full, batch_size):
+                yield pack(held[start:start + batch_size])
+            held = held[full:]
+        if len(held):
+            yield pack(held)
+
+    def _menu_tables(self) -> List[Tuple["np.ndarray", Dict[tuple, int]]]:
+        """Per-dimension ``(table, index_of)`` of the chain menus (cached).
+
+        ``table[k]`` is menu chain ``k`` as a ``(2, num_slots)`` int64 pair
+        of bounds and remainders; ``index_of`` maps a chain's ``(bounds,
+        remainders)`` to ``k``, so pinned chains resolve by value.
+        """
+        if self._menu_tables_cache is None:
+            self._menu_tables_cache = [
+                (
+                    np.array(
+                        [(c.bounds, c.remainders) for c in menu], np.int64
+                    ).reshape(-1, 2, len(self.slots)),
+                    {(c.bounds, c.remainders): k for k, c in enumerate(menu)},
+                )
+                for _, menu in self.dim_chain_menus()
+            ]
+        return self._menu_tables_cache
+
+    def _feasible_index_rows(
+        self,
+        prefixes,
+        tags: Optional[Sequence[int]] = None,
+        chunk: int = _INDEX_CHUNK,
+    ):
+        """The fanout-feasible completions of ``prefixes`` as menu indices.
+
+        Returns ``(tables, chunks)``. ``tables`` holds one array per
+        dimension: the cached menu table, plus any pinned chain found in no
+        menu appended after it. ``chunks`` yields ``(n, num_dims + 1)``
+        int64 arrays of rows in :meth:`iter_batches` order: one index into
+        ``tables`` per dimension, then the row's prefix tag.
+
+        Every prefix spans a mixed-radix block of ``prod(free menu
+        lengths)`` candidates (one for a fully pinned prefix); the blocks
+        are laid end to end and cut into ``chunk``-row slices of flat
+        indices, each unravelled, fanout-masked and yielded as one array.
+        """
+        menus = self._menu_tables()
+        foreign: List[Dict[tuple, int]] = [{} for _ in menus]
+
+        def resolve(d: int, chain: DimChain) -> int:
+            key = (chain.bounds, chain.remainders)
+            if key in menus[d][1]:
+                return menus[d][1][key]
+            return len(menus[d][0]) + foreign[d].setdefault(key, len(foreign[d]))
+
+        if isinstance(prefixes, np.ndarray):
+            pins = prefixes
+        else:
+            prefixes = [prefix or {} for prefix in prefixes]
+            pins = np.empty((len(prefixes), len(menus)), dtype=np.int64)
+            for d, dim in enumerate(self.workload.dim_names):
+                # Many prefixes pin the same few chain objects: resolve
+                # each distinct object once, then map the column.
+                column = [prefix.get(dim) for prefix in prefixes]
+                ids = list(map(id, column))
+                index = {
+                    key: -1 if chain is None else resolve(d, chain)
+                    for key, chain in dict(zip(ids, column)).items()
+                }
+                pins[:, d] = list(map(index.__getitem__, ids))
+        tables = [
+            np.concatenate([table, np.array(list(extra), np.int64)])
+            if extra else table
+            for (table, _), extra in zip(menus, foreign)
+        ]
+        tag_of = np.asarray([0] * len(pins) if tags is None else tags, np.int64)
+        radix = np.where(pins < 0, [len(table) for table, _ in menus], 1)
+        if radix.astype(float).prod(axis=1).sum() >= 2.0 ** 62:
+            raise MapspaceError("enumeration too large to index")
+        sizes = radix.prod(axis=1)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        base = np.column_stack([np.maximum(pins, 0), tag_of])
+        spatial = [o for o, slot in enumerate(self.slots) if slot.spatial]
+        caps = np.array([self.slots[o].fanout_cap for o in spatial], np.int64)
+        # Dimensions whose chains are all 1 at every spatial slot never
+        # change a fanout product; the mask skips them.
+        fans = [(d, t[:, 0, spatial]) for d, t in enumerate(tables)]
+        fans = [(d, fan) for d, fan in fans if (fan > 1).any()]
+
+        def rows():
+            total = int(ends[-1]) if len(ends) else 0
+            for a in range(0, total, chunk):
+                flat = np.arange(a, min(a + chunk, total))
+                pid = np.searchsorted(ends, flat, side="right")
+                local = flat - starts[pid]
+                idx = base[pid]
+                for d in reversed(range(len(menus))):
+                    local, digit = np.divmod(local, radix[pid, d])
+                    idx[:, d] += digit
+                used = np.ones((len(flat), len(spatial)), np.int64)
+                for d, fan in fans:
+                    used *= fan[idx[:, d]]
+                    np.minimum(used, caps + 1, out=used)
+                yield idx[(used <= caps).all(axis=1)]
+
+        return tables, rows()
 
     def _permute(self, base: Mapping) -> Iterator[Mapping]:
         per_level_orders = [

@@ -140,7 +140,6 @@ class _SubtreeWalker:
         #: parallel workers leave it None (the driver advances per
         #: arriving unit and re-prices their claims through its own).
         self.ledger = ledger
-        self.menu_by_dim = dict(self.dims_order)
         self.num_dims = len(self.dims_order)
         #: Workload dim order — the canonical signature axis (matches
         #: ``dim_chain_menus`` and the batch layout's dim columns).
@@ -165,7 +164,6 @@ class _SubtreeWalker:
         self.cells_covered = 0.0
         self.best: Optional[Evaluation] = None
         self.best_metric = float("inf")
-        self.best_chains: Optional[Dict[str, object]] = None
         self.best_signature: Optional[Tuple[int, ...]] = None
 
         self._cut = float(incumbent.read())
@@ -192,7 +190,6 @@ class _SubtreeWalker:
         self,
         metric: float,
         make_evaluation: Callable[[], Evaluation],
-        chains: Optional[Dict[str, object]] = None,
         signature: Optional[Tuple[int, ...]] = None,
     ) -> bool:
         """Offer a true candidate metric to the incumbent.
@@ -214,13 +211,12 @@ class _SubtreeWalker:
         self._cut = metric
         self.best = evaluation
         self.best_metric = metric
-        self.best_chains = dict(chains) if chains is not None else None
         self.best_signature = tuple(int(x) for x in signature)
         if self.ledger is not None:
             self.ledger.improved(metric, evaluation, self.evaluations)
         return True
 
-    def price_mappings(self, mappings, chains_list=None) -> None:
+    def price_mappings(self, mappings) -> None:
         """Price assembled mappings through the engine (no row pruning).
 
         Used for the warm start and for the parallel driver's final
@@ -230,7 +226,7 @@ class _SubtreeWalker:
         outcomes = self.engine.evaluate_mappings(
             mappings, objective=self.objective, prune=False
         )
-        for i, (mapping, outcome) in enumerate(zip(mappings, outcomes)):
+        for mapping, outcome in zip(mappings, outcomes):
             self.evaluations += 1
             if not outcome.valid:
                 continue
@@ -241,11 +237,7 @@ class _SubtreeWalker:
                     return outcome.evaluation
                 return self.evaluator.evaluate_fresh(mapping)
 
-            self._consider(
-                float(outcome.metric),
-                make_evaluation,
-                chains=chains_list[i] if chains_list is not None else None,
-            )
+            self._consider(float(outcome.metric), make_evaluation)
 
     # -- the walk --------------------------------------------------------
 
@@ -317,7 +309,7 @@ class _SubtreeWalker:
             )
             for k, chain in enumerate(menu):
                 prefix[dim] = chain
-                if not self.mapspace.prefix_feasible(prefix):
+                if not self.mapspace.chains_within_fanout(prefix):
                     # No completion fits the fanout caps; not a bound
                     # decision, so counted separately.
                     self.infeasible_subtrees += 1
@@ -362,8 +354,9 @@ class _SubtreeWalker:
             return
         self._cut = float(self.incumbent.read())
         dims_order = self.dims_order
-        pinned: List[Dict[str, object]] = []
-        pinned_sigs: List[Tuple[int, ...]] = []
+        # Surviving cells as menu-index rows in workload dim order, packed
+        # without ever building chain dicts.
+        blocks = [np.empty((0, self.num_dims), dtype=np.int64)]
         for leaf_bound, leaf_indices in self._leaf_buffer:
             if (
                 self._cut != float("inf")
@@ -376,23 +369,14 @@ class _SubtreeWalker:
             assigned = {
                 dims_order[i][0]: k for i, k in enumerate(leaf_indices)
             }
+            row = np.array(
+                [assigned.get(dim, -1) for dim in self.workload_dims],
+                dtype=np.int64,
+            )
             if len(leaf_indices) == self.num_dims:
-                pinned.append(
-                    {
-                        dims_order[i][0]: dims_order[i][1][k]
-                        for i, k in enumerate(leaf_indices)
-                    }
-                )
-                pinned_sigs.append(
-                    tuple(assigned[dim] for dim in self.workload_dims)
-                )
+                blocks.append(row[None, :])
                 continue
             cells = self.bound_engine.suffix_bounds(assigned, self.objective)
-            free = [
-                dim
-                for dim in self.bound_engine.layout.dims
-                if dim not in assigned
-            ]
             flat = cells.reshape(-1)
             if self._cut != float("inf"):
                 keep = np.flatnonzero(
@@ -409,31 +393,24 @@ class _SubtreeWalker:
                     self._cover(cut)
             else:
                 keep = np.arange(flat.size)
-            base = {
-                dims_order[i][0]: dims_order[i][1][k]
-                for i, k in enumerate(leaf_indices)
-            }
-            for flat_idx in keep:
-                cell = np.unravel_index(int(flat_idx), cells.shape)
-                full = dict(base)
-                sig_map = dict(assigned)
-                for dim, idx in zip(free, cell):
-                    full[dim] = self.menu_by_dim[dim][idx]
-                    sig_map[dim] = int(idx)
-                pinned.append(full)
-                pinned_sigs.append(
-                    tuple(sig_map[dim] for dim in self.workload_dims)
-                )
+            # suffix_bounds lays its axes out in workload dim order over
+            # the free dims, which are exactly the row's -1 entries.
+            rows = np.repeat(row[None, :], keep.size, axis=0)
+            rows[:, row < 0] = np.stack(
+                np.unravel_index(keep, cells.shape), axis=1
+            )
+            blocks.append(rows)
         self._leaf_buffer.clear()
         self._leaf_rows = 0
-        if not pinned:
+        pinned = np.concatenate(blocks)
+        if not len(pinned):
             return
         rows_priced = 0
         with obs.trace("search.leaf_flush", subtrees=len(pinned)):
             for batch in self.mapspace.iter_prefix_batches(
                 pinned,
                 batch_size=self.batch_size,
-                tags=list(range(len(pinned))),
+                tags=np.arange(len(pinned)),
             ):
                 if (
                     self.limit is not None
@@ -476,8 +453,7 @@ class _SubtreeWalker:
                     self._consider(
                         metric,
                         make_evaluation,
-                        chains=pinned[tag],
-                        signature=pinned_sigs[tag],
+                        signature=tuple(pinned[tag].tolist()),
                     )
         # Pinned cells the joint-fanout filter dropped never became rows;
         # they are resolved all the same.
@@ -599,7 +575,7 @@ class BranchBoundSearch:
             mappings = [
                 mapspace.assemble(chains, rng=None) for chains in chain_sets
             ]
-            walker.price_mappings(mappings, chains_list=chain_sets)
+            walker.price_mappings(mappings)
         obs.inc("search.candidates", self.warm_samples,
                 driver="branch-bound")
         return walker.best_metric if walker.best is not None else None

@@ -476,7 +476,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
             batch_totals = empty_batch_stats()
             unit_rows: List[Dict[str, Any]] = []
             claim_mappings: List[Any] = []
-            claim_chains: List[Optional[Dict[str, Any]]] = []
             for result in results:
                 counters = result["counters"]
                 worker_evaluations += counters["evaluations"]
@@ -508,21 +507,17 @@ def run_parallel_tree(search, engine) -> SearchResult:
                         dim: menu_map[dim][signature[i]]
                         for i, dim in enumerate(workload_dims)
                     }
-                    claim_chains.append(chains)
                     claim_mappings.append(
                         mapspace.assemble(chains, rng=None)
                     )
                 else:
-                    claim_chains.append(None)
                     claim_mappings.append(
                         price_batches[result["unit"]].mapping_at(
                             result["row"]
                         )
                     )
             if claim_mappings:
-                walker.price_mappings(
-                    claim_mappings, chains_list=claim_chains
-                )
+                walker.price_mappings(claim_mappings)
             if price_mode and bounded:
                 # Cells the joint-fanout filter dropped during driver-side
                 # enumeration never became priced rows; resolve the

@@ -297,6 +297,9 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
     check is the evidence it was vestigial: chain enumeration emits each
     candidate exactly once (distinct chain combinations produce distinct
     cells, hence distinct signatures), so all three counts must match.
+    Beyond the counts, every packed row must materialize to the scalar
+    enumeration's mapping at the same position, which guards the
+    vectorized packer against the ``Mapping`` path row for row.
     """
     _, arch, workload = _toy_setup(seed)
     checked = 0
@@ -320,13 +323,28 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
                 f"count-parity: {kind.value} scalar enumeration count "
                 f"{scalar_count} != closed-form count {closed_count}"
             )
-        batch_rows = sum(
-            batch.size for batch in space.iter_batches(batch_size=512)
-        )
-        if batch_rows != scalar_count:
+        packed = [
+            batch.mapping_at(i).signature()
+            for batch in space.iter_batches(batch_size=512)
+            for i in range(batch.size)
+        ]
+        if len(packed) != scalar_count:
             violations.append(
                 f"count-parity: {kind.value} batched path packed "
-                f"{batch_rows} rows vs {scalar_count} scalar candidates"
+                f"{len(packed)} rows vs {scalar_count} scalar candidates"
+            )
+        mismatch = next(
+            (
+                row
+                for row, (a, b) in enumerate(zip(packed, signatures))
+                if a != b
+            ),
+            None,
+        )
+        if mismatch is not None:
+            violations.append(
+                f"count-parity: {kind.value} packed row {mismatch} does not "
+                "materialize to the scalar enumeration's mapping"
             )
     return checked, violations
 

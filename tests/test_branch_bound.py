@@ -67,7 +67,7 @@ def _cell_metrics(space, evaluator, objective="edp"):
         chains = {
             menus[d][0]: menus[d][1][k] for d, k in enumerate(combo_idx)
         }
-        if space.prefix_feasible(chains):
+        if space.chains_within_fanout(chains):
             cells.append(combo_idx)
     assert len(cells) == len(metrics)
     return dict(zip(cells, metrics))
@@ -143,7 +143,7 @@ class TestPrefixEnumeration:
         space = make_mapspace(_toy(), small_gemm, "pfm")
         menus = space.dim_chain_menus()
         full = {dim: menu[0] for dim, menu in menus}
-        if space.prefix_feasible(full):
+        if space.chains_within_fanout(full):
             assert space.count_completions(full) == 1
         else:
             assert space.count_completions(full) == 0

@@ -1,9 +1,13 @@
 """Unit tests for MapSpace sampling, assembly, and enumeration."""
 
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
+from repro.arch import eyeriss_like, toy_glb_architecture
 from repro.mapping import is_valid_mapping
 from repro.mapspace import (
     ConstraintSet,
@@ -15,6 +19,11 @@ from repro.mapspace import (
     ruby_s_mapspace,
     ruby_t_mapspace,
 )
+from repro.mapspace.allocation import DimChain
+from repro.mapspace.constraints import eyeriss_row_stationary
+from repro.obs import MetricsRegistry, obs_scope
+from repro.problem import GemmLayer
+from repro.zoo.resnet50 import RESNET50_LAYERS
 
 
 class TestMapspaceKind:
@@ -243,3 +252,215 @@ class TestSlots:
         slots = build_slots(eyeriss, constraints)
         spatial = [s for s in slots if s.spatial]
         assert all(s.allows("Q") and not s.allows("P") for s in spatial)
+
+
+def _itertools_packer(space, prefixes, batch_size, tags=None):
+    """The per-candidate packer that the vectorized enumeration replaced.
+
+    Walks ``itertools.product`` over each prefix's per-dimension choices,
+    checks the joint fanout one candidate at a time and fills batch rows
+    one by one. Kept here as the row-for-row oracle: returns
+    ``(size, bounds, rems, tags)`` per batch.
+    """
+    dims = list(space.workload.dim_names)
+    menus = dict(space.dim_chain_menus())
+    caps = [
+        (offset, slot.fanout_cap)
+        for offset, slot in enumerate(space.slots)
+        if slot.spatial
+    ]
+    rows = []
+    for index, prefix in enumerate(prefixes):
+        prefix = prefix or {}
+        per_dim = [[prefix[d]] if d in prefix else menus[d] for d in dims]
+        for combo in itertools.product(*per_dim):
+            if all(
+                math.prod(chain.bounds[offset] for chain in combo) <= cap
+                for offset, cap in caps
+            ):
+                rows.append((combo, tags[index] if tags is not None else 0))
+    batches = []
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start:start + batch_size]
+        shape = (len(chunk), len(space.slots), len(dims))
+        bounds = np.ones(shape, dtype=np.int64)
+        rems = np.ones(shape, dtype=np.int64)
+        for row, (combo, _) in enumerate(chunk):
+            for d, chain in enumerate(combo):
+                bounds[row, :, d] = chain.bounds
+                rems[row, :, d] = chain.remainders
+        row_tags = (
+            np.array([tag for _, tag in chunk], dtype=np.int64)
+            if tags is not None
+            else None
+        )
+        batches.append((len(chunk), bounds, rems, row_tags))
+    return batches
+
+
+def _assert_packs_like_oracle(space, prefixes, batch_size, tags=None):
+    registry = MetricsRegistry()
+    with obs_scope(registry):
+        got = list(
+            space.iter_prefix_batches(
+                prefixes, batch_size=batch_size, tags=tags
+            )
+        )
+    want = _itertools_packer(space, prefixes, batch_size, tags)
+    assert len(got) == len(want)
+    grid_pos = space.batch_layout().grid_pos
+    for batch, (size, bounds, rems, row_tags) in zip(got, want):
+        assert batch.size == size
+        assert batch.bounds.dtype == batch.rems.dtype == np.int64
+        assert np.array_equal(batch.bounds, bounds)
+        assert np.array_equal(batch.rems, rems)
+        if row_tags is None:
+            assert batch.tags is None
+        else:
+            assert np.array_equal(batch.tags, row_tags)
+        assert batch.pos.shape == bounds.shape
+        assert batch.pos.strides[0] == 0
+        assert np.array_equal(batch.pos[0], grid_pos)
+        assert batch.fallback.shape == (size,)
+        assert not batch.fallback.any()
+    counters = registry.snapshot()["counters"]
+    assert sum(counters.get("mapspace.batches", {}).values()) == len(want)
+    assert sum(counters.get("mapspace.candidates", {}).values()) == sum(
+        size for size, _, _, _ in want
+    )
+    return got
+
+
+def _prefix_cases(space, rng, full_count):
+    """Named prefix lists: flat, partial, fully pinned, mixed, infeasible."""
+    menus = space.dim_chain_menus()
+    (d0, menu0), (d1, menu1) = menus[0], menus[1]
+    partial = [{d0: chain} for chain in menu0[:6]] + [
+        {d0: rng.choice(menu0), d1: rng.choice(menu1)} for _ in range(6)
+    ]
+    full = [
+        {dim: rng.choice(menu) for dim, menu in menus}
+        for _ in range(full_count)
+    ]
+    # A two-dim prefix already over a fanout cap, and a full completion.
+    infeasible = next(
+        pair
+        for pair in (
+            {d0: rng.choice(menu0), d1: rng.choice(menu1)}
+            for _ in range(100_000)
+        )
+        if not space.chains_within_fanout(pair)
+    )
+    infeasible_full = {dim: rng.choice(menu) for dim, menu in menus}
+    infeasible_full.update(infeasible)
+    mixed = full[:5] + partial[:3] + full[5:] + [None] + partial[3:]
+    return {
+        "flat": [{}],
+        "partial": partial,
+        "pinned": full,
+        "mixed": mixed,
+        "infeasible": [infeasible, infeasible_full],
+        "empty": [],
+    }
+
+
+class TestPackedEnumerationParity:
+    """iter_prefix_batches equals the per-candidate walk it replaced."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 512])
+    @pytest.mark.parametrize("kind", list(MapspaceKind))
+    def test_toy_spaces(self, kind, batch_size):
+        space = make_mapspace(
+            toy_glb_architecture(num_pes=6, glb_bytes=1024),
+            GemmLayer("g", m=6, n=5, k=4).workload(),
+            kind.value,
+        )
+        rng = random.Random(batch_size)
+        for name, prefixes in _prefix_cases(space, rng, 40).items():
+            tags = (
+                [1000 - i for i in range(len(prefixes))]
+                if name == "mixed"
+                else None
+            )
+            got = _assert_packs_like_oracle(space, prefixes, batch_size, tags)
+            if name in ("infeasible", "empty"):
+                assert got == []
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 512])
+    def test_eyeriss_conv5_expand(self, batch_size):
+        workload = {
+            layer.name: layer for layer, _ in RESNET50_LAYERS
+        }["conv5_expand"].workload()
+        space = pfm_mapspace(
+            eyeriss_like(), workload, constraints=eyeriss_row_stationary()
+        )
+        menus = dict(space.dim_chain_menus())
+        rng = random.Random(7)
+        prefixes = [
+            {dim: rng.choice(menu) for dim, menu in menus.items()}
+            for _ in range(300)
+        ]
+        prefixes[100:100] = [
+            {"C": rng.choice(menus["C"]), "M": rng.choice(menus["M"])}
+            for _ in range(20)
+        ]
+        prefixes.insert(50, {"M": rng.choice(menus["M"])})
+        tags = list(range(len(prefixes)))
+        _assert_packs_like_oracle(space, prefixes, batch_size, tags)
+
+    def test_chains_from_outside_the_menus(self):
+        """Pinned chains pack by value, whichever object carries them."""
+        arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
+        workload = GemmLayer("g", m=6, n=5, k=4).workload()
+        space = pfm_mapspace(arch, workload)
+        ruby_menus = dict(ruby_mapspace(arch, workload).dim_chain_menus())
+        (d0, menu0), (d1, _) = space.dim_chain_menus()[:2]
+        # A fresh object equal in value to a menu chain.
+        twin = DimChain(d0, tuple(menu0[3].bounds), tuple(menu0[3].remainders))
+        assert twin is not menu0[3]
+        # An imperfect chain: in the Ruby menu, absent from the PFM one.
+        foreign = next(
+            c for c in ruby_menus[d1] if c not in space.dim_chain_menus()[1][1]
+        )
+        prefixes = [{d0: twin}, {d1: foreign}, {d0: twin, d1: foreign}]
+        for batch_size in (1, 7, 512):
+            _assert_packs_like_oracle(space, prefixes, batch_size)
+
+        def stacked(prefix):
+            return np.concatenate(
+                [b.bounds for b in space.iter_batches(prefix=prefix)]
+            )
+
+        assert np.array_equal(stacked({d0: twin}), stacked({d0: menu0[3]}))
+        assert space.count_completions({d1: foreign}) == sum(
+            b.size for b in space.iter_batches(prefix={d1: foreign})
+        )
+
+    def test_menu_index_rows_pack_like_chain_dicts(self):
+        """The leaf flush's index-row form equals the chain-dict form."""
+        space = make_mapspace(
+            toy_glb_architecture(num_pes=6, glb_bytes=1024),
+            GemmLayer("g", m=6, n=5, k=4).workload(),
+            "ruby-s",
+        )
+        menus = space.dim_chain_menus()
+        prefixes = _prefix_cases(space, random.Random(3), 40)["mixed"]
+        rows = np.array(
+            [
+                [
+                    menu.index(prefix[dim]) if prefix and dim in prefix else -1
+                    for dim, menu in menus
+                ]
+                for prefix in prefixes
+            ],
+            dtype=np.int64,
+        )
+        tags = list(range(len(prefixes)))
+        for batch_size in (1, 7, 512):
+            by_dict = list(space.iter_prefix_batches(prefixes, batch_size, tags))
+            by_rows = list(space.iter_prefix_batches(rows, batch_size, tags))
+            assert len(by_dict) == len(by_rows)
+            for a, b in zip(by_dict, by_rows):
+                assert np.array_equal(a.bounds, b.bounds)
+                assert np.array_equal(a.rems, b.rems)
+                assert np.array_equal(a.tags, b.tags)
