@@ -1109,10 +1109,16 @@ class PartialBoundEngine:
 
     Bounds are monotone along the tree (fixing more dimensions can only
     raise them), which makes best-first search with a single
-    front-of-heap cutoff exact. All arithmetic is Python ints/floats —
-    no overflow concerns — and the same :data:`PRUNE_MARGIN` discipline
+    front-of-heap cutoff exact. The same :data:`PRUNE_MARGIN` discipline
     as row-level pruning keeps float rounding from ever cutting a true
     improvement.
+
+    The formula has two implementations: the scalar :meth:`bound` (Python
+    ints/floats, the oracle the tests compare against) and one vectorized
+    kernel, :meth:`_grid_bounds`, which prices a whole grid of swept
+    dimensions' menus at once. The kernel has two entry points:
+    :meth:`child_bounds` sweeps the branching dimension of a tree node,
+    and :meth:`suffix_bounds` sweeps every unassigned dimension of a leaf.
     """
 
     def __init__(
@@ -1178,8 +1184,8 @@ class PartialBoundEngine:
             }
         self._factor_cache: Dict[Tuple, int] = {}
         self._factor_min_cache: Dict[Tuple, int] = {}
-        # Menu-vectorized views of the per-chain stats, for pricing every
-        # child of a tree node in one :meth:`child_bounds` call.
+        # Menu-indexed arrays of the per-chain stats: a swept dimension's
+        # values along its axis of a :meth:`_grid_bounds` grid.
         self._cyc_vec = {
             dim: np.array([s[0] for s in stats], dtype=np.int64)
             for dim, stats in self.chain_stats.items()
@@ -1203,7 +1209,6 @@ class PartialBoundEngine:
         self._cutoff_hi = int(self.layout.grid_pos.max())
         self._factor_table_cache: Dict[Tuple, Any] = {}
         self._factor_min_table_cache: Dict[Tuple, Any] = {}
-        self._factor_menu_cache: Dict[Tuple, Any] = {}
         self._factor_menu_table_cache: Dict[Tuple, Any] = {}
 
     def _chain_cycles(self, chain: Any) -> int:
@@ -1379,23 +1384,6 @@ class PartialBoundEngine:
             self._factor_min_table_cache[key] = table
         return table
 
-    def _factor_menu_vec(
-        self, dim: str, cut: int, parent: int, inner: bool, cutoff: int
-    ) -> Any:
-        """All of one dimension's menu factors at one fixed cutoff."""
-        key = (dim, cut, parent, inner, cutoff)
-        vec = self._factor_menu_cache.get(key)
-        if vec is None:
-            vec = np.array(
-                [
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for idx in range(len(self.menus[dim]))
-                ],
-                dtype=np.int64,
-            )
-            self._factor_menu_cache[key] = vec
-        return vec
-
     def _factor_menu_table(
         self, dim: str, cut: int, parent: int, inner: bool
     ) -> Any:
@@ -1492,156 +1480,8 @@ class PartialBoundEngine:
         few broadcast kernels costs far less than branching further, and
         the cells it cuts are never even enumerated into batches.
         """
-        layout = self.layout
-        free = [dim for dim in layout.dims if dim not in assigned]
-        axis = {dim: i for i, dim in enumerate(free)}
-        k = len(free)
-
-        def spread(dim: str, arr: Any) -> Any:
-            shape = [1] * k
-            shape[axis[dim]] = arr.shape[0]
-            return arr.reshape(shape)
-
-        cycles_scalar = 1
-        for dim in layout.dims:
-            idx = assigned.get(dim)
-            if idx is not None:
-                cycles_scalar *= self.chain_stats[dim][idx][0]
-        cycles: Any = np.int64(cycles_scalar)
-        for dim in free:
-            cycles = cycles * spread(dim, self._cyc_vec[dim])
-        if objective == "delay":
-            return np.broadcast_to(
-                cycles, tuple(len(self.menus[dim]) for dim in free)
-            ).astype(float)
-        engine = self.engine
-        energy: Any = np.float64(engine.compute_energy)
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                base: Any = 1
-                for rank in meta.ranks:
-                    tiles = []
-                    sizes = []
-                    for d, _ in rank:
-                        dim = layout.dims[d]
-                        sizes.append(int(layout.sizes[d]))
-                        idx = assigned.get(dim)
-                        if idx is not None:
-                            tiles.append(
-                                np.int64(self.chain_stats[dim][idx][1][cut])
-                            )
-                        else:
-                            tiles.append(
-                                spread(dim, self._tiles_vec[dim][cut])
-                            )
-                    all_tiles: Any = 1
-                    for t in tiles:
-                        all_tiles = all_tiles * t
-                    total = all_tiles
-                    for (_, coef), t, size in zip(rank, tiles, sizes):
-                        total = total + coef * (size - t) * (all_tiles // t)
-                    base = base * total
-                cutoff: Any = np.int64(-1)
-                for d in meta.relevant_idx:
-                    dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    if idx is not None:
-                        cutoff = np.maximum(
-                            cutoff, np.int64(self.qual[dim][idx][cut])
-                        )
-                    else:
-                        cutoff = np.maximum(
-                            cutoff, spread(dim, self._qual_vec[dim][cut])
-                        )
-                cutoff_idx = cutoff + 1
-                outer: Any = 1
-                inner: Any = 1
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    if idx is not None:
-                        outer = outer * self._factor_table(
-                            dim, idx, cut, parent, False
-                        )[cutoff_idx]
-                        if child is not None:
-                            inner = inner * self._factor_table(
-                                dim, idx, cut, parent, True
-                            )[cutoff_idx]
-                    else:
-                        m = len(self.menus[dim])
-                        idx_grid = spread(dim, np.arange(m, dtype=np.int64))
-                        outer = outer * self._factor_menu_table(
-                            dim, cut, parent, False
-                        )[idx_grid, cutoff_idx]
-                        if child is not None:
-                            inner = inner * self._factor_menu_table(
-                                dim, cut, parent, True
-                            )[idx_grid, cutoff_idx]
-                if not meta.is_output:
-                    energy = energy + engine.read_pj[parent] * (base * outer)
-                    if child is not None:
-                        energy = energy + engine.write_pj[child] * (
-                            base * inner
-                        )
-                else:
-                    energy = energy + engine.write_pj[parent] * (base * outer)
-                    if child is not None:
-                        energy = energy + engine.read_pj[child] * (
-                            base * inner
-                        )
-        shape = tuple(len(self.menus[dim]) for dim in free)
-        if objective == "energy":
-            return np.broadcast_to(energy, shape).astype(float)
-        return np.broadcast_to(energy * cycles.astype(float), shape)
-
-    def _rank_min_vec(
-        self,
-        rank: Tuple[Tuple[int, int], ...],
-        cut: int,
-        assigned: Dict[str, int],
-        branch_dim: str,
-    ) -> Any:
-        """:meth:`_rank_min` with ``branch_dim`` swept over its whole menu.
-
-        Returns a scalar when the branch dimension does not appear in the
-        rank (the sum is then child-independent), else an int64 vector
-        over the branch menu. Identical vertex-relaxation math, so every
-        element equals the scalar bound of the corresponding child.
-        """
-        b_idx = self.layout.dim_index[branch_dim]
-        if all(d != b_idx for d, _ in rank):
-            return self._rank_min(rank, cut, assigned)
-        t_branch = self._tiles_vec[branch_dim][cut]
-        choices: List[Optional[Tuple[int, ...]]] = []
-        sizes: List[int] = []
-        for d, _ in rank:
-            dim = self.layout.dims[d]
-            sizes.append(int(self.layout.sizes[d]))
-            if d == b_idx:
-                choices.append(None)  # placeholder: the swept menu axis
-                continue
-            idx = assigned.get(dim)
-            if idx is not None:
-                choices.append((self.chain_stats[dim][idx][1][cut],))
-            else:
-                lo, hi = self.tile_range[dim][cut]
-                choices.append((lo,) if lo == hi else (lo, hi))
-        best: Any = None
-        for vertex in itertools.product(
-            *[c if c is not None else (None,) for c in choices]
-        ):
-            scalar_tiles = 1
-            for t in vertex:
-                if t is not None:
-                    scalar_tiles *= t
-            all_tiles = t_branch * scalar_tiles
-            total = all_tiles.copy()
-            for (_, coef), t, size in zip(rank, vertex, sizes):
-                tv = t_branch if t is None else t
-                total = total + coef * (size - tv) * (all_tiles // tv)
-            best = total if best is None else np.minimum(best, total)
-        return best
+        free = [dim for dim in self.layout.dims if dim not in assigned]
+        return self._grid_bounds(assigned, free, objective)
 
     def child_bounds(
         self, assigned: Dict[str, int], branch_dim: str,
@@ -1649,124 +1489,132 @@ class PartialBoundEngine:
     ) -> Any:
         """:meth:`bound` for every child of a node, menu-vectorized.
 
-        Element ``k`` is the bound of ``assigned | {branch_dim: k}`` —
-        the same per-component math as the scalar path (asserted by the
-        admissibility tests), computed once per expansion instead of once
-        per child. This is what makes deep branching affordable: the
-        scalar bound re-derives every rank sum per child, turning tree
-        walks over wide menus into millions of tiny Python folds.
+        Element ``k`` is the bound of ``assigned | {branch_dim: k}``,
+        computed once per expansion instead of once per child. This is
+        what makes deep branching affordable: the scalar bound re-derives
+        every rank sum per child, turning tree walks over wide menus into
+        millions of tiny Python folds.
+        """
+        return self._grid_bounds(assigned, [branch_dim], objective)
+
+    def _grid_bounds(
+        self, assigned: Dict[str, int], swept: Sequence[str], objective: str
+    ) -> Any:
+        """:meth:`bound` over the grid of the ``swept`` dimensions' menus.
+
+        Cell ``(k_1, ..., k_n)`` — one axis per swept dimension, in layout
+        dim order — is the bound of ``assigned`` extended by the swept
+        dimensions' ``k_i``-th chains: the scalar path's math with each
+        swept dimension's per-chain stats laid along its own broadcast
+        axis. Every other dimension is assigned (exact values) or free
+        (menu-minimum cycle and projection factors, box vertices in the
+        rank sums) exactly as in :meth:`bound`. Projection factors come
+        from the cutoff-indexed tables: an assigned chain's row, a free
+        dimension's menu minimum, or a swept dimension's whole
+        (menu, cutoff) table gathered along its axis.
         """
         layout = self.layout
-        menu_len = len(self.menus[branch_dim])
-        b_idx = layout.dim_index[branch_dim]
-        cycles_base = 1
-        for dim in layout.dims:
-            if dim == branch_dim:
-                continue
-            idx = assigned.get(dim)
-            cycles_base *= (
-                self.chain_stats[dim][idx][0]
-                if idx is not None
-                else self.min_cycles[dim]
-            )
-        cycles_vec = cycles_base * self._cyc_vec[branch_dim]
-        if objective == "delay":
-            return cycles_vec.astype(float)
         engine = self.engine
-        energy = np.full(menu_len, engine.compute_energy, dtype=float)
+        axes = [dim for dim in layout.dims if dim in swept]
+        shape = tuple(len(self.menus[dim]) for dim in axes)
+
+        def spread(dim: str, arr: Any) -> Any:
+            view = [1] * len(axes)
+            view[axes.index(dim)] = arr.shape[0]
+            return arr.reshape(view)
+
+        menu_idx = {
+            dim: spread(dim, np.arange(n, dtype=np.int64))
+            for dim, n in zip(axes, shape)
+        }
+
+        def factor(
+            dim: str, cut: int, parent: int, inner: bool, cutoff_idx: Any
+        ) -> Any:
+            if dim in menu_idx:
+                table = self._factor_menu_table(dim, cut, parent, inner)
+                return table[menu_idx[dim], cutoff_idx]
+            idx = assigned.get(dim)
+            if idx is not None:
+                table = self._factor_table(dim, idx, cut, parent, inner)
+            else:
+                table = self._factor_min_table(dim, cut, parent, inner)
+            return table[cutoff_idx]
+
+        cycles: Any = np.int64(1)
+        for dim in layout.dims:
+            idx = assigned.get(dim)
+            if dim in menu_idx:
+                cycles = cycles * spread(dim, self._cyc_vec[dim])
+            elif idx is not None:
+                cycles = cycles * self.chain_stats[dim][idx][0]
+            else:
+                cycles = cycles * self.min_cycles[dim]
+        if objective == "delay":
+            return np.broadcast_to(cycles, shape).astype(float)
+        energy: Any = np.float64(engine.compute_energy)
         for meta in layout.tensors:
-            branch_relevant = b_idx in meta.relevant_idx
             for parent, child in meta.boundaries:
                 cut = layout.num_levels if child is None else child
                 base: Any = 1
                 for rank in meta.ranks:
-                    base = base * self._rank_min_vec(
-                        rank, cut, assigned, branch_dim
-                    )
-                if branch_relevant:
-                    fixed = -1
-                    for d in meta.relevant_idx:
-                        if d == b_idx:
-                            continue
+                    # Box-vertex minimum of the rank sum (see _rank_min);
+                    # a swept dim contributes its whole tile vector, and a
+                    # rank with no free dim has a single vertex.
+                    options: List[Tuple[Any, ...]] = []
+                    sizes: List[int] = []
+                    for d, _ in rank:
                         dim = layout.dims[d]
+                        sizes.append(int(layout.sizes[d]))
                         idx = assigned.get(dim)
-                        qual = (
-                            self.qual[dim][idx][cut]
-                            if idx is not None
-                            else self.qual_min[dim][cut]
-                        )
-                        if qual > fixed:
-                            fixed = qual
-                    cutoff_idx = (
-                        np.maximum(fixed, self._qual_vec[branch_dim][cut]) + 1
-                    )
-                    outer: Any = np.ones(menu_len, dtype=np.int64)
-                    inner: Any = np.ones(menu_len, dtype=np.int64)
-                    for d in meta.irrelevant_idx:
-                        dim = layout.dims[d]
-                        idx = assigned.get(dim)
-                        if idx is not None:
-                            outer = outer * self._factor_table(
-                                dim, idx, cut, parent, False
-                            )[cutoff_idx]
-                            if child is not None:
-                                inner = inner * self._factor_table(
-                                    dim, idx, cut, parent, True
-                                )[cutoff_idx]
-                        else:
-                            outer = outer * self._factor_min_table(
-                                dim, cut, parent, False
-                            )[cutoff_idx]
-                            if child is not None:
-                                inner = inner * self._factor_min_table(
-                                    dim, cut, parent, True
-                                )[cutoff_idx]
-                else:
-                    # The branch dim is irrelevant here, so the cutoff is
-                    # child-independent and the branch contributes its
-                    # menu factor vector at that one cutoff.
-                    cutoff = -1
-                    for d in meta.relevant_idx:
-                        dim = layout.dims[d]
-                        idx = assigned.get(dim)
-                        qual = (
-                            self.qual[dim][idx][cut]
-                            if idx is not None
-                            else self.qual_min[dim][cut]
-                        )
-                        if qual > cutoff:
-                            cutoff = qual
-                    outer = self._factor_menu_vec(
-                        branch_dim, cut, parent, False, cutoff
-                    )
-                    inner = (
-                        self._factor_menu_vec(
-                            branch_dim, cut, parent, True, cutoff
-                        )
-                        if child is not None
-                        else None
-                    )
-                    for d in meta.irrelevant_idx:
-                        if d == b_idx:
-                            continue
-                        dim = layout.dims[d]
-                        idx = assigned.get(dim)
-                        if idx is not None:
-                            outer = outer * self._factor(
-                                dim, idx, cut, parent, False, cutoff
+                        if dim in menu_idx:
+                            options.append(
+                                (spread(dim, self._tiles_vec[dim][cut]),)
                             )
-                            if child is not None:
-                                inner = inner * self._factor(
-                                    dim, idx, cut, parent, True, cutoff
-                                )
-                        else:
-                            outer = outer * self._factor_min(
-                                dim, cut, parent, False, cutoff
+                        elif idx is not None:
+                            options.append(
+                                (self.chain_stats[dim][idx][1][cut],)
                             )
-                            if child is not None:
-                                inner = inner * self._factor_min(
-                                    dim, cut, parent, True, cutoff
-                                )
+                        else:
+                            lo, hi = self.tile_range[dim][cut]
+                            options.append((lo,) if lo == hi else (lo, hi))
+                    best: Any = None
+                    for vertex in itertools.product(*options):
+                        all_tiles: Any = 1
+                        for t in vertex:
+                            all_tiles = all_tiles * t
+                        total = all_tiles
+                        for (_, coef), t, size in zip(rank, vertex, sizes):
+                            total = total + coef * (size - t) * (
+                                all_tiles // t
+                            )
+                        best = (
+                            total if best is None else np.minimum(best, total)
+                        )
+                    base = base * best
+                # Cutoff lower bound, as in bound(); swept relevant dims
+                # make it a grid of cutoffs.
+                cutoff: Any = -1
+                for d in meta.relevant_idx:
+                    dim = layout.dims[d]
+                    idx = assigned.get(dim)
+                    if dim in menu_idx:
+                        qual = spread(dim, self._qual_vec[dim][cut])
+                    elif idx is not None:
+                        qual = self.qual[dim][idx][cut]
+                    else:
+                        qual = self.qual_min[dim][cut]
+                    cutoff = np.maximum(cutoff, qual)
+                cutoff_idx = cutoff + 1
+                outer: Any = 1
+                inner: Any = 1
+                for d in meta.irrelevant_idx:
+                    dim = layout.dims[d]
+                    outer = outer * factor(dim, cut, parent, False, cutoff_idx)
+                    if child is not None:
+                        inner = inner * factor(
+                            dim, cut, parent, True, cutoff_idx
+                        )
                 if not meta.is_output:
                     energy = energy + engine.read_pj[parent] * (base * outer)
                     if child is not None:
@@ -1780,8 +1628,8 @@ class PartialBoundEngine:
                             base * inner
                         )
         if objective == "energy":
-            return energy
-        return energy * cycles_vec.astype(float)
+            return np.broadcast_to(energy, shape).astype(float)
+        return np.broadcast_to(energy * cycles.astype(float), shape)
 
     def bound(self, assigned: Dict[str, int], objective: str = "edp") -> float:
         """Lower bound on ``objective`` over all completions of ``assigned``.

@@ -9,7 +9,7 @@ lower bound over all completions
 (:class:`~repro.model.batch.PartialBoundEngine`). Any subtree whose bound
 cannot beat the incumbent is cut before a single one of its candidates is
 enumerated — the lift from "prune rows in a packed batch" to "prune
-regions of the mapspace" (ROADMAP item 2; cf. the level-by-level
+regions of the mapspace" (ROADMAP item 3; cf. the level-by-level
 ComputeLevelMapper idiom).
 
 Search order and exactness:
@@ -105,9 +105,9 @@ class _SubtreeWalker:
     serial trajectory.
 
     Alongside the incumbent the walker tracks its own best candidate
-    (evaluation, metric, chains, and menu-index signature in workload dim
-    order) so a parallel driver can re-price every worker's claim and
-    return a bit-identical best metric regardless of race timing.
+    (evaluation, metric, and menu-index signature in workload dim order)
+    so a parallel driver can re-price every worker's claim and return a
+    bit-identical best metric regardless of race timing.
     """
 
     def __init__(

@@ -15,6 +15,7 @@ Three layers of guarantees, mirroring the construction:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -200,78 +201,90 @@ class TestBoundAdmissibility:
         arch, workload, space = self._setup(case, vector100, small_gemm)
         evaluator = Evaluator(arch, workload)
         be = _bound_engine(space, evaluator)
-        metrics = _cell_metrics(space, evaluator)
+        by_objective = {
+            objective: _cell_metrics(space, evaluator, objective)
+            for objective in ("edp", "energy", "delay")
+        }
+        metrics = by_objective["edp"]
         menus = space.dim_chain_menus()
         dims = [dim for dim, _ in menus]
         rng = random.Random(7)
+        checked = 0
         for _ in range(40):
             chosen = rng.sample(dims, rng.randrange(len(dims) + 1))
             assigned = {
                 dim: rng.randrange(len(dict(menus)[dim]))
                 for dim in chosen
             }
-            completions = [
-                metric
-                for cell, metric in metrics.items()
+            cells = [
+                cell
+                for cell in metrics
                 if all(
                     cell[d] == assigned[dim]
                     for d, dim in enumerate(dims)
                     if dim in assigned
                 )
             ]
-            finite = [m for m in completions if m != float("inf")]
-            if not finite:
+            if all(metrics[cell] == float("inf") for cell in cells):
                 continue
-            for objective in ("edp", "energy", "delay"):
-                true_min = min(
-                    m
-                    for cell, m in metrics.items()
-                    if all(
-                        cell[d] == assigned[dim]
-                        for d, dim in enumerate(dims)
-                        if dim in assigned
-                    )
-                ) if objective == "edp" else None
-                bound = be.bound(assigned, objective)
-                if objective == "edp":
-                    assert bound <= true_min * (1 + 1e-9)
-                else:
-                    assert bound >= 0
+            for objective, truth in by_objective.items():
+                true_min = min(truth[cell] for cell in cells)
+                assert be.bound(assigned, objective) <= true_min * (1 + 1e-9)
+                checked += 1
+        assert checked
+
+    @staticmethod
+    def _assert_grid_matches_scalar(be, assigned, swept, objective, grid):
+        """Every cell of a swept-dims grid equals the scalar bound."""
+        axes = [d for d in be.layout.dims if d in swept]
+        menus = [range(len(be.menus[d])) for d in axes]
+        assert grid.shape == tuple(len(m) for m in menus)
+        for cell in itertools.product(*menus):
+            full = {**assigned, **dict(zip(axes, cell))}
+            assert float(grid[cell]) == pytest.approx(
+                be.bound(full, objective), rel=1e-12
+            )
 
     @pytest.mark.parametrize("case", [c for c, _ in CASES])
     def test_vectorized_bounds_match_scalar(
         self, case, vector100, small_gemm
     ):
-        """child_bounds and suffix_bounds equal the scalar bound per cell."""
+        """Every vectorized grid equals the scalar bound in every cell.
+
+        Covers both entry points (``child_bounds`` sweeps one dim,
+        ``suffix_bounds`` every free one), a grid sweeping two dims while
+        others stay free (relaxed) — a shape neither entry point asks
+        for — and the 0-d grid, which sweeps nothing.
+        """
         arch, workload, space = self._setup(case, vector100, small_gemm)
         be = _bound_engine(space, Evaluator(arch, workload))
-        menus = dict(space.dim_chain_menus())
         dims = list(be.layout.dims)
         rng = random.Random(3)
+        partial_grids = 0
         for _ in range(12):
             chosen = rng.sample(dims, rng.randrange(len(dims)))
-            assigned = {d: rng.randrange(len(menus[d])) for d in chosen}
+            assigned = {d: rng.randrange(len(be.menus[d])) for d in chosen}
             free = [d for d in dims if d not in assigned]
             for objective in ("edp", "energy", "delay"):
-                if free:
-                    branch = rng.choice(free)
-                    vec = be.child_bounds(assigned, branch, objective)
-                    for idx in range(len(menus[branch])):
-                        scalar = be.bound(
-                            {**assigned, branch: idx}, objective
-                        )
-                        assert float(vec[idx]) == pytest.approx(
-                            scalar, rel=1e-12
-                        )
-                grid = be.suffix_bounds(assigned, objective)
-                assert grid.shape == tuple(len(menus[d]) for d in free)
-                probe = [0] * len(free)
-                full = dict(assigned)
-                for d, i in zip(free, probe):
-                    full[d] = i
-                assert float(grid[tuple(probe)]) == pytest.approx(
-                    be.bound(full, objective), rel=1e-12
+                check = functools.partial(
+                    self._assert_grid_matches_scalar, be, assigned,
+                    objective=objective,
                 )
+                branch = rng.choice(free)
+                check(
+                    swept=[branch],
+                    grid=be.child_bounds(assigned, branch, objective),
+                )
+                check(swept=free, grid=be.suffix_bounds(assigned, objective))
+                check(swept=[], grid=be._grid_bounds(assigned, [], objective))
+                if len(free) >= 3:
+                    swept = rng.sample(free, 2)
+                    check(
+                        swept=swept,
+                        grid=be._grid_bounds(assigned, swept, objective),
+                    )
+                    partial_grids += 1
+        assert partial_grids or len(dims) < 3
 
     def test_bound_monotone_under_assignment(self, small_gemm):
         """Assigning a dim never loosens the bound (tree monotonicity)."""
