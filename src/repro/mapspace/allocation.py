@@ -25,6 +25,11 @@ from repro.exceptions import MapspaceError
 from repro.mapspace.slots import Slot
 from repro.utils.mathx import ceil_div, divisors, mixed_radix_digits
 
+#: Entries a draw memo may hold before it is cleared. Far above what one
+#: search uses (a few hundred chains per dimension on ResNet-50 layers),
+#: so it only bounds memory on long runs over huge imperfect spaces.
+_MEMO_LIMIT = 1 << 16
+
 
 @dataclass(frozen=True)
 class DimChain:
@@ -92,6 +97,11 @@ class DimAllocator:
         self.spatial_imperfect = spatial_imperfect
         self.temporal_imperfect = temporal_imperfect
         self.sampling = sampling
+        # Per-dim inner-to-outer (offset, spatial, allows, imperfect) rows
+        # for every slot below the outermost, and the two draw memos.
+        self._plans: Dict[str, tuple] = {}
+        self._divisor_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._chain_memo: Dict[tuple, DimChain] = {}
 
     def _slot_is_imperfect(self, slot: Slot) -> bool:
         return self.spatial_imperfect if slot.spatial else self.temporal_imperfect
@@ -106,70 +116,81 @@ class DimAllocator:
         """Sample one bound chain for ``dim``; mutates ``spatial_budgets``.
 
         ``spatial_budgets`` maps slot list indices to the remaining fanout
-        available at each spatial slot (shared across dimensions).
-        """
-        num_slots = len(self.slots)
-        bounds_inner_to_outer: List[int] = []
-        residue = size
-        for offset in range(num_slots - 1, -1, -1):
-            slot = self.slots[offset]
-            outermost = offset == 0
-            if outermost:
-                bound = residue
-                residue = 1
-            else:
-                bound = self._sample_bound(
-                    slot, dim, residue, rng, spatial_budgets.get(offset, 1)
-                )
-                residue = self._advance(slot, residue, bound)
-            if slot.spatial and bound > 1:
-                spatial_budgets[offset] = spatial_budgets.get(offset, 1) // bound
-            bounds_inner_to_outer.append(bound)
-        bounds = tuple(reversed(bounds_inner_to_outer))
-        remainders = assign_remainders(size, bounds)
-        return DimChain(dim=dim, bounds=bounds, remainders=remainders)
+        available at each spatial slot (shared across dimensions). Slots
+        are walked inner to outer; a slot that cannot take a nontrivial
+        bound (residue 1, or ``dim`` disallowed) keeps bound 1 and draws
+        nothing, an exact slot draws a divisor of the residue within its
+        cap, and the outermost slot absorbs the residue.
 
-    def _sample_bound(
-        self,
-        slot: Slot,
-        dim: str,
-        residue: int,
-        rng: random.Random,
-        spatial_budget: int,
-    ) -> int:
-        if residue == 1 or not slot.allows(dim):
-            return 1
-        cap = residue
-        if slot.spatial:
-            cap = min(cap, max(1, spatial_budget))
-        if self._slot_is_imperfect(slot):
-            return self._sample_imperfect_bound(residue, cap, rng)
-        options = [d for d in divisors(residue) if d <= cap]
-        return rng.choice(options)
-
-    def _sample_imperfect_bound(
-        self, residue: int, cap: int, rng: random.Random
-    ) -> int:
-        """Sample an imperfect bound from ``[1, cap]``.
-
-        In ``"structured"`` mode (default) the range is sampled with extra
-        density on its high-value regions — divisors of the residue (the
-        perfect sub-space, so Ruby never converges slower than PFM merely
-        for lack of samples) and the cap itself (the utilization-maximizing
-        choice imperfect factorization exists to reach). Every value in
+        An imperfect slot draws from ``[1, cap]``. In ``"structured"`` mode
+        (default) the range is sampled with extra density on its
+        high-value regions — divisors of the residue (the perfect
+        sub-space, so Ruby never converges slower than PFM merely for lack
+        of samples) and the cap itself (the utilization-maximizing choice
+        imperfect factorization exists to reach). Every value in
         ``[1, cap]`` remains reachable, so the mapspace itself is
         unchanged; only sampling density differs. ``"uniform"`` mode keeps
         a flat distribution (the ablation baseline).
         """
-        if self.sampling == "uniform":
-            return rng.randint(1, cap)
-        roll = rng.random()
-        if roll < 0.4:
-            return rng.randint(1, cap)
-        if roll < 0.8:
-            options = [d for d in divisors(residue) if d <= cap]
-            return rng.choice(options)
-        return cap
+        plan = self._plans.get(dim)
+        if plan is None:
+            plan = self._plans[dim] = tuple(
+                (offset, slot.spatial, slot.allows(dim), self._slot_is_imperfect(slot))
+                for offset, slot in reversed(list(enumerate(self.slots))[1:])
+            )
+        structured = self.sampling == "structured"
+        bounds = [1] * len(self.slots)
+        residue = size
+        for offset, spatial, allows, imperfect in plan:
+            if residue == 1 or not allows:
+                continue
+            cap = residue
+            if spatial:
+                cap = min(cap, max(1, spatial_budgets.get(offset, 1)))
+            if not imperfect:
+                bound = rng.choice(self._divisors_within(residue, cap))
+            elif not structured:
+                bound = rng.randint(1, cap)
+            else:
+                roll = rng.random()
+                if roll < 0.4:
+                    bound = rng.randint(1, cap)
+                elif roll < 0.8:
+                    bound = rng.choice(self._divisors_within(residue, cap))
+                else:
+                    bound = cap
+            if bound > 1:
+                residue = -(-residue // bound)
+                if spatial:
+                    spatial_budgets[offset] = spatial_budgets.get(offset, 1) // bound
+                bounds[offset] = bound
+        bounds[0] = residue
+        return self._chain(dim, size, tuple(bounds))
+
+    def _divisors_within(self, residue: int, cap: int) -> Tuple[int, ...]:
+        """The divisors of ``residue`` that are at most ``cap`` (memoized)."""
+        key = (residue, cap)
+        options = self._divisor_memo.get(key)
+        if options is None:
+            if len(self._divisor_memo) >= _MEMO_LIMIT:
+                self._divisor_memo.clear()
+            options = self._divisor_memo[key] = tuple(
+                d for d in divisors(residue) if d <= cap
+            )
+        return options
+
+    def _chain(self, dim: str, size: int, bounds: Tuple[int, ...]) -> DimChain:
+        """The chain of ``bounds`` over ``size`` points (memoized: a search
+        redraws the same few hundred chains per dimension)."""
+        key = (dim, size, bounds)
+        chain = self._chain_memo.get(key)
+        if chain is None:
+            if len(self._chain_memo) >= _MEMO_LIMIT:
+                self._chain_memo.clear()
+            chain = self._chain_memo[key] = DimChain(
+                dim=dim, bounds=bounds, remainders=assign_remainders(size, bounds)
+            )
+        return chain
 
     @staticmethod
     def _advance(slot: Slot, residue: int, bound: int) -> int:

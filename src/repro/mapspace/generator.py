@@ -10,7 +10,16 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -23,6 +32,9 @@ from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.slots import Slot, build_slots
 from repro.obs import scope as _obs
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:
+    from repro.model.batch import MappingBatch
 
 #: Flat candidate indices unravelled per enumeration step. Bounded so the
 #: step's index, mask and gather temporaries stay small: on a conv5_expand
@@ -101,31 +113,116 @@ class MapSpace:
                 temporal_imperfect=False,
                 sampling=sampling,
             )
-        self._batch_layout = None
-        self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
-        self._menu_tables_cache: Optional[list] = None
-
-    def _initial_budgets(self) -> Dict[int, int]:
-        return {
+        self._dim_names: Tuple[str, ...] = tuple(workload.dim_names)
+        self._sizes = {dim: workload.size(dim) for dim in self._dim_names}
+        self._spatial_caps = {
             offset: slot.fanout_cap
             for offset, slot in enumerate(self.slots)
             if slot.spatial
         }
+        # Per level: (name, temporal slot offsets, spatial slot offsets,
+        # fixed-permutation rank per dim index or None).
+        self._level_plan: List[tuple] = []
+        for level_index, level in enumerate(arch.levels):
+            offsets = [
+                o for o, slot in enumerate(self.slots)
+                if slot.level_index == level_index
+            ]
+            fixed = self.constraints.permutation(level.name)
+            rank = {dim: i for i, dim in enumerate(fixed or ())}
+            self._level_plan.append((
+                level.name,
+                tuple(o for o in offsets if not self.slots[o].spatial),
+                tuple(o for o in offsets if self.slots[o].spatial),
+                tuple(rank.get(dim, len(rank)) for dim in self._dim_names)
+                if fixed else None,
+            ))
+        self._batch_layout = None
+        self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
+        self._menu_tables_cache: Optional[list] = None
 
     def sample(self, rng: Optional[random.Random] = None) -> Mapping:
         """Sample one mapping (bounds, remainders, permutations, bypass)."""
+        return self.sample_batch(rng, 1).mapping_at(0)
+
+    def sample_batch(
+        self, rng: Optional[random.Random], n: int
+    ) -> "MappingBatch":
+        """Draw ``n`` mappings straight into one packed batch.
+
+        Consumes exactly the RNG stream of ``n`` calls to :meth:`sample`
+        (which is this with ``n=1``), per draw: the chains
+        (:meth:`sample_chains`), each level's temporal-loop shuffle, then
+        the bypass rolls. Each draw lands as one row of a
+        :class:`~repro.model.batch.MappingBatch` holding its bounds,
+        remainders and real nest positions — no ``Mapping`` is built, and
+        :meth:`MappingBatch.mapping_at` rebuilds one on demand. A draw
+        with a bypass set is flagged ``fallback`` with an identity row and
+        keeps its ``Mapping``, exactly as
+        :func:`~repro.model.batch.pack_mappings` packs it.
+        """
+        from repro.model.batch import MappingBatch
+
         rng = make_rng(rng)
-        _obs.inc("mapspace.samples")
-        mapping = self.assemble(self.sample_chains(rng), rng)
-        if self.explore_bypass and self._bypass_candidates:
-            bypass = [
-                pair
-                for pair in self._bypass_candidates
-                if rng.random() < self.BYPASS_PROBABILITY
-            ]
-            if bypass:
-                mapping = mapping.with_bypass(bypass)
-        return mapping
+        _obs.inc("mapspace.samples", n)
+        num_slots, num_dims = len(self.slots), len(self._dim_names)
+        # One per-slot tuple per (draw, dim), and one flat slot-major
+        # position list per draw, turned into arrays once at the end.
+        bounds: List[Tuple[int, ...]] = []
+        rems: List[Tuple[int, ...]] = []
+        pos: List[int] = []
+        bypass: Dict[int, list] = {}
+        roll_bypass = self.explore_bypass and self._bypass_candidates
+        for i in range(n):
+            chains = self.sample_chains(rng)
+            ordered = [chains[dim] for dim in self._dim_names]
+            row_bounds = [chain.bounds for chain in ordered]
+            row_pos = [-1] * (num_slots * num_dims)
+            position = 0
+            for _, temporal, spatial in self._level_cells(row_bounds, rng):
+                for offset, d in temporal + spatial:
+                    row_pos[offset * num_dims + d] = position
+                    position += 1
+            bounds += row_bounds
+            rems += [chain.remainders for chain in ordered]
+            pos += row_pos
+            if roll_bypass:
+                pairs = [
+                    pair
+                    for pair in self._bypass_candidates
+                    if rng.random() < self.BYPASS_PROBABILITY
+                ]
+                if pairs:
+                    bypass[i] = pairs
+
+        def slot_major(per_dim: List[Tuple[int, ...]]) -> np.ndarray:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(per_dim),
+                np.int64,
+                count=n * num_dims * num_slots,
+            )
+            return np.ascontiguousarray(
+                flat.reshape(n, num_dims, num_slots).transpose(0, 2, 1)
+            )
+
+        batch = MappingBatch(
+            layout=self.batch_layout(),
+            bounds=slot_major(bounds),
+            rems=slot_major(rems),
+            pos=np.array(pos, dtype=np.int64).reshape(n, num_slots, num_dims),
+            fallback=np.zeros(n, dtype=bool),
+        )
+        if bypass:
+            batch.mappings = {
+                i: batch.mapping_at(i).with_bypass(pairs)
+                for i, pairs in bypass.items()
+            }
+            rows = list(bypass)
+            batch.bounds[rows] = 1
+            batch.rems[rows] = 1
+            batch.pos[rows] = -1
+            batch.fallback[rows] = True
+        return batch
 
     PERFECT_SEED_PROBABILITY = 0.15
 
@@ -140,13 +237,12 @@ class MapSpace:
             and rng.random() < self.PERFECT_SEED_PROBABILITY
         ):
             allocator = self._perfect_allocator
-        budgets = self._initial_budgets()
-        dims = list(self.workload.dim_names)
+        budgets = dict(self._spatial_caps)
+        dims = list(self._dim_names)
         rng.shuffle(dims)
+        sizes = self._sizes
         return {
-            dim: allocator.sample_chain(
-                dim, self.workload.size(dim), rng, budgets
-            )
+            dim: allocator.sample_chain(dim, sizes[dim], rng, budgets)
             for dim in dims
         }
 
@@ -165,7 +261,7 @@ class MapSpace:
         budgets = self.remaining_budgets(chains, exclude=dim)
         updated = dict(chains)
         updated[dim] = self.allocator.sample_chain(
-            dim, self.workload.size(dim), rng, budgets
+            dim, self._sizes[dim], rng, budgets
         )
         return updated
 
@@ -173,7 +269,7 @@ class MapSpace:
         self, chains: Dict[str, DimChain], exclude: Optional[str] = None
     ) -> Dict[int, int]:
         """Spatial budget left at each spatial slot given ``chains``."""
-        budgets = self._initial_budgets()
+        budgets = dict(self._spatial_caps)
         for offset in list(budgets):
             used = 1
             for dim, chain in chains.items():
@@ -263,58 +359,60 @@ class MapSpace:
         self, count: int, rng: Optional[random.Random] = None
     ) -> List[Mapping]:
         """Sample ``count`` mappings from one RNG stream."""
-        rng = make_rng(rng)
-        return [self.sample(rng) for _ in range(count)]
+        batch = self.sample_batch(rng, count)
+        return [batch.mapping_at(i) for i in range(count)]
 
     def assemble(
         self, chains: Dict[str, DimChain], rng: Optional[random.Random] = None
     ) -> Mapping:
         """Build a Mapping from per-dim chains, ordering loops per level."""
-        nests: List[LevelNest] = []
-        for level_index, level in enumerate(self.arch.levels):
-            temporal_loops: List[Loop] = []
-            spatial_loops: List[Loop] = []
-            for offset, slot in enumerate(self.slots):
-                if slot.level_index != level_index:
-                    continue
-                for dim in self.workload.dim_names:
-                    chain = chains[dim]
-                    bound = chain.bounds[offset]
-                    remainder = chain.remainders[offset]
-                    if bound == 1 and remainder == 1:
-                        continue
-                    loop = Loop(
-                        dim, bound, remainder, spatial=slot.spatial, axis=slot.axis
-                    )
-                    if slot.spatial:
-                        spatial_loops.append(loop)
-                    else:
-                        temporal_loops.append(loop)
-            temporal_loops = self._order_temporal(level.name, temporal_loops, rng)
-            nests.append(
-                LevelNest(
-                    level_name=level.name,
-                    temporal=tuple(temporal_loops),
-                    spatial=tuple(spatial_loops),
-                )
-            )
-        return Mapping(levels=tuple(nests))
+        ordered = [chains[dim] for dim in self._dim_names]
+        bounds = [chain.bounds for chain in ordered]
 
-    def _order_temporal(
-        self,
-        level_name: str,
-        loops: List[Loop],
-        rng: Optional[random.Random],
-    ) -> List[Loop]:
-        fixed = self.constraints.permutation(level_name)
-        if rng is not None:
-            rng.shuffle(loops)
-        if not fixed:
-            return loops
-        priority = {dim: i for i, dim in enumerate(fixed)}
-        return sorted(
-            loops, key=lambda loop: priority.get(loop.dim, len(priority))
+        def loop(cell: Tuple[int, int]) -> Loop:
+            offset, d = cell
+            slot = self.slots[offset]
+            return Loop(
+                self._dim_names[d],
+                bounds[d][offset],
+                ordered[d].remainders[offset],
+                spatial=slot.spatial,
+                axis=slot.axis,
+            )
+
+        return Mapping(
+            levels=tuple(
+                LevelNest(
+                    level_name=name,
+                    temporal=tuple(map(loop, temporal)),
+                    spatial=tuple(map(loop, spatial)),
+                )
+                for name, temporal, spatial in self._level_cells(bounds, rng)
+            )
         )
+
+    def _level_cells(
+        self, bounds: Sequence[Sequence[int]], rng: Optional[random.Random]
+    ) -> Iterator[Tuple[str, List[Tuple[int, int]], List[Tuple[int, int]]]]:
+        """Each level's loops as ``(slot offset, dim index)`` cells, in nest order.
+
+        ``bounds[d][offset]`` is dimension ``d``'s bound at a slot; a cell
+        holds a loop when it exceeds 1. Yields ``(level name, temporal,
+        spatial)``. The temporal cells are shuffled with ``rng`` (when
+        given), then stably sorted by the level's fixed permutation — the
+        one loop-order rule behind both :meth:`assemble` and the rows of
+        :meth:`sample_batch`. Spatial cells keep slot, then dim, order.
+        """
+        dims = range(len(bounds))
+        for name, temporal, spatial, rank in self._level_plan:
+            loops = [(o, d) for o in temporal for d in dims if bounds[d][o] > 1]
+            if rng is not None:
+                rng.shuffle(loops)
+            if rank is not None:
+                loops.sort(key=lambda cell: rank[cell[1]])
+            yield name, loops, [
+                (o, d) for o in spatial for d in dims if bounds[d][o] > 1
+            ]
 
     def enumerate_mappings(
         self,

@@ -321,29 +321,32 @@ class BatchLayout:
         """Grid column holding a loop at ``(level, block, axis)``, if any."""
         return self._col_lookup.get((level_index, spatial, axis if spatial else 0))
 
-    def materialize(self, bounds_row: Any, rems_row: Any) -> Mapping:
-        """Rebuild the :class:`Mapping` a packed enumeration row encodes.
+    def materialize(self, bounds_row: Any, rems_row: Any, pos_row: Any) -> Mapping:
+        """Rebuild the :class:`Mapping` a packed row encodes.
 
-        Inverse of the ``iter_batches`` packing: loops are emitted in
-        virtual grid order, which equals the order
-        :meth:`~repro.mapspace.generator.MapSpace.assemble` uses with
-        ``rng=None`` (temporal dims sorted by the fixed permutation then
-        dim order, spatial blocks in column/dim order).
+        Each level's loops are emitted in ``pos`` order, so a row keeps its
+        own loop order whichever numbering it carries: real nest positions
+        (packed or sampled ``Mapping`` rows) or the virtual grid numbering
+        of enumerated rows, whose order equals what
+        :meth:`~repro.mapspace.generator.MapSpace.assemble` produces with
+        ``rng=None``.
         """
+        bounds, rems, pos = bounds_row.tolist(), rems_row.tolist(), pos_row.tolist()
         nests: List[LevelNest] = []
         for level_index, level_name in enumerate(self.level_names):
+            placed = sorted(
+                (pos[offset][d], offset, d)
+                for offset, d in self.grid_cells_by_level[level_index]
+                if bounds[offset][d] != 1 or rems[offset][d] != 1
+            )
             temporal: List[Loop] = []
             spatial: List[Loop] = []
-            for offset, d in self.grid_cells_by_level[level_index]:
-                bound = int(bounds_row[offset, d])
-                remainder = int(rems_row[offset, d])
-                if bound == 1 and remainder == 1:
-                    continue
+            for _, offset, d in placed:
                 column = self.columns[offset]
                 loop = Loop(
                     self.dims[d],
-                    bound,
-                    remainder,
+                    bounds[offset][d],
+                    rems[offset][d],
                     spatial=column.spatial,
                     axis=column.axis,
                 )
@@ -366,7 +369,9 @@ class MappingBatch:
     ``[n, num_columns, num_dims]``; absent loops hold the identity cell
     ``(1, 1, -1)``. ``fallback`` flags rows the columnar grid cannot
     represent (bypass sets, misaligned levels, duplicate cells); those are
-    priced by the scalar evaluator instead.
+    priced by the scalar evaluator instead. ``mappings`` holds the rows
+    kept as ``Mapping`` objects by row index: every row of a
+    :func:`pack_mappings` batch, the bypass rows of a sampled one.
     """
 
     layout: BatchLayout
@@ -374,7 +379,7 @@ class MappingBatch:
     rems: Any
     pos: Any
     fallback: Any
-    mappings: Optional[List[Mapping]] = None
+    mappings: Optional[Dict[int, Mapping]] = None
     #: Optional per-row provenance stamped by
     #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
     #: pricing kernels ignore it.
@@ -386,9 +391,28 @@ class MappingBatch:
 
     def mapping_at(self, index: int) -> Mapping:
         """The ``Mapping`` object of row ``index`` (rebuilt if not stored)."""
-        if self.mappings is not None:
+        if self.mappings is not None and index in self.mappings:
             return self.mappings[index]
-        return self.layout.materialize(self.bounds[index], self.rems[index])
+        return self.layout.materialize(
+            self.bounds[index], self.rems[index], self.pos[index]
+        )
+
+    def select(self, rows: Any) -> "MappingBatch":
+        """The sub-batch of ``rows`` (an index array), in that order."""
+        stored = self.mappings or {}
+        return MappingBatch(
+            layout=self.layout,
+            bounds=self.bounds[rows],
+            rems=self.rems[rows],
+            pos=self.pos[rows],
+            fallback=self.fallback[rows],
+            mappings={
+                new: stored[int(old)]
+                for new, old in enumerate(rows)
+                if int(old) in stored
+            } or None,
+            tags=None if self.tags is None else self.tags[rows],
+        )
 
     def to_shared(self, allow_shm: bool = True):
         """Ship this batch's SoA arrays through one shared-memory segment.
@@ -500,7 +524,7 @@ def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBa
         rems=rems,
         pos=pos,
         fallback=fallback,
-        mappings=list(mappings),
+        mappings=dict(enumerate(mappings)),
     )
 
 
@@ -560,6 +584,57 @@ class BatchOutcome:
     cycles: Any
     utilization: Any
     evaluations: Dict[int, Evaluation] = field(default_factory=dict)
+
+    @classmethod
+    def blank(cls, n: int) -> "BatchOutcome":
+        """``n`` rows awaiting results: invalid, unpruned, infinite metric.
+
+        ``cycles`` is an object array so a scalar evaluation's exact
+        integer cycle count fits whatever its size.
+        """
+        return cls(
+            valid=np.zeros(n, dtype=bool),
+            pruned=np.zeros(n, dtype=bool),
+            fallback=np.zeros(n, dtype=bool),
+            metric=np.full(n, float("inf")),
+            energy_pj=np.full(n, float("nan")),
+            cycles=np.zeros(n, dtype=object),
+            utilization=np.full(n, float("nan")),
+        )
+
+    def put(self, row: int, evaluation: Evaluation, objective: str) -> None:
+        """Fill ``row`` from a full scalar evaluation (kept in ``evaluations``)."""
+        self.evaluations[row] = evaluation
+        self.valid[row] = evaluation.valid
+        self.pruned[row] = False
+        if evaluation.valid:
+            self.metric[row] = evaluation.metric(objective)
+            self.energy_pj[row] = evaluation.energy_pj
+            self.cycles[row] = evaluation.cycles
+            self.utilization[row] = evaluation.utilization
+        else:
+            self.metric[row] = float("inf")
+
+    def candidates(self, objective: str) -> List[CandidateOutcome]:
+        """One :class:`CandidateOutcome` per row, in row order."""
+        outcomes: List[CandidateOutcome] = []
+        for row in range(len(self.valid)):
+            evaluation = self.evaluations.get(row)
+            if evaluation is not None:
+                outcomes.append(CandidateOutcome.of(evaluation, objective))
+                continue
+            live = bool(self.valid[row]) and not bool(self.pruned[row])
+            outcomes.append(
+                CandidateOutcome(
+                    valid=bool(self.valid[row]),
+                    pruned=bool(self.pruned[row]),
+                    metric=float(self.metric[row]),
+                    energy_pj=float(self.energy_pj[row]) if live else None,
+                    cycles=int(self.cycles[row]) if live else None,
+                    utilization=float(self.utilization[row]) if live else None,
+                )
+            )
+        return outcomes
 
 
 class BatchEvaluator:
@@ -714,10 +789,7 @@ class BatchEvaluator:
         prune: bool = False,
     ) -> BatchOutcome:
         """Price one packed batch; optionally prune against ``incumbent``."""
-        if not self.supported:
-            raise RuntimeError(
-                f"batch evaluation unsupported: {self.unsupported_reason}"
-            )
+        self._check_supported()
         layout = self.layout
         assert layout is not None
         n = batch.size
@@ -755,20 +827,20 @@ class BatchEvaluator:
                 metric[live] = live_energy
             else:
                 metric[live] = cycles_f[live]
-        evaluations: Dict[int, Evaluation] = {}
+        outcome = BatchOutcome(
+            valid=valid,
+            pruned=pruned,
+            fallback=fallback,
+            metric=metric,
+            energy_pj=energy,
+            cycles=cycles,
+            utilization=utilization,
+        )
         for i in np.flatnonzero(fallback):
             i = int(i)
-            evaluation = self.evaluator.evaluate_fresh(batch.mapping_at(i))
-            evaluations[i] = evaluation
-            valid[i] = evaluation.valid
-            pruned[i] = False
-            if evaluation.valid:
-                metric[i] = evaluation.metric(objective)
-                energy[i] = evaluation.energy_pj
-                cycles[i] = evaluation.cycles
-                utilization[i] = evaluation.utilization
-            else:
-                metric[i] = float("inf")
+            outcome.put(
+                i, self.evaluator.evaluate_fresh(batch.mapping_at(i)), objective
+            )
         self.batches_evaluated += 1
         self.candidates_evaluated += n
         self.candidates_pruned += int(pruned.sum())
@@ -777,16 +849,62 @@ class BatchEvaluator:
         _obs.inc("batch.candidates", n)
         _obs.inc("batch.pruned", int(pruned.sum()))
         _obs.inc("batch.fallback", int(fallback.sum()))
-        return BatchOutcome(
-            valid=valid,
-            pruned=pruned,
-            fallback=fallback,
-            metric=metric,
-            energy_pj=energy,
-            cycles=cycles,
-            utilization=utilization,
-            evaluations=evaluations,
+        return outcome
+
+    def evaluate_rows(
+        self,
+        batch: MappingBatch,
+        objective: str = "edp",
+        incumbent: float = float("inf"),
+        prune: bool = False,
+    ) -> BatchOutcome:
+        """Price every row of ``batch``, consulting the evaluator's cache.
+
+        Without a cache this is :meth:`evaluate_batch`. With one, every
+        row costs exactly one lookup under ``mapping_at(i).signature()``
+        (matching the scalar path's lookup count); hits bypass the kernels
+        and carry their evaluation, misses are priced as one sub-batch.
+        Only improvements and fallback rows are re-priced scalar (and
+        stored), so a batched search fills the cache more sparsely than a
+        scalar one.
+        """
+        self._check_supported()
+        cache = self.evaluator.cache
+        if cache is None:
+            return self.evaluate_batch(
+                batch, objective=objective, incumbent=incumbent, prune=prune
+            )
+        hits: Dict[int, Evaluation] = {}
+        for i in range(batch.size):
+            mapping = batch.mapping_at(i)
+            hit = cache.get(mapping.signature())
+            if hit is not None:
+                if hit.mapping is not mapping:
+                    hit = replace(hit, mapping=mapping)
+                hits[i] = hit
+        outcome = BatchOutcome.blank(batch.size)
+        misses = np.array(
+            [i for i in range(batch.size) if i not in hits], dtype=np.int64
         )
+        if misses.size:
+            priced = self.evaluate_batch(
+                batch.select(misses),
+                objective=objective,
+                incumbent=incumbent,
+                prune=prune,
+            )
+            for name in (
+                "valid", "pruned", "fallback", "metric", "energy_pj", "cycles",
+                "utilization",
+            ):
+                getattr(outcome, name)[misses] = getattr(priced, name)
+            outcome.evaluations = {
+                int(misses[row]): evaluation
+                for row, evaluation in priced.evaluations.items()
+            }
+        for i, evaluation in hits.items():
+            outcome.put(i, evaluation, objective)
+        return outcome
 
     def evaluate_mappings(
         self,
@@ -795,53 +913,25 @@ class BatchEvaluator:
         incumbent: float = float("inf"),
         prune: bool = False,
     ) -> List[CandidateOutcome]:
-        """Price a list of ``Mapping`` objects through the batch engine.
+        """Price a list of ``Mapping`` objects: :meth:`evaluate_rows` of
+        their :func:`pack_mappings` batch, as per-candidate outcomes."""
+        self._check_supported()
+        if not mappings:
+            return []
+        assert self.layout is not None
+        outcome = self.evaluate_rows(
+            pack_mappings(self.layout, mappings),
+            objective=objective,
+            incumbent=incumbent,
+            prune=prune,
+        )
+        return outcome.candidates(objective)
 
-        With a cache attached to the wrapped evaluator, every candidate
-        costs exactly one cache lookup (matching the scalar path's
-        lookup count); hits bypass the kernels entirely. Misses are
-        packed and priced vectorized — only improvements and fallback
-        rows are re-priced scalar (and stored), so a batched search fills
-        the cache more sparsely than a scalar one.
-        """
+    def _check_supported(self) -> None:
         if not self.supported:
             raise RuntimeError(
                 f"batch evaluation unsupported: {self.unsupported_reason}"
             )
-        cache = self.evaluator.cache
-        outcomes: List[Optional[CandidateOutcome]] = [None] * len(mappings)
-        misses: List[Mapping] = []
-        miss_rows: List[int] = []
-        for i, mapping in enumerate(mappings):
-            if cache is not None:
-                hit = cache.get(mapping.signature())
-                if hit is not None:
-                    if hit.mapping is not mapping:
-                        hit = replace(hit, mapping=mapping)
-                    outcomes[i] = CandidateOutcome.of(hit, objective)
-                    continue
-            misses.append(mapping)
-            miss_rows.append(i)
-        if misses:
-            assert self.layout is not None
-            batch = pack_mappings(self.layout, misses)
-            outcome = self.evaluate_batch(
-                batch, objective=objective, incumbent=incumbent, prune=prune
-            )
-            for row, i in enumerate(miss_rows):
-                live = bool(outcome.valid[row]) and not bool(outcome.pruned[row])
-                outcomes[i] = CandidateOutcome(
-                    valid=bool(outcome.valid[row]),
-                    pruned=bool(outcome.pruned[row]),
-                    metric=float(outcome.metric[row]),
-                    evaluation=outcome.evaluations.get(row),
-                    energy_pj=float(outcome.energy_pj[row]) if live else None,
-                    cycles=int(outcome.cycles[row]) if live else None,
-                    utilization=(
-                        float(outcome.utilization[row]) if live else None
-                    ),
-                )
-        return [outcome for outcome in outcomes if outcome is not None]
 
     # -- vectorized kernels ----------------------------------------------
 

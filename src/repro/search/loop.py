@@ -1,12 +1,15 @@
 """The one search loop: a pricer picked once, and a ledger for the run.
 
 Random, genetic, annealing and Pareto search each run a single loop over
-``pricer.evaluate_mappings``. The pricer is the vectorized
+one pricer. The pricer is the vectorized
 :class:`~repro.model.batch.BatchEvaluator` when it supports the (arch,
 workload, evaluator) triple and ``use_batch`` is set, and a
-:class:`ScalarPricer` otherwise. Both return the same
-:class:`~repro.model.batch.CandidateOutcome` list with bit-identical
-metrics, so the loop never branches on which one it holds.
+:class:`ScalarPricer` otherwise. Both price a packed
+:class:`~repro.model.batch.MappingBatch` (``evaluate_rows``, the random
+and Pareto searches' sampled chunks) or a ``Mapping`` list
+(``evaluate_mappings``, the genetic and annealing searches' assembled
+genomes) with bit-identical metrics, so the loop never branches on which
+one it holds.
 
 :class:`RunLedger` is the run's accounting: candidate counts, the
 incumbent and its convergence curve, and the ``search.candidates`` /
@@ -26,7 +29,12 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapping.nest import Mapping
 from repro.mapspace.generator import MapSpace
-from repro.model.batch import BatchEvaluator, CandidateOutcome
+from repro.model.batch import (
+    BatchEvaluator,
+    BatchOutcome,
+    CandidateOutcome,
+    MappingBatch,
+)
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer, empty_batch_stats
 from repro.search.result import ConvergencePoint, SearchResult
@@ -65,7 +73,8 @@ class ScalarPricer:
 
     Calls :meth:`Evaluator.evaluate` exactly once per candidate, so an
     attached cache is filled and looked up exactly as a per-candidate
-    scalar loop would. Never prunes.
+    scalar loop would. Never prunes. Batch rows are materialized one
+    ``Mapping`` each.
     """
 
     def __init__(self, evaluator: Evaluator) -> None:
@@ -82,6 +91,20 @@ class ScalarPricer:
             CandidateOutcome.of(self.evaluator.evaluate(mapping), objective)
             for mapping in mappings
         ]
+
+    def evaluate_rows(
+        self,
+        batch: MappingBatch,
+        objective: str = "edp",
+        incumbent: float = float("inf"),
+        prune: bool = False,
+    ) -> BatchOutcome:
+        outcome = BatchOutcome.blank(batch.size)
+        for i in range(batch.size):
+            outcome.put(
+                i, self.evaluator.evaluate(batch.mapping_at(i)), objective
+            )
+        return outcome
 
     def stats_payload(self) -> dict:
         return empty_batch_stats()
@@ -146,6 +169,17 @@ class RunLedger:
             prune=prune,
         )
 
+    def price_batch(
+        self, batch: MappingBatch, prune: bool = False
+    ) -> BatchOutcome:
+        """Price a packed batch's rows against the current incumbent."""
+        return self.pricer.evaluate_rows(
+            batch,
+            objective=self.objective,
+            incumbent=self.best_metric,
+            prune=prune,
+        )
+
     def count(self, candidates: int) -> None:
         """Count priced candidates in every sink at once."""
         self.evaluations += candidates
@@ -190,18 +224,23 @@ class RunLedger:
             flags.append(better)
         return flags
 
-    def record_batch(self, batch: Any, outcome: Any) -> None:
+    def record_batch(
+        self, batch: MappingBatch, outcome: BatchOutcome
+    ) -> List[int]:
         """Account a packed :class:`~repro.model.batch.BatchOutcome`.
 
         Valid rows are counted with an array sum; only rows that beat the
         incumbent on entry are walked (in row order, so the improvement
-        sequence matches a row-by-row walk).
+        sequence matches a row-by-row walk). Returns the rows that
+        improved the incumbent, ascending; an improvement without a full
+        evaluation is re-priced through :meth:`Evaluator.evaluate_fresh`.
         """
         base = self.evaluations
         self.count(batch.size)
         self.num_valid += int(outcome.valid.sum())
         beats = outcome.valid & ~outcome.pruned
         beats &= outcome.metric < self.best_metric
+        improved: List[int] = []
         for i in np.flatnonzero(beats):
             i = int(i)
             metric = float(outcome.metric[i])
@@ -212,6 +251,8 @@ class RunLedger:
                         batch.mapping_at(i)
                     )
                 self.improved(metric, evaluation, base + i + 1)
+                improved.append(i)
+        return improved
 
     def stats(self) -> dict:
         """The uniform ``stats`` payload for the run so far."""

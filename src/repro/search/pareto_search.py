@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
@@ -121,16 +123,14 @@ class ParetoSearch:
                 chunk = min(
                     self.batch_size, self.max_evaluations - ledger.evaluations
                 )
-                mappings = [
-                    self.mapspace.sample(self.rng) for _ in range(chunk)
-                ]
-                outcomes = ledger.price(mappings)
+                batch = self.mapspace.sample_batch(self.rng, chunk)
+                outcome = ledger.price_batch(batch)
                 ledger.count(chunk)
-                for mapping, outcome in zip(mappings, outcomes):
-                    if not outcome.valid:
-                        continue
-                    ledger.num_valid += 1
-                    energy, cycles = outcome.energy_pj, outcome.cycles
+                ledger.num_valid += int(outcome.valid.sum())
+                for i in np.flatnonzero(outcome.valid):
+                    i = int(i)
+                    energy = float(outcome.energy_pj[i])
+                    cycles = int(outcome.cycles[i])
                     if any(
                         _dominates_xy(kept.energy_pj, kept.cycles, energy, cycles)
                         for kept in frontier
@@ -138,9 +138,11 @@ class ParetoSearch:
                         continue
                     # Materialize the full Evaluation only for frontier
                     # entrants: dominated candidates never leave the batch.
-                    evaluation = outcome.evaluation
+                    evaluation = outcome.evaluations.get(i)
                     if evaluation is None:
-                        evaluation = self.evaluator.evaluate_fresh(mapping)
+                        evaluation = self.evaluator.evaluate_fresh(
+                            batch.mapping_at(i)
+                        )
                     frontier[:] = [
                         kept
                         for kept in frontier

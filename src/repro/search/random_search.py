@@ -105,15 +105,16 @@ class RandomSearch:
                 if self.patience is not None:
                     chunk = min(chunk, self.patience - consecutive_non_improving)
                 with obs.trace("search.batch", size=chunk):
-                    mappings = [
-                        self.mapspace.sample(self.rng) for _ in range(chunk)
-                    ]
-                    outcomes = ledger.price(mappings, prune=True)
-                for improved in ledger.record(mappings, outcomes):
-                    if improved:
-                        consecutive_non_improving = 0
-                    elif improved is not None:
-                        consecutive_non_improving += 1
+                    batch = self.mapspace.sample_batch(self.rng, chunk)
+                    outcome = ledger.price_batch(batch, prune=True)
+                improved = ledger.record_batch(batch, outcome)
+                # The valid rows after the chunk's last improvement (all of
+                # them, if none improved) extend the non-improving run.
+                tail = outcome.valid
+                if improved:
+                    consecutive_non_improving = 0
+                    tail = tail[improved[-1] + 1:]
+                consecutive_non_improving += int(tail.sum())
                 if (
                     self.patience is not None
                     and consecutive_non_improving >= self.patience

@@ -91,9 +91,9 @@ class SharedBatchEngine:
 
     The batch engine mutates its own counters and scratch state per call,
     so concurrent searches sharing one engine must not interleave inside
-    ``evaluate_mappings``. A plain lock suffices: batch calls are long
-    enough that contention is amortized, and the shared evaluation cache
-    means the *second* search through a region mostly hits anyway.
+    its pricing calls. A plain lock suffices: batch calls are long enough
+    that contention is amortized, and the shared evaluation cache means
+    the *second* search through a region mostly hits anyway.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -119,6 +119,10 @@ class SharedBatchEngine:
     def evaluate_batch(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return self._engine.evaluate_batch(*args, **kwargs)
+
+    def evaluate_rows(self, *args: Any, **kwargs: Any) -> Any:
+        with self._lock:
+            return self._engine.evaluate_rows(*args, **kwargs)
 
     def stats_payload(self) -> Dict[str, Any]:
         with self._lock:

@@ -25,6 +25,10 @@ answers are known a priori:
   finds the bit-identical best mapping (same signature, energy, and
   cycles) as exhaustive enumeration on toy and Eyeriss-preset mapspaces,
   regardless of its warm-start seed;
+* **Sample parity** — :meth:`MapSpace.sample_batch` draws the same rows,
+  fallback flags and mappings, and leaves the RNG in the same state, as
+  the per-candidate sampler it replaced (:func:`per_candidate_sample`:
+  slot-by-slot chains, ``Mapping`` assembly, :func:`pack_mappings`);
 * **Seed determinism** — each of the six searchers run twice from one
   seed produces the same trajectory, and ``parallel_random_search`` finds
   the same best metric under fork and spawn start methods.
@@ -41,10 +45,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.arch import toy_glb_architecture, toy_linear_architecture
 from repro.energy.accelergy import estimate_energy_table
-from repro.mapspace.allocation import DimAllocator
+from repro.mapping.loop import Loop
+from repro.mapping.nest import LevelNest, Mapping
+from repro.mapspace.allocation import DimAllocator, DimChain, assign_remainders
 from repro.mapspace.chain_count import count_dim_chains, mapspace_upper_bound
+from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.counting import count_mapspace_size
 from repro.mapspace.generator import MapSpace, MapspaceKind
 from repro.mapspace.slots import build_slots
@@ -61,6 +70,7 @@ from repro.search import (
     SimulatedAnnealing,
 )
 from repro.search.parallel import parallel_random_search
+from repro.utils.mathx import ceil_div, divisors
 
 #: Multiprocessing start methods the determinism invariant compares.
 START_METHODS = ("fork", "spawn")
@@ -349,6 +359,199 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
     return checked, violations
 
 
+def _per_candidate_chain(
+    allocator: DimAllocator,
+    dim: str,
+    size: int,
+    rng: random.Random,
+    budgets: Dict[int, int],
+) -> DimChain:
+    """One dimension's chain, drawn slot by slot with fresh divisor lists."""
+    inner_to_outer: List[int] = []
+    residue = size
+    for offset in range(len(allocator.slots) - 1, -1, -1):
+        slot = allocator.slots[offset]
+        bound = 1
+        if offset == 0:
+            bound, residue = residue, 1
+        elif residue != 1 and slot.allows(dim):
+            cap = residue
+            if slot.spatial:
+                cap = min(cap, max(1, budgets.get(offset, 1)))
+            options = [d for d in divisors(residue) if d <= cap]
+            imperfect = (
+                allocator.spatial_imperfect
+                if slot.spatial
+                else allocator.temporal_imperfect
+            )
+            if not imperfect:
+                bound = rng.choice(options)
+            elif allocator.sampling == "uniform":
+                bound = rng.randint(1, cap)
+            else:
+                roll = rng.random()
+                if roll < 0.4:
+                    bound = rng.randint(1, cap)
+                elif roll < 0.8:
+                    bound = rng.choice(options)
+                else:
+                    bound = cap
+            residue = ceil_div(residue, bound)
+        if slot.spatial and bound > 1:
+            budgets[offset] = budgets.get(offset, 1) // bound
+        inner_to_outer.append(bound)
+    bounds = tuple(reversed(inner_to_outer))
+    return DimChain(dim, bounds, assign_remainders(size, bounds))
+
+
+def per_candidate_sample(space: MapSpace, rng: random.Random) -> Mapping:
+    """The per-candidate sampler :meth:`MapSpace.sample_batch` replaced.
+
+    Kept as the oracle of its RNG stream and rows: the perfect-allocator
+    roll, the dim shuffle, slot-by-slot chains, ``Loop``/``LevelNest``
+    assembly with each level's temporal shuffle and fixed-permutation
+    sort, then the bypass rolls — none of it shared with the mapspace's
+    draw memos or loop-order helper.
+    """
+    allocator = space.allocator
+    if (
+        space._perfect_allocator is not None
+        and rng.random() < space.PERFECT_SEED_PROBABILITY
+    ):
+        allocator = space._perfect_allocator
+    budgets = {
+        offset: slot.fanout_cap
+        for offset, slot in enumerate(space.slots)
+        if slot.spatial
+    }
+    dims = list(space.workload.dim_names)
+    rng.shuffle(dims)
+    chains = {
+        dim: _per_candidate_chain(
+            allocator, dim, space.workload.size(dim), rng, budgets
+        )
+        for dim in dims
+    }
+    nests: List[LevelNest] = []
+    for level_index, level in enumerate(space.arch.levels):
+        temporal: List[Loop] = []
+        spatial: List[Loop] = []
+        for offset, slot in enumerate(space.slots):
+            if slot.level_index != level_index:
+                continue
+            for dim in space.workload.dim_names:
+                bound = chains[dim].bounds[offset]
+                remainder = chains[dim].remainders[offset]
+                if bound == 1 and remainder == 1:
+                    continue
+                loop = Loop(
+                    dim, bound, remainder, spatial=slot.spatial, axis=slot.axis
+                )
+                (spatial if slot.spatial else temporal).append(loop)
+        rng.shuffle(temporal)
+        fixed = space.constraints.permutation(level.name)
+        if fixed:
+            priority = {dim: i for i, dim in enumerate(fixed)}
+            temporal = sorted(
+                temporal, key=lambda loop: priority.get(loop.dim, len(priority))
+            )
+        nests.append(LevelNest(level.name, tuple(temporal), tuple(spatial)))
+    mapping = Mapping(levels=tuple(nests))
+    if space.explore_bypass and space._bypass_candidates:
+        bypass = [
+            pair
+            for pair in space._bypass_candidates
+            if rng.random() < space.BYPASS_PROBABILITY
+        ]
+        if bypass:
+            mapping = mapping.with_bypass(bypass)
+    return mapping
+
+
+def _sample_parity_fixtures(seed: int):
+    """(label, mapspace) pairs covering every sampling branch."""
+    from repro.arch.eyeriss import eyeriss_like
+    from repro.mapspace.constraints import eyeriss_row_stationary
+    from repro.zoo.resnet50 import resnet50_representative
+
+    _, arch, workload = _toy_setup(seed)
+    fixtures = [
+        (kind.value, MapSpace(arch, workload, kind)) for kind in MapspaceKind
+    ]
+    fixtures.append((
+        "ruby+bypass",
+        MapSpace(arch, workload, MapspaceKind.RUBY, explore_bypass=True),
+    ))
+    fixtures.append((
+        "ruby-s+uniform",
+        MapSpace(arch, workload, MapspaceKind.RUBY_S, sampling="uniform"),
+    ))
+    fixed = ConstraintSet.build(
+        fixed_permutations={
+            level.name: tuple(reversed(workload.dim_names))[:2]
+            for level in arch.levels
+        }
+    )
+    fixtures.append((
+        "ruby+fixed-permutations",
+        MapSpace(arch, workload, MapspaceKind.RUBY, constraints=fixed),
+    ))
+    layers = resnet50_representative()
+    layer, _ = layers[seed % len(layers)]
+    fixtures.append((
+        f"eyeriss:{layer.name}:ruby-s",
+        MapSpace(
+            eyeriss_like(), layer, MapspaceKind.RUBY_S, eyeriss_row_stationary()
+        ),
+    ))
+    return fixtures
+
+
+def check_sample_parity(
+    seed: int = 0, samples: int = 64
+) -> Tuple[int, List[str]]:
+    """``sample_batch`` replays the per-candidate sampler row for row.
+
+    For each fixture, one ``sample_batch`` call and ``samples`` calls of
+    :func:`per_candidate_sample` packed by :func:`pack_mappings` start
+    from equal RNGs; the packed arrays, ``fallback``, every
+    ``mapping_at(i)`` and the final RNG state must all match.
+    """
+    from repro.model.batch import pack_mappings
+
+    checked = 0
+    violations: List[str] = []
+    for label, space in _sample_parity_fixtures(seed):
+        checked += 1
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        batch = space.sample_batch(rng, samples)
+        mappings = [
+            per_candidate_sample(space, oracle_rng) for _ in range(samples)
+        ]
+        oracle = pack_mappings(space.batch_layout(), mappings)
+        for name in ("bounds", "rems", "pos", "fallback"):
+            if not np.array_equal(getattr(batch, name), getattr(oracle, name)):
+                violations.append(
+                    f"sample-parity: {label} {name} rows differ from the "
+                    "per-candidate sampler's packed rows"
+                )
+        row = next(
+            (i for i in range(samples) if batch.mapping_at(i) != mappings[i]),
+            None,
+        )
+        if row is not None:
+            violations.append(
+                f"sample-parity: {label} row {row} materializes to a "
+                "different mapping than the per-candidate sampler drew"
+            )
+        if rng.getstate() != oracle_rng.getstate():
+            violations.append(
+                f"sample-parity: {label} left the RNG in a different state "
+                "than the per-candidate sampler"
+            )
+    return checked, violations
+
+
 def _parity_fixtures(seed: int):
     """(label, mapspace, evaluator) triples for branch-bound parity."""
     from repro.arch.eyeriss import eyeriss_like
@@ -544,6 +747,7 @@ INVARIANTS: Tuple[Tuple[str, Callable[[int], Tuple[int, List[str]]]], ...] = (
     ("cache-transparency", check_cache_transparency),
     ("prune-parity", check_prune_parity),
     ("count-parity", check_enumeration_count_parity),
+    ("sample-parity", check_sample_parity),
     ("branch-bound-parity", check_branch_bound_parity),
     ("seed-determinism", check_seed_determinism),
     ("start-method-determinism", check_parallel_start_methods),
