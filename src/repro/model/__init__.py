@@ -23,7 +23,6 @@ from repro.model.batch import (
     BatchEvaluator,
     BatchLayout,
     BatchOutcome,
-    CandidateOutcome,
     MappingBatch,
     pack_mappings,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "BatchEvaluator",
     "BatchLayout",
     "BatchOutcome",
-    "CandidateOutcome",
     "MappingBatch",
     "pack_mappings",
     "TensorPath",

@@ -528,52 +528,17 @@ def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBa
     )
 
 
-@dataclass(frozen=True)
-class CandidateOutcome:
-    """Per-candidate result of :meth:`BatchEvaluator.evaluate_mappings`.
-
-    ``metric`` is ``inf`` for invalid or pruned candidates. ``evaluation``
-    is populated only when a full scalar :class:`Evaluation` was produced
-    anyway (cache hits, fallback rows, and every candidate of
-    :class:`~repro.search.loop.ScalarPricer`); improvements should be
-    re-priced through :meth:`Evaluator.evaluate_fresh` by the caller.
-    ``energy_pj``/``cycles``/``utilization`` carry the bit-exact component
-    metrics for valid, unpruned candidates (multi-objective searches need
-    the raw coordinates, not just the collapsed objective) and are ``None``
-    otherwise.
-    """
-
-    valid: bool
-    pruned: bool
-    metric: float
-    evaluation: Optional[Evaluation] = None
-    energy_pj: Optional[float] = None
-    cycles: Optional[int] = None
-    utilization: Optional[float] = None
-
-    @classmethod
-    def of(cls, evaluation: Evaluation, objective: str) -> "CandidateOutcome":
-        """The outcome of a candidate priced by the scalar evaluator."""
-        valid = evaluation.valid
-        return cls(
-            valid=valid,
-            pruned=False,
-            metric=evaluation.metric(objective) if valid else float("inf"),
-            evaluation=evaluation,
-            energy_pj=evaluation.energy_pj if valid else None,
-            cycles=evaluation.cycles if valid else None,
-            utilization=evaluation.utilization if valid else None,
-        )
-
-
 @dataclass
 class BatchOutcome:
     """Vectorized results for one :class:`MappingBatch`.
 
     Arrays are indexed by batch row. ``metric`` holds ``inf`` at invalid
     and pruned rows; ``energy_pj``/``cycles``/``utilization`` are only
-    meaningful where ``valid & ~pruned``. ``evaluations`` maps fallback
-    row indices to their full scalar evaluations.
+    meaningful where ``valid & ~pruned``. ``evaluations`` maps the rows
+    that got a full scalar :class:`Evaluation` anyway (fallback rows,
+    cache hits, every row of :class:`~repro.search.loop.ScalarPricer`) to
+    it; any other row a caller keeps is re-priced through
+    :meth:`Evaluator.evaluate_fresh`.
     """
 
     valid: Any
@@ -614,27 +579,6 @@ class BatchOutcome:
             self.utilization[row] = evaluation.utilization
         else:
             self.metric[row] = float("inf")
-
-    def candidates(self, objective: str) -> List[CandidateOutcome]:
-        """One :class:`CandidateOutcome` per row, in row order."""
-        outcomes: List[CandidateOutcome] = []
-        for row in range(len(self.valid)):
-            evaluation = self.evaluations.get(row)
-            if evaluation is not None:
-                outcomes.append(CandidateOutcome.of(evaluation, objective))
-                continue
-            live = bool(self.valid[row]) and not bool(self.pruned[row])
-            outcomes.append(
-                CandidateOutcome(
-                    valid=bool(self.valid[row]),
-                    pruned=bool(self.pruned[row]),
-                    metric=float(self.metric[row]),
-                    energy_pj=float(self.energy_pj[row]) if live else None,
-                    cycles=int(self.cycles[row]) if live else None,
-                    utilization=float(self.utilization[row]) if live else None,
-                )
-            )
-        return outcomes
 
 
 class BatchEvaluator:
@@ -912,20 +856,17 @@ class BatchEvaluator:
         objective: str = "edp",
         incumbent: float = float("inf"),
         prune: bool = False,
-    ) -> List[CandidateOutcome]:
+    ) -> BatchOutcome:
         """Price a list of ``Mapping`` objects: :meth:`evaluate_rows` of
-        their :func:`pack_mappings` batch, as per-candidate outcomes."""
+        their :func:`pack_mappings` batch (row ``i`` is ``mappings[i]``)."""
         self._check_supported()
-        if not mappings:
-            return []
         assert self.layout is not None
-        outcome = self.evaluate_rows(
+        return self.evaluate_rows(
             pack_mappings(self.layout, mappings),
             objective=objective,
             incumbent=incumbent,
             prune=prune,
         )
-        return outcome.candidates(objective)
 
     def _check_supported(self) -> None:
         if not self.supported:

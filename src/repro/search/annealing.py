@@ -15,6 +15,7 @@ from typing import Optional, Union
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.result import SearchResult
@@ -91,10 +92,13 @@ class SimulatedAnnealing:
             # The Metropolis chain is sequential (each step's candidate
             # depends on the previous acceptance), so candidates are
             # priced one at a time; pricing consumes no RNG.
-            mappings = [self.mapspace.assemble(genome, self.rng)]
-            outcomes = ledger.price(mappings)
-            ledger.record(mappings, outcomes)
-            return outcomes[0].metric
+            batch = pack_mappings(
+                self.mapspace.batch_layout(),
+                [self.mapspace.assemble(genome, self.rng)],
+            )
+            outcome = ledger.price_batch(batch)
+            ledger.record_batch(batch, outcome)
+            return float(outcome.metric[0])
 
         with ledger, obs.trace(
             "search.run", driver="annealing", mode=ledger.mode,

@@ -223,21 +223,22 @@ class _SubtreeWalker:
         re-price of worker claims; every improving candidate goes through
         :meth:`_consider`, so order decides ties deterministically.
         """
-        outcomes = self.engine.evaluate_mappings(
+        outcome = self.engine.evaluate_mappings(
             mappings, objective=self.objective, prune=False
         )
-        for mapping, outcome in zip(mappings, outcomes):
+        for i, mapping in enumerate(mappings):
             self.evaluations += 1
-            if not outcome.valid:
+            if not outcome.valid[i]:
                 continue
             self.num_valid += 1
 
-            def make_evaluation(outcome=outcome, mapping=mapping):
-                if outcome.evaluation is not None:
-                    return outcome.evaluation
+            def make_evaluation(i=i, mapping=mapping):
+                evaluation = outcome.evaluations.get(i)
+                if evaluation is not None:
+                    return evaluation
                 return self.evaluator.evaluate_fresh(mapping)
 
-            self._consider(float(outcome.metric), make_evaluation)
+            self._consider(float(outcome.metric[i]), make_evaluation)
 
     # -- the walk --------------------------------------------------------
 

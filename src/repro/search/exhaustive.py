@@ -7,6 +7,7 @@ from itertools import islice
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
 from repro.search.result import SearchResult
@@ -109,11 +110,13 @@ class ExhaustiveSearch:
                 candidates = self.mapspace.enumerate_mappings(
                     permutations=self.permutations
                 )
+                layout = self.mapspace.batch_layout()
                 while chunk := list(islice(candidates, batch_size)):
                     self._check_limit(ledger.evaluations + len(chunk))
                     with obs.trace("search.batch", size=len(chunk)):
-                        outcomes = ledger.price(chunk)
-                    ledger.record(chunk, outcomes)
+                        batch = pack_mappings(layout, chunk)
+                        outcome = ledger.price_batch(batch)
+                    ledger.record_batch(batch, outcome)
         return ledger.result("exhausted")
 
     def _check_limit(self, evaluations: int) -> None:

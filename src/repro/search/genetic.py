@@ -20,6 +20,7 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.allocation import DimChain
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.result import SearchResult
@@ -100,12 +101,13 @@ class GeneticSearch:
             priced together; pruning stays off because selection needs
             every individual's fitness, not just the incumbent-beaters.
             """
-            mappings = [
-                self.mapspace.assemble(genome, self.rng) for genome in genomes
-            ]
-            outcomes = ledger.price(mappings)
-            ledger.record(mappings, outcomes)
-            return [outcome.metric for outcome in outcomes]
+            batch = pack_mappings(
+                self.mapspace.batch_layout(),
+                [self.mapspace.assemble(genome, self.rng) for genome in genomes],
+            )
+            outcome = ledger.price_batch(batch)
+            ledger.record_batch(batch, outcome)
+            return outcome.metric.tolist()
 
         with ledger, obs.trace(
             "search.run", driver="genetic", mode=ledger.mode,

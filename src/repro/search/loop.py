@@ -5,36 +5,30 @@ one pricer. The pricer is the vectorized
 :class:`~repro.model.batch.BatchEvaluator` when it supports the (arch,
 workload, evaluator) triple and ``use_batch`` is set, and a
 :class:`ScalarPricer` otherwise. Both price a packed
-:class:`~repro.model.batch.MappingBatch` (``evaluate_rows``, the random
-and Pareto searches' sampled chunks) or a ``Mapping`` list
-(``evaluate_mappings``, the genetic and annealing searches' assembled
-genomes) with bit-identical metrics, so the loop never branches on which
-one it holds.
+:class:`~repro.model.batch.MappingBatch` through ``evaluate_rows`` with
+bit-identical metrics, so the loop never branches on which one it holds.
+Random and Pareto search sample their chunks straight into packed rows;
+genetic and annealing search pack their assembled genomes with
+:func:`~repro.model.batch.pack_mappings`.
 
 :class:`RunLedger` is the run's accounting: candidate counts, the
 incumbent and its convergence curve, and the ``search.candidates`` /
 ``search.improvements`` / ``search.best_metric`` metrics plus the progress
 tracker, all fed from one call each. It builds the :class:`SearchResult`.
-Exhaustive search's packed source and branch-and-bound price packed
-batches directly, but account through the same ledger.
+Exhaustive search and branch-and-bound price packed batches directly,
+but account through the same ledger.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import SearchError
-from repro.mapping.nest import Mapping
 from repro.mapspace.generator import MapSpace
-from repro.model.batch import (
-    BatchEvaluator,
-    BatchOutcome,
-    CandidateOutcome,
-    MappingBatch,
-)
+from repro.model.batch import BatchEvaluator, BatchOutcome, MappingBatch
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.obs import SearchTimer, empty_batch_stats
 from repro.search.result import ConvergencePoint, SearchResult
@@ -71,26 +65,14 @@ def batch_engine_for(
 class ScalarPricer:
     """The scalar :class:`Evaluator` behind the batch engine's interface.
 
-    Calls :meth:`Evaluator.evaluate` exactly once per candidate, so an
+    Calls :meth:`Evaluator.evaluate` exactly once per row, in row order,
+    on the row's ``Mapping`` (the stored one for a packed list), so an
     attached cache is filled and looked up exactly as a per-candidate
-    scalar loop would. Never prunes. Batch rows are materialized one
-    ``Mapping`` each.
+    scalar loop would. Never prunes.
     """
 
     def __init__(self, evaluator: Evaluator) -> None:
         self.evaluator = evaluator
-
-    def evaluate_mappings(
-        self,
-        mappings: Sequence[Mapping],
-        objective: str = "edp",
-        incumbent: float = float("inf"),
-        prune: bool = False,
-    ) -> List[CandidateOutcome]:
-        return [
-            CandidateOutcome.of(self.evaluator.evaluate(mapping), objective)
-            for mapping in mappings
-        ]
 
     def evaluate_rows(
         self,
@@ -158,17 +140,6 @@ class RunLedger:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.timer.__exit__(exc_type, exc, tb)
 
-    def price(
-        self, mappings: Sequence[Mapping], prune: bool = False
-    ) -> List[CandidateOutcome]:
-        """Price candidates against the current incumbent."""
-        return self.pricer.evaluate_mappings(
-            mappings,
-            objective=self.objective,
-            incumbent=self.best_metric,
-            prune=prune,
-        )
-
     def price_batch(
         self, batch: MappingBatch, prune: bool = False
     ) -> BatchOutcome:
@@ -197,32 +168,6 @@ class RunLedger:
         obs.inc("search.improvements", driver=self.driver)
         obs.set_gauge("search.best_metric", metric, driver=self.driver)
         self.progress.improved(metric)
-
-    def record(
-        self, mappings: Sequence[Mapping], outcomes: Sequence[CandidateOutcome]
-    ) -> List[Optional[bool]]:
-        """Account a priced chunk, in order.
-
-        Returns one flag per candidate: None when invalid, else whether it
-        improved the incumbent. Improvements without a full evaluation are
-        re-priced through :meth:`Evaluator.evaluate_fresh`.
-        """
-        base = self.evaluations
-        self.count(len(outcomes))
-        flags: List[Optional[bool]] = []
-        for i, (mapping, outcome) in enumerate(zip(mappings, outcomes)):
-            if not outcome.valid:
-                flags.append(None)
-                continue
-            self.num_valid += 1
-            better = not outcome.pruned and outcome.metric < self.best_metric
-            if better:
-                evaluation = outcome.evaluation
-                if evaluation is None:
-                    evaluation = self.evaluator.evaluate_fresh(mapping)
-                self.improved(outcome.metric, evaluation, base + i + 1)
-            flags.append(better)
-        return flags
 
     def record_batch(
         self, batch: MappingBatch, outcome: BatchOutcome

@@ -112,10 +112,6 @@ class SharedBatchEngine:
     def evaluator(self) -> Evaluator:
         return self._engine.evaluator
 
-    def evaluate_mappings(self, *args: Any, **kwargs: Any) -> Any:
-        with self._lock:
-            return self._engine.evaluate_mappings(*args, **kwargs)
-
     def evaluate_batch(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return self._engine.evaluate_batch(*args, **kwargs)

@@ -161,7 +161,8 @@ def test_shared_memory_transport_keeps_loop_order():
 
 def _oracle_random(space, evaluator, seed, max_evaluations, patience,
                    batch_size=512, use_batch=True, engine=None):
-    """The per-candidate random search: sample, price a list, walk flags."""
+    """The per-candidate random search: sample ``Mapping``s, pack the list,
+    then walk the priced rows one candidate at a time."""
     engine = batch_engine_for(space, evaluator, use_batch, engine)
     ledger = RunLedger(evaluator, "random", "edp",
                        total_units=max_evaluations, engine=engine)
@@ -173,11 +174,23 @@ def _oracle_random(space, evaluator, seed, max_evaluations, patience,
             if patience is not None:
                 chunk = min(chunk, patience - consecutive)
             mappings = [per_candidate_sample(space, rng) for _ in range(chunk)]
-            outcomes = ledger.price(mappings, prune=True)
-            for improved in ledger.record(mappings, outcomes):
-                if improved:
+            outcome = ledger.price_batch(
+                pack_mappings(space.batch_layout(), mappings), prune=True
+            )
+            base = ledger.evaluations
+            ledger.count(chunk)
+            for i, mapping in enumerate(mappings):
+                if not outcome.valid[i]:
+                    continue
+                ledger.num_valid += 1
+                metric = float(outcome.metric[i])
+                if not outcome.pruned[i] and metric < ledger.best_metric:
+                    evaluation = outcome.evaluations.get(i)
+                    if evaluation is None:
+                        evaluation = evaluator.evaluate_fresh(mapping)
+                    ledger.improved(metric, evaluation, base + i + 1)
                     consecutive = 0
-                elif improved is not None:
+                else:
                     consecutive += 1
             chunk_ends.append(ledger.evaluations)
             if patience is not None and consecutive >= patience:
@@ -187,7 +200,7 @@ def _oracle_random(space, evaluator, seed, max_evaluations, patience,
 
 
 def _oracle_pareto(space, evaluator, seed, max_evaluations, batch_size=512):
-    """The per-candidate Pareto search over ``CandidateOutcome`` lists."""
+    """The per-candidate Pareto search over a packed ``Mapping`` list."""
     engine = batch_engine_for(space, evaluator, True)
     ledger = RunLedger(evaluator, "pareto", total_units=max_evaluations,
                        engine=engine)
@@ -197,19 +210,23 @@ def _oracle_pareto(space, evaluator, seed, max_evaluations, batch_size=512):
         while ledger.evaluations < max_evaluations:
             chunk = min(batch_size, max_evaluations - ledger.evaluations)
             mappings = [per_candidate_sample(space, rng) for _ in range(chunk)]
-            outcomes = ledger.price(mappings)
+            outcome = ledger.price_batch(
+                pack_mappings(space.batch_layout(), mappings)
+            )
             ledger.count(chunk)
-            for mapping, outcome in zip(mappings, outcomes):
-                if not outcome.valid:
+            for i, mapping in enumerate(mappings):
+                if not outcome.valid[i]:
                     continue
                 ledger.num_valid += 1
+                energy, cycles = float(outcome.energy_pj[i]), int(outcome.cycles[i])
                 if any(
-                    _dominates_xy(k.energy_pj, k.cycles,
-                                  outcome.energy_pj, outcome.cycles)
+                    _dominates_xy(k.energy_pj, k.cycles, energy, cycles)
                     for k in frontier
                 ):
                     continue
-                evaluation = outcome.evaluation or evaluator.evaluate_fresh(mapping)
+                evaluation = outcome.evaluations.get(i)
+                if evaluation is None:
+                    evaluation = evaluator.evaluate_fresh(mapping)
                 frontier = [k for k in frontier if not _dominates(evaluation, k)]
                 frontier.append(evaluation)
     frontier.sort(key=lambda e: (e.energy_pj, e.cycles))
