@@ -68,21 +68,24 @@ def test_cached_reevaluation_at_least_10x_faster(benchmark, setting):
 
 
 def test_cache_preserves_search_results(benchmark, setting):
-    # Same seed, cache on vs. off: identical best mapping and metric.
-    from repro.search.parallel import parallel_random_search
+    # Same seed and budget, cache on vs. off: identical best mapping and
+    # metric. Serial search is the path that still takes a cache.
+    from repro.search import random_search
 
     arch, workload, _ = setting
-    kwargs = dict(
-        constraints=eyeriss_row_stationary(),
-        max_evaluations=300,
-        patience=None,
-        workers=2,
-        seed=17,
-    )
-    cached = run_once(
-        benchmark, lambda: parallel_random_search(arch, workload, **kwargs)
-    )
-    uncached = parallel_random_search(arch, workload, cache_size=0, **kwargs)
+    space = ruby_s_mapspace(arch, workload, eyeriss_row_stationary())
+
+    def search(cache):
+        return random_search(
+            space,
+            Evaluator(arch, workload, cache=cache),
+            max_evaluations=600,
+            patience=None,
+            seed=17,
+        )
+
+    cached = run_once(benchmark, lambda: search(EvaluationCache()))
+    uncached = search(None)
     assert cached.best_metric == uncached.best_metric
     assert cached.best.mapping == uncached.best.mapping
     # Hit *counts* depend on how often a huge mapspace re-draws duplicates;

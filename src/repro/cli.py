@@ -181,13 +181,11 @@ def _format_search_stats(stats: Dict) -> List[str]:
             f"transport={pool.get('transport') or 'n/a'}"
         )
     for row in stats.get("workers", ()):
-        hit_rate = row.get("cache_hit_rate")
-        cache_part = f"  cache-hit={hit_rate:.1%}" if hit_rate is not None else ""
         rate = row.get("evals_per_sec") or 0.0
         lines.append(
             f"  worker {row['worker']}: seed={row['seed']}  "
             f"evaluated={row['num_evaluated']:,}  valid={row['num_valid']:,}  "
-            f"{rate:,.0f} evals/s{cache_part}  ({row['terminated_by']})"
+            f"{rate:,.0f} evals/s  ({row['terminated_by']})"
         )
     return lines
 
@@ -259,46 +257,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.arch == "eyeriss" and args.row_stationary
         else None
     )
-    if args.workers > 1 and args.searcher not in ("random", "branch-bound"):
-        raise SystemExit(
-            "--workers > 1 drives the parallel random or branch-bound "
-            "search; combine it with --searcher random or branch-bound"
-        )
-    if args.workers > 1 and args.searcher == "random":
-        from repro.model.eval_cache import DEFAULT_CACHE_SIZE
-        from repro.search.parallel import parallel_random_search
-
-        result = parallel_random_search(
-            arch,
-            workload,
-            kind=args.kind,
-            constraints=constraints,
-            objective=args.objective,
-            max_evaluations=args.budget,
-            patience=args.patience,
-            workers=args.workers,
-            seed=args.seed,
-            cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
-            start_method=args.start_method,
-            use_batch=not args.no_batch,
-            batch_size=args.batch_size,
-        )
-    else:
-        result = find_best_mapping(
-            arch,
-            workload,
-            kind=args.kind,
-            objective=args.objective,
-            strategy=args.searcher,
-            seed=args.seed,
-            max_evaluations=args.budget,
-            patience=args.patience,
-            constraints=constraints,
-            use_batch=not args.no_batch,
-            batch_size=args.batch_size,
-            workers=args.workers,
-            start_method=args.start_method,
-        )
+    result = find_best_mapping(
+        arch,
+        workload,
+        kind=args.kind,
+        objective=args.objective,
+        strategy=args.searcher,
+        seed=args.seed,
+        max_evaluations=args.budget,
+        patience=args.patience,
+        constraints=constraints,
+        use_batch=not args.no_batch,
+        batch_size=args.batch_size,
+        workers=args.workers,
+        start_method=args.start_method,
+    )
     if result.best is None:
         print("no valid mapping found", file=sys.stderr)
         return 1
@@ -885,10 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--start-method", choices=["fork", "spawn"], default=None,
         help="force a multiprocessing start method (default: try fork, "
         "then spawn, then run sequentially)",
-    )
-    search.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the per-worker evaluation cache (parity debugging)",
     )
     search.add_argument(
         "--batch-size", type=int, default=512,

@@ -33,6 +33,10 @@ from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
 
 
+#: Strategies that can fan out over ``MapperConfig.workers`` processes.
+POOLED_STRATEGIES = ("random", "branch-bound")
+
+
 @dataclass(frozen=True)
 class MapperConfig:
     """Configuration for a :class:`Mapper` run.
@@ -53,9 +57,14 @@ class MapperConfig:
             evaluation, the batch engine only improvements.
         batch_size: candidates priced per chunk (random, exhaustive,
             branch-bound leaf batches); must be >= 1 for every strategy.
-        workers: process count for the branch-bound strategy (subtree
-            work-sharing with a shared incumbent; results stay
-            bit-identical to the serial walk). Other strategies ignore it.
+        workers: process count. With ``workers > 1`` the random strategy
+            runs that many independent seeded streams
+            (:func:`~repro.search.parallel.parallel_random_search`, the
+            paper's multi-thread setup; ``max_evaluations`` and
+            ``patience`` apply per worker), and branch-bound shares its
+            subtrees over the pool with a shared incumbent (results stay
+            bit-identical to the serial walk). The other strategies have
+            no pool and reject ``workers > 1``.
         start_method: multiprocessing start method override for
             ``workers > 1`` ("fork" or "spawn"; auto-laddered when None).
     """
@@ -74,6 +83,13 @@ class MapperConfig:
 
     def __post_init__(self) -> None:
         check_batch_size(self.batch_size)
+        if self.workers < 1:
+            raise SearchError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > 1 and self.strategy not in POOLED_STRATEGIES:
+            raise SearchError(
+                f"workers > 1 needs a strategy with a worker pool "
+                f"({' or '.join(POOLED_STRATEGIES)}), not {self.strategy!r}"
+            )
 
 
 class Mapper:
@@ -134,6 +150,24 @@ class Mapper:
     ) -> SearchResult:
         effective_seed = seed if seed is not None else self.config.seed
         strategy = self.config.strategy
+        if strategy == "random" and self.config.workers > 1:
+            from repro.search.parallel import parallel_random_search
+
+            return parallel_random_search(
+                self.arch,
+                self.workload,
+                kind=self.config.kind,
+                constraints=self.config.constraints,
+                objective=self.config.objective,
+                max_evaluations=self.config.max_evaluations,
+                patience=self.config.patience,
+                workers=self.config.workers,
+                seed=effective_seed,
+                energy_table=self.evaluator.energy_table,
+                start_method=self.config.start_method,
+                use_batch=self.config.use_batch,
+                batch_size=self.config.batch_size,
+            )
         if strategy == "random":
             return RandomSearch(
                 self.mapspace,

@@ -70,9 +70,10 @@ class SearchError(ReproError):
 class WorkerError(SearchError):
     """A parallel-search worker job failed.
 
-    Raised by :func:`repro.search.parallel.parallel_random_search` in place
-    of whatever bare exception a worker died with, so the caller learns
-    *which* job — ``(index, seed)`` — failed. ``__reduce__`` keeps the
+    Raised by the parallel drivers (through
+    :func:`repro.search.worker_pool.worker_errors`) in place of whatever
+    bare exception a worker died with, so the caller learns *which* job —
+    ``(index, seed)`` — failed. ``__reduce__`` keeps the
     structured fields across the pool's exception pickling.
     """
 

@@ -414,72 +414,6 @@ class MappingBatch:
             tags=None if self.tags is None else self.tags[rows],
         )
 
-    def to_shared(self, allow_shm: bool = True):
-        """Ship this batch's SoA arrays through one shared-memory segment.
-
-        Returns ``(bundle, descriptor)``: the driver keeps ``bundle``
-        alive until every worker is done (and then ``release()``-s it,
-        exactly once); ``descriptor`` is a small picklable dict a worker
-        hands to :meth:`from_shared`. Enumerated batches carry a
-        row-constant broadcast of the layout's virtual position grid —
-        that case is detected and shipped as a flag instead of ``n``
-        materialized copies. Degrades to a pickle payload when shared
-        memory is unavailable (see :class:`repro.model.shm.ShmArrayBundle`).
-        """
-        from repro.model.shm import ShmArrayBundle
-
-        if self.mappings is not None and bool(self.fallback.any()):
-            raise ValueError(
-                "cannot transport a batch whose fallback rows need their "
-                "original Mapping objects; re-pack without fallback rows"
-            )
-        grid_pos = (
-            self.pos.ndim == 3
-            and self.pos.strides[0] == 0
-            and bool(np.array_equal(self.pos[0], self.layout.grid_pos))
-        )
-        arrays = {
-            "bounds": self.bounds,
-            "rems": self.rems,
-            "fallback": self.fallback,
-        }
-        if not grid_pos:
-            arrays["pos"] = self.pos
-        if self.tags is not None:
-            arrays["tags"] = self.tags
-        bundle = ShmArrayBundle.share(arrays, allow_shm=allow_shm)
-        descriptor = {"bundle": bundle.handle, "grid_pos": grid_pos}
-        return bundle, descriptor
-
-    @classmethod
-    def from_shared(cls, layout: BatchLayout, descriptor):
-        """Attach a transported batch (worker side).
-
-        Returns ``(batch, bundle)``; the caller must keep ``bundle``
-        referenced while the batch is in use, and may ``close()`` it only
-        after dropping every view (accessing a view whose mapping was
-        closed is undefined behavior). Pool workers can simply leave the
-        mapping open for the process lifetime — the driver's single
-        ``unlink`` is what prevents ``/dev/shm`` leaks.
-        """
-        from repro.model.shm import ShmArrayBundle
-
-        bundle = ShmArrayBundle.attach(descriptor["bundle"])
-        bounds = bundle.arrays["bounds"]
-        if descriptor["grid_pos"]:
-            pos = np.broadcast_to(layout.grid_pos[None, :, :], bounds.shape)
-        else:
-            pos = bundle.arrays["pos"]
-        batch = cls(
-            layout=layout,
-            bounds=bounds,
-            rems=bundle.arrays["rems"],
-            pos=pos,
-            fallback=bundle.arrays["fallback"],
-            tags=bundle.arrays.get("tags"),
-        )
-        return batch, bundle
-
 
 def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBatch:
     """Pack ``Mapping`` objects into columnar form (real nest positions).

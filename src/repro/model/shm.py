@@ -1,11 +1,9 @@
 """Zero-copy shared-memory transport for columnar NumPy arrays.
 
-The batch engine's structure-of-arrays encoding (`repro.model.batch`) is
-what makes cross-process work-sharing affordable: a packed candidate
-batch or a precomputed factor table is a handful of contiguous int64
-blocks, and `multiprocessing.shared_memory` can hand workers *views* of
-those blocks instead of pickling row dicts through the pool's result
-pipe. :class:`ShmArrayBundle` packs a named dict of arrays into one
+The bound engine's precomputed factor tables (`repro.model.batch`) are
+a handful of contiguous int64 blocks, and `multiprocessing.shared_memory`
+can hand parallel branch-and-bound workers *views* of those blocks
+instead of pickling them into every worker. :class:`ShmArrayBundle` packs a named dict of arrays into one
 shared segment and ships a tiny picklable :class:`BundleHandle`
 (segment name + per-array dtype/shape/offset specs); workers attach and
 get read-only ndarray views backed by the same physical pages.

@@ -476,7 +476,9 @@ class BranchBoundSearch:
         batch_size: candidates per packed leaf batch.
         limit: safety cap on *priced* candidates (pruned subtrees are
             free); exceeding it raises. ``None`` disables the cap. With
-            ``workers > 1`` the cap applies per work unit, not globally.
+            ``workers > 1`` every work unit's walk counts against its
+            own cap (as does the driver's warm start and re-pricing), so
+            a parallel search may price up to ``limit`` rows per unit.
         seed: RNG seed or generator (consumed only by the warm start).
         use_batch: allow the vectorized engine; without it (or with an
             evaluator configuration the engine does not support) the

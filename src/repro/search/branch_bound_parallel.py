@@ -19,9 +19,9 @@ the cell only ever holds true candidate metrics and cuts keep the same
 strict improvement is ever cut — the optimum always survives in some
 worker's local best.
 
-Bit-exactness despite races: workers return their *claimed* best (menu
-signature or batch row), and the driver re-prices every claim through
-its own evaluator, in unit dispatch order, against the warm-start
+Bit-exactness despite races: workers return their *claimed* best (a
+menu-index signature), and the driver re-prices every claim through its
+own evaluator, in unit dispatch order, against the warm-start
 incumbent. ``min`` over true re-priced metrics is invariant to incumbent
 race timing, so the returned best metric is bit-identical to serial
 search (ties between co-optimal mappings may resolve to a different
@@ -31,37 +31,34 @@ driver-local evaluation indices.
 
 Transport is zero-copy where it matters: the
 :class:`~repro.model.batch.PartialBoundEngine` factor tables (the only
-Python-loop-heavy precomputation) ship to walk workers as
-``multiprocessing.shared_memory`` views, and leaf-sized partitions are
-driver-enumerated into packed SoA batches shipped the same way
-(:meth:`MappingBatch.to_shared`), with a pickle fallback mirroring the
-pool's fork→spawn→sequential ladder. The driver owns every segment and
-unlinks in a ``finally``, so a crashed or SIGKILLed worker cannot leak
-``/dev/shm`` entries.
+Python-loop-heavy precomputation) ship to workers as
+``multiprocessing.shared_memory`` views, with a pickle fallback
+mirroring the pool's fork→spawn→sequential ladder. The driver owns the
+segment and unlinks it in a ``finally``, so a crashed or SIGKILLed
+worker cannot leak ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
 
 import time
-import uuid
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro import obs
-from repro.exceptions import SearchError, WorkerError
-from repro.mapspace.factory import make_mapspace
-from repro.model.eval_cache import EvaluationCache
-from repro.model.evaluator import Evaluator
+from repro.exceptions import SearchError
 from repro.model.shm import ShmArrayBundle
-from repro.obs import empty_batch_stats
 from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
+    BATCH_COUNTERS,
     OBS_SNAPSHOT_KEY,
     LocalIncumbent,
     SharedIncumbent,
     collect_worker_obs,
     run_jobs,
     run_under_worker_obs,
+    sum_batch_stats,
+    worker_errors,
+    worker_stack,
 )
 
 #: Target work units per worker. More units than workers keeps the pool
@@ -69,43 +66,24 @@ from repro.search.worker_pool import (
 #: the partition depth grows to two levels when one level is too coarse.
 UNITS_PER_WORKER = 4
 
-# Per-process worker stack (mapspace, evaluator, engines) built once per
-# pool lifetime from the initializer state and reused across units. The
-# token guards against id-reuse when the sequential fallback runs two
-# searches in one process.
-_STACK_TOKEN: Optional[str] = None
-_STACK: Optional[Dict[str, Any]] = None
 
-
-def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
-    """Build (once per process per search) the worker's pricing stack."""
-    global _STACK_TOKEN, _STACK
-    if _STACK is not None and _STACK_TOKEN == state["token"]:
-        return _STACK
+def _walk_stack(state: Dict[str, Any]) -> Dict[str, Any]:
+    """The worker stack plus its batch and bound engines (built once)."""
+    stack = worker_stack(state)
+    if "bound_engine" in stack:
+        return stack
     from repro.model.batch import BatchEvaluator, PartialBoundEngine
 
     from repro.search.branch_bound import dims_branch_order
 
-    mapspace = make_mapspace(
-        state["arch"], state["workload"], state["kind"], state["constraints"]
-    )
-    cache_size = state["cache_size"]
-    cache = EvaluationCache(cache_size) if cache_size else None
-    evaluator = Evaluator(
-        state["arch"],
-        state["workload"],
-        energy_table=state["energy_table"],
-        cache=cache,
-    )
-    layout = mapspace.batch_layout()
-    engine = BatchEvaluator(evaluator, layout=layout)
+    mapspace = stack["mapspace"]
+    engine = BatchEvaluator(stack["evaluator"], layout=mapspace.batch_layout())
     if not engine.supported:
         raise SearchError(
             "batch engine unsupported in branch-and-bound worker"
         )
     menus = mapspace.dim_chain_menus()
     bound_engine = PartialBoundEngine(engine, menus)
-    attachments: List[ShmArrayBundle] = []
     if state["table_handle"] is not None:
         attachment = ShmArrayBundle.attach(state["table_handle"])
         bound_engine.preload_tables(attachment.arrays)
@@ -113,92 +91,51 @@ def _get_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         # mapping open for the process lifetime (closing a mapping with
         # live views is undefined behavior — the driver's unlink, not a
         # worker-side close, is what reclaims the segment).
-        attachments.append(attachment)
-    _STACK = {
-        "mapspace": mapspace,
-        "evaluator": evaluator,
-        "engine": engine,
-        "layout": layout,
-        "bound_engine": bound_engine,
-        "dims_order": dims_branch_order(menus),
-        "num_dims": len(menus),
-        "attachments": attachments,
-    }
-    _STACK_TOKEN = state["token"]
-    return _STACK
+        stack["attachment"] = attachment
+    stack.update(
+        engine=engine,
+        bound_engine=bound_engine,
+        dims_order=dims_branch_order(menus),
+    )
+    return stack
 
 
-def _unit_entry(state: Dict[str, Any], job: Tuple[int, str, Any]) -> Dict[str, Any]:
-    """Pool entry point: run one subtree work unit.
-
-    Failures are re-raised as :class:`WorkerError` carrying the unit
-    index, mirroring the random pool's job-attribution contract.
-    """
-    index, kind, payload = job
-    try:
-        return _run_unit(state, index, kind, payload)
-    except WorkerError:
-        raise
-    except Exception as error:
-        raise WorkerError(
-            index, state["seed"], f"{type(error).__name__}: {error}"
-        ) from error
-
-
-def _run_unit(
-    state: Dict[str, Any], index: int, kind: str, payload: Any
+def _unit_entry(
+    state: Dict[str, Any], job: Tuple[int, Tuple[int, ...]]
 ) -> Dict[str, Any]:
-    stack = _get_stack(state)
-    incumbent = state["incumbent"]
-    engine = stack["engine"]
-    started = time.perf_counter()
-    before = engine.stats_payload()
-
-    def run() -> Dict[str, Any]:
-        if kind == "walk":
-            return _walk_unit(stack, incumbent, state, tuple(payload))
-        return _price_unit(stack, incumbent, state, payload)
-
-    result, snapshot = run_under_worker_obs(state["obs"], run)
-    after = engine.stats_payload()
-    result["unit"] = index
-    result["kind"] = kind
-    result["elapsed_s"] = time.perf_counter() - started
-    result["batch"] = {
-        key: after[key] - before[key]
-        for key in ("batches", "candidates", "pruned", "fallback")
-    }
-    if snapshot is not None:
-        result[OBS_SNAPSHOT_KEY] = snapshot
-    return result
-
-
-def _walk_unit(
-    stack: Dict[str, Any],
-    incumbent,
-    state: Dict[str, Any],
-    root_indices: Tuple[int, ...],
-) -> Dict[str, Any]:
-    """Walk one subtree best-first against the shared incumbent."""
+    """Pool entry point: walk one subtree best-first against the shared
+    incumbent. Failures come back as a :class:`WorkerError` carrying the
+    unit index (units have no seed of their own; it reads 0)."""
     from repro.search.branch_bound import _SubtreeWalker
 
-    walker = _SubtreeWalker(
-        stack["mapspace"],
-        stack["engine"],
-        stack["evaluator"],
-        stack["bound_engine"],
-        stack["dims_order"],
-        objective=state["objective"],
-        leaf_width=state["leaf_width"],
-        batch_size=state["batch_size"],
-        limit=state["limit"],
-        incumbent=incumbent,
-    )
-    walker.walk(root_indices)
-    return {
+    index, root_indices = job
+    with worker_errors(index, 0):
+        stack = _walk_stack(state)
+        engine = stack["engine"]
+        started = time.perf_counter()
+        before = engine.stats_payload()
+        walker = _SubtreeWalker(
+            stack["mapspace"],
+            engine,
+            stack["evaluator"],
+            stack["bound_engine"],
+            stack["dims_order"],
+            objective=state["objective"],
+            leaf_width=state["leaf_width"],
+            batch_size=state["batch_size"],
+            limit=state["limit"],
+            incumbent=state["incumbent"],
+        )
+        _, snapshot = run_under_worker_obs(
+            state["obs"], lambda: walker.walk(tuple(root_indices))
+        )
+        after = engine.stats_payload()
+    result = {
+        "unit": index,
+        "kind": "walk",
+        "elapsed_s": time.perf_counter() - started,
         "metric": walker.best_metric,
         "signature": walker.best_signature,
-        "row": None,
         "counters": {
             "evaluations": walker.evaluations,
             "num_valid": walker.num_valid,
@@ -207,62 +144,11 @@ def _walk_unit(
             "subtrees_pruned": walker.subtrees_pruned,
             "infeasible_subtrees": walker.infeasible_subtrees,
         },
+        "batch": {key: after[key] - before[key] for key in BATCH_COUNTERS},
     }
-
-
-def _price_unit(
-    stack: Dict[str, Any],
-    incumbent,
-    state: Dict[str, Any],
-    descriptor: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Price one transported leaf batch against the shared incumbent."""
-    from repro.model.batch import MappingBatch
-
-    batch, bundle = MappingBatch.from_shared(stack["layout"], descriptor)
-    # Keep the attachment open for the process lifetime (see _get_stack).
-    stack["attachments"].append(bundle)
-    cut = float(incumbent.read())
-    outcome = stack["engine"].evaluate_batch(
-        batch, objective=state["objective"], incumbent=cut, prune=True
-    )
-    obs.inc("search.candidates", batch.size, driver="branch-bound")
-    num_dims = stack["num_dims"]
-    evaluations = 0
-    num_valid = 0
-    best_metric = float("inf")
-    best_row: Optional[int] = None
-    for i in range(batch.size):
-        evaluations += 1
-        if not outcome.valid[i]:
-            continue
-        num_valid += 1
-        if outcome.pruned[i]:
-            continue
-        metric = float(outcome.metric[i])
-        if metric < best_metric:
-            # Track the local best even when the shared offer loses — the
-            # driver's re-price, not the race, decides the final argmin.
-            best_metric = metric
-            best_row = i
-        if metric < cut:
-            if incumbent.offer(metric, (-1,) * num_dims):
-                cut = metric
-            else:
-                cut = float(incumbent.read())
-    return {
-        "metric": best_metric,
-        "signature": None,
-        "row": best_row,
-        "counters": {
-            "evaluations": evaluations,
-            "num_valid": num_valid,
-            "nodes_expanded": 0,
-            "leaves_deferred": 0,
-            "subtrees_pruned": 0,
-            "infeasible_subtrees": 0,
-        },
-    }
+    if snapshot is not None:
+        result[OBS_SNAPSHOT_KEY] = snapshot
+    return result
 
 
 def run_parallel_tree(search, engine) -> SearchResult:
@@ -276,7 +162,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
     from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
 
     from repro.search.branch_bound import (
-        FLUSH_ROWS_FACTOR,
         _SubtreeWalker,
         _bnb_stats,
         dims_branch_order,
@@ -302,7 +187,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
         evaluator, "branch-bound", search.objective,
         total_units=total_units, engine=engine,
     )
-    bundles: List[ShmArrayBundle] = []
+    table_bundle = None
     try:
         with ledger, obs.trace(
             "search.run", driver="branch-bound", mode="parallel",
@@ -350,8 +235,8 @@ def run_parallel_tree(search, engine) -> SearchResult:
             # dispatch; order the rest so workers start on promising
             # subtrees (the incumbent tightens fastest that way).
             cut = float(walker.incumbent.read())
-            bounded: List[Tuple[float, Tuple[int, ...], Dict]] = []
-            for indices, prefix in units:
+            bounded: List[Tuple[float, Tuple[int, ...]]] = []
+            for indices, _ in units:
                 assigned = {
                     part_dims[i]: k for i, k in enumerate(indices)
                 }
@@ -366,87 +251,43 @@ def run_parallel_tree(search, engine) -> SearchResult:
                     walker._cover(walker.suffix_product[depth])
                     obs.inc("search.subtrees_pruned", driver="branch-bound")
                     continue
-                bounded.append((unit_bound, indices, prefix))
-            bounded.sort(key=lambda unit: (unit[0], unit[1]))
+                bounded.append((unit_bound, indices))
+            bounded.sort()
 
-            # All units at one depth share a subtree size, so the mode is
-            # global. Walk is the default — each worker keeps the full
-            # flush-time bound re-check against the live incumbent, so
-            # pruning tracks the serial trajectory. Price mode (driver
-            # enumerates packed batches, workers only evaluate) loses
-            # sub-partition bound pruning, so it is reserved for spaces
-            # small enough that the whole survivor set fits in a few
-            # flush windows and enumeration cost is negligible.
-            price_rows_cap = FLUSH_ROWS_FACTOR * search.batch_size
-            price_mode = (
-                walker.suffix_product[depth] <= search.leaf_width
-                and len(bounded) * walker.suffix_product[depth]
-                <= price_rows_cap
-            )
-            jobs: List[Tuple[int, str, Any]] = []
-            price_batches: List[Any] = []
+            # Each unit is a worker-side walk of its subtree, keeping the
+            # serial walk's flush-time bound re-check against the live
+            # incumbent. The factor tables ship once through shared
+            # memory instead of being rebuilt in every worker.
+            jobs = [(j, indices) for j, (_, indices) in enumerate(bounded)]
             table_handle = None
-            if bounded and price_mode:
-                walker.leaves_deferred += len(bounded)
-                projected = walker.evaluations
-                for batch in mapspace.iter_prefix_batches(
-                    [prefix for _, _, prefix in bounded],
-                    batch_size=search.batch_size,
-                ):
-                    projected += batch.size
-                    if search.limit is not None and projected > search.limit:
-                        raise SearchError(
-                            f"branch-and-bound search exceeded limit of "
-                            f"{search.limit} priced mappings"
-                        )
-                    bundle, descriptor = batch.to_shared()
-                    bundles.append(bundle)
-                    price_batches.append(batch)
-                    jobs.append((len(jobs), "price", descriptor))
-            elif bounded:
+            if jobs:
                 tables = bound_engine.export_tables()
                 if tables:
                     table_bundle = ShmArrayBundle.share(tables)
-                    bundles.append(table_bundle)
                     table_handle = table_bundle.handle
-                jobs = [
-                    (j, "walk", indices)
-                    for j, (_, indices, _) in enumerate(bounded)
-                ]
 
             state: Dict[str, Any] = {
-                "token": uuid.uuid4().hex,
-                "arch": mapspace.arch,
+                        "arch": mapspace.arch,
                 "workload": mapspace.workload,
                 "kind": mapspace.kind,
                 "constraints": mapspace.constraints,
                 "energy_table": evaluator.energy_table,
-                "cache_size": getattr(
-                    getattr(evaluator, "cache", None), "max_entries", None
-                ),
                 "objective": search.objective,
                 "leaf_width": search.leaf_width,
                 "batch_size": search.batch_size,
                 "limit": search.limit,
                 "table_handle": table_handle,
                 "obs": obs.active_obs() is not None,
-                "seed": 0,
             }
             # Stream per-unit completion into the driver's tracker as
-            # results arrive: a finished walk unit resolves its whole
-            # subtree, a priced batch resolves one cell per row. Claimed
-            # metrics feed the convergence timeline live; the post-hoc
-            # re-price below still decides the actual best.
+            # results arrive: a finished unit resolves its whole subtree.
+            # Claimed metrics feed the convergence timeline live; the
+            # post-hoc re-price below still decides the actual best.
             seen_best = float(walker.best_metric)
 
             def _on_unit_result(result: Dict[str, Any]) -> None:
                 nonlocal seen_best
-                if result["kind"] == "walk":
-                    ledger.progress.advance(walker.suffix_product[depth])
-                else:
-                    ledger.progress.advance(
-                        result["counters"]["evaluations"]
-                    )
+                ledger.progress.advance(walker.suffix_product[depth])
                 metric = result["metric"]
                 if metric < seen_best:
                     seen_best = metric
@@ -473,7 +314,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
             # deterministically and the metric is race-independent.
             worker_evaluations = 0
             worker_valid = 0
-            batch_totals = empty_batch_stats()
             unit_rows: List[Dict[str, Any]] = []
             claim_mappings: List[Any] = []
             for result in results:
@@ -484,8 +324,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 walker.leaves_deferred += counters["leaves_deferred"]
                 walker.subtrees_pruned += counters["subtrees_pruned"]
                 walker.infeasible_subtrees += counters["infeasible_subtrees"]
-                for key in ("batches", "candidates", "pruned", "fallback"):
-                    batch_totals[key] += result["batch"][key]
                 metric = result["metric"]
                 unit_rows.append(
                     {
@@ -501,35 +339,14 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 )
                 if metric == float("inf"):
                     continue
-                if result["kind"] == "walk":
-                    signature = result["signature"]
-                    chains = {
-                        dim: menu_map[dim][signature[i]]
-                        for i, dim in enumerate(workload_dims)
-                    }
-                    claim_mappings.append(
-                        mapspace.assemble(chains, rng=None)
-                    )
-                else:
-                    claim_mappings.append(
-                        price_batches[result["unit"]].mapping_at(
-                            result["row"]
-                        )
-                    )
+                signature = result["signature"]
+                chains = {
+                    dim: menu_map[dim][signature[i]]
+                    for i, dim in enumerate(workload_dims)
+                }
+                claim_mappings.append(mapspace.assemble(chains, rng=None))
             if claim_mappings:
                 walker.price_mappings(claim_mappings)
-            if price_mode and bounded:
-                # Cells the joint-fanout filter dropped during driver-side
-                # enumeration never became priced rows; resolve the
-                # remainder so the fraction reaches 1.0.
-                rows_priced = sum(
-                    result["counters"]["evaluations"]
-                    for result in results
-                    if result["kind"] == "price"
-                )
-                walker._cover(
-                    len(bounded) * walker.suffix_product[depth] - rows_priced
-                )
 
             tightness = (
                 root_bound / walker.best_metric
@@ -544,22 +361,16 @@ def run_parallel_tree(search, engine) -> SearchResult:
     finally:
         # The driver is the only unlinker; releasing here (even on a
         # worker crash) is what keeps /dev/shm free of leaked segments.
-        for bundle in bundles:
-            bundle.release()
+        if table_bundle is not None:
+            table_bundle.release()
 
     ledger.evaluations = walker.evaluations + worker_evaluations
     ledger.num_valid = walker.num_valid + worker_valid
     result = ledger.result("exhausted")
     stats = result.stats
-    batch_stats = stats["batch"]
-    for key in ("batches", "candidates", "pruned", "fallback"):
-        batch_stats[key] += batch_totals[key]
-    batch_stats["prune_rate"] = (
-        batch_stats["pruned"] / batch_stats["candidates"]
-        if batch_stats["candidates"]
-        else 0.0
+    stats["batch"] = sum_batch_stats(
+        [stats["batch"]] + [unit["batch"] for unit in results]
     )
-    stats["batch"] = batch_stats
     stats["bnb"] = _bnb_stats(
         nodes_expanded=walker.nodes_expanded,
         leaves_deferred=walker.leaves_deferred,
@@ -574,7 +385,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
         "workers": workers,
         "partition_depth": depth,
         "num_units": len(jobs),
-        "transport": bundles[0].transport if bundles else None,
+        "transport": table_bundle.transport if table_bundle else None,
         "units": unit_rows,
     }
     return result

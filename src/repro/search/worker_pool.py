@@ -27,6 +27,10 @@ future parallel drivers) share one implementation:
   registry and ship a picklable snapshot inside their result stats; the
   driver pops and merges every snapshot into its ambient registry so
   per-worker counters sum into the caller's scope.
+* :func:`worker_stack`, :func:`worker_errors` and
+  :func:`sum_batch_stats` — the worker side both drivers share: the
+  per-process mapspace + evaluator, job attribution of failures, and the
+  pool-wide ``batch`` stats sum.
 """
 
 from __future__ import annotations
@@ -35,11 +39,16 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro import obs
-from repro.exceptions import SearchError
-from repro.obs import MetricsRegistry
+from repro.exceptions import SearchError, WorkerError
+from repro.mapspace.factory import make_mapspace
+from repro.model.evaluator import Evaluator
+from repro.obs import MetricsRegistry, empty_batch_stats
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +68,9 @@ OBS_SNAPSHOT_KEY = "_obs_registry"
 # spawn-started workers (which re-import this module) can rebuild their
 # stack without re-pickling the shared state for every job.
 _POOL_STATE: Optional[Tuple[Callable[..., Any], Dict[str, Any]]] = None
+
+#: The summable counters of a ``stats["batch"]`` payload.
+BATCH_COUNTERS = ("batches", "candidates", "pruned", "fallback")
 
 
 def _init_pool_worker(entry: Callable[..., Any], state: Dict[str, Any]) -> None:
@@ -311,3 +323,67 @@ def collect_worker_obs(stats_dicts: Iterable[Dict[str, Any]]) -> None:
         snapshot = stats.pop(OBS_SNAPSHOT_KEY, None)
         if snapshot is not None and context is not None:
             context.registry.merge(snapshot)
+
+
+def worker_stack(state: Dict[str, Any]) -> Dict[str, Any]:
+    """The worker's mapspace and evaluator, built once per process per search.
+
+    ``state`` carries the architecture, workload, mapspace kind and
+    constraints and the driver's pre-built energy table (estimating it is
+    the only expensive part of evaluator construction, so the driver
+    hoists it out of the workers). The evaluator is uncached: a worker
+    prices its own stream, whose duplicate draws are too rare to pay for
+    the lookups.
+
+    The stack is memoized in ``state`` itself under ``"stack"``: the pool
+    initializer installs one state dict per worker process, and the
+    sequential fallback shares one across a run's jobs, so each process
+    builds the stack once and drops it with the search. A driver's entry
+    point may add its own per-search pieces to the returned dict (the
+    branch-and-bound worker adds its bound engine).
+    """
+    stack = state.get("stack")
+    if stack is None:
+        stack = state["stack"] = {
+            "mapspace": make_mapspace(
+                state["arch"],
+                state["workload"],
+                state["kind"],
+                state["constraints"],
+            ),
+            "evaluator": Evaluator(
+                state["arch"],
+                state["workload"],
+                energy_table=state["energy_table"],
+            ),
+        }
+    return stack
+
+
+@contextmanager
+def worker_errors(index: int, seed: int) -> Iterator[None]:
+    """Re-raise any failure inside the block as a :class:`WorkerError`.
+
+    ``imap_unordered`` re-raises whatever bare exception a worker died
+    with, losing which job failed; wrapping attaches the job's
+    ``(index, seed)`` and pickles cleanly back to the driver.
+    """
+    try:
+        yield
+    except WorkerError:
+        raise
+    except Exception as error:
+        raise WorkerError(
+            index, seed, f"{type(error).__name__}: {error}"
+        ) from error
+
+
+def sum_batch_stats(payloads: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Sum ``stats["batch"]`` payloads into one with the same key set."""
+    total = empty_batch_stats()
+    for payload in payloads:
+        for key in BATCH_COUNTERS:
+            total[key] += payload[key]
+    if total["candidates"]:
+        total["prune_rate"] = total["pruned"] / total["candidates"]
+    return total

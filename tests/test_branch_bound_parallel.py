@@ -62,9 +62,8 @@ class TestParallelParity:
         assert parallel.terminated_by == "exhausted"
 
     def test_walk_mode_matches_serial(self):
-        # A tiny leaf width forces worker-side subtree walks (with the
-        # factor tables shipped through shared memory) instead of
-        # driver-enumerated price batches.
+        # A tiny leaf width makes every worker-side walk branch deep
+        # (with the factor tables shipped through shared memory).
         space, evaluator = _eyeriss_fixture()
         serial = BranchBoundSearch(
             space, evaluator, seed=0, leaf_width=4, batch_size=16
@@ -102,7 +101,7 @@ class TestParallelStats:
         assert pool["num_units"] == len(pool["units"])
         assert pool["transport"] in ("shm", "pickle", None)
         for row in pool["units"]:
-            assert row["kind"] in ("walk", "price")
+            assert row["kind"] == "walk"
             assert row["evaluations"] >= 0
             assert row["elapsed_s"] >= 0.0
 

@@ -59,6 +59,17 @@ class TestSearchCommand:
         assert code == 5
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("searcher", ["genetic", "exhaustive"])
+    def test_workers_without_a_pool_exit_with_search_error_code(
+        self, searcher, capsys
+    ):
+        code = main(
+            ["search", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
+             "--searcher", searcher, "--workers", "2"]
+        )
+        assert code == 5
+        assert "workers" in capsys.readouterr().err
+
     def test_search_saves_and_reevaluates(self, tmp_path, capsys):
         mapping_path = tmp_path / "m.json"
         workload_path = tmp_path / "w.json"

@@ -101,8 +101,6 @@ def test_bypass_rows_are_fallback_identity_rows():
     assert (batch.bounds[rows] == 1).all() and (batch.rems[rows] == 1).all()
     assert (batch.pos[rows] == -1).all()
     assert all(batch.mapping_at(int(i)).bypass for i in rows)
-    with pytest.raises(ValueError):
-        batch.to_shared(allow_shm=False)
 
 
 def test_samples_counter_counts_one_per_draw():
@@ -138,22 +136,6 @@ def test_packed_rows_rebuild_their_own_loop_order():
         != mappings[i]
         for i in range(batch.size)
     )
-
-
-def test_shared_memory_transport_keeps_loop_order():
-    from repro.model.batch import MappingBatch
-
-    space, mappings = _shuffled_mappings()
-    layout = space.batch_layout()
-    bundle, descriptor = pack_mappings(layout, mappings).to_shared()
-    try:
-        received, attached = MappingBatch.from_shared(layout, descriptor)
-        assert received.mappings is None
-        assert [received.mapping_at(i) for i in range(received.size)] == mappings
-        del received
-        attached.close()
-    finally:
-        bundle.release()
 
 
 # -- searches ---------------------------------------------------------------

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.arch import toy_glb_architecture
+from repro.core.mapper import MapperConfig, find_best_mapping
 from repro.exceptions import SearchError
+from repro.mapspace import ruby_s_mapspace
+from repro.model import EvaluationCache, Evaluator
 from repro.problem.gemm import vector_workload
+from repro.search import random_search
 from repro.search.parallel import parallel_random_search
 
 
@@ -77,24 +81,30 @@ class TestParallelSearch:
         assert len(rows) == 3
         assert sum(row["num_evaluated"] for row in rows) == result.num_evaluated
         assert sum(row["num_valid"] for row in rows) == result.num_valid
-        for row in rows:
-            assert 0.0 <= row["cache_hit_rate"] <= 1.0
-        assert stats["cache"]["hits"] + stats["cache"]["misses"] == 300
+        # Workers price uncached: a parallel run is N serial streams.
+        assert "cache" not in stats
+        assert not any("cache_hit_rate" in row for row in rows)
 
     def test_cache_never_changes_results(self, setting):
+        # Caching lives on the serial path only (batch and scalar pricers).
         arch, workload = setting
-        cached = parallel_random_search(
-            arch, workload, workers=2, max_evaluations=150,
-            patience=None, seed=21,
-        )
-        uncached = parallel_random_search(
-            arch, workload, workers=2, max_evaluations=150,
-            patience=None, seed=21, cache_size=0,
-        )
-        assert cached.best_metric == uncached.best_metric
-        assert cached.best.mapping == uncached.best.mapping
-        assert cached.num_valid == uncached.num_valid
-        assert "cache" not in uncached.stats
+        space = ruby_s_mapspace(arch, workload)
+        for use_batch in (True, False):
+
+            def run(cache):
+                return random_search(
+                    space, Evaluator(arch, workload, cache=cache),
+                    max_evaluations=150, patience=None, seed=21,
+                    use_batch=use_batch,
+                )
+
+            cached = run(EvaluationCache())
+            uncached = run(None)
+            assert cached.best_metric == uncached.best_metric
+            assert cached.best.mapping == uncached.best.mapping
+            assert cached.num_valid == uncached.num_valid
+            assert cached.stats["cache"]["misses"] > 0
+            assert "cache" not in uncached.stats
 
     def test_no_valid_reports_none(self, setting):
         # An impossible architecture: nothing valid to find.
@@ -108,6 +118,40 @@ class TestParallelSearch:
         )
         assert result.best is None
         assert result.num_evaluated == 100
+
+
+class TestMapperWorkers:
+    """``MapperConfig.workers`` is the one parallelism setting."""
+
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "genetic", "annealing"]
+    )
+    def test_rejected_for_strategies_without_a_pool(self, strategy):
+        with pytest.raises(SearchError, match="workers"):
+            MapperConfig(strategy=strategy, workers=2)
+
+    @pytest.mark.parametrize("strategy", ["random", "branch-bound"])
+    def test_accepted_for_pooled_strategies(self, strategy):
+        assert MapperConfig(strategy=strategy, workers=2).workers == 2
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(SearchError, match="workers"):
+            MapperConfig(workers=0)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_random_workers_run_the_parallel_pool(self, setting, seed):
+        arch, workload = setting
+        kwargs = dict(
+            kind="ruby-s", max_evaluations=150, patience=60,
+            workers=2, seed=seed,
+        )
+        mapped = find_best_mapping(
+            arch, workload, strategy="random", **kwargs
+        )
+        pooled = parallel_random_search(arch, workload, **kwargs)
+        assert mapped.best_metric == pooled.best_metric
+        assert mapped.num_evaluated == pooled.num_evaluated
+        assert len(mapped.stats["workers"]) == 2
 
 
 class TestStartMethods:

@@ -2,9 +2,8 @@
 
 The transport's contract has three legs:
 
-* **fidelity** — arrays and packed batches attach bit-identical to what
-  was shared, whether the bundle rode shared memory or the pickle
-  fallback;
+* **fidelity** — arrays attach bit-identical to what was shared,
+  whether the bundle rode shared memory or the pickle fallback;
 * **hygiene** — the driver is the only unlinker, so ``/dev/shm`` ends
   clean even when a worker dies mid-batch by SIGKILL;
 * **schema stability** — a search forced onto the pickle fallback
@@ -21,13 +20,11 @@ import signal
 import time
 
 import numpy as np
-import pytest
 
 from repro.arch import eyeriss_like
 from repro.mapspace import MapspaceKind
 from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
-from repro.model.batch import BatchEvaluator, MappingBatch
 from repro.model.shm import SEGMENT_PREFIX, BundleHandle, ShmArrayBundle
 from repro.problem import GemmLayer
 from repro.search import BranchBoundSearch
@@ -83,34 +80,6 @@ class TestBundleRoundtrip:
         bundle = ShmArrayBundle.share(_arrays())
         bundle.release()
         bundle.release()
-        assert not _segments()
-
-
-class TestBatchTransport:
-    def _first_batch(self, space):
-        batch = next(iter(space.iter_batches(batch_size=64)))
-        batch.tags = np.arange(batch.size, dtype=np.int64)
-        return batch
-
-    @pytest.mark.parametrize("allow_shm", [True, False], ids=["shm", "pickle"])
-    def test_batch_prices_identically_after_transport(self, allow_shm):
-        space, evaluator = _fixture()
-        engine = BatchEvaluator(evaluator, layout=space.batch_layout())
-        assert engine.supported
-        batch = self._first_batch(space)
-        bundle, descriptor = batch.to_shared(allow_shm=allow_shm)
-        try:
-            restored, attachment = MappingBatch.from_shared(
-                space.batch_layout(), descriptor
-            )
-            np.testing.assert_array_equal(restored.tags, batch.tags)
-            before = engine.evaluate_batch(batch, objective="edp")
-            after = engine.evaluate_batch(restored, objective="edp")
-            np.testing.assert_array_equal(before.valid, after.valid)
-            np.testing.assert_array_equal(before.metric, after.metric)
-            del restored, attachment
-        finally:
-            bundle.release()
         assert not _segments()
 
 

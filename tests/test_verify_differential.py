@@ -85,6 +85,20 @@ class TestCompareCase:
         assert report.ok, [d.describe() for d in report.divergences]
         assert "batch-packed" in report.paths_checked
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="cost model over-counts level-0 tensor C on this Ruby-S "
+        "GEMM mapping (DRAM K 11 / GlobalBuffer M 2, parFor N 2 and M 12 "
+        "last 1): model 260 reads / 286 writes, simulator 40 / 66, "
+        "beyond the documented slack",
+    )
+    def test_seed_15589_counterexample_agrees(self):
+        # A rare Hypothesis draw of test_generated_cases_agree, pinned so
+        # it fails every run until the model is fixed (then it XPASSes
+        # and the strict marker turns that into a failure to remove).
+        report = compare_case(random_case(random.Random(15589)))
+        assert report.ok, [d.describe() for d in report.divergences]
+
     @given(case=verify_cases())
     @settings(max_examples=25, deadline=None)
     def test_generated_cases_agree(self, case):

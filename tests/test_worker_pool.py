@@ -25,6 +25,9 @@ from repro.search.worker_pool import (
     collect_worker_obs,
     run_jobs,
     run_under_worker_obs,
+    sum_batch_stats,
+    worker_errors,
+    worker_stack,
 )
 
 
@@ -193,3 +196,52 @@ class TestObsSnapshots:
         stats = {OBS_SNAPSHOT_KEY: snapshot}
         collect_worker_obs([stats])
         assert OBS_SNAPSHOT_KEY not in stats
+
+
+class TestWorkerHelpers:
+    def _state(self):
+        from repro.arch import toy_glb_architecture
+        from repro.energy.accelergy import estimate_energy_table
+        from repro.mapspace import MapspaceKind
+        from repro.problem.gemm import vector_workload
+
+        arch = toy_glb_architecture(6, 1024)
+        return {
+            "arch": arch,
+            "workload": vector_workload("v12", 12),
+            "kind": MapspaceKind.PFM,
+            "constraints": None,
+            "energy_table": estimate_energy_table(arch),
+        }
+
+    def test_stack_is_uncached_and_built_once_per_state(self):
+        state = self._state()
+        first = worker_stack(state)
+        assert first["evaluator"].cache is None
+        assert worker_stack(state) is first
+        assert worker_stack(self._state()) is not first
+
+    def test_errors_carry_the_job(self):
+        with pytest.raises(WorkerError) as info:
+            with worker_errors(3, 77):
+                raise KeyError("boom")
+        assert (info.value.index, info.value.seed) == (3, 77)
+        assert "KeyError" in str(info.value)
+        # A WorkerError raised inside keeps its own attribution.
+        with pytest.raises(WorkerError) as info:
+            with worker_errors(3, 77):
+                raise WorkerError(1, 2, "inner")
+        assert (info.value.index, info.value.seed) == (1, 2)
+
+    def test_batch_stats_sum(self):
+        parts = [
+            {"batches": 2, "candidates": 10, "pruned": 4, "prune_rate": 0.4,
+             "fallback": 1},
+            {"batches": 1, "candidates": 30, "pruned": 6, "prune_rate": 0.2,
+             "fallback": 0},
+        ]
+        assert sum_batch_stats(parts) == {
+            "batches": 3, "candidates": 40, "pruned": 10,
+            "prune_rate": 0.25, "fallback": 1,
+        }
+        assert sum_batch_stats([])["prune_rate"] == 0.0
