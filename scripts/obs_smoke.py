@@ -8,8 +8,12 @@ checks the full observability contract:
 2. the root ``search.run`` span's duration matches the reported
    ``stats["elapsed_s"]``, and each level of the span tree nests inside
    its parent (children's total never exceeds the parent's duration);
-3. the metrics registry counted exactly the evaluations the search
-   reported, and the JSON exporter round-trips through ``merge``;
+3. the metrics registry agrees with the search on every count: its
+   ``search.candidates`` equal ``num_evaluated``, its
+   ``search.improvements`` equal the curve length and
+   ``stats["progress"]["improvements"]``, and its ``batch.*`` counters
+   equal ``stats["batch"]``; the JSON exporter round-trips through
+   ``merge``;
 4. ``repro obs dump`` and ``repro obs summarize`` both accept the file;
 5. with no scope active, instrumentation publishes nothing (the
    near-zero-overhead guarantee is a behavioural one: no ambient scope
@@ -126,22 +130,40 @@ def main() -> None:
             f"(drift {drift:.4f}s), nesting consistent"
         )
 
-        # -- 3. registry counted the run; JSON export merges back ------
-        evaluations = registry.counter("search.evaluations").total()
+        # -- 3. registry agrees with the run; JSON export merges back --
+        candidates = registry.counter("search.candidates").total()
         check(
-            evaluations == result.num_evaluated,
-            f"registry counted {evaluations} evaluations, "
+            candidates == result.num_evaluated,
+            f"registry counted {candidates} candidates, "
             f"search reported {result.num_evaluated}",
         )
+        improvements = registry.counter("search.improvements").total()
+        progress_improvements = result.stats["progress"]["improvements"]
+        check(
+            improvements == len(result.curve) == progress_improvements,
+            f"registry counted {improvements} improvements, curve has "
+            f"{len(result.curve)}, progress has {progress_improvements}",
+        )
+        for key in ("batches", "candidates", "pruned", "fallback"):
+            counted = registry.counter(f"batch.{key}").total()
+            check(
+                counted == result.stats["batch"][key],
+                f"registry batch.{key}={counted}, "
+                f"stats batch {key}={result.stats['batch'][key]}",
+            )
         payload = registry.to_json()
         check(payload["schema"] == 1, "metrics JSON schema != 1")
         reimported = MetricsRegistry()
         reimported.merge(json.loads(json.dumps(payload))["metrics"])
         check(
-            reimported.counter("search.evaluations").total() == evaluations,
+            reimported.counter("search.candidates").total() == candidates,
             "metrics JSON did not round-trip through merge",
         )
-        print(f"metrics: {int(evaluations)} evaluations counted, JSON round-trips")
+        print(
+            f"metrics: {int(candidates)} candidates, {int(improvements)} "
+            "improvements and batch counts agree with the run; JSON "
+            "round-trips"
+        )
 
         # -- 4. the CLI accepts the trace ------------------------------
         for sub in ("dump", "summarize"):

@@ -51,7 +51,6 @@ from repro.arch.spec import Architecture
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import scope as _obs
 from repro.problem.workload import Workload
 
 import numpy as np
@@ -534,10 +533,6 @@ class BatchEvaluator:
         self.evaluator = evaluator
         self.supported, self.unsupported_reason = self._support_check(evaluator)
         self.layout: Optional[BatchLayout] = None
-        self.batches_evaluated = 0
-        self.candidates_evaluated = 0
-        self.candidates_pruned = 0
-        self.candidates_fallback = 0
         if not self.supported:
             return
         self.layout = layout or BatchLayout(evaluator.arch, evaluator.workload)
@@ -648,17 +643,6 @@ class BatchEvaluator:
 
     # -- public API ------------------------------------------------------
 
-    def stats_payload(self) -> Dict[str, Any]:
-        """Observability counters for ``SearchResult.stats['batch']``."""
-        evaluated = self.candidates_evaluated
-        return {
-            "batches": self.batches_evaluated,
-            "candidates": evaluated,
-            "pruned": self.candidates_pruned,
-            "prune_rate": (self.candidates_pruned / evaluated) if evaluated else 0.0,
-            "fallback": self.candidates_fallback,
-        }
-
     def evaluate_batch(
         self,
         batch: MappingBatch,
@@ -719,14 +703,6 @@ class BatchEvaluator:
             outcome.put(
                 i, self.evaluator.evaluate_fresh(batch.mapping_at(i)), objective
             )
-        self.batches_evaluated += 1
-        self.candidates_evaluated += n
-        self.candidates_pruned += int(pruned.sum())
-        self.candidates_fallback += int(fallback.sum())
-        _obs.inc("batch.batches")
-        _obs.inc("batch.candidates", n)
-        _obs.inc("batch.pruned", int(pruned.sum()))
-        _obs.inc("batch.fallback", int(fallback.sum()))
         return outcome
 
     def evaluate_rows(

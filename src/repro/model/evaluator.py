@@ -10,7 +10,7 @@ or energy tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.spec import Architecture
 from repro.energy.accelergy import estimate_energy_table
@@ -199,20 +199,3 @@ class Evaluator:
             energy_breakdown_pj=breakdown,
             access_counts=counts,
         )
-
-    def evaluate_many(self, mappings: List[Mapping]) -> List[Evaluation]:
-        """Evaluate a batch of mappings (convenience for search drivers)."""
-        return [self.evaluate(mapping) for mapping in mappings]
-
-    def best_of(
-        self, mappings: List[Mapping], objective: str = "edp"
-    ) -> Optional[Evaluation]:
-        """Best valid evaluation among ``mappings`` or None."""
-        best: Optional[Evaluation] = None
-        for mapping in mappings:
-            evaluation = self.evaluate(mapping)
-            if not evaluation.valid:
-                continue
-            if best is None or evaluation.metric(objective) < best.metric(objective):
-                best = evaluation
-        return best

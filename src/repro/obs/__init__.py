@@ -14,12 +14,16 @@ Three layers, all opt-in and near-free when disabled:
   ``inc`` / ``observe`` / ``set_gauge`` / ``trace`` that instrumented
   code calls unconditionally.
 
-:class:`~repro.obs.timing.SearchTimer` is the shared run-timing helper
-every search driver uses to build ``SearchResult.stats``; it owns the
-run's :class:`~repro.obs.progress.ProgressTracker` (totals, ETA,
-convergence timeline). :class:`~repro.obs.server.ObsServer` serves the
-live ``/metrics`` / ``/progress`` / ``/flame`` endpoints, and
-:mod:`repro.obs.bench` keeps the benchmark-regression ledger.
+A :class:`~repro.obs.progress.ProgressTracker` holds one run's totals,
+ETA and convergence timeline. The registry and the tracker carry counts
+but own none: a search run's counts belong to
+:class:`repro.search.loop.RunLedger`, which feeds ``SearchResult.stats``,
+the registry behind ``/metrics`` and the tracker behind ``/progress``
+from one call each, and cache hits and misses belong to the
+:class:`~repro.model.eval_cache.EvaluationCache`.
+:class:`~repro.obs.server.ObsServer` serves the live ``/metrics`` /
+``/progress`` / ``/flame`` endpoints, and :mod:`repro.obs.bench` keeps
+the benchmark-regression ledger.
 
 See ``docs/observability.md`` for the metric-name and span taxonomy,
 the live-endpoint routes, and the ledger format.
@@ -52,7 +56,6 @@ from repro.obs.scope import (
     trace,
 )
 from repro.obs.server import ObsServer
-from repro.obs.timing import SearchTimer, empty_batch_stats, empty_bnb_stats
 from repro.obs.tracing import (
     SPAN_REQUIRED_KEYS,
     Span,
@@ -73,12 +76,9 @@ __all__ = [
     "ObsServer",
     "ProgressPrinter",
     "ProgressTracker",
-    "SearchTimer",
     "active_trackers",
     "current_progress_owner",
     "progress_owner",
-    "empty_batch_stats",
-    "empty_bnb_stats",
     "empty_progress_stats",
     "Span",
     "SPAN_REQUIRED_KEYS",

@@ -9,7 +9,7 @@ accounting, an incumbent-convergence timeline (a bounded ring buffer of
 ``(monotonic_s, best_metric)`` recorded on each improvement), and an
 EWMA-throughput ETA.
 
-Every :class:`~repro.obs.timing.SearchTimer` owns a tracker, so the
+Every :class:`~repro.search.loop.RunLedger` owns a tracker, so the
 ``progress`` sub-dict of ``SearchResult.stats`` has one schema across
 every searcher; live consumers — the ``/progress`` endpoint of
 :class:`~repro.obs.server.ObsServer` and the ``--progress`` TTY line —

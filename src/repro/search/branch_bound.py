@@ -56,13 +56,20 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.loop import (
+    BatchCounts,
+    RunLedger,
+    batch_engine_for,
+    check_batch_size,
+)
 from repro.search.result import SearchResult
 from repro.search.worker_pool import LocalIncumbent
 from repro.utils.rng import make_rng
@@ -108,6 +115,12 @@ class _SubtreeWalker:
     (evaluation, metric, and menu-index signature in workload dim order)
     so a parallel driver can re-price every worker's claim and return a
     bit-identical best metric regardless of race timing.
+
+    The walker owns its walk's counts: priced and valid rows, the batch
+    kernel's rows (``batch``) and the tree counters. It publishes none of
+    them; the driver hands them to its ledger once, through
+    :meth:`~repro.search.loop.RunLedger.close_tree`, after summing every
+    parallel unit's counts in.
     """
 
     def __init__(
@@ -139,6 +152,7 @@ class _SubtreeWalker:
         #: covered. The serial search and the parallel driver pass theirs;
         #: parallel workers leave it None (the driver advances per
         #: arriving unit and re-prices their claims through its own).
+        #: Rows and tree counters reach it only through ``close_tree``.
         self.ledger = ledger
         self.num_dims = len(self.dims_order)
         #: Workload dim order — the canonical signature axis (matches
@@ -152,6 +166,7 @@ class _SubtreeWalker:
 
         self.evaluations = 0
         self.num_valid = 0
+        self.batch = BatchCounts()
         self.nodes_expanded = 0
         self.leaves_deferred = 0
         self.subtrees_pruned = 0
@@ -190,9 +205,11 @@ class _SubtreeWalker:
         self,
         metric: float,
         make_evaluation: Callable[[], Evaluation],
+        at: int,
         signature: Optional[Tuple[int, ...]] = None,
     ) -> bool:
-        """Offer a true candidate metric to the incumbent.
+        """Offer a true candidate metric, priced as row ``at`` of the
+        walk, to the incumbent.
 
         The evaluation is materialized only when the candidate beats the
         cached cut (same laziness as before). A losing offer — possible
@@ -213,7 +230,7 @@ class _SubtreeWalker:
         self.best_metric = metric
         self.best_signature = tuple(int(x) for x in signature)
         if self.ledger is not None:
-            self.ledger.improved(metric, evaluation, self.evaluations)
+            self.ledger.improved(metric, evaluation, at)
         return True
 
     def price_mappings(self, mappings) -> None:
@@ -226,19 +243,29 @@ class _SubtreeWalker:
         outcome = self.engine.evaluate_mappings(
             mappings, objective=self.objective, prune=False
         )
-        for i, mapping in enumerate(mappings):
-            self.evaluations += 1
-            if not outcome.valid[i]:
-                continue
-            self.num_valid += 1
+        base = self._count(outcome)
+        # The cut only ever falls, so rows that lose to it on entry
+        # can never improve and are skipped without a Python step.
+        for i in np.flatnonzero(outcome.valid & (outcome.metric < self._cut)):
+            i = int(i)
 
-            def make_evaluation(i=i, mapping=mapping):
+            def make_evaluation(i=i):
                 evaluation = outcome.evaluations.get(i)
                 if evaluation is not None:
                     return evaluation
-                return self.evaluator.evaluate_fresh(mapping)
+                return self.evaluator.evaluate_fresh(mappings[i])
 
-            self._consider(float(outcome.metric[i]), make_evaluation)
+            self._consider(
+                float(outcome.metric[i]), make_evaluation, base + i + 1
+            )
+
+    def _count(self, outcome) -> int:
+        """Count a priced batch's rows; returns the row count before it."""
+        base = self.evaluations
+        self.evaluations += outcome.valid.size
+        self.num_valid += int(outcome.valid.sum())
+        self.batch += BatchCounts.of(outcome)
+        return base
 
     # -- the walk --------------------------------------------------------
 
@@ -269,10 +296,7 @@ class _SubtreeWalker:
             ):
                 # Best-first: every remaining node's bound is at least
                 # this one, so the whole frontier is proved prunable.
-                pruned_now = 1 + len(heap)
-                self.subtrees_pruned += pruned_now
-                obs.inc("search.subtrees_pruned", pruned_now,
-                        driver="branch-bound")
+                self.subtrees_pruned += 1 + len(heap)
                 self._cover(
                     self.suffix_product[len(indices)]
                     + sum(
@@ -322,8 +346,6 @@ class _SubtreeWalker:
                     and child_bound * (1.0 - PRUNE_MARGIN) >= self._cut
                 ):
                     self.subtrees_pruned += 1
-                    obs.inc("search.subtrees_pruned",
-                            driver="branch-bound")
                     self._cover(self.suffix_product[depth + 1])
                     continue
                 heapq.heappush(
@@ -347,8 +369,6 @@ class _SubtreeWalker:
         bounds the engine can state, and a cell cut there is never even
         enumerated into a batch.
         """
-        import numpy as np
-
         from repro.model.batch import PRUNE_MARGIN
 
         if not self._leaf_buffer:
@@ -364,7 +384,6 @@ class _SubtreeWalker:
                 and leaf_bound * (1.0 - PRUNE_MARGIN) >= self._cut
             ):
                 self.subtrees_pruned += 1
-                obs.inc("search.subtrees_pruned", driver="branch-bound")
                 self._cover(self.suffix_product[len(leaf_indices)])
                 continue
             assigned = {
@@ -384,14 +403,9 @@ class _SubtreeWalker:
                     flat * (1.0 - PRUNE_MARGIN) < self._cut
                 )
                 cut = flat.size - keep.size
-                if cut:
-                    self.subtrees_pruned += cut
-                    obs.inc(
-                        "search.subtrees_pruned", cut,
-                        driver="branch-bound",
-                    )
-                    # Each cut cell is one complete assignment.
-                    self._cover(cut)
+                self.subtrees_pruned += cut
+                # Each cut cell is one complete assignment.
+                self._cover(cut)
             else:
                 keep = np.arange(flat.size)
             # suffix_bounds lays its axes out in workload dim order over
@@ -428,18 +442,12 @@ class _SubtreeWalker:
                     incumbent=self._cut,
                     prune=True,
                 )
-                obs.inc(
-                    "search.candidates", batch.size, driver="branch-bound"
-                )
+                base = self._count(outcome)
                 rows_priced += batch.size
                 self._cover(batch.size)
-                for i in range(batch.size):
-                    self.evaluations += 1
-                    if not outcome.valid[i]:
-                        continue
-                    self.num_valid += 1
-                    if outcome.pruned[i]:
-                        continue
+                live = outcome.valid & ~outcome.pruned
+                for i in np.flatnonzero(live & (outcome.metric < self._cut)):
+                    i = int(i)
                     metric = float(outcome.metric[i])
                     tag = int(batch.tags[i])
 
@@ -454,6 +462,7 @@ class _SubtreeWalker:
                     self._consider(
                         metric,
                         make_evaluation,
+                        base + i + 1,
                         signature=tuple(pinned[tag].tolist()),
                     )
         # Pinned cells the joint-fanout filter dropped never became rows;
@@ -540,8 +549,8 @@ class BranchBoundSearch:
         """No engine, no bounds: degrade to the scalar exhaustive sweep.
 
         Same best mapping (the tree walk is exact), uniform stats schema
-        (zeroed ``batch`` and ``bnb`` sub-dicts), driver relabeled so the
-        run is attributable in traces and footers.
+        (zeroed ``batch`` and ``bnb`` sub-dicts), ``search.run`` span
+        relabeled so the run is attributable in traces.
         """
         from repro.search.exhaustive import ExhaustiveSearch
 
@@ -549,15 +558,13 @@ class BranchBoundSearch:
             "search.run", driver="branch-bound", mode="scalar-fallback",
             objective=self.objective,
         ):
-            result = ExhaustiveSearch(
+            return ExhaustiveSearch(
                 self.mapspace,
                 self.evaluator,
                 objective=self.objective,
                 limit=self.limit if self.limit is not None else 1_000_000_000,
                 use_batch=False,
             ).run()
-        result.stats["bnb"] = _bnb_stats()
-        return result
 
     # -- the tree walk ---------------------------------------------------
 
@@ -579,8 +586,6 @@ class BranchBoundSearch:
                 mapspace.assemble(chains, rng=None) for chains in chain_sets
             ]
             walker.price_mappings(mappings)
-        obs.inc("search.candidates", self.warm_samples,
-                driver="branch-bound")
         return walker.best_metric if walker.best is not None else None
 
     def _run_tree(self, engine) -> SearchResult:
@@ -620,51 +625,8 @@ class BranchBoundSearch:
             )
             warm_metric = self._warm_start(walker)
             root_bound = walker.walk(())
-            tightness = (
-                root_bound / walker.best_metric
-                if walker.best is not None and walker.best_metric > 0
-                else None
-            )
-            if tightness is not None:
-                obs.set_gauge(
-                    "search.bound_tightness", tightness, driver="branch-bound"
-                )
-
-        # The walker counts rows itself (parallel workers have no ledger).
-        ledger.evaluations = walker.evaluations
-        ledger.num_valid = walker.num_valid
-        result = ledger.result("exhausted")
-        result.stats["bnb"] = _bnb_stats(
-            nodes_expanded=walker.nodes_expanded,
-            leaves_deferred=walker.leaves_deferred,
-            subtrees_pruned=walker.subtrees_pruned,
-            infeasible_subtrees=walker.infeasible_subtrees,
-            root_bound=root_bound,
-            bound_tightness=tightness,
-            warm_start_metric=warm_metric,
-        )
-        return result
-
-
-def _bnb_stats(
-    nodes_expanded: int = 0,
-    leaves_deferred: int = 0,
-    subtrees_pruned: int = 0,
-    infeasible_subtrees: int = 0,
-    root_bound: Optional[float] = None,
-    bound_tightness: Optional[float] = None,
-    warm_start_metric: Optional[float] = None,
-) -> Dict[str, object]:
-    """The ``bnb`` stats sub-dict (uniform keys on every path)."""
-    return {
-        "nodes_expanded": nodes_expanded,
-        "leaves_deferred": leaves_deferred,
-        "subtrees_pruned": subtrees_pruned,
-        "infeasible_subtrees": infeasible_subtrees,
-        "root_bound": root_bound,
-        "bound_tightness": bound_tightness,
-        "warm_start_metric": warm_start_metric,
-    }
+            ledger.close_tree(walker, root_bound, warm_metric)
+        return ledger.result("exhausted")
 
 
 def branch_bound_search(

@@ -27,7 +27,14 @@ race timing, so the returned best metric is bit-identical to serial
 search (ties between co-optimal mappings may resolve to a different
 argmin; the parity invariant compares metrics). The convergence curve
 is the driver's local view (warm start + re-price improvements) with
-driver-local evaluation indices.
+driver-local evaluation indices, and it is the only place improvements
+are recorded: an arriving unit advances progress, nothing more.
+
+Counting: workers publish no row or tree counts. Each unit ships its
+walker's counters (rows, valid rows, batch-kernel rows, tree nodes); the
+driver sums them into its own walker and hands the total to its ledger
+once, so ``search.candidates`` equals ``num_evaluated`` and
+``search.subtrees_pruned`` equals ``stats["bnb"]["subtrees_pruned"]``.
 
 Transport is zero-copy where it matters: the
 :class:`~repro.model.batch.PartialBoundEngine` factor tables (the only
@@ -49,14 +56,12 @@ from repro.model.shm import ShmArrayBundle
 from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
-    BATCH_COUNTERS,
     OBS_SNAPSHOT_KEY,
     LocalIncumbent,
     SharedIncumbent,
     collect_worker_obs,
     run_jobs,
     run_under_worker_obs,
-    sum_batch_stats,
     worker_errors,
     worker_stack,
 )
@@ -111,12 +116,10 @@ def _unit_entry(
     index, root_indices = job
     with worker_errors(index, 0):
         stack = _walk_stack(state)
-        engine = stack["engine"]
         started = time.perf_counter()
-        before = engine.stats_payload()
         walker = _SubtreeWalker(
             stack["mapspace"],
-            engine,
+            stack["engine"],
             stack["evaluator"],
             stack["bound_engine"],
             stack["dims_order"],
@@ -129,7 +132,6 @@ def _unit_entry(
         _, snapshot = run_under_worker_obs(
             state["obs"], lambda: walker.walk(tuple(root_indices))
         )
-        after = engine.stats_payload()
     result = {
         "unit": index,
         "kind": "walk",
@@ -144,7 +146,7 @@ def _unit_entry(
             "subtrees_pruned": walker.subtrees_pruned,
             "infeasible_subtrees": walker.infeasible_subtrees,
         },
-        "batch": {key: after[key] - before[key] for key in BATCH_COUNTERS},
+        "batch": walker.batch,
     }
     if snapshot is not None:
         result[OBS_SNAPSHOT_KEY] = snapshot
@@ -161,11 +163,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
     """
     from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
 
-    from repro.search.branch_bound import (
-        _SubtreeWalker,
-        _bnb_stats,
-        dims_branch_order,
-    )
+    from repro.search.branch_bound import _SubtreeWalker, dims_branch_order
 
     mapspace = search.mapspace
     evaluator = search.evaluator
@@ -249,7 +247,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 ):
                     walker.subtrees_pruned += 1
                     walker._cover(walker.suffix_product[depth])
-                    obs.inc("search.subtrees_pruned", driver="branch-bound")
                     continue
                 bounded.append((unit_bound, indices))
             bounded.sort()
@@ -267,7 +264,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
                     table_handle = table_bundle.handle
 
             state: Dict[str, Any] = {
-                        "arch": mapspace.arch,
+                "arch": mapspace.arch,
                 "workload": mapspace.workload,
                 "kind": mapspace.kind,
                 "constraints": mapspace.constraints,
@@ -281,17 +278,10 @@ def run_parallel_tree(search, engine) -> SearchResult:
             }
             # Stream per-unit completion into the driver's tracker as
             # results arrive: a finished unit resolves its whole subtree.
-            # Claimed metrics feed the convergence timeline live; the
-            # post-hoc re-price below still decides the actual best.
-            seen_best = float(walker.best_metric)
-
+            # Its claimed best is an improvement only once the re-price
+            # below accepts it.
             def _on_unit_result(result: Dict[str, Any]) -> None:
-                nonlocal seen_best
                 ledger.progress.advance(walker.suffix_product[depth])
-                metric = result["metric"]
-                if metric < seen_best:
-                    seen_best = metric
-                    ledger.progress.improved(float(metric))
 
             if jobs:
                 results, pool_mode, _ = run_jobs(
@@ -309,17 +299,17 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 results, pool_mode = [], "sequential"
             collect_worker_obs(results)
 
-            # Merge unit counters; re-price every claimed best through
-            # the driver's evaluator, in dispatch order, so ties resolve
-            # deterministically and the metric is race-independent.
-            worker_evaluations = 0
-            worker_valid = 0
+            # Merge unit counters into the driver's walker; re-price every
+            # claimed best through the driver's evaluator, in dispatch
+            # order, so ties resolve deterministically and the metric is
+            # race-independent.
             unit_rows: List[Dict[str, Any]] = []
             claim_mappings: List[Any] = []
             for result in results:
                 counters = result["counters"]
-                worker_evaluations += counters["evaluations"]
-                worker_valid += counters["num_valid"]
+                walker.evaluations += counters["evaluations"]
+                walker.num_valid += counters["num_valid"]
+                walker.batch += result["batch"]
                 walker.nodes_expanded += counters["nodes_expanded"]
                 walker.leaves_deferred += counters["leaves_deferred"]
                 walker.subtrees_pruned += counters["subtrees_pruned"]
@@ -347,39 +337,15 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 claim_mappings.append(mapspace.assemble(chains, rng=None))
             if claim_mappings:
                 walker.price_mappings(claim_mappings)
-
-            tightness = (
-                root_bound / walker.best_metric
-                if walker.best is not None and walker.best_metric > 0
-                else None
-            )
-            if tightness is not None:
-                obs.set_gauge(
-                    "search.bound_tightness", tightness,
-                    driver="branch-bound",
-                )
+            ledger.close_tree(walker, root_bound, warm_metric)
     finally:
         # The driver is the only unlinker; releasing here (even on a
         # worker crash) is what keeps /dev/shm free of leaked segments.
         if table_bundle is not None:
             table_bundle.release()
 
-    ledger.evaluations = walker.evaluations + worker_evaluations
-    ledger.num_valid = walker.num_valid + worker_valid
     result = ledger.result("exhausted")
     stats = result.stats
-    stats["batch"] = sum_batch_stats(
-        [stats["batch"]] + [unit["batch"] for unit in results]
-    )
-    stats["bnb"] = _bnb_stats(
-        nodes_expanded=walker.nodes_expanded,
-        leaves_deferred=walker.leaves_deferred,
-        subtrees_pruned=walker.subtrees_pruned,
-        infeasible_subtrees=walker.infeasible_subtrees,
-        root_bound=root_bound,
-        bound_tightness=tightness,
-        warm_start_metric=warm_metric,
-    )
     stats["pool_mode"] = pool_mode
     stats["pool"] = {
         "workers": workers,

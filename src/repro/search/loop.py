@@ -11,17 +11,23 @@ Random and Pareto search sample their chunks straight into packed rows;
 genetic and annealing search pack their assembled genomes with
 :func:`~repro.model.batch.pack_mappings`.
 
-:class:`RunLedger` is the run's accounting: candidate counts, the
-incumbent and its convergence curve, and the ``search.candidates`` /
-``search.improvements`` / ``search.best_metric`` metrics plus the progress
-tracker, all fed from one call each. It builds the :class:`SearchResult`.
-Exhaustive search and branch-and-bound price packed batches directly,
-but account through the same ledger.
+:class:`RunLedger` is the run's accounting and the one owner of its
+counts: the clock, candidates and valid rows, the incumbent and its
+convergence curve, the batch-kernel rows (:class:`BatchCounts`), the
+branch-and-bound tree counters, the cache baseline and the progress
+tracker. ``SearchResult.stats``, the ``search.*`` and ``batch.*``
+metrics behind ``/metrics`` and the tracker behind ``/progress`` are all
+fed from one call each, so they cannot disagree. Exhaustive search and
+branch-and-bound price packed batches directly, but account through the
+same ledger; a branch-and-bound walk counts its own rows and tree nodes
+(a parallel unit has no ledger) and hands them over once.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import time
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -30,8 +36,8 @@ from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import BatchEvaluator, BatchOutcome, MappingBatch
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.obs import SearchTimer, empty_batch_stats
-from repro.search.result import ConvergencePoint, SearchResult
+from repro.obs import TIMING_BUCKETS, ProgressTracker
+from repro.search.result import ConvergencePoint, SearchResult, throughput_stats
 
 
 def check_batch_size(batch_size: int) -> int:
@@ -88,19 +94,84 @@ class ScalarPricer:
             )
         return outcome
 
-    def stats_payload(self) -> dict:
-        return empty_batch_stats()
+
+@dataclass
+class BatchCounts:
+    """Rows a run priced through the batch kernel: ``stats["batch"]``.
+
+    Derived from each :class:`~repro.model.batch.BatchOutcome`'s masks, so
+    a run counts only its own rows however many runs share one engine. A
+    row that carries an evaluation without being a fallback row was
+    served whole (a cache hit, or a :class:`ScalarPricer` row) and never
+    reached the kernel.
+    """
+
+    batches: int = 0
+    candidates: int = 0
+    pruned: int = 0
+    fallback: int = 0
+
+    @classmethod
+    def of(cls, outcome: BatchOutcome) -> "BatchCounts":
+        fallback = int(outcome.fallback.sum())
+        priced = outcome.valid.size - (len(outcome.evaluations) - fallback)
+        if not priced:
+            return cls()
+        return cls(1, priced, int(outcome.pruned.sum()), fallback)
+
+    def __iadd__(self, other: "BatchCounts") -> "BatchCounts":
+        self.batches += other.batches
+        self.candidates += other.candidates
+        self.pruned += other.pruned
+        self.fallback += other.fallback
+        return self
+
+    def payload(self) -> Dict[str, Any]:
+        return {
+            "batches": self.batches,
+            "candidates": self.candidates,
+            "pruned": self.pruned,
+            "prune_rate": (
+                self.pruned / self.candidates if self.candidates else 0.0
+            ),
+            "fallback": self.fallback,
+        }
+
+
+def _bnb_stats(
+    nodes_expanded: int = 0,
+    leaves_deferred: int = 0,
+    subtrees_pruned: int = 0,
+    infeasible_subtrees: int = 0,
+    root_bound: Optional[float] = None,
+    bound_tightness: Optional[float] = None,
+    warm_start_metric: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The ``bnb`` stats sub-dict (all-zero on a run without a tree)."""
+    return {
+        "nodes_expanded": nodes_expanded,
+        "leaves_deferred": leaves_deferred,
+        "subtrees_pruned": subtrees_pruned,
+        "infeasible_subtrees": infeasible_subtrees,
+        "root_bound": root_bound,
+        "bound_tightness": bound_tightness,
+        "warm_start_metric": warm_start_metric,
+    }
 
 
 class RunLedger:
     """Accounting for one search run.
 
-    Use as a context manager around the run (it owns the
-    :class:`~repro.obs.SearchTimer`). ``pricer`` is the batch engine when
-    one is given, else a :class:`ScalarPricer`; ``mode`` names which.
+    Use as a context manager around the run: it times the run, and on a
+    clean exit finishes the progress tracker and publishes
+    ``search.runs`` / ``search.run_seconds``. ``pricer`` is the batch
+    engine when one is given, else a :class:`ScalarPricer`; ``mode``
+    names which.
 
     Args:
         evaluator: the run's evaluator (re-prices improvements lazily).
+            Its attached cache, if any, is baselined here so a shared
+            cache reports this run's delta.
         driver: metric label, e.g. ``"random"``.
         objective: the metric improvements are judged on.
         total_units: progress-total estimate (``None`` = unknown).
@@ -109,7 +180,7 @@ class RunLedger:
 
     def __init__(
         self,
-        evaluator: Evaluator,
+        evaluator: Optional[Evaluator],
         driver: str,
         objective: str = "edp",
         total_units: Optional[float] = None,
@@ -120,25 +191,38 @@ class RunLedger:
         self.objective = objective
         self.pricer = engine if engine is not None else ScalarPricer(evaluator)
         self.mode = "batch" if engine is not None else "scalar"
-        self.timer = SearchTimer(
-            evaluator, driver=driver, total_units=total_units
+        self.progress = ProgressTracker(driver=driver, total_units=total_units)
+        self.cache = getattr(evaluator, "cache", None)
+        self.cache_baseline = (
+            (self.cache.hits, self.cache.misses)
+            if self.cache is not None
+            else (0, 0)
         )
+        self.elapsed_s = 0.0
+        self._started = 0.0
         self.evaluations = 0
         self.num_valid = 0
+        self.batch = BatchCounts()
+        self.bnb = _bnb_stats()
         self.best: Optional[Evaluation] = None
         self.best_metric = float("inf")
         self.curve: List[ConvergencePoint] = []
 
-    @property
-    def progress(self):
-        return self.timer.progress
-
     def __enter__(self) -> "RunLedger":
-        self.timer.__enter__()
+        self._started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.timer.__exit__(exc_type, exc, tb)
+        self.elapsed_s = time.perf_counter() - self._started
+        if exc_type is None:
+            self.progress.finish()
+            obs.inc("search.runs", driver=self.driver)
+            obs.observe(
+                "search.run_seconds",
+                self.elapsed_s,
+                buckets=TIMING_BUCKETS,
+                driver=self.driver,
+            )
 
     def price_batch(
         self, batch: MappingBatch, prune: bool = False
@@ -151,11 +235,32 @@ class RunLedger:
             prune=prune,
         )
 
-    def count(self, candidates: int) -> None:
-        """Count priced candidates in every sink at once."""
+    def count(self, candidates: int, advance: bool = True) -> None:
+        """Count priced candidates in every sink at once.
+
+        ``advance=False`` leaves the progress tracker alone, for runs
+        that measure progress in other units (branch-and-bound cells).
+        """
         self.evaluations += candidates
         obs.inc("search.candidates", candidates, driver=self.driver)
-        self.progress.advance(candidates)
+        if advance:
+            self.progress.advance(candidates)
+
+    def count_batch(self, counts: BatchCounts) -> None:
+        """Count batch-kernel rows in ``stats["batch"]`` and the
+        ``batch.*`` metrics at once."""
+        self.batch += counts
+        if counts.batches:
+            obs.inc("batch.batches", counts.batches)
+            obs.inc("batch.candidates", counts.candidates)
+            obs.inc("batch.pruned", counts.pruned)
+            obs.inc("batch.fallback", counts.fallback)
+
+    def count_outcome(self, outcome: BatchOutcome) -> None:
+        """Count one priced batch: its rows, valid rows and kernel rows."""
+        self.count(outcome.valid.size)
+        self.num_valid += int(outcome.valid.sum())
+        self.count_batch(BatchCounts.of(outcome))
 
     def improved(
         self, metric: float, evaluation: Evaluation, at: int
@@ -181,8 +286,7 @@ class RunLedger:
         evaluation is re-priced through :meth:`Evaluator.evaluate_fresh`.
         """
         base = self.evaluations
-        self.count(batch.size)
-        self.num_valid += int(outcome.valid.sum())
+        self.count_outcome(outcome)
         beats = outcome.valid & ~outcome.pruned
         beats &= outcome.metric < self.best_metric
         improved: List[int] = []
@@ -199,9 +303,51 @@ class RunLedger:
                 improved.append(i)
         return improved
 
-    def stats(self) -> dict:
+    def close_tree(
+        self, walk: Any, root_bound: float,
+        warm_start_metric: Optional[float],
+    ) -> None:
+        """Take a finished branch-and-bound walk's counts into the run.
+
+        ``walk`` is the driver's ``_SubtreeWalker`` with every parallel
+        unit's counters already summed in. Its rows reach
+        ``search.candidates`` and ``stats["batch"]`` here (progress
+        advanced by covered cells during the walk), and its tree counters
+        become ``stats["bnb"]``, ``search.subtrees_pruned`` and
+        ``search.bound_tightness``.
+        """
+        self.count(walk.evaluations, advance=False)
+        self.num_valid += walk.num_valid
+        self.count_batch(walk.batch)
+        tightness = (
+            root_bound / self.best_metric
+            if self.best is not None and self.best_metric > 0
+            else None
+        )
+        self.bnb = _bnb_stats(
+            nodes_expanded=walk.nodes_expanded,
+            leaves_deferred=walk.leaves_deferred,
+            subtrees_pruned=walk.subtrees_pruned,
+            infeasible_subtrees=walk.infeasible_subtrees,
+            root_bound=root_bound,
+            bound_tightness=tightness,
+            warm_start_metric=warm_start_metric,
+        )
+        obs.inc("search.subtrees_pruned", walk.subtrees_pruned,
+                driver=self.driver)
+        if tightness is not None:
+            obs.set_gauge("search.bound_tightness", tightness,
+                          driver=self.driver)
+
+    def stats(self) -> Dict[str, Any]:
         """The uniform ``stats`` payload for the run so far."""
-        return self.timer.stats(self.evaluations, engine=self.pricer)
+        payload = throughput_stats(
+            self.evaluations, self.elapsed_s, self.cache, self.cache_baseline
+        )
+        payload["batch"] = self.batch.payload()
+        payload["bnb"] = self.bnb
+        payload["progress"] = self.progress.stats_payload()
+        return payload
 
     def result(self, terminated_by: str) -> SearchResult:
         return SearchResult(

@@ -27,8 +27,7 @@ from repro.energy.table import EnergyTable
 from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
-from repro.obs import SearchTimer, TIMING_BUCKETS
-from repro.search.loop import check_batch_size
+from repro.search.loop import BatchCounts, RunLedger, check_batch_size
 from repro.search.random_search import DEFAULT_PATIENCE, RandomSearch
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
@@ -36,7 +35,6 @@ from repro.search.worker_pool import (
     collect_worker_obs,
     run_jobs,
     run_under_worker_obs,
-    sum_batch_stats,
     worker_errors,
     worker_stack,
 )
@@ -132,21 +130,30 @@ def parallel_random_search(
     # driver-side tracker advances in worker-sized strides as each stream
     # finishes. The nominal total is every worker spending its full
     # budget; patience stops spend less, and finish() snaps the fraction.
-    timer = SearchTimer(
-        driver="parallel", total_units=workers * max_evaluations
+    ledger = RunLedger(
+        None, "parallel", objective, total_units=workers * max_evaluations
     )
     pool_best = math.inf
 
     def _on_result(result: SearchResult) -> None:
         nonlocal pool_best
-        timer.progress.advance(result.num_evaluated)
+        # Each worker's own ledger already published its counts, so the
+        # pool's ledger sums them for the stats without re-publishing.
+        ledger.evaluations += result.num_evaluated
+        ledger.num_valid += result.num_valid
+        batch = result.stats["batch"]
+        ledger.batch += BatchCounts(
+            batch["batches"], batch["candidates"], batch["pruned"],
+            batch["fallback"],
+        )
+        ledger.progress.advance(result.num_evaluated)
         if result.best is not None:
             metric = result.best.metric(objective)
             if metric < pool_best:
                 pool_best = metric
-                timer.progress.improved(metric)
+                ledger.progress.improved(metric)
 
-    with timer, obs.trace(
+    with ledger, obs.trace(
         "search.run", driver="parallel", workers=workers, objective=objective
     ):
         results, pool_mode, _ = run_jobs(
@@ -158,30 +165,19 @@ def parallel_random_search(
             on_result=_on_result,
         )
     collect_worker_obs([result.stats for result in results])
-    merged = _merge(results, objective)
-    merged.stats.update(
-        _pool_stats(results, seeds, pool_mode, timer.elapsed_s)
-    )
-    merged.stats["progress"] = timer.progress.stats_payload()
-    obs.inc("search.runs", driver="parallel")
-    obs.inc("search.evaluations", merged.num_evaluated, driver="parallel")
-    obs.observe(
-        "search.run_seconds",
-        timer.elapsed_s,
-        buckets=TIMING_BUCKETS,
-        driver="parallel",
-    )
+    merged = _merge(results, ledger)
+    # No tree walk, so the pool's payload keeps its schema without ``bnb``.
+    del merged.stats["bnb"]
+    merged.stats["pool_mode"] = pool_mode
+    merged.stats["workers"] = _worker_rows(results, seeds)
     return merged
 
 
-def _pool_stats(
-    results: List[SearchResult],
-    seeds: List[int],
-    pool_mode: str,
-    elapsed: float,
-) -> Dict[str, Any]:
-    """Aggregate per-worker observability into the merged stats payload."""
-    worker_rows = [
+def _worker_rows(
+    results: List[SearchResult], seeds: List[int]
+) -> List[Dict[str, Any]]:
+    """Each worker's seed, counts and throughput for the merged stats."""
+    return [
         {
             "worker": index,
             "seed": worker_seed,
@@ -193,52 +189,31 @@ def _pool_stats(
         }
         for index, (worker_seed, result) in enumerate(zip(seeds, results))
     ]
-    total_evaluated = sum(r.num_evaluated for r in results)
-    return {
-        "pool_mode": pool_mode,
-        "elapsed_s": elapsed,
-        "evals_per_sec": (total_evaluated / elapsed) if elapsed > 0 else 0.0,
-        "workers": worker_rows,
-        # Uniform schema: the merged payload carries the same batch key
-        # set as a single-worker payload, summed across the pool.
-        "batch": sum_batch_stats(r.stats["batch"] for r in results),
-    }
 
 
-def _merge(results: List[SearchResult], objective: str) -> SearchResult:
+def _merge(results: List[SearchResult], ledger: RunLedger) -> SearchResult:
     """Merge per-worker results into one.
 
-    Counts are **summed** across workers while the curve is the winning
-    worker's trace unchanged, so ``curve[i].evaluations`` are that
-    worker's *local* evaluation indices (1-based within its own stream) —
-    they are not comparable to the merged ``num_evaluated`` total and
-    always satisfy ``curve[-1].evaluations <= num_evaluated``. This keeps
-    the per-thread semantics of the paper's convergence plots: each
-    thread's patience and budget are judged against its own stream.
+    Counts are the pool ledger's sums across workers while the curve is
+    the winning worker's trace unchanged, so ``curve[i].evaluations`` are
+    that worker's *local* evaluation indices (1-based within its own
+    stream) — they are not comparable to the merged ``num_evaluated``
+    total and always satisfy ``curve[-1].evaluations <= num_evaluated``.
+    This keeps the per-thread semantics of the paper's convergence plots:
+    each thread's patience and budget are judged against its own stream.
     """
-    winner = None
-    for result in results:
-        if result.best is None:
-            continue
-        if winner is None or result.best.metric(objective) < winner.best.metric(
-            objective
-        ):
-            winner = result
-    total_evaluated = sum(r.num_evaluated for r in results)
-    total_valid = sum(r.num_valid for r in results)
-    if winner is None:
-        return SearchResult(
-            best=None,
-            objective=objective,
-            num_evaluated=total_evaluated,
-            num_valid=total_valid,
-            terminated_by="budget",
-        )
+    objective = ledger.objective
+    winner = min(
+        (result for result in results if result.best is not None),
+        key=lambda result: result.best.metric(objective),
+        default=None,
+    )
     return SearchResult(
-        best=winner.best,
+        best=winner.best if winner else None,
         objective=objective,
-        num_evaluated=total_evaluated,
-        num_valid=total_valid,
-        terminated_by=winner.terminated_by,
-        curve=winner.curve,
+        num_evaluated=ledger.evaluations,
+        num_valid=ledger.num_valid,
+        terminated_by=winner.terminated_by if winner else "budget",
+        curve=winner.curve if winner else [],
+        stats=ledger.stats(),
     )

@@ -125,8 +125,7 @@ class ParetoSearch:
                 )
                 batch = self.mapspace.sample_batch(self.rng, chunk)
                 outcome = ledger.price_batch(batch)
-                ledger.count(chunk)
-                ledger.num_valid += int(outcome.valid.sum())
+                ledger.count_outcome(outcome)
                 for i in np.flatnonzero(outcome.valid):
                     i = int(i)
                     energy = float(outcome.energy_pj[i])

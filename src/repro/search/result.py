@@ -30,21 +30,25 @@ class SearchResult:
         terminated_by: "patience", "budget", or "exhausted".
         curve: best-so-far trace, one point per improvement (prepend-safe
             for averaging across seeds with :func:`best_so_far_series`).
-        stats: throughput/observability payload. Search drivers populate
+        stats: throughput/observability payload, built by the run's
+            :class:`~repro.search.loop.RunLedger` from the counts it owns,
+            so it always agrees with the ``search.*`` / ``batch.*``
+            metrics and the ``/progress`` tracker. Every driver reports
             ``elapsed_s`` and ``evals_per_sec`` (see
-            :func:`throughput_stats`); cached evaluators add a ``cache``
-            sub-dict (hits/misses/hit_rate); the parallel driver adds
-            ``pool_mode`` ("fork", "spawn", or "sequential") and a
-            ``workers`` list with per-worker counts. Every driver that
-            builds stats via :meth:`repro.obs.SearchTimer.stats` includes
-            a ``batch`` sub-dict with the full uniform key set
-            (batches/candidates/pruned/prune_rate/fallback — see
-            :meth:`repro.model.batch.BatchEvaluator.stats_payload`);
-            scalar-path runs report it with all-zero counters, so
-            consumers can read the keys unconditionally. The
-            branch-and-bound driver adds a ``bnb`` sub-dict
-            (nodes_expanded/subtrees_pruned/infeasible_subtrees/
-            root_bound/bound_tightness/warm_start_metric).
+            :func:`throughput_stats`), a ``batch`` sub-dict
+            (batches/candidates/pruned/prune_rate/fallback: the rows this
+            run priced through the batch kernel, all zero on the scalar
+            path), a ``bnb`` sub-dict (nodes_expanded/leaves_deferred/
+            subtrees_pruned/infeasible_subtrees/root_bound/
+            bound_tightness/warm_start_metric; all zero or None except on
+            a branch-and-bound tree walk) and a ``progress`` sub-dict.
+            Cached evaluators add a ``cache`` sub-dict (hits/misses/
+            hit_rate/size/max_entries; hits and misses are the cache's
+            delta over the run). The parallel
+            drivers add ``pool_mode`` ("fork", "spawn", or "sequential");
+            random multi-start adds a ``workers`` list with per-worker
+            counts (and carries no ``bnb``), parallel branch-and-bound a
+            ``pool`` breakdown.
     """
 
     best: Optional[Evaluation]

@@ -27,10 +27,9 @@ future parallel drivers) share one implementation:
   registry and ship a picklable snapshot inside their result stats; the
   driver pops and merges every snapshot into its ambient registry so
   per-worker counters sum into the caller's scope.
-* :func:`worker_stack`, :func:`worker_errors` and
-  :func:`sum_batch_stats` — the worker side both drivers share: the
-  per-process mapspace + evaluator, job attribution of failures, and the
-  pool-wide ``batch`` stats sum.
+* :func:`worker_stack` and :func:`worker_errors` — the worker side both
+  drivers share: the per-process mapspace + evaluator, and job
+  attribution of failures.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro import obs
 from repro.exceptions import SearchError, WorkerError
 from repro.mapspace.factory import make_mapspace
 from repro.model.evaluator import Evaluator
-from repro.obs import MetricsRegistry, empty_batch_stats
+from repro.obs import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +67,6 @@ OBS_SNAPSHOT_KEY = "_obs_registry"
 # spawn-started workers (which re-import this module) can rebuild their
 # stack without re-pickling the shared state for every job.
 _POOL_STATE: Optional[Tuple[Callable[..., Any], Dict[str, Any]]] = None
-
-#: The summable counters of a ``stats["batch"]`` payload.
-BATCH_COUNTERS = ("batches", "candidates", "pruned", "fallback")
 
 
 def _init_pool_worker(entry: Callable[..., Any], state: Dict[str, Any]) -> None:
@@ -377,13 +373,3 @@ def worker_errors(index: int, seed: int) -> Iterator[None]:
             index, seed, f"{type(error).__name__}: {error}"
         ) from error
 
-
-def sum_batch_stats(payloads: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Sum ``stats["batch"]`` payloads into one with the same key set."""
-    total = empty_batch_stats()
-    for payload in payloads:
-        for key in BATCH_COUNTERS:
-            total[key] += payload[key]
-    if total["candidates"]:
-        total["prune_rate"] = total["pruned"] / total["candidates"]
-    return total

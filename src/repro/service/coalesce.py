@@ -89,11 +89,12 @@ class ThreadSafeEvaluationCache(EvaluationCache):
 class SharedBatchEngine:
     """Serialize access to one :class:`BatchEvaluator` across threads.
 
-    The batch engine mutates its own counters and scratch state per call,
-    so concurrent searches sharing one engine must not interleave inside
-    its pricing calls. A plain lock suffices: batch calls are long enough
-    that contention is amortized, and the shared evaluation cache means
-    the *second* search through a region mostly hits anyway.
+    Concurrent searches sharing one engine take turns inside its pricing
+    calls. The engine keeps no per-run counts: each search's ledger
+    counts its own rows from the outcomes. A plain lock suffices: batch
+    calls are long enough that contention is amortized, and the shared
+    evaluation cache means the *second* search through a region mostly
+    hits anyway.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -119,10 +120,6 @@ class SharedBatchEngine:
     def evaluate_rows(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return self._engine.evaluate_rows(*args, **kwargs)
-
-    def stats_payload(self) -> Dict[str, Any]:
-        with self._lock:
-            return self._engine.stats_payload()
 
 
 class _PoolEntry:

@@ -165,7 +165,7 @@ class TestObsMerge:
                 space, evaluator, seed=0, workers=2
             ).run()
         assert (
-            registry.counter("search.evaluations").value(
+            registry.counter("search.candidates").value(
                 driver="branch-bound"
             )
             == result.num_evaluated
@@ -176,3 +176,27 @@ class TestObsMerge:
             )
             > 0
         )
+
+    def test_repriced_claims_count_once(self):
+        # Without a warm start every unit claims a best, and the driver
+        # re-prices each claim: those rows are candidates like any other,
+        # and a claim improves the incumbent once, when its re-price
+        # accepts it.
+        space, evaluator = _eyeriss_fixture()
+        registry = MetricsRegistry()
+        with obs_scope(registry=registry):
+            result = BranchBoundSearch(
+                space, evaluator, seed=0, warm_samples=0, workers=2
+            ).run()
+        assert (
+            registry.counter("search.candidates").value(
+                driver="branch-bound"
+            )
+            == result.num_evaluated
+        )
+        improvements = registry.counter("search.improvements").value(
+            driver="branch-bound"
+        )
+        assert improvements == len(result.curve) >= 1
+        assert result.stats["progress"]["improvements"] == improvements
+        assert result.stats["batch"]["candidates"] == result.num_evaluated

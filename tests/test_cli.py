@@ -278,7 +278,7 @@ class TestObsFlags:
 
         payload = json.loads(metrics.read_text())
         assert payload["schema"] == 1
-        assert "search.evaluations" in payload["metrics"]["counters"]
+        assert "search.candidates" in payload["metrics"]["counters"]
 
     def test_obs_dump_and_summarize(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -89,28 +89,6 @@ class TestEvaluator:
         )
         assert result.energy_pj == pytest.approx(total_accesses)
 
-    def test_best_of_selects_minimum(self, toy_evaluator):
-        best = toy_evaluator.best_of([pfm_mapping(), ruby_mapping()])
-        assert best.cycles == 17
-
-    def test_best_of_ignores_invalid(self, toy_evaluator):
-        bad = Mapping.from_blocks(
-            [
-                ("DRAM", [Loop("D", 2)], []),
-                ("GlobalBuffer", [Loop("D", 50)], []),
-                ("PERegister", [], []),
-            ]
-        )
-        best = toy_evaluator.best_of([bad, pfm_mapping()])
-        assert best.cycles == 20
-
-    def test_best_of_empty_returns_none(self, toy_evaluator):
-        assert toy_evaluator.best_of([]) is None
-
-    def test_evaluate_many(self, toy_evaluator):
-        results = toy_evaluator.evaluate_many([pfm_mapping(), ruby_mapping()])
-        assert [r.cycles for r in results] == [20, 17]
-
     def test_utilization_reported(self, toy_evaluator):
         result = toy_evaluator.evaluate(ruby_mapping())
         assert result.utilization == pytest.approx(100 / (17 * 6))

@@ -3,7 +3,7 @@
 Covers the metrics registry (counters, gauges, histograms, labels,
 snapshot/reset/merge, exporters), the span tracer (nesting, JSONL
 round-trips, validation, flame summaries), the ambient obs_scope, and
-the shared SearchTimer.
+the run timing and stats payload of RunLedger.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    SearchTimer,
     Tracer,
     active_obs,
     default_registry,
@@ -24,6 +23,7 @@ from repro.obs import (
     validate_span,
 )
 from repro.obs import scope as obs_scope_module
+from repro.search.loop import RunLedger
 
 
 class TestCounter:
@@ -470,11 +470,13 @@ class _FakeEvaluator:
 
 
 class TestSearchTimer:
+    """Run timing, cache baseline and stats payload, owned by RunLedger."""
+
     def test_payload_keys_without_cache(self):
-        timer = SearchTimer(driver="t")
+        timer = RunLedger(None, driver="t")
         with timer:
             pass
-        stats = timer.stats(100)
+        stats = timer.stats()
         # "batch"/"bnb"/"progress" are always present (all-zero / empty on
         # runs that never touch them) so the SearchResult.stats schema is
         # uniform across every searcher.
@@ -493,11 +495,11 @@ class TestSearchTimer:
 
     def test_payload_reports_cache_deltas(self):
         evaluator = _FakeEvaluator()
-        timer = SearchTimer(evaluator, driver="t")
+        timer = RunLedger(evaluator, driver="t")
         with timer:
             evaluator.cache.hits += 5
             evaluator.cache.misses += 15
-        stats = timer.stats(20)
+        stats = timer.stats()
         assert stats["cache"]["hits"] == 5
         assert stats["cache"]["misses"] == 15
         assert stats["cache"]["hit_rate"] == pytest.approx(0.25)
@@ -506,20 +508,23 @@ class TestSearchTimer:
         registry = MetricsRegistry()
         evaluator = _FakeEvaluator()
         with obs_scope(registry=registry):
-            timer = SearchTimer(evaluator, driver="t")
+            timer = RunLedger(evaluator, driver="t")
             with timer:
                 evaluator.cache.hits += 2
-            timer.stats(50)
+                timer.count(50)
+            timer.stats()
         assert registry.counter("search.runs").value(driver="t") == 1.0
-        assert registry.counter("search.evaluations").value(driver="t") == 50.0
-        assert registry.counter("cache.hits").value(driver="t") == 2.0
+        assert registry.counter("search.candidates").value(driver="t") == 50.0
+        # Cache hits have one owner, the cache: the run mirrors no copy.
+        assert timer.stats()["cache"]["hits"] == 2
+        assert "cache.hits" not in registry.names()
         assert (
             registry.histogram("search.run_seconds").stats(driver="t")["count"]
             == 1
         )
 
     def test_no_publish_when_inactive(self):
-        timer = SearchTimer(driver="t")
+        timer = RunLedger(None, driver="t")
         with timer:
-            pass
-        timer.stats(1)  # must not raise nor touch any registry
+            timer.count(1)
+        timer.stats()  # must not raise nor touch any registry

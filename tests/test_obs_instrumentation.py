@@ -41,10 +41,9 @@ class TestSearchSpans:
         assert "search.run" in names
         assert registry.counter("search.runs").value(driver="random") == 1.0
         assert (
-            registry.counter("search.evaluations").value(driver="random")
+            registry.counter("search.candidates").value(driver="random")
             == result.num_evaluated
         )
-        assert registry.counter("search.candidates").total() > 0
         assert registry.gauge("search.best_metric").value(
             driver="random"
         ) == pytest.approx(result.best_metric)
@@ -216,11 +215,13 @@ class TestParallelObs:
         # The transient per-worker snapshot never reaches callers.
         assert "_obs_registry" not in result.stats
         # Worker-side counters (one search.run per worker) merged in,
-        # plus the pool-level aggregate from the driver.
+        # plus the pool-level run from the driver. Candidates are counted
+        # once, by the workers that priced them.
         assert registry.counter("search.runs").value(driver="random") == 2.0
         assert registry.counter("search.runs").value(driver="parallel") == 1.0
         assert (
-            registry.counter("search.evaluations").value(driver="parallel")
+            registry.counter("search.candidates").total()
+            == registry.counter("search.candidates").value(driver="random")
             == result.num_evaluated
         )
 
@@ -323,7 +324,8 @@ class TestUniformStatsSchema:
     schema uniformity, including the ``progress`` sub-dict)."""
 
     def test_six_searchers_identical_top_level_keys(self, toy_arch, vector100):
-        from repro.obs import empty_bnb_stats, empty_progress_stats
+        from repro.obs import empty_progress_stats
+        from repro.search.loop import _bnb_stats as empty_bnb_stats
         from repro.search.branch_bound import BranchBoundSearch
         from repro.search.pareto_search import ParetoSearch
 
@@ -356,13 +358,6 @@ class TestUniformStatsSchema:
             assert set(stats["progress"]) == set(empty_progress_stats())
             assert set(stats["bnb"]) == set(empty_bnb_stats())
             assert stats["progress"]["completed_units"] > 0
-
-    def test_empty_bnb_stats_matches_branch_bound_schema(self):
-        from repro.obs import empty_bnb_stats
-        from repro.search.branch_bound import _bnb_stats
-
-        assert set(empty_bnb_stats()) == set(_bnb_stats())
-        assert empty_bnb_stats() == _bnb_stats()
 
 
 class TestTraceFileFromSearch:

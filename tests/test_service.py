@@ -435,6 +435,27 @@ class TestServiceHTTP:
         assert best["cycles"] == direct.best.cycles
         assert best["energy_pj"] == direct.best.energy_pj
 
+    def test_second_job_on_a_reused_entry_counts_its_own_rows(self, service):
+        # Both jobs price through the pool entry's one shared batch
+        # engine; each job's batch stats must hold only its own rows.
+        finals = []
+        for seed in (21, 22):
+            _, body, _ = post_json(
+                service.url + "/v1/search",
+                request_payload(seed=seed, max_evaluations=500),
+            )
+            finals.append(wait_terminal(service.url, body["job_id"]))
+        _, stats, _ = http(service.url + "/v1/stats")
+        assert stats["pool"]["reuses"] >= 1
+        for final in finals:
+            result = final["result"]
+            assert result["num_evaluated"] == 500
+            batch = result["stats"]["batch"]
+            # Rows the shared cache served whole never reach the kernel.
+            priced = 500 - result["stats"]["cache"]["hits"]
+            assert batch["candidates"] == priced > 0
+            assert batch["batches"] == 1
+
     def test_duplicate_submission_returns_same_job(self, service):
         payload = request_payload(seed=11, max_evaluations=400)
         _, first, _ = post_json(service.url + "/v1/search", payload)

@@ -25,7 +25,6 @@ from repro.search.worker_pool import (
     collect_worker_obs,
     run_jobs,
     run_under_worker_obs,
-    sum_batch_stats,
     worker_errors,
     worker_stack,
 )
@@ -234,14 +233,15 @@ class TestWorkerHelpers:
         assert (info.value.index, info.value.seed) == (1, 2)
 
     def test_batch_stats_sum(self):
-        parts = [
-            {"batches": 2, "candidates": 10, "pruned": 4, "prune_rate": 0.4,
-             "fallback": 1},
-            {"batches": 1, "candidates": 30, "pruned": 6, "prune_rate": 0.2,
-             "fallback": 0},
-        ]
-        assert sum_batch_stats(parts) == {
+        # Pool drivers sum per-worker batch counts through BatchCounts,
+        # the owner of the ``stats["batch"]`` payload.
+        from repro.search.loop import BatchCounts
+
+        total = BatchCounts()
+        total += BatchCounts(batches=2, candidates=10, pruned=4, fallback=1)
+        total += BatchCounts(batches=1, candidates=30, pruned=6, fallback=0)
+        assert total.payload() == {
             "batches": 3, "candidates": 40, "pruned": 10,
             "prune_rate": 0.25, "fallback": 1,
         }
-        assert sum_batch_stats([])["prune_rate"] == 0.0
+        assert BatchCounts().payload()["prune_rate"] == 0.0
