@@ -16,7 +16,18 @@ from repro.arch.eyeriss import eyeriss_like
 from repro.arch.simba import simba_like
 from repro.arch.toy import toy_glb_architecture, toy_linear_architecture
 
+#: The named architecture presets, one table for every entry point: the
+#: CLI's ``--arch`` choices and the service's ``"arch": "<name>"``
+#: shorthand. Each value builds a fresh :class:`Architecture`.
+ARCH_PRESETS = {
+    "eyeriss": eyeriss_like,
+    "simba": simba_like,
+    "toy16": lambda: toy_linear_architecture(16),
+    "toy9": lambda: toy_linear_architecture(9),
+}
+
 __all__ = [
+    "ARCH_PRESETS",
     "ComputeLevel",
     "StorageLevel",
     "Architecture",

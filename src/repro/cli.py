@@ -53,7 +53,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.arch import eyeriss_like, simba_like, toy_linear_architecture
+from repro.arch import ARCH_PRESETS
 from repro.core.mapper import find_best_mapping
 from repro.exceptions import ReproError
 from repro.io import (
@@ -70,14 +70,6 @@ from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.evaluator import Evaluator
 from repro.problem.conv import ConvLayer
 from repro.problem.gemm import GemmLayer
-
-ARCH_PRESETS = {
-    "eyeriss": lambda: eyeriss_like(),
-    "simba": lambda: simba_like(),
-    "toy16": lambda: toy_linear_architecture(16),
-    "toy9": lambda: toy_linear_architecture(9),
-}
-
 
 def _parse_shape(text: str) -> Dict[str, int]:
     """Parse ``C=512,M=128,P=28`` into a dict."""
@@ -157,7 +149,7 @@ def _format_search_stats(stats: Dict) -> List[str]:
             f"  batch: {batch['batches']:,} batches  "
             f"{batch['candidates']:,} candidates  "
             f"pruned={batch['pruned']:,} ({batch['prune_rate']:.1%})  "
-            f"scalar-fallback={batch['fallback']:,}"
+            f"fallback={batch['fallback']:,}"
         )
     bnb = stats.get("bnb")
     # Gate on either counter: a parallel (or shallow) run can defer every

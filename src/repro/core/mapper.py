@@ -51,10 +51,11 @@ class MapperConfig:
             the paper uses 3000.
         seed: RNG seed for reproducibility.
         constraints: dataflow constraints applied to the mapspace.
-        use_batch: price candidates through the vectorized batch engine
-            when it supports the triple (bit-exact; falls back to the
-            scalar evaluator otherwise). The scalar evaluator caches every
-            evaluation, the batch engine only improvements.
+        use_batch: price candidates through the vectorized batch kernels
+            (bit-exact); without it, or for an evaluator the kernels do
+            not model, each row is priced through the scalar evaluator.
+            Row-wise pricing caches every evaluation, the kernels only
+            improvements.
         batch_size: candidates priced per chunk (random, exhaustive,
             branch-bound leaf batches); must be >= 1 for every strategy.
         workers: process count. With ``workers > 1`` the random strategy

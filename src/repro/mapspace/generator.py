@@ -415,15 +415,12 @@ class MapSpace:
             ]
 
     def enumerate_mappings(
-        self,
-        limit: Optional[int] = None,
-        permutations: bool = False,
+        self, limit: Optional[int] = None
     ) -> Iterator[Mapping]:
         """Exhaustively yield mappings (joint fanout filtered).
 
-        With ``permutations=False`` every level keeps canonical (workload)
-        dim order; with True all temporal orders per level are emitted.
-        Only feasible for toy problems — imperfect mapspaces are huge.
+        Every level keeps canonical (workload) dim order. Only feasible
+        for toy problems — imperfect mapspaces are huge.
         """
         menus = [menu for _, menu in self.dim_chain_menus()]
         emitted = 0
@@ -431,18 +428,10 @@ class MapSpace:
             chains = {chain.dim: chain for chain in combo}
             if not self.chains_within_fanout(chains):
                 continue
-            base = self.assemble(chains, rng=None)
-            if permutations:
-                for mapping in self._permute(base):
-                    yield mapping
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
-            else:
-                yield base
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+            yield self.assemble(chains, rng=None)
+            emitted += 1
+            if limit is not None and emitted >= limit:
+                return
 
     def batch_layout(self):
         """The columnar :class:`~repro.model.batch.BatchLayout` of this space.
@@ -481,10 +470,10 @@ class MapSpace:
     ) -> Iterator["object"]:
         """Exhaustively enumerate straight into packed columnar batches.
 
-        The batch analogue of :meth:`enumerate_mappings` with
-        ``permutations=False``: identical chain combinations in identical
-        order (same joint-fanout filter), but each candidate lands as a
-        row of a :class:`~repro.model.batch.MappingBatch` — no ``Mapping``
+        The batch analogue of :meth:`enumerate_mappings`: identical chain
+        combinations in identical order (same joint-fanout filter), but
+        each candidate lands as a row of a
+        :class:`~repro.model.batch.MappingBatch` — no ``Mapping``
         objects, no per-candidate Python loop-nest assembly. Positions are
         the layout's virtual grid numbering, which is order-isomorphic to
         the real nest positions, so batch evaluation results are bit-exact
@@ -698,19 +687,3 @@ class MapSpace:
                 yield idx[(used <= caps).all(axis=1)]
 
         return tables, rows()
-
-    def _permute(self, base: Mapping) -> Iterator[Mapping]:
-        per_level_orders = [
-            list(itertools.permutations(nest.temporal)) for nest in base.levels
-        ]
-        for orders in itertools.product(*per_level_orders):
-            yield Mapping(
-                levels=tuple(
-                    LevelNest(
-                        level_name=nest.level_name,
-                        temporal=tuple(order),
-                        spatial=nest.spatial,
-                    )
-                    for nest, order in zip(base.levels, orders)
-                )
-            )

@@ -27,7 +27,11 @@ evaluator), and floats are composed in the same order as the scalar model
 (per-level energy accumulation in architecture order, compute energy last),
 so energy_pj, cycles, EDP — and utilization — match the scalar evaluator
 bit for bit. The parity suite in ``tests/test_batch_eval.py`` asserts this
-across presets, workload kinds, and imperfect mappings.
+across presets, workload kinds, and imperfect mappings. Evaluators the
+kernels cannot price exactly (NoC or static energy, bandwidth stalls,
+2**53 operations or more) and ``use_batch=False`` turn the engine's
+row-wise switch off: it then prices every row through the scalar
+evaluator, so every search keeps one pricer.
 
 Lower-bound pruning: traffic through every boundary is at least one full
 sweep of delivered tiles, and the per-rank delivery sum is multilinear in
@@ -48,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.spec import Architecture
+from repro.exceptions import SpecError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.model.evaluator import Evaluation, Evaluator
@@ -237,11 +242,13 @@ class BatchLayout:
                 if level.keeps_tensor(tensor.name)
             )
             if not keepers or keepers[0] != 0:
-                # The scalar model raises SpecError on these architectures;
-                # keep its semantics by refusing the batch path entirely.
+                # The scalar model raises SpecError on these architectures.
+                # The engine turns its kernels off so its rows raise it too,
+                # and PartialBoundEngine refuses the layout.
                 self.paths_supported = False
                 self.paths_reason = (
-                    f"tensor {tensor.name} has no outermost keeper level"
+                    f"tensor {tensor.name} must be kept at the outermost "
+                    f"level of {self.arch.name}"
                 )
             boundaries: List[Tuple[int, Optional[int]]] = [
                 (parent, child) for parent, child in zip(keepers, keepers[1:])
@@ -469,8 +476,8 @@ class BatchOutcome:
     and pruned rows; ``energy_pj``/``cycles``/``utilization`` are only
     meaningful where ``valid & ~pruned``. ``evaluations`` maps the rows
     that got a full scalar :class:`Evaluation` anyway (fallback rows,
-    cache hits, every row of :class:`~repro.search.loop.ScalarPricer`) to
-    it; any other row a caller keeps is re-priced through
+    cache hits, every row priced with the row-wise switch off) to it;
+    any other row a caller keeps is re-priced through
     :meth:`Evaluator.evaluate_fresh`.
     """
 
@@ -515,49 +522,53 @@ class BatchOutcome:
 
 
 class BatchEvaluator:
-    """Price whole batches of mappings with vectorized kernels.
+    """Price whole batches of mappings: the one pricer every search uses.
 
     Wraps a scalar :class:`Evaluator` (whose energy table, cache, and
-    fallback path it reuses) and guarantees bit-exact agreement with it on
-    ``energy_pj``, ``cycles``, EDP, and ``utilization`` for every row it
-    prices vectorized; rows it cannot represent go through the scalar
-    evaluator unchanged. Check :attr:`supported` before use — searches
-    price through the scalar evaluator instead when the engine is
-    unavailable (NoC/static energy or bandwidth stalls enabled, or
-    degenerate tensor paths).
+    fallback path it reuses). With :attr:`vectorize` on, rows go through
+    the NumPy kernels, bit-exact with the scalar evaluator on
+    ``energy_pj``, ``cycles``, EDP, and ``utilization``; rows the kernels
+    cannot represent (bypass sets, overflow-guarded rows) still go through
+    the scalar evaluator one by one. With it off, every row does, in row
+    order. The switch is off when the caller asks for it
+    (``vectorize=False``, from ``use_batch=False``) and when the kernels
+    cannot price the evaluator exactly: NoC or static energy, a level
+    with a bandwidth limit, a workload of 2**53 or more operations, or a
+    tensor without an outermost keeper level.
     """
 
     def __init__(
-        self, evaluator: Evaluator, layout: Optional[BatchLayout] = None
+        self,
+        evaluator: Evaluator,
+        layout: Optional[BatchLayout] = None,
+        vectorize: bool = True,
     ) -> None:
         self.evaluator = evaluator
-        self.supported, self.unsupported_reason = self._support_check(evaluator)
-        self.layout: Optional[BatchLayout] = None
-        if not self.supported:
-            return
         self.layout = layout or BatchLayout(evaluator.arch, evaluator.workload)
-        if not self.layout.paths_supported:
-            self.supported = False
-            self.unsupported_reason = self.layout.paths_reason
-            return
+        #: The row-wise switch: kernels (True) or one scalar
+        #: ``evaluate`` per row (False).
+        self.vectorize = (
+            vectorize
+            and self.layout.paths_supported
+            and self._kernel_exact(evaluator)
+        )
         self._precompute()
 
     @staticmethod
-    def _support_check(evaluator: Evaluator) -> Tuple[bool, str]:
-        if evaluator.include_noc or evaluator.include_static:
-            return False, "NoC/static energy components enabled"
-        if any(
-            level.bandwidth_words_per_cycle is not None
-            for level in evaluator.arch.levels
-        ):
-            return False, "bandwidth stall model enabled"
-        if evaluator.workload.total_operations >= _EXACT_LIMIT:
-            return False, "workload exceeds exact-float operation count"
-        return True, ""
+    def _kernel_exact(evaluator: Evaluator) -> bool:
+        """True when the kernels price ``evaluator``'s model exactly."""
+        return not (
+            evaluator.include_noc
+            or evaluator.include_static
+            or any(
+                level.bandwidth_words_per_cycle is not None
+                for level in evaluator.arch.levels
+            )
+            or evaluator.workload.total_operations >= _EXACT_LIMIT
+        )
 
     def _precompute(self) -> None:
         layout = self.layout
-        assert layout is not None
         table = self.evaluator.energy_table
         self.read_pj: List[float] = []
         self.write_pj: List[float] = []
@@ -578,7 +589,6 @@ class BatchEvaluator:
     def _build_lower_bound(self, sizes: Dict[str, int]) -> None:
         """Compulsory-energy constant: see the module docstring derivation."""
         layout = self.layout
-        assert layout is not None
         lower = 0.0
         for meta in layout.tensors:
             base_lb = 1
@@ -628,7 +638,6 @@ class BatchEvaluator:
         2**53 fall back to the exact scalar path.
         """
         layout = self.layout
-        assert layout is not None
         self._guard_tensors: List[Tuple[float, Any]] = []
         for meta in layout.tensors:
             c_const = 1.0
@@ -650,10 +659,20 @@ class BatchEvaluator:
         incumbent: float = float("inf"),
         prune: bool = False,
     ) -> BatchOutcome:
-        """Price one packed batch; optionally prune against ``incumbent``."""
-        self._check_supported()
-        layout = self.layout
-        assert layout is not None
+        """Price one packed batch; optionally prune against ``incumbent``.
+
+        With :attr:`vectorize` off, every row is one
+        :meth:`Evaluator.evaluate` call on ``mapping_at(i)``, in row order
+        (so an attached cache is looked up and filled exactly as a
+        per-candidate loop would), and nothing is pruned.
+        """
+        if not self.vectorize:
+            outcome = BatchOutcome.blank(batch.size)
+            for i in range(batch.size):
+                outcome.put(
+                    i, self.evaluator.evaluate(batch.mapping_at(i)), objective
+                )
+            return outcome
         n = batch.size
         bounds, rems, pos = batch.bounds, batch.rems, batch.pos
         fallback = batch.fallback | self._overflow_rows(bounds)
@@ -714,17 +733,17 @@ class BatchEvaluator:
     ) -> BatchOutcome:
         """Price every row of ``batch``, consulting the evaluator's cache.
 
-        Without a cache this is :meth:`evaluate_batch`. With one, every
-        row costs exactly one lookup under ``mapping_at(i).signature()``
-        (matching the scalar path's lookup count); hits bypass the kernels
-        and carry their evaluation, misses are priced as one sub-batch.
-        Only improvements and fallback rows are re-priced scalar (and
-        stored), so a batched search fills the cache more sparsely than a
-        scalar one.
+        Without a cache, or with :attr:`vectorize` off (whose rows look
+        the cache up themselves), this is :meth:`evaluate_batch`. With a
+        cache, every row costs exactly one lookup under
+        ``mapping_at(i).signature()`` (matching the scalar path's lookup
+        count); hits bypass the kernels and carry their evaluation, misses
+        are priced as one sub-batch. Only improvements and fallback rows
+        are re-priced scalar (and stored), so a vectorized search fills
+        the cache more sparsely than a row-wise one.
         """
-        self._check_supported()
         cache = self.evaluator.cache
-        if cache is None:
+        if cache is None or not self.vectorize:
             return self.evaluate_batch(
                 batch, objective=objective, incumbent=incumbent, prune=prune
             )
@@ -769,8 +788,6 @@ class BatchEvaluator:
     ) -> BatchOutcome:
         """Price a list of ``Mapping`` objects: :meth:`evaluate_rows` of
         their :func:`pack_mappings` batch (row ``i`` is ``mappings[i]``)."""
-        self._check_supported()
-        assert self.layout is not None
         return self.evaluate_rows(
             pack_mappings(self.layout, mappings),
             objective=objective,
@@ -778,17 +795,10 @@ class BatchEvaluator:
             prune=prune,
         )
 
-    def _check_supported(self) -> None:
-        if not self.supported:
-            raise RuntimeError(
-                f"batch evaluation unsupported: {self.unsupported_reason}"
-            )
-
     # -- vectorized kernels ----------------------------------------------
 
     def _overflow_rows(self, bounds: Any) -> Any:
         layout = self.layout
-        assert layout is not None
         bd = np.ones((bounds.shape[0], layout.num_dims), dtype=np.float64)
         bounds_f = bounds.astype(np.float64)
         for c in range(layout.num_columns):
@@ -801,7 +811,6 @@ class BatchEvaluator:
     def _validity(self, bounds: Any, rems: Any) -> Any:
         """Replay ``check_mapping`` as boolean masks (structure is packed)."""
         layout = self.layout
-        assert layout is not None
         n = bounds.shape[0]
         # Coverage: the full per-dim Eq. (5) chain must equal the dim size.
         cov = np.zeros((n, layout.num_dims), dtype=np.int64)
@@ -846,7 +855,6 @@ class BatchEvaluator:
     def _cycles(self, bounds: Any, rems: Any) -> Any:
         """Per-dim shadowed temporal-step recursion, product over dims."""
         layout = self.layout
-        assert layout is not None
         n = bounds.shape[0]
         steps = np.zeros((n, layout.num_dims), dtype=np.int64)
         shadowed = np.zeros((n, layout.num_dims), dtype=bool)
@@ -868,7 +876,6 @@ class BatchEvaluator:
         to level comparisons and the cutoff carried as a per-row position.
         """
         layout = self.layout
-        assert layout is not None
         b = bounds[live]
         r = rems[live]
         p = pos[live]
@@ -947,7 +954,6 @@ class BatchEvaluator:
         * inner_spatial / outer_spatial: the copy-only multiplicities.
         """
         layout = self.layout
-        assert layout is not None
         m = b.shape[0]
         ones = np.ones(m, dtype=np.int64)
         inner = ones.copy()
@@ -1003,7 +1009,6 @@ class BatchEvaluator:
     def _energy(self, reads: Any, writes: Any) -> Any:
         """Float accumulation in the scalar model's exact operation order."""
         layout = self.layout
-        assert layout is not None
         total = np.zeros(reads.shape[0], dtype=np.float64)
         for level in range(layout.num_levels):
             level_energy = (
@@ -1047,6 +1052,9 @@ class PartialBoundEngine:
       nonnegative, are the only traffic dropped outright.
     * **EDP** — both factors are nonnegative, so the product of the two
       bounds lower-bounds the product.
+    * **terms the kernels do not model** — NoC and static energy only add
+      energy, and bandwidth stalls only add cycles, so the bounds stay
+      admissible for evaluators the engine prices row-wise.
 
     Bounds are monotone along the tree (fixing more dimensions can only
     raise them), which makes best-first search with a single
@@ -1067,14 +1075,12 @@ class PartialBoundEngine:
         engine: BatchEvaluator,
         menus: Sequence[Tuple[str, Sequence[Any]]],
     ) -> None:
-        if not engine.supported:
-            raise RuntimeError(
-                f"partial bounds need a supported batch engine: "
-                f"{engine.unsupported_reason}"
-            )
-        self.engine = engine
         layout = engine.layout
-        assert layout is not None
+        if not layout.paths_supported:
+            # Bounds over a degenerate keeper chain would be meaningless;
+            # fail the way the scalar model does on every valid mapping.
+            raise SpecError(layout.paths_reason)
+        self.engine = engine
         self.layout = layout
         # Boundary cut levels at which delivered-tile counts are needed
         # (a boundary (parent, child) folds the columns above ``child``;

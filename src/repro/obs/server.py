@@ -307,6 +307,9 @@ class _ObsHTTPServer(ThreadingHTTPServer):
     # Searches outlive sockets; rebinding the same port across runs must
     # not fail on TIME_WAIT.
     allow_reuse_address = True
+    # A burst of concurrent clients (the service takes 20+ submissions at
+    # once) must queue, not overflow the default backlog of 5 and reset.
+    request_queue_size = 128
 
     routes: RouteSet
 

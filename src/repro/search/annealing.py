@@ -35,11 +35,11 @@ class SimulatedAnnealing:
         cooling: geometric decay factor per step.
         restarts: independent annealing chains; best result wins.
         seed: RNG seed or generator.
-        use_batch: price candidates through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when it supports
-            this (arch, workload, evaluator) triple, else through the
-            scalar evaluator; the engine is bit-exact and pricing
-            consumes no RNG, so the trajectory is the same either way.
+        use_batch: price candidates through the vectorized kernels of
+            :class:`~repro.model.batch.BatchEvaluator`, else row by row
+            through the scalar evaluator; the engine is bit-exact and
+            pricing consumes no RNG, so the trajectory is the same either
+            way.
         batch_engine: optional shared engine to price through instead of
             building one.
     """

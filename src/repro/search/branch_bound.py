@@ -46,10 +46,12 @@ the returned best — is unchanged; parallel workers read the shared cell
 at the same points, which makes every cross-process cut subject to the
 same ``PRUNE_MARGIN`` guard and keeps the best-EDP bit-identical.
 
-When the batch engine does not support the (arch, workload, evaluator)
-triple, the search degrades to the scalar exhaustive sweep — same result,
-no subtree pruning — and reports ``mode="scalar-fallback"`` (``workers``
-is ignored on that path).
+The tree walk runs for every evaluator configuration. When the engine's
+row-wise switch is off (``use_batch=False``, or NoC/static energy,
+bandwidth stalls or 2**53+ operations, which its kernels do not model),
+leaf rows are priced one by one through the scalar evaluator and the run
+reports ``mode="scalar"``. The bounds stay admissible there: the extra
+terms only ever add energy or cycles.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ class _SubtreeWalker:
         evaluation = make_evaluation()
         if signature is None:
             signature = (-1,) * len(self.workload_dims)
-        if not self.incumbent.offer(metric, signature):
+        if not self.incumbent.offer(metric):
             self._cut = float(self.incumbent.read())
             return False
         self._cut = metric
@@ -475,8 +477,7 @@ class BranchBoundSearch:
 
     Args:
         mapspace: must be enumerable (same regime as exhaustive search).
-        evaluator: prices candidates (through the batch engine when
-            supported).
+        evaluator: prices candidates (through the batch engine).
         objective: optimization metric name ("edp", "energy", "delay").
         warm_samples: random samples seeding the incumbent before the
             tree walk; 0 disables warm start.
@@ -489,13 +490,12 @@ class BranchBoundSearch:
             own cap (as does the driver's warm start and re-pricing), so
             a parallel search may price up to ``limit`` rows per unit.
         seed: RNG seed or generator (consumed only by the warm start).
-        use_batch: allow the vectorized engine; without it (or with an
-            evaluator configuration the engine does not support) the
-            search falls back to the scalar exhaustive sweep.
+        use_batch: price leaf rows through the vectorized kernels;
+            without it they are priced row by row through the scalar
+            evaluator (same tree, same answer).
         workers: fan top-level subtrees over a process pool when > 1
             (see :mod:`repro.search.branch_bound_parallel`); the best
-            metric is bit-identical to the serial walk. Ignored on the
-            scalar-fallback path.
+            metric is bit-identical to the serial walk.
         start_method: force a multiprocessing start method ("fork" or
             "spawn") for ``workers > 1``; by default each is tried in
             that order before degrading to sequential execution.
@@ -535,36 +535,11 @@ class BranchBoundSearch:
 
     def run(self) -> SearchResult:
         engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
-        if engine is None:
-            return self._run_scalar_fallback()
         if self.workers > 1:
             from repro.search.branch_bound_parallel import run_parallel_tree
 
             return run_parallel_tree(self, engine)
         return self._run_tree(engine)
-
-    # -- scalar fallback -------------------------------------------------
-
-    def _run_scalar_fallback(self) -> SearchResult:
-        """No engine, no bounds: degrade to the scalar exhaustive sweep.
-
-        Same best mapping (the tree walk is exact), uniform stats schema
-        (zeroed ``batch`` and ``bnb`` sub-dicts), ``search.run`` span
-        relabeled so the run is attributable in traces.
-        """
-        from repro.search.exhaustive import ExhaustiveSearch
-
-        with obs.trace(
-            "search.run", driver="branch-bound", mode="scalar-fallback",
-            objective=self.objective,
-        ):
-            return ExhaustiveSearch(
-                self.mapspace,
-                self.evaluator,
-                objective=self.objective,
-                limit=self.limit if self.limit is not None else 1_000_000_000,
-                use_batch=False,
-            ).run()
 
     # -- the tree walk ---------------------------------------------------
 
@@ -620,7 +595,7 @@ class BranchBoundSearch:
                 leaf_width=self.leaf_width,
                 batch_size=self.batch_size,
                 limit=self.limit,
-                incumbent=LocalIncumbent(len(menus)),
+                incumbent=LocalIncumbent(),
                 ledger=ledger,
             )
             warm_metric = self._warm_start(walker)

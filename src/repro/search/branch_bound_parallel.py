@@ -11,8 +11,7 @@ reusable pool in :mod:`repro.search.worker_pool`.
 Cross-process pruning — the part that makes this superlinear-friendly —
 runs through a :class:`~repro.search.worker_pool.SharedIncumbent`: a
 ``multiprocessing.Value`` holding the best true metric found by *any*
-worker (plus a small shared array with the argmin's menu-index
-signature). Workers read it before every subtree cut and leaf flush, so
+worker. Workers read it before every subtree cut and leaf flush, so
 one worker's improvement shrinks every other worker's frontier; because
 the cell only ever holds true candidate metrics and cuts keep the same
 ``PRUNE_MARGIN`` guard as the serial walk, no subtree containing a
@@ -51,7 +50,6 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from repro import obs
-from repro.exceptions import SearchError
 from repro.model.shm import ShmArrayBundle
 from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
@@ -82,11 +80,11 @@ def _walk_stack(state: Dict[str, Any]) -> Dict[str, Any]:
     from repro.search.branch_bound import dims_branch_order
 
     mapspace = stack["mapspace"]
-    engine = BatchEvaluator(stack["evaluator"], layout=mapspace.batch_layout())
-    if not engine.supported:
-        raise SearchError(
-            "batch engine unsupported in branch-and-bound worker"
-        )
+    engine = BatchEvaluator(
+        stack["evaluator"],
+        layout=mapspace.batch_layout(),
+        vectorize=state["use_batch"],
+    )
     menus = mapspace.dim_chain_menus()
     bound_engine = PartialBoundEngine(engine, menus)
     if state["table_handle"] is not None:
@@ -204,7 +202,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 leaf_width=search.leaf_width,
                 batch_size=search.batch_size,
                 limit=search.limit,
-                incumbent=LocalIncumbent(num_dims),
+                incumbent=LocalIncumbent(),
                 ledger=ledger,
             )
             warm_metric = search._warm_start(walker)
@@ -269,6 +267,12 @@ def run_parallel_tree(search, engine) -> SearchResult:
                 "kind": mapspace.kind,
                 "constraints": mapspace.constraints,
                 "energy_table": evaluator.energy_table,
+                "evaluator_options": {
+                    "include_noc": evaluator.include_noc,
+                    "include_static": evaluator.include_static,
+                    "clock_ghz": evaluator.clock_ghz,
+                },
+                "use_batch": search.use_batch,
                 "objective": search.objective,
                 "leaf_width": search.leaf_width,
                 "batch_size": search.batch_size,
@@ -291,7 +295,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
                     workers,
                     start_method=search.start_method,
                     shared_factory=SharedIncumbent.factory(
-                        num_dims, float(walker.best_metric)
+                        float(walker.best_metric)
                     ),
                     on_result=_on_unit_result,
                 )

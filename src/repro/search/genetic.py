@@ -42,11 +42,11 @@ class GeneticSearch:
         tournament: tournament size for parent selection.
         seed: RNG seed or generator.
         use_batch: score each population through the vectorized
-            :class:`~repro.model.batch.BatchEvaluator` when supported,
-            else through the scalar evaluator. Genomes are assembled in
-            population order before scoring (pricing consumes no RNG) and
-            the engine is bit-exact, so the evolution trajectory is the
-            same either way. Each population is priced as one chunk.
+            kernels of :class:`~repro.model.batch.BatchEvaluator`, else
+            row by row through the scalar evaluator. Genomes are
+            assembled in population order before scoring (pricing
+            consumes no RNG) and the engine is bit-exact, so the evolution
+            trajectory is the same either way. Each population is priced as one chunk.
         batch_engine: optional shared engine to price through instead of
             building one.
     """

@@ -1,15 +1,15 @@
-"""The one search loop: a pricer picked once, and a ledger for the run.
+"""The one search loop: one pricer, and a ledger for the run.
 
-Random, genetic, annealing and Pareto search each run a single loop over
-one pricer. The pricer is the vectorized
-:class:`~repro.model.batch.BatchEvaluator` when it supports the (arch,
-workload, evaluator) triple and ``use_batch`` is set, and a
-:class:`ScalarPricer` otherwise. Both price a packed
-:class:`~repro.model.batch.MappingBatch` through ``evaluate_rows`` with
-bit-identical metrics, so the loop never branches on which one it holds.
-Random and Pareto search sample their chunks straight into packed rows;
-genetic and annealing search pack their assembled genomes with
-:func:`~repro.model.batch.pack_mappings`.
+Every search prices its candidates through one
+:class:`~repro.model.batch.BatchEvaluator`, built (or injected) by
+:func:`batch_engine_for`. The engine prices a packed
+:class:`~repro.model.batch.MappingBatch` through its vectorized kernels,
+or row by row through the scalar evaluator when its row-wise switch is
+off (``use_batch=False``, or an evaluator the kernels cannot price
+exactly), with bit-identical metrics either way, so no loop branches on
+how its rows are priced. Random and Pareto search sample their chunks
+straight into packed rows; genetic and annealing search pack their
+assembled genomes with :func:`~repro.model.batch.pack_mappings`.
 
 :class:`RunLedger` is the run's accounting and the one owner of its
 counts: the clock, candidates and valid rows, the incumbent and its
@@ -52,47 +52,21 @@ def batch_engine_for(
     evaluator: Evaluator,
     use_batch: bool,
     injected: Any = None,
-) -> Optional[Any]:
-    """The batch engine for this search, or None when it must run scalar.
+) -> Any:
+    """The pricing engine for this search.
 
-    An injected engine (the service's shared, lock-wrapped engine) skips
-    construction; it must match this mapspace's layout, which the service
-    guarantees by keying engines on the same (arch, workload, kind,
-    constraints) signature.
+    With ``use_batch`` set, an injected engine (the service's shared,
+    lock-wrapped engine) is used as is; it must match this mapspace's
+    layout, which the service guarantees by keying engines on the same
+    (arch, workload, kind, constraints) signature. Otherwise a fresh
+    engine is built on the mapspace's layout, with its row-wise switch
+    off when ``use_batch`` is not set.
     """
-    if not use_batch:
-        return None
-    if injected is not None:
-        return injected if getattr(injected, "supported", False) else None
-    engine = BatchEvaluator(evaluator, layout=mapspace.batch_layout())
-    return engine if engine.supported else None
-
-
-class ScalarPricer:
-    """The scalar :class:`Evaluator` behind the batch engine's interface.
-
-    Calls :meth:`Evaluator.evaluate` exactly once per row, in row order,
-    on the row's ``Mapping`` (the stored one for a packed list), so an
-    attached cache is filled and looked up exactly as a per-candidate
-    scalar loop would. Never prunes.
-    """
-
-    def __init__(self, evaluator: Evaluator) -> None:
-        self.evaluator = evaluator
-
-    def evaluate_rows(
-        self,
-        batch: MappingBatch,
-        objective: str = "edp",
-        incumbent: float = float("inf"),
-        prune: bool = False,
-    ) -> BatchOutcome:
-        outcome = BatchOutcome.blank(batch.size)
-        for i in range(batch.size):
-            outcome.put(
-                i, self.evaluator.evaluate(batch.mapping_at(i)), objective
-            )
-        return outcome
+    if use_batch and injected is not None:
+        return injected
+    return BatchEvaluator(
+        evaluator, layout=mapspace.batch_layout(), vectorize=use_batch
+    )
 
 
 @dataclass
@@ -102,8 +76,8 @@ class BatchCounts:
     Derived from each :class:`~repro.model.batch.BatchOutcome`'s masks, so
     a run counts only its own rows however many runs share one engine. A
     row that carries an evaluation without being a fallback row was
-    served whole (a cache hit, or a :class:`ScalarPricer` row) and never
-    reached the kernel.
+    served whole (a cache hit, or a row priced with the row-wise switch
+    off) and never reached the kernel.
     """
 
     batches: int = 0
@@ -164,9 +138,9 @@ class RunLedger:
 
     Use as a context manager around the run: it times the run, and on a
     clean exit finishes the progress tracker and publishes
-    ``search.runs`` / ``search.run_seconds``. ``pricer`` is the batch
-    engine when one is given, else a :class:`ScalarPricer`; ``mode``
-    names which.
+    ``search.runs`` / ``search.run_seconds``. ``mode`` reads
+    ``"batch"`` when the engine's kernels price the rows and ``"scalar"``
+    when its row-wise switch is off.
 
     Args:
         evaluator: the run's evaluator (re-prices improvements lazily).
@@ -175,7 +149,8 @@ class RunLedger:
         driver: metric label, e.g. ``"random"``.
         objective: the metric improvements are judged on.
         total_units: progress-total estimate (``None`` = unknown).
-        engine: the batch engine from :func:`batch_engine_for`, or None.
+        engine: the engine from :func:`batch_engine_for`; None for a
+            ledger that only aggregates other runs' results.
     """
 
     def __init__(
@@ -189,8 +164,10 @@ class RunLedger:
         self.evaluator = evaluator
         self.driver = driver
         self.objective = objective
-        self.pricer = engine if engine is not None else ScalarPricer(evaluator)
-        self.mode = "batch" if engine is not None else "scalar"
+        self.engine = engine
+        self.mode = (
+            "batch" if getattr(engine, "vectorize", False) else "scalar"
+        )
         self.progress = ProgressTracker(driver=driver, total_units=total_units)
         self.cache = getattr(evaluator, "cache", None)
         self.cache_baseline = (
@@ -228,7 +205,7 @@ class RunLedger:
         self, batch: MappingBatch, prune: bool = False
     ) -> BatchOutcome:
         """Price a packed batch's rows against the current incumbent."""
-        return self.pricer.evaluate_rows(
+        return self.engine.evaluate_rows(
             batch,
             objective=self.objective,
             incumbent=self.best_metric,

@@ -99,8 +99,8 @@ def parallel_random_search(
             "spawn"); by default each is tried in that order before
             degrading to sequential execution.
         use_batch: let each worker price candidates through the
-            vectorized batch engine when supported (bit-exact; results
-            are identical either way).
+            vectorized batch kernels (bit-exact; results are identical
+            either way).
         batch_size: per-worker batch size on the batch path.
 
     The returned ``stats`` carry ``pool_mode`` (which execution mode

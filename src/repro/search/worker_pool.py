@@ -40,7 +40,7 @@ import os
 import sys
 from contextlib import contextmanager
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
 from repro import obs
@@ -203,60 +203,48 @@ class LocalIncumbent:
     """Process-local best-so-far cell (serial / sequential-fallback).
 
     Same protocol as :class:`SharedIncumbent` — ``read`` the current
-    bound, ``offer`` a strictly-better candidate, ``peek`` the pair —
-    so search code is written once against the incumbent interface.
+    bound, ``offer`` a strictly-better candidate metric — so search code
+    is written once against the incumbent interface.
     """
 
-    def __init__(
-        self, num_dims: int, metric: float = math.inf
-    ) -> None:
+    def __init__(self, metric: float = math.inf) -> None:
         self._metric = float(metric)
-        self._signature: Tuple[int, ...] = (-1,) * int(num_dims)
 
     def read(self) -> float:
         return self._metric
 
-    def offer(self, metric: float, signature: Sequence[int]) -> bool:
+    def offer(self, metric: float) -> bool:
         """Install ``metric`` if strictly better; True when accepted."""
         if not metric < self._metric:
             return False
         self._metric = float(metric)
-        self._signature = tuple(int(x) for x in signature)
         return True
-
-    def peek(self) -> Tuple[float, Tuple[int, ...]]:
-        return self._metric, self._signature
 
 
 class SharedIncumbent:
     """Cross-process best-so-far cell for parallel branch-and-bound.
 
-    A ``multiprocessing.Value('d')`` (with its lock) holds the incumbent
-    metric and a small lock-free ``Array('q')`` holds the argmin's menu-
-    index signature, written only while the Value's lock is held. Reads
-    take the lock too: a torn read could observe a garbage-small metric
-    and wrongly prune a subtree containing the optimum, which would
-    break the bit-exactness contract. Construct via
-    :func:`SharedIncumbent.factory` so the primitives are born from the
+    A ``multiprocessing.Value('d')`` holds the incumbent metric; its lock
+    is the synchronisation. Reads take the lock too: a torn read could
+    observe a garbage-small metric and wrongly prune a subtree containing
+    the optimum, which would break the bit-exactness contract. Construct
+    via :func:`SharedIncumbent.factory` so the primitive is born from the
     pool's own context (see :func:`run_jobs`).
     """
 
-    def __init__(self, ctx: Any, num_dims: int, metric: float = math.inf):
+    def __init__(self, ctx: Any, metric: float = math.inf):
         self._value = ctx.Value("d", float(metric))
-        self._signature = ctx.Array("q", [-1] * int(num_dims), lock=False)
 
     @staticmethod
-    def factory(
-        num_dims: int, metric: float = math.inf
-    ) -> Callable[[Any], Dict[str, Any]]:
+    def factory(metric: float = math.inf) -> Callable[[Any], Dict[str, Any]]:
         """``shared_factory`` for :func:`run_jobs`: builds the incumbent
         from the attempt's context, or a :class:`LocalIncumbent` when the
         attempt is sequential (``ctx is None``)."""
 
         def build(ctx: Any) -> Dict[str, Any]:
             if ctx is None:
-                return {"incumbent": LocalIncumbent(num_dims, metric)}
-            return {"incumbent": SharedIncumbent(ctx, num_dims, metric)}
+                return {"incumbent": LocalIncumbent(metric)}
+            return {"incumbent": SharedIncumbent(ctx, metric)}
 
         return build
 
@@ -264,7 +252,7 @@ class SharedIncumbent:
         with self._value.get_lock():
             return self._value.value
 
-    def offer(self, metric: float, signature: Sequence[int]) -> bool:
+    def offer(self, metric: float) -> bool:
         """Install ``metric`` if strictly better; True when accepted.
 
         The compare and the write happen under one lock acquisition, so
@@ -275,13 +263,7 @@ class SharedIncumbent:
             if not metric < self._value.value:
                 return False
             self._value.value = metric
-            for i, x in enumerate(signature):
-                self._signature[i] = int(x)
             return True
-
-    def peek(self) -> Tuple[float, Tuple[int, ...]]:
-        with self._value.get_lock():
-            return self._value.value, tuple(self._signature)
 
 
 def run_under_worker_obs(
@@ -327,9 +309,11 @@ def worker_stack(state: Dict[str, Any]) -> Dict[str, Any]:
     ``state`` carries the architecture, workload, mapspace kind and
     constraints and the driver's pre-built energy table (estimating it is
     the only expensive part of evaluator construction, so the driver
-    hoists it out of the workers). The evaluator is uncached: a worker
-    prices its own stream, whose duplicate draws are too rare to pay for
-    the lookups.
+    hoists it out of the workers), plus optional ``evaluator_options``:
+    the driver evaluator's keyword configuration (``include_noc``,
+    ``include_static``, ``clock_ghz``). The evaluator is uncached: a
+    worker prices its own stream, whose duplicate draws are too rare to
+    pay for the lookups.
 
     The stack is memoized in ``state`` itself under ``"stack"``: the pool
     initializer installs one state dict per worker process, and the
@@ -351,6 +335,7 @@ def worker_stack(state: Dict[str, Any]) -> Dict[str, Any]:
                 state["arch"],
                 state["workload"],
                 energy_table=state["energy_table"],
+                **state.get("evaluator_options", {}),
             ),
         }
     return stack

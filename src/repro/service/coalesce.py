@@ -12,8 +12,8 @@ Two forms of sharing keep a mapper service cheap under repeated load:
 2. **Evaluator warm-keep** — repeated requests against the same
    ``(architecture, workload)`` pair reuse one
    :class:`~repro.model.evaluator.Evaluator` carrying a thread-safe
-   :class:`~repro.model.eval_cache.EvaluationCache` and, when supported,
-   one shared :class:`~repro.model.batch.BatchEvaluator` layout. The pool
+   :class:`~repro.model.eval_cache.EvaluationCache` and one shared
+   :class:`~repro.model.batch.BatchEvaluator`. The pool
    is bounded; eviction is *warm-keep*: cold entries (fewest cache hits
    since admission) go first, and entries pinned by in-flight jobs are
    never evicted regardless of temperature.
@@ -100,14 +100,7 @@ class SharedBatchEngine:
     def __init__(self, engine: Any) -> None:
         self._engine = engine
         self._lock = threading.Lock()
-
-    @property
-    def supported(self) -> bool:
-        return bool(getattr(self._engine, "supported", False))
-
-    @property
-    def unsupported_reason(self) -> str:
-        return getattr(self._engine, "unsupported_reason", "")
+        self.vectorize = engine.vectorize
 
     @property
     def evaluator(self) -> Evaluator:
@@ -144,7 +137,7 @@ class _PoolEntry:
         workload: Workload,
         evaluator: Evaluator,
         cache: ThreadSafeEvaluationCache,
-        engine: Optional[SharedBatchEngine],
+        engine: SharedBatchEngine,
     ) -> None:
         self.signature = signature
         self.arch = arch
@@ -273,15 +266,9 @@ class EvaluatorPool:
         evaluator = Evaluator(
             arch, workload, self.energy_table, cache=cache
         )
-        engine: Optional[SharedBatchEngine] = None
-        try:
-            from repro.model.batch import BatchEvaluator
+        from repro.model.batch import BatchEvaluator
 
-            raw = BatchEvaluator(evaluator)
-            if raw.supported:
-                engine = SharedBatchEngine(raw)
-        except RuntimeError:
-            engine = None
+        engine = SharedBatchEngine(BatchEvaluator(evaluator))
         return _PoolEntry(signature, arch, workload, evaluator, cache, engine)
 
     def _evict_cold_locked(self) -> None:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.arch import ARCH_PRESETS
 from repro.arch.spec import Architecture
 from repro.core.mapper import Mapper, MapperConfig
 from repro.exceptions import ReproError, SearchError, ServiceError, SpecError
@@ -54,19 +55,6 @@ from repro.service.admission import (
     validate_priority,
 )
 from repro.service.coalesce import EvaluatorPool, canonical_signature
-
-#: Architecture presets accepted as ``"arch": "<name>"`` shorthand.
-#: Mirrors the CLI's preset table (kept here to avoid importing the CLI).
-def _arch_presets() -> Dict[str, Any]:
-    from repro.arch import eyeriss_like, simba_like, toy_linear_architecture
-
-    return {
-        "eyeriss": eyeriss_like,
-        "simba": simba_like,
-        "toy16": lambda: toy_linear_architecture(16),
-        "toy9": lambda: toy_linear_architecture(9),
-    }
-
 
 #: Search-config request keys and their MapperConfig defaults. ``workers``
 #: and ``start_method`` are deliberately absent: process-pool search inside
@@ -172,13 +160,12 @@ def parse_search_spec(payload: Any) -> SearchSpec:
 
 def _parse_arch(value: Any) -> Architecture:
     if isinstance(value, str):
-        presets = _arch_presets()
-        if value not in presets:
+        if value not in ARCH_PRESETS:
             raise SpecError(
                 f"unknown architecture preset {value!r}; use one of "
-                f"{sorted(presets)} or pass a full architecture dict"
+                f"{sorted(ARCH_PRESETS)} or pass a full architecture dict"
             )
-        return presets[value]()
+        return ARCH_PRESETS[value]()
     if isinstance(value, dict):
         return architecture_from_dict(value)
     raise SpecError(

@@ -336,10 +336,9 @@ def _check_batch_paths(
     from repro.model.batch import BatchEvaluator, pack_mappings
 
     engine = BatchEvaluator(Evaluator(case.arch, case.workload, table))
-    if not engine.supported:
-        return [], []
+    if not engine.vectorize:
+        return [], []  # row-wise engine: scalar rows against scalar rows
     layout = engine.layout
-    assert layout is not None
     paths: List[str] = []
     divergences: List[Divergence] = []
     try:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -249,8 +249,8 @@ def check_prune_parity(
     rng, arch, workload = _toy_setup(seed)
     table = estimate_energy_table(arch)
     engine = BatchEvaluator(Evaluator(arch, workload, table))
-    if not engine.supported:
-        return 0, []  # engine unsupported: nothing to compare
+    if not engine.vectorize:
+        return 0, []  # row-wise engine: nothing to compare
     space = MapSpace(arch, workload, MapspaceKind.RUBY)
     # A draw can land on all-invalid mappings (infinite metric everywhere),
     # which would make the parity check vacuous — resample until at least
@@ -553,20 +553,37 @@ def check_sample_parity(
 
 
 def _parity_fixtures(seed: int):
-    """(label, mapspace, evaluator) triples for branch-bound parity."""
+    """(label, mapspace, evaluator, use_batch) fixtures for branch-bound
+    parity: the vectorized engine on two toy kinds and Eyeriss, and the
+    row-wise engine on NoC+static energy, a bandwidth-limited DRAM and
+    ``use_batch=False``."""
     from repro.arch.eyeriss import eyeriss_like
 
     _, toy_arch, toy_workload = _toy_setup(seed)
     toy_table = estimate_energy_table(toy_arch)
-    fixtures = []
-    for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S):
-        fixtures.append(
-            (
-                f"toy/{kind.value}",
-                MapSpace(toy_arch, toy_workload, kind),
-                Evaluator(toy_arch, toy_workload, toy_table),
-            )
+
+    def toy(label, kind=MapspaceKind.PFM, arch=toy_arch, use_batch=True,
+            **options):
+        return (
+            label,
+            MapSpace(arch, toy_workload, kind),
+            Evaluator(arch, toy_workload, toy_table, **options),
+            use_batch,
         )
+
+    dram, *inner = toy_arch.levels
+    limited = toy_arch.with_levels(
+        [replace(dram, bandwidth_words_per_cycle=2.0), *inner]
+    )
+    fixtures = [
+        toy(f"toy/{kind.value}", kind)
+        for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S)
+    ]
+    fixtures += [
+        toy("toy/pfm/noc+static", include_noc=True, include_static=True),
+        toy("toy/pfm/bandwidth", arch=limited),
+        toy("toy/pfm/no-batch", use_batch=False),
+    ]
     eyeriss = eyeriss_like()
     gemm = GemmLayer("g8x4x4", m=8, n=4, k=4).workload()
     eyeriss_table = estimate_energy_table(eyeriss)
@@ -575,6 +592,7 @@ def _parity_fixtures(seed: int):
             "eyeriss/pfm",
             MapSpace(eyeriss, gemm, MapspaceKind.PFM),
             Evaluator(eyeriss, gemm, eyeriss_table),
+            True,
         )
     )
     return fixtures
@@ -589,7 +607,9 @@ def check_branch_bound_parity(seed: int = 0) -> Tuple[int, List[str]]:
     never the answer. The comparison is on the metric, not the mapping
     signature: mapspaces routinely hold several co-optimal mappings, and
     which one a searcher reports depends on visit order (enumeration order
-    for exhaustive, best-first heap order for B&B).
+    for exhaustive, best-first heap order for B&B). The row-wise fixtures
+    hold the same bounds to evaluators whose extra terms the kernels do
+    not model.
 
     The parallel searcher (``workers=2``, subtree work-sharing over a
     shared incumbent) is held to the same standard: cross-process cuts
@@ -599,15 +619,21 @@ def check_branch_bound_parity(seed: int = 0) -> Tuple[int, List[str]]:
     """
     checked = 0
     violations: List[str] = []
-    for label, space, evaluator in _parity_fixtures(seed):
+    for label, space, evaluator, use_batch in _parity_fixtures(seed):
         checked += 1
-        exhaustive = ExhaustiveSearch(space, evaluator, limit=200_000).run()
+        exhaustive = ExhaustiveSearch(
+            space, evaluator, limit=200_000, use_batch=use_batch
+        ).run()
         runs = [
-            BranchBoundSearch(space, evaluator, seed=s).run()
+            BranchBoundSearch(
+                space, evaluator, seed=s, use_batch=use_batch
+            ).run()
             for s in (seed, seed + 1)
         ]
         runs.append(
-            BranchBoundSearch(space, evaluator, seed=seed, workers=2).run()
+            BranchBoundSearch(
+                space, evaluator, seed=seed, use_batch=use_batch, workers=2
+            ).run()
         )
         keys = []
         for result in (exhaustive, *runs):

@@ -92,7 +92,7 @@ def test_random_sample_parity(preset, kind):
     mapspace = make_mapspace(arch, workload, kind)
     evaluator = Evaluator(arch, workload)
     engine = BatchEvaluator(evaluator, layout=mapspace.batch_layout())
-    assert engine.supported, engine.unsupported_reason
+    assert engine.vectorize
     rng = random.Random(20260805)
     mappings = [mapspace.sample(rng) for _ in range(50)]
     batch = pack_mappings(mapspace.batch_layout(), mappings)
@@ -127,7 +127,7 @@ def test_enumeration_batch_matches_scalar(kind):
     mapspace = make_mapspace(arch, workload, kind)
     evaluator = Evaluator(arch, workload)
     engine = BatchEvaluator(evaluator, layout=mapspace.batch_layout())
-    scalar_mappings = list(mapspace.enumerate_mappings(permutations=False))
+    scalar_mappings = list(mapspace.enumerate_mappings())
     rows = []
     for batch in mapspace.iter_batches(batch_size=32):
         outcome = engine.evaluate_batch(batch, objective="edp")
@@ -300,7 +300,7 @@ def test_exhaustive_scalar_dedups_on_signature():
         mapspace, Evaluator(arch, workload), use_batch=False
     ).run()
     signatures = {
-        m.signature() for m in mapspace.enumerate_mappings(permutations=False)
+        m.signature() for m in mapspace.enumerate_mappings()
     }
     assert result.num_evaluated == len(signatures)
 
@@ -328,12 +328,12 @@ def test_bypass_mappings_fall_back_to_scalar():
 
 
 def test_unsupported_evaluator_runs_scalar_path():
-    """NoC/static components disable the engine; searches stay correct."""
+    """NoC/static components turn the kernels off; searches stay correct."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
     evaluator = Evaluator(arch, workload, include_noc=True)
     engine = BatchEvaluator(evaluator)
-    assert not engine.supported
+    assert not engine.vectorize
 
     def search(use_batch):
         return RandomSearch(
@@ -347,10 +347,86 @@ def test_unsupported_evaluator_runs_scalar_path():
 
     a, b = search(False), search(True)
     _assert_same_result(a, b)
-    # Engine never engaged: the uniform schema still carries the batch
+    # Kernels never engaged: the uniform schema still carries the batch
     # sub-dict, with every counter at zero.
     assert b.stats["batch"]["candidates"] == 0
     assert b.stats["batch"]["batches"] == 0
+
+
+#: Row-wise (``use_batch=False``) runs with a cache attached, pinned to
+#: the answers of the per-candidate scalar loop the row-wise engine
+#: replaced: best metric, convergence curve, candidates, valid rows and
+#: cache hits/misses. A 4x3x2 GEMM draws duplicates inside one chunk, so
+#: the get-or-price order of in-batch repeats is pinned too.
+_ROW_WISE_GOLDEN = {
+    "random": (
+        lambda s, e: RandomSearch(
+            s, e, max_evaluations=600, patience=None, seed=3,
+            use_batch=False, batch_size=256,
+        ),
+        21435.11210903247,
+        [(27, 52717.89890896105), (39, 32301.992181720787),
+         (105, 21481.861454480524), (128, 21435.11210903247)],
+        (600, 35, 420, 180),
+    ),
+    "genetic": (
+        lambda s, e: GeneticSearch(
+            s, e, population_size=12, generations=6, seed=4, use_batch=False
+        ),
+        32324.596199892865,
+        [(12, 64905.02974523378), (29, 64699.02436344157),
+         (55, 43341.37098164936), (62, 43048.202908961044),
+         (74, 32324.596199892865)],
+        (84, 42, 38, 46),
+    ),
+    "annealing": (
+        lambda s, e: SimulatedAnnealing(
+            s, e, steps=150, seed=5, use_batch=False
+        ),
+        32207.722836272736,
+        [(29, 32207.722836272736)],
+        (179, 74, 106, 73),
+    ),
+    "exhaustive": (
+        lambda s, e: ExhaustiveSearch(s, e, use_batch=False, batch_size=64),
+        21435.11210903247,
+        [(1, 294163.0407268831), (2, 216805.47272688313),
+         (3, 108119.15767254547), (7, 64605.525672545475),
+         (15, 43110.535369558456), (18, 43090.44290896105),
+         (19, 21435.11210903247)],
+        (252, 93, 0, 252),
+    ),
+    "pareto": (
+        lambda s, e: ParetoSearch(
+            s, e, max_evaluations=300, seed=6, use_batch=False
+        ),
+        None,
+        [(5358.778027258118, 4)] * 4,
+        (300, 26, 156, 144),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_WISE_GOLDEN))
+def test_row_wise_engine_matches_scalar_loop(name):
+    make, best, curve, counts = _ROW_WISE_GOLDEN[name]
+    arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
+    workload = GemmLayer("g", m=4, n=3, k=2).workload()
+    cache = EvaluationCache(4096)
+    result = make(
+        make_mapspace(arch, workload, "ruby-s"),
+        Evaluator(arch, workload, cache=cache),
+    ).run()
+    assert (
+        result.num_evaluated, result.num_valid, cache.hits, cache.misses
+    ) == counts
+    assert result.stats["batch"]["candidates"] == 0
+    if name == "pareto":
+        points = [(e.energy_pj, e.cycles) for e in result.frontier]
+        assert points == curve
+        return
+    assert result.best_metric == best
+    assert [(p.evaluations, p.best_metric) for p in result.curve] == curve
 
 
 def test_cache_lookup_counts_preserved_on_batch_path():

@@ -9,8 +9,8 @@ Three layers of guarantees, mirroring the construction:
   of any completion — and the vectorized paths (``child_bounds``,
   ``suffix_bounds``) agree with the scalar ``bound`` elementwise;
 * the search itself returns the exhaustive optimum bit-for-bit, on
-  every mapspace kind, deterministically per seed, with or without the
-  batch engine.
+  every mapspace kind, deterministically per seed, whether the engine
+  prices rows through its kernels or row by row.
 """
 
 from __future__ import annotations
@@ -18,12 +18,17 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.arch import eyeriss_like, toy_glb_architecture
-from repro.exceptions import SearchError
+from repro.arch import (
+    eyeriss_like,
+    toy_glb_architecture,
+    toy_linear_architecture,
+)
+from repro.exceptions import SearchError, SpecError
 from repro.mapspace import MapspaceKind
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.counting import count_mapspace_size
@@ -39,9 +44,25 @@ def _toy():
     return toy_glb_architecture(num_pes=6, glb_bytes=1024)
 
 
+def _row_wise_case(config):
+    """(arch, workload, evaluator options, use_batch) for a config the
+    engine prices row by row: NoC+static energy, a DRAM bandwidth limit,
+    or ``use_batch=False``."""
+    arch = toy_linear_architecture(16)
+    workload = GemmLayer("g", m=16, n=8, k=8).workload()
+    if config == "noc+static":
+        options = {"include_noc": True, "include_static": True}
+        return arch, workload, options, True
+    if config == "bandwidth":
+        dram, *inner = arch.levels
+        limited = replace(dram, bandwidth_words_per_cycle=2.0)
+        return arch.with_levels([limited, *inner]), workload, {}, True
+    return arch, workload, {}, False
+
+
 def _bound_engine(space, evaluator):
     engine = BatchEvaluator(evaluator, layout=space.batch_layout())
-    assert engine.supported, engine.unsupported_reason
+    assert engine.vectorize
     return PartialBoundEngine(engine, space.dim_chain_menus())
 
 
@@ -362,24 +383,50 @@ class TestBranchBoundSearch:
             metrics.add(result.best_metric)
         assert len(metrics) == 1
 
-    def test_scalar_fallback_same_optimum_and_schema(
-        self, toy_arch, vector100
-    ):
-        batched = BranchBoundSearch(
-            make_mapspace(toy_arch, vector100, "pfm"),
-            Evaluator(toy_arch, vector100),
-            seed=0,
+    @pytest.mark.parametrize("config", ["noc+static", "bandwidth", "no-batch"])
+    def test_row_wise_configs_walk_the_tree_exactly(self, config):
+        """Evaluators the kernels do not model, and ``use_batch=False``,
+        still walk the tree: same optimum as exhaustive, subtrees cut."""
+        arch, workload, options, use_batch = _row_wise_case(config)
+        exact = ExhaustiveSearch(
+            make_mapspace(arch, workload, "pfm"),
+            Evaluator(arch, workload, **options),
+            use_batch=use_batch,
         ).run()
-        fallback = BranchBoundSearch(
-            make_mapspace(toy_arch, vector100, "pfm"),
-            Evaluator(toy_arch, vector100),
+        result = BranchBoundSearch(
+            make_mapspace(arch, workload, "pfm"),
+            Evaluator(arch, workload, **options),
             seed=0,
-            use_batch=False,
+            use_batch=use_batch,
         ).run()
-        assert fallback.best_metric == batched.best_metric
-        assert set(fallback.stats["bnb"]) == set(batched.stats["bnb"])
-        assert fallback.stats["bnb"]["subtrees_pruned"] == 0
-        assert fallback.stats["batch"]["candidates"] == 0
+        assert result.best_metric == exact.best_metric
+        assert result.stats["bnb"]["subtrees_pruned"] > 0
+        assert result.num_evaluated < exact.num_evaluated
+
+    def test_degenerate_keeper_chain_raises_spec_error(self):
+        """A tensor the outermost level does not keep fails as the scalar
+        model does, before any bound is built on that layout."""
+        workload = GemmLayer("g", m=8, n=4, k=4).workload()
+        arch = toy_linear_architecture(4)
+        dram, *inner = arch.levels
+        arch = arch.with_levels(
+            [replace(dram, keeps=frozenset({"A", "B"})), *inner]
+        )
+        space = make_mapspace(arch, workload, "pfm")
+        engine = BatchEvaluator(
+            Evaluator(arch, workload), layout=space.batch_layout()
+        )
+        assert not engine.vectorize
+        with pytest.raises(SpecError, match="outermost level"):
+            PartialBoundEngine(engine, space.dim_chain_menus())
+        for warm_samples in (0, 64):
+            with pytest.raises(SpecError, match="outermost level"):
+                BranchBoundSearch(
+                    make_mapspace(arch, workload, "pfm"),
+                    Evaluator(arch, workload),
+                    seed=0,
+                    warm_samples=warm_samples,
+                ).run()
 
     def test_stats_schema(self, toy_arch, vector100):
         result = BranchBoundSearch(

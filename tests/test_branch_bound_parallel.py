@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import eyeriss_like, toy_glb_architecture
+from repro.arch import (
+    eyeriss_like,
+    toy_glb_architecture,
+    toy_linear_architecture,
+)
 from repro.exceptions import SearchError
 from repro.mapspace import MapspaceKind
 from repro.mapspace.factory import make_mapspace
@@ -51,6 +55,44 @@ class TestParallelParity:
         ).run()
         assert serial.best_metric == exhaustive.best_metric
         assert parallel.best_metric == serial.best_metric
+
+    def test_workers_price_with_the_driver_evaluator_config(self):
+        """Workers build the driver's NoC evaluator: a worker pricing
+        without NoC energy would claim metrics below the true optimum
+        (and post them to the shared incumbent)."""
+        arch = toy_linear_architecture(16)
+        workload = GemmLayer("g16x8x8", m=16, n=8, k=8).workload()
+
+        def run(workers):
+            return BranchBoundSearch(
+                make_mapspace(arch, workload, MapspaceKind.PFM),
+                Evaluator(arch, workload, include_noc=True),
+                seed=0,
+                workers=workers,
+            ).run()
+
+        serial, parallel = run(1), run(2)
+        assert parallel.stats["pool"]["num_units"] > 0
+        assert parallel.best_metric == serial.best_metric
+        claims = [
+            unit["metric"]
+            for unit in parallel.stats["pool"]["units"]
+            if unit["metric"] is not None
+        ]
+        assert all(metric >= serial.best_metric for metric in claims)
+
+    def test_workers_keep_the_row_wise_switch(self):
+        """``use_batch=False`` reaches the workers: no kernel rows."""
+        space, evaluator = _toy_fixture()
+        serial = BranchBoundSearch(
+            space, evaluator, seed=0, use_batch=False
+        ).run()
+        parallel = BranchBoundSearch(
+            space, evaluator, seed=0, use_batch=False, workers=2
+        ).run()
+        assert parallel.stats["pool"]["num_units"] > 0
+        assert parallel.best_metric == serial.best_metric
+        assert parallel.stats["batch"]["candidates"] == 0
 
     def test_eyeriss_matches_serial(self):
         space, evaluator = _eyeriss_fixture()

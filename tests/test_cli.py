@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -156,6 +157,32 @@ class TestParser:
         args = build_parser().parse_args(["search", "--gemm", "M=2,N=2,K=2"])
         assert args.kind == "ruby-s"
         assert args.objective == "edp"
+
+    def test_cli_and_service_share_one_preset_table(self, monkeypatch):
+        """A preset added to ``repro.arch.ARCH_PRESETS`` reaches every
+        ``--arch`` option and the service's ``"arch"`` shorthand."""
+        from repro.arch import ARCH_PRESETS, toy_linear_architecture
+        from repro.service import parse_search_spec
+
+        monkeypatch.setitem(
+            ARCH_PRESETS, "toy4", lambda: toy_linear_architecture(4)
+        )
+
+        def arch_choices(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from arch_choices(sub)
+                elif "--arch" in action.option_strings:
+                    yield tuple(action.choices)
+
+        choices = set(arch_choices(build_parser()))
+        assert choices == {tuple(sorted(ARCH_PRESETS))}
+        for name, build in ARCH_PRESETS.items():
+            spec = parse_search_spec(
+                {"arch": name, "workload": {"gemm": {"m": 2, "n": 2, "k": 2}}}
+            )
+            assert spec.arch == build()
 
 
 class TestCampaignCommand:

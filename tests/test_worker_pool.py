@@ -36,7 +36,7 @@ def _square_entry(state, job):
 
 def _incumbent_entry(state, job):
     incumbent = state["incumbent"]
-    incumbent.offer(float(job), (job,))
+    incumbent.offer(float(job))
     return incumbent.read()
 
 
@@ -68,7 +68,7 @@ class TestRunJobs:
 
         def factory(ctx):
             calls.append(ctx)
-            return {"incumbent": LocalIncumbent(1)}
+            return {"incumbent": LocalIncumbent()}
 
         results, mode, shared = run_jobs(
             _incumbent_entry, {}, [5, 3, 9], workers=1,
@@ -78,13 +78,13 @@ class TestRunJobs:
         assert calls == [None]
         # One incumbent instance spans all sequential jobs: monotone min.
         assert results == [5.0, 3.0, 3.0]
-        assert shared["incumbent"].peek() == (3.0, (3,))
+        assert shared["incumbent"].read() == 3.0
 
     def test_shared_incumbent_tightens_across_pool(self):
         results, mode, shared = run_jobs(
             _incumbent_entry, {}, [8, 6, 4, 2], workers=2,
             start_method="fork",
-            shared_factory=SharedIncumbent.factory(1),
+            shared_factory=SharedIncumbent.factory(),
         )
         assert mode == "fork"
         # Every read is <= the job's own offer (some other worker may
@@ -92,7 +92,7 @@ class TestRunJobs:
         assert all(
             value <= job for value, job in zip(results, [8, 6, 4, 2])
         )
-        assert shared["incumbent"].peek() == (2.0, (2,))
+        assert shared["incumbent"].read() == 2.0
 
     def test_ladder_falls_back_to_sequential(self, monkeypatch):
         def explode(*args, **kwargs):
@@ -127,36 +127,33 @@ class TestIncumbents:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: LocalIncumbent(2),
-            lambda: SharedIncumbent(
-                multiprocessing.get_context("fork"), 2
-            ),
+            lambda: LocalIncumbent(),
+            lambda: SharedIncumbent(multiprocessing.get_context("fork")),
         ],
         ids=["local", "shared"],
     )
     def test_protocol(self, make):
         cell = make()
         assert cell.read() == math.inf
-        assert cell.peek() == (math.inf, (-1, -1))
-        assert cell.offer(10.0, (1, 2)) is True
+        assert cell.offer(10.0) is True
         assert cell.read() == 10.0
         # Equal offers lose: strictly-better keeps the cell monotone and
         # the accept return value meaningful for cut bookkeeping.
-        assert cell.offer(10.0, (3, 4)) is False
-        assert cell.offer(11.0, (3, 4)) is False
-        assert cell.peek() == (10.0, (1, 2))
-        assert cell.offer(9.5, (5, 6)) is True
-        assert cell.peek() == (9.5, (5, 6))
+        assert cell.offer(10.0) is False
+        assert cell.offer(11.0) is False
+        assert cell.read() == 10.0
+        assert cell.offer(9.5) is True
+        assert cell.read() == 9.5
 
     def test_factory_is_context_matched(self):
-        build = SharedIncumbent.factory(3, 42.0)
+        build = SharedIncumbent.factory(42.0)
         local = build(None)["incumbent"]
         assert isinstance(local, LocalIncumbent)
         assert local.read() == 42.0
         ctx = multiprocessing.get_context("fork")
         shared = build(ctx)["incumbent"]
         assert isinstance(shared, SharedIncumbent)
-        assert shared.peek() == (42.0, (-1, -1, -1))
+        assert shared.read() == 42.0
 
 
 class TestObsSnapshots:
