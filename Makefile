@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage verify-diff verify-smoke bench bench-fast bench-cache bench-batch bench-bnb bench-bnb-parallel bench-record bench-compare perfbench-test campaign-smoke obs-smoke service-smoke examples experiments clean
+.PHONY: install test coverage verify-diff verify-smoke bench bench-fast bench-cache bench-batch bench-sample bench-bnb bench-bnb-parallel bench-record bench-compare perfbench-test campaign-smoke obs-smoke service-smoke examples experiments clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -51,6 +51,14 @@ bench-cache:
 # Refreshes BENCH_batch_eval.json (the perf trajectory record).
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/test_perf_batch_eval.py --benchmark-only -s
+
+# Smoke benchmark for the random-search sampler: fails if
+# MapSpace.sample_batch drops below 4x the draws per second of the
+# per-candidate sampler it replaced (per_candidate_sample + pack_mappings)
+# on four ResNet-50 layers' Eyeriss PFM/Ruby-S mapspaces, or if the two
+# draw different arrays from equal seeds.
+bench-sample:
+	$(PYTHON) -m pytest benchmarks/test_perf_sample.py --benchmark-only -s
 
 # Smoke benchmark for the branch-and-bound mapper: fails if it drops below
 # 2x batched-exhaustive speed on a ResNet-50 layer's Eyeriss mapspace,

@@ -19,18 +19,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import MapspaceError
 from repro.mapspace.slots import Slot
 from repro.utils.mathx import ceil_div, divisors, mixed_radix_digits
 
-#: Chains the chain memo may hold before it is cleared (~400 B each, ~26 MB).
+#: Chains an allocator's chain memos may hold together before they are
+#: cleared (~260 B each as ``(bounds, remainders)`` tuples, ~17 MB).
 #: Measured on Eyeriss: one 3,000-draw Fig. 10 search (PFM or Ruby-S)
-#: memoizes 287-1,078 chains, and 300,000 draws of unconstrained Ruby on a
-#: 512x64x512 GEMM 34,870 and still growing, so only very long runs over
+#: memoizes 287-1,078 chains, and 302,000 draws of unconstrained Ruby on a
+#: 512x64x512 GEMM 34,919 and still growing, so only very long runs over
 #: imperfect spaces reach it.
 _CHAIN_MEMO_LIMIT = 1 << 16
+
+
+#: A drawn chain as ``(bounds, remainders)``, both outer-to-inner.
+Chain = Tuple[Tuple[int, ...], Tuple[int, ...]]
+#: A compiled per-dim draw plan: ``(size, steps, memo)`` (see
+#: :meth:`DimAllocator.plan`).
+ChainPlan = Tuple[
+    int, Tuple[Tuple[int, bool, bool], ...], Dict[Tuple[int, ...], Chain]
+]
 
 
 @dataclass(frozen=True)
@@ -99,33 +109,59 @@ class DimAllocator:
         self.spatial_imperfect = spatial_imperfect
         self.temporal_imperfect = temporal_imperfect
         self.sampling = sampling
-        # Per-dim inner-to-outer (offset, spatial, allows, imperfect) rows
-        # for every slot below the outermost, and the two draw memos. The
+        # One compiled plan per (dim, size) and the two draw memos. The
         # divisor memo is bounded by the workload's (residue, cap) pairs
         # (at most a few hundred measured, however long the run); the
-        # chain memo grows with the run on imperfect spaces.
-        self._plans: Dict[str, tuple] = {}
+        # chain memos (one per plan) grow with the run on imperfect spaces.
+        self._plans: Dict[Tuple[str, int], ChainPlan] = {}
         self._divisor_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._chain_memo: Dict[tuple, DimChain] = {}
+        self._memo_entries = 0
 
     def _slot_is_imperfect(self, slot: Slot) -> bool:
         return self.spatial_imperfect if slot.spatial else self.temporal_imperfect
 
-    def sample_chain(
-        self,
-        dim: str,
-        size: int,
-        rng: random.Random,
-        spatial_budgets: Dict[int, int],
-    ) -> DimChain:
-        """Sample one bound chain for ``dim``; mutates ``spatial_budgets``.
+    def plan(self, dim: str, size: int) -> ChainPlan:
+        """The compiled draw plan of ``dim`` over ``size`` points (cached).
 
-        ``spatial_budgets`` maps slot list indices to the remaining fanout
-        available at each spatial slot (shared across dimensions). Slots
-        are walked inner to outer; a slot that cannot take a nontrivial
-        bound (residue 1, or ``dim`` disallowed) keeps bound 1 and draws
-        nothing, an exact slot draws a divisor of the residue within its
-        cap, and the outermost slot absorbs the residue.
+        A plan is ``(size, steps, memo)``: ``steps`` holds one ``(offset,
+        spatial, imperfect)`` row per non-outermost slot that allows
+        ``dim``, inner to outer, and ``memo`` maps drawn bounds to their
+        ``(bounds, remainders)`` pair.
+        """
+        plan = self._plans.get((dim, size))
+        if plan is None:
+            steps = tuple(
+                (offset, slot.spatial, self._slot_is_imperfect(slot))
+                for offset, slot in reversed(list(enumerate(self.slots))[1:])
+                if slot.allows(dim)
+            )
+            plan = self._plans[(dim, size)] = (size, steps, {})
+        return plan
+
+    def draw(
+        self,
+        plans: Sequence[ChainPlan],
+        order: Sequence[int],
+        budgets: List[int],
+        randbelow: Callable[[int], int],
+        random: Callable[[], float],
+    ) -> List[Chain]:
+        """Draw one bound chain per plan, walking ``plans[k]`` for k in ``order``.
+
+        Returns ``(bounds, remainders)`` pairs aligned with ``plans``.
+        ``budgets`` holds the remaining fanout of each spatial slot,
+        indexed by slot offset and shared across the dims of one draw; it
+        is updated in place. ``randbelow`` and ``random`` are a
+        ``random.Random``'s bound ``_randbelow`` and ``random``: an exact
+        slot draws ``opts[randbelow(len(opts))]`` and an imperfect one
+        ``1 + randbelow(cap)``, the very calls ``choice`` and ``randint``
+        make, so the stream matches a walk through those wrappers.
+
+        Each dim's slots are walked inner to outer; a slot that cannot
+        take a nontrivial bound (residue 1, or the dim disallowed) keeps
+        bound 1 and draws nothing, an exact slot draws a divisor of the
+        residue within its cap, and the outermost slot absorbs the
+        residue.
 
         An imperfect slot draws from ``[1, cap]``. In ``"structured"`` mode
         (default) the range is sampled with extra density on its
@@ -137,69 +173,81 @@ class DimAllocator:
         unchanged; only sampling density differs. ``"uniform"`` mode keeps
         a flat distribution (the ablation baseline).
         """
-        plan = self._plans.get(dim)
-        if plan is None:
-            plan = self._plans[dim] = tuple(
-                (offset, slot.spatial, slot.allows(dim), self._slot_is_imperfect(slot))
-                for offset, slot in reversed(list(enumerate(self.slots))[1:])
-            )
         structured = self.sampling == "structured"
-        bounds = [1] * len(self.slots)
-        residue = size
-        for offset, spatial, allows, imperfect in plan:
-            if residue == 1 or not allows:
-                continue
-            cap = residue
-            if spatial:
-                cap = min(cap, max(1, spatial_budgets.get(offset, 1)))
-            if not imperfect:
-                bound = rng.choice(self._divisors_within(residue, cap))
-            elif not structured:
-                bound = rng.randint(1, cap)
-            else:
-                roll = rng.random()
-                if roll < 0.4:
-                    bound = rng.randint(1, cap)
-                elif roll < 0.8:
-                    bound = rng.choice(self._divisors_within(residue, cap))
+        divisor_memo = self._divisor_memo
+        num_slots = len(self.slots)
+        chains: List[Chain] = [None] * len(plans)  # type: ignore[list-item]
+        for k in order:
+            size, steps, memo = plans[k]
+            bounds = [1] * num_slots
+            residue = size
+            for offset, spatial, imperfect in steps:
+                if residue == 1:
+                    break
+                cap = residue
+                if spatial:  # cap = min(residue, max(1, budget))
+                    budget = budgets[offset]
+                    if budget < residue:
+                        cap = budget if budget > 1 else 1
+                # imperfect: uniform, or a structured roll of [0, 0.4) ->
+                # any value; exact, or a roll of [0.4, 0.8) -> a divisor;
+                # a roll of [0.8, 1) -> the cap.
+                if imperfect and (not structured or (roll := random()) < 0.4):
+                    bound = 1 + randbelow(cap)
+                elif not imperfect or roll < 0.8:
+                    opts = divisor_memo.get((residue, cap))
+                    if opts is None:
+                        opts = divisor_memo[(residue, cap)] = tuple(
+                            d for d in divisors(residue) if d <= cap
+                        )
+                    bound = opts[randbelow(len(opts))]
                 else:
                     bound = cap
-            if bound > 1:
-                residue = -(-residue // bound)
-                if spatial:
-                    spatial_budgets[offset] = spatial_budgets.get(offset, 1) // bound
-                bounds[offset] = bound
-        bounds[0] = residue
-        return self._chain(dim, size, tuple(bounds))
+                if bound > 1:
+                    residue = -(-residue // bound)
+                    if spatial:
+                        budgets[offset] = budget // bound
+                    bounds[offset] = bound
+            bounds[0] = residue
+            key = tuple(bounds)
+            chain = memo.get(key)
+            if chain is None:
+                chain = self._remember(memo, size, key)
+            chains[k] = chain
+        return chains
 
-    def _divisors_within(self, residue: int, cap: int) -> Tuple[int, ...]:
-        """The divisors of ``residue`` that are at most ``cap`` (memoized)."""
-        key = (residue, cap)
-        options = self._divisor_memo.get(key)
-        if options is None:
-            options = self._divisor_memo[key] = tuple(
-                d for d in divisors(residue) if d <= cap
-            )
-        return options
-
-    def _chain(self, dim: str, size: int, bounds: Tuple[int, ...]) -> DimChain:
-        """The chain of ``bounds`` over ``size`` points (memoized: 95-98%
-        of a Fig. 10 search's draws repeat a chain already drawn)."""
-        key = (dim, size, bounds)
-        chain = self._chain_memo.get(key)
-        if chain is None:
-            if len(self._chain_memo) >= _CHAIN_MEMO_LIMIT:
-                self._chain_memo.clear()
-            chain = self._chain_memo[key] = DimChain(
-                dim=dim, bounds=bounds, remainders=assign_remainders(size, bounds)
-            )
+    def _remember(self, memo: dict, size: int, bounds: Tuple[int, ...]) -> Chain:
+        """Memoize the chain of ``bounds`` over ``size`` points: 95-98% of
+        a Fig. 10 search's draws repeat a chain already drawn."""
+        if self._memo_entries >= _CHAIN_MEMO_LIMIT:
+            for _, _, other in self._plans.values():
+                other.clear()
+            self._memo_entries = 0
+        self._memo_entries += 1
+        chain = memo[bounds] = (bounds, assign_remainders(size, bounds))
         return chain
 
-    @staticmethod
-    def _advance(slot: Slot, residue: int, bound: int) -> int:
-        if residue % bound == 0:
-            return residue // bound
-        return ceil_div(residue, bound)
+    def sample_chain(
+        self,
+        dim: str,
+        size: int,
+        rng: random.Random,
+        spatial_budgets: Dict[int, int],
+    ) -> DimChain:
+        """Sample one bound chain for ``dim``; mutates ``spatial_budgets``.
+
+        The one-dim form of :meth:`draw`. ``spatial_budgets`` maps slot
+        list indices to the remaining fanout available at each spatial
+        slot (shared across dimensions; a missing slot has budget 1).
+        """
+        budgets = [spatial_budgets.get(o, 1) for o in range(len(self.slots))]
+        ((bounds, remainders),) = self.draw(
+            [self.plan(dim, size)], (0,), budgets, rng._randbelow, rng.random
+        )
+        for offset, bound in enumerate(bounds):
+            if bound > 1 and self.slots[offset].spatial:
+                spatial_budgets[offset] = budgets[offset]
+        return DimChain(dim=dim, bounds=bounds, remainders=remainders)
 
     def enumerate_chains(
         self,
@@ -235,13 +283,13 @@ class DimAllocator:
                 if residue == 1:
                     yield list(acc)
                 return
-            slot = self.slots[offset]
             for bound in options(offset, residue):
                 if offset == 0:
                     yield list(acc) + [bound]
                     continue
-                next_residue = self._advance(slot, residue, bound)
-                yield from recurse(offset - 1, next_residue, acc + [bound])
+                yield from recurse(
+                    offset - 1, ceil_div(residue, bound), acc + [bound]
+                )
 
         for inner_to_outer in recurse(len(self.slots) - 1, size, []):
             bounds = tuple(reversed(inner_to_outer))

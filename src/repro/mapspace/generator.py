@@ -12,6 +12,7 @@ import itertools
 import random
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -120,23 +121,38 @@ class MapSpace:
             for offset, slot in enumerate(self.slots)
             if slot.spatial
         }
-        # Per level: (name, temporal slot offsets, spatial slot offsets,
-        # fixed-permutation rank per dim index or None).
+        # Per level: (name, temporal slots, spatial slots, fixed-permutation
+        # rank per flat cell or None); a slot is ``(offset, offset *
+        # num_dims)``, the base of its flat cells.
+        num_dims = len(self._dim_names)
         self._level_plan: List[tuple] = []
         for level_index, level in enumerate(arch.levels):
             offsets = [
-                o for o, slot in enumerate(self.slots)
+                (o, o * num_dims) for o, slot in enumerate(self.slots)
                 if slot.level_index == level_index
             ]
             fixed = self.constraints.permutation(level.name)
             rank = {dim: i for i, dim in enumerate(fixed or ())}
             self._level_plan.append((
                 level.name,
-                tuple(o for o in offsets if not self.slots[o].spatial),
-                tuple(o for o in offsets if self.slots[o].spatial),
-                tuple(rank.get(dim, len(rank)) for dim in self._dim_names)
+                tuple(c for c in offsets if not self.slots[c[0]].spatial),
+                tuple(c for c in offsets if self.slots[c[0]].spatial),
+                [
+                    rank.get(self._dim_names[cell % num_dims], len(rank))
+                    for cell in range(len(self.slots) * num_dims)
+                ]
                 if fixed else None,
             ))
+        # The sampler's per-allocator plans (workload dim order) and the
+        # fresh spatial budgets of one draw, indexed by slot offset.
+        self._dim_plans = {
+            allocator: [
+                allocator.plan(dim, self._sizes[dim]) for dim in self._dim_names
+            ]
+            for allocator in (self.allocator, self._perfect_allocator)
+            if allocator is not None
+        }
+        self._budgets = [slot.fanout_cap for slot in self.slots]
         self._batch_layout = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
         self._menu_tables_cache: Optional[list] = None
@@ -151,46 +167,48 @@ class MapSpace:
         """Draw ``n`` mappings straight into one packed batch.
 
         Consumes exactly the RNG stream of ``n`` calls to :meth:`sample`
-        (which is this with ``n=1``), per draw: the chains
-        (:meth:`sample_chains`), each level's temporal-loop shuffle, then
-        the bypass rolls. Each draw lands as one row of a
+        (which is this with ``n=1``), per draw: the chains (as
+        :meth:`sample_chains` draws them), each level's temporal-loop
+        shuffle, then the bypass rolls. Each draw lands as one row of a
         :class:`~repro.model.batch.MappingBatch` holding its bounds,
         remainders and real nest positions — no ``Mapping`` is built, and
         :meth:`MappingBatch.mapping_at` rebuilds one on demand. A draw
         with a bypass set is flagged ``fallback`` with an identity row and
         keeps its ``Mapping``, exactly as
         :func:`~repro.model.batch.pack_mappings` packs it.
+
+        Per draw this is one :meth:`DimAllocator.draw` call and one
+        :meth:`_level_cells` call; the nest positions of the whole batch
+        are then set by one NumPy scatter.
         """
         from repro.model.batch import MappingBatch
 
         rng = make_rng(rng)
+        randbelow, random_ = rng._randbelow, rng.random
         _obs.inc("mapspace.samples", n)
         num_slots, num_dims = len(self.slots), len(self._dim_names)
-        # One per-slot tuple per (draw, dim), and one flat slot-major
-        # position list per draw, turned into arrays once at the end.
+        # One per-slot tuple per (draw, dim), and the concatenated nest
+        # cells with one length per draw, turned into arrays at the end.
         bounds: List[Tuple[int, ...]] = []
         rems: List[Tuple[int, ...]] = []
-        pos: List[int] = []
+        cells: List[int] = []
+        lengths: List[int] = []
         bypass: Dict[int, list] = {}
         roll_bypass = self.explore_bypass and self._bypass_candidates
         for i in range(n):
-            chains = self.sample_chains(rng)
-            ordered = [chains[dim] for dim in self._dim_names]
-            row_bounds = [chain.bounds for chain in ordered]
-            row_pos = [-1] * (num_slots * num_dims)
-            position = 0
-            for _, temporal, spatial in self._level_cells(row_bounds, rng):
-                for offset, d in temporal + spatial:
-                    row_pos[offset * num_dims + d] = position
-                    position += 1
+            allocator, plans, order, budgets = self._draw_setup(randbelow, random_)
+            chains = allocator.draw(plans, order, budgets, randbelow, random_)
+            row_bounds, row_rems = zip(*chains)
+            row_cells = self._level_cells(row_bounds, randbelow)
             bounds += row_bounds
-            rems += [chain.remainders for chain in ordered]
-            pos += row_pos
+            rems += row_rems
+            cells += row_cells
+            lengths.append(len(row_cells))
             if roll_bypass:
                 pairs = [
                     pair
                     for pair in self._bypass_candidates
-                    if rng.random() < self.BYPASS_PROBABILITY
+                    if random_() < self.BYPASS_PROBABILITY
                 ]
                 if pairs:
                     bypass[i] = pairs
@@ -205,11 +223,19 @@ class MapSpace:
                 flat.reshape(n, num_dims, num_slots).transpose(0, 2, 1)
             )
 
+        # A draw's k-th cell sits at nest position k.
+        counts = np.array(lengths, dtype=np.int64)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        pos = np.full(n * num_slots * num_dims, -1, dtype=np.int64)
+        pos[
+            np.repeat(np.arange(n) * (num_slots * num_dims), counts)
+            + np.array(cells, dtype=np.int64)
+        ] = np.arange(len(cells)) - starts
         batch = MappingBatch(
             layout=self.batch_layout(),
             bounds=slot_major(bounds),
             rems=slot_major(rems),
-            pos=np.array(pos, dtype=np.int64).reshape(n, num_slots, num_dims),
+            pos=pos.reshape(n, num_slots, num_dims),
             fallback=np.zeros(n, dtype=bool),
         )
         if bypass:
@@ -226,24 +252,40 @@ class MapSpace:
 
     PERFECT_SEED_PROBABILITY = 0.15
 
-    def sample_chains(
-        self, rng: Optional[random.Random] = None
-    ) -> Dict[str, DimChain]:
-        """Sample per-dimension bound chains under the joint fanout budget."""
-        rng = make_rng(rng)
+    def _draw_setup(
+        self, randbelow: Callable[[int], int], random_: Callable[[], float]
+    ) -> Tuple[DimAllocator, list, List[int], List[int]]:
+        """One draw's allocator, its plans, dim order and fresh budgets.
+
+        Draws the perfect-allocator roll, then shuffles the dim indices
+        with ``random.shuffle``'s own swap loop.
+        """
         allocator = self.allocator
         if (
             self._perfect_allocator is not None
-            and rng.random() < self.PERFECT_SEED_PROBABILITY
+            and random_() < self.PERFECT_SEED_PROBABILITY
         ):
             allocator = self._perfect_allocator
-        budgets = dict(self._spatial_caps)
-        dims = list(self._dim_names)
-        rng.shuffle(dims)
-        sizes = self._sizes
+        order = list(range(len(self._dim_names)))
+        for k in range(len(order) - 1, 0, -1):
+            j = randbelow(k + 1)
+            order[k], order[j] = order[j], order[k]
+        return allocator, self._dim_plans[allocator], order, list(self._budgets)
+
+    def sample_chains(
+        self, rng: Optional[random.Random] = None
+    ) -> Dict[str, DimChain]:
+        """Sample per-dimension bound chains under the joint fanout budget.
+
+        The dict iterates in the draw's (shuffled) dim order.
+        """
+        rng = make_rng(rng)
+        randbelow, random_ = rng._randbelow, rng.random
+        allocator, plans, order, budgets = self._draw_setup(randbelow, random_)
+        chains = allocator.draw(plans, order, budgets, randbelow, random_)
+        names = self._dim_names
         return {
-            dim: allocator.sample_chain(dim, sizes[dim], rng, budgets)
-            for dim in dims
+            names[k]: DimChain(names[k], *chains[k]) for k in order
         }
 
     def resample_dim(
@@ -367,52 +409,74 @@ class MapSpace:
     ) -> Mapping:
         """Build a Mapping from per-dim chains, ordering loops per level."""
         ordered = [chains[dim] for dim in self._dim_names]
-        bounds = [chain.bounds for chain in ordered]
-
-        def loop(cell: Tuple[int, int]) -> Loop:
-            offset, d = cell
+        num_dims = len(ordered)
+        temporal: List[List[Loop]] = [[] for _ in self._level_plan]
+        spatial: List[List[Loop]] = [[] for _ in self._level_plan]
+        cells = self._level_cells(
+            [chain.bounds for chain in ordered],
+            rng._randbelow if rng is not None else None,
+        )
+        for cell in cells:
+            offset, d = divmod(cell, num_dims)
             slot = self.slots[offset]
-            return Loop(
-                self._dim_names[d],
-                bounds[d][offset],
-                ordered[d].remainders[offset],
-                spatial=slot.spatial,
-                axis=slot.axis,
+            (spatial if slot.spatial else temporal)[slot.level_index].append(
+                Loop(
+                    self._dim_names[d],
+                    ordered[d].bounds[offset],
+                    ordered[d].remainders[offset],
+                    spatial=slot.spatial,
+                    axis=slot.axis,
+                )
             )
-
         return Mapping(
             levels=tuple(
                 LevelNest(
-                    level_name=name,
-                    temporal=tuple(map(loop, temporal)),
-                    spatial=tuple(map(loop, spatial)),
+                    level_name=plan[0],
+                    temporal=tuple(temporal[index]),
+                    spatial=tuple(spatial[index]),
                 )
-                for name, temporal, spatial in self._level_cells(bounds, rng)
+                for index, plan in enumerate(self._level_plan)
             )
         )
 
     def _level_cells(
-        self, bounds: Sequence[Sequence[int]], rng: Optional[random.Random]
-    ) -> Iterator[Tuple[str, List[Tuple[int, int]], List[Tuple[int, int]]]]:
-        """Each level's loops as ``(slot offset, dim index)`` cells, in nest order.
+        self,
+        bounds: Sequence[Sequence[int]],
+        randbelow: Optional[Callable[[int], int]],
+    ) -> List[int]:
+        """Every loop of the nest as a flat cell, in nest order.
 
-        ``bounds[d][offset]`` is dimension ``d``'s bound at a slot; a cell
-        holds a loop when it exceeds 1. Yields ``(level name, temporal,
-        spatial)``. The temporal cells are shuffled with ``rng`` (when
-        given), then stably sorted by the level's fixed permutation — the
-        one loop-order rule behind both :meth:`assemble` and the rows of
-        :meth:`sample_batch`. Spatial cells keep slot, then dim, order.
+        ``bounds[d][offset]`` is dimension ``d``'s bound at a slot; the
+        cell ``offset * num_dims + d`` holds a loop when it exceeds 1.
+        Levels come outer to inner, each as its temporal cells then its
+        spatial cells. The temporal cells are shuffled with ``randbelow``
+        (a ``random.Random``'s ``_randbelow``, in ``random.shuffle``'s own
+        swap loop) when it is given, then stably sorted by the level's
+        fixed permutation — the one loop-order rule behind both
+        :meth:`assemble` and the rows of :meth:`sample_batch`. Spatial
+        cells keep slot, then dim, order.
         """
         dims = range(len(bounds))
-        for name, temporal, spatial, rank in self._level_plan:
-            loops = [(o, d) for o in temporal for d in dims if bounds[d][o] > 1]
-            if rng is not None:
-                rng.shuffle(loops)
-            if rank is not None:
-                loops.sort(key=lambda cell: rank[cell[1]])
-            yield name, loops, [
-                (o, d) for o in spatial for d in dims if bounds[d][o] > 1
+        cells: List[int] = []
+        for _, temporal, spatial, rank in self._level_plan:
+            loops = [
+                base + d for o, base in temporal for d in dims if bounds[d][o] > 1
             ]
+            if randbelow is not None:
+                for k in range(len(loops) - 1, 0, -1):
+                    j = randbelow(k + 1)
+                    loops[k], loops[j] = loops[j], loops[k]
+            if rank is not None:
+                loops.sort(key=rank.__getitem__)
+            cells += loops
+            if spatial:
+                cells += [
+                    base + d
+                    for o, base in spatial
+                    for d in dims
+                    if bounds[d][o] > 1
+                ]
+        return cells
 
     def enumerate_mappings(
         self, limit: Optional[int] = None

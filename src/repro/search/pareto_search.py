@@ -123,8 +123,11 @@ class ParetoSearch:
                 chunk = min(
                     self.batch_size, self.max_evaluations - ledger.evaluations
                 )
-                batch = self.mapspace.sample_batch(self.rng, chunk)
-                outcome = ledger.price_batch(batch)
+                with obs.trace("search.batch", size=chunk):
+                    with obs.trace("search.sample"):
+                        batch = self.mapspace.sample_batch(self.rng, chunk)
+                    with obs.trace("search.price"):
+                        outcome = ledger.price_batch(batch)
                 ledger.count_outcome(outcome)
                 for i in np.flatnonzero(outcome.valid):
                     i = int(i)

@@ -105,8 +105,10 @@ class RandomSearch:
                 if self.patience is not None:
                     chunk = min(chunk, self.patience - consecutive_non_improving)
                 with obs.trace("search.batch", size=chunk):
-                    batch = self.mapspace.sample_batch(self.rng, chunk)
-                    outcome = ledger.price_batch(batch, prune=True)
+                    with obs.trace("search.sample"):
+                        batch = self.mapspace.sample_batch(self.rng, chunk)
+                    with obs.trace("search.price"):
+                        outcome = ledger.price_batch(batch, prune=True)
                 improved = ledger.record_batch(batch, outcome)
                 # The valid rows after the chunk's last improvement (all of
                 # them, if none improved) extend the non-improving run.

@@ -28,7 +28,9 @@ answers are known a priori:
 * **Sample parity** — :meth:`MapSpace.sample_batch` draws the same rows,
   fallback flags and mappings, and leaves the RNG in the same state, as
   the per-candidate sampler it replaced (:func:`per_candidate_sample`:
-  slot-by-slot chains, ``Mapping`` assembly, :func:`pack_mappings`);
+  slot-by-slot chains, ``Mapping`` assembly, :func:`pack_mappings`), and
+  ``sample_chains`` / ``resample_dim`` draw the oracle's chains — also
+  under a ``random.Random`` subclass that overrides ``random()``;
 * **Seed determinism** — each of the six searchers run twice from one
   seed produces the same trajectory, and ``parallel_random_search`` finds
   the same best metric under fork and spawn start methods.
@@ -468,8 +470,20 @@ def per_candidate_sample(space: MapSpace, rng: random.Random) -> Mapping:
     return mapping
 
 
+class _FloatOnlyRandom(random.Random):
+    """A ``random.Random`` that overrides ``random()``.
+
+    CPython then draws its integers through
+    ``_randbelow_without_getrandbits``, a different rejection loop than
+    the default ``getrandbits`` one; the sampler must follow it too.
+    """
+
+    def random(self) -> float:
+        return super().random()
+
+
 def _sample_parity_fixtures(seed: int):
-    """(label, mapspace) pairs covering every sampling branch."""
+    """(label, mapspace, RNG class) triples covering every sampling branch."""
     from repro.arch.eyeriss import eyeriss_like
     from repro.mapspace.constraints import eyeriss_row_stationary
     from repro.zoo.resnet50 import resnet50_representative
@@ -498,13 +512,71 @@ def _sample_parity_fixtures(seed: int):
     ))
     layers = resnet50_representative()
     layer, _ = layers[seed % len(layers)]
+    fixtures += [
+        (
+            f"eyeriss:{layer.name}:{kind.value}",
+            MapSpace(eyeriss_like(), layer, kind, eyeriss_row_stationary()),
+        )
+        for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S)
+    ]
+    fixtures = [(label, space, random.Random) for label, space in fixtures]
     fixtures.append((
-        f"eyeriss:{layer.name}:ruby-s",
-        MapSpace(
-            eyeriss_like(), layer, MapspaceKind.RUBY_S, eyeriss_row_stationary()
-        ),
+        "ruby+bypass+float-only-rng",
+        MapSpace(arch, workload, MapspaceKind.RUBY, explore_bypass=True),
+        _FloatOnlyRandom,
     ))
     return fixtures
+
+
+def _chain_parity(space: MapSpace, rng, oracle_rng, draws: int) -> List[str]:
+    """``sample_chains`` + ``resample_dim`` against :func:`_per_candidate_chain`.
+
+    Each round draws whole chains, then re-draws one dimension; the dicts
+    (in iteration order) must match, and so must the RNG states.
+    """
+    names = list(space.workload.dim_names)
+    for _ in range(draws):
+        chains = space.sample_chains(rng)
+        allocator = space.allocator
+        if (
+            space._perfect_allocator is not None
+            and oracle_rng.random() < space.PERFECT_SEED_PROBABILITY
+        ):
+            allocator = space._perfect_allocator
+        budgets = {
+            offset: slot.fanout_cap
+            for offset, slot in enumerate(space.slots)
+            if slot.spatial
+        }
+        dims = list(names)
+        oracle_rng.shuffle(dims)
+        want = {
+            dim: _per_candidate_chain(
+                allocator, dim, space.workload.size(dim), oracle_rng, budgets
+            )
+            for dim in dims
+        }
+        if list(chains.items()) != list(want.items()):
+            return ["sample_chains drew different chains than the oracle"]
+        dim = names[rng.randrange(len(names))]
+        if names[oracle_rng.randrange(len(names))] != dim:
+            return ["the RNG streams diverged before resample_dim"]
+        got = space.resample_dim(chains, dim, rng)
+        want[dim] = _per_candidate_chain(
+            space.allocator,
+            dim,
+            space.workload.size(dim),
+            oracle_rng,
+            space.remaining_budgets(want, exclude=dim),
+        )
+        if list(got.items()) != list(want.items()):
+            return [f"resample_dim re-drew {dim} differently than the oracle"]
+    if rng.getstate() != oracle_rng.getstate():
+        return [
+            "sample_chains/resample_dim left the RNG in a different state "
+            "than the oracle"
+        ]
+    return []
 
 
 def check_sample_parity(
@@ -515,15 +587,17 @@ def check_sample_parity(
     For each fixture, one ``sample_batch`` call and ``samples`` calls of
     :func:`per_candidate_sample` packed by :func:`pack_mappings` start
     from equal RNGs; the packed arrays, ``fallback``, every
-    ``mapping_at(i)`` and the final RNG state must all match.
+    ``mapping_at(i)`` and the final RNG state must all match. Then
+    ``sample_chains`` and ``resample_dim`` are held to
+    :func:`_per_candidate_chain` the same way (:func:`_chain_parity`).
     """
     from repro.model.batch import pack_mappings
 
     checked = 0
     violations: List[str] = []
-    for label, space in _sample_parity_fixtures(seed):
+    for label, space, make_rng in _sample_parity_fixtures(seed):
         checked += 1
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
         batch = space.sample_batch(rng, samples)
         mappings = [
             per_candidate_sample(space, oracle_rng) for _ in range(samples)
@@ -549,6 +623,12 @@ def check_sample_parity(
                 f"sample-parity: {label} left the RNG in a different state "
                 "than the per-candidate sampler"
             )
+        violations += [
+            f"sample-parity: {label} {problem}"
+            for problem in _chain_parity(
+                space, make_rng(seed + 1), make_rng(seed + 1), samples // 4
+            )
+        ]
     return checked, violations
 
 

@@ -39,6 +39,18 @@ class TestSearchSpans:
             )
         names = _span_names(tracer)
         assert "search.run" in names
+        # Each chunk's time splits into sampling and pricing, both nested
+        # directly under its search.batch span.
+        by_id = {record["span_id"]: record for record in tracer.records}
+        batches = [r for r in tracer.records if r["name"] == "search.batch"]
+        assert batches
+        assert all(by_id[r["parent_id"]]["name"] == "search.run" for r in batches)
+        for child in ("search.sample", "search.price"):
+            spans = [r for r in tracer.records if r["name"] == child]
+            assert len(spans) == len(batches)
+            assert all(
+                by_id[r["parent_id"]]["name"] == "search.batch" for r in spans
+            )
         assert registry.counter("search.runs").value(driver="random") == 1.0
         assert (
             registry.counter("search.candidates").value(driver="random")

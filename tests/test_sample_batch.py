@@ -19,7 +19,12 @@ from repro.model import Evaluator, pack_mappings
 from repro.model.batch import BatchEvaluator
 from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
-from repro.search import ParetoSearch, RandomSearch
+from repro.search import (
+    GeneticSearch,
+    ParetoSearch,
+    RandomSearch,
+    SimulatedAnnealing,
+)
 from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.pareto_search import _dominates, _dominates_xy
 from repro.service.coalesce import SharedBatchEngine, ThreadSafeEvaluationCache
@@ -54,10 +59,15 @@ def test_sample_parity_invariant_is_clean(seed):
     assert violations == []
 
 
-@pytest.mark.parametrize("label", [label for label, _ in _sample_parity_fixtures(0)])
+@pytest.mark.parametrize(
+    "label", [label for label, _, _ in _sample_parity_fixtures(0)]
+)
 def test_chunked_draws_continue_one_stream(label):
-    space = dict(_sample_parity_fixtures(0))[label]
-    rng, oracle_rng = random.Random(5), random.Random(5)
+    space, make_rng = {
+        label: (space, make_rng)
+        for label, space, make_rng in _sample_parity_fixtures(0)
+    }[label]
+    rng, oracle_rng = make_rng(5), make_rng(5)
     drawn = []
     for n in (1, 7, 24):
         batch = space.sample_batch(rng, n)
@@ -101,6 +111,17 @@ def test_bypass_rows_are_fallback_identity_rows():
     assert (batch.bounds[rows] == 1).all() and (batch.rems[rows] == 1).all()
     assert (batch.pos[rows] == -1).all()
     assert all(batch.mapping_at(int(i)).bypass for i in rows)
+
+
+def test_zero_draws_make_an_empty_batch_and_leave_the_rng_alone():
+    space = _toy_space(explore_bypass=True)
+    rng = random.Random(4)
+    state = rng.getstate()
+    batch = space.sample_batch(rng, 0)
+    shape = (0, len(space.slots), len(space.workload.dim_names))
+    assert batch.bounds.shape == batch.rems.shape == batch.pos.shape == shape
+    assert batch.fallback.shape == (0,)
+    assert rng.getstate() == state
 
 
 def test_samples_counter_counts_one_per_draw():
@@ -296,3 +317,85 @@ def test_cache_attached_engine_looks_up_once_per_candidate():
     _assert_same_run(got, want)
     assert len(got_keys) == got.num_evaluated
     assert got_keys == want_keys
+
+
+# -- goldens ----------------------------------------------------------------
+
+#: Random, genetic and annealing runs on one toy Ruby space with bypass
+#: exploration, as ``(best metric, best energy, best cycles, evaluated,
+#: curve)`` with floats in ``float.hex`` form, plus the Pareto frontier as
+#: ``(energy, cycles)`` pairs. Recorded before the sampler's hot path was
+#: rewritten; the rewrite keeps the RNG stream, so every search must still
+#: reproduce them bit for bit. A change to the cost model (not to sampling)
+#: is the one legitimate reason to re-record them.
+_GOLDENS = {
+    "random": (
+        "0x1.2e7abe8aa3207p+18", "0x1.e3f797443833ep+13", 20, 1500,
+        (
+            (2, "0x1.cc8b0cb3f77e0p+20"), (20, "0x1.59684986f99e8p+20"),
+            (37, "0x1.d015011af637dp+18"), (229, "0x1.343accccccccdp+18"),
+            (938, "0x1.3409ff3e5b8c7p+18"), (1203, "0x1.2e7abe8aa3207p+18"),
+        ),
+    ),
+    "genetic": (
+        "0x1.73a43ca0166f9p+18", "0x1.ef85a62ac894cp+13", 24, 112,
+        ((7, "0x1.a75751833e6b0p+19"), (34, "0x1.73a43ca0166f9p+18")),
+    ),
+    "annealing": (
+        "0x1.d015011af637dp+18", "0x1.ef05568328c41p+13", 30, 356,
+        (
+            (5, "0x1.02885eff0f798p+20"), (6, "0x1.d0710a7ef0de6p+18"),
+            (65, "0x1.d015011af637dp+18"),
+        ),
+    ),
+}
+_PARETO_GOLDEN = (
+    (
+        ("0x1.e68e1a10bd458p+13", 48), ("0x1.e6c8a96ce63b5p+13", 32),
+        ("0x1.e8bad385f0192p+13", 24), ("0x1.ed2ae147ae148p+13", 20),
+    ),
+    800,
+)
+
+
+def _golden_setup():
+    arch = toy_glb_architecture(num_pes=6, glb_bytes=4096)
+    workload = GemmLayer("g", m=6, n=5, k=4).workload()
+    space = MapSpace(arch, workload, MapspaceKind.RUBY, explore_bypass=True)
+    return space, Evaluator(arch, workload)
+
+
+@pytest.mark.parametrize("searcher", sorted(_GOLDENS))
+def test_searches_reproduce_their_goldens(searcher):
+    space, evaluator = _golden_setup()
+    search = {
+        "random": lambda: RandomSearch(
+            space, evaluator, max_evaluations=1500, patience=400,
+            batch_size=128, seed=3,
+        ),
+        "genetic": lambda: GeneticSearch(
+            space, evaluator, population_size=16, generations=6, seed=3
+        ),
+        "annealing": lambda: SimulatedAnnealing(
+            space, evaluator, steps=300, restarts=2, seed=3
+        ),
+    }[searcher]
+    result = search().run()
+    assert (
+        result.best_metric.hex(),
+        result.best.energy_pj.hex(),
+        result.best.cycles,
+        result.num_evaluated,
+        tuple((p.evaluations, p.best_metric.hex()) for p in result.curve),
+    ) == _GOLDENS[searcher]
+
+
+def test_pareto_search_reproduces_its_golden():
+    space, evaluator = _golden_setup()
+    result = ParetoSearch(
+        space, evaluator, max_evaluations=800, batch_size=128, seed=3
+    ).run()
+    assert (
+        tuple((e.energy_pj.hex(), e.cycles) for e in result.frontier),
+        result.num_evaluated,
+    ) == _PARETO_GOLDEN
