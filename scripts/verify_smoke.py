@@ -6,14 +6,15 @@ that cannot fire, so this smoke checks both directions:
 
 1. a small quick-profile sweep (clean code) finds zero divergences while
    actually exercising every path, including reference-sim cross-checks;
-2. with an off-by-one intentionally injected into the evaluator's
-   access-count pipeline (a monkeypatched wrapper — the real
-   ``repro.model.access_counts`` is untouched), the same sweep catches
-   the corruption, shrinks it to a smaller mapping, and dumps a
-   counterexample JSON;
-3. replaying the dump while the corruption is live still diverges, and
-   ``repro verify --replay`` agrees; replaying after the patch is removed
-   reports clean — the dump is a genuinely executable artifact;
+2. with an off-by-one intentionally injected (a monkeypatched wrapper —
+   the real code is untouched), the same sweep catches the corruption,
+   shrinks it to a smaller mapping, and dumps a counterexample JSON.
+   Two faults run in turn: one in the scalar evaluator's access-count
+   pipeline, one in the batch kernel's traffic stage;
+3. replaying each dump while its corruption is live still diverges;
+   replaying it after the patch is removed reports clean, through the
+   API and through ``repro verify --replay`` — the dump is a genuinely
+   executable artifact;
 4. the CLI exits with the VerificationError code (9) while corrupted and
    0 when clean.
 
@@ -22,6 +23,7 @@ Runs in well under a minute; exits nonzero on any failure.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +37,7 @@ sys.path.insert(0, str(SRC))
 import repro.model.evaluator as evaluator_module  # noqa: E402
 from repro.exceptions import VerificationError  # noqa: E402
 from repro.model.access_counts import AccessCounts  # noqa: E402
+from repro.model.batch import BatchEvaluator  # noqa: E402
 from repro.verify.differential import (  # noqa: E402
     DifferentialConfig,
     replay_counterexample,
@@ -67,14 +70,14 @@ def smoke_config(dump_dir: str | None = None) -> DifferentialConfig:
     )
 
 
-def inject_off_by_one():
+def inject_scalar_off_by_one():
     """Monkeypatch the evaluator's access-count hook with a +1 corruption.
 
     Patches the name as imported into ``repro.model.evaluator`` — a
     scratch wrapper, not the real implementation — so the scalar/cached
     paths (which route through the evaluator) corrupt while the batch
     kernels and the differential runner's direct analytical call stay
-    clean. Returns the original for restoration.
+    clean. Returns a callable that removes the fault.
     """
     real = evaluator_module.compute_access_counts
 
@@ -87,7 +90,42 @@ def inject_off_by_one():
         return AccessCounts(reads=reads, writes=dict(counts.writes))
 
     evaluator_module.compute_access_counts = corrupted
-    return real
+
+    def restore():
+        evaluator_module.compute_access_counts = real
+
+    return restore
+
+
+def inject_batch_off_by_one():
+    """Monkeypatch the batch traffic stage with a +1 on level 0's reads.
+
+    Wraps ``BatchEvaluator._traffic``, so only the batch-single and
+    batch-packed paths see the corruption; the scalar evaluator, the
+    cache and the reference simulator stay clean. Returns a callable
+    that removes the fault.
+    """
+    real = BatchEvaluator._traffic
+
+    def corrupted(self, bounds, rems, pos, live):
+        reads, writes = real(self, bounds, rems, pos, live)
+        reads[0] += 1  # the off-by-one
+        return reads, writes
+
+    BatchEvaluator._traffic = corrupted
+
+    def restore():
+        BatchEvaluator._traffic = real
+
+    return restore
+
+
+#: (label, injector, paths a caught divergence must name) per fault.
+FAULTS = (
+    ("scalar access counts", inject_scalar_off_by_one, None),
+    ("batch traffic stage", inject_batch_off_by_one,
+     {"batch-single", "batch-packed"}),
+)
 
 
 def loop_count(mapping) -> int:
@@ -106,6 +144,72 @@ def cli_verify(*extra: str) -> subprocess.CompletedProcess:
         env=env,
         cwd=REPO,
     )
+
+
+def check_fault(label, inject, paths) -> None:
+    """Steps 2 and 3 of the module docstring for one injected fault."""
+    with tempfile.TemporaryDirectory() as tmp:
+        restore = inject()
+        try:
+            corrupted = run_differential(smoke_config(dump_dir=tmp))
+            check(
+                not corrupted.ok,
+                f"injected off-by-one in the {label} was NOT caught",
+            )
+            check(
+                corrupted.counterexample_paths,
+                f"{label}: divergence found but no counterexample dumped",
+            )
+            dump = corrupted.counterexample_paths[0]
+            shrunk = corrupted.divergent[0].case
+            # The shrinker must have made progress: the dump records the
+            # original mapping only when it differs from the shrunk one.
+            payload = json.loads(Path(dump).read_text())
+            check(
+                "original_mapping" in payload,
+                f"{label}: counterexample was not shrunk below the original "
+                "mapping",
+            )
+            check(
+                payload["divergences"],
+                f"{label}: counterexample dump carries no divergences",
+            )
+            if paths is not None:
+                seen = {d["path"] for d in payload["divergences"]}
+                check(
+                    seen <= paths,
+                    f"{label}: divergence on unexpected paths {sorted(seen)}",
+                )
+            print(
+                f"{label} fault caught: {len(corrupted.divergent)} case "
+                f"shrunk to {loop_count(shrunk.mapping)} nontrivial loops, "
+                f"dumped to {Path(dump).name}"
+            )
+
+            # 3a. Replay while corrupted: still diverges.
+            replay = replay_counterexample(dump)
+            check(
+                not replay.ok,
+                f"{label}: replayed counterexample does not diverge under "
+                "the fault",
+            )
+        finally:
+            restore()
+
+        # 3b. Replay after restoration: clean (API and CLI agree).
+        replay = replay_counterexample(dump)
+        check(
+            replay.ok,
+            f"{label}: replayed counterexample still diverges after the "
+            f"fault was removed: {[d.describe() for d in replay.divergences]}",
+        )
+        result = cli_verify("--replay", dump)
+        check(
+            result.returncode == 0,
+            f"{label}: CLI replay of a clean counterexample exited "
+            f"{result.returncode}: {result.stderr}",
+        )
+        print(f"{label} replay: diverges under fault, clean after restoration")
 
 
 def main() -> None:
@@ -130,63 +234,10 @@ def main() -> None:
         f"{clean.ref_sim_checks} ref-sim checks, no divergence"
     )
 
-    # 2. Injected off-by-one must be caught, shrunk, and dumped.
-    with tempfile.TemporaryDirectory() as tmp:
-        real = inject_off_by_one()
-        try:
-            corrupted = run_differential(smoke_config(dump_dir=tmp))
-            check(
-                not corrupted.ok,
-                "injected off-by-one in access counts was NOT caught",
-            )
-            check(
-                corrupted.counterexample_paths,
-                "divergence found but no counterexample dumped",
-            )
-            dump = corrupted.counterexample_paths[0]
-            shrunk = corrupted.divergent[0].case
-            # The shrinker must have made progress: the dump records the
-            # original mapping only when it differs from the shrunk one.
-            import json
-
-            payload = json.loads(Path(dump).read_text())
-            check(
-                "original_mapping" in payload,
-                "counterexample was not shrunk below the original mapping",
-            )
-            check(
-                payload["divergences"],
-                "counterexample dump carries no divergences",
-            )
-            print(
-                f"injected fault caught: {len(corrupted.divergent)} case "
-                f"shrunk to {loop_count(shrunk.mapping)} nontrivial loops, "
-                f"dumped to {Path(dump).name}"
-            )
-
-            # 3a. Replay while corrupted: still diverges (API and CLI).
-            replay = replay_counterexample(dump)
-            check(
-                not replay.ok,
-                "replayed counterexample does not diverge under the fault",
-            )
-        finally:
-            evaluator_module.compute_access_counts = real
-
-        # 3b. Replay after restoration: clean (API and CLI agree).
-        replay = replay_counterexample(dump)
-        check(
-            replay.ok,
-            "replayed counterexample still diverges after the fault "
-            f"was removed: {[d.describe() for d in replay.divergences]}",
-        )
-        result = cli_verify("--replay", dump)
-        check(
-            result.returncode == 0,
-            f"CLI replay of a clean counterexample exited "
-            f"{result.returncode}: {result.stderr}",
-        )
-        print("replay: diverges under fault, clean after restoration")
+    # 2-3. Each injected off-by-one must be caught, shrunk, dumped and
+    # replayed.
+    for label, inject, paths in FAULTS:
+        check_fault(label, inject, paths)
 
     # 4. CLI exit codes: clean run exits 0 (tiny case budget for speed).
     result = cli_verify("--quick", "--seed", "0", "--cases", "40",

@@ -70,6 +70,7 @@ from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.evaluator import Evaluator
 from repro.problem.conv import ConvLayer
 from repro.problem.gemm import GemmLayer
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 
 def _parse_shape(text: str) -> Dict[str, int]:
     """Parse ``C=512,M=128,P=28`` into a dict."""
@@ -852,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         "then spawn, then run sequentially)",
     )
     search.add_argument(
-        "--batch-size", type=int, default=512,
+        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
         help="candidates per vectorized evaluation batch",
     )
     search.add_argument(

@@ -21,6 +21,7 @@ from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
 from repro.problem.workload import Workload
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.pareto import ParetoPoint, pareto_frontier
 from repro.utils.rng import make_rng
 
@@ -116,7 +117,7 @@ def evaluate_network(
     seed: Optional[Union[int, random.Random]] = None,
     restarts: int = 1,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     strategy: str = "random",
 ) -> Tuple[float, int, List[Tuple[str, float]]]:
     """Search every layer; return (total energy, total cycles, per-layer EDP).
@@ -225,7 +226,7 @@ def sweep_pe_arrays(
     seed: Optional[int] = None,
     restarts: int = 1,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SweepResult:
     """Run the Fig. 13/14 sweep: every shape x every mapspace kind."""
     rng = make_rng(seed)
@@ -284,7 +285,7 @@ def sweep_glb_sizes(
     seed: Optional[int] = None,
     restarts: int = 1,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SweepResult:
     """Co-design along the buffer axis: sweep the global-buffer capacity.
 

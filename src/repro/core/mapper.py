@@ -31,6 +31,7 @@ from repro.search.genetic import GeneticSearch
 from repro.search.loop import check_batch_size
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 
 
 #: Strategies that can fan out over ``MapperConfig.workers`` processes.
@@ -78,7 +79,7 @@ class MapperConfig:
     seed: Optional[int] = None
     constraints: Optional[ConstraintSet] = None
     use_batch: bool = True
-    batch_size: int = 512
+    batch_size: int = DEFAULT_BATCH_SIZE
     workers: int = 1
     start_method: Optional[str] = None
 
@@ -241,7 +242,7 @@ def find_best_mapping(
     constraints: Optional[ConstraintSet] = None,
     strategy: str = "random",
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
     start_method: Optional[str] = None,
 ) -> SearchResult:

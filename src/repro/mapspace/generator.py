@@ -32,6 +32,7 @@ from repro.mapspace.allocation import DimAllocator, DimChain
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.slots import Slot, build_slots
 from repro.obs import scope as _obs
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:
@@ -529,7 +530,7 @@ class MapSpace:
 
     def iter_batches(
         self,
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         prefix: Optional[Dict[str, DimChain]] = None,
     ) -> Iterator["object"]:
         """Exhaustively enumerate straight into packed columnar batches.
@@ -586,7 +587,7 @@ class MapSpace:
     def iter_prefix_batches(
         self,
         prefixes: Union[Sequence[Optional[Dict[str, DimChain]]], np.ndarray],
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         tags: Optional[Sequence[int]] = None,
     ) -> Iterator["object"]:
         """Enumerate many prefixes' completions into *shared* packed batches.

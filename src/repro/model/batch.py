@@ -47,22 +47,22 @@ pruning a true improvement (see :data:`PRUNE_MARGIN`).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.arch.spec import Architecture
 from repro.exceptions import SpecError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.problem.workload import Workload
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 
 import numpy as np
-
-#: Default number of candidates packed per batch. Large enough to amortize
-#: kernel launch overhead, small enough that a pruned batch wastes little.
-DEFAULT_BATCH_SIZE = 512
 
 #: Relative safety margin on the lower-bound prune test. A candidate is
 #: pruned only when ``lower_bound * (1 - PRUNE_MARGIN) >= incumbent``; the
@@ -134,6 +134,181 @@ class _TensorMeta:
     partition_words: Tuple[Optional[int], ...]  # per storage level
 
 
+@dataclass(frozen=True)
+class _TensorTraffic:
+    """One tensor's boundaries in the traffic stage, in keeper order.
+
+    ``base_const`` / ``base_ranks`` split the tensor's rank delivery sums
+    into a constant (a one-term rank with coefficient 1 always sums to
+    its dim's size: the delivered tiles partition the dimension) and the
+    ranks that need delivered-tile counts ``t_j``. Each of those is
+    ``(dims, lead, weights)``: ``_rank_delivery_sum``'s
+    ``prod_j t_j + sum_j c_j (s_j - t_j) prod_{i != j} t_i``, regrouped to
+    skip its divisions, is ``lead * prod_j t_j + sum_j weights_j *
+    prod_{i != j} t_i`` with ``lead = 1 - sum_j c_j`` and
+    ``weights_j = c_j * s_j``.
+    """
+
+    is_output: bool
+    groups: Any  # int64 [boundaries]: each boundary's depth group
+    #: int64 [boundaries]: each boundary's lane segment; ``None`` when the
+    #: tensor has no irrelevant dim (all four multipliers are 1).
+    segments: Optional[Any]
+    parents: Any  # int64 [boundaries]
+    children: Any  # int64 [boundaries - 1]: the innermost has no child
+    base_const: int
+    base_ranks: Tuple[Tuple[Tuple[int, ...], int, Tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class _TrafficPlan:
+    """The per-layout structure of the batch traffic stage (see ``_traffic``).
+
+    A boundary's *depth* is the number of grid columns above its child
+    level (all of them for a tensor's innermost boundary). Columns are
+    level-ordered, so those columns are always the prefix ``[0, depth)``:
+    boundaries of equal depth form a *group* that shares one snapshot of
+    the delivered-tile counts and of the per-dim qualifying positions.
+
+    Each boundary's projection recursions run as *lanes*, one per
+    irrelevant dim; a boundary's lanes are one *segment*. Lanes are laid
+    out group by group, deepest first, so the lanes whose group reaches
+    column ``c`` are the leading ``active[c]``: one inner-to-outer column
+    walk steps every group through its own columns only.
+    """
+
+    depths: Tuple[int, ...]  # ascending group depths
+    temporal: Any  # int64: temporal columns above the deepest group
+    #: Per column above the deepest group: lanes that step it.
+    active: Tuple[int, ...]
+    lane_dims: Any  # int64 [lanes]: the irrelevant dim of each lane
+    lane_segment: Any  # int64 [lanes]: the segment of each lane
+    starts: Any  # int64 [segments]: ``multiply.reduceat`` lane offsets
+    #: Per spatial column: bool ``[active, 4, 1]`` selection in each
+    #: variant (always on the inner side; on the outer side only above
+    #: the lane's parent level).
+    spatial_select: Dict[int, Any]
+    #: Rows of the flattened ``[temporal + 1, dims]`` running maximum of
+    #: qualifying positions (row 0 is the all ``-1`` start) whose maximum
+    #: is each segment's cutoff: the start row, then the tensor's
+    #: relevant dims below the group's temporal prefix.
+    cut_rows: Any
+    cut_starts: Any  # int64 [segments]: ``maximum.reduceat`` offsets
+    tensors: Tuple[_TensorTraffic, ...]
+
+
+def _build_traffic_plan(layout: "BatchLayout") -> _TrafficPlan:
+    """Group ``layout``'s tensor boundaries by depth and lay out lanes."""
+
+    def depth_of(child: Optional[int]) -> int:
+        child_level = layout.num_levels if child is None else child
+        return sum(1 for level in layout.col_level if level < child_level)
+
+    depths = tuple(
+        sorted(
+            {
+                depth_of(child)
+                for meta in layout.tensors
+                for _, child in meta.boundaries
+            }
+        )
+    )
+    max_depth = depths[-1]
+    temporal = [c for c in range(max_depth) if not layout.col_spatial[c]]
+    segment_of: Dict[Tuple[int, int], int] = {}
+    lane_dims: List[int] = []
+    lane_segment: List[int] = []
+    lane_parent: List[int] = []
+    lane_depth: List[int] = []
+    starts: List[int] = []
+    cut_rows: List[int] = []
+    cut_starts: List[int] = []
+    for depth in reversed(depths):
+        qual_row = sum(1 for c in temporal if c < depth)
+        for t, meta in enumerate(layout.tensors):
+            if not meta.irrelevant_idx:
+                continue
+            for j, (parent, child) in enumerate(meta.boundaries):
+                if depth_of(child) != depth:
+                    continue
+                segment_of[(t, j)] = len(starts)
+                starts.append(len(lane_dims))
+                cut_starts.append(len(cut_rows))
+                cut_rows.append(0)
+                cut_rows.extend(
+                    qual_row * layout.num_dims + d for d in meta.relevant_idx
+                )
+                for d in meta.irrelevant_idx:
+                    lane_dims.append(d)
+                    lane_segment.append(segment_of[(t, j)])
+                    lane_parent.append(parent)
+                    lane_depth.append(depth)
+    active = tuple(
+        sum(1 for depth in lane_depth if depth > c) for c in range(max_depth)
+    )
+    spatial_select: Dict[int, Any] = {}
+    for c in range(max_depth):
+        if not layout.col_spatial[c]:
+            continue
+        spatial_select[c] = np.array(
+            [
+                [True, layout.col_level[c] < parent, True, layout.col_level[c] < parent]
+                for parent in lane_parent[: active[c]]
+            ],
+            dtype=bool,
+        ).reshape(active[c], 4, 1)
+    tensors: List[_TensorTraffic] = []
+    for t, meta in enumerate(layout.tensors):
+        const = 1
+        ranks = []
+        for rank in meta.ranks:
+            if len(rank) == 1 and rank[0][1] == 1:
+                const *= int(layout.sizes[rank[0][0]])
+            else:
+                ranks.append(
+                    (
+                        tuple(d for d, _ in rank),
+                        1 - sum(coef for _, coef in rank),
+                        tuple(coef * int(layout.sizes[d]) for d, coef in rank),
+                    )
+                )
+        boundaries = range(len(meta.boundaries))
+        tensors.append(
+            _TensorTraffic(
+                is_output=meta.is_output,
+                groups=np.array(
+                    [depths.index(depth_of(child)) for _, child in meta.boundaries],
+                    dtype=np.int64,
+                ),
+                segments=(
+                    np.array([segment_of[(t, j)] for j in boundaries], dtype=np.int64)
+                    if meta.irrelevant_idx
+                    else None
+                ),
+                parents=np.array(
+                    [parent for parent, _ in meta.boundaries], dtype=np.int64
+                ),
+                children=np.array(
+                    [child for _, child in meta.boundaries[:-1]], dtype=np.int64
+                ),
+                base_const=const,
+                base_ranks=tuple(ranks),
+            )
+        )
+    return _TrafficPlan(
+        depths=depths,
+        temporal=np.array(temporal, dtype=np.int64),
+        active=active,
+        lane_dims=np.array(lane_dims, dtype=np.int64),
+        lane_segment=np.array(lane_segment, dtype=np.int64),
+        starts=np.array(starts, dtype=np.int64),
+        spatial_select=spatial_select,
+        cut_rows=np.array(cut_rows, dtype=np.int64),
+        cut_starts=np.array(cut_starts, dtype=np.int64),
+        tensors=tuple(tensors),
+    )
+
+
 class BatchLayout:
     """The fixed columnar structure of one (architecture, workload) pair.
 
@@ -183,6 +358,9 @@ class BatchLayout:
         self._build_grid(permutation_priority or {})
         self._build_tensor_meta()
         self._build_limits()
+        self.traffic_plan = (
+            _build_traffic_plan(self) if self.paths_supported else None
+        )
 
     # -- construction ---------------------------------------------------
 
@@ -697,8 +875,9 @@ class BatchEvaluator:
         utilization = np.full(n, float("nan"))
         live = np.flatnonzero(valid & ~fallback & ~pruned)
         if live.size:
-            reads, writes = self._traffic(bounds, rems, pos, live)
-            live_energy = self._energy(reads, writes)
+            with obs.trace("batch.traffic", rows=live.size):
+                reads, writes = self._traffic(bounds, rems, pos, live)
+                live_energy = self._energy(reads, writes)
             energy[live] = live_energy
             capacity = (cycles[live] * self.units_opc).astype(np.float64)
             utilization[live] = self.ops_f / capacity
@@ -871,149 +1050,169 @@ class BatchEvaluator:
     ) -> Tuple[Any, Any]:
         """Exact per-level reads/writes for the surviving rows.
 
-        A direct vectorization of ``compute_access_counts``: identical
-        recursions over the fixed grid, with boundary predicates reduced
-        to level comparisons and the cutoff carried as a per-row position.
+        A vectorization of ``compute_access_counts`` over the layout's
+        :class:`_TrafficPlan`, with rows innermost: the live rows are
+        gathered once as ``[columns, dims, rows]``.
+
+        1. One outer-to-inner pass over the columns folds the
+           delivered-tile counts and snapshots them at every group depth.
+        2. :meth:`_lane_multipliers` gives every boundary's four
+           ``_projection_count`` multipliers from one column walk.
+        3. Per tensor, the rank delivery sums times the multipliers
+           accumulate into its levels' reads and writes, in exact int64.
+
+        Returns ``(reads, writes)``, int64 ``[levels, rows]``.
         """
+        if live.size > DEFAULT_BATCH_SIZE:
+            # Price batch-sized blocks: the stage's temporaries are as wide
+            # as its rows, and one batch's worth stays warm in the heap.
+            blocks = [
+                self._traffic(bounds, rems, pos, live[s:s + DEFAULT_BATCH_SIZE])
+                for s in range(0, live.size, DEFAULT_BATCH_SIZE)
+            ]
+            return tuple(
+                np.concatenate([block[i] for block in blocks], axis=1)
+                for i in (0, 1)
+            )
         layout = self.layout
-        b = bounds[live]
-        r = rems[live]
-        p = pos[live]
+        plan = layout.traffic_plan
         m = live.size
-        reads = np.zeros((m, layout.num_levels), dtype=np.int64)
-        writes = np.zeros((m, layout.num_levels), dtype=np.int64)
-        for meta in layout.tensors:
-            rel = list(meta.relevant_idx)
-            for parent, child in meta.boundaries:
-                child_level = layout.num_levels if child is None else child
-                above = [
-                    c
-                    for c in range(layout.num_columns)
-                    if layout.col_level[c] < child_level
-                ]
-                # Innermost relevant temporal loop above the boundary.
-                cutoff = np.full(m, -1, dtype=np.int64)
-                for c in above:
-                    if layout.col_spatial[c]:
-                        continue
-                    candidate = np.where(b[:, c, rel] > 1, p[:, c, rel], -1)
-                    if candidate.shape[1]:
-                        cutoff = np.maximum(cutoff, candidate.max(axis=1))
-                # Delivered-tile counts per dim above the boundary.
-                tiles = np.zeros((m, layout.num_dims), dtype=np.int64)
-                for c in above:
-                    tiles = tiles * b[:, c, :] + r[:, c, :] - 1
-                tiles += 1
-                base = np.ones(m, dtype=np.int64)
-                for rank in meta.ranks:
-                    all_tiles = np.ones(m, dtype=np.int64)
-                    for d, _ in rank:
-                        all_tiles = all_tiles * tiles[:, d]
-                    total = all_tiles.copy()
-                    for d, coef in rank:
-                        total += (
-                            coef
-                            * (layout.sizes[d] - tiles[:, d])
-                            * (all_tiles // tiles[:, d])
-                        )
-                    base *= total
-                inner, outer, inner_sp, outer_sp = self._projection_multipliers(
-                    b, r, p, meta, above, cutoff, parent
-                )
-                if not meta.is_output:
-                    reads[:, parent] += base * outer
-                    if child is not None:
-                        writes[:, child] += base * inner
-                else:
-                    writes[:, parent] += base * outer
-                    reads[:, parent] += base * (outer - outer_sp)
-                    if child is not None:
-                        reads[:, child] += base * inner
-                        writes[:, child] += base * (inner - inner_sp)
+        b = np.take(bounds.transpose(1, 2, 0), live, axis=2)
+        r = np.take(rems.transpose(1, 2, 0), live, axis=2)
+        if pos.strides[0] == 0:
+            # Enumerated rows share one (broadcast) numbering.
+            p = pos[0][:, :, None]
+        else:
+            p = np.take(pos.transpose(1, 2, 0), live, axis=2)
+        surplus = b - r
+        # 1. Delivered tiles, (t - 1) * P + R per column, per group depth.
+        delivered = np.empty(
+            (len(plan.depths), layout.num_dims, m), dtype=np.int64
+        )
+        tiles = np.ones((layout.num_dims, m), dtype=np.int64)
+        c = 0
+        for g, depth in enumerate(plan.depths):
+            while c < depth:
+                tiles = tiles * b[c] - surplus[c]
+                c += 1
+            delivered[g] = tiles
+        # 2. Projection multipliers of the boundaries with irrelevant dims.
+        multipliers = (
+            self._lane_multipliers(b, r, p, surplus) if plan.lane_dims.size else None
+        )
+        # 3. Accumulation.
+        reads = np.zeros((layout.num_levels, m), dtype=np.int64)
+        writes = np.zeros((layout.num_levels, m), dtype=np.int64)
+        for tensor in plan.tensors:
+            base = np.full(
+                (tensor.parents.size, m), tensor.base_const, dtype=np.int64
+            )
+            if tensor.base_ranks:
+                tensor_tiles = delivered[tensor.groups]
+            for dims, lead, weights in tensor.base_ranks:
+                counts = [tensor_tiles[:, d] for d in dims]
+                total = lead * functools.reduce(operator.mul, counts)
+                for j, weight in enumerate(weights):
+                    rest = counts[:j] + counts[j + 1:]
+                    total += weight * (
+                        functools.reduce(operator.mul, rest) if rest else 1
+                    )
+                base *= total
+            if tensor.segments is None:
+                inner = outer = inner_sp = outer_sp = base
+            else:
+                terms = base[:, None, :] * multipliers[tensor.segments]
+                inner, outer, inner_sp, outer_sp = terms.transpose(1, 0, 2)
+            # The innermost boundary has no child.
+            inner, inner_sp = inner[:-1], inner_sp[:-1]
+            if not tensor.is_output:
+                reads[tensor.parents] += outer
+                writes[tensor.children] += inner
+            else:
+                writes[tensor.parents] += outer
+                reads[tensor.parents] += outer - outer_sp
+                reads[tensor.children] += inner
+                writes[tensor.children] += inner - inner_sp
         return reads, writes
 
-    def _projection_multipliers(
-        self,
-        b: Any,
-        r: Any,
-        p: Any,
-        meta: _TensorMeta,
-        above: List[int],
-        cutoff: Any,
-        parent: int,
-    ) -> Tuple[Any, Any, Any, Any]:
-        """The four ``_projection_count`` products over irrelevant dims.
+    def _lane_multipliers(self, b: Any, r: Any, p: Any, surplus: Any) -> Any:
+        """Step 2 of :meth:`_traffic`: ``[segments, 4, rows]`` multipliers.
 
-        Each recursion walks the boundary's columns inner to outer keeping
-        (full-subtree, last-path) projection counts; a selected loop
-        multiplies, an unselected one promotes ``full`` when it carries a
-        genuine remainder. Selections (see ``_boundary_traffic``):
+        A boundary's cutoff is its innermost relevant temporal position
+        above it: the running maximum of each dim's qualifying positions
+        (bound > 1) over the temporal columns, snapshotted at the group
+        depth and maxed over the tensor's relevant dims.
 
-        * inner: spatial or inside-the-cutoff temporal (refetch + copies);
-        * outer: spatial above the parent, or inside-the-cutoff temporal;
-        * inner_spatial / outer_spatial: the copy-only multiplicities.
+        The four variants stack as inner, outer, inner_spatial,
+        outer_spatial. Selections (see ``_boundary_traffic``): spatial
+        loops always on the inner side and above the parent on the outer
+        side; temporal loops inside the cutoff on inner and outer only.
+        Each variant carries ``(full, gap)`` with ``gap = full - last``,
+        which turns both branches of the ``_projection_count`` recursion
+        into products, so a column step is a handful of whole-array
+        multiplies with no per-row branch:
+
+        * selected loop:   ``full' = P*full``, ``gap' = (P-R)*full + gap``;
+        * unselected loop: ``full' = full``,   ``gap' = 0 if R >= 2 else gap``.
+
+        ``multiply.reduceat`` over each segment's lanes multiplies the
+        per-dim counts into the boundary's multipliers.
         """
         layout = self.layout
-        m = b.shape[0]
-        ones = np.ones(m, dtype=np.int64)
-        inner = ones.copy()
-        outer = ones.copy()
-        inner_sp = ones.copy()
-        outer_sp = ones.copy()
-        for d in meta.irrelevant_idx:
-            f_in, l_in = ones.copy(), ones.copy()
-            f_out, l_out = ones.copy(), ones.copy()
-            f_is, l_is = ones.copy(), ones.copy()
-            f_os, l_os = ones.copy(), ones.copy()
-            for c in reversed(above):
-                bc = b[:, c, d]
-                rc = r[:, c, d]
-                if layout.col_spatial[c]:
-                    above_parent = layout.col_level[c] < parent
-                    # inner / inner_spatial: always selected.
-                    l_in = (rc - 1) * f_in + l_in
-                    f_in = bc * f_in
-                    l_is = (rc - 1) * f_is + l_is
-                    f_is = bc * f_is
-                    if above_parent:
-                        l_out = (rc - 1) * f_out + l_out
-                        f_out = bc * f_out
-                        l_os = (rc - 1) * f_os + l_os
-                        f_os = bc * f_os
-                    else:
-                        l_out = np.where(rc >= 2, f_out, l_out)
-                        l_os = np.where(rc >= 2, f_os, l_os)
-                else:
-                    selected = p[:, c, d] < cutoff
-                    promoted = rc >= 2
-                    l_in = np.where(
-                        selected,
-                        (rc - 1) * f_in + l_in,
-                        np.where(promoted, f_in, l_in),
-                    )
-                    f_in = np.where(selected, bc * f_in, f_in)
-                    l_out = np.where(
-                        selected,
-                        (rc - 1) * f_out + l_out,
-                        np.where(promoted, f_out, l_out),
-                    )
-                    f_out = np.where(selected, bc * f_out, f_out)
-                    l_is = np.where(promoted, f_is, l_is)
-                    l_os = np.where(promoted, f_os, l_os)
-            inner = inner * l_in
-            outer = outer * l_out
-            inner_sp = inner_sp * l_is
-            outer_sp = outer_sp * l_os
-        return inner, outer, inner_sp, outer_sp
+        plan = layout.traffic_plan
+        m = b.shape[2]
+        qual = np.full(
+            (plan.temporal.size + 1, layout.num_dims, m), -1, dtype=np.int64
+        )
+        qual[1:] = np.where(b[plan.temporal] > 1, p[plan.temporal], -1)
+        for i in range(1, len(qual)):
+            np.maximum(qual[i - 1], qual[i], out=qual[i])
+        cutoffs = np.maximum.reduceat(
+            qual.reshape(-1, m)[plan.cut_rows], plan.cut_starts, axis=0
+        )
+        lanes = plan.lane_dims
+        cols = slice(0, len(plan.active))
+        kept = (r[cols] < 2)[:, lanes, None, :]
+        inside = p[cols, lanes, None, :] < cutoffs[plan.lane_segment, None, :]
+        # The walk state and a scratch buffer in one block: the steps
+        # below update in place and allocate nothing this wide.
+        full, gap, work = np.empty((3, lanes.size, 4, m), dtype=np.int64)
+        full.fill(1)
+        gap.fill(0)
+        for c in reversed(range(len(plan.active))):
+            k = plan.active[c]
+            b_c = b[c, lanes[:k], None, :]
+            surplus_c = surplus[c, lanes[:k], None, :]
+            if layout.col_spatial[c]:
+                selected = plan.spatial_select[c]
+                f, g, w = full[:k], gap[:k], work[:k]
+                g *= selected | kept[c, :k]
+                np.multiply(f, surplus_c, out=w)
+                w *= selected
+                g += w
+                np.multiply(f, b_c, out=w)
+                np.copyto(f, w, where=selected)
+            else:
+                # Inner and outer select inside the cutoff; the
+                # spatial-only variants never select a temporal loop.
+                inside_c = inside[c, :k]
+                f, g, w = full[:k, :2], gap[:k, :2], work[:k, :2]
+                g *= inside_c | kept[c, :k]
+                np.multiply(f, surplus_c * inside_c, out=w)
+                g += w
+                f *= np.where(inside_c, b_c, 1)
+                gap[:k, 2:] *= kept[c, :k]
+        np.subtract(full, gap, out=full)
+        return np.multiply.reduceat(full, plan.starts, axis=0)
 
     def _energy(self, reads: Any, writes: Any) -> Any:
         """Float accumulation in the scalar model's exact operation order."""
         layout = self.layout
-        total = np.zeros(reads.shape[0], dtype=np.float64)
+        total = np.zeros(reads.shape[1], dtype=np.float64)
         for level in range(layout.num_levels):
             level_energy = (
-                reads[:, level].astype(np.float64) * self.read_pj[level]
-                + writes[:, level].astype(np.float64) * self.write_pj[level]
+                reads[level].astype(np.float64) * self.read_pj[level]
+                + writes[level].astype(np.float64) * self.write_pj[level]
             )
             total = total + level_energy
         return total + self.compute_energy
@@ -1197,7 +1396,7 @@ class PartialBoundEngine:
         """Innermost qualifying temporal position per cut for one chain.
 
         The per-dim ingredient of a boundary's cutoff in
-        :meth:`BatchEvaluator._traffic`: the deepest virtual grid position
+        :meth:`BatchEvaluator._lane_multipliers`: the deepest virtual grid position
         among this dimension's bound>1 temporal loops above the cut, or
         ``-1`` when there is none. The boundary cutoff is the max of these
         over the tensor's relevant dims.
@@ -1221,8 +1420,8 @@ class PartialBoundEngine:
     ) -> int:
         """One irrelevant dimension's projection-count factor, replayed.
 
-        The scalar replay of one ``d`` iteration of
-        :meth:`BatchEvaluator._projection_multipliers`, at a given cutoff:
+        The scalar replay of one lane of
+        :meth:`BatchEvaluator._lane_multipliers`, at a given cutoff:
         walk the boundary's columns inner to outer keeping (full-subtree,
         last-path) counts; spatial loops are always selected on the inner
         multiplier and selected above the parent on the outer one;

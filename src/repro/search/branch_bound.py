@@ -74,6 +74,7 @@ from repro.search.loop import (
 )
 from repro.search.result import SearchResult
 from repro.search.worker_pool import LocalIncumbent
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
 
 #: Default number of warm-start samples seeding the incumbent.
@@ -508,7 +509,7 @@ class BranchBoundSearch:
         objective: str = "edp",
         warm_samples: int = DEFAULT_WARM_SAMPLES,
         leaf_width: int = DEFAULT_LEAF_WIDTH,
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         limit: Optional[int] = 10_000_000,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
@@ -610,7 +611,7 @@ def branch_bound_search(
     objective: str = "edp",
     warm_samples: int = DEFAULT_WARM_SAMPLES,
     leaf_width: int = DEFAULT_LEAF_WIDTH,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     limit: Optional[int] = 10_000_000,
     seed: Optional[Union[int, random.Random]] = None,
     use_batch: bool = True,

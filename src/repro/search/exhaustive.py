@@ -8,6 +8,7 @@ from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
 from repro.search.result import SearchResult
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 
 
 class ExhaustiveSearch:
@@ -42,7 +43,7 @@ class ExhaustiveSearch:
         objective: str = "edp",
         limit: int = 1_000_000,
         use_batch: bool = True,
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         prune: bool = True,
         batch_engine=None,
     ) -> None:
@@ -98,7 +99,7 @@ def exhaustive_search(
     objective: str = "edp",
     limit: int = 1_000_000,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     prune: bool = True,
 ) -> SearchResult:
     """One-shot functional wrapper around :class:`ExhaustiveSearch`."""

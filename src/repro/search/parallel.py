@@ -38,6 +38,7 @@ from repro.search.worker_pool import (
     worker_errors,
     worker_stack,
 )
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
 
 def _pool_entry(state: Dict[str, Any], job: Tuple[int, int]) -> SearchResult:
@@ -81,7 +82,7 @@ def parallel_random_search(
     energy_table: Optional[EnergyTable] = None,
     start_method: Optional[str] = None,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchResult:
     """Run ``workers`` independent searches and merge the best result.
 

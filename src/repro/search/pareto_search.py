@@ -19,6 +19,7 @@ from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
 
 
@@ -98,7 +99,7 @@ class ParetoSearch:
         max_evaluations: int = 10_000,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if max_evaluations < 1:
             raise SearchError("max_evaluations must be >= 1")

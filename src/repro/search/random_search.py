@@ -17,6 +17,7 @@ from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
 from repro.search.result import SearchResult
+from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
 
 #: The paper's per-thread termination criterion (Section IV-B): 3000
@@ -61,7 +62,7 @@ class RandomSearch:
         patience: Optional[int] = DEFAULT_PATIENCE,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = 512,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         batch_engine=None,
     ) -> None:
         if max_evaluations < 1:
@@ -134,7 +135,7 @@ def random_search(
     patience: Optional[int] = DEFAULT_PATIENCE,
     seed: Optional[Union[int, random.Random]] = None,
     use_batch: bool = True,
-    batch_size: int = 512,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchResult:
     """One-shot functional wrapper around :class:`RandomSearch`."""
     return RandomSearch(

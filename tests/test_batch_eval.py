@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.arch import (
@@ -21,13 +22,18 @@ from repro.arch import (
     toy_glb_architecture,
     toy_linear_architecture,
 )
+from repro.arch.level import ComputeLevel, StorageLevel
+from repro.arch.spec import Architecture
 from repro.exceptions import SearchError
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import make_mapspace
-from repro.model import BatchEvaluator, Evaluator, pack_mappings
+from repro.model import DEFAULT_BATCH_SIZE, BatchEvaluator, Evaluator, pack_mappings
+from repro.model.access_counts import compute_access_counts
 from repro.model.eval_cache import EvaluationCache
 from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
+from repro.problem.tensor import simple_tensor
+from repro.problem.workload import Workload
 from repro.search.annealing import SimulatedAnnealing
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
@@ -484,3 +490,159 @@ def test_objective_energy_and_delay_parity():
             ).run()
 
         _assert_same_result(search(False), search(True))
+
+
+# -- per-level traffic parity ------------------------------------------------
+#
+# Energy parity cannot tell apart two levels with equal read (or write)
+# costs: a traffic stage that credited one level's accesses to the other
+# would still price every row exactly. These tests compare the stage's
+# per-level reads and writes, row by row, with the scalar access counts.
+
+
+def _matvec_preset():
+    """A GLB-bypassing matrix-vector product: ``y[m] = A[m, k] * x[k]``.
+
+    ``A`` has no irrelevant dim (its boundary gets no projection lanes)
+    and is kept at DRAM only (one boundary, no child level); ``x`` and
+    ``y`` pass through a GLB with a 2-D spatial fanout and a PE buffer.
+    """
+    dram = StorageLevel.build(name="DRAM", capacity_words=None, word_bits=16)
+    glb = StorageLevel.build(
+        name="GlobalBuffer",
+        capacity_words=512,
+        word_bits=16,
+        keeps={"x", "y"},
+        fanout=12,
+        fanout_x=4,
+        fanout_y=3,
+    )
+    pe = StorageLevel.build(
+        name="PEBuffer", capacity_words=64, word_bits=16, keeps={"x", "y"}
+    )
+    arch = Architecture(
+        name="matvec-bypass",
+        levels=(dram, glb, pe),
+        compute=ComputeLevel(),
+        mesh_x=4,
+        mesh_y=3,
+    )
+    workload = Workload.create(
+        name="matvec",
+        dims={"M": 24, "K": 18},
+        tensors=[
+            simple_tensor("A", ("M", "K")),
+            simple_tensor("x", ("K",)),
+            simple_tensor("y", ("M",), is_output=True),
+        ],
+    )
+    return arch, workload
+
+
+def _live_rows(engine, batch):
+    """Rows the traffic stage prices: valid, representable, not guarded."""
+    valid = engine._validity(batch.bounds, batch.rems)
+    keep = valid & ~batch.fallback & ~engine._overflow_rows(batch.bounds)
+    return np.flatnonzero(keep)
+
+
+def _assert_level_parity(engine, batch, live):
+    """The traffic stage's per-level reads/writes equal the scalar counts."""
+    layout = engine.layout
+    reads, writes = engine._traffic(batch.bounds, batch.rems, batch.pos, live)
+    assert reads.shape == writes.shape == (layout.num_levels, live.size)
+    levels = range(layout.num_levels)
+    expected = {}
+    for row in set(live.tolist()):
+        counts = compute_access_counts(
+            layout.arch, layout.workload, batch.mapping_at(row)
+        )
+        expected[row] = (
+            [counts.level_reads(l) for l in levels],
+            [counts.level_writes(l) for l in levels],
+        )
+    for column, row in enumerate(live.tolist()):
+        assert reads[:, column].tolist() == expected[row][0]
+        assert writes[:, column].tolist() == expected[row][1]
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [p for p in _presets() if p[0] in ("toy", "eyeriss")]
+    + [("matvec", *_matvec_preset())],
+    ids=lambda case: case[0],
+)
+def test_level_traffic_parity_enumerated(preset):
+    """Enumerated rows carry the broadcast virtual position numbering."""
+    _, arch, workload = preset
+    mapspace = make_mapspace(arch, workload, "ruby")
+    engine = BatchEvaluator(Evaluator(arch, workload), layout=mapspace.batch_layout())
+    checked = 0
+    for batch in mapspace.iter_batches(batch_size=256):
+        assert batch.pos.strides[0] == 0
+        live = _live_rows(engine, batch)
+        if live.size:
+            _assert_level_parity(engine, batch, live)
+            checked += live.size
+        if checked >= 300:
+            break
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["eyeriss", "eyeriss-strided", "simba", "matvec"])
+def test_level_traffic_parity_sampled(name):
+    """Sampled Ruby-S rows carry real (shuffled) nest positions."""
+    if name == "matvec":
+        arch, workload = _matvec_preset()
+    elif name == "eyeriss-strided":
+        # Sliding-window ranks with coefficients other than 1.
+        arch = eyeriss_like()
+        workload = ConvLayer(
+            "conv_s2", c=4, m=8, p=5, q=5, r=3, s=3, stride_h=2, dilation_w=2
+        ).workload()
+    else:
+        _, arch, workload = next(p for p in _presets() if p[0] == name)
+    mapspace = make_mapspace(arch, workload, "ruby-s")
+    engine = BatchEvaluator(Evaluator(arch, workload), layout=mapspace.batch_layout())
+    batch = mapspace.sample_batch(random.Random(20261017), 400)
+    assert batch.pos.strides[0] != 0
+    live = _live_rows(engine, batch)
+    assert live.size
+    if name != "matvec":
+        assert any(batch.mapping_at(int(i)).has_imperfect_loops() for i in live)
+    _assert_level_parity(engine, batch, live)
+
+
+def test_level_traffic_parity_single_row():
+    """One live row at a time: every array is a single column wide."""
+    _, arch, workload = next(p for p in _presets() if p[0] == "eyeriss")
+    mapspace = make_mapspace(arch, workload, "ruby-s")
+    engine = BatchEvaluator(Evaluator(arch, workload), layout=mapspace.batch_layout())
+    batch = mapspace.sample_batch(random.Random(7), 60)
+    live = _live_rows(engine, batch)
+    assert live.size
+    for row in live[:10]:
+        _assert_level_parity(engine, batch, np.array([row]))
+
+
+def test_level_traffic_parity_past_one_batch():
+    """More live rows than ``DEFAULT_BATCH_SIZE`` are priced in blocks."""
+    _, arch, workload = next(p for p in _presets() if p[0] == "eyeriss")
+    mapspace = make_mapspace(arch, workload, "ruby-s")
+    engine = BatchEvaluator(Evaluator(arch, workload), layout=mapspace.batch_layout())
+    batch = mapspace.sample_batch(random.Random(11), 200)
+    live = _live_rows(engine, batch)
+    assert live.size
+    _assert_level_parity(
+        engine, batch, np.resize(live, 2 * DEFAULT_BATCH_SIZE + 3)
+    )
+
+
+def test_traffic_plan_covers_bypass_and_laneless_tensors():
+    """The matvec layout has a lane-less, single-boundary tensor."""
+    arch, workload = _matvec_preset()
+    plan = BatchEvaluator(Evaluator(arch, workload)).layout.traffic_plan
+    by_name = dict(zip((t.name for t in workload.tensors), plan.tensors))
+    assert by_name["A"].segments is None
+    assert by_name["A"].parents.tolist() == [0] and by_name["A"].children.size == 0
+    assert by_name["x"].segments is not None and by_name["y"].segments is not None

@@ -9,11 +9,12 @@ batched, and parallel paths (satellite: schema stability).
 
 import pytest
 
-from repro.mapspace import pfm_mapspace, ruby_s_mapspace
+from repro.mapspace import pfm_mapspace, ruby_mapspace, ruby_s_mapspace
 from repro.model import Evaluator
 from repro.model.eval_cache import EvaluationCache
 from repro.obs import MetricsRegistry, Tracer, obs_scope, read_trace
 from repro.search import (
+    ExhaustiveSearch,
     GeneticSearch,
     SimulatedAnnealing,
     exhaustive_search,
@@ -71,6 +72,26 @@ class TestSearchSpans:
         names = _span_names(tracer)
         assert "search.run" in names
         assert registry.counter("search.runs").value(driver="exhaustive") == 1.0
+
+    def test_batch_traffic_spans_count_the_live_rows(self, toy_arch, vector100):
+        """``batch.traffic`` spans cover exactly the rows the kernel prices
+        in full: valid, not pruned against the incumbent, not fallback."""
+        space = ruby_mapspace(toy_arch, vector100)
+        tracer = Tracer()
+        with obs_scope(registry=MetricsRegistry(), tracer=tracer):
+            result = ExhaustiveSearch(
+                space, Evaluator(toy_arch, vector100), prune=True, batch_size=64
+            ).run()
+        batch = result.stats["batch"]
+        assert batch["pruned"] > 0 and batch["fallback"] == 0
+        assert result.num_valid < result.num_evaluated
+        spans = [r for r in tracer.records if r["name"] == "batch.traffic"]
+        assert spans
+        by_id = {record["span_id"]: record for record in tracer.records}
+        assert all(by_id[r["parent_id"]]["name"] == "search.batch" for r in spans)
+        assert sum(r["attrs"]["rows"] for r in spans) == (
+            result.num_valid - batch["pruned"]
+        )
 
     def test_genetic_search_emits_generation_spans(
         self, toy_arch, vector100, toy_evaluator
