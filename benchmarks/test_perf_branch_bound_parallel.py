@@ -91,7 +91,7 @@ def test_resnet_layer_parallel_speedup(benchmark):
         f"\nconv5_expand pfm: serial {serial_s:.2f}s, "
         f"{WORKERS}-worker {parallel_s:.2f}s ({speedup:.1f}x on {cores} "
         f"cores), pool={parallel.stats['pool_mode']} "
-        f"units={pool['num_units']} transport={pool['transport']}"
+        f"units={pool['num_units']}"
     )
     _record(
         "conv5_expand_pfm_4w",
@@ -104,7 +104,6 @@ def test_resnet_layer_parallel_speedup(benchmark):
             "pool_mode": parallel.stats["pool_mode"],
             "partition_depth": pool["partition_depth"],
             "num_units": pool["num_units"],
-            "transport": pool["transport"],
             "priced_serial": serial.num_evaluated,
             "priced_parallel": parallel.num_evaluated,
             "best_edp": parallel.best_metric,

@@ -170,8 +170,7 @@ def _format_search_stats(stats: Dict) -> List[str]:
     if pool:
         lines.append(
             f"  pool: {pool['workers']} workers  "
-            f"depth={pool['partition_depth']}  units={pool['num_units']:,}  "
-            f"transport={pool.get('transport') or 'n/a'}"
+            f"depth={pool['partition_depth']}  units={pool['num_units']:,}"
         )
     for row in stats.get("workers", ()):
         rate = row.get("evals_per_sec") or 0.0

@@ -1267,6 +1267,17 @@ class PartialBoundEngine:
     dimensions' menus at once. The kernel has two entry points:
     :meth:`child_bounds` sweeps the branching dimension of a tree node,
     and :meth:`suffix_bounds` sweeps every unassigned dimension of a leaf.
+
+    Both read one set of per-chain tables, all built at construction by
+    NumPy column walks over each menu's bounds and remainders: cycle
+    factors, delivered tiles and qualifying positions per cut, and the
+    projection factor of every (chain, cutoff) per boundary key. Building
+    them takes milliseconds even on Ruby-S menus of thousands of chains,
+    so every process that bounds (each parallel worker included) builds
+    its own. :meth:`_chain_cycles`, :meth:`_chain_tiles`,
+    :meth:`_chain_qual` and :meth:`_projection_factor` replay one chain's
+    walk in Python ints; they are the scalar reference the tests check
+    every table cell against.
     """
 
     def __init__(
@@ -1293,69 +1304,120 @@ class PartialBoundEngine:
                 }
             )
         )
-        #: Per dim, per menu chain: (cycle factor, {cut: delivered tiles}).
-        self.chain_stats: Dict[str, List[Tuple[int, Dict[int, int]]]] = {}
+        #: Per dim: the menu chains (the scalar reference replays them).
+        self.menus: Dict[str, Sequence[Any]] = {}
+        #: Per dim: each menu chain's exact cycle factor, ``int64[menu]``.
+        self.cycles: Dict[str, Any] = {}
+        #: Per dim, per cut: each chain's delivered tiles, ``int64[menu]``.
+        self.tiles: Dict[str, Dict[int, Any]] = {}
+        #: Per dim, per cut: each chain's innermost qualifying temporal
+        #: position (-1 when the chain has no bound>1 temporal loop above
+        #: the cut), ``int64[menu]``.
+        self.qual: Dict[str, Dict[int, Any]] = {}
         #: Per dim: minimum cycle factor over the menu (free-dim relaxation).
         self.min_cycles: Dict[str, int] = {}
         #: Per dim, per cut: [min, max] delivered-tile box over the menu.
         self.tile_range: Dict[str, Dict[int, Tuple[int, int]]] = {}
-        #: Per dim: the menu chains themselves (projection-factor replay).
-        self.menus: Dict[str, Sequence[Any]] = {}
-        #: Per dim, per chain: {cut: innermost qualifying temporal position}
-        #: (-1 when the chain has no bound>1 temporal loop above the cut).
-        self.qual: Dict[str, List[Dict[int, int]]] = {}
         #: Per dim: {cut: minimum qualifying position over the menu}.
         self.qual_min: Dict[str, Dict[int, int]] = {}
-        for dim, menu in menus:
-            stats = [
-                (self._chain_cycles(chain), self._chain_tiles(chain))
-                for chain in menu
-            ]
-            if not stats:
-                raise RuntimeError(f"dimension {dim} has an empty chain menu")
-            self.chain_stats[dim] = stats
-            self.min_cycles[dim] = min(s[0] for s in stats)
-            self.tile_range[dim] = {
-                cut: (
-                    min(s[1][cut] for s in stats),
-                    max(s[1][cut] for s in stats),
-                )
-                for cut in self.cuts
-            }
-            self.menus[dim] = list(menu)
-            quals = [self._chain_qual(dim, chain) for chain in menu]
-            self.qual[dim] = quals
-            self.qual_min[dim] = {
-                cut: min(q[cut] for q in quals) for cut in self.cuts
-            }
-        self._factor_cache: Dict[Tuple, int] = {}
-        self._factor_min_cache: Dict[Tuple, int] = {}
-        # Menu-indexed arrays of the per-chain stats: a swept dimension's
-        # values along its axis of a :meth:`_grid_bounds` grid.
-        self._cyc_vec = {
-            dim: np.array([s[0] for s in stats], dtype=np.int64)
-            for dim, stats in self.chain_stats.items()
-        }
-        self._tiles_vec = {
-            dim: {
-                cut: np.array([s[1][cut] for s in stats], dtype=np.int64)
-                for cut in self.cuts
-            }
-            for dim, stats in self.chain_stats.items()
-        }
-        self._qual_vec = {
-            dim: {
-                cut: np.array([q[cut] for q in quals], dtype=np.int64)
-                for cut in self.cuts
-            }
-            for dim, quals in self.qual.items()
-        }
         #: Largest possible cutoff (cutoffs are virtual grid positions, or
-        #: -1); factor-vs-cutoff tables are indexed by ``cutoff + 1``.
-        self._cutoff_hi = int(self.layout.grid_pos.max())
-        self._factor_table_cache: Dict[Tuple, Any] = {}
-        self._factor_min_table_cache: Dict[Tuple, Any] = {}
-        self._factor_menu_table_cache: Dict[Tuple, Any] = {}
+        #: -1); factor tables are indexed by ``cutoff + 1``.
+        self._cutoff_hi = int(layout.grid_pos.max())
+        #: Per ``(dim, cut, parent, inner)``: the projection factor of each
+        #: menu chain at each cutoff, ``int64[menu, cutoff + 1]``, and its
+        #: menu minimum, ``int64[cutoff + 1]``.
+        self.factors: Dict[Tuple[str, int, int, bool], Tuple[Any, Any]] = {}
+        arrays: Dict[str, Tuple[Any, Any]] = {}
+        for dim, menu in menus:
+            if not menu:
+                raise RuntimeError(f"dimension {dim} has an empty chain menu")
+            self.menus[dim] = list(menu)
+            arrays[dim] = (
+                np.array([c.bounds for c in menu], dtype=np.int64),
+                np.array([c.remainders for c in menu], dtype=np.int64),
+            )
+            self._build_chain_stats(dim, *arrays[dim])
+        for meta in layout.tensors:
+            for parent, child in meta.boundaries:
+                cut = layout.num_levels if child is None else child
+                for d in meta.irrelevant_idx:
+                    dim = layout.dims[d]
+                    for inner in (False, True) if child is not None else (False,):
+                        key = (dim, cut, parent, inner)
+                        if key not in self.factors:
+                            table = self._build_factor_table(key, *arrays[dim])
+                            self.factors[key] = (table, table.min(axis=0))
+
+    def _build_chain_stats(self, dim: str, bounds: Any, rems: Any) -> None:
+        """Every menu chain's cycle factor, tiles and qualifying positions.
+
+        Column walks over the menu's ``(menu, column)`` bounds and
+        remainders: the vectorized :meth:`_chain_cycles`,
+        :meth:`_chain_tiles` and :meth:`_chain_qual`.
+        """
+        layout = self.layout
+        d = layout.dim_index[dim]
+        steps = np.zeros(bounds.shape[0], dtype=np.int64)
+        shadowed = np.zeros(bounds.shape[0], dtype=bool)
+        for c in range(layout.num_columns):
+            b, r = bounds[:, c], rems[:, c]
+            if layout.col_spatial[c]:
+                shadowed |= r >= 2
+            else:
+                steps = steps * b + np.where(shadowed, b, r) - 1
+        self.cycles[dim] = steps + 1
+        self.tiles[dim] = {}
+        t = np.zeros(bounds.shape[0], dtype=np.int64)
+        c = 0
+        for cut in self.cuts:
+            while c < layout.num_columns and layout.col_level[c] < cut:
+                t = t * bounds[:, c] + rems[:, c] - 1
+                c += 1
+            self.tiles[dim][cut] = t + 1
+        self.qual[dim] = {}
+        for cut in self.cuts:
+            cols = [
+                c for c in range(layout.num_columns)
+                if layout.col_level[c] < cut and not layout.col_spatial[c]
+            ]
+            pos = np.where(bounds[:, cols] > 1, layout.grid_pos[cols, d], -1)
+            self.qual[dim][cut] = pos.max(axis=1, initial=-1)
+        self.min_cycles[dim] = int(self.cycles[dim].min())
+        self.tile_range[dim] = {
+            cut: (int(tiles.min()), int(tiles.max()))
+            for cut, tiles in self.tiles[dim].items()
+        }
+        self.qual_min[dim] = {
+            cut: int(qual.min()) for cut, qual in self.qual[dim].items()
+        }
+
+    def _build_factor_table(
+        self, key: Tuple[str, int, int, bool], bounds: Any, rems: Any
+    ) -> Any:
+        """Every menu chain's projection factor at every cutoff.
+
+        The vectorized :meth:`_projection_factor`: one inner-to-outer
+        column walk keeps the (full-subtree, last-path) counts of the
+        whole ``(menu, cutoff)`` grid, so the same ``(f, l)`` recursion
+        runs for every cell at once.
+        """
+        dim, cut, parent, inner = key
+        layout = self.layout
+        d = layout.dim_index[dim]
+        cutoffs = np.arange(-1, self._cutoff_hi + 1, dtype=np.int64)
+        f = np.ones((bounds.shape[0], cutoffs.size), dtype=np.int64)
+        l = f.copy()
+        for c in range(layout.num_columns - 1, -1, -1):
+            if layout.col_level[c] >= cut:
+                continue
+            b, r = bounds[:, c, None], rems[:, c, None]
+            if layout.col_spatial[c]:
+                selected: Any = inner or layout.col_level[c] < parent
+            else:
+                selected = layout.grid_pos[c, d] < cutoffs
+            l = np.where(selected, (r - 1) * f + l, np.where(r >= 2, f, l))
+            f = np.where(selected, b * f, f)
+        return l
 
     def _chain_cycles(self, chain: Any) -> int:
         """One dimension's exact factor of the cycle product.
@@ -1453,164 +1515,16 @@ class PartialBoundEngine:
                     l = f
         return l
 
-    def _factor(
-        self, dim: str, idx: int, cut: int, parent: int,
+    def _factor_at(
+        self, dim: str, idx: Optional[int], cut: int, parent: int,
         inner: bool, cutoff: int,
     ) -> int:
-        """Memoized exact projection factor of one assigned chain."""
-        key = (dim, idx, cut, parent, inner, cutoff)
-        cached = self._factor_cache.get(key)
-        if cached is None:
-            # A preloaded (or previously built) cutoff table already holds
-            # every value of this factor — workers seeded via
-            # :meth:`preload_tables` never replay the Python fold.
-            table = self._factor_table_cache.get((dim, idx, cut, parent, inner))
-            if table is not None:
-                cached = int(table[cutoff + 1])
-            else:
-                cached = self._projection_factor(
-                    dim, self.menus[dim][idx], cut, parent, inner, cutoff
-                )
-            self._factor_cache[key] = cached
-        return cached
-
-    def _factor_min(
-        self, dim: str, cut: int, parent: int, inner: bool, cutoff: int
-    ) -> int:
-        """Memoized menu-minimum projection factor of a free dimension."""
-        key = (dim, cut, parent, inner, cutoff)
-        cached = self._factor_min_cache.get(key)
-        if cached is None:
-            table = self._factor_min_table_cache.get((dim, cut, parent, inner))
-            if table is not None:
-                cached = int(table[cutoff + 1])
-            else:
-                cached = min(
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for idx in range(len(self.menus[dim]))
-                )
-            self._factor_min_cache[key] = cached
-        return cached
-
-    def _factor_table(
-        self, dim: str, idx: int, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """One assigned chain's projection factor, tabulated over cutoffs.
-
-        Index ``cutoff + 1`` (cutoffs range over ``[-1, _cutoff_hi]``), so
-        a per-child cutoff vector gathers factors in one fancy-index.
-        """
-        key = (dim, idx, cut, parent, inner)
-        table = self._factor_table_cache.get(key)
-        if table is None:
-            table = np.array(
-                [
-                    self._factor(dim, idx, cut, parent, inner, cutoff)
-                    for cutoff in range(-1, self._cutoff_hi + 1)
-                ],
-                dtype=np.int64,
-            )
-            self._factor_table_cache[key] = table
-        return table
-
-    def _factor_min_table(
-        self, dim: str, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """A free dimension's menu-minimum factor, tabulated over cutoffs."""
-        key = (dim, cut, parent, inner)
-        table = self._factor_min_table_cache.get(key)
-        if table is None:
-            table = np.array(
-                [
-                    self._factor_min(dim, cut, parent, inner, cutoff)
-                    for cutoff in range(-1, self._cutoff_hi + 1)
-                ],
-                dtype=np.int64,
-            )
-            self._factor_min_table_cache[key] = table
-        return table
-
-    def _factor_menu_table(
-        self, dim: str, cut: int, parent: int, inner: bool
-    ) -> Any:
-        """One dimension's factors over (menu index, cutoff), 2-D."""
-        key = (dim, cut, parent, inner)
-        table = self._factor_menu_table_cache.get(key)
-        if table is None:
-            table = np.stack(
-                [
-                    self._factor_table(dim, idx, cut, parent, inner)
-                    for idx in range(len(self.menus[dim]))
-                ]
-            )
-            self._factor_menu_table_cache[key] = table
-        return table
-
-    # -- cross-process table transport -----------------------------------
-    #
-    # Building the factor tables is the engine's only Python-loop-heavy
-    # work (a _projection_factor replay per (dim, chain, cutoff) tuple);
-    # everything else in __init__ is a few small folds. The parallel
-    # branch-and-bound driver therefore builds the tables once, exports
-    # them as a flat dict of int64 arrays, and ships them to workers as
-    # shared-memory views — each worker's engine starts bound-ready
-    # without replaying a single fold.
-
-    def precompute_tables(self) -> None:
-        """Eagerly build every factor table the tree walk can request."""
-        layout = self.layout
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                inners = (False, True) if child is not None else (False,)
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    for inner in inners:
-                        self._factor_menu_table(dim, cut, parent, inner)
-                        self._factor_min_table(dim, cut, parent, inner)
-
-    def export_tables(self) -> Dict[str, Any]:
-        """All factor tables as a flat ``{key: int64 array}`` dict.
-
-        Keys encode the cache key (``kind|dim|cut|parent|inner``); the
-        dict round-trips through :class:`repro.model.shm.ShmArrayBundle`
-        into :meth:`preload_tables` on the worker side.
-        """
-        self.precompute_tables()
-        arrays: Dict[str, Any] = {}
-        for (dim, cut, parent, inner), table in sorted(
-            self._factor_menu_table_cache.items()
-        ):
-            arrays[f"menu|{dim}|{cut}|{parent}|{int(inner)}"] = table
-        for (dim, cut, parent, inner), table in sorted(
-            self._factor_min_table_cache.items()
-        ):
-            arrays[f"min|{dim}|{cut}|{parent}|{int(inner)}"] = table
-        return arrays
-
-    def preload_tables(self, arrays: Dict[str, Any]) -> int:
-        """Seed the factor-table caches from exported arrays (zero-copy).
-
-        Accepts the dict produced by :meth:`export_tables` (typically as
-        attached shared-memory views). Per-chain rows of each menu table
-        are installed too, so both the vectorized and the scalar factor
-        paths hit without ever replaying the Python fold. Returns the
-        number of tables installed.
-        """
-        loaded = 0
-        for name, table in arrays.items():
-            kind, dim, cut, parent, inner = name.split("|")
-            key = (dim, int(cut), int(parent), bool(int(inner)))
-            if kind == "menu":
-                self._factor_menu_table_cache[key] = table
-                for idx in range(table.shape[0]):
-                    self._factor_table_cache[(dim, idx) + key[1:]] = table[idx]
-            elif kind == "min":
-                self._factor_min_table_cache[key] = table
-            else:
-                continue
-            loaded += 1
-        return loaded
+        """One projection factor as a Python int: an assigned chain's
+        (``idx``), or a free dimension's menu minimum (``idx`` None)."""
+        table, table_min = self.factors[(dim, cut, parent, inner)]
+        if idx is None:
+            return int(table_min[cutoff + 1])
+        return int(table[idx, cutoff + 1])
 
     def suffix_bounds(
         self, assigned: Dict[str, int], objective: str = "edp"
@@ -1627,7 +1541,8 @@ class PartialBoundEngine:
         the cells it cuts are never even enumerated into batches.
         """
         free = [dim for dim in self.layout.dims if dim not in assigned]
-        return self._grid_bounds(assigned, free, objective)
+        with obs.trace("bound.suffix", swept=len(free)):
+            return self._grid_bounds(assigned, free, objective)
 
     def child_bounds(
         self, assigned: Dict[str, int], branch_dim: str,
@@ -1641,7 +1556,8 @@ class PartialBoundEngine:
         every rank sum per child, turning tree walks over wide menus into
         millions of tiny Python folds.
         """
-        return self._grid_bounds(assigned, [branch_dim], objective)
+        with obs.trace("bound.child"):
+            return self._grid_bounds(assigned, [branch_dim], objective)
 
     def _grid_bounds(
         self, assigned: Dict[str, int], swept: Sequence[str], objective: str
@@ -1677,23 +1593,19 @@ class PartialBoundEngine:
         def factor(
             dim: str, cut: int, parent: int, inner: bool, cutoff_idx: Any
         ) -> Any:
+            table, table_min = self.factors[(dim, cut, parent, inner)]
             if dim in menu_idx:
-                table = self._factor_menu_table(dim, cut, parent, inner)
                 return table[menu_idx[dim], cutoff_idx]
             idx = assigned.get(dim)
-            if idx is not None:
-                table = self._factor_table(dim, idx, cut, parent, inner)
-            else:
-                table = self._factor_min_table(dim, cut, parent, inner)
-            return table[cutoff_idx]
+            return (table_min if idx is None else table[idx])[cutoff_idx]
 
         cycles: Any = np.int64(1)
         for dim in layout.dims:
             idx = assigned.get(dim)
             if dim in menu_idx:
-                cycles = cycles * spread(dim, self._cyc_vec[dim])
+                cycles = cycles * spread(dim, self.cycles[dim])
             elif idx is not None:
-                cycles = cycles * self.chain_stats[dim][idx][0]
+                cycles = cycles * int(self.cycles[dim][idx])
             else:
                 cycles = cycles * self.min_cycles[dim]
         if objective == "delay":
@@ -1715,11 +1627,11 @@ class PartialBoundEngine:
                         idx = assigned.get(dim)
                         if dim in menu_idx:
                             options.append(
-                                (spread(dim, self._tiles_vec[dim][cut]),)
+                                (spread(dim, self.tiles[dim][cut]),)
                             )
                         elif idx is not None:
                             options.append(
-                                (self.chain_stats[dim][idx][1][cut],)
+                                (int(self.tiles[dim][cut][idx]),)
                             )
                         else:
                             lo, hi = self.tile_range[dim][cut]
@@ -1745,9 +1657,9 @@ class PartialBoundEngine:
                     dim = layout.dims[d]
                     idx = assigned.get(dim)
                     if dim in menu_idx:
-                        qual = spread(dim, self._qual_vec[dim][cut])
+                        qual = spread(dim, self.qual[dim][cut])
                     elif idx is not None:
-                        qual = self.qual[dim][idx][cut]
+                        qual = int(self.qual[dim][cut][idx])
                     else:
                         qual = self.qual_min[dim][cut]
                     cutoff = np.maximum(cutoff, qual)
@@ -1789,7 +1701,7 @@ class PartialBoundEngine:
         for dim in self.layout.dims:
             idx = assigned.get(dim)
             cycles_lb *= (
-                self.chain_stats[dim][idx][0]
+                int(self.cycles[dim][idx])
                 if idx is not None
                 else self.min_cycles[dim]
             )
@@ -1813,7 +1725,7 @@ class PartialBoundEngine:
                     dim = layout.dims[d]
                     idx = assigned.get(dim)
                     qual = (
-                        self.qual[dim][idx][cut]
+                        int(self.qual[dim][cut][idx])
                         if idx is not None
                         else self.qual_min[dim][cut]
                     )
@@ -1824,22 +1736,13 @@ class PartialBoundEngine:
                 for d in meta.irrelevant_idx:
                     dim = layout.dims[d]
                     idx = assigned.get(dim)
-                    if idx is not None:
-                        outer *= self._factor(
-                            dim, idx, cut, parent, False, cutoff
+                    outer *= self._factor_at(
+                        dim, idx, cut, parent, False, cutoff
+                    )
+                    if child is not None:
+                        inner *= self._factor_at(
+                            dim, idx, cut, parent, True, cutoff
                         )
-                        if child is not None:
-                            inner *= self._factor(
-                                dim, idx, cut, parent, True, cutoff
-                            )
-                    else:
-                        outer *= self._factor_min(
-                            dim, cut, parent, False, cutoff
-                        )
-                        if child is not None:
-                            inner *= self._factor_min(
-                                dim, cut, parent, True, cutoff
-                            )
                 if not meta.is_output:
                     energy += engine.read_pj[parent] * base * outer
                     if child is not None:
@@ -1873,7 +1776,7 @@ class PartialBoundEngine:
             sizes.append(int(self.layout.sizes[d]))
             idx = assigned.get(dim)
             if idx is not None:
-                choices.append((self.chain_stats[dim][idx][1][cut],))
+                choices.append((int(self.tiles[dim][cut][idx]),))
             else:
                 lo, hi = self.tile_range[dim][cut]
                 choices.append((lo,) if lo == hi else (lo, hi))

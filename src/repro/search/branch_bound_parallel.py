@@ -35,13 +35,11 @@ driver sums them into its own walker and hands the total to its ledger
 once, so ``search.candidates`` equals ``num_evaluated`` and
 ``search.subtrees_pruned`` equals ``stats["bnb"]["subtrees_pruned"]``.
 
-Transport is zero-copy where it matters: the
-:class:`~repro.model.batch.PartialBoundEngine` factor tables (the only
-Python-loop-heavy precomputation) ship to workers as
-``multiprocessing.shared_memory`` views, with a pickle fallback
-mirroring the pool's fork→spawn→sequential ladder. The driver owns the
-segment and unlinks it in a ``finally``, so a crashed or SIGKILLed
-worker cannot leak ``/dev/shm`` entries.
+Transport: workers receive only the pool state (specs, options and the
+search settings). Each rebuilds its mapspace, batch engine and
+:class:`~repro.model.batch.PartialBoundEngine` from it once per process;
+the bound engine's tables take milliseconds to build, so no array ever
+crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from repro import obs
-from repro.model.shm import ShmArrayBundle
 from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
@@ -86,18 +83,9 @@ def _walk_stack(state: Dict[str, Any]) -> Dict[str, Any]:
         vectorize=state["use_batch"],
     )
     menus = mapspace.dim_chain_menus()
-    bound_engine = PartialBoundEngine(engine, menus)
-    if state["table_handle"] is not None:
-        attachment = ShmArrayBundle.attach(state["table_handle"])
-        bound_engine.preload_tables(attachment.arrays)
-        # The preloaded views live in the engine's caches; keep the
-        # mapping open for the process lifetime (closing a mapping with
-        # live views is undefined behavior — the driver's unlink, not a
-        # worker-side close, is what reclaims the segment).
-        stack["attachment"] = attachment
     stack.update(
         engine=engine,
-        bound_engine=bound_engine,
+        bound_engine=PartialBoundEngine(engine, menus),
         dims_order=dims_branch_order(menus),
     )
     return stack
@@ -183,170 +171,154 @@ def run_parallel_tree(search, engine) -> SearchResult:
         evaluator, "branch-bound", search.objective,
         total_units=total_units, engine=engine,
     )
-    table_bundle = None
-    try:
-        with ledger, obs.trace(
-            "search.run", driver="branch-bound", mode="parallel",
-            objective=search.objective, workers=workers,
+    with ledger, obs.trace(
+        "search.run", driver="branch-bound", mode="parallel",
+        objective=search.objective, workers=workers,
+    ):
+        # Driver-side walker: hosts warm start, partition-time
+        # pruning counters, and the final re-price — all through the
+        # same incumbent protocol as the serial search.
+        walker = _SubtreeWalker(
+            mapspace,
+            engine,
+            evaluator,
+            bound_engine,
+            dims_order,
+            objective=search.objective,
+            leaf_width=search.leaf_width,
+            batch_size=search.batch_size,
+            limit=search.limit,
+            incumbent=LocalIncumbent(),
+            ledger=ledger,
+        )
+        warm_metric = search._warm_start(walker)
+        root_bound = float(bound_engine.bound({}, search.objective))
+
+        # Partition the first one or two tree levels into work units
+        # (two when one level is too coarse to balance the pool).
+        depth = 1
+        if num_dims > 1 and len(dims_order[0][1]) < (
+            UNITS_PER_WORKER * workers
         ):
-            # Driver-side walker: hosts warm start, partition-time
-            # pruning counters, and the final re-price — all through the
-            # same incumbent protocol as the serial search.
-            walker = _SubtreeWalker(
-                mapspace,
-                engine,
-                evaluator,
-                bound_engine,
-                dims_order,
-                objective=search.objective,
-                leaf_width=search.leaf_width,
-                batch_size=search.batch_size,
-                limit=search.limit,
-                incumbent=LocalIncumbent(),
-                ledger=ledger,
-            )
-            warm_metric = search._warm_start(walker)
-            root_bound = float(bound_engine.bound({}, search.objective))
+            depth = 2
+        depth = min(depth, num_dims)
+        part_dims = [dims_order[i][0] for i in range(depth)]
+        units = mapspace.partition_prefixes(part_dims)
+        total_cells = 1
+        for i in range(depth):
+            total_cells *= len(dims_order[i][1])
+        walker.infeasible_subtrees += total_cells - len(units)
+        # Every infeasible partition cell resolves a whole subtree.
+        walker._cover(
+            (total_cells - len(units)) * walker.suffix_product[depth]
+        )
 
-            # Partition the first one or two tree levels into work units
-            # (two when one level is too coarse to balance the pool).
-            depth = 1
-            if num_dims > 1 and len(dims_order[0][1]) < (
-                UNITS_PER_WORKER * workers
-            ):
-                depth = 2
-            depth = min(depth, num_dims)
-            part_dims = [dims_order[i][0] for i in range(depth)]
-            units = mapspace.partition_prefixes(part_dims)
-            total_cells = 1
-            for i in range(depth):
-                total_cells *= len(dims_order[i][1])
-            walker.infeasible_subtrees += total_cells - len(units)
-            # Every infeasible partition cell resolves a whole subtree.
-            walker._cover(
-                (total_cells - len(units)) * walker.suffix_product[depth]
-            )
-
-            # Bound every unit; prune against the warm incumbent before
-            # dispatch; order the rest so workers start on promising
-            # subtrees (the incumbent tightens fastest that way).
-            cut = float(walker.incumbent.read())
-            bounded: List[Tuple[float, Tuple[int, ...]]] = []
-            for indices, _ in units:
-                assigned = {
-                    part_dims[i]: k for i, k in enumerate(indices)
-                }
-                unit_bound = float(
-                    bound_engine.bound(assigned, search.objective)
-                )
-                if (
-                    cut != float("inf")
-                    and unit_bound * (1.0 - PRUNE_MARGIN) >= cut
-                ):
-                    walker.subtrees_pruned += 1
-                    walker._cover(walker.suffix_product[depth])
-                    continue
-                bounded.append((unit_bound, indices))
-            bounded.sort()
-
-            # Each unit is a worker-side walk of its subtree, keeping the
-            # serial walk's flush-time bound re-check against the live
-            # incumbent. The factor tables ship once through shared
-            # memory instead of being rebuilt in every worker.
-            jobs = [(j, indices) for j, (_, indices) in enumerate(bounded)]
-            table_handle = None
-            if jobs:
-                tables = bound_engine.export_tables()
-                if tables:
-                    table_bundle = ShmArrayBundle.share(tables)
-                    table_handle = table_bundle.handle
-
-            state: Dict[str, Any] = {
-                "arch": mapspace.arch,
-                "workload": mapspace.workload,
-                "kind": mapspace.kind,
-                "constraints": mapspace.constraints,
-                "energy_table": evaluator.energy_table,
-                "evaluator_options": {
-                    "include_noc": evaluator.include_noc,
-                    "include_static": evaluator.include_static,
-                    "clock_ghz": evaluator.clock_ghz,
-                },
-                "use_batch": search.use_batch,
-                "objective": search.objective,
-                "leaf_width": search.leaf_width,
-                "batch_size": search.batch_size,
-                "limit": search.limit,
-                "table_handle": table_handle,
-                "obs": obs.active_obs() is not None,
+        # Bound every unit; prune against the warm incumbent before
+        # dispatch; order the rest so workers start on promising
+        # subtrees (the incumbent tightens fastest that way).
+        cut = float(walker.incumbent.read())
+        bounded: List[Tuple[float, Tuple[int, ...]]] = []
+        for indices, _ in units:
+            assigned = {
+                part_dims[i]: k for i, k in enumerate(indices)
             }
-            # Stream per-unit completion into the driver's tracker as
-            # results arrive: a finished unit resolves its whole subtree.
-            # Its claimed best is an improvement only once the re-price
-            # below accepts it.
-            def _on_unit_result(result: Dict[str, Any]) -> None:
-                ledger.progress.advance(walker.suffix_product[depth])
+            unit_bound = float(
+                bound_engine.bound(assigned, search.objective)
+            )
+            if (
+                cut != float("inf")
+                and unit_bound * (1.0 - PRUNE_MARGIN) >= cut
+            ):
+                walker.subtrees_pruned += 1
+                walker._cover(walker.suffix_product[depth])
+                continue
+            bounded.append((unit_bound, indices))
+        bounded.sort()
 
-            if jobs:
-                results, pool_mode, _ = run_jobs(
-                    _unit_entry,
-                    state,
-                    jobs,
-                    workers,
-                    start_method=search.start_method,
-                    shared_factory=SharedIncumbent.factory(
-                        float(walker.best_metric)
+        # Each unit is a worker-side walk of its subtree, keeping the
+        # serial walk's flush-time bound re-check against the live
+        # incumbent.
+        jobs = [(j, indices) for j, (_, indices) in enumerate(bounded)]
+        state: Dict[str, Any] = {
+            "arch": mapspace.arch,
+            "workload": mapspace.workload,
+            "kind": mapspace.kind,
+            "constraints": mapspace.constraints,
+            "energy_table": evaluator.energy_table,
+            "evaluator_options": {
+                "include_noc": evaluator.include_noc,
+                "include_static": evaluator.include_static,
+                "clock_ghz": evaluator.clock_ghz,
+            },
+            "use_batch": search.use_batch,
+            "objective": search.objective,
+            "leaf_width": search.leaf_width,
+            "batch_size": search.batch_size,
+            "limit": search.limit,
+            "obs": obs.active_obs() is not None,
+        }
+        # Stream per-unit completion into the driver's tracker as
+        # results arrive: a finished unit resolves its whole subtree.
+        # Its claimed best is an improvement only once the re-price
+        # below accepts it.
+        def _on_unit_result(result: Dict[str, Any]) -> None:
+            ledger.progress.advance(walker.suffix_product[depth])
+
+        if jobs:
+            results, pool_mode, _ = run_jobs(
+                _unit_entry,
+                state,
+                jobs,
+                workers,
+                start_method=search.start_method,
+                shared_factory=SharedIncumbent.factory(
+                    float(walker.best_metric)
+                ),
+                on_result=_on_unit_result,
+            )
+        else:
+            results, pool_mode = [], "sequential"
+        collect_worker_obs(results)
+
+        # Merge unit counters into the driver's walker; re-price every
+        # claimed best through the driver's evaluator, in dispatch
+        # order, so ties resolve deterministically and the metric is
+        # race-independent.
+        unit_rows: List[Dict[str, Any]] = []
+        claim_mappings: List[Any] = []
+        for result in results:
+            counters = result["counters"]
+            walker.evaluations += counters["evaluations"]
+            walker.num_valid += counters["num_valid"]
+            walker.batch += result["batch"]
+            walker.nodes_expanded += counters["nodes_expanded"]
+            walker.leaves_deferred += counters["leaves_deferred"]
+            walker.subtrees_pruned += counters["subtrees_pruned"]
+            walker.infeasible_subtrees += counters["infeasible_subtrees"]
+            metric = result["metric"]
+            unit_rows.append(
+                {
+                    "unit": result["unit"],
+                    "kind": result["kind"],
+                    "evaluations": counters["evaluations"],
+                    "subtrees_pruned": counters["subtrees_pruned"],
+                    "elapsed_s": result["elapsed_s"],
+                    "metric": (
+                        metric if metric != float("inf") else None
                     ),
-                    on_result=_on_unit_result,
-                )
-            else:
-                results, pool_mode = [], "sequential"
-            collect_worker_obs(results)
-
-            # Merge unit counters into the driver's walker; re-price every
-            # claimed best through the driver's evaluator, in dispatch
-            # order, so ties resolve deterministically and the metric is
-            # race-independent.
-            unit_rows: List[Dict[str, Any]] = []
-            claim_mappings: List[Any] = []
-            for result in results:
-                counters = result["counters"]
-                walker.evaluations += counters["evaluations"]
-                walker.num_valid += counters["num_valid"]
-                walker.batch += result["batch"]
-                walker.nodes_expanded += counters["nodes_expanded"]
-                walker.leaves_deferred += counters["leaves_deferred"]
-                walker.subtrees_pruned += counters["subtrees_pruned"]
-                walker.infeasible_subtrees += counters["infeasible_subtrees"]
-                metric = result["metric"]
-                unit_rows.append(
-                    {
-                        "unit": result["unit"],
-                        "kind": result["kind"],
-                        "evaluations": counters["evaluations"],
-                        "subtrees_pruned": counters["subtrees_pruned"],
-                        "elapsed_s": result["elapsed_s"],
-                        "metric": (
-                            metric if metric != float("inf") else None
-                        ),
-                    }
-                )
-                if metric == float("inf"):
-                    continue
-                signature = result["signature"]
-                chains = {
-                    dim: menu_map[dim][signature[i]]
-                    for i, dim in enumerate(workload_dims)
                 }
-                claim_mappings.append(mapspace.assemble(chains, rng=None))
-            if claim_mappings:
-                walker.price_mappings(claim_mappings)
-            ledger.close_tree(walker, root_bound, warm_metric)
-    finally:
-        # The driver is the only unlinker; releasing here (even on a
-        # worker crash) is what keeps /dev/shm free of leaked segments.
-        if table_bundle is not None:
-            table_bundle.release()
+            )
+            if metric == float("inf"):
+                continue
+            signature = result["signature"]
+            chains = {
+                dim: menu_map[dim][signature[i]]
+                for i, dim in enumerate(workload_dims)
+            }
+            claim_mappings.append(mapspace.assemble(chains, rng=None))
+        if claim_mappings:
+            walker.price_mappings(claim_mappings)
+        ledger.close_tree(walker, root_bound, warm_metric)
 
     result = ledger.result("exhausted")
     stats = result.stats
@@ -355,7 +327,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
         "workers": workers,
         "partition_depth": depth,
         "num_units": len(jobs),
-        "transport": table_bundle.transport if table_bundle else None,
         "units": unit_rows,
     }
     return result

@@ -482,3 +482,74 @@ class TestBranchBoundSearch:
                 warm_samples=0,
                 limit=3,
             ).run()
+
+
+class TestTablesMatchScalarReference:
+    """Every table cell built at construction equals its scalar replay.
+
+    The engine builds its per-chain stats and projection-factor tables
+    with vectorized column walks over whole menus; ``_chain_cycles``,
+    ``_chain_tiles``, ``_chain_qual`` and ``_projection_factor`` replay
+    one chain (and one cutoff) at a time in Python ints. Checked for
+    every (chain, cutoff) of every key.
+    """
+
+    CASES = [c for c, _ in TestBoundAdmissibility.CASES] + [
+        "eyeriss-gemm-ruby-s",
+        "eyeriss-conv3x3-ruby-s",
+        "eyeriss-strided-dilated-conv",
+    ]
+
+    def _space(self, case, vector100, small_gemm):
+        if case in dict(TestBoundAdmissibility.CASES):
+            return TestBoundAdmissibility()._setup(case, vector100, small_gemm)
+        arch = eyeriss_like()
+        if case == "eyeriss-gemm-ruby-s":
+            workload = GemmLayer("g", m=12, n=10, k=8).workload()
+            return arch, workload, make_mapspace(arch, workload, "ruby-s")
+        if case == "eyeriss-conv3x3-ruby-s":
+            layer = ConvLayer("c3", c=3, m=4, p=5, q=5, r=3, s=3)
+            kind = "ruby-s"
+        else:
+            layer = ConvLayer(
+                "sd", c=2, m=3, p=4, q=3, r=3, s=2,
+                stride_h=2, stride_w=3, dilation_h=2, dilation_w=2,
+            )
+            kind = "pfm"
+        workload = layer.workload()
+        return arch, workload, make_mapspace(
+            arch, workload, kind, eyeriss_row_stationary()
+        )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_cell_matches_scalar_replay(
+        self, case, vector100, small_gemm
+    ):
+        arch, workload, space = self._space(case, vector100, small_gemm)
+        be = _bound_engine(space, Evaluator(arch, workload))
+        cutoffs = range(-1, be._cutoff_hi + 1)
+        keys_by_dim = {}
+        for key in be.factors:
+            keys_by_dim.setdefault(key[0], []).append(key)
+        cells = 0
+        for dim, menu in be.menus.items():
+            for idx, chain in enumerate(menu):
+                assert be.cycles[dim][idx] == be._chain_cycles(chain)
+                tiles = be._chain_tiles(chain)
+                qual = be._chain_qual(dim, chain)
+                for cut in be.cuts:
+                    assert be.tiles[dim][cut][idx] == tiles[cut]
+                    assert be.qual[dim][cut][idx] == qual[cut]
+                for key in keys_by_dim.get(dim, ()):
+                    _, cut, parent, inner = key
+                    row = be.factors[key][0][idx]
+                    assert row.tolist() == [
+                        be._projection_factor(
+                            dim, chain, cut, parent, inner, cutoff
+                        )
+                        for cutoff in cutoffs
+                    ]
+                    cells += row.size
+        for (table, table_min) in be.factors.values():
+            assert np.array_equal(table_min, table.min(axis=0))
+        assert cells == sum(t.size for t, _ in be.factors.values())

@@ -93,6 +93,45 @@ class TestSearchSpans:
             result.num_valid - batch["pruned"]
         )
 
+    def test_bound_spans_one_per_call_under_search_run(
+        self, monkeypatch, toy_arch, small_gemm
+    ):
+        """``bound.child`` / ``bound.suffix`` open once per
+        ``child_bounds`` / ``suffix_bounds`` call, inside ``search.run``."""
+        from repro.model.batch import PartialBoundEngine
+        from repro.search import BranchBoundSearch
+
+        calls = {"child_bounds": 0, "suffix_bounds": 0}
+        for method in calls:
+            original = getattr(PartialBoundEngine, method)
+
+            def counted(self, *args, _original=original, _method=method, **kw):
+                calls[_method] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(PartialBoundEngine, method, counted)
+        space = pfm_mapspace(toy_arch, small_gemm)
+        tracer = Tracer()
+        with obs_scope(registry=MetricsRegistry(), tracer=tracer):
+            # This leaf width makes the walk both branch and flush.
+            BranchBoundSearch(
+                space, Evaluator(toy_arch, small_gemm), seed=0, leaf_width=16
+            ).run()
+        by_id = {record["span_id"]: record for record in tracer.records}
+
+        def ancestors(record):
+            while record["parent_id"] is not None:
+                record = by_id[record["parent_id"]]
+                yield record["name"]
+
+        for name, method in (
+            ("bound.child", "child_bounds"),
+            ("bound.suffix", "suffix_bounds"),
+        ):
+            spans = [r for r in tracer.records if r["name"] == name]
+            assert len(spans) == calls[method] > 0
+            assert all("search.run" in ancestors(r) for r in spans)
+
     def test_genetic_search_emits_generation_spans(
         self, toy_arch, vector100, toy_evaluator
     ):
