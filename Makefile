@@ -75,12 +75,14 @@ bench-bnb:
 bench-bnb-parallel:
 	$(PYTHON) -m pytest benchmarks/test_perf_branch_bound_parallel.py --benchmark-only -s
 
-# Append the current BENCH_*.json payloads as one machine-tagged record
-# to the BENCH_HISTORY.jsonl regression ledger (run after the bench-*
-# suites refresh the payloads).
+# Append the BENCH_*.json payloads the bench-* suites just wrote to the
+# untracked build/bench/ as one machine-tagged record to the
+# BENCH_HISTORY.jsonl regression ledger. The committed BENCH_*.json at
+# the repo root are reference samples; no benchmark rewrites them.
 bench-record:
-	$(PYTHON) -m repro bench record BENCH_batch_eval.json \
-	    BENCH_branch_bound.json BENCH_branch_bound_parallel.json
+	$(PYTHON) -m repro bench record build/bench/BENCH_batch_eval.json \
+	    build/bench/BENCH_branch_bound.json \
+	    build/bench/BENCH_branch_bound_parallel.json
 
 # Benchmark regression gate: diff the newest ledger record against its
 # (same-machine) baseline and exit nonzero on any >= 20% slowdown, then

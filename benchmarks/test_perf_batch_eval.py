@@ -8,25 +8,22 @@ Acceptance criteria from the batch-engine PR:
   the scalar loop,
 
 with results bit-identical in both cases (asserted here too — a fast
-wrong answer is not a speedup). Measured numbers land in
-``BENCH_batch_eval.json`` at the repo root so later PRs have a perf
-trajectory to compare against. Run via ``make bench-batch``.
+wrong answer is not a speedup). Measured numbers land in the untracked
+``build/bench/BENCH_batch_eval.json``, which ``make bench-record``
+appends to the regression ledger. Run via ``make bench-batch``.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
 import pytest
 
 pytest.importorskip("numpy")
 
-from conftest import run_once
+from conftest import BenchRecord, best_of, run_once
 
 from repro.arch import eyeriss_like, toy_glb_architecture
-from repro.io.serde import save_json
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
@@ -35,25 +32,7 @@ from repro.search.random_search import RandomSearch
 from repro.problem.gemm import vector_workload
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch_eval.json"
-
-_RESULTS: dict = {"benchmark": "batch_eval", "cases": {}}
-
-
-def _record(case: str, payload: dict) -> None:
-    _RESULTS["cases"][case] = payload
-    save_json(_RESULTS, RESULTS_PATH)
-
-
-def _best_of(fn, rounds):
-    best_s = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - start)
-    return result, best_s
-
+_record = BenchRecord("batch_eval")
 
 def test_toy_exhaustive_sweep_5x(benchmark):
     """The headline criterion: >= 5x on the toy exhaustive sweep."""
@@ -70,8 +49,8 @@ def test_toy_exhaustive_sweep_5x(benchmark):
         ).run()
 
     rounds = 3
-    scalar, scalar_s = _best_of(lambda: sweep(False), rounds)
-    batched, batched_s = _best_of(lambda: sweep(True), rounds)
+    scalar, scalar_s = best_of(lambda: sweep(False), rounds)
+    batched, batched_s = best_of(lambda: sweep(True), rounds)
     run_once(benchmark, lambda: sweep(True))
     assert scalar.best_metric == batched.best_metric
     assert scalar.num_evaluated == batched.num_evaluated
@@ -115,8 +94,8 @@ def test_resnet_layer_random_search_not_slower(benchmark):
         ).run()
 
     rounds = 2
-    scalar, scalar_s = _best_of(lambda: search(False), rounds)
-    batched, batched_s = _best_of(lambda: search(True), rounds)
+    scalar, scalar_s = best_of(lambda: search(False), rounds)
+    batched, batched_s = best_of(lambda: search(True), rounds)
     run_once(benchmark, lambda: search(True))
     assert scalar.best_metric == batched.best_metric
     scalar_rate = scalar.num_evaluated / scalar_s
@@ -141,8 +120,8 @@ def test_resnet_layer_random_search_not_slower(benchmark):
 
 def test_results_file_is_valid_json():
     """The trajectory file the next PR will diff against must parse."""
-    if not RESULTS_PATH.exists():
+    if not _record.path.exists():
         pytest.skip("benchmarks above did not run")
-    data = json.loads(RESULTS_PATH.read_text())
+    data = json.loads(_record.path.read_text())
     assert data["benchmark"] == "batch_eval"
     assert data["cases"]

@@ -6,20 +6,17 @@ best-EDP mapping as the batched exhaustive sweep at >= 2x the speed, and
 the win must come from genuine subtree pruning (nonzero counters), not
 from evaluating fewer candidates by accident.
 
-Refreshes BENCH_branch_bound.json (the perf trajectory record).
+Writes build/bench/BENCH_branch_bound.json (the perf trajectory record).
 
 Run with: pytest benchmarks/test_perf_branch_bound.py --benchmark-only -s
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
 
-from conftest import run_once
+from conftest import BenchRecord, best_of, run_once
 
 from repro.arch import eyeriss_like
-from repro.io.serde import save_json
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import pfm_mapspace
 from repro.model import Evaluator
@@ -27,25 +24,7 @@ from repro.search.branch_bound import BranchBoundSearch
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_branch_bound.json"
-
-_RESULTS: dict = {"benchmark": "branch_bound", "cases": {}}
-
-
-def _record(case: str, payload: dict) -> None:
-    _RESULTS["cases"][case] = payload
-    save_json(_RESULTS, RESULTS_PATH)
-
-
-def _best_of(fn, rounds):
-    best_s = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - start)
-    return result, best_s
-
+_record = BenchRecord("branch_bound")
 
 def _conv5_expand_setup():
     arch = eyeriss_like()
@@ -76,8 +55,8 @@ def test_resnet_layer_branch_bound_2x(benchmark):
         ).run()
 
     rounds = 2
-    exact, exact_s = _best_of(exhaustive, rounds)
-    pruned, pruned_s = _best_of(branch_bound, rounds)
+    exact, exact_s = best_of(exhaustive, rounds)
+    pruned, pruned_s = best_of(branch_bound, rounds)
     run_once(benchmark, branch_bound)
 
     bnb = pruned.stats["bnb"]

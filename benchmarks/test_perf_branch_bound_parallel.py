@@ -11,7 +11,8 @@ Exactness is asserted unconditionally; the speedup gate needs >= 4
 physical cores and is skipped (with the measurements still recorded)
 on smaller machines.
 
-Refreshes BENCH_branch_bound_parallel.json (the perf trajectory record).
+Writes build/bench/BENCH_branch_bound_parallel.json (the perf trajectory
+record).
 
 Run with: pytest benchmarks/test_perf_branch_bound_parallel.py --benchmark-only -s
 """
@@ -19,44 +20,21 @@ Run with: pytest benchmarks/test_perf_branch_bound_parallel.py --benchmark-only 
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 
 import pytest
-from conftest import run_once
+from conftest import BenchRecord, best_of, run_once
 
 from repro.arch import eyeriss_like
-from repro.io.serde import save_json
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import pfm_mapspace
 from repro.model import Evaluator
 from repro.search.branch_bound import BranchBoundSearch
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
-RESULTS_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_branch_bound_parallel.json"
-)
-
 WORKERS = 4
 SPEEDUP_FLOOR = 1.8
 
-_RESULTS: dict = {"benchmark": "branch_bound_parallel", "cases": {}}
-
-
-def _record(case: str, payload: dict) -> None:
-    _RESULTS["cases"][case] = payload
-    save_json(_RESULTS, RESULTS_PATH)
-
-
-def _best_of(fn, rounds):
-    best_s = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - start)
-    return result, best_s
-
+_record = BenchRecord("branch_bound_parallel")
 
 def _conv5_expand_setup():
     arch = eyeriss_like()
@@ -80,8 +58,8 @@ def test_resnet_layer_parallel_speedup(benchmark):
         ).run()
 
     rounds = 2
-    serial, serial_s = _best_of(lambda: search(1), rounds)
-    parallel, parallel_s = _best_of(lambda: search(WORKERS), rounds)
+    serial, serial_s = best_of(lambda: search(1), rounds)
+    parallel, parallel_s = best_of(lambda: search(WORKERS), rounds)
     run_once(benchmark, lambda: search(WORKERS))
 
     pool = parallel.stats["pool"]

@@ -150,7 +150,8 @@ def _format_search_stats(stats: Dict) -> List[str]:
             f"  batch: {batch['batches']:,} batches  "
             f"{batch['candidates']:,} candidates  "
             f"pruned={batch['pruned']:,} ({batch['prune_rate']:.1%})  "
-            f"fallback={batch['fallback']:,}"
+            f"fallback={batch['fallback']:,}  "
+            f"infeasible={batch.get('infeasible', 0):,}"
         )
     bnb = stats.get("bnb")
     # Gate on either counter: a parallel (or shallow) run can defer every

@@ -34,7 +34,7 @@ def check_mapping(
         return violations  # later checks assume aligned structure
     violations.extend(_check_coverage(mapping, workload))
     violations.extend(_check_fanout(mapping, arch))
-    violations.extend(_check_capacity(mapping, arch, workload))
+    violations.extend(capacity_violations(mapping, arch, workload))
     return violations
 
 
@@ -120,9 +120,12 @@ def _tile_extents_at_level(mapping: Mapping, level_index: int) -> Dict[str, int]
     return extents
 
 
-def _check_capacity(
+def capacity_violations(
     mapping: Mapping, arch: Architecture, workload: Workload
 ) -> List[str]:
+    """The capacity violations of ``mapping`` alone (empty = every tile
+    fits). Enumeration drops candidates on this rule before packing them;
+    the tests and ``repro verify`` hold it to this scalar check."""
     violations = []
     for level_index, level in enumerate(arch.levels):
         if level.total_capacity_words is None:

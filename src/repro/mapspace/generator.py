@@ -157,6 +157,7 @@ class MapSpace:
         self._batch_layout = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
         self._menu_tables_cache: Optional[list] = None
+        self._menu_masks: Optional[tuple] = None
 
     def sample(self, rng: Optional[random.Random] = None) -> Mapping:
         """Sample one mapping (bounds, remainders, permutations, bypass)."""
@@ -394,9 +395,11 @@ class MapSpace:
         enumeration. Summed over all chains of any one dimension this
         reproduces the flat count exactly (the prefix tree partitions the
         enumeration) — asserted by the prefix-counting tests. Counts the
-        same index rows :meth:`iter_prefix_batches` packs, without packing.
+        candidates :meth:`iter_prefix_batches` resolves (the sum of its
+        batches' spans, capacity-infeasible candidates included), without
+        packing.
         """
-        return sum(len(rows) for rows in self._feasible_index_rows([prefix])[1])
+        return sum(count for count, _ in self._feasible_index_rows([prefix])[1])
 
     def sample_many(
         self, count: int, rng: Optional[random.Random] = None
@@ -532,6 +535,7 @@ class MapSpace:
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         prefix: Optional[Dict[str, DimChain]] = None,
+        capacity: bool = True,
     ) -> Iterator["object"]:
         """Exhaustively enumerate straight into packed columnar batches.
 
@@ -550,9 +554,11 @@ class MapSpace:
         branch-and-bound searcher. The prefix dims keep their menu slot in
         the product order, so iterating every prefix of one dimension
         reproduces the flat enumeration order exactly.
+
+        ``capacity`` is :meth:`iter_prefix_batches`' capacity prefilter.
         """
         yield from self.iter_prefix_batches(
-            [prefix or {}], batch_size=batch_size
+            [prefix or {}], batch_size=batch_size, capacity=capacity
         )
 
     def partition_prefixes(
@@ -589,6 +595,7 @@ class MapSpace:
         prefixes: Union[Sequence[Optional[Dict[str, DimChain]]], np.ndarray],
         batch_size: int = DEFAULT_BATCH_SIZE,
         tags: Optional[Sequence[int]] = None,
+        capacity: bool = True,
     ) -> Iterator["object"]:
         """Enumerate many prefixes' completions into *shared* packed batches.
 
@@ -597,6 +604,22 @@ class MapSpace:
         still produces full-width batches — one partial batch per call,
         not one per subtree. Within each prefix the candidate order
         matches :meth:`iter_batches` exactly.
+
+        With ``capacity`` set (the default), only candidates whose tiles
+        fit every bounded level are packed: capacity depends on each
+        dimension's chain alone, so it is decided on menu indices from
+        per-chain extent tables, the same way the joint fanout is, and a
+        candidate that fails it is never packed. Searches that price rows
+        one by one through the scalar evaluator turn it off, so that
+        oracle still sees, checks and caches every candidate.
+        The enumeration is still the fanout-feasible product: each batch
+        records in ``span`` how many of its candidates it resolves (its
+        rows plus the capacity-infeasible candidates before them, and for
+        the last batch after them) and in ``ordinals`` each row's position
+        among them, so the spans of one call sum to
+        :meth:`count_completions` and ``ordinals`` give every row its
+        candidate number. A call whose trailing candidates all fail
+        capacity ends with an empty batch that carries their span.
 
         ``prefixes`` may also be given as menu-index rows: an
         ``(n, num_dims)`` int64 array in workload dim order holding each
@@ -608,7 +631,7 @@ class MapSpace:
         yielded batch with its source prefix's tag in ``batch.tags``, so
         callers that pack many subtrees into one batch can recover which
         subtree an improving row came from (provenance survives the
-        fanout filter, which silently drops rows).
+        fanout and capacity filters, which silently drop rows).
         """
         layout = self.batch_layout()
         if batch_size < 1:
@@ -618,12 +641,14 @@ class MapSpace:
         from repro.model.batch import MappingBatch
 
         tables, chunks = self._feasible_index_rows(
-            prefixes, tags, chunk=max(_INDEX_CHUNK, batch_size)
+            prefixes, tags, chunk=max(_INDEX_CHUNK, batch_size),
+            capacity=capacity,
         )
+        num_dims = len(tables)
 
-        def pack(rows):
+        def pack(rows, start, end):
             n = len(rows)
-            shape = (n, len(self.slots), len(tables))
+            shape = (n, len(self.slots), num_dims)
             bounds = np.empty(shape, dtype=np.int64)
             rems = np.empty(shape, dtype=np.int64)
             for d, table in enumerate(tables):
@@ -640,18 +665,31 @@ class MapSpace:
                 rems=rems,
                 pos=np.broadcast_to(layout.grid_pos[None, :, :], shape),
                 fallback=np.zeros(n, dtype=bool),
-                tags=rows[:, -1].copy() if tags is not None else None,
+                tags=rows[:, num_dims].copy() if tags is not None else None,
+                span=end - start,
+                ordinals=rows[:, -1] - start,
             )
 
-        held = np.empty((0, len(tables) + 1), dtype=np.int64)
-        for rows in chunks:
+        held = np.empty((0, num_dims + 2), dtype=np.int64)
+        # Candidates resolved by the batches yielded so far, and in all.
+        resolved = total = 0
+        while True:
+            with _obs.trace("mapspace.enumerate"):
+                step = next(chunks, None)
+            if step is None:
+                break
+            count, rows = step
+            total += count
             held = np.concatenate([held, rows])
             full = len(held) - len(held) % batch_size
             for start in range(0, full, batch_size):
-                yield pack(held[start:start + batch_size])
+                part = held[start:start + batch_size]
+                end = int(part[-1, -1]) + 1
+                yield pack(part, resolved, end)
+                resolved = end
             held = held[full:]
-        if len(held):
-            yield pack(held)
+        if len(held) or total > resolved:
+            yield pack(held, resolved, total)
 
     def _menu_tables(self) -> List[Tuple["np.ndarray", Dict[tuple, int]]]:
         """Per-dimension ``(table, index_of)`` of the chain menus (cached).
@@ -670,26 +708,61 @@ class MapSpace:
                 )
                 for _, menu in self.dim_chain_menus()
             ]
+            self._menu_masks = self._mask_tables(
+                [table for table, _ in self._menu_tables_cache]
+            )
         return self._menu_tables_cache
+
+    def _mask_tables(self, tables: List["np.ndarray"]) -> tuple:
+        """What the fanout and capacity masks read, per dimension's chains.
+
+        Returns ``(fans, extents, shared)``. ``fans`` pairs each dimension
+        whose chains can change a fanout product with its chains' bounds
+        at the spatial slots. ``extents[d]`` is ``(len(tables[d]),
+        num_capacity_levels)`` int64: each chain's tile extent at every
+        bounded level, the product of its bounds at that level and inside
+        it (one column of :meth:`BatchLayout.capacity_extents`, per
+        chain). ``shared[d]`` is the extents every chain of the dimension
+        shares (a one-chain menu, say), or ``None``.
+        """
+        spatial = list(self._spatial_caps)
+        fans = [(d, table[:, 0, spatial]) for d, table in enumerate(tables)]
+        fans = [(d, fan) for d, fan in fans if (fan > 1).any()]
+        levels = self.batch_layout().capacity_levels
+        extents = []
+        for table in tables:
+            ext = np.ones((len(table), len(levels)), dtype=np.int64)
+            for j, (_, info) in enumerate(levels):
+                for c in info["cols"]:
+                    ext[:, j] *= table[:, 0, c]
+            extents.append(ext)
+        shared = [ext[0] if (ext == ext[0]).all() else None for ext in extents]
+        return fans, extents, shared
 
     def _feasible_index_rows(
         self,
         prefixes,
         tags: Optional[Sequence[int]] = None,
         chunk: int = _INDEX_CHUNK,
+        capacity: bool = False,
     ):
         """The fanout-feasible completions of ``prefixes`` as menu indices.
 
         Returns ``(tables, chunks)``. ``tables`` holds one array per
         dimension: the cached menu table, plus any pinned chain found in no
-        menu appended after it. ``chunks`` yields ``(n, num_dims + 1)``
-        int64 arrays of rows in :meth:`iter_batches` order: one index into
-        ``tables`` per dimension, then the row's prefix tag.
+        menu appended after it. ``chunks`` yields one ``(count, rows)``
+        pair per step: ``count`` fanout-feasible candidates, in
+        :meth:`iter_batches` order, and ``rows``, an ``(n, num_dims + 2)``
+        int64 array of those candidates: one index into ``tables`` per
+        dimension, then the row's prefix tag, then its 0-based position
+        among all fanout-feasible candidates of the call. With
+        ``capacity`` set, rows whose tiles overflow a bounded level are
+        left out of ``rows`` (``count`` still counts them).
 
         Every prefix spans a mixed-radix block of ``prod(free menu
         lengths)`` candidates (one for a fully pinned prefix); the blocks
         are laid end to end and cut into ``chunk``-row slices of flat
-        indices, each unravelled, fanout-masked and yielded as one array.
+        indices, each unravelled, masked and yielded as one array.
         """
         menus = self._menu_tables()
         foreign: List[Dict[tuple, int]] = [{} for _ in menus]
@@ -715,11 +788,17 @@ class MapSpace:
                     for key, chain in dict(zip(ids, column)).items()
                 }
                 pins[:, d] = list(map(index.__getitem__, ids))
-        tables = [
-            np.concatenate([table, np.array(list(extra), np.int64)])
-            if extra else table
-            for (table, _), extra in zip(menus, foreign)
-        ]
+        if any(foreign):
+            tables = [
+                np.concatenate([table, np.array(list(extra), np.int64)])
+                if extra else table
+                for (table, _), extra in zip(menus, foreign)
+            ]
+            fans, extents, shared = self._mask_tables(tables)
+        else:
+            tables = [table for table, _ in menus]
+            fans, extents, shared = self._menu_masks
+        layout = self.batch_layout()
         tag_of = np.asarray([0] * len(pins) if tags is None else tags, np.int64)
         radix = np.where(pins < 0, [len(table) for table, _ in menus], 1)
         if radix.astype(float).prod(axis=1).sum() >= 2.0 ** 62:
@@ -727,16 +806,17 @@ class MapSpace:
         sizes = radix.prod(axis=1)
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        base = np.column_stack([np.maximum(pins, 0), tag_of])
-        spatial = [o for o, slot in enumerate(self.slots) if slot.spatial]
-        caps = np.array([self.slots[o].fanout_cap for o in spatial], np.int64)
+        base = np.column_stack(
+            [np.maximum(pins, 0), tag_of, np.zeros(len(pins), np.int64)]
+        )
         # Dimensions whose chains are all 1 at every spatial slot never
-        # change a fanout product; the mask skips them.
-        fans = [(d, t[:, 0, spatial]) for d, t in enumerate(tables)]
-        fans = [(d, fan) for d, fan in fans if (fan > 1).any()]
+        # change a fanout product; ``fans`` leaves them out.
+        caps = np.array(list(self._spatial_caps.values()), np.int64)
+        capacity = capacity and bool(layout.capacity_levels)
 
         def rows():
             total = int(ends[-1]) if len(ends) else 0
+            seen = 0
             for a in range(0, total, chunk):
                 flat = np.arange(a, min(a + chunk, total))
                 pid = np.searchsorted(ends, flat, side="right")
@@ -745,10 +825,31 @@ class MapSpace:
                 for d in reversed(range(len(menus))):
                     local, digit = np.divmod(local, radix[pid, d])
                     idx[:, d] += digit
-                used = np.ones((len(flat), len(spatial)), np.int64)
+                used = np.ones((len(flat), len(caps)), np.int64)
                 for d, fan in fans:
                     used *= fan[idx[:, d]]
                     np.minimum(used, caps + 1, out=used)
-                yield idx[(used <= caps).all(axis=1)]
+                idx = idx[(used <= caps).all(axis=1)]
+                count = len(idx)
+                idx[:, -1] = np.arange(seen, seen + count)
+                seen += count
+                if capacity and count:
+                    # Per dim, its rows' (n, levels) extents, or the
+                    # (levels,) ones all its chains share: a scalar for
+                    # the capacity mask.
+                    ext = [
+                        table[idx[:, d]] if same is None else same
+                        for d, (table, same) in enumerate(zip(extents, shared))
+                    ]
+                    idx = idx[
+                        layout.fits_capacity(
+                            [
+                                [e[..., j] for e in ext]
+                                for j in range(len(layout.capacity_levels))
+                            ],
+                            count,
+                        )
+                    ]
+                yield count, idx
 
         return tables, rows()

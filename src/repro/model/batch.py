@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.spec import Architecture
-from repro.exceptions import SpecError
+from repro.exceptions import SearchError, SpecError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.model.evaluator import Evaluation, Evaluator
@@ -76,6 +77,10 @@ PRUNE_MARGIN = 1e-9
 #: arithmetic cannot wrap and int->float conversions stay exact. Rows that
 #: could exceed it fall back to the scalar evaluator (exact bigints).
 _EXACT_LIMIT = float(2**53)
+
+#: The partial-bound grid computes in int64; :class:`PartialBoundEngine`
+#: refuses workloads whose products could reach this.
+_INT64_LIMIT = float(2**63)
 
 
 @dataclass(frozen=True)
@@ -497,6 +502,58 @@ class BatchLayout:
                 )
             )
 
+    def capacity_extents(self, bounds: Any) -> List[Any]:
+        """Per-dim tile extent each bounded level holds, for packed rows.
+
+        One ``(num_dims, n)`` int64 array per entry of
+        :attr:`capacity_levels` (row ``d`` is dim ``d``'s extents): the
+        product of every bound at that level and inside it. This is the
+        largest tile the level must hold.
+        """
+        extents = []
+        for _, info in self.capacity_levels:
+            ext = np.ones((bounds.shape[0], self.num_dims), dtype=np.int64)
+            for c in info["cols"]:
+                ext *= bounds[:, c, :]
+            extents.append(ext.T)
+        return extents
+
+    def fits_capacity(self, extents: Sequence[Any], n: int) -> Any:
+        """Which of ``n`` rows fit every bounded level (``check_mapping``'s
+        capacity rule) given their tile extents.
+
+        ``extents`` has one entry per :attr:`capacity_levels` level,
+        indexed by dim: dim ``d``'s ``(n,)`` int64 extents there, as
+        :meth:`capacity_extents` gives them, or one int64 scalar that
+        every row shares. The batch kernel's validity stage passes
+        extents folded from packed rows; enumeration passes extents
+        gathered from per-chain tables, so it can drop rows that cannot
+        fit before packing them. Both fold them through each kept
+        tensor's rank footprints in the same int64 arithmetic.
+        """
+        valid = np.ones(n, dtype=bool)
+        for (level_index, info), ext in zip(self.capacity_levels, extents):
+            shared = np.zeros(n, dtype=np.int64)
+            for t in info["kept"]:
+                meta = self.tensors[t]
+                footprint = np.ones(n, dtype=np.int64)
+                for rank in meta.ranks:
+                    span = np.zeros(n, dtype=np.int64)
+                    for d, coef in rank:
+                        span += coef * (ext[d] - 1)
+                    footprint *= span + 1
+                words = np.maximum(
+                    footprint * meta.bits_per_element // info["word_bits"], 1
+                )
+                partition = meta.partition_words[level_index]
+                if partition is not None:
+                    valid &= words <= partition
+                else:
+                    shared += words
+            if info["shared_capacity"] is not None:
+                valid &= shared <= info["shared_capacity"]
+        return valid
+
     # -- packing and materialization ------------------------------------
 
     def column_for(
@@ -568,10 +625,26 @@ class MappingBatch:
     #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
     #: pricing kernels ignore it.
     tags: Any = None
+    #: Enumerated batches only: how many enumerated candidates the batch
+    #: resolves (its rows plus the capacity-infeasible candidates the
+    #: enumeration dropped before packing), and each row's 0-based
+    #: position among them. ``None`` on sampled and packed batches, whose
+    #: rows are their candidates.
+    span: Optional[int] = None
+    ordinals: Any = None
 
     @property
     def size(self) -> int:
         return int(self.bounds.shape[0])
+
+    @property
+    def candidates(self) -> int:
+        """Candidates this batch resolves: :attr:`span`, else its rows."""
+        return self.size if self.span is None else self.span
+
+    def ordinal(self, index: int) -> int:
+        """Row ``index``'s 0-based position among :attr:`candidates`."""
+        return index if self.ordinals is None else int(self.ordinals[index])
 
     def mapping_at(self, index: int) -> Mapping:
         """The ``Mapping`` object of row ``index`` (rebuilt if not stored)."""
@@ -842,9 +915,11 @@ class BatchEvaluator:
         With :attr:`vectorize` off, every row is one
         :meth:`Evaluator.evaluate` call on ``mapping_at(i)``, in row order
         (so an attached cache is looked up and filled exactly as a
-        per-candidate loop would), and nothing is pruned.
+        per-candidate loop would), and nothing is pruned. An empty batch
+        (an enumerated span whose candidates all failed capacity) prices
+        nothing.
         """
-        if not self.vectorize:
+        if not self.vectorize or not batch.size:
             outcome = BatchOutcome.blank(batch.size)
             for i in range(batch.size):
                 outcome.put(
@@ -854,7 +929,8 @@ class BatchEvaluator:
         n = batch.size
         bounds, rems, pos = batch.bounds, batch.rems, batch.pos
         fallback = batch.fallback | self._overflow_rows(bounds)
-        valid = self._validity(bounds, rems)
+        with obs.trace("batch.validity", rows=n):
+            valid = self._validity(bounds, rems)
         cycles = self._cycles(bounds, rems)
         cycles_f = cycles.astype(np.float64)
         pruned = np.zeros(n, dtype=bool)
@@ -1006,30 +1082,7 @@ class BatchEvaluator:
             if disallowed is not None:
                 valid &= ~(bounds[:, c, disallowed] > 1).any(axis=1)
         # Capacity: the largest tile held at each bounded level must fit.
-        for level_index, info in layout.capacity_levels:
-            ext = np.ones((n, layout.num_dims), dtype=np.int64)
-            for c in info["cols"]:
-                ext *= bounds[:, c, :]
-            shared = np.zeros(n, dtype=np.int64)
-            for t in info["kept"]:
-                meta = layout.tensors[t]
-                footprint = np.ones(n, dtype=np.int64)
-                for rank in meta.ranks:
-                    span = np.zeros(n, dtype=np.int64)
-                    for d, coef in rank:
-                        span += coef * (ext[:, d] - 1)
-                    footprint *= span + 1
-                words = np.maximum(
-                    footprint * meta.bits_per_element // info["word_bits"], 1
-                )
-                partition = meta.partition_words[level_index]
-                if partition is not None:
-                    valid &= words <= partition
-                else:
-                    shared += words
-            if info["shared_capacity"] is not None:
-                valid &= shared <= info["shared_capacity"]
-        return valid
+        return valid & layout.fits_capacity(layout.capacity_extents(bounds), n)
 
     def _cycles(self, bounds: Any, rems: Any) -> Any:
         """Per-dim shadowed temporal-step recursion, product over dims."""
@@ -1347,6 +1400,49 @@ class PartialBoundEngine:
                         if key not in self.factors:
                             table = self._build_factor_table(key, *arrays[dim])
                             self.factors[key] = (table, table.min(axis=0))
+        self._check_int64_range()
+
+    def _check_int64_range(self) -> None:
+        """Refuse a layout whose grid products could wrap in int64.
+
+        :meth:`_grid_bounds` multiplies cycle factors, rank delivery sums
+        and projection factors as int64. Their largest products, bounded
+        in float64 from the table maxima, must stay below 2**63; a
+        workload that reaches it gets a typed error instead of silently
+        wrapped (and so inadmissible) bounds.
+        """
+        layout = self.layout
+        largest = 1.0
+        for dim in layout.dims:
+            largest *= float(self.cycles[dim].max())
+        for meta in layout.tensors:
+            for parent, child in meta.boundaries:
+                cut = layout.num_levels if child is None else child
+                base = 1.0
+                for rank in meta.ranks:
+                    # Rank sum all_tiles + sum(coef * (size - t) *
+                    # all_tiles / t) at the largest tile counts.
+                    highs = [
+                        float(self.tile_range[layout.dims[d]][cut][1])
+                        for d, _ in rank
+                    ]
+                    all_tiles = math.prod(highs)
+                    base *= all_tiles + sum(
+                        coef * float(layout.sizes[d]) * all_tiles / high
+                        for (d, coef), high in zip(rank, highs)
+                    )
+                for inner in (False, True) if child is not None else (False,):
+                    traffic = base
+                    for d in meta.irrelevant_idx:
+                        key = (layout.dims[d], cut, parent, inner)
+                        traffic *= float(self.factors[key][0].max())
+                    largest = max(largest, traffic)
+        if largest >= _INT64_LIMIT:
+            raise SearchError(
+                f"partial bounds for {layout.workload.name} on "
+                f"{layout.arch.name} would overflow int64: a traffic or "
+                f"cycle product reaches {largest:.3g} >= 2**63"
+            )
 
     def _build_chain_stats(self, dim: str, bounds: Any, rems: Any) -> None:
         """Every menu chain's cycle factor, tiles and qualifying positions.
@@ -1527,7 +1623,10 @@ class PartialBoundEngine:
         return int(table[idx, cutoff + 1])
 
     def suffix_bounds(
-        self, assigned: Dict[str, int], objective: str = "edp"
+        self,
+        assigned: Dict[str, int],
+        objective: str = "edp",
+        siblings: Optional[Tuple[str, Any]] = None,
     ) -> Any:
         """:meth:`bound` of every *complete* assignment extending ``assigned``.
 
@@ -1539,10 +1638,17 @@ class PartialBoundEngine:
         a subtree is small, sweeping all of its completions' bounds in a
         few broadcast kernels costs far less than branching further, and
         the cells it cuts are never even enumerated into batches.
+
+        ``siblings=(dim, indices)`` prices a block of sibling leaves in
+        one grid: ``dim`` is a free dimension of ``assigned`` and its
+        axis holds just the given menu ``indices``. Slice ``j`` along that
+        axis equals ``suffix_bounds(assigned | {dim: indices[j]})`` cell
+        for cell.
         """
         free = [dim for dim in self.layout.dims if dim not in assigned]
+        select = {} if siblings is None else {siblings[0]: siblings[1]}
         with obs.trace("bound.suffix", swept=len(free)):
-            return self._grid_bounds(assigned, free, objective)
+            return self._grid_bounds(assigned, free, objective, select)
 
     def child_bounds(
         self, assigned: Dict[str, int], branch_dim: str,
@@ -1560,7 +1666,11 @@ class PartialBoundEngine:
             return self._grid_bounds(assigned, [branch_dim], objective)
 
     def _grid_bounds(
-        self, assigned: Dict[str, int], swept: Sequence[str], objective: str
+        self,
+        assigned: Dict[str, int],
+        swept: Sequence[str],
+        objective: str,
+        select: Optional[Dict[str, Any]] = None,
     ) -> Any:
         """:meth:`bound` over the grid of the ``swept`` dimensions' menus.
 
@@ -1568,9 +1678,11 @@ class PartialBoundEngine:
         dim order — is the bound of ``assigned`` extended by the swept
         dimensions' ``k_i``-th chains: the scalar path's math with each
         swept dimension's per-chain stats laid along its own broadcast
-        axis. Every other dimension is assigned (exact values) or free
-        (menu-minimum cycle and projection factors, box vertices in the
-        rank sums) exactly as in :meth:`bound`. Projection factors come
+        axis. ``select`` narrows a swept dimension's axis to the given
+        menu indices (the whole menu otherwise). Every other dimension is
+        assigned (exact values) or free (menu-minimum cycle and projection
+        factors, box vertices in the rank sums) exactly as in
+        :meth:`bound`. Projection factors come
         from the cutoff-indexed tables: an assigned chain's row, a free
         dimension's menu minimum, or a swept dimension's whole
         (menu, cutoff) table gathered along its axis.
@@ -1578,17 +1690,22 @@ class PartialBoundEngine:
         layout = self.layout
         engine = self.engine
         axes = [dim for dim in layout.dims if dim in swept]
-        shape = tuple(len(self.menus[dim]) for dim in axes)
-
-        def spread(dim: str, arr: Any) -> Any:
-            view = [1] * len(axes)
-            view[axes.index(dim)] = arr.shape[0]
-            return arr.reshape(view)
-
-        menu_idx = {
-            dim: spread(dim, np.arange(n, dtype=np.int64))
-            for dim, n in zip(axes, shape)
+        picks = {
+            dim: np.asarray(
+                (select or {}).get(dim, np.arange(len(self.menus[dim]))),
+                dtype=np.int64,
+            )
+            for dim in axes
         }
+        shape = tuple(picks[dim].size for dim in axes)
+
+        # Each swept dimension's menu indices, laid along its own axis:
+        # gathering a per-chain table with them spreads it onto the grid.
+        menu_idx = {}
+        for axis, dim in enumerate(axes):
+            view = [1] * len(axes)
+            view[axis] = shape[axis]
+            menu_idx[dim] = picks[dim].reshape(view)
 
         def factor(
             dim: str, cut: int, parent: int, inner: bool, cutoff_idx: Any
@@ -1603,7 +1720,7 @@ class PartialBoundEngine:
         for dim in layout.dims:
             idx = assigned.get(dim)
             if dim in menu_idx:
-                cycles = cycles * spread(dim, self.cycles[dim])
+                cycles = cycles * self.cycles[dim][menu_idx[dim]]
             elif idx is not None:
                 cycles = cycles * int(self.cycles[dim][idx])
             else:
@@ -1627,7 +1744,7 @@ class PartialBoundEngine:
                         idx = assigned.get(dim)
                         if dim in menu_idx:
                             options.append(
-                                (spread(dim, self.tiles[dim][cut]),)
+                                (self.tiles[dim][cut][menu_idx[dim]],)
                             )
                         elif idx is not None:
                             options.append(
@@ -1657,7 +1774,7 @@ class PartialBoundEngine:
                     dim = layout.dims[d]
                     idx = assigned.get(dim)
                     if dim in menu_idx:
-                        qual = spread(dim, self.qual[dim][cut])
+                        qual = self.qual[dim][cut][menu_idx[dim]]
                     elif idx is not None:
                         qual = int(self.qual[dim][cut][idx])
                     else:

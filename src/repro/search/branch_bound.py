@@ -30,7 +30,9 @@ Search order and exactness:
   would otherwise dominate the runtime). At flush time each buffered
   bound is re-checked against the incumbent — which usually improved
   since the leaf was popped — so late leaves are often cut without
-  enumerating a row. Surviving rows are priced by the bit-exact
+  enumerating a row. Sibling leaves get their per-completion bound grids
+  one block per call when their parent is expanded, keeping only cells
+  under the cut of the moment. Surviving rows are priced by the bit-exact
   vectorized engine with row-level pruning against the same incumbent.
   The returned best-EDP is therefore bit-identical to
   :class:`~repro.search.exhaustive.ExhaustiveSearch` — asserted by the
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,6 +163,10 @@ class _SubtreeWalker:
         #: Workload dim order — the canonical signature axis (matches
         #: ``dim_chain_menus`` and the batch layout's dim columns).
         self.workload_dims = [dim for dim, _ in mapspace.dim_chain_menus()]
+        self._menu_lens = np.array(
+            [len(menu) for _, menu in mapspace.dim_chain_menus()],
+            dtype=np.int64,
+        )
         # suffix_product[k] = candidates (pre-fanout-filter) below depth k.
         suffix = [1] * (self.num_dims + 1)
         for k in range(self.num_dims - 1, -1, -1):
@@ -189,9 +195,12 @@ class _SubtreeWalker:
         # pack into shared full-width batches (a per-leaf iter_batches
         # call would emit mostly-empty batches and the per-batch kernel
         # overhead would swamp the pruning win).
-        self._leaf_buffer: List[Tuple[float, Tuple[int, ...]]] = []
+        self._leaf_buffer: List[Tuple[float, Tuple[int, ...], Optional[tuple]]] = []
         self._leaf_rows = 0
         self._flush_rows = FLUSH_ROWS_FACTOR * batch_size
+        #: Cells per block of sibling leaves whose suffix grids are
+        #: computed in one call.
+        self._block_cells = FLUSH_ROWS_FACTOR * leaf_width
         self._counter = 1
 
     def _cover(self, cells: float) -> None:
@@ -262,12 +271,15 @@ class _SubtreeWalker:
                 float(outcome.metric[i]), make_evaluation, base + i + 1
             )
 
-    def _count(self, outcome) -> int:
-        """Count a priced batch's rows; returns the row count before it."""
+    def _count(self, outcome, batch=None) -> int:
+        """Count a priced batch's candidates (an enumerated batch's span);
+        returns the count before it."""
         base = self.evaluations
-        self.evaluations += outcome.valid.size
+        self.evaluations += (
+            outcome.valid.size if batch is None else batch.candidates
+        )
         self.num_valid += int(outcome.valid.sum())
-        self.batch += BatchCounts.of(outcome)
+        self.batch += BatchCounts.of(outcome, batch)
         return base
 
     # -- the walk --------------------------------------------------------
@@ -286,12 +298,14 @@ class _SubtreeWalker:
         }
         root_bound = self.bound_engine.bound(root_assigned, self.objective)
         # Heap entries: (bound, insertion counter, chain-index tuple
-        # along dims_order). The counter makes ties deterministic.
-        heap: List[Tuple[float, int, Tuple[int, ...]]] = [
-            (root_bound, 0, tuple(root_indices))
+        # along dims_order, the leaf's cells from _sibling_cells or None).
+        # The counter makes ties deterministic (the cells are never
+        # compared).
+        heap: List[Tuple[float, int, Tuple[int, ...], Optional[tuple]]] = [
+            (root_bound, 0, tuple(root_indices), None)
         ]
         while heap:
-            node_bound, _, indices = heapq.heappop(heap)
+            node_bound, _, indices, cells = heapq.heappop(heap)
             self._cut = float(self.incumbent.read())
             if (
                 self._cut != float("inf")
@@ -316,7 +330,7 @@ class _SubtreeWalker:
                 # priced (or cut) at flush time. Counted separately from
                 # expansions so both stats stay meaningful.
                 self.leaves_deferred += 1
-                self._leaf_buffer.append((node_bound, indices))
+                self._leaf_buffer.append((node_bound, indices, cells))
                 self._leaf_rows += self.suffix_product[depth]
                 if self._leaf_rows >= self._flush_rows:
                     self.flush_leaves()
@@ -335,6 +349,7 @@ class _SubtreeWalker:
             child_bounds = self.bound_engine.child_bounds(
                 assigned, dim, self.objective
             )
+            children: List[Tuple[int, float]] = []
             for k, chain in enumerate(menu):
                 prefix[dim] = chain
                 if not self.mapspace.chains_within_fanout(prefix):
@@ -351,8 +366,14 @@ class _SubtreeWalker:
                     self.subtrees_pruned += 1
                     self._cover(self.suffix_product[depth + 1])
                     continue
+                children.append((k, child_bound))
+            sibling_cells = self._sibling_cells(
+                assigned, dim, depth + 1, [k for k, _ in children]
+            )
+            for (k, child_bound), leaf_cells in zip(children, sibling_cells):
                 heapq.heappush(
-                    heap, (child_bound, self._counter, indices + (k,))
+                    heap,
+                    (child_bound, self._counter, indices + (k,), leaf_cells),
                 )
                 self._counter += 1
 
@@ -362,6 +383,52 @@ class _SubtreeWalker:
         self.flush_leaves()
         return root_bound
 
+    def _sibling_cells(
+        self,
+        assigned: Dict[str, int],
+        dim: str,
+        depth: int,
+        children: List[int],
+    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+        """Suffix-grid cells of a node's ``children`` (their menu indices
+        along ``dim``), computed one block of siblings at a time.
+
+        Children at ``depth`` that will be deferred as leaves with free
+        dimensions differ only in ``dim``, so one :meth:`suffix_bounds`
+        call with ``siblings`` prices a block of about
+        ``FLUSH_ROWS_FACTOR * leaf_width`` of their cells. Per child only
+        the flat indices and values of cells under the current cut are
+        kept. The cut only falls, so at flush these hold every cell the
+        flush-time cut keeps. Inner nodes, fully assigned leaves, and
+        every child while there is no incumbent, get ``None``: such a
+        leaf prices its own grid at flush, as a root leaf does.
+        """
+        from repro.model.batch import PRUNE_MARGIN
+
+        cells_per_leaf = self.suffix_product[depth]
+        if (
+            not children
+            or depth == self.num_dims
+            or cells_per_leaf > self.leaf_width
+            or self._cut == float("inf")
+        ):
+            return [None] * len(children)
+        axis = [d for d in self.workload_dims if d not in assigned].index(dim)
+        per_block = max(1, self._block_cells // cells_per_leaf)
+        cells: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+        for start in range(0, len(children), per_block):
+            ks = np.array(children[start:start + per_block], dtype=np.int64)
+            grid = self.bound_engine.suffix_bounds(
+                assigned, self.objective, siblings=(dim, ks)
+            )
+            # Row j: child ks[j]'s own suffix grid, flattened.
+            grid = np.moveaxis(grid, axis, 0).reshape(ks.size, -1)
+            under = grid * (1.0 - PRUNE_MARGIN) < self._cut
+            for values, mask in zip(grid, under):
+                keep = np.flatnonzero(mask)
+                cells.append((keep, values[keep]))
+        return cells
+
     def flush_leaves(self) -> None:
         """Price every buffered leaf subtree through shared batches.
 
@@ -370,7 +437,12 @@ class _SubtreeWalker:
         and surviving leaves get a dense per-completion bound sweep
         (:meth:`suffix_bounds`): complete assignments are the tightest
         bounds the engine can state, and a cell cut there is never even
-        enumerated into a batch.
+        enumerated into a batch. A leaf whose cells its parent's sibling
+        block already priced re-checks just the cells it kept.
+
+        Rows are counted by candidate: each batch's span includes the
+        cells the enumeration proved capacity-infeasible, and each row's
+        candidate number is its ordinal within that span.
         """
         from repro.model.batch import PRUNE_MARGIN
 
@@ -381,7 +453,7 @@ class _SubtreeWalker:
         # Surviving cells as menu-index rows in workload dim order, packed
         # without ever building chain dicts.
         blocks = [np.empty((0, self.num_dims), dtype=np.int64)]
-        for leaf_bound, leaf_indices in self._leaf_buffer:
+        for leaf_bound, leaf_indices, cells in self._leaf_buffer:
             if (
                 self._cut != float("inf")
                 and leaf_bound * (1.0 - PRUNE_MARGIN) >= self._cut
@@ -399,23 +471,29 @@ class _SubtreeWalker:
             if len(leaf_indices) == self.num_dims:
                 blocks.append(row[None, :])
                 continue
-            cells = self.bound_engine.suffix_bounds(assigned, self.objective)
-            flat = cells.reshape(-1)
+            if cells is None:
+                index, flat = None, self.bound_engine.suffix_bounds(
+                    assigned, self.objective
+                ).reshape(-1)
+            else:
+                index, flat = cells
             if self._cut != float("inf"):
                 keep = np.flatnonzero(
                     flat * (1.0 - PRUNE_MARGIN) < self._cut
                 )
-                cut = flat.size - keep.size
+                if index is not None:
+                    keep = index[keep]
+                cut = self.suffix_product[len(leaf_indices)] - keep.size
                 self.subtrees_pruned += cut
                 # Each cut cell is one complete assignment.
                 self._cover(cut)
             else:
-                keep = np.arange(flat.size)
+                keep = np.arange(flat.size) if index is None else index
             # suffix_bounds lays its axes out in workload dim order over
             # the free dims, which are exactly the row's -1 entries.
             rows = np.repeat(row[None, :], keep.size, axis=0)
             rows[:, row < 0] = np.stack(
-                np.unravel_index(keep, cells.shape), axis=1
+                np.unravel_index(keep, tuple(self._menu_lens[row < 0])), axis=1
             )
             blocks.append(rows)
         self._leaf_buffer.clear()
@@ -423,16 +501,17 @@ class _SubtreeWalker:
         pinned = np.concatenate(blocks)
         if not len(pinned):
             return
-        rows_priced = 0
+        resolved = 0
         with obs.trace("search.leaf_flush", subtrees=len(pinned)):
             for batch in self.mapspace.iter_prefix_batches(
                 pinned,
                 batch_size=self.batch_size,
                 tags=np.arange(len(pinned)),
+                capacity=self.engine.vectorize,
             ):
                 if (
                     self.limit is not None
-                    and self.evaluations + batch.size > self.limit
+                    and self.evaluations + batch.candidates > self.limit
                 ):
                     raise SearchError(
                         f"branch-and-bound search exceeded limit of "
@@ -445,9 +524,9 @@ class _SubtreeWalker:
                     incumbent=self._cut,
                     prune=True,
                 )
-                base = self._count(outcome)
-                rows_priced += batch.size
-                self._cover(batch.size)
+                base = self._count(outcome, batch)
+                resolved += batch.candidates
+                self._cover(batch.candidates)
                 live = outcome.valid & ~outcome.pruned
                 for i in np.flatnonzero(live & (outcome.metric < self._cut)):
                     i = int(i)
@@ -465,12 +544,12 @@ class _SubtreeWalker:
                     self._consider(
                         metric,
                         make_evaluation,
-                        base + i + 1,
+                        base + batch.ordinal(i) + 1,
                         signature=tuple(pinned[tag].tolist()),
                     )
-        # Pinned cells the joint-fanout filter dropped never became rows;
-        # they are resolved all the same.
-        self._cover(len(pinned) - rows_priced)
+        # Pinned cells the joint-fanout filter dropped are in no batch's
+        # span; they are resolved all the same.
+        self._cover(len(pinned) - resolved)
 
 
 class BranchBoundSearch:

@@ -15,7 +15,8 @@ class ExhaustiveSearch:
     """Evaluate every mapping of a mapspace, each exactly once.
 
     Candidates are packed straight from the chain enumerator into
-    columnar batches and priced by the
+    columnar batches (candidates the enumeration proves capacity-infeasible
+    on menu indices are counted, never packed) and priced by the
     :class:`~repro.model.batch.BatchEvaluator`: through its vectorized
     kernels, with admissible lower-bound pruning skipping the expensive
     traffic stage for candidates that provably cannot beat the
@@ -67,15 +68,18 @@ class ExhaustiveSearch:
             total_units=self.mapspace.enumeration_upper_bound(),
             engine=engine,
         )
-        # Clamp so the limit check always fires before a chunk that would
-        # push past the cap is priced (and bound chunk memory).
+        # Clamp to bound chunk memory on tiny limits. The limit counts
+        # enumerated candidates, so each batch is checked on its span
+        # (capacity-infeasible candidates included) before it is priced.
         batch_size = max(1, min(self.batch_size, self.limit + 1))
         with ledger, obs.trace(
             "search.run", driver="exhaustive", mode=ledger.mode,
             objective=self.objective,
         ):
-            for batch in self.mapspace.iter_batches(batch_size=batch_size):
-                self._check_limit(ledger.evaluations + batch.size)
+            for batch in self.mapspace.iter_batches(
+                batch_size=batch_size, capacity=engine.vectorize
+            ):
+                self._check_limit(ledger.evaluations + batch.candidates)
                 with obs.trace("search.batch", size=batch.size):
                     outcome = engine.evaluate_batch(
                         batch,

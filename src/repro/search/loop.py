@@ -77,27 +77,35 @@ class BatchCounts:
     a run counts only its own rows however many runs share one engine. A
     row that carries an evaluation without being a fallback row was
     served whole (a cache hit, or a row priced with the row-wise switch
-    off) and never reached the kernel.
+    off) and never reached the kernel. ``infeasible`` counts the
+    enumerated candidates the enumeration proved capacity-infeasible on
+    menu indices and never packed; they are candidates of the run
+    (``num_evaluated``), but not kernel rows.
     """
 
     batches: int = 0
     candidates: int = 0
     pruned: int = 0
     fallback: int = 0
+    infeasible: int = 0
 
     @classmethod
-    def of(cls, outcome: BatchOutcome) -> "BatchCounts":
+    def of(
+        cls, outcome: BatchOutcome, batch: Optional[MappingBatch] = None
+    ) -> "BatchCounts":
+        infeasible = 0 if batch is None else batch.candidates - batch.size
         fallback = int(outcome.fallback.sum())
         priced = outcome.valid.size - (len(outcome.evaluations) - fallback)
         if not priced:
-            return cls()
-        return cls(1, priced, int(outcome.pruned.sum()), fallback)
+            return cls(infeasible=infeasible)
+        return cls(1, priced, int(outcome.pruned.sum()), fallback, infeasible)
 
     def __iadd__(self, other: "BatchCounts") -> "BatchCounts":
         self.batches += other.batches
         self.candidates += other.candidates
         self.pruned += other.pruned
         self.fallback += other.fallback
+        self.infeasible += other.infeasible
         return self
 
     def payload(self) -> Dict[str, Any]:
@@ -109,6 +117,7 @@ class BatchCounts:
                 self.pruned / self.candidates if self.candidates else 0.0
             ),
             "fallback": self.fallback,
+            "infeasible": self.infeasible,
         }
 
 
@@ -232,12 +241,17 @@ class RunLedger:
             obs.inc("batch.candidates", counts.candidates)
             obs.inc("batch.pruned", counts.pruned)
             obs.inc("batch.fallback", counts.fallback)
+        if counts.infeasible:
+            obs.inc("batch.infeasible", counts.infeasible)
 
-    def count_outcome(self, outcome: BatchOutcome) -> None:
-        """Count one priced batch: its rows, valid rows and kernel rows."""
-        self.count(outcome.valid.size)
+    def count_outcome(
+        self, outcome: BatchOutcome, batch: Optional[MappingBatch] = None
+    ) -> None:
+        """Count one priced batch: its candidates (an enumerated batch's
+        span, else its rows), valid rows and kernel rows."""
+        self.count(outcome.valid.size if batch is None else batch.candidates)
         self.num_valid += int(outcome.valid.sum())
-        self.count_batch(BatchCounts.of(outcome))
+        self.count_batch(BatchCounts.of(outcome, batch))
 
     def improved(
         self, metric: float, evaluation: Evaluation, at: int
@@ -261,9 +275,11 @@ class RunLedger:
         sequence matches a row-by-row walk). Returns the rows that
         improved the incumbent, ascending; an improvement without a full
         evaluation is re-priced through :meth:`Evaluator.evaluate_fresh`.
+        An enumerated batch counts its whole span, and each improvement is
+        numbered by its row's ordinal within it.
         """
         base = self.evaluations
-        self.count_outcome(outcome)
+        self.count_outcome(outcome, batch)
         beats = outcome.valid & ~outcome.pruned
         beats &= outcome.metric < self.best_metric
         improved: List[int] = []
@@ -276,7 +292,7 @@ class RunLedger:
                     evaluation = self.evaluator.evaluate_fresh(
                         batch.mapping_at(i)
                     )
-                self.improved(metric, evaluation, base + i + 1)
+                self.improved(metric, evaluation, base + batch.ordinal(i) + 1)
                 improved.append(i)
         return improved
 

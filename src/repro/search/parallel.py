@@ -145,7 +145,7 @@ def parallel_random_search(
         batch = result.stats["batch"]
         ledger.batch += BatchCounts(
             batch["batches"], batch["candidates"], batch["pruned"],
-            batch["fallback"],
+            batch["fallback"], batch["infeasible"],
         )
         ledger.progress.advance(result.num_evaluated)
         if result.best is not None:

@@ -38,7 +38,8 @@ class SearchResult:
             :func:`throughput_stats`), a ``batch`` sub-dict
             (batches/candidates/pruned/prune_rate/fallback: the rows this
             run priced through the batch kernel, all zero on the scalar
-            path), a ``bnb`` sub-dict (nodes_expanded/leaves_deferred/
+            path; infeasible: enumerated candidates proved
+            capacity-infeasible and never packed), a ``bnb`` sub-dict (nodes_expanded/leaves_deferred/
             subtrees_pruned/infeasible_subtrees/root_bound/
             bound_tightness/warm_start_metric; all zero or None except on
             a branch-and-bound tree walk) and a ``progress`` sub-dict.

@@ -18,9 +18,13 @@ answers are known a priori:
   pruned row's true metric is at or above the incumbent;
 * **Enumeration count parity** — the scalar chain enumeration emits each
   candidate exactly once (unique signatures), and its count matches both
-  the prefix-tree closed-form count and the number of rows the batched
-  path packs — the differential check behind removing the scalar path's
-  vestigial dedup set;
+  the prefix-tree closed-form count and the candidates the batched path's
+  spans cover — the differential check behind removing the scalar path's
+  vestigial dedup set — and the packed rows are, in order, the scalar
+  candidates that fit capacity;
+* **Capacity prefilter** — every candidate the enumeration drops before
+  packing fails the scalar capacity check, and every packed one passes
+  it, on all four kinds with and without fixed permutations;
 * **Branch-bound parity** — the hierarchical branch-and-bound searcher
   finds the bit-identical best mapping (same signature, energy, and
   cycles) as exhaustive enumeration on toy and Eyeriss-preset mapspaces,
@@ -45,7 +49,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from repro.arch import toy_glb_architecture, toy_linear_architecture
 from repro.energy.accelergy import estimate_energy_table
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
+from repro.mapping.validity import capacity_violations
 from repro.mapspace.allocation import DimAllocator, DimChain, assign_remainders
 from repro.mapspace.chain_count import count_dim_chains, mapspace_upper_bound
 from repro.mapspace.constraints import ConstraintSet
@@ -302,16 +307,35 @@ def check_prune_parity(
     return checked, violations
 
 
+def _packed_positions(space: MapSpace) -> Tuple[Dict[int, Any], int]:
+    """Every packed row of ``space.iter_batches`` by candidate number.
+
+    Returns ``({position: signature}, resolved)``: each row at its
+    0-based position in the enumeration (its batch's start plus its
+    ordinal), and the sum of the batches' spans.
+    """
+    packed: Dict[int, Any] = {}
+    resolved = 0
+    for batch in space.iter_batches(batch_size=512):
+        for i in range(batch.size):
+            packed[resolved + batch.ordinal(i)] = batch.mapping_at(i).signature()
+        resolved += batch.candidates
+    return packed, resolved
+
+
 def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
     """Scalar enumeration, batched packing, and the closed count agree.
 
     The scalar exhaustive path used to carry a signature dedup set; this
     check is the evidence it was vestigial: chain enumeration emits each
     candidate exactly once (distinct chain combinations produce distinct
-    cells, hence distinct signatures), so all three counts must match.
-    Beyond the counts, every packed row must materialize to the scalar
-    enumeration's mapping at the same position, which guards the
-    vectorized packer against the ``Mapping`` path row for row.
+    cells, hence distinct signatures), so the scalar and closed counts
+    must match, and the batched path's spans must sum to them. Beyond the
+    counts, the packed rows must be, in order, exactly the scalar
+    candidates that pass ``check_mapping``'s capacity rule, each
+    materializing to the scalar enumeration's mapping at its position,
+    which guards the vectorized packer and its capacity prefilter against
+    the ``Mapping`` path row for row.
     """
     _, arch, workload = _toy_setup(seed)
     checked = 0
@@ -319,9 +343,8 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
     for kind in MapspaceKind:
         checked += 1
         space = MapSpace(arch, workload, kind)
-        signatures = [
-            m.signature() for m in space.enumerate_mappings(limit=200_000)
-        ]
+        mappings = list(space.enumerate_mappings(limit=200_000))
+        signatures = [m.signature() for m in mappings]
         scalar_count = len(signatures)
         unique_count = len(set(signatures))
         if scalar_count != unique_count:
@@ -335,29 +358,76 @@ def check_enumeration_count_parity(seed: int = 0) -> Tuple[int, List[str]]:
                 f"count-parity: {kind.value} scalar enumeration count "
                 f"{scalar_count} != closed-form count {closed_count}"
             )
-        packed = [
-            batch.mapping_at(i).signature()
-            for batch in space.iter_batches(batch_size=512)
-            for i in range(batch.size)
+        packed, resolved = _packed_positions(space)
+        if resolved != scalar_count:
+            violations.append(
+                f"count-parity: {kind.value} batched spans cover "
+                f"{resolved} candidates vs {scalar_count} scalar candidates"
+            )
+        fitting = [
+            position
+            for position, mapping in enumerate(mappings)
+            if not capacity_violations(mapping, arch, workload)
         ]
-        if len(packed) != scalar_count:
+        if sorted(packed) != fitting:
             violations.append(
                 f"count-parity: {kind.value} batched path packed "
-                f"{len(packed)} rows vs {scalar_count} scalar candidates"
+                f"{len(packed)} rows vs {len(fitting)} scalar candidates "
+                "that fit capacity"
             )
         mismatch = next(
             (
-                row
-                for row, (a, b) in enumerate(zip(packed, signatures))
-                if a != b
+                position
+                for position in fitting
+                if packed.get(position) != signatures[position]
             ),
             None,
         )
         if mismatch is not None:
             violations.append(
-                f"count-parity: {kind.value} packed row {mismatch} does not "
-                "materialize to the scalar enumeration's mapping"
+                f"count-parity: {kind.value} packed candidate {mismatch} "
+                "does not materialize to the scalar enumeration's mapping"
             )
+    return checked, violations
+
+
+def check_capacity_prefilter(seed: int = 0) -> Tuple[int, List[str]]:
+    """Every candidate enumeration drops unpacked fails capacity.
+
+    :meth:`MapSpace.iter_prefix_batches` decides capacity on menu indices
+    and never packs a candidate that fails it. On all four mapspace kinds,
+    with the canonical loop order and with a fixed permutation at every
+    level, each candidate missing from the packed rows must fail the
+    scalar ``check_mapping`` on capacity, and each packed one must pass
+    it.
+    """
+    _, arch, workload = _toy_setup(seed)
+    order = tuple(reversed(workload.dim_names))
+    fixed = ConstraintSet.build(
+        fixed_permutations={level.name: order for level in arch.levels}
+    )
+    checked = 0
+    violations: List[str] = []
+    for constraints, label in ((None, "canonical"), (fixed, "fixed-permutation")):
+        for kind in MapspaceKind:
+            space = MapSpace(arch, workload, kind, constraints=constraints)
+            packed, _ = _packed_positions(space)
+            for position, mapping in enumerate(
+                space.enumerate_mappings(limit=200_000)
+            ):
+                checked += 1
+                fails = bool(capacity_violations(mapping, arch, workload))
+                if fails == (position in packed):
+                    violations.append(
+                        f"capacity-prefilter: {kind.value} {label} candidate "
+                        f"{position} "
+                        + (
+                            "fails capacity but was packed"
+                            if fails
+                            else "fits capacity but was dropped"
+                        )
+                    )
+                    break
     return checked, violations
 
 
@@ -853,6 +923,7 @@ INVARIANTS: Tuple[Tuple[str, Callable[[int], Tuple[int, List[str]]]], ...] = (
     ("cache-transparency", check_cache_transparency),
     ("prune-parity", check_prune_parity),
     ("count-parity", check_enumeration_count_parity),
+    ("capacity-prefilter", check_capacity_prefilter),
     ("sample-parity", check_sample_parity),
     ("branch-bound-parity", check_branch_bound_parity),
     ("seed-determinism", check_seed_determinism),

@@ -25,6 +25,7 @@ from repro.arch import (
 from repro.arch.level import ComputeLevel, StorageLevel
 from repro.arch.spec import Architecture
 from repro.exceptions import SearchError
+from repro.mapping.validity import capacity_violations
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.factory import make_mapspace
 from repro.model import DEFAULT_BATCH_SIZE, BatchEvaluator, Evaluator, pack_mappings
@@ -84,7 +85,7 @@ def _assert_same_result(a, b, *, check_stats_batch=False):
         assert a.best.mapping.signature() == b.best.mapping.signature()
     if check_stats_batch:
         batch = b.stats["batch"]
-        assert batch["candidates"] == b.num_evaluated
+        assert batch["candidates"] + batch["infeasible"] == b.num_evaluated
         assert 0.0 <= batch["prune_rate"] <= 1.0
 
 
@@ -127,20 +128,29 @@ def test_random_sample_parity(preset, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_enumeration_batch_matches_scalar(kind):
-    """iter_batches rows equal enumerate_mappings, one for one."""
+    """iter_batches rows equal enumerate_mappings at their ordinals; the
+    candidates between them are exactly those failing scalar capacity."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
     mapspace = make_mapspace(arch, workload, kind)
     evaluator = Evaluator(arch, workload)
     engine = BatchEvaluator(evaluator, layout=mapspace.batch_layout())
     scalar_mappings = list(mapspace.enumerate_mappings())
-    rows = []
+    rows = {}
+    resolved = 0
     for batch in mapspace.iter_batches(batch_size=32):
         outcome = engine.evaluate_batch(batch, objective="edp")
         for i in range(batch.size):
-            rows.append((batch.mapping_at(i), outcome, i))
-    assert len(rows) == len(scalar_mappings)
-    for mapping, (materialized, outcome, i) in zip(scalar_mappings, rows):
+            rows[resolved + batch.ordinal(i)] = (batch.mapping_at(i), outcome, i)
+        resolved += batch.candidates
+    assert resolved == len(scalar_mappings)
+    assert 0 < len(rows) < resolved, "the prefilter must drop some rows here"
+    for position, mapping in enumerate(scalar_mappings):
+        fits = not capacity_violations(mapping, arch, workload)
+        assert fits == (position in rows)
+        if not fits:
+            continue
+        materialized, outcome, i = rows[position]
         assert mapping.signature() == materialized.signature()
         scalar = evaluator.evaluate(mapping)
         assert scalar.valid == bool(outcome.valid[i])

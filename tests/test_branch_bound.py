@@ -71,16 +71,19 @@ def _cell_metrics(space, evaluator, objective="edp"):
 
     The flat enumeration is the row-major product of the per-dim menus
     with jointly-infeasible combos skipped, so walking the index product
-    in the same order aligns cells with batch rows one-to-one.
+    in the same order aligns cells with enumerated candidates one-to-one.
+    A batch's rows sit at their ordinals within its span; the candidates
+    between them failed capacity and price to ``inf``.
     """
     engine = BatchEvaluator(evaluator, layout=space.batch_layout())
     metrics = []
     for batch in space.iter_batches(batch_size=256):
         out = engine.evaluate_batch(batch, objective=objective, prune=False)
+        span = [float("inf")] * batch.candidates
         for i in range(batch.size):
-            metrics.append(
-                float(out.metric[i]) if out.valid[i] else float("inf")
-            )
+            if out.valid[i]:
+                span[batch.ordinal(i)] = float(out.metric[i])
+        metrics += span
     menus = space.dim_chain_menus()
     cells = []
     for combo_idx in itertools.product(
@@ -134,7 +137,7 @@ class TestPrefixEnumeration:
         dim, menu = space.dim_chain_menus()[0]
         for chain in menu[:4]:
             batched = sum(
-                batch.size
+                batch.candidates
                 for batch in space.iter_batches(
                     batch_size=64, prefix={dim: chain}
                 )
@@ -436,6 +439,7 @@ class TestBranchBoundSearch:
         ).run()
         assert set(result.stats["batch"]) == {
             "batches", "candidates", "pruned", "prune_rate", "fallback",
+            "infeasible",
         }
         assert set(result.stats["bnb"]) == {
             "nodes_expanded", "leaves_deferred", "subtrees_pruned",

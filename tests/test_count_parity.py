@@ -45,12 +45,16 @@ def assert_counts_agree(result, registry, scalar_incumbent=True):
     stats = result.stats
     batch = stats["batch"]
     # The batch kernel priced this run's rows and nothing else: every
-    # row that was not served whole by the cache, or none on the scalar
-    # path. The live batch.* counters say the same.
+    # candidate that was not served whole by the cache or proved
+    # capacity-infeasible before packing, or none on the scalar path.
+    # The live batch.* counters say the same.
     hits = stats.get("cache", {}).get("hits", 0)
     if batch["candidates"]:
-        assert batch["candidates"] == result.num_evaluated - hits
-    for key in ("batches", "candidates", "pruned", "fallback"):
+        assert (
+            batch["candidates"] + batch["infeasible"]
+            == result.num_evaluated - hits
+        )
+    for key in ("batches", "candidates", "pruned", "fallback", "infeasible"):
         assert counter(f"batch.{key}").total() == batch[key], key
     if scalar_incumbent:
         improvements = counter("search.improvements").total()

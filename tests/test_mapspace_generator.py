@@ -9,6 +9,7 @@ import pytest
 
 from repro.arch import eyeriss_like, toy_glb_architecture
 from repro.mapping import is_valid_mapping
+from repro.mapping.validity import capacity_violations
 from repro.mapspace import (
     ConstraintSet,
     MapspaceKind,
@@ -252,9 +253,12 @@ def _itertools_packer(space, prefixes, batch_size, tags=None):
     """The per-candidate packer that the vectorized enumeration replaced.
 
     Walks ``itertools.product`` over each prefix's per-dimension choices,
-    checks the joint fanout one candidate at a time and fills batch rows
-    one by one. Kept here as the row-for-row oracle: returns
-    ``(size, bounds, rems, tags)`` per batch.
+    checks the joint fanout one candidate at a time, drops the candidates
+    whose assembled mapping fails the scalar capacity check, and fills
+    batch rows one by one. Kept here as the row-for-row oracle: returns
+    ``(batches, count)``, one ``(size, bounds, rems, tags, ordinals)`` per
+    batch (``ordinals`` being each row's position among all
+    fanout-feasible candidates) and the fanout-feasible count.
     """
     dims = list(space.workload.dim_names)
     menus = dict(space.dim_chain_menus())
@@ -264,32 +268,55 @@ def _itertools_packer(space, prefixes, batch_size, tags=None):
         if slot.spatial
     ]
     rows = []
+    count = 0
     for index, prefix in enumerate(prefixes):
         prefix = prefix or {}
         per_dim = [[prefix[d]] if d in prefix else menus[d] for d in dims]
         for combo in itertools.product(*per_dim):
-            if all(
+            if not all(
                 math.prod(chain.bounds[offset] for chain in combo) <= cap
                 for offset, cap in caps
             ):
-                rows.append((combo, tags[index] if tags is not None else 0))
+                continue
+            count += 1
+            if _fits(space, combo):
+                tag = tags[index] if tags is not None else 0
+                rows.append((combo, tag, count - 1))
     batches = []
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
         shape = (len(chunk), len(space.slots), len(dims))
         bounds = np.ones(shape, dtype=np.int64)
         rems = np.ones(shape, dtype=np.int64)
-        for row, (combo, _) in enumerate(chunk):
+        for row, (combo, _, _) in enumerate(chunk):
             for d, chain in enumerate(combo):
                 bounds[row, :, d] = chain.bounds
                 rems[row, :, d] = chain.remainders
         row_tags = (
-            np.array([tag for _, tag in chunk], dtype=np.int64)
+            np.array([tag for _, tag, _ in chunk], dtype=np.int64)
             if tags is not None
             else None
         )
-        batches.append((len(chunk), bounds, rems, row_tags))
-    return batches
+        ordinals = [ordinal for _, _, ordinal in chunk]
+        batches.append((len(chunk), bounds, rems, row_tags, ordinals))
+    return batches, count
+
+
+_FITS = {}
+
+
+def _fits(space, combo):
+    """Scalar ``check_mapping`` capacity verdict of one chain combination
+    (memoized: the packing tests replay the same candidates per batch
+    size)."""
+    key = (id(space), tuple((c.bounds, c.remainders) for c in combo))
+    if key not in _FITS:
+        mapping = space.assemble({c.dim: c for c in combo}, rng=None)
+        _FITS[key] = (
+            space,
+            not capacity_violations(mapping, space.arch, space.workload),
+        )
+    return _FITS[key][1]
 
 
 def _assert_packs_like_oracle(space, prefixes, batch_size, tags=None):
@@ -300,14 +327,24 @@ def _assert_packs_like_oracle(space, prefixes, batch_size, tags=None):
                 prefixes, batch_size=batch_size, tags=tags
             )
         )
-    want = _itertools_packer(space, prefixes, batch_size, tags)
-    assert len(got) == len(want)
+    want, count = _itertools_packer(space, prefixes, batch_size, tags)
+    # A call whose trailing candidates all fail capacity ends with an
+    # empty batch that carries their span.
+    if got and not got[-1].size and len(got) == len(want) + 1:
+        assert got[-1].tags is None or got[-1].tags.size == 0
+    else:
+        assert len(got) == len(want)
+    # The spans partition the fanout-feasible candidates.
+    assert sum(batch.candidates for batch in got) == count
     grid_pos = space.batch_layout().grid_pos
-    for batch, (size, bounds, rems, row_tags) in zip(got, want):
+    resolved = 0
+    for batch, (size, bounds, rems, row_tags, ordinals) in zip(got, want):
         assert batch.size == size
         assert batch.bounds.dtype == batch.rems.dtype == np.int64
         assert np.array_equal(batch.bounds, bounds)
         assert np.array_equal(batch.rems, rems)
+        assert [resolved + batch.ordinal(i) for i in range(size)] == ordinals
+        resolved += batch.candidates
         if row_tags is None:
             assert batch.tags is None
         else:
@@ -318,9 +355,9 @@ def _assert_packs_like_oracle(space, prefixes, batch_size, tags=None):
         assert batch.fallback.shape == (size,)
         assert not batch.fallback.any()
     counters = registry.snapshot()["counters"]
-    assert sum(counters.get("mapspace.batches", {}).values()) == len(want)
+    assert sum(counters.get("mapspace.batches", {}).values()) == len(got)
     assert sum(counters.get("mapspace.candidates", {}).values()) == sum(
-        size for size, _, _, _ in want
+        size for size, *_ in want
     )
     return got
 
@@ -427,7 +464,7 @@ class TestPackedEnumerationParity:
 
         assert np.array_equal(stacked({d0: twin}), stacked({d0: menu0[3]}))
         assert space.count_completions({d1: foreign}) == sum(
-            b.size for b in space.iter_batches(prefix={d1: foreign})
+            b.candidates for b in space.iter_batches(prefix={d1: foreign})
         )
 
     def test_menu_index_rows_pack_like_chain_dicts(self):

@@ -93,6 +93,67 @@ class TestSearchSpans:
             result.num_valid - batch["pruned"]
         )
 
+    def test_enumerate_and_validity_spans(self, toy_arch, vector100):
+        """``mapspace.enumerate`` wraps the index-row steps (generation and
+        capacity prefilter) of an exhaustive sweep, ``batch.validity`` the
+        kernel's validity stage once per priced batch; the prefilter's
+        dropped candidates are counted once, as ``infeasible``."""
+        space = ruby_mapspace(toy_arch, vector100)
+        count = space.count_completions()
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        with obs_scope(registry=registry, tracer=tracer):
+            result = ExhaustiveSearch(
+                space, Evaluator(toy_arch, vector100), batch_size=64
+            ).run()
+        by_id = {record["span_id"]: record for record in tracer.records}
+        enumerate_spans = [
+            r for r in tracer.records if r["name"] == "mapspace.enumerate"
+        ]
+        validity = [r for r in tracer.records if r["name"] == "batch.validity"]
+        assert enumerate_spans and validity
+        assert all(
+            by_id[r["parent_id"]]["name"] == "search.run"
+            for r in enumerate_spans
+        )
+        assert all(
+            by_id[r["parent_id"]]["name"] == "search.batch" for r in validity
+        )
+        batch = result.stats["batch"]
+        assert len(validity) == batch["batches"]
+        assert sum(r["attrs"]["rows"] for r in validity) == batch["candidates"]
+        assert batch["infeasible"] > 0
+        assert batch["candidates"] + batch["infeasible"] == count
+        assert result.num_evaluated == count
+        assert registry.counter("batch.infeasible").total() == batch["infeasible"]
+
+    def test_enumerate_and_validity_spans_are_null_when_off(
+        self, monkeypatch, toy_arch, vector100
+    ):
+        """With obs off both spans are the shared null span."""
+        from repro import obs
+        from repro.obs import scope
+
+        opened = []
+        original = scope.trace
+
+        def spy(name, **attrs):
+            span = original(name, **attrs)
+            opened.append((name, span))
+            return span
+
+        # The kernels call ``repro.obs.trace``, enumeration the scope's own.
+        monkeypatch.setattr(obs, "trace", spy)
+        monkeypatch.setattr(scope, "trace", spy)
+        ExhaustiveSearch(
+            ruby_mapspace(toy_arch, vector100),
+            Evaluator(toy_arch, vector100),
+            batch_size=64,
+        ).run()
+        names = {name for name, _ in opened}
+        assert {"mapspace.enumerate", "batch.validity"} <= names
+        assert all(span is scope._NULL_SPAN for _, span in opened)
+
     def test_bound_spans_one_per_call_under_search_run(
         self, monkeypatch, toy_arch, small_gemm
     ):
@@ -312,7 +373,9 @@ class TestParallelObs:
 
 STATS_TOP_KEYS = {"elapsed_s", "evals_per_sec"}
 CACHE_KEYS = {"hits", "misses", "hit_rate", "size", "max_entries"}
-BATCH_KEYS = {"batches", "candidates", "pruned", "prune_rate", "fallback"}
+BATCH_KEYS = {
+    "batches", "candidates", "pruned", "prune_rate", "fallback", "infeasible",
+}
 
 
 class TestStatsSchemaStability:

@@ -239,6 +239,6 @@ class TestWorkerHelpers:
         total += BatchCounts(batches=1, candidates=30, pruned=6, fallback=0)
         assert total.payload() == {
             "batches": 3, "candidates": 40, "pruned": 10,
-            "prune_rate": 0.25, "fallback": 1,
+            "prune_rate": 0.25, "fallback": 1, "infeasible": 0,
         }
         assert BatchCounts().payload()["prune_rate"] == 0.0
