@@ -6,7 +6,8 @@ Drives a real ``repro serve`` subprocess through the acceptance contract:
 1. a live server absorbs 20+ concurrent requests (mixed identical and
    distinct specs) with every submission accepted, every job reaching
    ``ok``, and the coalesce counter > 0 (identical in-flight requests
-   shared one job);
+   shared one job); the ``use_batch: false`` requests earn shared-cache
+   hits, and the kernel-priced ones make no cache lookups;
 2. the service's best-EDP answer is bit-identical to a direct in-process
    :func:`find_best_mapping` run with the same seed and config;
 3. per-job ``/progress`` and ``/metrics`` are served from the same
@@ -91,6 +92,17 @@ def spec(seed: int, max_evaluations: int = PARITY_BUDGET) -> dict:
     }
 
 
+def row_wise_spec(seed: int, max_evaluations: int) -> dict:
+    """A ``use_batch: false`` request, the one path that looks the cache
+    up, on its own workload so its pool entry (and cache) is not shared
+    with the kernel-priced requests of :func:`spec`."""
+    return {
+        **spec(seed, max_evaluations),
+        "workload": {"gemm": {"m": 24, "n": 12, "k": 48}},
+        "use_batch": False,
+    }
+
+
 def launch(journal: str, resume: bool = False) -> tuple:
     args = [
         sys.executable, "-m", "repro", "serve",
@@ -135,10 +147,16 @@ def wait_terminal(url: str, job_ids, timeout_s: float = 120.0) -> dict:
 
 def concurrent_load(url: str) -> None:
     """20 racing clients: accepted, coalesced, completed, measured."""
-    payloads = [spec(PARITY_SEED, 4000)] * IDENTICAL_CLIENTS + [
-        spec(seed, 400)
-        for seed in range(CONCURRENT_CLIENTS - IDENTICAL_CLIENTS)
-    ]
+    distinct = CONCURRENT_CLIENTS - IDENTICAL_CLIENTS
+    kernel_clients = IDENTICAL_CLIENTS + distinct // 2
+    payloads = (
+        [spec(PARITY_SEED, 4000)] * IDENTICAL_CLIENTS
+        + [spec(seed, 400) for seed in range(distinct // 2)]
+        + [
+            row_wise_spec(seed, 400)
+            for seed in range(distinct // 2, distinct)
+        ]
+    )
     results = [None] * len(payloads)
     submitted = time.monotonic()
 
@@ -179,8 +197,17 @@ def concurrent_load(url: str) -> None:
     )
     check(
         stats["pool"]["cache"]["hits"] > 0,
-        "shared evaluation cache saw no hits under load",
+        "shared evaluation cache saw no hits from the use_batch=false "
+        "requests under load",
     )
+    # The kernel-priced jobs share a pool entry only with each other, so
+    # each job's cache window holds kernel lookups alone: there are none.
+    for job_id in {body["job_id"] for _, body in results[:kernel_clients]}:
+        cache = get_json(f"{url}/v1/jobs/{job_id}")["result"]["stats"]["cache"]
+        check(
+            cache["hits"] + cache["misses"] == 0,
+            f"batch-path job {job_id} looked the cache up: {cache}",
+        )
     print(
         f"load: {len(payloads)} concurrent requests -> {len(job_ids)} jobs, "
         f"coalesced={stats['coalesced']}, "

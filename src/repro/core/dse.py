@@ -21,7 +21,6 @@ from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
 from repro.problem.workload import Workload
-from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.pareto import ParetoPoint, pareto_frontier
 from repro.utils.rng import make_rng
 
@@ -116,8 +115,6 @@ def evaluate_network(
     objective: str = "edp",
     seed: Optional[Union[int, random.Random]] = None,
     restarts: int = 1,
-    use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     strategy: str = "random",
 ) -> Tuple[float, int, List[Tuple[str, float]]]:
     """Search every layer; return (total energy, total cycles, per-layer EDP).
@@ -188,8 +185,6 @@ def evaluate_network(
                 max_evaluations=max_evaluations,
                 patience=patience,
                 constraints=constraints,
-                use_batch=use_batch,
-                batch_size=batch_size,
             )
             mapper = Mapper(arch, workload, config)
             best = None
@@ -225,8 +220,6 @@ def sweep_pe_arrays(
     patience: Optional[int] = 500,
     seed: Optional[int] = None,
     restarts: int = 1,
-    use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SweepResult:
     """Run the Fig. 13/14 sweep: every shape x every mapspace kind."""
     rng = make_rng(seed)
@@ -244,8 +237,6 @@ def sweep_pe_arrays(
                 patience=patience,
                 seed=rng,
                 restarts=restarts,
-                use_batch=use_batch,
-                batch_size=batch_size,
             )
             result.points.append(
                 DesignPoint(
@@ -284,8 +275,6 @@ def sweep_glb_sizes(
     patience: Optional[int] = 500,
     seed: Optional[int] = None,
     restarts: int = 1,
-    use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SweepResult:
     """Co-design along the buffer axis: sweep the global-buffer capacity.
 
@@ -313,8 +302,6 @@ def sweep_glb_sizes(
                 patience=patience,
                 seed=rng,
                 restarts=restarts,
-                use_batch=use_batch,
-                batch_size=batch_size,
             )
             result.points.append(
                 DesignPoint(

@@ -55,8 +55,9 @@ class MapperConfig:
         use_batch: price candidates through the vectorized batch kernels
             (bit-exact); without it, or for an evaluator the kernels do
             not model, each row is priced through the scalar evaluator.
-            Row-wise pricing caches every evaluation, the kernels only
-            improvements.
+            Only row-wise pricing looks candidates up in the cache (and
+            stores every evaluation); the kernels never look it up and
+            store only improvements and fallback rows.
         batch_size: candidates priced per chunk (random, exhaustive,
             branch-bound leaf batches); must be >= 1 for every strategy.
         workers: process count. With ``workers > 1`` the random strategy

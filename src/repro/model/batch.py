@@ -51,7 +51,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -654,23 +654,6 @@ class MappingBatch:
             self.bounds[index], self.rems[index], self.pos[index]
         )
 
-    def select(self, rows: Any) -> "MappingBatch":
-        """The sub-batch of ``rows`` (an index array), in that order."""
-        stored = self.mappings or {}
-        return MappingBatch(
-            layout=self.layout,
-            bounds=self.bounds[rows],
-            rems=self.rems[rows],
-            pos=self.pos[rows],
-            fallback=self.fallback[rows],
-            mappings={
-                new: stored[int(old)]
-                for new, old in enumerate(rows)
-                if int(old) in stored
-            } or None,
-            tags=None if self.tags is None else self.tags[rows],
-        )
-
 
 def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBatch:
     """Pack ``Mapping`` objects into columnar form (real nest positions).
@@ -726,10 +709,9 @@ class BatchOutcome:
     Arrays are indexed by batch row. ``metric`` holds ``inf`` at invalid
     and pruned rows; ``energy_pj``/``cycles``/``utilization`` are only
     meaningful where ``valid & ~pruned``. ``evaluations`` maps the rows
-    that got a full scalar :class:`Evaluation` anyway (fallback rows,
-    cache hits, every row priced with the row-wise switch off) to it;
-    any other row a caller keeps is re-priced through
-    :meth:`Evaluator.evaluate_fresh`.
+    that got a full scalar :class:`Evaluation` anyway (fallback rows, and
+    every row priced with the row-wise switch off) to it; any other row a
+    caller keeps is re-priced through :meth:`Evaluator.evaluate_fresh`.
     """
 
     valid: Any
@@ -775,17 +757,21 @@ class BatchOutcome:
 class BatchEvaluator:
     """Price whole batches of mappings: the one pricer every search uses.
 
-    Wraps a scalar :class:`Evaluator` (whose energy table, cache, and
-    fallback path it reuses). With :attr:`vectorize` on, rows go through
-    the NumPy kernels, bit-exact with the scalar evaluator on
-    ``energy_pj``, ``cycles``, EDP, and ``utilization``; rows the kernels
-    cannot represent (bypass sets, overflow-guarded rows) still go through
-    the scalar evaluator one by one. With it off, every row does, in row
-    order. The switch is off when the caller asks for it
-    (``vectorize=False``, from ``use_batch=False``) and when the kernels
-    cannot price the evaluator exactly: NoC or static energy, a level
-    with a bandwidth limit, a workload of 2**53 or more operations, or a
-    tensor without an outermost keeper level.
+    Wraps a scalar :class:`Evaluator` (whose energy table and fallback
+    path it reuses). With :attr:`vectorize` on, rows go through the NumPy
+    kernels, bit-exact with the scalar evaluator on ``energy_pj``,
+    ``cycles``, EDP, and ``utilization``, and never look up the
+    evaluator's cache: a lookup costs a ``Mapping`` and its
+    ``signature()`` per row, far more than the kernel row it could skip.
+    Rows the kernels cannot represent (bypass sets, overflow-guarded rows)
+    still go through the scalar evaluator one by one, and are stored in
+    the cache. With the switch off, every row is one
+    :meth:`Evaluator.evaluate` call (lookup included), in row order. The
+    switch is off when the caller asks for it (``vectorize=False``, from
+    ``use_batch=False``) and when the kernels cannot price the evaluator
+    exactly: NoC or static energy, a level with a bandwidth limit, a
+    workload of 2**53 or more operations, or a tensor without an
+    outermost keeper level.
     """
 
     def __init__(
@@ -979,61 +965,6 @@ class BatchEvaluator:
             )
         return outcome
 
-    def evaluate_rows(
-        self,
-        batch: MappingBatch,
-        objective: str = "edp",
-        incumbent: float = float("inf"),
-        prune: bool = False,
-    ) -> BatchOutcome:
-        """Price every row of ``batch``, consulting the evaluator's cache.
-
-        Without a cache, or with :attr:`vectorize` off (whose rows look
-        the cache up themselves), this is :meth:`evaluate_batch`. With a
-        cache, every row costs exactly one lookup under
-        ``mapping_at(i).signature()`` (matching the scalar path's lookup
-        count); hits bypass the kernels and carry their evaluation, misses
-        are priced as one sub-batch. Only improvements and fallback rows
-        are re-priced scalar (and stored), so a vectorized search fills
-        the cache more sparsely than a row-wise one.
-        """
-        cache = self.evaluator.cache
-        if cache is None or not self.vectorize:
-            return self.evaluate_batch(
-                batch, objective=objective, incumbent=incumbent, prune=prune
-            )
-        hits: Dict[int, Evaluation] = {}
-        for i in range(batch.size):
-            mapping = batch.mapping_at(i)
-            hit = cache.get(mapping.signature())
-            if hit is not None:
-                if hit.mapping is not mapping:
-                    hit = replace(hit, mapping=mapping)
-                hits[i] = hit
-        outcome = BatchOutcome.blank(batch.size)
-        misses = np.array(
-            [i for i in range(batch.size) if i not in hits], dtype=np.int64
-        )
-        if misses.size:
-            priced = self.evaluate_batch(
-                batch.select(misses),
-                objective=objective,
-                incumbent=incumbent,
-                prune=prune,
-            )
-            for name in (
-                "valid", "pruned", "fallback", "metric", "energy_pj", "cycles",
-                "utilization",
-            ):
-                getattr(outcome, name)[misses] = getattr(priced, name)
-            outcome.evaluations = {
-                int(misses[row]): evaluation
-                for row, evaluation in priced.evaluations.items()
-            }
-        for i, evaluation in hits.items():
-            outcome.put(i, evaluation, objective)
-        return outcome
-
     def evaluate_mappings(
         self,
         mappings: Sequence[Mapping],
@@ -1041,9 +972,9 @@ class BatchEvaluator:
         incumbent: float = float("inf"),
         prune: bool = False,
     ) -> BatchOutcome:
-        """Price a list of ``Mapping`` objects: :meth:`evaluate_rows` of
+        """Price a list of ``Mapping`` objects: :meth:`evaluate_batch` of
         their :func:`pack_mappings` batch (row ``i`` is ``mappings[i]``)."""
-        return self.evaluate_rows(
+        return self.evaluate_batch(
             pack_mappings(self.layout, mappings),
             objective=objective,
             incumbent=incumbent,

@@ -132,9 +132,9 @@ class Evaluator:
     def evaluate_fresh(self, mapping: Mapping) -> Evaluation:
         """Run the full pipeline unconditionally and store the result.
 
-        Skips the cache *lookup* (the caller already knows the mapping is
-        unseen — e.g. the batch engine, which consults the cache itself)
-        but still records the evaluation so later lookups hit.
+        Skips the cache *lookup* (the batch engine's kernel-priced rows
+        and their improvements never look the cache up) but still records
+        the evaluation, so a later row-wise lookup of it hits.
         """
         evaluation = self._evaluate_uncached(mapping)
         if self.cache is not None:

@@ -7,9 +7,12 @@ Every search prices its candidates through one
 or row by row through the scalar evaluator when its row-wise switch is
 off (``use_batch=False``, or an evaluator the kernels cannot price
 exactly), with bit-identical metrics either way, so no loop branches on
-how its rows are priced. Random and Pareto search sample their chunks
-straight into packed rows; genetic and annealing search pack their
-assembled genomes with :func:`~repro.model.batch.pack_mappings`.
+how its rows are priced. Only the row-wise path looks rows up in the
+evaluator's cache (one lookup per candidate); kernel-priced rows never
+do, and only their improvements and fallback rows are stored. Random and
+Pareto search sample their chunks straight into packed rows; genetic and
+annealing search pack their assembled genomes with
+:func:`~repro.model.batch.pack_mappings`.
 
 :class:`RunLedger` is the run's accounting and the one owner of its
 counts: the clock, candidates and valid rows, the incumbent and its
@@ -76,11 +79,10 @@ class BatchCounts:
     Derived from each :class:`~repro.model.batch.BatchOutcome`'s masks, so
     a run counts only its own rows however many runs share one engine. A
     row that carries an evaluation without being a fallback row was
-    served whole (a cache hit, or a row priced with the row-wise switch
-    off) and never reached the kernel. ``infeasible`` counts the
-    enumerated candidates the enumeration proved capacity-infeasible on
-    menu indices and never packed; they are candidates of the run
-    (``num_evaluated``), but not kernel rows.
+    priced with the row-wise switch off and never reached the kernel.
+    ``infeasible`` counts the enumerated candidates the enumeration
+    proved capacity-infeasible on menu indices and never packed; they
+    are candidates of the run (``num_evaluated``), but not kernel rows.
     """
 
     batches: int = 0
@@ -214,7 +216,7 @@ class RunLedger:
         self, batch: MappingBatch, prune: bool = False
     ) -> BatchOutcome:
         """Price a packed batch's rows against the current incumbent."""
-        return self.engine.evaluate_rows(
+        return self.engine.evaluate_batch(
             batch,
             objective=self.objective,
             incumbent=self.best_metric,

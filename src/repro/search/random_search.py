@@ -45,9 +45,10 @@ class RandomSearch:
         use_batch: price candidates through the vectorized
             :class:`~repro.model.batch.BatchEvaluator` when it supports
             this (arch, workload, evaluator) triple, else through the
-            scalar evaluator (which caches every evaluation). Draws,
-            metrics, improvements, and termination are identical either
-            way (see :mod:`repro.search.loop`).
+            scalar evaluator, the one path that looks candidates up in
+            (and stores every evaluation into) the evaluator's cache.
+            Draws, metrics, improvements, and termination are identical
+            either way (see :mod:`repro.search.loop`).
         batch_size: candidates sampled and priced per chunk (>= 1).
         batch_engine: optional shared engine to price through instead of
             building one.

@@ -99,7 +99,7 @@ def throughput_stats(
             so a cache shared across runs reports per-run deltas.
 
     A live cache that saw **no lookups** during the run (e.g. the batch
-    engine priced every candidate itself and ``num_evaluated`` was 0)
+    kernels priced every candidate, and they never look the cache up)
     reports ``hit_rate: None`` rather than a misleading ``0.0`` — zero
     means "every lookup missed", which is a different claim.
     """

@@ -16,7 +16,10 @@ Two forms of sharing keep a mapper service cheap under repeated load:
    :class:`~repro.model.batch.BatchEvaluator`. The pool
    is bounded; eviction is *warm-keep*: cold entries (fewest cache hits
    since admission) go first, and entries pinned by in-flight jobs are
-   never evicted regardless of temperature.
+   never evicted regardless of temperature. Only row-wise
+   (``use_batch=False``) searches look the cache up, so entries that
+   served only kernel-priced searches earn no hits and go
+   least-recently-used first.
 """
 
 from __future__ import annotations
@@ -92,9 +95,9 @@ class SharedBatchEngine:
     Concurrent searches sharing one engine take turns inside its pricing
     calls. The engine keeps no per-run counts: each search's ledger
     counts its own rows from the outcomes. A plain lock suffices: batch
-    calls are long enough that contention is amortized, and the shared
-    evaluation cache means the *second* search through a region mostly
-    hits anyway.
+    calls are long enough that contention is amortized. Kernel-priced
+    rows never look up the entry's cache; only row-wise searches
+    (``use_batch=False``) on the entry do.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -109,10 +112,6 @@ class SharedBatchEngine:
     def evaluate_batch(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return self._engine.evaluate_batch(*args, **kwargs)
-
-    def evaluate_rows(self, *args: Any, **kwargs: Any) -> Any:
-        with self._lock:
-            return self._engine.evaluate_rows(*args, **kwargs)
 
 
 class _PoolEntry:

@@ -76,6 +76,7 @@ from repro.search import (
     RandomSearch,
     SimulatedAnnealing,
 )
+from repro.search.branch_bound import DEFAULT_LEAF_WIDTH
 from repro.search.parallel import parallel_random_search
 from repro.utils.mathx import ceil_div, divisors
 
@@ -703,10 +704,13 @@ def check_sample_parity(
 
 
 def _parity_fixtures(seed: int):
-    """(label, mapspace, evaluator, use_batch) fixtures for branch-bound
-    parity: the vectorized engine on two toy kinds and Eyeriss, and the
-    row-wise engine on NoC+static energy, a bandwidth-limited DRAM and
-    ``use_batch=False``."""
+    """(label, mapspace, evaluator, use_batch, leaf_width) fixtures for
+    branch-bound parity: the vectorized engine on two toy kinds and
+    Eyeriss, and the row-wise engine on NoC+static energy, a
+    bandwidth-limited DRAM and ``use_batch=False``. The 12x10x8 GEMM with
+    64-cell leaves builds sibling blocks that branch on a free dimension
+    other than the first, so a block sliced along the wrong axis moves
+    the optimum the parallel walk reports."""
     from repro.arch.eyeriss import eyeriss_like
 
     _, toy_arch, toy_workload = _toy_setup(seed)
@@ -719,6 +723,7 @@ def _parity_fixtures(seed: int):
             MapSpace(arch, toy_workload, kind),
             Evaluator(arch, toy_workload, toy_table, **options),
             use_batch,
+            DEFAULT_LEAF_WIDTH,
         )
 
     dram, *inner = toy_arch.levels
@@ -743,6 +748,18 @@ def _parity_fixtures(seed: int):
             MapSpace(eyeriss, gemm, MapspaceKind.PFM),
             Evaluator(eyeriss, gemm, eyeriss_table),
             True,
+            DEFAULT_LEAF_WIDTH,
+        )
+    )
+    small_glb = toy_glb_architecture(num_pes=6, glb_bytes=1024)
+    gemm = GemmLayer("g12x10x8", m=12, n=10, k=8).workload()
+    fixtures.append(
+        (
+            "toy/pfm/g12x10x8/leaf64",
+            MapSpace(small_glb, gemm, MapspaceKind.PFM),
+            Evaluator(small_glb, gemm, estimate_energy_table(small_glb)),
+            True,
+            64,
         )
     )
     return fixtures
@@ -769,20 +786,21 @@ def check_branch_bound_parity(seed: int = 0) -> Tuple[int, List[str]]:
     """
     checked = 0
     violations: List[str] = []
-    for label, space, evaluator, use_batch in _parity_fixtures(seed):
+    for label, space, evaluator, use_batch, leaf_width in _parity_fixtures(
+        seed
+    ):
         checked += 1
         exhaustive = ExhaustiveSearch(
             space, evaluator, limit=200_000, use_batch=use_batch
         ).run()
+        options = dict(use_batch=use_batch, leaf_width=leaf_width)
         runs = [
-            BranchBoundSearch(
-                space, evaluator, seed=s, use_batch=use_batch
-            ).run()
+            BranchBoundSearch(space, evaluator, seed=s, **options).run()
             for s in (seed, seed + 1)
         ]
         runs.append(
             BranchBoundSearch(
-                space, evaluator, seed=seed, use_batch=use_batch, workers=2
+                space, evaluator, seed=seed, workers=2, **options
             ).run()
         )
         keys = []

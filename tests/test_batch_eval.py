@@ -445,26 +445,38 @@ def test_row_wise_engine_matches_scalar_loop(name):
     assert [(p.evaluations, p.best_metric) for p in result.curve] == curve
 
 
-def test_cache_lookup_counts_preserved_on_batch_path():
-    """One cache lookup per draw — the PR-1 accounting contract holds."""
+class _RecordingCache(EvaluationCache):
+    """An :class:`EvaluationCache` that counts its ``get`` calls."""
+
+    def __init__(self, max_entries):
+        super().__init__(max_entries)
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+
+def test_cache_lookup_counts_on_row_wise_path():
+    """Row-wise pricing, the cache's one client, looks up once per draw."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
-    cache = EvaluationCache(1024)
-    evaluator = Evaluator(arch, workload, cache=cache)
+    cache = _RecordingCache(1024)
     result = RandomSearch(
         make_mapspace(arch, workload, "ruby-s"),
-        evaluator,
+        Evaluator(arch, workload, cache=cache),
         max_evaluations=200,
         patience=None,
         seed=9,
-        use_batch=True,
+        use_batch=False,
         batch_size=64,
     ).run()
-    assert cache.hits + cache.misses == result.num_evaluated == 200
+    assert cache.gets == cache.hits + cache.misses == result.num_evaluated
+    assert result.num_evaluated == 200
 
 
 def test_cached_and_uncached_batched_searches_agree():
-    """The cache changes hit counts, never results, on the batch path."""
+    """The kernels never look the cache up, and a cache changes no result."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
 
@@ -479,7 +491,9 @@ def test_cached_and_uncached_batched_searches_agree():
             batch_size=64,
         ).run()
 
-    _assert_same_result(search(None), search(EvaluationCache(1024)))
+    cache = _RecordingCache(1024)
+    _assert_same_result(search(None), search(cache), check_stats_batch=True)
+    assert cache.gets == 0
 
 
 def test_objective_energy_and_delay_parity():

@@ -45,14 +45,11 @@ def assert_counts_agree(result, registry, scalar_incumbent=True):
     stats = result.stats
     batch = stats["batch"]
     # The batch kernel priced this run's rows and nothing else: every
-    # candidate that was not served whole by the cache or proved
-    # capacity-infeasible before packing, or none on the scalar path.
-    # The live batch.* counters say the same.
-    hits = stats.get("cache", {}).get("hits", 0)
+    # candidate not proved capacity-infeasible before packing, or none on
+    # the scalar path. The live batch.* counters say the same.
     if batch["candidates"]:
         assert (
-            batch["candidates"] + batch["infeasible"]
-            == result.num_evaluated - hits
+            batch["candidates"] + batch["infeasible"] == result.num_evaluated
         )
     for key in ("batches", "candidates", "pruned", "fallback", "infeasible"):
         assert counter(f"batch.{key}").total() == batch[key], key
@@ -114,14 +111,18 @@ class TestSerialDrivers:
     def test_cached_batch_run_counts_only_kernel_rows(self, toy_space):
         evaluator = _evaluator(toy_space, cached=True)
         # The first run fills the cache with its improvements; the second
-        # run with the same seed finds them there.
+        # run with the same seed never looks them up: the kernels price
+        # every row again.
         random_search(toy_space, evaluator, seed=0, max_evaluations=300)
+        assert len(evaluator.cache) > 0
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
             result = random_search(
                 toy_space, evaluator, seed=0, max_evaluations=300
             )
-        assert result.stats["cache"]["hits"] > 0
+        cache = result.stats["cache"]
+        assert cache["hits"] + cache["misses"] == 0
+        assert result.stats["batch"]["candidates"] == result.num_evaluated
         assert_counts_agree(result, registry)
 
 

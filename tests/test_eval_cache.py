@@ -247,6 +247,7 @@ class TestSearchParityWithCache:
         ]
 
     def test_stats_payload(self, setting):
+        # Row-wise pricing is the path that looks the cache up.
         arch, workload, space = setting
         result = RandomSearch(
             space,
@@ -254,6 +255,7 @@ class TestSearchParityWithCache:
             max_evaluations=200,
             patience=None,
             seed=9,
+            use_batch=False,
         ).run()
         assert result.stats["evals_per_sec"] > 0
         assert result.stats["elapsed_s"] > 0

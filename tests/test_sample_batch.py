@@ -291,7 +291,10 @@ def test_patience_stops_exactly_after_a_mid_chunk_improvement(use_batch):
     assert any(point.evaluations not in chunk_ends for point in got.curve)
 
 
-def test_cache_attached_engine_looks_up_once_per_candidate():
+def test_cache_attached_engine_looks_up_only_row_wise():
+    """The shared kernel engine never looks the cache up and matches an
+    uncached run; a row-wise run looks up once per candidate, in the
+    per-candidate oracle's order."""
     space = _eyeriss_space("conv5_expand", MapspaceKind.RUBY_S)
 
     class RecordingCache(ThreadSafeEvaluationCache):
@@ -299,21 +302,31 @@ def test_cache_attached_engine_looks_up_once_per_candidate():
             self.keys.append(key)
             return super().get(key)
 
-    def run(search):
+    def cached():
         cache = RecordingCache()
         cache.keys = []
-        evaluator = Evaluator(space.arch, space.workload, cache=cache)
-        engine = SharedBatchEngine(
-            BatchEvaluator(evaluator, layout=space.batch_layout())
-        )
-        return search(evaluator, engine), cache.keys
+        return Evaluator(space.arch, space.workload, cache=cache), cache.keys
 
     kwargs = dict(max_evaluations=1500, patience=600, batch_size=256)
-    got, got_keys = run(lambda evaluator, engine: RandomSearch(
-        space, evaluator, seed=1, batch_engine=engine, **kwargs).run())
-    (want, _, _), want_keys = run(lambda evaluator, engine: _oracle_random(
+    evaluator, keys = cached()
+    engine = SharedBatchEngine(
+        BatchEvaluator(evaluator, layout=space.batch_layout())
+    )
+    got = RandomSearch(space, evaluator, seed=1, batch_engine=engine,
+                       **kwargs).run()
+    want = RandomSearch(space, Evaluator(space.arch, space.workload), seed=1,
+                        **kwargs).run()
+    _assert_same_run(got, want)
+    assert keys == []
+
+    kwargs = dict(max_evaluations=400, patience=None, batch_size=128)
+    evaluator, got_keys = cached()
+    got = RandomSearch(space, evaluator, seed=1, use_batch=False,
+                       **kwargs).run()
+    evaluator, want_keys = cached()
+    want, _, _ = _oracle_random(
         space, evaluator, 1, kwargs["max_evaluations"], kwargs["patience"],
-        batch_size=kwargs["batch_size"], engine=engine))
+        batch_size=kwargs["batch_size"], use_batch=False)
     _assert_same_run(got, want)
     assert len(got_keys) == got.num_evaluated
     assert got_keys == want_keys

@@ -103,8 +103,11 @@ class TestConcurrentClients:
 
             # 12 identical + 6 distinct submissions race in from threads
             # while the worker is pinned, so every outcome is forced:
-            # the identical twelve MUST share one job id.
-            payloads = [spec(7)] * 12 + [spec(seed) for seed in range(6)]
+            # the identical twelve MUST share one job id. The distinct six
+            # price row-wise, the one path that looks the cache up.
+            payloads = [spec(7)] * 12 + [
+                spec(seed, use_batch=False) for seed in range(6)
+            ]
             results = [None] * len(payloads)
 
             def client(index):
@@ -142,10 +145,18 @@ class TestConcurrentClients:
             stats = get_json(service.url + "/v1/stats")
             assert stats["coalesced"] == 11
             # Distinct jobs shared one warm (arch, workload) evaluator:
-            # random search re-draws duplicates, so the shared cache must
-            # have answered a meaningful share of lookups.
+            # row-wise random search re-draws duplicates, so the shared
+            # cache must have answered a meaningful share of lookups.
             assert stats["pool"]["size"] == 1
             assert stats["pool"]["cache"]["hits"] > 0
+            # One worker runs the jobs one at a time, so each job's cache
+            # window holds only its own lookups: the kernel-priced jobs
+            # made none.
+            for job_id in {blocker["job_id"]} | identical_ids:
+                cache = get_json(f"{service.url}/v1/jobs/{job_id}")[
+                    "result"
+                ]["stats"]["cache"]
+                assert cache["hits"] + cache["misses"] == 0
 
         # Journal integrity after the storm: every line parses, one
         # request record per distinct job, exactly one terminal record
@@ -163,9 +174,10 @@ class TestConcurrentClients:
         registry = MetricsRegistry()
         service = MappingService(registry, workers=1)
         with service:
-            # Scalar path: it stores EVERY evaluation in the shared cache
-            # (the batch path deliberately stores only improvements), so
-            # the rerun's hit-rate floor is a hard guarantee.
+            # Row-wise path: the only one that looks the shared cache up,
+            # and it stores EVERY evaluation (the kernels store only
+            # improvements), so the rerun's hit-rate floor is a hard
+            # guarantee.
             payload = spec(31, max_evaluations=400, use_batch=False)
             _, first = post_json(service.url + "/v1/search", payload)
             states = wait_all_terminal(service.url, [first["job_id"]])
