@@ -70,19 +70,19 @@ def test_cached_reevaluation_at_least_10x_faster(benchmark, setting):
 def test_cache_preserves_search_results(benchmark, setting):
     # Same seed and budget, cache on vs. off: identical best mapping and
     # metric. Serial search is the path that still takes a cache.
-    from repro.search import random_search
+    from repro.search import RandomSearch
 
     arch, workload, _ = setting
     space = ruby_s_mapspace(arch, workload, eyeriss_row_stationary())
 
     def search(cache):
-        return random_search(
+        return RandomSearch(
             space,
             Evaluator(arch, workload, cache=cache),
             max_evaluations=600,
             patience=None,
             seed=17,
-        )
+        ).run()
 
     cached = run_once(benchmark, lambda: search(EvaluationCache()))
     uncached = search(None)

@@ -52,7 +52,7 @@ from repro.obs import (  # noqa: E402
     validate_span,
 )
 from repro.problem.gemm import vector_workload  # noqa: E402
-from repro.search import exhaustive_search  # noqa: E402
+from repro.search import ExhaustiveSearch  # noqa: E402
 
 #: Tolerance between the root span and the timer's elapsed_s. Both are
 #: perf_counter differences taken a few microseconds apart; 50 ms absorbs
@@ -86,7 +86,7 @@ def main() -> None:
 
         registry = MetricsRegistry()
         with obs_scope(registry=registry, trace_path=trace_path):
-            result = exhaustive_search(space, Evaluator(arch, workload))
+            result = ExhaustiveSearch(space, Evaluator(arch, workload)).run()
         print(
             f"search: {result.num_evaluated} evaluated, "
             f"best {result.best_metric:.4g}"
@@ -184,7 +184,7 @@ def main() -> None:
     from repro.obs import default_registry
 
     default_registry().reset()
-    exhaustive_search(space, Evaluator(arch, workload))
+    ExhaustiveSearch(space, Evaluator(arch, workload)).run()
     leaked = default_registry().names()
     check(not leaked, f"instrumentation leaked metrics without a scope: {leaked}")
     print("overhead: no scope active -> no registry traffic")

@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.arch import ARCH_PRESETS
-from repro.core.mapper import find_best_mapping
+from repro.core.mapper import STRATEGIES, find_best_mapping
 from repro.exceptions import ReproError
 from repro.io import (
     architecture_from_dict,
@@ -70,7 +70,7 @@ from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.evaluator import Evaluator
 from repro.problem.conv import ConvLayer
 from repro.problem.gemm import GemmLayer
-from repro.utils.batching import DEFAULT_BATCH_SIZE
+
 
 def _parse_shape(text: str) -> Dict[str, int]:
     """Parse ``C=512,M=128,P=28`` into a dict."""
@@ -261,7 +261,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         patience=args.patience,
         constraints=constraints,
         use_batch=not args.no_batch,
-        batch_size=args.batch_size,
         workers=args.workers,
         start_method=args.start_method,
     )
@@ -833,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--searcher",
-        choices=["random", "exhaustive", "branch-bound", "genetic", "annealing"],
+        choices=STRATEGIES,
         default="random",
         help="search strategy; branch-bound is exact with subtree pruning "
         "(enumerable mapspaces only)",
@@ -851,10 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--start-method", choices=["fork", "spawn"], default=None,
         help="force a multiprocessing start method (default: try fork, "
         "then spawn, then run sequentially)",
-    )
-    search.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="candidates per vectorized evaluation batch",
     )
     search.add_argument(
         "--no-batch", action="store_true",

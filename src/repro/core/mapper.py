@@ -28,11 +28,12 @@ from repro.model.evaluator import Evaluator
 from repro.problem.workload import Workload
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
-from repro.search.loop import check_batch_size
+from repro.search.loop import check_int, check_objective
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
-from repro.utils.batching import DEFAULT_BATCH_SIZE
 
+#: Search strategies a :class:`MapperConfig` can name.
+STRATEGIES = ("random", "exhaustive", "branch-bound", "genetic", "annealing")
 
 #: Strategies that can fan out over ``MapperConfig.workers`` processes.
 POOLED_STRATEGIES = ("random", "branch-bound")
@@ -42,9 +43,15 @@ POOLED_STRATEGIES = ("random", "branch-bound")
 class MapperConfig:
     """Configuration for a :class:`Mapper` run.
 
+    Every value is checked on construction: an unknown kind, objective
+    or strategy, a count that is not an integer in range, or a
+    ``use_batch`` that is not a bool, raises :class:`SearchError` before
+    any search starts.
+
     Attributes:
         kind: mapspace variant ("pfm", "ruby", "ruby-s", "ruby-t").
-        objective: "edp" (paper default), "energy", or "delay".
+        objective: "edp" (paper default), "energy", or "delay"
+            ("cycles" and "latency" are stored as "delay").
         strategy: "random" (Timeloop-style), "exhaustive", "branch-bound"
             (exact, with subtree pruning), "genetic", or "annealing".
         max_evaluations: budget for the random strategy.
@@ -58,8 +65,6 @@ class MapperConfig:
             Only row-wise pricing looks candidates up in the cache (and
             stores every evaluation); the kernels never look it up and
             store only improvements and fallback rows.
-        batch_size: candidates priced per chunk (random, exhaustive,
-            branch-bound leaf batches); must be >= 1 for every strategy.
         workers: process count. With ``workers > 1`` the random strategy
             runs that many independent seeded streams
             (:func:`~repro.search.parallel.parallel_random_search`, the
@@ -80,14 +85,33 @@ class MapperConfig:
     seed: Optional[int] = None
     constraints: Optional[ConstraintSet] = None
     use_batch: bool = True
-    batch_size: int = DEFAULT_BATCH_SIZE
     workers: int = 1
     start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        check_batch_size(self.batch_size)
-        if self.workers < 1:
-            raise SearchError(f"workers must be >= 1, got {self.workers}")
+        try:
+            MapspaceKind(self.kind)
+        except (TypeError, ValueError):
+            raise SearchError(
+                f"unknown mapspace kind {self.kind!r}; use "
+                f"{', '.join(kind.value for kind in MapspaceKind)}"
+            ) from None
+        object.__setattr__(
+            self, "objective", check_objective(self.objective)
+        )
+        if self.strategy not in STRATEGIES:
+            raise SearchError(
+                f"unknown strategy {self.strategy!r}; use "
+                f"{', '.join(STRATEGIES)}"
+            )
+        check_int("max_evaluations", self.max_evaluations, minimum=1)
+        check_int("patience", self.patience, minimum=1, optional=True)
+        check_int("seed", self.seed, optional=True)
+        check_int("workers", self.workers, minimum=1)
+        if not isinstance(self.use_batch, bool):
+            raise SearchError(
+                f"use_batch must be true or false, got {self.use_batch!r}"
+            )
         if self.workers > 1 and self.strategy not in POOLED_STRATEGIES:
             raise SearchError(
                 f"workers > 1 needs a strategy with a worker pool "
@@ -169,7 +193,6 @@ class Mapper:
                 energy_table=self.evaluator.energy_table,
                 start_method=self.config.start_method,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
             )
         if strategy == "random":
             return RandomSearch(
@@ -180,7 +203,6 @@ class Mapper:
                 patience=self.config.patience,
                 seed=effective_seed,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         if strategy == "exhaustive":
@@ -189,7 +211,6 @@ class Mapper:
                 self.evaluator,
                 objective=self.config.objective,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 batch_engine=self.batch_engine,
             ).run()
         if strategy == "branch-bound":
@@ -201,7 +222,6 @@ class Mapper:
                 objective=self.config.objective,
                 seed=effective_seed,
                 use_batch=self.config.use_batch,
-                batch_size=self.config.batch_size,
                 workers=self.config.workers,
                 start_method=self.config.start_method,
             ).run()
@@ -214,22 +234,18 @@ class Mapper:
                 use_batch=self.config.use_batch,
                 batch_engine=self.batch_engine,
             ).run()
-        if strategy == "annealing":
-            from repro.search.annealing import SimulatedAnnealing
+        # "annealing", the last name MapperConfig accepts.
+        from repro.search.annealing import SimulatedAnnealing
 
-            return SimulatedAnnealing(
-                self.mapspace,
-                self.evaluator,
-                objective=self.config.objective,
-                steps=self.config.max_evaluations,
-                seed=effective_seed,
-                use_batch=self.config.use_batch,
-                batch_engine=self.batch_engine,
-            ).run()
-        raise SearchError(
-            f"unknown strategy {strategy!r}; use random, exhaustive, "
-            f"branch-bound, genetic, or annealing"
-        )
+        return SimulatedAnnealing(
+            self.mapspace,
+            self.evaluator,
+            objective=self.config.objective,
+            steps=self.config.max_evaluations,
+            seed=effective_seed,
+            use_batch=self.config.use_batch,
+            batch_engine=self.batch_engine,
+        ).run()
 
 
 def find_best_mapping(
@@ -243,7 +259,6 @@ def find_best_mapping(
     constraints: Optional[ConstraintSet] = None,
     strategy: str = "random",
     use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
     start_method: Optional[str] = None,
 ) -> SearchResult:
@@ -257,7 +272,6 @@ def find_best_mapping(
         seed=seed,
         constraints=constraints,
         use_batch=use_batch,
-        batch_size=batch_size,
         workers=workers,
         start_method=start_method,
     )

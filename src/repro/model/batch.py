@@ -754,6 +754,31 @@ class BatchOutcome:
             self.metric[row] = float("inf")
 
 
+def _rank_box_min(
+    rank: Tuple[Tuple[int, int], ...],
+    layout: BatchLayout,
+    choices: Sequence[Tuple[int, ...]],
+) -> int:
+    """Minimum delivery sum of one rank over a box of tile counts.
+
+    ``choices[j]`` holds the candidate tile counts of the rank's ``j``-th
+    dim: one exact count, or its box's two corners. The sum is affine in
+    each count separately, so its minimum over the box sits at a vertex
+    (at most 2**len(rank) evaluations; ranks couple <= 2 dims). Computed
+    in exact Python ints.
+    """
+    sizes = [int(layout.sizes[d]) for d, _ in rank]
+
+    def delivery(vertex: Tuple[int, ...]) -> int:
+        all_tiles = math.prod(vertex)
+        total = all_tiles
+        for (_, coef), t, size in zip(rank, vertex, sizes):
+            total += coef * (size - t) * (all_tiles // t)
+        return total
+
+    return min(map(delivery, itertools.product(*choices)))
+
+
 class BatchEvaluator:
     """Price whole batches of mappings: the one pricer every search uses.
 
@@ -830,7 +855,9 @@ class BatchEvaluator:
         for meta in layout.tensors:
             base_lb = 1
             for rank in meta.ranks:
-                base_lb *= self._rank_vertex_min(rank, layout)
+                base_lb *= _rank_box_min(
+                    rank, layout, [(1, int(layout.sizes[d])) for d, _ in rank]
+                )
             for parent, child in meta.boundaries:
                 if not meta.is_output:
                     lower += self.read_pj[parent] * base_lb
@@ -841,28 +868,6 @@ class BatchEvaluator:
                     if child is not None:
                         lower += self.read_pj[child] * base_lb
         self.lb_energy = lower + self.compute_energy
-
-    @staticmethod
-    def _rank_vertex_min(
-        rank: Tuple[Tuple[int, int], ...], layout: "BatchLayout"
-    ) -> int:
-        """Minimum delivery sum of one rank over the tile-count box.
-
-        The sum is affine in each (independently relaxed) tile count, so
-        the box minimum sits at a vertex ``t_j in {1, size_j}``.
-        """
-        sizes = [int(layout.sizes[d]) for d, _ in rank]
-        best: Optional[int] = None
-        for vertex in itertools.product(*[(1, s) for s in sizes]):
-            all_tiles = 1
-            for t in vertex:
-                all_tiles *= t
-            total = all_tiles
-            for (d, coef), t, size in zip(rank, vertex, sizes):
-                total += coef * (size - t) * (all_tiles // t)
-            if best is None or total < best:
-                best = total
-        return best if best is not None else 1
 
     def _build_overflow_guard(self) -> None:
         """Per-tensor bound factors: traffic <= C_t * prod_d BD_d**e_td.
@@ -1813,29 +1818,15 @@ class PartialBoundEngine:
         """Box-vertex minimum of one rank's delivery sum at one boundary.
 
         Assigned dims contribute their exact delivered-tile count at this
-        cut; free dims relax over their menu's [min, max] box. The sum is
-        affine in each count separately, so the box minimum sits at a
-        vertex (at most 2**|free| evaluations; ranks couple <= 2 dims).
+        cut; free dims relax over their menu's [min, max] box.
         """
         choices: List[Tuple[int, ...]] = []
-        sizes: List[int] = []
         for d, _ in rank:
             dim = self.layout.dims[d]
-            sizes.append(int(self.layout.sizes[d]))
             idx = assigned.get(dim)
             if idx is not None:
                 choices.append((int(self.tiles[dim][cut][idx]),))
             else:
                 lo, hi = self.tile_range[dim][cut]
                 choices.append((lo,) if lo == hi else (lo, hi))
-        best: Optional[int] = None
-        for vertex in itertools.product(*choices):
-            all_tiles = 1
-            for t in vertex:
-                all_tiles *= t
-            total = all_tiles
-            for (_, coef), t, size in zip(rank, vertex, sizes):
-                total += coef * (size - t) * (all_tiles // t)
-            if best is None or total < best:
-                best = total
-        return best if best is not None else 1
+        return _rank_box_min(rank, self.layout, choices)

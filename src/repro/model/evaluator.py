@@ -29,6 +29,10 @@ from repro.model.latency import (
 )
 from repro.problem.workload import Workload
 
+#: Objective names :meth:`Evaluation.metric` accepts ("cycles" and
+#: "latency" are aliases of "delay").
+OBJECTIVES = ("edp", "energy", "delay", "cycles", "latency")
+
 
 @dataclass(frozen=True)
 class Evaluation:

@@ -9,7 +9,7 @@ routes them to a registry and (optionally) a tracer without threading
 objects through every call signature:
 
     with obs_scope(trace_path="run.trace.jsonl") as obs:
-        result = random_search(space, evaluator)
+        result = RandomSearch(space, evaluator).run()
     print(obs.registry.to_prometheus())
 
 Scopes nest like :func:`repro.search.campaign.campaign_scope`: the

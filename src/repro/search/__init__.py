@@ -9,9 +9,9 @@ orthogonal to and composable with better search.
 """
 
 from repro.search.result import ConvergencePoint, SearchResult
-from repro.search.random_search import RandomSearch, random_search
-from repro.search.exhaustive import ExhaustiveSearch, exhaustive_search
-from repro.search.branch_bound import BranchBoundSearch, branch_bound_search
+from repro.search.random_search import RandomSearch
+from repro.search.exhaustive import ExhaustiveSearch
+from repro.search.branch_bound import BranchBoundSearch
 from repro.search.genetic import GeneticSearch
 from repro.search.annealing import SimulatedAnnealing
 from repro.search.pareto_search import ParetoSearch, ParetoSearchResult
@@ -36,11 +36,8 @@ __all__ = [
     "ConvergencePoint",
     "SearchResult",
     "RandomSearch",
-    "random_search",
     "ExhaustiveSearch",
-    "exhaustive_search",
     "BranchBoundSearch",
-    "branch_bound_search",
     "GeneticSearch",
     "SimulatedAnnealing",
     "ParetoSearch",

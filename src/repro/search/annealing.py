@@ -17,7 +17,7 @@ from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for
+from repro.search.loop import RunLedger, batch_engine_for, check_objective
 from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
@@ -67,7 +67,7 @@ class SimulatedAnnealing:
             raise SearchError("restarts must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.objective = objective
+        self.objective = check_objective(objective)
         self.steps = steps
         self.initial_temperature = initial_temperature
         self.cooling = cooling

@@ -72,11 +72,11 @@ from repro.search.loop import (
     BatchCounts,
     RunLedger,
     batch_engine_for,
-    check_batch_size,
+    check_objective,
 )
 from repro.search.result import SearchResult
 from repro.search.worker_pool import LocalIncumbent
-from repro.utils.batching import DEFAULT_BATCH_SIZE
+from repro.utils import batching
 from repro.utils.rng import make_rng
 
 #: Default number of warm-start samples seeding the incumbent.
@@ -90,7 +90,13 @@ DEFAULT_LEAF_WIDTH = 4_096
 
 #: Buffered leaf rows (pre-fanout-filter estimate) that trigger a flush.
 #: Large enough that flushes pack full batches; small enough that the
-#: incumbent stays fresh between flushes.
+#: incumbent stays fresh between flushes. A constant of the walk, not a
+#: multiple of the batch size, so the tree counts do not depend on how a
+#: flush chunks its rows.
+FLUSH_ROWS = 4_096
+
+#: Leaf widths per block of sibling leaves whose suffix grids are
+#: computed in one call.
 FLUSH_ROWS_FACTOR = 8
 
 
@@ -137,7 +143,6 @@ class _SubtreeWalker:
         dims_order: Sequence[Tuple[str, Tuple]],
         objective: str,
         leaf_width: int,
-        batch_size: int,
         limit: Optional[int],
         incumbent,
         ledger=None,
@@ -149,7 +154,6 @@ class _SubtreeWalker:
         self.dims_order = list(dims_order)
         self.objective = objective
         self.leaf_width = leaf_width
-        self.batch_size = batch_size
         self.limit = limit
         self.incumbent = incumbent
         #: Optional RunLedger: its improvement hook records every accepted
@@ -197,7 +201,6 @@ class _SubtreeWalker:
         # overhead would swamp the pruning win).
         self._leaf_buffer: List[Tuple[float, Tuple[int, ...], Optional[tuple]]] = []
         self._leaf_rows = 0
-        self._flush_rows = FLUSH_ROWS_FACTOR * batch_size
         #: Cells per block of sibling leaves whose suffix grids are
         #: computed in one call.
         self._block_cells = FLUSH_ROWS_FACTOR * leaf_width
@@ -332,7 +335,7 @@ class _SubtreeWalker:
                 self.leaves_deferred += 1
                 self._leaf_buffer.append((node_bound, indices, cells))
                 self._leaf_rows += self.suffix_product[depth]
-                if self._leaf_rows >= self._flush_rows:
+                if self._leaf_rows >= FLUSH_ROWS:
                     self.flush_leaves()
                 continue
             self.nodes_expanded += 1
@@ -505,7 +508,7 @@ class _SubtreeWalker:
         with obs.trace("search.leaf_flush", subtrees=len(pinned)):
             for batch in self.mapspace.iter_prefix_batches(
                 pinned,
-                batch_size=self.batch_size,
+                batch_size=batching.DEFAULT_BATCH_SIZE,
                 tags=np.arange(len(pinned)),
                 capacity=self.engine.vectorize,
             ):
@@ -562,8 +565,9 @@ class BranchBoundSearch:
         warm_samples: random samples seeding the incumbent before the
             tree walk; 0 disables warm start.
         leaf_width: subtrees with at most this many candidates are priced
-            as packed batches instead of being branched further.
-        batch_size: candidates per packed leaf batch.
+            as packed batches instead of being branched further; they
+            are packed :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE`
+            per batch.
         limit: safety cap on *priced* candidates (pruned subtrees are
             free); exceeding it raises. ``None`` disables the cap. With
             ``workers > 1`` every work unit's walk counts against its
@@ -588,7 +592,6 @@ class BranchBoundSearch:
         objective: str = "edp",
         warm_samples: int = DEFAULT_WARM_SAMPLES,
         leaf_width: int = DEFAULT_LEAF_WIDTH,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         limit: Optional[int] = 10_000_000,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
@@ -603,10 +606,9 @@ class BranchBoundSearch:
             raise SearchError("workers must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.objective = objective
+        self.objective = check_objective(objective)
         self.warm_samples = warm_samples
         self.leaf_width = leaf_width
-        self.batch_size = check_batch_size(batch_size)
         self.limit = limit
         self.rng = make_rng(seed)
         self.use_batch = use_batch
@@ -673,7 +675,6 @@ class BranchBoundSearch:
                 dims_order,
                 objective=self.objective,
                 leaf_width=self.leaf_width,
-                batch_size=self.batch_size,
                 limit=self.limit,
                 incumbent=LocalIncumbent(),
                 ledger=ledger,
@@ -682,32 +683,3 @@ class BranchBoundSearch:
             root_bound = walker.walk(())
             ledger.close_tree(walker, root_bound, warm_metric)
         return ledger.result("exhausted")
-
-
-def branch_bound_search(
-    mapspace: MapSpace,
-    evaluator: Evaluator,
-    objective: str = "edp",
-    warm_samples: int = DEFAULT_WARM_SAMPLES,
-    leaf_width: int = DEFAULT_LEAF_WIDTH,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    limit: Optional[int] = 10_000_000,
-    seed: Optional[Union[int, random.Random]] = None,
-    use_batch: bool = True,
-    workers: int = 1,
-    start_method: Optional[str] = None,
-) -> SearchResult:
-    """One-shot functional wrapper around :class:`BranchBoundSearch`."""
-    return BranchBoundSearch(
-        mapspace,
-        evaluator,
-        objective=objective,
-        warm_samples=warm_samples,
-        leaf_width=leaf_width,
-        batch_size=batch_size,
-        limit=limit,
-        seed=seed,
-        use_batch=use_batch,
-        workers=workers,
-        start_method=start_method,
-    ).run()

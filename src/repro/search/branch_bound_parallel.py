@@ -111,7 +111,6 @@ def _unit_entry(
             stack["dims_order"],
             objective=state["objective"],
             leaf_width=state["leaf_width"],
-            batch_size=state["batch_size"],
             limit=state["limit"],
             incumbent=state["incumbent"],
         )
@@ -186,7 +185,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
             dims_order,
             objective=search.objective,
             leaf_width=search.leaf_width,
-            batch_size=search.batch_size,
             limit=search.limit,
             incumbent=LocalIncumbent(),
             ledger=ledger,
@@ -253,7 +251,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
             "use_batch": search.use_batch,
             "objective": search.objective,
             "leaf_width": search.leaf_width,
-            "batch_size": search.batch_size,
             "limit": search.limit,
             "obs": obs.active_obs() is not None,
         }

@@ -6,9 +6,9 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.loop import RunLedger, batch_engine_for, check_objective
 from repro.search.result import SearchResult
-from repro.utils.batching import DEFAULT_BATCH_SIZE
+from repro.utils import batching
 
 
 class ExhaustiveSearch:
@@ -29,8 +29,8 @@ class ExhaustiveSearch:
         objective: optimization metric name.
         limit: safety cap on enumerated mappings; exceeding it raises.
         use_batch: price candidates through the batch kernels when they
-            price this evaluator exactly.
-        batch_size: candidates per packed batch (>= 1).
+            price this evaluator exactly. Candidates are packed
+            :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE` per batch.
         prune: enable lower-bound pruning. Never changes the search
             outcome, only which candidates get fully priced.
         batch_engine: optional shared engine to price through instead of
@@ -44,16 +44,14 @@ class ExhaustiveSearch:
         objective: str = "edp",
         limit: int = 1_000_000,
         use_batch: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         prune: bool = True,
         batch_engine=None,
     ) -> None:
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.objective = objective
+        self.objective = check_objective(objective)
         self.limit = limit
         self.use_batch = use_batch
-        self.batch_size = check_batch_size(batch_size)
         self.prune = prune
         self.batch_engine = batch_engine
 
@@ -71,7 +69,7 @@ class ExhaustiveSearch:
         # Clamp to bound chunk memory on tiny limits. The limit counts
         # enumerated candidates, so each batch is checked on its span
         # (capacity-infeasible candidates included) before it is priced.
-        batch_size = max(1, min(self.batch_size, self.limit + 1))
+        batch_size = max(1, min(batching.DEFAULT_BATCH_SIZE, self.limit + 1))
         with ledger, obs.trace(
             "search.run", driver="exhaustive", mode=ledger.mode,
             objective=self.objective,
@@ -95,24 +93,3 @@ class ExhaustiveSearch:
             raise SearchError(
                 f"exhaustive search exceeded limit of {self.limit} mappings"
             )
-
-
-def exhaustive_search(
-    mapspace: MapSpace,
-    evaluator: Evaluator,
-    objective: str = "edp",
-    limit: int = 1_000_000,
-    use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    prune: bool = True,
-) -> SearchResult:
-    """One-shot functional wrapper around :class:`ExhaustiveSearch`."""
-    return ExhaustiveSearch(
-        mapspace,
-        evaluator,
-        objective=objective,
-        limit=limit,
-        use_batch=use_batch,
-        batch_size=batch_size,
-        prune=prune,
-    ).run()

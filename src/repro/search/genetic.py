@@ -22,7 +22,7 @@ from repro.mapspace.allocation import DimChain
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for
+from repro.search.loop import RunLedger, batch_engine_for, check_objective
 from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
@@ -74,7 +74,7 @@ class GeneticSearch:
             raise SearchError("tournament must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.objective = objective
+        self.objective = check_objective(objective)
         self.population_size = population_size
         self.generations = generations
         self.mutation_rate = mutation_rate

@@ -28,6 +28,7 @@ same ledger; a branch-and-bound walk counts its own rows and tree nodes
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -38,16 +39,46 @@ from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import BatchEvaluator, BatchOutcome, MappingBatch
-from repro.model.evaluator import Evaluation, Evaluator
+from repro.model.evaluator import OBJECTIVES, Evaluation, Evaluator
 from repro.obs import TIMING_BUCKETS, ProgressTracker
 from repro.search.result import ConvergencePoint, SearchResult, throughput_stats
 
 
-def check_batch_size(batch_size: int) -> int:
-    """Reject a non-positive ``batch_size`` the same way for every strategy."""
-    if batch_size < 1:
-        raise SearchError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
+def check_objective(objective: Any) -> str:
+    """The canonical name of a search objective, or :class:`SearchError`.
+
+    Accepts the names :meth:`Evaluation.metric` accepts and folds its
+    delay aliases ("cycles", "latency") into "delay", so the kernels and
+    the bound engine, which branch on the canonical names, price the same
+    metric as the row-wise path.
+    """
+    if not isinstance(objective, str) or objective not in OBJECTIVES:
+        raise SearchError(
+            f"unknown objective {objective!r}; use edp, energy, or delay"
+        )
+    return "delay" if objective in ("cycles", "latency") else objective
+
+
+def check_int(
+    name: str, value: Any, minimum: Optional[int] = None,
+    optional: bool = False,
+) -> Any:
+    """Reject a search count that is not an integer (a bool is not),
+    or is below ``minimum``, as :class:`SearchError`; ``None`` passes
+    when ``optional``."""
+    if value is None and optional:
+        return value
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise SearchError(
+            f"{name} must be {bound}{' or None' if optional else ''}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def batch_engine_for(

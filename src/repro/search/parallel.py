@@ -27,7 +27,7 @@ from repro.energy.table import EnergyTable
 from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
-from repro.search.loop import BatchCounts, RunLedger, check_batch_size
+from repro.search.loop import BatchCounts, RunLedger, check_objective
 from repro.search.random_search import DEFAULT_PATIENCE, RandomSearch
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
@@ -38,8 +38,8 @@ from repro.search.worker_pool import (
     worker_errors,
     worker_stack,
 )
-from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.utils.rng import make_rng
+
 
 def _pool_entry(state: Dict[str, Any], job: Tuple[int, int]) -> SearchResult:
     """Pool entry point: run one seeded ``(index, seed)`` search.
@@ -61,7 +61,6 @@ def _pool_entry(state: Dict[str, Any], job: Tuple[int, int]) -> SearchResult:
             patience=state["patience"],
             seed=seed,
             use_batch=state["use_batch"],
-            batch_size=state["batch_size"],
         )
         result, snapshot = run_under_worker_obs(state["obs"], search.run)
     if snapshot is not None:
@@ -82,7 +81,6 @@ def parallel_random_search(
     energy_table: Optional[EnergyTable] = None,
     start_method: Optional[str] = None,
     use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchResult:
     """Run ``workers`` independent searches and merge the best result.
 
@@ -102,7 +100,6 @@ def parallel_random_search(
         use_batch: let each worker price candidates through the
             vectorized batch kernels (bit-exact; results are identical
             either way).
-        batch_size: per-worker batch size on the batch path.
 
     The returned ``stats`` carry ``pool_mode`` (which execution mode
     actually ran), wall-clock ``elapsed_s``/``evals_per_sec`` across the
@@ -111,7 +108,7 @@ def parallel_random_search(
     """
     if workers < 1:
         raise SearchError("workers must be >= 1")
-    check_batch_size(batch_size)
+    objective = check_objective(objective)
     rng = make_rng(seed)
     seeds = [rng.getrandbits(32) for _ in range(workers)]
     state: Dict[str, Any] = {
@@ -124,7 +121,6 @@ def parallel_random_search(
         "patience": patience,
         "energy_table": energy_table or estimate_energy_table(arch),
         "use_batch": use_batch,
-        "batch_size": batch_size,
         "obs": obs.active_obs() is not None,
     }
     # Workers report whole results, not per-candidate ticks, so the

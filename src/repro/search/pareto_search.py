@@ -15,11 +15,10 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
-from repro.utils.batching import DEFAULT_BATCH_SIZE
+from repro.search.loop import RunLedger, batch_engine_for, check_int
+from repro.utils import batching
 from repro.utils.rng import make_rng
 
 
@@ -88,8 +87,8 @@ class ParetoSearch:
             the triple, else through the scalar evaluator (bit-exact
             either way). Sampling consumes the RNG stream one draw at a
             time and pricing consumes none, so both visit exactly the
-            same candidates.
-        batch_size: candidates sampled and priced per chunk (>= 1).
+            same candidates. Candidates are sampled and priced in chunks
+            of :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE`.
     """
 
     def __init__(
@@ -99,16 +98,14 @@ class ParetoSearch:
         max_evaluations: int = 10_000,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if max_evaluations < 1:
-            raise SearchError("max_evaluations must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.max_evaluations = max_evaluations
+        self.max_evaluations = check_int(
+            "max_evaluations", max_evaluations, minimum=1
+        )
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = check_batch_size(batch_size)
 
     def run(self) -> ParetoSearchResult:
         engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
@@ -122,7 +119,8 @@ class ParetoSearch:
         with ledger, obs.trace("search.run", driver="pareto", mode=ledger.mode):
             while ledger.evaluations < self.max_evaluations:
                 chunk = min(
-                    self.batch_size, self.max_evaluations - ledger.evaluations
+                    batching.DEFAULT_BATCH_SIZE,
+                    self.max_evaluations - ledger.evaluations,
                 )
                 with obs.trace("search.batch", size=chunk):
                     with obs.trace("search.sample"):

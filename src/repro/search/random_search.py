@@ -12,12 +12,16 @@ import random
 from typing import Optional, Union
 
 from repro import obs
-from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_batch_size
+from repro.search.loop import (
+    RunLedger,
+    batch_engine_for,
+    check_int,
+    check_objective,
+)
 from repro.search.result import SearchResult
-from repro.utils.batching import DEFAULT_BATCH_SIZE
+from repro.utils import batching
 from repro.utils.rng import make_rng
 
 #: The paper's per-thread termination criterion (Section IV-B): 3000
@@ -48,8 +52,9 @@ class RandomSearch:
             scalar evaluator, the one path that looks candidates up in
             (and stores every evaluation into) the evaluator's cache.
             Draws, metrics, improvements, and termination are identical
-            either way (see :mod:`repro.search.loop`).
-        batch_size: candidates sampled and priced per chunk (>= 1).
+            either way (see :mod:`repro.search.loop`). Candidates are
+            sampled and priced in chunks of
+            :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE`.
         batch_engine: optional shared engine to price through instead of
             building one.
     """
@@ -63,21 +68,19 @@ class RandomSearch:
         patience: Optional[int] = DEFAULT_PATIENCE,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         batch_engine=None,
     ) -> None:
-        if max_evaluations < 1:
-            raise SearchError("max_evaluations must be >= 1")
-        if patience is not None and patience < 1:
-            raise SearchError("patience must be >= 1 or None")
         self.mapspace = mapspace
         self.evaluator = evaluator
-        self.objective = objective
-        self.max_evaluations = max_evaluations
-        self.patience = patience
+        self.objective = check_objective(objective)
+        self.max_evaluations = check_int(
+            "max_evaluations", max_evaluations, minimum=1
+        )
+        self.patience = check_int(
+            "patience", patience, minimum=1, optional=True
+        )
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_size = check_batch_size(batch_size)
         self.batch_engine = batch_engine
 
     def run(self) -> SearchResult:
@@ -102,7 +105,8 @@ class RandomSearch:
                 # stop can only land on the chunk's last draw and the RNG
                 # stream never runs ahead.
                 chunk = min(
-                    self.batch_size, self.max_evaluations - ledger.evaluations
+                    batching.DEFAULT_BATCH_SIZE,
+                    self.max_evaluations - ledger.evaluations,
                 )
                 if self.patience is not None:
                     chunk = min(chunk, self.patience - consecutive_non_improving)
@@ -126,26 +130,3 @@ class RandomSearch:
                     terminated_by = "patience"
                     break
         return ledger.result(terminated_by)
-
-
-def random_search(
-    mapspace: MapSpace,
-    evaluator: Evaluator,
-    objective: str = "edp",
-    max_evaluations: int = 10_000,
-    patience: Optional[int] = DEFAULT_PATIENCE,
-    seed: Optional[Union[int, random.Random]] = None,
-    use_batch: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> SearchResult:
-    """One-shot functional wrapper around :class:`RandomSearch`."""
-    return RandomSearch(
-        mapspace,
-        evaluator,
-        objective=objective,
-        max_evaluations=max_evaluations,
-        patience=patience,
-        seed=seed,
-        use_batch=use_batch,
-        batch_size=batch_size,
-    ).run()

@@ -68,7 +68,6 @@ _SEARCH_KEYS = (
     "patience",
     "seed",
     "use_batch",
-    "batch_size",
 )
 
 _TOP_LEVEL_KEYS = frozenset(("arch", "workload", "priority") + _SEARCH_KEYS)
@@ -109,13 +108,15 @@ def parse_search_spec(payload: Any) -> SearchSpec:
                     | {<workload dict>},
           "kind": "ruby-s", "objective": "edp", "strategy": "random",
           "max_evaluations": 500, "patience": null, "seed": 0,
-          "use_batch": true, "batch_size": 512,
+          "use_batch": true,
           "priority": "high" | "normal" | "low"
         }
 
     Unknown top-level keys are rejected loudly (:class:`SpecError`), so a
     typoed ``"max_evals"`` fails the request instead of silently running
-    a 10k-budget default search.
+    a 10k-budget default search. So are the values :class:`MapperConfig`
+    refuses: an unknown kind, objective or strategy, a count that is not
+    an integer in range, or a ``use_batch`` that is not a bool.
     """
     if not isinstance(payload, dict):
         raise SpecError(
@@ -392,9 +393,21 @@ class JobManager:
         for job_id, record in requests.items():
             if job_id in terminal:
                 continue
-            spec = self._spec_from_normalized(
-                record["spec"], record.get("priority")
-            )
+            normalized = record["spec"]
+            try:
+                spec = parse_search_spec(
+                    {
+                        "arch": normalized["arch"],
+                        "workload": normalized["workload"],
+                        "priority": record.get("priority"),
+                        **normalized["search"],
+                    }
+                )
+            except SpecError as error:
+                # Journaled under a request schema this version no longer
+                # accepts: fail that job alone, and recover the rest.
+                self._journal_unparsable(job_id, error)
+                continue
             seq = int(record.get("seq", 0)) or next(self._seq)
             job = ServiceJob(job_id, spec, seq)
             self._jobs[job.id] = job
@@ -415,20 +428,18 @@ class JobManager:
         obs.inc("service.resumed_jobs", recovered)
         return recovered
 
-    @staticmethod
-    def _spec_from_normalized(
-        normalized: Dict[str, Any], priority: Optional[str]
-    ) -> SearchSpec:
-        """Rebuild a spec from its journaled normalized form."""
-        arch = architecture_from_dict(normalized["arch"])
-        workload = workload_from_dict(normalized["workload"])
-        config = MapperConfig(**normalized["search"])
-        return SearchSpec(
-            arch=arch,
-            workload=workload,
-            config=config,
-            normalized=normalized,
-            priority=validate_priority(priority),
+    def _journal_unparsable(self, job_id: str, error: SpecError) -> None:
+        """Record a journaled request that no longer parses as failed."""
+        self.failed += 1
+        obs.inc("service.jobs_failed")
+        self.journal.append(
+            {
+                "kind": "job",
+                "job_id": job_id,
+                "status": "failed",
+                "time": time.time(),
+                "error": error.payload(),
+            }
         )
 
     # ------------------------------------------------------------ submission

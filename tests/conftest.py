@@ -15,6 +15,7 @@ from repro.arch import (
 from repro.model import Evaluator
 from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
+from repro.utils import batching
 
 
 @pytest.fixture
@@ -63,3 +64,14 @@ def small_gemm():
 @pytest.fixture
 def toy_evaluator(toy_arch, vector100):
     return Evaluator(toy_arch, vector100)
+
+
+@pytest.fixture
+def set_batch_size(monkeypatch):
+    """Set how many candidates every searcher packs per batch, for one
+    test: ``set_batch_size(64)``."""
+
+    def set_size(size):
+        monkeypatch.setattr(batching, "DEFAULT_BATCH_SIZE", size)
+
+    return set_size

@@ -159,7 +159,7 @@ def test_enumeration_batch_matches_scalar(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_pruning_never_discards_the_best(kind):
+def test_pruning_never_discards_the_best(kind, set_batch_size):
     """Acceptance gate: pruned and unpruned sweeps return identical results."""
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
@@ -171,26 +171,29 @@ def test_pruning_never_discards_the_best(kind):
         ).run()
 
     scalar = sweep(use_batch=False)
-    unpruned = sweep(use_batch=True, prune=False, batch_size=64)
-    pruned = sweep(use_batch=True, prune=True, batch_size=64)
+    set_batch_size(64)
+    unpruned = sweep(use_batch=True, prune=False)
+    pruned = sweep(use_batch=True, prune=True)
     _assert_same_result(scalar, unpruned)
     _assert_same_result(scalar, pruned, check_stats_batch=True)
 
 
-def test_pruning_skips_candidates_somewhere():
+def test_pruning_skips_candidates_somewhere(set_batch_size):
     """The lower bound actually fires on a space with bad candidates."""
+    set_batch_size(64)
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
     mapspace = make_mapspace(arch, workload, "ruby")
     result = ExhaustiveSearch(
-        mapspace, Evaluator(arch, workload), prune=True, batch_size=64
+        mapspace, Evaluator(arch, workload), prune=True
     ).run()
     assert result.stats["batch"]["pruned"] > 0
 
 
 @pytest.mark.parametrize("kind", ("pfm", "ruby", "ruby-s"))
-def test_random_search_batch_parity(kind):
+def test_random_search_batch_parity(kind, set_batch_size):
     """Batched RandomSearch is draw-for-draw identical to the scalar loop."""
+    set_batch_size(64)
     arch = eyeriss_like()
     workload = ConvLayer("conv", c=8, m=16, p=6, q=6, r=3, s=3).workload()
     constraints = eyeriss_row_stationary()
@@ -203,7 +206,6 @@ def test_random_search_batch_parity(kind):
             patience=80,
             seed=11,
             use_batch=use_batch,
-            batch_size=64,
         ).run()
 
     _assert_same_result(
@@ -211,8 +213,9 @@ def test_random_search_batch_parity(kind):
     )
 
 
-def test_random_search_patience_termination_matches():
+def test_random_search_patience_termination_matches(set_batch_size):
     """A patience stop lands on the same draw with and without batching."""
+    set_batch_size(256)
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
 
@@ -224,7 +227,6 @@ def test_random_search_patience_termination_matches():
             patience=40,
             seed=3,
             use_batch=use_batch,
-            batch_size=256,
         ).run()
 
     a, b = search(False), search(True)
@@ -268,8 +270,9 @@ def test_annealing_batch_parity():
     _assert_same_result(search(False), search(True), check_stats_batch=True)
 
 
-def test_pareto_batch_parity():
+def test_pareto_batch_parity(set_batch_size):
     """Chunked batch pricing keeps exactly the scalar frontier."""
+    set_batch_size(64)
     arch = simba_like()
     workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
 
@@ -280,7 +283,6 @@ def test_pareto_batch_parity():
             max_evaluations=300,
             seed=17,
             use_batch=use_batch,
-            batch_size=64,
         ).run()
 
     scalar, batched = search(False), search(True)
@@ -378,7 +380,7 @@ _ROW_WISE_GOLDEN = {
     "random": (
         lambda s, e: RandomSearch(
             s, e, max_evaluations=600, patience=None, seed=3,
-            use_batch=False, batch_size=256,
+            use_batch=False,
         ),
         21435.11210903247,
         [(27, 52717.89890896105), (39, 32301.992181720787),
@@ -404,7 +406,7 @@ _ROW_WISE_GOLDEN = {
         (179, 74, 106, 73),
     ),
     "exhaustive": (
-        lambda s, e: ExhaustiveSearch(s, e, use_batch=False, batch_size=64),
+        lambda s, e: ExhaustiveSearch(s, e, use_batch=False),
         21435.11210903247,
         [(1, 294163.0407268831), (2, 216805.47272688313),
          (3, 108119.15767254547), (7, 64605.525672545475),
@@ -422,10 +424,15 @@ _ROW_WISE_GOLDEN = {
     ),
 }
 
+#: Batch sizes the golden runs were captured with (the others used 512).
+_ROW_WISE_BATCH_SIZE = {"random": 256, "exhaustive": 64}
+
 
 @pytest.mark.parametrize("name", sorted(_ROW_WISE_GOLDEN))
-def test_row_wise_engine_matches_scalar_loop(name):
+def test_row_wise_engine_matches_scalar_loop(name, set_batch_size):
     make, best, curve, counts = _ROW_WISE_GOLDEN[name]
+    if name in _ROW_WISE_BATCH_SIZE:
+        set_batch_size(_ROW_WISE_BATCH_SIZE[name])
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = GemmLayer("g", m=4, n=3, k=2).workload()
     cache = EvaluationCache(4096)
@@ -457,8 +464,9 @@ class _RecordingCache(EvaluationCache):
         return super().get(key)
 
 
-def test_cache_lookup_counts_on_row_wise_path():
+def test_cache_lookup_counts_on_row_wise_path(set_batch_size):
     """Row-wise pricing, the cache's one client, looks up once per draw."""
+    set_batch_size(64)
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
     cache = _RecordingCache(1024)
@@ -469,14 +477,14 @@ def test_cache_lookup_counts_on_row_wise_path():
         patience=None,
         seed=9,
         use_batch=False,
-        batch_size=64,
     ).run()
     assert cache.gets == cache.hits + cache.misses == result.num_evaluated
     assert result.num_evaluated == 200
 
 
-def test_cached_and_uncached_batched_searches_agree():
+def test_cached_and_uncached_batched_searches_agree(set_batch_size):
     """The kernels never look the cache up, and a cache changes no result."""
+    set_batch_size(64)
     arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
     workload = vector_workload("v100", 100)
 
@@ -488,7 +496,6 @@ def test_cached_and_uncached_batched_searches_agree():
             patience=None,
             seed=123,
             use_batch=True,
-            batch_size=64,
         ).run()
 
     cache = _RecordingCache(1024)
@@ -496,8 +503,9 @@ def test_cached_and_uncached_batched_searches_agree():
     assert cache.gets == 0
 
 
-def test_objective_energy_and_delay_parity():
+def test_objective_energy_and_delay_parity(set_batch_size):
     """Non-EDP objectives route through the same exact kernels."""
+    set_batch_size(64)
     arch = simba_like()
     workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
     for objective in ("energy", "delay"):
@@ -510,7 +518,6 @@ def test_objective_energy_and_delay_parity():
                 patience=60,
                 seed=31,
                 use_batch=use_batch,
-                batch_size=64,
             ).run()
 
         _assert_same_result(search(False), search(True))

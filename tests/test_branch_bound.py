@@ -36,7 +36,7 @@ from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
 from repro.model.batch import BatchEvaluator, PartialBoundEngine
 from repro.problem import ConvLayer, GemmLayer
-from repro.search import BranchBoundSearch, branch_bound_search
+from repro.search import BranchBoundSearch
 from repro.search.exhaustive import ExhaustiveSearch
 
 
@@ -353,11 +353,11 @@ class TestBranchBoundSearch:
         exact = ExhaustiveSearch(
             make_mapspace(arch, workload, "pfm"), Evaluator(arch, workload)
         ).run()
-        pruned = branch_bound_search(
+        pruned = BranchBoundSearch(
             make_mapspace(arch, workload, "pfm"),
             Evaluator(arch, workload),
             seed=5,
-        )
+        ).run()
         assert pruned.best_metric == exact.best_metric
 
     def test_seed_deterministic(self, toy_arch, vector100):
@@ -474,8 +474,10 @@ class TestBranchBoundSearch:
             BranchBoundSearch(space, evaluator, warm_samples=-1)
         with pytest.raises(SearchError):
             BranchBoundSearch(space, evaluator, leaf_width=0)
-        with pytest.raises(SearchError):
-            BranchBoundSearch(space, evaluator, batch_size=0)
+        with pytest.raises(SearchError, match="objective"):
+            BranchBoundSearch(space, evaluator, objective="bogus")
+        with pytest.raises(TypeError, match="batch_size"):
+            BranchBoundSearch(space, evaluator, batch_size=512)
 
     def test_limit_enforced(self, toy_arch, vector100):
         with pytest.raises(SearchError):

@@ -103,15 +103,16 @@ class TestParallelParity:
         assert parallel.best_metric == serial.best_metric
         assert parallel.terminated_by == "exhausted"
 
-    def test_walk_mode_matches_serial(self):
+    def test_walk_mode_matches_serial(self, set_batch_size):
         # A tiny leaf width makes every worker-side walk branch deep
         # (on bound tables each worker built for itself).
+        set_batch_size(16)
         space, evaluator = _eyeriss_fixture()
         serial = BranchBoundSearch(
-            space, evaluator, seed=0, leaf_width=4, batch_size=16
+            space, evaluator, seed=0, leaf_width=4
         ).run()
         parallel = BranchBoundSearch(
-            space, evaluator, seed=0, workers=2, leaf_width=4, batch_size=16
+            space, evaluator, seed=0, workers=2, leaf_width=4
         ).run()
         assert parallel.best_metric == serial.best_metric
         kinds = {
@@ -182,13 +183,13 @@ class TestParallelStats:
 class TestObsMerge:
     """Per-worker registries must sum into the driver scope."""
 
-    def test_subtrees_pruned_counter_merges(self):
+    def test_subtrees_pruned_counter_merges(self, set_batch_size):
+        set_batch_size(16)
         space, evaluator = _eyeriss_fixture()
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
             result = BranchBoundSearch(
                 space, evaluator, seed=0, workers=2, leaf_width=4,
-                batch_size=16,
             ).run()
         bnb = result.stats["bnb"]
         assert bnb["subtrees_pruned"] > 0

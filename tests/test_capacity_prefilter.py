@@ -47,13 +47,16 @@ def _toy_case(name, kind):
 
 class TestLimitTripPoint:
     @pytest.mark.parametrize("name,kind,exhaustive,_,__", LIMIT_CASES)
-    def test_exhaustive_limit(self, name, kind, exhaustive, _, __):
+    def test_exhaustive_limit(
+        self, name, kind, exhaustive, _, __, set_batch_size
+    ):
+        set_batch_size(64)
         arch, workload, space = _toy_case(name, kind)
         assert space().count_completions() == exhaustive
 
         def run(limit):
             return ExhaustiveSearch(
-                space(), Evaluator(arch, workload), batch_size=64, limit=limit
+                space(), Evaluator(arch, workload), limit=limit
             ).run()
 
         result = run(exhaustive)
@@ -66,7 +69,7 @@ class TestLimitTripPoint:
         # The row-wise oracle packs every candidate; improvements carry
         # the same candidate numbers on both paths.
         row_wise = ExhaustiveSearch(
-            space(), Evaluator(arch, workload), batch_size=64, use_batch=False
+            space(), Evaluator(arch, workload), use_batch=False
         ).run()
         assert row_wise.stats["batch"]["infeasible"] == 0
         assert [(p.evaluations, p.best_metric) for p in result.curve] == [

@@ -52,13 +52,15 @@ class TestSearchCommand:
             ["--searcher", "annealing"],
         ],
     )
-    def test_bad_batch_size_exits_with_search_error_code(self, extra, capsys):
-        code = main(
-            ["search", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
-             "--batch-size", "0"] + extra
-        )
-        assert code == 5
-        assert "batch_size" in capsys.readouterr().err
+    def test_batch_size_flag_is_refused(self, extra, capsys):
+        # The batch size is a constant of the pricing layer, not a flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["search", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
+                 "--batch-size", "512"] + extra
+            )
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("searcher", ["genetic", "exhaustive"])
     def test_workers_without_a_pool_exit_with_search_error_code(

@@ -75,7 +75,8 @@ class TestMapper:
     def test_bad_batch_size_rejected_for_every_strategy(
         self, toy_arch, vector100, strategy, batch_size
     ):
-        with pytest.raises(SearchError, match="batch_size"):
+        # The batch size is a constant of the pricing layer, not a knob.
+        with pytest.raises(TypeError, match="batch_size"):
             find_best_mapping(
                 toy_arch, vector100, strategy=strategy, batch_size=batch_size
             )

@@ -24,10 +24,10 @@ from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
 from repro.search import (
     BranchBoundSearch,
+    ExhaustiveSearch,
     GeneticSearch,
+    RandomSearch,
     SimulatedAnnealing,
-    exhaustive_search,
-    random_search,
 )
 from repro.search.parallel import parallel_random_search
 from repro.search.pareto_search import ParetoSearch
@@ -77,16 +77,17 @@ class TestSerialDrivers:
     @pytest.mark.parametrize(
         "driver", ["random", "exhaustive", "genetic", "annealing", "pareto"]
     )
-    def test_counts_agree(self, toy_space, driver, use_batch):
+    def test_counts_agree(self, toy_space, driver, use_batch, set_batch_size):
+        set_batch_size(256 if driver == "exhaustive" else 64)
         evaluator = _evaluator(toy_space)
         runs = {
-            "random": lambda: random_search(
+            "random": lambda: RandomSearch(
                 toy_space, evaluator, seed=0, max_evaluations=300,
-                use_batch=use_batch, batch_size=64,
-            ),
-            "exhaustive": lambda: exhaustive_search(
-                toy_space, evaluator, use_batch=use_batch, batch_size=256,
-            ),
+                use_batch=use_batch,
+            ).run(),
+            "exhaustive": lambda: ExhaustiveSearch(
+                toy_space, evaluator, use_batch=use_batch,
+            ).run(),
             "genetic": lambda: GeneticSearch(
                 toy_space, evaluator, population_size=8, generations=3,
                 seed=0, use_batch=use_batch,
@@ -96,7 +97,7 @@ class TestSerialDrivers:
             ).run(),
             "pareto": lambda: ParetoSearch(
                 toy_space, evaluator, max_evaluations=300, seed=0,
-                use_batch=use_batch, batch_size=64,
+                use_batch=use_batch,
             ).run(),
         }
         registry = MetricsRegistry()
@@ -113,13 +114,13 @@ class TestSerialDrivers:
         # The first run fills the cache with its improvements; the second
         # run with the same seed never looks them up: the kernels price
         # every row again.
-        random_search(toy_space, evaluator, seed=0, max_evaluations=300)
+        RandomSearch(toy_space, evaluator, seed=0, max_evaluations=300).run()
         assert len(evaluator.cache) > 0
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            result = random_search(
+            result = RandomSearch(
                 toy_space, evaluator, seed=0, max_evaluations=300
-            )
+            ).run()
         cache = result.stats["cache"]
         assert cache["hits"] + cache["misses"] == 0
         assert result.stats["batch"]["candidates"] == result.num_evaluated

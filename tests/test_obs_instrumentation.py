@@ -16,9 +16,8 @@ from repro.obs import MetricsRegistry, Tracer, obs_scope, read_trace
 from repro.search import (
     ExhaustiveSearch,
     GeneticSearch,
+    RandomSearch,
     SimulatedAnnealing,
-    exhaustive_search,
-    random_search,
 )
 from repro.search.parallel import parallel_random_search
 
@@ -35,9 +34,9 @@ class TestSearchSpans:
         registry = MetricsRegistry()
         tracer = Tracer()
         with obs_scope(registry=registry, tracer=tracer):
-            result = random_search(
+            result = RandomSearch(
                 space, toy_evaluator, seed=0, max_evaluations=200
-            )
+            ).run()
         names = _span_names(tracer)
         assert "search.run" in names
         # Each chunk's time splits into sampling and pricing, both nested
@@ -68,19 +67,22 @@ class TestSearchSpans:
         registry = MetricsRegistry()
         tracer = Tracer()
         with obs_scope(registry=registry, tracer=tracer):
-            exhaustive_search(space, toy_evaluator)
+            ExhaustiveSearch(space, toy_evaluator).run()
         names = _span_names(tracer)
         assert "search.run" in names
         assert registry.counter("search.runs").value(driver="exhaustive") == 1.0
 
-    def test_batch_traffic_spans_count_the_live_rows(self, toy_arch, vector100):
+    def test_batch_traffic_spans_count_the_live_rows(
+        self, toy_arch, vector100, set_batch_size
+    ):
         """``batch.traffic`` spans cover exactly the rows the kernel prices
         in full: valid, not pruned against the incumbent, not fallback."""
+        set_batch_size(64)
         space = ruby_mapspace(toy_arch, vector100)
         tracer = Tracer()
         with obs_scope(registry=MetricsRegistry(), tracer=tracer):
             result = ExhaustiveSearch(
-                space, Evaluator(toy_arch, vector100), prune=True, batch_size=64
+                space, Evaluator(toy_arch, vector100), prune=True
             ).run()
         batch = result.stats["batch"]
         assert batch["pruned"] > 0 and batch["fallback"] == 0
@@ -93,18 +95,21 @@ class TestSearchSpans:
             result.num_valid - batch["pruned"]
         )
 
-    def test_enumerate_and_validity_spans(self, toy_arch, vector100):
+    def test_enumerate_and_validity_spans(
+        self, toy_arch, vector100, set_batch_size
+    ):
         """``mapspace.enumerate`` wraps the index-row steps (generation and
         capacity prefilter) of an exhaustive sweep, ``batch.validity`` the
         kernel's validity stage once per priced batch; the prefilter's
         dropped candidates are counted once, as ``infeasible``."""
+        set_batch_size(64)
         space = ruby_mapspace(toy_arch, vector100)
         count = space.count_completions()
         registry = MetricsRegistry()
         tracer = Tracer()
         with obs_scope(registry=registry, tracer=tracer):
             result = ExhaustiveSearch(
-                space, Evaluator(toy_arch, vector100), batch_size=64
+                space, Evaluator(toy_arch, vector100)
             ).run()
         by_id = {record["span_id"]: record for record in tracer.records}
         enumerate_spans = [
@@ -128,9 +133,10 @@ class TestSearchSpans:
         assert registry.counter("batch.infeasible").total() == batch["infeasible"]
 
     def test_enumerate_and_validity_spans_are_null_when_off(
-        self, monkeypatch, toy_arch, vector100
+        self, monkeypatch, toy_arch, vector100, set_batch_size
     ):
         """With obs off both spans are the shared null span."""
+        set_batch_size(64)
         from repro import obs
         from repro.obs import scope
 
@@ -148,7 +154,6 @@ class TestSearchSpans:
         ExhaustiveSearch(
             ruby_mapspace(toy_arch, vector100),
             Evaluator(toy_arch, vector100),
-            batch_size=64,
         ).run()
         names = {name for name, _ in opened}
         assert {"mapspace.enumerate", "batch.validity"} <= names
@@ -241,13 +246,13 @@ class TestSearchSpans:
         )
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            random_search(
+            RandomSearch(
                 space,
                 evaluator,
                 seed=0,
                 max_evaluations=200,
                 use_batch=False,
-            )
+            ).run()
         assert registry.counter("evaluator.evals").total() > 0
         lookups = (
             registry.counter("evaluator.cache_hits").total()
@@ -259,9 +264,9 @@ class TestSearchSpans:
         space = pfm_mapspace(toy_arch, vector100)
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            result = random_search(
+            result = RandomSearch(
                 space, toy_evaluator, seed=0, max_evaluations=200
-            )
+            ).run()
         if not result.stats["batch"]["candidates"]:
             pytest.skip("batch path unsupported for this mapspace")
         assert registry.counter("batch.batches").total() > 0
@@ -277,7 +282,7 @@ class TestSearchSpans:
 
         default_registry().reset()
         space = pfm_mapspace(toy_arch, vector100)
-        random_search(space, toy_evaluator, seed=0, max_evaluations=100)
+        RandomSearch(space, toy_evaluator, seed=0, max_evaluations=100).run()
         assert default_registry().names() == []
 
 
@@ -289,20 +294,21 @@ class TestRunLedgerCounts:
         "driver", ["random", "exhaustive", "genetic", "annealing", "pareto"]
     )
     def test_candidates_and_improvements_match_result(
-        self, toy_arch, vector100, driver, use_batch
+        self, toy_arch, vector100, driver, use_batch, set_batch_size
     ):
         from repro.search.pareto_search import ParetoSearch
 
+        set_batch_size(64)
         space = ruby_s_mapspace(toy_arch, vector100)
         evaluator = Evaluator(toy_arch, vector100)
         runs = {
-            "random": lambda: random_search(
+            "random": lambda: RandomSearch(
                 space, evaluator, seed=0, max_evaluations=150,
-                use_batch=use_batch, batch_size=64,
-            ),
-            "exhaustive": lambda: exhaustive_search(
-                space, evaluator, use_batch=use_batch, batch_size=64
-            ),
+                use_batch=use_batch,
+            ).run(),
+            "exhaustive": lambda: ExhaustiveSearch(
+                space, evaluator, use_batch=use_batch
+            ).run(),
             "genetic": lambda: GeneticSearch(
                 space, evaluator, population_size=8, generations=3, seed=0,
                 use_batch=use_batch,
@@ -312,7 +318,7 @@ class TestRunLedgerCounts:
             ).run(),
             "pareto": lambda: ParetoSearch(
                 space, evaluator, max_evaluations=150, seed=0,
-                use_batch=use_batch, batch_size=64,
+                use_batch=use_batch,
             ).run(),
         }
         registry = MetricsRegistry()
@@ -399,14 +405,14 @@ class TestStatsSchemaStability:
         space = pfm_mapspace(toy_arch, vector100)
 
         def run_all():
-            scalar = random_search(
+            scalar = RandomSearch(
                 space,
                 Evaluator(toy_arch, vector100),
                 seed=0,
                 max_evaluations=100,
                 use_batch=False,
-            )
-            cached = random_search(
+            ).run()
+            cached = RandomSearch(
                 space,
                 Evaluator(
                     toy_arch,
@@ -416,14 +422,14 @@ class TestStatsSchemaStability:
                 seed=0,
                 max_evaluations=100,
                 use_batch=False,
-            )
-            batched = random_search(
+            ).run()
+            batched = RandomSearch(
                 space,
                 Evaluator(toy_arch, vector100),
                 seed=0,
                 max_evaluations=100,
                 use_batch=True,
-            )
+            ).run()
             pooled = parallel_random_search(
                 toy_arch,
                 vector100,
@@ -470,10 +476,10 @@ class TestUniformStatsSchema:
             return Evaluator(toy_arch, vector100)
 
         stats_by_driver = {
-            "random": random_search(
+            "random": RandomSearch(
                 space, evaluator(), seed=0, max_evaluations=50
-            ).stats,
-            "exhaustive": exhaustive_search(space, evaluator()).stats,
+            ).run().stats,
+            "exhaustive": ExhaustiveSearch(space, evaluator()).run().stats,
             "genetic": GeneticSearch(
                 space, evaluator(), population_size=8, generations=2, seed=0
             ).run().stats,
@@ -502,12 +508,12 @@ class TestTraceFileFromSearch:
         space = pfm_mapspace(toy_arch, vector100)
         path = tmp_path / "trace.jsonl"
         with obs_scope(registry=MetricsRegistry(), trace_path=path):
-            random_search(
+            RandomSearch(
                 space,
                 Evaluator(toy_arch, vector100),
                 seed=0,
                 max_evaluations=100,
-            )
+            ).run()
         records = read_trace(path)
         assert records
         for record in records:

@@ -273,15 +273,18 @@ def test_pareto_search_matches_per_candidate_oracle(layer, kind):
 
 
 @pytest.mark.parametrize("use_batch", [True, False])
-def test_patience_stops_exactly_after_a_mid_chunk_improvement(use_batch):
+def test_patience_stops_exactly_after_a_mid_chunk_improvement(
+    use_batch, set_batch_size
+):
+    set_batch_size(16)
     space = _toy_space(MapspaceKind.RUBY_S)
     evaluator = Evaluator(space.arch, space.workload)
-    kwargs = dict(max_evaluations=5000, patience=40, batch_size=16)
+    kwargs = dict(max_evaluations=5000, patience=40)
     got = RandomSearch(space, evaluator, seed=7, use_batch=use_batch,
                        **kwargs).run()
     want, chunk_ends, _ = _oracle_random(
         space, evaluator, 7, kwargs["max_evaluations"], kwargs["patience"],
-        batch_size=kwargs["batch_size"], use_batch=use_batch,
+        batch_size=16, use_batch=use_batch,
     )
     _assert_same_run(got, want)
     assert got.terminated_by == "patience"
@@ -291,7 +294,7 @@ def test_patience_stops_exactly_after_a_mid_chunk_improvement(use_batch):
     assert any(point.evaluations not in chunk_ends for point in got.curve)
 
 
-def test_cache_attached_engine_looks_up_only_row_wise():
+def test_cache_attached_engine_looks_up_only_row_wise(set_batch_size):
     """The shared kernel engine never looks the cache up and matches an
     uncached run; a row-wise run looks up once per candidate, in the
     per-candidate oracle's order."""
@@ -307,7 +310,8 @@ def test_cache_attached_engine_looks_up_only_row_wise():
         cache.keys = []
         return Evaluator(space.arch, space.workload, cache=cache), cache.keys
 
-    kwargs = dict(max_evaluations=1500, patience=600, batch_size=256)
+    set_batch_size(256)
+    kwargs = dict(max_evaluations=1500, patience=600)
     evaluator, keys = cached()
     engine = SharedBatchEngine(
         BatchEvaluator(evaluator, layout=space.batch_layout())
@@ -319,14 +323,15 @@ def test_cache_attached_engine_looks_up_only_row_wise():
     _assert_same_run(got, want)
     assert keys == []
 
-    kwargs = dict(max_evaluations=400, patience=None, batch_size=128)
+    set_batch_size(128)
+    kwargs = dict(max_evaluations=400, patience=None)
     evaluator, got_keys = cached()
     got = RandomSearch(space, evaluator, seed=1, use_batch=False,
                        **kwargs).run()
     evaluator, want_keys = cached()
     want, _, _ = _oracle_random(
         space, evaluator, 1, kwargs["max_evaluations"], kwargs["patience"],
-        batch_size=kwargs["batch_size"], use_batch=False)
+        batch_size=128, use_batch=False)
     _assert_same_run(got, want)
     assert len(got_keys) == got.num_evaluated
     assert got_keys == want_keys
@@ -379,12 +384,12 @@ def _golden_setup():
 
 
 @pytest.mark.parametrize("searcher", sorted(_GOLDENS))
-def test_searches_reproduce_their_goldens(searcher):
+def test_searches_reproduce_their_goldens(searcher, set_batch_size):
+    set_batch_size(128)
     space, evaluator = _golden_setup()
     search = {
         "random": lambda: RandomSearch(
-            space, evaluator, max_evaluations=1500, patience=400,
-            batch_size=128, seed=3,
+            space, evaluator, max_evaluations=1500, patience=400, seed=3,
         ),
         "genetic": lambda: GeneticSearch(
             space, evaluator, population_size=16, generations=6, seed=3
@@ -403,10 +408,11 @@ def test_searches_reproduce_their_goldens(searcher):
     ) == _GOLDENS[searcher]
 
 
-def test_pareto_search_reproduces_its_golden():
+def test_pareto_search_reproduces_its_golden(set_batch_size):
+    set_batch_size(128)
     space, evaluator = _golden_setup()
     result = ParetoSearch(
-        space, evaluator, max_evaluations=800, batch_size=128, seed=3
+        space, evaluator, max_evaluations=800, seed=3
     ).run()
     assert (
         tuple((e.energy_pj.hex(), e.cycles) for e in result.frontier),

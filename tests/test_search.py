@@ -9,8 +9,6 @@ from repro.search import (
     ExhaustiveSearch,
     GeneticSearch,
     RandomSearch,
-    exhaustive_search,
-    random_search,
 )
 from repro.search.result import ConvergencePoint, SearchResult
 
@@ -18,45 +16,53 @@ from repro.search.result import ConvergencePoint, SearchResult
 class TestRandomSearch:
     def test_finds_valid_mapping(self, toy_arch, vector100, toy_evaluator):
         space = pfm_mapspace(toy_arch, vector100)
-        result = random_search(space, toy_evaluator, seed=0, max_evaluations=500)
+        result = RandomSearch(
+            space, toy_evaluator, seed=0, max_evaluations=500
+        ).run()
         assert result.best is not None
         assert result.best.valid
         assert result.num_valid > 0
 
     def test_deterministic_given_seed(self, toy_arch, vector100, toy_evaluator):
         space = ruby_s_mapspace(toy_arch, vector100)
-        a = random_search(space, toy_evaluator, seed=42, max_evaluations=300)
-        b = random_search(space, toy_evaluator, seed=42, max_evaluations=300)
+        a = RandomSearch(
+            space, toy_evaluator, seed=42, max_evaluations=300
+        ).run()
+        b = RandomSearch(
+            space, toy_evaluator, seed=42, max_evaluations=300
+        ).run()
         assert a.best_metric == b.best_metric
         assert a.num_valid == b.num_valid
 
     def test_patience_terminates_early(self, toy_arch, vector100, toy_evaluator):
         space = pfm_mapspace(toy_arch, vector100)
-        result = random_search(
+        result = RandomSearch(
             space, toy_evaluator, seed=0, max_evaluations=100_000, patience=50
-        )
+        ).run()
         assert result.terminated_by == "patience"
         assert result.num_evaluated < 100_000
 
     def test_budget_termination(self, toy_arch, vector100, toy_evaluator):
         space = pfm_mapspace(toy_arch, vector100)
-        result = random_search(
+        result = RandomSearch(
             space, toy_evaluator, seed=0, max_evaluations=20, patience=None
-        )
+        ).run()
         assert result.terminated_by == "budget"
         assert result.num_evaluated == 20
 
     def test_curve_monotone_decreasing(self, toy_arch, vector100, toy_evaluator):
         space = ruby_s_mapspace(toy_arch, vector100)
-        result = random_search(space, toy_evaluator, seed=1, max_evaluations=500)
+        result = RandomSearch(
+            space, toy_evaluator, seed=1, max_evaluations=500
+        ).run()
         metrics = [p.best_metric for p in result.curve]
         assert metrics == sorted(metrics, reverse=True)
 
     def test_objective_energy(self, toy_arch, vector100, toy_evaluator):
         space = pfm_mapspace(toy_arch, vector100)
-        result = random_search(
+        result = RandomSearch(
             space, toy_evaluator, objective="energy", seed=0, max_evaluations=300
-        )
+        ).run()
         assert result.best_metric == pytest.approx(result.best.energy_pj)
 
     def test_rejects_bad_budget(self, toy_arch, vector100, toy_evaluator):
@@ -73,10 +79,12 @@ class TestRandomSearch:
 class TestExhaustiveSearch:
     def test_finds_global_best(self, toy_arch, vector100, toy_evaluator):
         space = pfm_mapspace(toy_arch, vector100)
-        result = exhaustive_search(space, toy_evaluator)
+        result = ExhaustiveSearch(space, toy_evaluator).run()
         assert result.terminated_by == "exhausted"
         # Random search can never beat the exhaustive optimum.
-        sampled = random_search(space, toy_evaluator, seed=0, max_evaluations=2000)
+        sampled = RandomSearch(
+            space, toy_evaluator, seed=0, max_evaluations=2000
+        ).run()
         assert result.best_metric <= sampled.best_metric
 
     def test_limit_enforced(self, linear_arch9, toy_evaluator):
@@ -119,10 +127,10 @@ class TestGeneticSearch:
         genetic = GeneticSearch(
             space, toy_evaluator, population_size=20, generations=10, seed=3
         ).run()
-        rand = random_search(
+        rand = RandomSearch(
             space, toy_evaluator, seed=3,
             max_evaluations=genetic.num_evaluated // 2, patience=None,
-        )
+        ).run()
         assert genetic.best_metric <= rand.best_metric * 1.2
 
     def test_rejects_bad_params(self, toy_arch, vector100, toy_evaluator):

@@ -8,7 +8,7 @@ from repro.exceptions import SearchError
 from repro.mapspace import ruby_s_mapspace
 from repro.model import EvaluationCache, Evaluator
 from repro.problem.gemm import vector_workload
-from repro.search import random_search
+from repro.search import RandomSearch
 from repro.search.parallel import parallel_random_search
 
 
@@ -92,11 +92,11 @@ class TestParallelSearch:
         for use_batch in (True, False):
 
             def run(cache):
-                return random_search(
+                return RandomSearch(
                     space, Evaluator(arch, workload, cache=cache),
                     max_evaluations=150, patience=None, seed=21,
                     use_batch=use_batch,
-                )
+                ).run()
 
             cached = run(EvaluationCache())
             uncached = run(None)
@@ -214,8 +214,6 @@ class TestWorkerErrorContext:
     """A failing worker must report which (index, seed) job died."""
 
     def _raise_in_search(self, monkeypatch):
-        from repro.search.random_search import RandomSearch
-
         def explode(self, *args, **kwargs):
             raise RuntimeError("synthetic search failure")
 

@@ -161,7 +161,8 @@ class TestParseSearchSpec:
     def test_bad_batch_size_rejected_for_every_strategy(
         self, strategy, batch_size
     ):
-        with pytest.raises(SpecError, match="batch_size"):
+        # The batch size is a constant of the pricing layer, not a key.
+        with pytest.raises(SpecError, match=r"unknown .*\['batch_size'\]"):
             parse_search_spec(
                 request_payload(strategy=strategy, batch_size=batch_size)
             )
@@ -402,6 +403,49 @@ class TestJobManagerResume:
         }
         assert terminal == {first.id, second.id, third.id}
 
+    def test_unparsable_journaled_spec_fails_alone(self, tmp_path):
+        # Requests journaled with search keys this version refuses (a
+        # batch_size, as older versions wrote, and a key no version knew),
+        # next to one it still accepts.
+        old_path = str(tmp_path / "old.jsonl")
+        before = JobManager(workers=1, journal_path=old_path)
+        stale, _ = before.submit(request_payload(seed=1))
+        good, _ = before.submit(request_payload(seed=2))
+        bogus, _ = before.submit(request_payload(seed=3))
+        journal_path = str(tmp_path / "svc.jsonl")
+        for record in Journal(old_path).read():
+            if record.get("job_id") == stale.id:
+                record["spec"]["search"]["batch_size"] = 512
+            if record.get("job_id") == bogus.id:
+                record["spec"]["search"]["bogus_key"] = 1
+            Journal(journal_path).append(record)
+        after = JobManager(workers=1, journal_path=journal_path)
+        assert after.resume() == 1
+        assert [j.id for j in after.jobs()] == [good.id]
+        after.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not after.get(good.id).terminal:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            after.stop()
+        assert after.get(good.id).state == "ok"
+        terminal = {
+            r["job_id"]: r
+            for r in Journal(journal_path).read()
+            if r.get("kind") == "job"
+        }
+        assert terminal[good.id]["status"] == "ok"
+        for job, key in ((stale, "batch_size"), (bogus, "bogus_key")):
+            failed = terminal[job.id]
+            assert failed["status"] == "failed"
+            assert failed["error"]["type"] == "SpecError"
+            assert failed["error"]["http_status"] == 400
+            assert key in failed["error"]["message"]
+        # A second resume finds nothing left to recover.
+        assert JobManager(workers=1, journal_path=journal_path).resume() == 0
+
     def test_resumed_seq_counter_does_not_collide(self, tmp_path):
         journal_path = str(tmp_path / "svc.jsonl")
         before = JobManager(workers=1, journal_path=journal_path)
@@ -485,7 +529,24 @@ class TestServiceHTTP:
         )
         assert status == 400
         assert body["error"]["type"] == "SpecError"
-        assert "batch_size" in body["error"]["message"]
+        assert "unknown search request keys ['batch_size']" in (
+            body["error"]["message"]
+        )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("objective", "bogus"), ("kind", "bogus"),
+         ("max_evaluations", "x"), ("seed", [1])],
+    )
+    def test_bad_search_values_map_to_400_at_submit(
+        self, service, field, value
+    ):
+        status, body, _ = post_json(
+            service.url + "/v1/search", request_payload(**{field: value})
+        )
+        assert status == 400
+        assert body["error"]["type"] == "SpecError"
+        assert field in body["error"]["message"]
 
     def test_invalid_json_body_maps_to_400(self, service):
         status, body, _ = http(service.url + "/v1/search", data=b"{nope")
