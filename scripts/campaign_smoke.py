@@ -9,7 +9,10 @@ linear architecture:
    resume it — per-job best EDP must match the reference exactly;
 3. run with an injected worker crash and an injected always-raising job —
    the crash must be retried to success, the raiser quarantined, and the
-   campaign must still exit 0.
+   campaign must still exit 0;
+4. run the fig13 DeepBench sweep directly, with ``--journal``, and again
+   on that journal (a replay) — all three must print byte-identical
+   reports.
 
 Runs in a few tens of seconds; exits nonzero on any mismatch.
 """
@@ -96,7 +99,7 @@ def step_reference(workdir: Path) -> dict:
     if proc.returncode != 0:
         sys.exit(f"reference campaign failed:\n{proc.stderr.decode()}")
     results = _job_results(journal)
-    print(f"[1/3] reference campaign: {len(results)} jobs ok")
+    print(f"[1/4] reference campaign: {len(results)} jobs ok")
     return results
 
 
@@ -121,7 +124,7 @@ def step_kill_and_resume(workdir: Path, reference: dict) -> None:
     if interrupted >= len(reference):
         sys.exit("campaign finished before it could be interrupted; "
                  "raise --budget in this script")
-    print(f"[2/3] SIGKILLed campaign after {interrupted} jobs; resuming")
+    print(f"[2/4] SIGKILLed campaign after {interrupted} jobs; resuming")
 
     resumed = _run(
         [
@@ -191,9 +194,36 @@ def step_faults(workdir: Path, reference: dict) -> None:
         sys.exit(f"doomed job not quarantined: {results[doomed_job]}")
     ok = sum(1 for status, _ in results.values() if status == "ok")
     print(
-        f"[3/3] fault injection: crash retried to identical EDP, "
+        f"[3/4] fault injection: crash retried to identical EDP, "
         f"raiser quarantined ({ok} ok / 1 quarantined)"
     )
+
+
+def step_experiment_parity(workdir: Path) -> None:
+    experiment = [
+        sys.executable, "-m", "repro", "experiment", "fig13",
+        "--suite", "deepbench", "--budget", "300",
+    ]
+    journal = workdir / "fig13.jsonl"
+    outputs = {}
+    for label, extra in (
+        ("direct", []),
+        ("journaled", ["--journal", str(journal)]),
+        ("replayed", ["--journal", str(journal)]),
+    ):
+        proc = _run(experiment + extra, capture_output=True)
+        if proc.returncode != 0:
+            sys.exit(f"{label} fig13 run failed:\n{proc.stderr.decode()}")
+        outputs[label] = proc.stdout
+    for label in ("journaled", "replayed"):
+        if outputs[label] != outputs["direct"]:
+            sys.exit(
+                f"fig13 {label} output differs from the direct run:\n"
+                f"--- direct\n{outputs['direct'].decode()}\n"
+                f"--- {label}\n{outputs[label].decode()}"
+            )
+    print("[4/4] fig13 deepbench: direct, journaled and replayed runs "
+          "print identical reports")
 
 
 def main() -> None:
@@ -202,6 +232,7 @@ def main() -> None:
         reference = step_reference(workdir)
         step_kill_and_resume(workdir, reference)
         step_faults(workdir, reference)
+        step_experiment_parity(workdir)
     print("campaign smoke: OK")
 
 

@@ -68,48 +68,16 @@ from repro.io import (
 from repro.mapping.render import render_mapping
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.evaluator import Evaluator
-from repro.problem.conv import ConvLayer
-from repro.problem.gemm import GemmLayer
-
-
-def _parse_shape(text: str) -> Dict[str, int]:
-    """Parse ``C=512,M=128,P=28`` into a dict."""
-    shape: Dict[str, int] = {}
-    for chunk in text.split(","):
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        if not value:
-            raise argparse.ArgumentTypeError(
-                f"bad shape fragment {chunk!r}; expected DIM=SIZE"
-            )
-        shape[key.strip().upper()] = int(value)
-    return shape
+from repro.problem.shorthand import shorthand_workload, split_shape
 
 
 def _build_workload(args: argparse.Namespace):
     if args.workload_json:
         return workload_from_dict(load_json(args.workload_json))
-    if args.conv:
-        shape = _parse_shape(args.conv)
-        return ConvLayer(
-            name=args.name,
-            n=shape.get("N", 1),
-            c=shape.get("C", 1),
-            m=shape.get("M", 1),
-            p=shape.get("P", 1),
-            q=shape.get("Q", 1),
-            r=shape.get("R", 1),
-            s=shape.get("S", 1),
-        ).workload()
-    if args.gemm:
-        shape = _parse_shape(args.gemm)
-        return GemmLayer(
-            name=args.name,
-            m=shape.get("M", 1),
-            n=shape.get("N", 1),
-            k=shape.get("K", 1),
-        ).workload()
+    for op in ("conv", "gemm"):
+        text = getattr(args, op)
+        if text:
+            return shorthand_workload(op, split_shape(text), args.name)
     raise SystemExit("specify one of --conv, --gemm, or --workload-json")
 
 

@@ -15,9 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.arch.eyeriss import eyeriss_like
 from repro.arch.spec import Architecture
-from repro.core.mapper import Mapper, MapperConfig
 from repro.energy.area import estimate_area_mm2
-from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
 from repro.problem.workload import Workload
@@ -115,22 +113,21 @@ def evaluate_network(
     objective: str = "edp",
     seed: Optional[Union[int, random.Random]] = None,
     restarts: int = 1,
-    strategy: str = "random",
 ) -> Tuple[float, int, List[Tuple[str, float]]]:
     """Search every layer; return (total energy, total cycles, per-layer EDP).
 
     ``workloads`` pairs each unique layer with its occurrence count in the
     network (ResNet-50 repeats layer shapes many times). ``restarts``
     independent searches run per layer and the best wins — the laptop-scale
-    stand-in for the paper's 24-thread searches. ``strategy`` selects the
-    per-layer searcher (any :class:`MapperConfig` strategy, e.g.
-    "branch-bound" for exact sweeps of enumerable spaces); campaign-mode
-    runs journal random searches and ignore it.
+    stand-in for the paper's 24-thread searches. Each layer's restart
+    seeds are drawn up front from the sweep rng and the layer runs through
+    :func:`repro.experiments.common.multi_seed_search`, so inside a
+    campaign scope every layer is one journaled job and a resumed or
+    replayed sweep returns the same figures as a direct one.
     """
-    from repro.search.campaign import active_campaign
+    from repro.experiments.common import multi_seed_search
 
     rng = make_rng(seed)
-    campaign = active_campaign()
     total_energy = 0.0
     total_cycles = 0
     per_layer: List[Tuple[str, float]] = []
@@ -141,66 +138,17 @@ def evaluate_network(
             kind=MapspaceKind(kind).value,
             count=count,
         ):
-            if campaign is not None:
-                # Campaign mode: derive the restart seeds up front (the
-                # shared rng stream stays identical whether a job runs
-                # fresh or is replayed from the journal, so resume keeps
-                # exact parity) and run the whole multi-restart search as
-                # one journaled job. Note the integer seeds start fresh
-                # streams, so campaign-mode results are deterministic but
-                # not identical to the non-campaign path, which threads
-                # the live rng through.
-                from repro.search.campaign import (
-                    CampaignJob,
-                    default_job_id,
-                    run_job_under_scope,
-                )
-
-                job_seeds = tuple(
-                    rng.getrandbits(32) for _ in range(max(1, restarts))
-                )
-                job = CampaignJob(
-                    job_id=default_job_id(
-                        arch, workload, kind, objective, max_evaluations,
-                        patience, job_seeds,
-                    ),
-                    arch=arch,
-                    workload=workload,
-                    kind=MapspaceKind(kind).value,
-                    objective=objective,
-                    max_evaluations=max_evaluations,
-                    patience=patience,
-                    seeds=job_seeds,
-                    constraints=constraints,
-                )
-                best = run_job_under_scope(campaign, job)
-                total_energy += best.energy_pj * count
-                total_cycles += best.cycles * count
-                per_layer.append((workload.name, best.edp))
-                continue
-            config = MapperConfig(
-                kind=kind,
+            seeds = tuple(rng.getrandbits(32) for _ in range(max(1, restarts)))
+            best = multi_seed_search(
+                arch,
+                workload,
+                kind,
                 objective=objective,
-                strategy=strategy,
+                seeds=seeds,
                 max_evaluations=max_evaluations,
                 patience=patience,
                 constraints=constraints,
             )
-            mapper = Mapper(arch, workload, config)
-            best = None
-            for _ in range(max(1, restarts)):
-                result = mapper.run(seed=rng)
-                if result.best is None:
-                    continue
-                if best is None or result.best.metric(
-                    objective
-                ) < best.metric(objective):
-                    best = result.best
-            if best is None:
-                raise SearchError(
-                    f"no valid {MapspaceKind(kind).value} mapping found for "
-                    f"{workload.name} on {arch.name}"
-                )
             total_energy += best.energy_pj * count
             total_cycles += best.cycles * count
             per_layer.append((workload.name, best.edp))

@@ -6,8 +6,6 @@ import random
 from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.arch.spec import Architecture
-from repro.core.mapper import find_best_mapping
-from repro.exceptions import SearchError
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
 from repro.model.evaluator import Evaluation
@@ -17,6 +15,7 @@ from repro.search.campaign import (
     active_campaign,
     default_job_id,
     run_job_under_scope,
+    search_job,
 )
 
 
@@ -29,7 +28,6 @@ def multi_seed_search(
     max_evaluations: int = 3_000,
     patience: Optional[int] = 1_000,
     constraints: Optional[ConstraintSet] = None,
-    job_id: Optional[str] = None,
 ) -> Evaluation:
     """Best evaluation over several independent random-search starts.
 
@@ -37,49 +35,29 @@ def multi_seed_search(
     independent seeds at a smaller budget is the laptop-scale equivalent
     that keeps the variance of the best-found mapping manageable.
 
-    Inside a :func:`repro.search.campaign.campaign_scope`, the whole
-    multi-seed search runs as one journaled campaign job (timeout, retry,
-    resume-by-skip); the returned evaluation is identical either way.
+    The search is always described as one :class:`CampaignJob` and run by
+    :func:`repro.search.campaign.search_job`. Inside a
+    :func:`repro.search.campaign.campaign_scope` the job is journaled
+    (timeout, retry, resume-by-skip); otherwise it runs inline. The
+    returned evaluation is identical either way.
     """
+    job = CampaignJob(
+        job_id=default_job_id(
+            arch, workload, kind, objective, max_evaluations, patience, seeds
+        ),
+        arch=arch,
+        workload=workload,
+        kind=MapspaceKind(kind).value,
+        objective=objective,
+        max_evaluations=max_evaluations,
+        patience=patience,
+        seeds=tuple(seeds),
+        constraints=constraints,
+    )
     campaign = active_campaign()
     if campaign is not None:
-        job = CampaignJob(
-            job_id=job_id
-            or default_job_id(
-                arch, workload, kind, objective, max_evaluations, patience, seeds
-            ),
-            arch=arch,
-            workload=workload,
-            kind=MapspaceKind(kind).value,
-            objective=objective,
-            max_evaluations=max_evaluations,
-            patience=patience,
-            seeds=tuple(seeds),
-            constraints=constraints,
-        )
         return run_job_under_scope(campaign, job)
-    best: Optional[Evaluation] = None
-    for seed in seeds:
-        result = find_best_mapping(
-            arch,
-            workload,
-            kind=kind,
-            objective=objective,
-            seed=seed,
-            max_evaluations=max_evaluations,
-            patience=patience,
-            constraints=constraints,
-        )
-        if result.best is None:
-            continue
-        if best is None or result.best.metric(objective) < best.metric(objective):
-            best = result.best
-    if best is None:
-        raise SearchError(
-            f"no valid mapping found for {workload.name} on {arch.name} "
-            f"({MapspaceKind(kind).value})"
-        )
-    return best
+    return search_job(job)[0]
 
 
 def best_metrics_by_kind(

@@ -579,7 +579,12 @@ class BranchBoundSearch:
             evaluator (same tree, same answer).
         workers: fan top-level subtrees over a process pool when > 1
             (see :mod:`repro.search.branch_bound_parallel`); the best
-            metric is bit-identical to the serial walk.
+            metric is bit-identical to the serial walk, and it is the only
+            reproducible result. What each unit prices depends on when
+            it reads the shared incumbent, so ``num_evaluated``,
+            ``stats["bnb"]`` counts (``subtrees_pruned`` among them) and
+            the argmin among co-optimal ties vary from run to run at a
+            fixed seed.
         start_method: force a multiprocessing start method ("fork" or
             "spawn") for ``workers > 1``; by default each is tried in
             that order before degrading to sequential execution.

@@ -180,14 +180,17 @@ class CampaignResult:
 # ------------------------------------------------------- worker execution
 
 
-def _execute_job(job: CampaignJob) -> Dict[str, Any]:
-    """Run one job's multi-seed search; returns the journal payload.
+def search_job(job: CampaignJob) -> Tuple[Any, int, int]:
+    """Run a job's seeds through ``find_best_mapping``, best one wins.
 
-    Imported lazily so this module never participates in the
-    ``repro.search`` ↔ ``repro.core`` import cycle.
+    The one description of a best-of-seeds search: campaign workers run
+    it under the journal and ``multi_seed_search`` runs it inline, so
+    journaled and direct experiments compute the same figure. Returns
+    ``(best Evaluation, num_evaluated, num_valid)`` summed over seeds.
+    The mapper is imported lazily so this module never participates in
+    the ``repro.search`` ↔ ``repro.core`` import cycle.
     """
     from repro.core.mapper import find_best_mapping
-    from repro.io.serde import mapping_to_dict
 
     best = None
     num_evaluated = 0
@@ -216,6 +219,14 @@ def _execute_job(job: CampaignJob) -> Dict[str, Any]:
             f"no valid {MapspaceKind(job.kind).value} mapping found for "
             f"{job.workload.name} on {job.arch.name}"
         )
+    return best, num_evaluated, num_valid
+
+
+def _execute_job(job: CampaignJob) -> Dict[str, Any]:
+    """Run one job's search; returns the journal payload."""
+    from repro.io.serde import mapping_to_dict
+
+    best, num_evaluated, num_valid = search_job(job)
     return {
         "metrics": {
             "edp": best.edp,

@@ -18,10 +18,11 @@ class ExhaustiveSearch:
     columnar batches (candidates the enumeration proves capacity-infeasible
     on menu indices are counted, never packed) and priced by the
     :class:`~repro.model.batch.BatchEvaluator`: through its vectorized
-    kernels, with admissible lower-bound pruning skipping the expensive
-    traffic stage for candidates that provably cannot beat the
+    kernels, with admissible lower-bound pruning (always on) skipping the
+    expensive traffic stage for candidates that provably cannot beat the
     incumbent, or row by row through the scalar evaluator when its
-    row-wise switch is off. Results are bit-exact either way.
+    row-wise switch is off. Results are bit-exact either way; the
+    ``prune-parity`` invariant checks pruned against unpruned pricing.
 
     Args:
         mapspace: must be small enough to enumerate.
@@ -31,8 +32,6 @@ class ExhaustiveSearch:
         use_batch: price candidates through the batch kernels when they
             price this evaluator exactly. Candidates are packed
             :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE` per batch.
-        prune: enable lower-bound pruning. Never changes the search
-            outcome, only which candidates get fully priced.
         batch_engine: optional shared engine to price through instead of
             building one.
     """
@@ -44,7 +43,6 @@ class ExhaustiveSearch:
         objective: str = "edp",
         limit: int = 1_000_000,
         use_batch: bool = True,
-        prune: bool = True,
         batch_engine=None,
     ) -> None:
         self.mapspace = mapspace
@@ -52,7 +50,6 @@ class ExhaustiveSearch:
         self.objective = check_objective(objective)
         self.limit = limit
         self.use_batch = use_batch
-        self.prune = prune
         self.batch_engine = batch_engine
 
     def run(self) -> SearchResult:
@@ -83,7 +80,7 @@ class ExhaustiveSearch:
                         batch,
                         objective=self.objective,
                         incumbent=ledger.best_metric,
-                        prune=self.prune,
+                        prune=True,
                     )
                 ledger.record_batch(batch, outcome)
         return ledger.result("exhausted")

@@ -44,8 +44,7 @@ from repro.io.serde import (
     workload_to_dict,
 )
 from repro.obs.progress import progress_owner
-from repro.problem.conv import ConvLayer
-from repro.problem.gemm import GemmLayer
+from repro.problem.shorthand import shorthand_workload
 from repro.problem.workload import Workload
 from repro.search.result import SearchResult
 from repro.service.admission import (
@@ -188,17 +187,11 @@ def _parse_workload(value: Any) -> Workload:
                 "workload shorthand takes exactly one of 'gemm'/'conv' "
                 "plus an optional 'name'"
             )
-        name = value.get("name", "request")
-        shape = value.get("gemm") or value.get("conv")
+        op = "gemm" if "gemm" in value else "conv"
+        shape = value[op]
         if not isinstance(shape, dict):
             raise SpecError("workload shape must be a dict of DIM: SIZE")
-        dims = {str(k).lower(): int(v) for k, v in shape.items()}
-        try:
-            if "gemm" in value:
-                return GemmLayer(name=name, **dims).workload()
-            return ConvLayer(name=name, **dims).workload()
-        except TypeError as error:
-            raise SpecError(f"bad workload shape: {error}") from error
+        return shorthand_workload(op, shape, value.get("name", "request"))
     return workload_from_dict(value)
 
 

@@ -323,6 +323,40 @@ class TestCampaignScope:
         assert len(terminal) == 1
         assert (tmp_path / "j.jsonl").read_text() == journal_after_first
 
+    def test_dse_sweep_same_points_direct_scoped_and_replayed(self, tmp_path):
+        """evaluate_network runs one search body with or without a journal."""
+        from repro.core.dse import sweep_glb_sizes
+
+        workloads = [
+            (GemmLayer("g96", 96, 8, 64).workload(), 1),
+            (GemmLayer("g48", 48, 24, 40).workload(), 1),
+        ]
+
+        def sweep():
+            points = sweep_glb_sizes(
+                workloads, glb_bytes_options=(64 * 1024,),
+                max_evaluations=300, patience=100, restarts=2, seed=1,
+            ).points
+            return [
+                (p.kind, p.energy_pj, p.cycles, p.per_workload_edp)
+                for p in points
+            ]
+
+        direct = sweep()
+        journal = tmp_path / "j.jsonl"
+        with campaign_scope(CampaignConfig(journal=journal)):
+            scoped = sweep()
+        journal_after_first = journal.read_text()
+        with campaign_scope(CampaignConfig(journal=journal)):
+            replayed = sweep()
+
+        assert len(direct) == 2
+        assert scoped == direct
+        assert replayed == direct
+        # Two kinds x two layers, each one journaled job; the replay adds none.
+        assert len(Journal(journal).terminal_jobs()) == 4
+        assert journal.read_text() == journal_after_first
+
     def test_quarantined_job_raises_at_scope_boundary(self, tmp_path):
         from repro.experiments.common import multi_seed_search
 

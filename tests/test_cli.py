@@ -5,21 +5,40 @@ import json
 
 import pytest
 
-from repro.cli import _parse_shape, build_parser, main
+from repro.cli import build_parser, main
+from repro.exceptions import SpecError
+from repro.problem.shorthand import shorthand_workload, split_shape
 
 
 class TestParseShape:
     def test_basic(self):
-        assert _parse_shape("C=512,M=128") == {"C": 512, "M": 128}
+        workload = shorthand_workload(
+            "conv", split_shape("C=512,M=128"), "layer"
+        )
+        assert workload.size("C") == 512
+        assert workload.size("M") == 128
+        assert workload.size("P") == 1
 
     def test_lowercase_keys_normalized(self):
-        assert _parse_shape("c=4") == {"C": 4}
+        assert shorthand_workload("gemm", split_shape("m=4"), "g").size("M") == 4
 
     def test_rejects_missing_value(self):
-        import argparse
+        with pytest.raises(SpecError, match="expected DIM=SIZE"):
+            split_shape("C512")
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_shape("C512")
+    @pytest.mark.parametrize(
+        "flag,shape,needle",
+        [("--conv", "C=x", "not an integer"),
+         ("--gemm", "M=4,N=4,K=4,Q=2", "unknown gemm dim"),
+         ("--gemm", "M4", "expected DIM=SIZE"),
+         ("--gemm", "M=0", "must be >= 1")],
+    )
+    def test_bad_shape_exits_with_spec_error_code(
+        self, flag, shape, needle, capsys
+    ):
+        code = main(["search", "--arch", "toy16", flag, shape])
+        assert code == SpecError.exit_code
+        assert needle in capsys.readouterr().err
 
 
 class TestSearchCommand:

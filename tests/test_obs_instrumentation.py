@@ -82,7 +82,7 @@ class TestSearchSpans:
         tracer = Tracer()
         with obs_scope(registry=MetricsRegistry(), tracer=tracer):
             result = ExhaustiveSearch(
-                space, Evaluator(toy_arch, vector100), prune=True
+                space, Evaluator(toy_arch, vector100)
             ).run()
         batch = result.stats["batch"]
         assert batch["pruned"] > 0 and batch["fallback"] == 0

@@ -548,6 +548,24 @@ class TestServiceHTTP:
         assert body["error"]["type"] == "SpecError"
         assert field in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "shape,needle",
+        [({"m": "x", "n": 4, "k": 4}, "not an integer"),
+         ({"m": [1], "n": 4, "k": 4}, "not an integer"),
+         ({"m": True, "n": 4, "k": 4}, "not an integer"),
+         ({"m": 4, "n": 4, "k": 4, "q": 2}, "unknown gemm dim")],
+    )
+    def test_bad_workload_shorthand_maps_to_400_at_submit(
+        self, service, shape, needle
+    ):
+        status, body, _ = post_json(
+            service.url + "/v1/search",
+            request_payload(workload={"gemm": shape}),
+        )
+        assert status == 400
+        assert body["error"]["type"] == "SpecError"
+        assert needle in body["error"]["message"]
+
     def test_invalid_json_body_maps_to_400(self, service):
         status, body, _ = http(service.url + "/v1/search", data=b"{nope")
         assert status == 400
