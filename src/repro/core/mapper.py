@@ -131,8 +131,11 @@ class Mapper:
         evaluator: optional pre-built evaluator for this exact
             (arch, workload) pair. Long-lived drivers — the mapper
             service — inject one carrying a shared
-            :class:`~repro.model.eval_cache.EvaluationCache`, so repeated
-            requests hit the cached fast path instead of re-pricing.
+            :class:`~repro.model.eval_cache.EvaluationCache`. Only
+            row-wise pricing (``use_batch=False``) looks candidates up
+            in it, so repeated row-wise requests skip re-pricing;
+            vectorized searches only store their improvements and
+            scalar-fallback rows there.
         batch_engine: optional pre-built (or shared)
             :class:`~repro.model.batch.BatchEvaluator` handed through to
             the batch-capable searchers; must have been built against

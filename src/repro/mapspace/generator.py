@@ -122,6 +122,7 @@ class MapSpace:
             for offset, slot in enumerate(self.slots)
             if slot.spatial
         }
+        self._caps = np.array(list(self._spatial_caps.values()), np.int64)
         # Per level: (name, temporal slots, spatial slots, fixed-permutation
         # rank per flat cell or None); a slot is ``(offset, offset *
         # num_dims)``, the base of its flat cells.
@@ -606,10 +607,12 @@ class MapSpace:
         matches :meth:`iter_batches` exactly.
 
         With ``capacity`` set (the default), only candidates whose tiles
-        fit every bounded level are packed: capacity depends on each
+        fit every bounded level are yielded: capacity depends on each
         dimension's chain alone, so it is decided on menu indices from
-        per-chain extent tables, the same way the joint fanout is, and a
-        candidate that fails it is never packed. Searches that price rows
+        per-chain extent tables, the same way the joint fanout is. Those
+        batches keep their rows as menu indices (``menu_rows``) and pack
+        them only when read, so a batch priced from per-chain tables is
+        never packed. Searches that price rows
         one by one through the scalar evaluator turn it off, so that
         oracle still sees, checks and caches every candidate.
         The enumeration is still the fanout-feasible product: each batch
@@ -638,8 +641,11 @@ class MapSpace:
             raise MapspaceError("batch_size must be >= 1")
         if tags is not None and len(tags) != len(prefixes):
             raise MapspaceError("tags must align one-to-one with prefixes")
-        from repro.model.batch import MappingBatch
-
+        if isinstance(prefixes, np.ndarray) and (prefixes >= 0).all():
+            yield from self._pinned_batches(
+                prefixes, batch_size, tags, capacity
+            )
+            return
         tables, chunks = self._feasible_index_rows(
             prefixes, tags, chunk=max(_INDEX_CHUNK, batch_size),
             capacity=capacity,
@@ -647,27 +653,13 @@ class MapSpace:
         num_dims = len(tables)
 
         def pack(rows, start, end):
-            n = len(rows)
-            shape = (n, len(self.slots), num_dims)
-            bounds = np.empty(shape, dtype=np.int64)
-            rems = np.empty(shape, dtype=np.int64)
-            for d, table in enumerate(tables):
-                cells = table[rows[:, d]]
-                bounds[:, :, d] = cells[:, 0]
-                rems[:, :, d] = cells[:, 1]
-            _obs.inc("mapspace.batches")
-            _obs.inc("mapspace.candidates", n)
-            # Positions are row-constant on the virtual grid; a read-only
-            # broadcast view is enough (kernels never write pos).
-            return MappingBatch(
-                layout=layout,
-                bounds=bounds,
-                rems=rems,
-                pos=np.broadcast_to(layout.grid_pos[None, :, :], shape),
-                fallback=np.zeros(n, dtype=bool),
-                tags=rows[:, num_dims].copy() if tags is not None else None,
-                span=end - start,
-                ordinals=rows[:, -1] - start,
+            return self._enumerated_batch(
+                tables,
+                rows[:, :num_dims],
+                rows[:, num_dims].copy() if tags is not None else None,
+                end - start,
+                rows[:, -1] - start,
+                capacity,
             )
 
         held = np.empty((0, num_dims + 2), dtype=np.int64)
@@ -739,6 +731,121 @@ class MapSpace:
         shared = [ext[0] if (ext == ext[0]).all() else None for ext in extents]
         return fans, extents, shared
 
+    def _fanout_fits(self, idx: "np.ndarray", fans: list) -> "np.ndarray":
+        """Which menu-index rows fit every joint fanout cap.
+
+        Dimensions whose chains are all 1 at every spatial slot never
+        change a fanout product; ``fans`` leaves them out.
+        """
+        caps = self._caps
+        ceiling = caps + 1  # clamps the products far from int64's range
+        used = np.ones((len(idx), len(caps)), np.int64)
+        for d, fan in fans:
+            used *= fan[idx[:, d]]
+            np.minimum(used, ceiling, out=used)
+        return (used <= caps).all(axis=1)
+
+    def _capacity_fits(
+        self, idx: "np.ndarray", extents: list, shared: list
+    ) -> "np.ndarray":
+        """Which menu-index rows fit every bounded level's capacity.
+
+        Per dim, its rows' ``(n, levels)`` extents, or the ``(levels,)``
+        ones all its chains share: a scalar for the capacity mask.
+        """
+        layout = self.batch_layout()
+        ext = [
+            table[idx[:, d]] if same is None else same
+            for d, (table, same) in enumerate(zip(extents, shared))
+        ]
+        return layout.fits_capacity(
+            [
+                [e[..., j] for e in ext]
+                for j in range(len(layout.capacity_levels))
+            ],
+            len(idx),
+        )
+
+    def _pinned_batches(
+        self,
+        rows: np.ndarray,
+        batch_size: int,
+        tags: Optional[Sequence[int]],
+        capacity: bool,
+    ) -> Iterator["object"]:
+        """:meth:`iter_prefix_batches` of fully pinned menu-index rows.
+
+        Each row is its own candidate, so the unravel is skipped: the
+        fanout and capacity masks apply to ``rows`` directly (the
+        branch-and-bound leaf flush's case), and the survivors are cut
+        into batches with the spans and ordinals the unravel path gives.
+        """
+        layout = self.batch_layout()
+        tables = [table for table, _ in self._menu_tables()]
+        fans, extents, shared = self._menu_masks
+        tag_of = None if tags is None else np.asarray(tags, dtype=np.int64)
+        with _obs.trace("mapspace.enumerate"):
+            feasible = np.flatnonzero(self._fanout_fits(rows, fans))
+            kept = np.arange(len(feasible))
+            if capacity and layout.capacity_levels and len(feasible):
+                kept = kept[
+                    self._capacity_fits(rows[feasible], extents, shared)
+                ]
+
+        def pack(part, start, end):
+            picked = feasible[part]
+            return self._enumerated_batch(
+                tables,
+                rows[picked],
+                None if tag_of is None else tag_of[picked],
+                end - start,
+                part - start,
+                capacity,
+            )
+
+        full = len(kept) - len(kept) % batch_size
+        resolved = 0
+        for start in range(0, full, batch_size):
+            part = kept[start:start + batch_size]
+            end = int(part[-1]) + 1
+            yield pack(part, resolved, end)
+            resolved = end
+        if len(kept) > full or len(feasible) > resolved:
+            yield pack(kept[full:], resolved, len(feasible))
+
+    def _enumerated_batch(
+        self, tables, menu, tags, span, ordinals, capacity: bool
+    ) -> "MappingBatch":
+        """One enumerated batch of menu-index rows ``menu``.
+
+        Only capacity-masked rows travel as menu indices (packed on first
+        read); without ``capacity`` they are packed now. Positions are
+        row-constant on the virtual grid, so ``pos`` is a read-only
+        broadcast view (kernels never write it).
+        """
+        from repro.model.batch import MappingBatch, pack_menu_rows
+
+        layout = self.batch_layout()
+        n = len(menu)
+        _obs.inc("mapspace.batches")
+        _obs.inc("mapspace.candidates", n)
+        if capacity:
+            cells = {"menu_rows": menu, "menu_tables": tables}
+        else:
+            bounds, rems = pack_menu_rows(layout, tables, menu)
+            cells = {"bounds": bounds, "rems": rems}
+        return MappingBatch(
+            layout=layout,
+            pos=np.broadcast_to(
+                layout.grid_pos[None], (n, *layout.grid_pos.shape)
+            ),
+            fallback=np.zeros(n, dtype=bool),
+            tags=tags,
+            span=span,
+            ordinals=ordinals,
+            **cells,
+        )
+
     def _feasible_index_rows(
         self,
         prefixes,
@@ -809,9 +916,6 @@ class MapSpace:
         base = np.column_stack(
             [np.maximum(pins, 0), tag_of, np.zeros(len(pins), np.int64)]
         )
-        # Dimensions whose chains are all 1 at every spatial slot never
-        # change a fanout product; ``fans`` leaves them out.
-        caps = np.array(list(self._spatial_caps.values()), np.int64)
         capacity = capacity and bool(layout.capacity_levels)
 
         def rows():
@@ -825,31 +929,12 @@ class MapSpace:
                 for d in reversed(range(len(menus))):
                     local, digit = np.divmod(local, radix[pid, d])
                     idx[:, d] += digit
-                used = np.ones((len(flat), len(caps)), np.int64)
-                for d, fan in fans:
-                    used *= fan[idx[:, d]]
-                    np.minimum(used, caps + 1, out=used)
-                idx = idx[(used <= caps).all(axis=1)]
+                idx = idx[self._fanout_fits(idx, fans)]
                 count = len(idx)
                 idx[:, -1] = np.arange(seen, seen + count)
                 seen += count
                 if capacity and count:
-                    # Per dim, its rows' (n, levels) extents, or the
-                    # (levels,) ones all its chains share: a scalar for
-                    # the capacity mask.
-                    ext = [
-                        table[idx[:, d]] if same is None else same
-                        for d, (table, same) in enumerate(zip(extents, shared))
-                    ]
-                    idx = idx[
-                        layout.fits_capacity(
-                            [
-                                [e[..., j] for e in ext]
-                                for j in range(len(layout.capacity_levels))
-                            ],
-                            count,
-                        )
-                    ]
+                    idx = idx[self._capacity_fits(idx, extents, shared)]
                 yield count, idx
 
         return tables, rows()

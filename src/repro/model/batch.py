@@ -48,17 +48,17 @@ pruning a true improvement (see :data:`PRUNE_MARGIN`).
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.spec import Architecture
-from repro.exceptions import SearchError, SpecError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
+# The bound engine lives in its own module; callers and the benchmark's
+# layer tracer look it up here.
+from repro.model.bounds import PartialBoundEngine, _rank_box_min
 from repro.model.evaluator import Evaluation, Evaluator
 from repro.problem.workload import Workload
 from repro.utils.batching import DEFAULT_BATCH_SIZE
@@ -77,10 +77,6 @@ PRUNE_MARGIN = 1e-9
 #: arithmetic cannot wrap and int->float conversions stay exact. Rows that
 #: could exceed it fall back to the scalar evaluator (exact bigints).
 _EXACT_LIMIT = float(2**53)
-
-#: The partial-bound grid computes in int64; :class:`PartialBoundEngine`
-#: refuses workloads whose products could reach this.
-_INT64_LIMIT = float(2**63)
 
 
 @dataclass(frozen=True)
@@ -538,6 +534,10 @@ class BatchLayout:
                 meta = self.tensors[t]
                 footprint = np.ones(n, dtype=np.int64)
                 for rank in meta.ranks:
+                    if len(rank) == 1 and rank[0][1] == 1:
+                        # A one-dim rank's footprint is its extent.
+                        footprint *= ext[rank[0][0]]
+                        continue
                     span = np.zeros(n, dtype=np.int64)
                     for d, coef in rank:
                         span += coef * (ext[d] - 1)
@@ -602,7 +602,6 @@ class BatchLayout:
         return Mapping(levels=tuple(nests))
 
 
-@dataclass
 class MappingBatch:
     """N candidate mappings in structure-of-arrays form.
 
@@ -613,29 +612,72 @@ class MappingBatch:
     priced by the scalar evaluator instead. ``mappings`` holds the rows
     kept as ``Mapping`` objects by row index: every row of a
     :func:`pack_mappings` batch, the bypass rows of a sampled one.
+
+    Enumerated batches may instead carry their rows as ``menu_rows``, an
+    ``(n, num_dims)`` int64 array of indices into ``menu_tables`` (per
+    dim, each chain's ``(2, num_columns)`` bounds and remainders). Such
+    a batch holds only candidates that passed the enumeration's fanout
+    and capacity masks, and packs ``bounds`` and ``rems`` on first read:
+    a batch priced from per-chain tables
+    (:meth:`BatchEvaluator.evaluate_batch` with ``tables``) never packs.
     """
 
-    layout: BatchLayout
-    bounds: Any
-    rems: Any
-    pos: Any
-    fallback: Any
-    mappings: Optional[Dict[int, Mapping]] = None
-    #: Optional per-row provenance stamped by
-    #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
-    #: pricing kernels ignore it.
-    tags: Any = None
-    #: Enumerated batches only: how many enumerated candidates the batch
-    #: resolves (its rows plus the capacity-infeasible candidates the
-    #: enumeration dropped before packing), and each row's 0-based
-    #: position among them. ``None`` on sampled and packed batches, whose
-    #: rows are their candidates.
-    span: Optional[int] = None
-    ordinals: Any = None
+    def __init__(
+        self,
+        layout: BatchLayout,
+        bounds: Any = None,
+        rems: Any = None,
+        pos: Any = None,
+        fallback: Any = None,
+        mappings: Optional[Dict[int, Mapping]] = None,
+        tags: Any = None,
+        span: Optional[int] = None,
+        ordinals: Any = None,
+        menu_rows: Any = None,
+        menu_tables: Optional[Sequence[Any]] = None,
+    ) -> None:
+        self.layout = layout
+        self._bounds = bounds
+        self._rems = rems
+        self.pos = pos
+        self.fallback = fallback
+        self.mappings = mappings
+        #: Optional per-row provenance stamped by
+        #: :meth:`MapSpace.iter_prefix_batches` (the source prefix's tag);
+        #: pricing kernels ignore it.
+        self.tags = tags
+        #: Enumerated batches only: how many enumerated candidates the
+        #: batch resolves (its rows plus the capacity-infeasible
+        #: candidates the enumeration dropped before them), and each
+        #: row's 0-based position among them. ``None`` on sampled and
+        #: packed batches, whose rows are their candidates.
+        self.span = span
+        self.ordinals = ordinals
+        self.menu_rows = menu_rows
+        self.menu_tables = menu_tables
+
+    @property
+    def bounds(self) -> Any:
+        if self._bounds is None:
+            self._pack()
+        return self._bounds
+
+    @property
+    def rems(self) -> Any:
+        if self._rems is None:
+            self._pack()
+        return self._rems
+
+    def _pack(self) -> None:
+        self._bounds, self._rems = pack_menu_rows(
+            self.layout, self.menu_tables, self.menu_rows
+        )
 
     @property
     def size(self) -> int:
-        return int(self.bounds.shape[0])
+        if self.menu_rows is not None:
+            return len(self.menu_rows)
+        return int(self._bounds.shape[0])
 
     @property
     def candidates(self) -> int:
@@ -647,12 +689,35 @@ class MappingBatch:
         return index if self.ordinals is None else int(self.ordinals[index])
 
     def mapping_at(self, index: int) -> Mapping:
-        """The ``Mapping`` object of row ``index`` (rebuilt if not stored)."""
+        """The ``Mapping`` object of row ``index`` (rebuilt if not stored).
+
+        An unpacked enumerated row is gathered from the menu tables
+        alone, so materializing one row never packs the batch.
+        """
         if self.mappings is not None and index in self.mappings:
             return self.mappings[index]
+        if self._bounds is None:
+            chains = zip(self.menu_tables, self.menu_rows[index])
+            cells = np.stack([table[k] for table, k in chains], axis=-1)
+            return self.layout.materialize(cells[0], cells[1], self.pos[index])
         return self.layout.materialize(
-            self.bounds[index], self.rems[index], self.pos[index]
+            self._bounds[index], self._rems[index], self.pos[index]
         )
+
+
+def pack_menu_rows(
+    layout: BatchLayout, tables: Sequence[Any], rows: Any
+) -> Tuple[Any, Any]:
+    """``(bounds, rems)`` of menu-index rows: per dim, each row's chain
+    gathered from ``tables`` (see :class:`MappingBatch`)."""
+    shape = (len(rows), layout.num_columns, layout.num_dims)
+    bounds = np.empty(shape, dtype=np.int64)
+    rems = np.empty(shape, dtype=np.int64)
+    for d, table in enumerate(tables):
+        cells = table[rows[:, d]]
+        bounds[:, :, d] = cells[:, 0]
+        rems[:, :, d] = cells[:, 1]
+    return bounds, rems
 
 
 def pack_mappings(layout: BatchLayout, mappings: Sequence[Mapping]) -> MappingBatch:
@@ -752,31 +817,6 @@ class BatchOutcome:
             self.utilization[row] = evaluation.utilization
         else:
             self.metric[row] = float("inf")
-
-
-def _rank_box_min(
-    rank: Tuple[Tuple[int, int], ...],
-    layout: BatchLayout,
-    choices: Sequence[Tuple[int, ...]],
-) -> int:
-    """Minimum delivery sum of one rank over a box of tile counts.
-
-    ``choices[j]`` holds the candidate tile counts of the rank's ``j``-th
-    dim: one exact count, or its box's two corners. The sum is affine in
-    each count separately, so its minimum over the box sits at a vertex
-    (at most 2**len(rank) evaluations; ranks couple <= 2 dims). Computed
-    in exact Python ints.
-    """
-    sizes = [int(layout.sizes[d]) for d, _ in rank]
-
-    def delivery(vertex: Tuple[int, ...]) -> int:
-        all_tiles = math.prod(vertex)
-        total = all_tiles
-        for (_, coef), t, size in zip(rank, vertex, sizes):
-            total += coef * (size - t) * (all_tiles // t)
-        return total
-
-    return min(map(delivery, itertools.product(*choices)))
 
 
 class BatchEvaluator:
@@ -900,8 +940,18 @@ class BatchEvaluator:
         objective: str = "edp",
         incumbent: float = float("inf"),
         prune: bool = False,
+        tables: Optional["PartialBoundEngine"] = None,
     ) -> BatchOutcome:
-        """Price one packed batch; optionally prune against ``incumbent``.
+        """Price one batch; optionally prune against ``incumbent``.
+
+        An enumerated batch that still holds its rows as menu indices is
+        priced from ``tables``, a :class:`PartialBoundEngine` built on
+        the same menus, when given: every cost term is gathered per
+        chain (:meth:`PartialBoundEngine.row_overflow` through
+        :meth:`PartialBoundEngine.row_traffic`), so the batch is never
+        packed. Any other batch, and every batch without ``tables``, is
+        priced by the column walk over its packed rows. Both give
+        bit-identical outcomes (the ``leaf-exactness`` invariant).
 
         With :attr:`vectorize` off, every row is one
         :meth:`Evaluator.evaluate` call on ``mapping_at(i)``, in row order
@@ -918,11 +968,20 @@ class BatchEvaluator:
                 )
             return outcome
         n = batch.size
-        bounds, rems, pos = batch.bounds, batch.rems, batch.pos
-        fallback = batch.fallback | self._overflow_rows(bounds)
-        with obs.trace("batch.validity", rows=n):
-            valid = self._validity(bounds, rems)
-        cycles = self._cycles(bounds, rems)
+        if tables is not None and batch.menu_rows is not None:
+            rows = batch.menu_rows
+            fallback = batch.fallback | tables.row_overflow(rows)
+            with obs.trace("batch.validity", rows=n):
+                valid = tables.row_valid(rows)
+            cycles = tables.row_cycles(rows)
+            traffic = functools.partial(tables.row_traffic, rows)
+        else:
+            bounds, rems, pos = batch.bounds, batch.rems, batch.pos
+            fallback = batch.fallback | self._overflow_rows(bounds)
+            with obs.trace("batch.validity", rows=n):
+                valid = self._validity(bounds, rems)
+            cycles = self._cycles(bounds, rems)
+            traffic = functools.partial(self._traffic, bounds, rems, pos)
         cycles_f = cycles.astype(np.float64)
         pruned = np.zeros(n, dtype=bool)
         if prune and incumbent != float("inf"):
@@ -943,7 +1002,7 @@ class BatchEvaluator:
         live = np.flatnonzero(valid & ~fallback & ~pruned)
         if live.size:
             with obs.trace("batch.traffic", rows=live.size):
-                reads, writes = self._traffic(bounds, rems, pos, live)
+                reads, writes = traffic(live)
                 live_energy = self._energy(reads, writes)
             energy[live] = live_energy
             capacity = (cycles[live] * self.units_opc).astype(np.float64)
@@ -994,6 +1053,11 @@ class BatchEvaluator:
         bounds_f = bounds.astype(np.float64)
         for c in range(layout.num_columns):
             bd *= bounds_f[:, c, :]
+        return self._overflow_of(bd)
+
+    def _overflow_of(self, bd: Any) -> Any:
+        """The guard on ``bd``, each row's per-dim float bound products
+        (``BD_d``, multiplied in column order)."""
         over = bd.prod(axis=1) * self.units_opc >= _EXACT_LIMIT
         for c_const, exponents in self._guard_tensors:
             over |= c_const * (bd**exponents).prod(axis=1) >= _EXACT_LIMIT
@@ -1205,628 +1269,3 @@ class BatchEvaluator:
             )
             total = total + level_energy
         return total + self.compute_energy
-
-
-class PartialBoundEngine:
-    """Admissible completion bounds for partial chain assignments.
-
-    The batch engine's lower bound (:meth:`BatchEvaluator._build_lower_bound`)
-    is a single constant — the per-rank multilinear delivery sum minimized
-    over the whole tile-count box. This class refines that bound along the
-    per-dimension prefix tree: a prefix pins the full Eq. (5) chains of a
-    subset of problem dimensions, which fixes those dimensions' per-boundary
-    delivered-tile counts and per-dimension cycle factors *exactly*, while
-    unassigned dimensions stay relaxed over the box spanned by their chain
-    menu. The result lower-bounds the metric of **every** mapping that
-    completes the prefix, so a branch-and-bound search can discard whole
-    subtrees before they are enumerated:
-
-    * **cycles** — the cycle count is an exact per-dimension product
-      (see :meth:`BatchEvaluator._cycles`); assigned dims contribute their
-      exact factor, free dims the minimum factor over their menu.
-    * **energy** — each tensor boundary's traffic is its rank delivery-sum
-      product times per-dimension projection multipliers over the
-      irrelevant dims. Each rank sum is multilinear in the per-dim
-      delivered tile counts, so with assigned counts pinned the minimum
-      over the free counts sits at a vertex of their menu's [min, max]
-      box. The multipliers factor per irrelevant dimension and are coupled
-      to the rest of the mapping only through the boundary's *cutoff* (the
-      innermost relevant temporal position above it, a max over relevant
-      dims); both the per-dim factor and the cutoff are monotone under
-      assignment, so replaying each factor at a cutoff *lower bound*
-      (assigned relevant dims exact, free ones at their menu minimum)
-      stays admissible. The output tensor's read-delta terms
-      (``outer - outer_sp`` / ``inner - inner_sp``), which are always
-      nonnegative, are the only traffic dropped outright.
-    * **EDP** — both factors are nonnegative, so the product of the two
-      bounds lower-bounds the product.
-    * **terms the kernels do not model** — NoC and static energy only add
-      energy, and bandwidth stalls only add cycles, so the bounds stay
-      admissible for evaluators the engine prices row-wise.
-
-    Bounds are monotone along the tree (fixing more dimensions can only
-    raise them), which makes best-first search with a single
-    front-of-heap cutoff exact. The same :data:`PRUNE_MARGIN` discipline
-    as row-level pruning keeps float rounding from ever cutting a true
-    improvement.
-
-    The formula has two implementations: the scalar :meth:`bound` (Python
-    ints/floats, the oracle the tests compare against) and one vectorized
-    kernel, :meth:`_grid_bounds`, which prices a whole grid of swept
-    dimensions' menus at once. The kernel has two entry points:
-    :meth:`child_bounds` sweeps the branching dimension of a tree node,
-    and :meth:`suffix_bounds` sweeps every unassigned dimension of a leaf.
-
-    Both read one set of per-chain tables, all built at construction by
-    NumPy column walks over each menu's bounds and remainders: cycle
-    factors, delivered tiles and qualifying positions per cut, and the
-    projection factor of every (chain, cutoff) per boundary key. Building
-    them takes milliseconds even on Ruby-S menus of thousands of chains,
-    so every process that bounds (each parallel worker included) builds
-    its own. :meth:`_chain_cycles`, :meth:`_chain_tiles`,
-    :meth:`_chain_qual` and :meth:`_projection_factor` replay one chain's
-    walk in Python ints; they are the scalar reference the tests check
-    every table cell against.
-    """
-
-    def __init__(
-        self,
-        engine: BatchEvaluator,
-        menus: Sequence[Tuple[str, Sequence[Any]]],
-    ) -> None:
-        layout = engine.layout
-        if not layout.paths_supported:
-            # Bounds over a degenerate keeper chain would be meaningless;
-            # fail the way the scalar model does on every valid mapping.
-            raise SpecError(layout.paths_reason)
-        self.engine = engine
-        self.layout = layout
-        # Boundary cut levels at which delivered-tile counts are needed
-        # (a boundary (parent, child) folds the columns above ``child``;
-        # the innermost boundary folds everything).
-        self.cuts: Tuple[int, ...] = tuple(
-            sorted(
-                {
-                    layout.num_levels if child is None else child
-                    for meta in layout.tensors
-                    for _, child in meta.boundaries
-                }
-            )
-        )
-        #: Per dim: the menu chains (the scalar reference replays them).
-        self.menus: Dict[str, Sequence[Any]] = {}
-        #: Per dim: each menu chain's exact cycle factor, ``int64[menu]``.
-        self.cycles: Dict[str, Any] = {}
-        #: Per dim, per cut: each chain's delivered tiles, ``int64[menu]``.
-        self.tiles: Dict[str, Dict[int, Any]] = {}
-        #: Per dim, per cut: each chain's innermost qualifying temporal
-        #: position (-1 when the chain has no bound>1 temporal loop above
-        #: the cut), ``int64[menu]``.
-        self.qual: Dict[str, Dict[int, Any]] = {}
-        #: Per dim: minimum cycle factor over the menu (free-dim relaxation).
-        self.min_cycles: Dict[str, int] = {}
-        #: Per dim, per cut: [min, max] delivered-tile box over the menu.
-        self.tile_range: Dict[str, Dict[int, Tuple[int, int]]] = {}
-        #: Per dim: {cut: minimum qualifying position over the menu}.
-        self.qual_min: Dict[str, Dict[int, int]] = {}
-        #: Largest possible cutoff (cutoffs are virtual grid positions, or
-        #: -1); factor tables are indexed by ``cutoff + 1``.
-        self._cutoff_hi = int(layout.grid_pos.max())
-        #: Per ``(dim, cut, parent, inner)``: the projection factor of each
-        #: menu chain at each cutoff, ``int64[menu, cutoff + 1]``, and its
-        #: menu minimum, ``int64[cutoff + 1]``.
-        self.factors: Dict[Tuple[str, int, int, bool], Tuple[Any, Any]] = {}
-        arrays: Dict[str, Tuple[Any, Any]] = {}
-        for dim, menu in menus:
-            if not menu:
-                raise RuntimeError(f"dimension {dim} has an empty chain menu")
-            self.menus[dim] = list(menu)
-            arrays[dim] = (
-                np.array([c.bounds for c in menu], dtype=np.int64),
-                np.array([c.remainders for c in menu], dtype=np.int64),
-            )
-            self._build_chain_stats(dim, *arrays[dim])
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    for inner in (False, True) if child is not None else (False,):
-                        key = (dim, cut, parent, inner)
-                        if key not in self.factors:
-                            table = self._build_factor_table(key, *arrays[dim])
-                            self.factors[key] = (table, table.min(axis=0))
-        self._check_int64_range()
-
-    def _check_int64_range(self) -> None:
-        """Refuse a layout whose grid products could wrap in int64.
-
-        :meth:`_grid_bounds` multiplies cycle factors, rank delivery sums
-        and projection factors as int64. Their largest products, bounded
-        in float64 from the table maxima, must stay below 2**63; a
-        workload that reaches it gets a typed error instead of silently
-        wrapped (and so inadmissible) bounds.
-        """
-        layout = self.layout
-        largest = 1.0
-        for dim in layout.dims:
-            largest *= float(self.cycles[dim].max())
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                base = 1.0
-                for rank in meta.ranks:
-                    # Rank sum all_tiles + sum(coef * (size - t) *
-                    # all_tiles / t) at the largest tile counts.
-                    highs = [
-                        float(self.tile_range[layout.dims[d]][cut][1])
-                        for d, _ in rank
-                    ]
-                    all_tiles = math.prod(highs)
-                    base *= all_tiles + sum(
-                        coef * float(layout.sizes[d]) * all_tiles / high
-                        for (d, coef), high in zip(rank, highs)
-                    )
-                for inner in (False, True) if child is not None else (False,):
-                    traffic = base
-                    for d in meta.irrelevant_idx:
-                        key = (layout.dims[d], cut, parent, inner)
-                        traffic *= float(self.factors[key][0].max())
-                    largest = max(largest, traffic)
-        if largest >= _INT64_LIMIT:
-            raise SearchError(
-                f"partial bounds for {layout.workload.name} on "
-                f"{layout.arch.name} would overflow int64: a traffic or "
-                f"cycle product reaches {largest:.3g} >= 2**63"
-            )
-
-    def _build_chain_stats(self, dim: str, bounds: Any, rems: Any) -> None:
-        """Every menu chain's cycle factor, tiles and qualifying positions.
-
-        Column walks over the menu's ``(menu, column)`` bounds and
-        remainders: the vectorized :meth:`_chain_cycles`,
-        :meth:`_chain_tiles` and :meth:`_chain_qual`.
-        """
-        layout = self.layout
-        d = layout.dim_index[dim]
-        steps = np.zeros(bounds.shape[0], dtype=np.int64)
-        shadowed = np.zeros(bounds.shape[0], dtype=bool)
-        for c in range(layout.num_columns):
-            b, r = bounds[:, c], rems[:, c]
-            if layout.col_spatial[c]:
-                shadowed |= r >= 2
-            else:
-                steps = steps * b + np.where(shadowed, b, r) - 1
-        self.cycles[dim] = steps + 1
-        self.tiles[dim] = {}
-        t = np.zeros(bounds.shape[0], dtype=np.int64)
-        c = 0
-        for cut in self.cuts:
-            while c < layout.num_columns and layout.col_level[c] < cut:
-                t = t * bounds[:, c] + rems[:, c] - 1
-                c += 1
-            self.tiles[dim][cut] = t + 1
-        self.qual[dim] = {}
-        for cut in self.cuts:
-            cols = [
-                c for c in range(layout.num_columns)
-                if layout.col_level[c] < cut and not layout.col_spatial[c]
-            ]
-            pos = np.where(bounds[:, cols] > 1, layout.grid_pos[cols, d], -1)
-            self.qual[dim][cut] = pos.max(axis=1, initial=-1)
-        self.min_cycles[dim] = int(self.cycles[dim].min())
-        self.tile_range[dim] = {
-            cut: (int(tiles.min()), int(tiles.max()))
-            for cut, tiles in self.tiles[dim].items()
-        }
-        self.qual_min[dim] = {
-            cut: int(qual.min()) for cut, qual in self.qual[dim].items()
-        }
-
-    def _build_factor_table(
-        self, key: Tuple[str, int, int, bool], bounds: Any, rems: Any
-    ) -> Any:
-        """Every menu chain's projection factor at every cutoff.
-
-        The vectorized :meth:`_projection_factor`: one inner-to-outer
-        column walk keeps the (full-subtree, last-path) counts of the
-        whole ``(menu, cutoff)`` grid, so the same ``(f, l)`` recursion
-        runs for every cell at once.
-        """
-        dim, cut, parent, inner = key
-        layout = self.layout
-        d = layout.dim_index[dim]
-        cutoffs = np.arange(-1, self._cutoff_hi + 1, dtype=np.int64)
-        f = np.ones((bounds.shape[0], cutoffs.size), dtype=np.int64)
-        l = f.copy()
-        for c in range(layout.num_columns - 1, -1, -1):
-            if layout.col_level[c] >= cut:
-                continue
-            b, r = bounds[:, c, None], rems[:, c, None]
-            if layout.col_spatial[c]:
-                selected: Any = inner or layout.col_level[c] < parent
-            else:
-                selected = layout.grid_pos[c, d] < cutoffs
-            l = np.where(selected, (r - 1) * f + l, np.where(r >= 2, f, l))
-            f = np.where(selected, b * f, f)
-        return l
-
-    def _chain_cycles(self, chain: Any) -> int:
-        """One dimension's exact factor of the cycle product.
-
-        The scalar replay of the :meth:`BatchEvaluator._cycles` kernel for
-        a single (dim, chain) column walk.
-        """
-        layout = self.layout
-        steps = 0
-        shadowed = False
-        for c in range(layout.num_columns):
-            b = chain.bounds[c]
-            r = chain.remainders[c]
-            if layout.col_spatial[c]:
-                shadowed = shadowed or r >= 2
-            else:
-                steps = steps * b + (b if shadowed else r) - 1
-        return steps + 1
-
-    def _chain_tiles(self, chain: Any) -> Dict[int, int]:
-        """Delivered-tile counts of one dimension above each boundary cut.
-
-        The per-dim fold from :meth:`BatchEvaluator._traffic`: columns are
-        level-ordered, so the cuts (ascending) share one running fold.
-        """
-        layout = self.layout
-        tiles: Dict[int, int] = {}
-        t = 0
-        c = 0
-        for cut in self.cuts:
-            while c < layout.num_columns and layout.col_level[c] < cut:
-                t = t * chain.bounds[c] + chain.remainders[c] - 1
-                c += 1
-            tiles[cut] = t + 1
-        return tiles
-
-    def _chain_qual(self, dim: str, chain: Any) -> Dict[int, int]:
-        """Innermost qualifying temporal position per cut for one chain.
-
-        The per-dim ingredient of a boundary's cutoff in
-        :meth:`BatchEvaluator._lane_multipliers`: the deepest virtual grid position
-        among this dimension's bound>1 temporal loops above the cut, or
-        ``-1`` when there is none. The boundary cutoff is the max of these
-        over the tensor's relevant dims.
-        """
-        layout = self.layout
-        d = layout.dim_index[dim]
-        qual: Dict[int, int] = {}
-        for cut in self.cuts:
-            deepest = -1
-            for c in range(layout.num_columns):
-                if layout.col_level[c] >= cut or layout.col_spatial[c]:
-                    continue
-                if chain.bounds[c] > 1:
-                    deepest = max(deepest, int(layout.grid_pos[c, d]))
-            qual[cut] = deepest
-        return qual
-
-    def _projection_factor(
-        self, dim: str, chain: Any, cut: int, parent: int,
-        inner: bool, cutoff: int,
-    ) -> int:
-        """One irrelevant dimension's projection-count factor, replayed.
-
-        The scalar replay of one lane of
-        :meth:`BatchEvaluator._lane_multipliers`, at a given cutoff:
-        walk the boundary's columns inner to outer keeping (full-subtree,
-        last-path) counts; spatial loops are always selected on the inner
-        multiplier and selected above the parent on the outer one;
-        temporal loops are selected when their position is inside the
-        cutoff, and otherwise promote the full count when they carry a
-        genuine remainder. Both counts are monotone in the selected set,
-        so evaluating at a cutoff lower bound is admissible.
-        """
-        layout = self.layout
-        d = layout.dim_index[dim]
-        f = 1
-        l = 1
-        for c in range(layout.num_columns - 1, -1, -1):
-            if layout.col_level[c] >= cut:
-                continue
-            b = int(chain.bounds[c])
-            r = int(chain.remainders[c])
-            if layout.col_spatial[c]:
-                if inner or layout.col_level[c] < parent:
-                    l = (r - 1) * f + l
-                    f = b * f
-                elif r >= 2:
-                    l = f
-            else:
-                if int(layout.grid_pos[c, d]) < cutoff:
-                    l = (r - 1) * f + l
-                    f = b * f
-                elif r >= 2:
-                    l = f
-        return l
-
-    def _factor_at(
-        self, dim: str, idx: Optional[int], cut: int, parent: int,
-        inner: bool, cutoff: int,
-    ) -> int:
-        """One projection factor as a Python int: an assigned chain's
-        (``idx``), or a free dimension's menu minimum (``idx`` None)."""
-        table, table_min = self.factors[(dim, cut, parent, inner)]
-        if idx is None:
-            return int(table_min[cutoff + 1])
-        return int(table[idx, cutoff + 1])
-
-    def suffix_bounds(
-        self,
-        assigned: Dict[str, int],
-        objective: str = "edp",
-        siblings: Optional[Tuple[str, Any]] = None,
-    ) -> Any:
-        """:meth:`bound` of every *complete* assignment extending ``assigned``.
-
-        Returns an array shaped by the free dimensions' menu lengths (in
-        layout dim order). Nothing is relaxed — each cell fixes every
-        dimension, so the cell value equals the scalar ``bound`` of that
-        full assignment: the tightest partial bound the engine can state,
-        computed densely. This is the leaf regime of the tree walk: once
-        a subtree is small, sweeping all of its completions' bounds in a
-        few broadcast kernels costs far less than branching further, and
-        the cells it cuts are never even enumerated into batches.
-
-        ``siblings=(dim, indices)`` prices a block of sibling leaves in
-        one grid: ``dim`` is a free dimension of ``assigned`` and its
-        axis holds just the given menu ``indices``. Slice ``j`` along that
-        axis equals ``suffix_bounds(assigned | {dim: indices[j]})`` cell
-        for cell.
-        """
-        free = [dim for dim in self.layout.dims if dim not in assigned]
-        select = {} if siblings is None else {siblings[0]: siblings[1]}
-        with obs.trace("bound.suffix", swept=len(free)):
-            return self._grid_bounds(assigned, free, objective, select)
-
-    def child_bounds(
-        self, assigned: Dict[str, int], branch_dim: str,
-        objective: str = "edp",
-    ) -> Any:
-        """:meth:`bound` for every child of a node, menu-vectorized.
-
-        Element ``k`` is the bound of ``assigned | {branch_dim: k}``,
-        computed once per expansion instead of once per child. This is
-        what makes deep branching affordable: the scalar bound re-derives
-        every rank sum per child, turning tree walks over wide menus into
-        millions of tiny Python folds.
-        """
-        with obs.trace("bound.child"):
-            return self._grid_bounds(assigned, [branch_dim], objective)
-
-    def _grid_bounds(
-        self,
-        assigned: Dict[str, int],
-        swept: Sequence[str],
-        objective: str,
-        select: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        """:meth:`bound` over the grid of the ``swept`` dimensions' menus.
-
-        Cell ``(k_1, ..., k_n)`` — one axis per swept dimension, in layout
-        dim order — is the bound of ``assigned`` extended by the swept
-        dimensions' ``k_i``-th chains: the scalar path's math with each
-        swept dimension's per-chain stats laid along its own broadcast
-        axis. ``select`` narrows a swept dimension's axis to the given
-        menu indices (the whole menu otherwise). Every other dimension is
-        assigned (exact values) or free (menu-minimum cycle and projection
-        factors, box vertices in the rank sums) exactly as in
-        :meth:`bound`. Projection factors come
-        from the cutoff-indexed tables: an assigned chain's row, a free
-        dimension's menu minimum, or a swept dimension's whole
-        (menu, cutoff) table gathered along its axis.
-        """
-        layout = self.layout
-        engine = self.engine
-        axes = [dim for dim in layout.dims if dim in swept]
-        picks = {
-            dim: np.asarray(
-                (select or {}).get(dim, np.arange(len(self.menus[dim]))),
-                dtype=np.int64,
-            )
-            for dim in axes
-        }
-        shape = tuple(picks[dim].size for dim in axes)
-
-        # Each swept dimension's menu indices, laid along its own axis:
-        # gathering a per-chain table with them spreads it onto the grid.
-        menu_idx = {}
-        for axis, dim in enumerate(axes):
-            view = [1] * len(axes)
-            view[axis] = shape[axis]
-            menu_idx[dim] = picks[dim].reshape(view)
-
-        def factor(
-            dim: str, cut: int, parent: int, inner: bool, cutoff_idx: Any
-        ) -> Any:
-            table, table_min = self.factors[(dim, cut, parent, inner)]
-            if dim in menu_idx:
-                return table[menu_idx[dim], cutoff_idx]
-            idx = assigned.get(dim)
-            return (table_min if idx is None else table[idx])[cutoff_idx]
-
-        cycles: Any = np.int64(1)
-        for dim in layout.dims:
-            idx = assigned.get(dim)
-            if dim in menu_idx:
-                cycles = cycles * self.cycles[dim][menu_idx[dim]]
-            elif idx is not None:
-                cycles = cycles * int(self.cycles[dim][idx])
-            else:
-                cycles = cycles * self.min_cycles[dim]
-        if objective == "delay":
-            return np.broadcast_to(cycles, shape).astype(float)
-        energy: Any = np.float64(engine.compute_energy)
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                base: Any = 1
-                for rank in meta.ranks:
-                    # Box-vertex minimum of the rank sum (see _rank_min);
-                    # a swept dim contributes its whole tile vector, and a
-                    # rank with no free dim has a single vertex.
-                    options: List[Tuple[Any, ...]] = []
-                    sizes: List[int] = []
-                    for d, _ in rank:
-                        dim = layout.dims[d]
-                        sizes.append(int(layout.sizes[d]))
-                        idx = assigned.get(dim)
-                        if dim in menu_idx:
-                            options.append(
-                                (self.tiles[dim][cut][menu_idx[dim]],)
-                            )
-                        elif idx is not None:
-                            options.append(
-                                (int(self.tiles[dim][cut][idx]),)
-                            )
-                        else:
-                            lo, hi = self.tile_range[dim][cut]
-                            options.append((lo,) if lo == hi else (lo, hi))
-                    best: Any = None
-                    for vertex in itertools.product(*options):
-                        all_tiles: Any = 1
-                        for t in vertex:
-                            all_tiles = all_tiles * t
-                        total = all_tiles
-                        for (_, coef), t, size in zip(rank, vertex, sizes):
-                            total = total + coef * (size - t) * (
-                                all_tiles // t
-                            )
-                        best = (
-                            total if best is None else np.minimum(best, total)
-                        )
-                    base = base * best
-                # Cutoff lower bound, as in bound(); swept relevant dims
-                # make it a grid of cutoffs.
-                cutoff: Any = -1
-                for d in meta.relevant_idx:
-                    dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    if dim in menu_idx:
-                        qual = self.qual[dim][cut][menu_idx[dim]]
-                    elif idx is not None:
-                        qual = int(self.qual[dim][cut][idx])
-                    else:
-                        qual = self.qual_min[dim][cut]
-                    cutoff = np.maximum(cutoff, qual)
-                cutoff_idx = cutoff + 1
-                outer: Any = 1
-                inner: Any = 1
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    outer = outer * factor(dim, cut, parent, False, cutoff_idx)
-                    if child is not None:
-                        inner = inner * factor(
-                            dim, cut, parent, True, cutoff_idx
-                        )
-                if not meta.is_output:
-                    energy = energy + engine.read_pj[parent] * (base * outer)
-                    if child is not None:
-                        energy = energy + engine.write_pj[child] * (
-                            base * inner
-                        )
-                else:
-                    energy = energy + engine.write_pj[parent] * (base * outer)
-                    if child is not None:
-                        energy = energy + engine.read_pj[child] * (
-                            base * inner
-                        )
-        if objective == "energy":
-            return np.broadcast_to(energy, shape).astype(float)
-        return np.broadcast_to(energy * cycles.astype(float), shape)
-
-    def bound(self, assigned: Dict[str, int], objective: str = "edp") -> float:
-        """Lower bound on ``objective`` over all completions of ``assigned``.
-
-        ``assigned`` maps dimension names to chain indices into the menus
-        this engine was built with. Invalid completions price to ``inf``
-        under every search, so bounding the raw model metric is admissible
-        for them too.
-        """
-        cycles_lb = 1
-        for dim in self.layout.dims:
-            idx = assigned.get(dim)
-            cycles_lb *= (
-                int(self.cycles[dim][idx])
-                if idx is not None
-                else self.min_cycles[dim]
-            )
-        if objective == "delay":
-            return float(cycles_lb)
-        engine = self.engine
-        layout = self.layout
-        energy = 0.0
-        for meta in layout.tensors:
-            for parent, child in meta.boundaries:
-                cut = layout.num_levels if child is None else child
-                base = 1
-                for rank in meta.ranks:
-                    base *= self._rank_min(rank, cut, assigned)
-                # Cutoff lower bound: assigned relevant dims contribute
-                # their exact innermost qualifying position, free ones
-                # their menu minimum. The true cutoff is the max over
-                # exact positions, so this never overshoots.
-                cutoff = -1
-                for d in meta.relevant_idx:
-                    dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    qual = (
-                        int(self.qual[dim][cut][idx])
-                        if idx is not None
-                        else self.qual_min[dim][cut]
-                    )
-                    if qual > cutoff:
-                        cutoff = qual
-                outer = 1
-                inner = 1
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    idx = assigned.get(dim)
-                    outer *= self._factor_at(
-                        dim, idx, cut, parent, False, cutoff
-                    )
-                    if child is not None:
-                        inner *= self._factor_at(
-                            dim, idx, cut, parent, True, cutoff
-                        )
-                if not meta.is_output:
-                    energy += engine.read_pj[parent] * base * outer
-                    if child is not None:
-                        energy += engine.write_pj[child] * base * inner
-                else:
-                    energy += engine.write_pj[parent] * base * outer
-                    if child is not None:
-                        energy += engine.read_pj[child] * base * inner
-        energy += engine.compute_energy
-        if objective == "energy":
-            return energy
-        return energy * float(cycles_lb)
-
-    def _rank_min(
-        self,
-        rank: Tuple[Tuple[int, int], ...],
-        cut: int,
-        assigned: Dict[str, int],
-    ) -> int:
-        """Box-vertex minimum of one rank's delivery sum at one boundary.
-
-        Assigned dims contribute their exact delivered-tile count at this
-        cut; free dims relax over their menu's [min, max] box.
-        """
-        choices: List[Tuple[int, ...]] = []
-        for d, _ in rank:
-            dim = self.layout.dims[d]
-            idx = assigned.get(dim)
-            if idx is not None:
-                choices.append((int(self.tiles[dim][cut][idx]),))
-            else:
-                lo, hi = self.tile_range[dim][cut]
-                choices.append((lo,) if lo == hi else (lo, hi))
-        return _rank_box_min(rank, self.layout, choices)

@@ -25,15 +25,17 @@ Search order and exactness:
   terminates with the exact optimum.
 * **leaf batches** — once a subtree is small enough, it is buffered
   rather than branched; buffered subtrees flush together through
-  :meth:`MapSpace.iter_prefix_batches`, which packs completions from
-  *many* subtrees into shared full-width batches (tiny per-leaf batches
-  would otherwise dominate the runtime). At flush time each buffered
+  :meth:`MapSpace.iter_prefix_batches`, which masks the completions of
+  *many* subtrees as fully pinned menu-index rows (no unravel) and cuts
+  them into shared full-width batches (tiny per-leaf batches would
+  otherwise dominate the runtime). At flush time each buffered
   bound is re-checked against the incumbent — which usually improved
   since the leaf was popped — so late leaves are often cut without
   enumerating a row. Sibling leaves get their per-completion bound grids
   one block per call when their parent is expanded, keeping only cells
-  under the cut of the moment. Surviving rows are priced by the bit-exact
-  vectorized engine with row-level pruning against the same incumbent.
+  under the cut of the moment. Surviving rows are priced from the bound
+  engine's per-chain tables by the bit-exact vectorized engine, with
+  row-level pruning against the same incumbent.
   The returned best-EDP is therefore bit-identical to
   :class:`~repro.search.exhaustive.ExhaustiveSearch` — asserted by the
   ``branch-bound-parity`` invariant in :mod:`repro.verify.invariants`.
@@ -443,6 +445,10 @@ class _SubtreeWalker:
         enumerated into a batch. A leaf whose cells its parent's sibling
         block already priced re-checks just the cells it kept.
 
+        Surviving cells are fully pinned menu-index rows: they are
+        masked for fanout and capacity and cut into batches by
+        :meth:`MapSpace.iter_prefix_batches` without an unravel, and
+        priced from the bound engine's tables without being packed.
         Rows are counted by candidate: each batch's span includes the
         cells the enumeration proved capacity-infeasible, and each row's
         candidate number is its ordinal within that span.
@@ -526,6 +532,7 @@ class _SubtreeWalker:
                     objective=self.objective,
                     incumbent=self._cut,
                     prune=True,
+                    tables=self.bound_engine,
                 )
                 base = self._count(outcome, batch)
                 resolved += batch.candidates

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro import obs
 from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
+from repro.model.batch import PartialBoundEngine
 from repro.model.evaluator import Evaluator
 from repro.search.loop import RunLedger, batch_engine_for, check_objective
 from repro.search.result import SearchResult
@@ -14,15 +15,20 @@ from repro.utils import batching
 class ExhaustiveSearch:
     """Evaluate every mapping of a mapspace, each exactly once.
 
-    Candidates are packed straight from the chain enumerator into
-    columnar batches (candidates the enumeration proves capacity-infeasible
-    on menu indices are counted, never packed) and priced by the
-    :class:`~repro.model.batch.BatchEvaluator`: through its vectorized
-    kernels, with admissible lower-bound pruning (always on) skipping the
-    expensive traffic stage for candidates that provably cannot beat the
-    incumbent, or row by row through the scalar evaluator when its
-    row-wise switch is off. Results are bit-exact either way; the
-    ``prune-parity`` invariant checks pruned against unpruned pricing.
+    Candidates come straight from the chain enumerator as batches of
+    per-dim menu indices (candidates the enumeration proves
+    capacity-infeasible on menu indices are counted, never priced) and
+    are priced by the :class:`~repro.model.batch.BatchEvaluator`. With
+    its kernels on, rows are priced from the per-chain tables of a
+    :class:`~repro.model.bounds.PartialBoundEngine` built once per run,
+    the tables branch-and-bound bounds with, so no row is packed unless
+    it improves the incumbent or falls back to the scalar model.
+    Admissible lower-bound pruning (always on) skips the traffic terms of
+    candidates that provably cannot beat the incumbent. With the
+    row-wise switch off, rows are packed and priced one by one through
+    the scalar evaluator. Results are bit-exact either way; the
+    ``prune-parity`` invariant checks pruned against unpruned pricing,
+    and ``leaf-exactness`` table pricing against the column walk.
 
     Args:
         mapspace: must be small enough to enumerate.
@@ -56,6 +62,7 @@ class ExhaustiveSearch:
         engine = batch_engine_for(
             self.mapspace, self.evaluator, self.use_batch, self.batch_engine
         )
+        tables = self._tables(engine)
         # The pre-filter menu product is cheap and only an over-estimate:
         # the tracker snaps the fraction to 1.0 at the end.
         ledger = RunLedger(
@@ -81,9 +88,26 @@ class ExhaustiveSearch:
                         objective=self.objective,
                         incumbent=ledger.best_metric,
                         prune=True,
+                        tables=tables,
                     )
                 ledger.record_batch(batch, outcome)
         return ledger.result("exhausted")
+
+    def _tables(self, engine):
+        """The per-chain tables enumerated rows are priced from, or None.
+
+        Without them every batch is packed: row-wise pricing needs no
+        tables, and a layout whose partial bounds could overflow int64,
+        which :class:`PartialBoundEngine` refuses, is priced by the
+        column walk as before (the sweep needs no bounds, and its rows'
+        products are guarded row by row either way).
+        """
+        if not engine.vectorize:
+            return None
+        try:
+            return PartialBoundEngine(engine, self.mapspace.dim_chain_menus())
+        except SearchError:
+            return None
 
     def _check_limit(self, evaluations: int) -> None:
         if evaluations > self.limit:

@@ -21,9 +21,11 @@ branch-and-bound tree counters, the cache baseline and the progress
 tracker. ``SearchResult.stats``, the ``search.*`` and ``batch.*``
 metrics behind ``/metrics`` and the tracker behind ``/progress`` are all
 fed from one call each, so they cannot disagree. Exhaustive search and
-branch-and-bound price packed batches directly, but account through the
-same ledger; a branch-and-bound walk counts its own rows and tree nodes
-(a parallel unit has no ledger) and hands them over once.
+branch-and-bound price enumerated batches directly, from per-chain
+tables (see :meth:`~repro.model.batch.BatchEvaluator.evaluate_batch`),
+but account through the same ledger; a branch-and-bound walk counts its
+own rows and tree nodes (a parallel unit has no ledger) and hands them
+over once.
 """
 
 from __future__ import annotations

@@ -36,10 +36,12 @@ class RandomSearch:
 
     Args:
         mapspace: where mappings come from.
-        evaluator: prices each mapping. Attach an
-            :class:`~repro.model.eval_cache.EvaluationCache` to it to skip
-            re-pricing duplicate draws; hit counters surface in
-            ``SearchResult.stats``.
+        evaluator: prices each mapping. An attached
+            :class:`~repro.model.eval_cache.EvaluationCache` is consulted
+            only when draws are priced row by row (``use_batch=False``):
+            there it skips re-pricing duplicate draws, and its hit
+            counters surface in ``SearchResult.stats``. Vectorized
+            pricing never looks it up.
         objective: "edp" (the paper's default), "energy", or "delay".
         max_evaluations: hard budget on drawn mappings (valid or not).
         patience: stop after this many consecutive valid non-improving

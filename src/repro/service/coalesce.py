@@ -97,17 +97,20 @@ class SharedBatchEngine:
     counts its own rows from the outcomes. A plain lock suffices: batch
     calls are long enough that contention is amortized. Kernel-priced
     rows never look up the entry's cache; only row-wise searches
-    (``use_batch=False``) on the entry do.
+    (``use_batch=False``) on the entry do. Every other attribute (the
+    layout, the energy coefficients, the row-wise switch) is a constant
+    of the wrapped engine and is read through without the lock, so a
+    :class:`~repro.model.bounds.PartialBoundEngine` builds on either.
     """
 
     def __init__(self, engine: Any) -> None:
         self._engine = engine
         self._lock = threading.Lock()
-        self.vectorize = engine.vectorize
 
-    @property
-    def evaluator(self) -> Evaluator:
-        return self._engine.evaluator
+    def __getattr__(self, name: str) -> Any:
+        if name == "_engine":  # not set yet (e.g. while unpickling)
+            raise AttributeError(name)
+        return getattr(self._engine, name)
 
     def evaluate_batch(self, *args: Any, **kwargs: Any) -> Any:
         with self._lock:

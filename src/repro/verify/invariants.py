@@ -25,6 +25,11 @@ answers are known a priori:
 * **Capacity prefilter** — every candidate the enumeration drops before
   packing fails the scalar capacity check, and every packed one passes
   it, on all four kinds with and without fixed permutations;
+* **Leaf exactness** — enumerated rows priced from the per-chain tables
+  (the exhaustive sweep's and the branch-and-bound leaf flush's pricing)
+  equal the column walk on the same rows packed, bit for bit, in
+  validity, pruning, cycles, energy, metric and utilization, and in the
+  batch counts a run reports;
 * **Branch-bound parity** — the hierarchical branch-and-bound searcher
   finds the bit-identical best mapping (same signature, energy, and
   cycles) as exhaustive enumeration on toy and Eyeriss-preset mapspaces,
@@ -54,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch import toy_glb_architecture, toy_linear_architecture
+from repro.arch.eyeriss import eyeriss_like
 from repro.energy.accelergy import estimate_energy_table
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
@@ -432,6 +438,118 @@ def check_capacity_prefilter(seed: int = 0) -> Tuple[int, List[str]]:
     return checked, violations
 
 
+def _leaf_fixtures(seed: int):
+    """(label, mapspace, evaluator) fixtures for leaf exactness: the toy
+    GLB GEMM in all four kinds, and Ruby-S spaces of a 12x10x8 GEMM on
+    toy16 and on Eyeriss (whose spatial levels make the spatial-only
+    multipliers differ from the full ones)."""
+    _, arch, workload = _toy_setup(seed)
+    table = estimate_energy_table(arch)
+    fixtures = [
+        (f"toy/{kind.value}", MapSpace(arch, workload, kind),
+         Evaluator(arch, workload, table))
+        for kind in MapspaceKind
+    ]
+    gemm = GemmLayer("g12x10x8", m=12, n=10, k=8).workload()
+    for name, other in (
+        ("toy16", toy_linear_architecture(16)), ("eyeriss", eyeriss_like())
+    ):
+        fixtures.append(
+            (
+                f"{name}/ruby-s",
+                MapSpace(other, gemm, MapspaceKind.RUBY_S),
+                Evaluator(other, gemm, estimate_energy_table(other)),
+            )
+        )
+    return fixtures
+
+
+def check_leaf_exactness(
+    seed: int = 0, max_rows: int = 20_480
+) -> Tuple[int, List[str]]:
+    """Table pricing of enumerated rows equals the column walk exactly.
+
+    On each fixture, every enumerated batch (up to ``max_rows`` rows) is
+    priced twice against one incumbent, with pruning on: from the
+    per-chain tables of a :class:`PartialBoundEngine`, and by the column
+    walk over the same rows packed. Validity, pruning, fallback, cycles,
+    energy, metric and utilization must match bit for bit, and so must
+    the batch counts (batches, candidates, pruned, infeasible) a run
+    derives from the outcomes. The incumbent follows the walk's best
+    metric, so pruning is exercised as the sweep goes.
+    """
+    from repro.model.batch import (
+        BatchEvaluator,
+        MappingBatch,
+        PartialBoundEngine,
+        pack_menu_rows,
+    )
+    from repro.search.loop import BatchCounts
+
+    checked = 0
+    violations: List[str] = []
+    fields = (
+        "valid", "pruned", "fallback", "metric", "energy_pj", "cycles",
+        "utilization",
+    )
+    for label, space, evaluator in _leaf_fixtures(seed):
+        layout = space.batch_layout()
+        engine = BatchEvaluator(evaluator, layout=layout)
+        if not engine.vectorize:
+            continue
+        tables = PartialBoundEngine(engine, space.dim_chain_menus())
+        counts = {"tables": BatchCounts(), "walk": BatchCounts()}
+        incumbent = float("inf")
+        rows = 0
+        for batch in space.iter_batches():
+            if rows >= max_rows:
+                break
+            rows += batch.size
+            checked += batch.size
+            bounds, rems = pack_menu_rows(
+                layout, batch.menu_tables, batch.menu_rows
+            )
+            packed = MappingBatch(
+                layout=layout, bounds=bounds, rems=rems, pos=batch.pos,
+                fallback=batch.fallback, span=batch.span,
+                ordinals=batch.ordinals,
+            )
+            outcomes = {
+                "tables": engine.evaluate_batch(
+                    batch, incumbent=incumbent, prune=True, tables=tables
+                ),
+                "walk": engine.evaluate_batch(
+                    packed, incumbent=incumbent, prune=True
+                ),
+            }
+            for name, outcome in outcomes.items():
+                counts[name] += BatchCounts.of(outcome, batch)
+            got, want = outcomes["tables"], outcomes["walk"]
+            differ = [
+                name
+                for name in fields
+                if not np.array_equal(
+                    getattr(got, name), getattr(want, name),
+                    equal_nan=getattr(want, name).dtype.kind == "f",
+                )
+            ]
+            if differ:
+                violations.append(
+                    f"leaf-exactness: {label}: table pricing differs from "
+                    f"the column walk in {', '.join(differ)} on a batch of "
+                    f"{batch.size} rows"
+                )
+                break
+            if want.metric.size:
+                incumbent = min(incumbent, float(want.metric.min()))
+        if counts["tables"].payload() != counts["walk"].payload():
+            violations.append(
+                f"leaf-exactness: {label}: batch counts differ "
+                f"({counts['tables'].payload()} vs {counts['walk'].payload()})"
+            )
+    return checked, violations
+
+
 def _per_candidate_chain(
     allocator: DimAllocator,
     dim: str,
@@ -555,7 +673,6 @@ class _FloatOnlyRandom(random.Random):
 
 def _sample_parity_fixtures(seed: int):
     """(label, mapspace, RNG class) triples covering every sampling branch."""
-    from repro.arch.eyeriss import eyeriss_like
     from repro.mapspace.constraints import eyeriss_row_stationary
     from repro.zoo.resnet50 import resnet50_representative
 
@@ -711,8 +828,6 @@ def _parity_fixtures(seed: int):
     64-cell leaves builds sibling blocks that branch on a free dimension
     other than the first, so a block sliced along the wrong axis moves
     the optimum the parallel walk reports."""
-    from repro.arch.eyeriss import eyeriss_like
-
     _, toy_arch, toy_workload = _toy_setup(seed)
     toy_table = estimate_energy_table(toy_arch)
 
@@ -942,6 +1057,7 @@ INVARIANTS: Tuple[Tuple[str, Callable[[int], Tuple[int, List[str]]]], ...] = (
     ("prune-parity", check_prune_parity),
     ("count-parity", check_enumeration_count_parity),
     ("capacity-prefilter", check_capacity_prefilter),
+    ("leaf-exactness", check_leaf_exactness),
     ("sample-parity", check_sample_parity),
     ("branch-bound-parity", check_branch_bound_parity),
     ("seed-determinism", check_seed_determinism),
