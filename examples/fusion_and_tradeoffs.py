@@ -1,23 +1,17 @@
 #!/usr/bin/env python3
-"""Composing Ruby-S with coarse-grained optimizations.
+"""Reading Ruby-S mappings beyond a single EDP number.
 
-Three compositions the paper's introduction motivates:
-
-1. **Fusion** — map a small 3-layer chain with Ruby-S, then keep the
-   inter-layer activations on-chip (`repro.cascade`), saving DRAM round
-   trips on top of the per-layer mapping wins.
-2. **Energy/latency trade-off** — instead of one EDP-optimal mapping,
+1. **Energy/latency trade-off** — instead of one EDP-optimal mapping,
    sweep the whole (energy, cycles) Pareto frontier of one layer
    (`repro.search.ParetoSearch`) and pick by budget.
-3. **Roofline** — locate the chosen mappings on the accelerator roofline
+2. **Roofline** — locate the chosen mapping on the accelerator roofline
    (`repro.model.roofline`) to see whether more reuse or more PEs would
    pay next.
 
 Run:  python examples/fusion_and_tradeoffs.py
 """
 
-from repro import ConvLayer, Evaluator, eyeriss_like, find_best_mapping
-from repro.cascade import evaluate_cascade, format_cascade
+from repro import ConvLayer, Evaluator, eyeriss_like
 from repro.mapspace import ruby_s_mapspace
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.roofline import roofline_point
@@ -27,27 +21,10 @@ from repro.search.pareto_search import ParetoSearch
 def main() -> None:
     arch = eyeriss_like()
     constraints = eyeriss_row_stationary()
-    chain_layers = [
-        ConvLayer("block_reduce", c=256, m=64, p=14, q=14),
-        ConvLayer("block_3x3", c=64, m=64, p=14, q=14, r=3, s=3),
-        ConvLayer("block_expand", c=64, m=256, p=14, q=14),
-    ]
+    layer = ConvLayer("block_3x3", c=64, m=64, p=14, q=14, r=3, s=3)
 
-    print("== 1. per-layer Ruby-S mappings, then fusion ==")
-    stages = []
-    for layer in chain_layers:
-        workload = layer.workload()
-        best = find_best_mapping(
-            arch, workload, kind="ruby-s", seed=0,
-            max_evaluations=2000, patience=600, constraints=constraints,
-        ).best
-        stages.append((workload, best))
-    cascade = evaluate_cascade(arch, stages)
-    print(format_cascade(cascade))
-    print()
-
-    print("== 2. energy/latency Pareto frontier of the 3x3 layer ==")
-    workload = chain_layers[1].workload()
+    print("== 1. energy/latency Pareto frontier of a 3x3 layer ==")
+    workload = layer.workload()
     space = ruby_s_mapspace(arch, workload, constraints)
     evaluator = Evaluator(arch, workload)
     frontier = ParetoSearch(space, evaluator, max_evaluations=3000, seed=0).run()
@@ -65,7 +42,7 @@ def main() -> None:
     )
     print()
 
-    print("== 3. roofline position of the EDP-best mapping ==")
+    print("== 2. roofline position of the EDP-best mapping ==")
     best = frontier.best_by("edp")
     point = roofline_point(arch, workload, best)
     print(

@@ -12,7 +12,7 @@ linear architecture:
    campaign must still exit 0;
 4. run the fig13 DeepBench sweep directly, with ``--journal``, and again
    on that journal (a replay) — all three must print byte-identical
-   reports.
+   reports; their wall times are printed, not checked.
 
 Runs in a few tens of seconds; exits nonzero on any mismatch.
 """
@@ -206,12 +206,15 @@ def step_experiment_parity(workdir: Path) -> None:
     ]
     journal = workdir / "fig13.jsonl"
     outputs = {}
+    walls = {}
     for label, extra in (
         ("direct", []),
         ("journaled", ["--journal", str(journal)]),
         ("replayed", ["--journal", str(journal)]),
     ):
+        started = time.perf_counter()
         proc = _run(experiment + extra, capture_output=True)
+        walls[label] = time.perf_counter() - started
         if proc.returncode != 0:
             sys.exit(f"{label} fig13 run failed:\n{proc.stderr.decode()}")
         outputs[label] = proc.stdout
@@ -224,6 +227,9 @@ def step_experiment_parity(workdir: Path) -> None:
             )
     print("[4/4] fig13 deepbench: direct, journaled and replayed runs "
           "print identical reports")
+    print("      wall s: " + ", ".join(
+        f"{label} {seconds:.2f}" for label, seconds in walls.items()
+    ))
 
 
 def main() -> None:

@@ -401,16 +401,27 @@ def _print_campaign_result(result) -> None:
             )
 
 
-def _campaign_settings(args: argparse.Namespace) -> Dict:
-    from repro.search.campaign import DEFAULT_RETRIES
+def _campaign_config(args: argparse.Namespace, saved: Optional[Dict] = None):
+    """The ``campaign run/resume`` settings; flags win over ``saved`` ones."""
+    from repro.search.campaign import DEFAULT_RETRIES, CampaignConfig
 
-    return {
-        "workers": args.workers or 1,
-        "timeout_s": args.timeout,
-        "retries": args.retries if args.retries is not None else DEFAULT_RETRIES,
-        "backoff_s": args.backoff,
-        "start_method": args.start_method,
-    }
+    saved = saved or {}
+
+    def pick(value, key: str, default):
+        value = saved.get(key) if value is None else value
+        return default if value is None else value
+
+    return CampaignConfig(
+        journal=args.journal,
+        workers=pick(args.workers, "workers", 1),
+        timeout_s=pick(args.timeout, "timeout_s", None),
+        retries=pick(args.retries, "retries", DEFAULT_RETRIES),
+        backoff_s=args.backoff,
+        start_method=args.start_method,
+        fault_plan=_load_fault_plan(getattr(args, "fault_plan", None)),
+        resume=not getattr(args, "fresh", False),
+        retry_quarantined=args.retry_quarantined,
+    )
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -420,6 +431,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     from repro.search.campaign import run_campaign
 
+    config = _campaign_config(args)
     arch = _build_arch(args)
     kinds = _parse_kinds(args.kinds)
     seeds = _parse_seeds(args.seeds)
@@ -433,7 +445,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         seeds=seeds,
         row_stationary=args.row_stationary,
     )
-    settings = _campaign_settings(args)
     header = campaign_header_config(
         suite=args.suite,
         arch_name=args.arch,
@@ -444,20 +455,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         patience=args.patience,
         seeds=seeds,
         row_stationary=args.row_stationary,
-        timeout_s=settings["timeout_s"],
-        retries=settings["retries"],
-        workers=settings["workers"],
+        timeout_s=config.timeout_s,
+        retries=config.retries,
+        workers=config.workers,
     )
-    result = run_campaign(
-        jobs,
-        journal_path=args.journal,
-        fault_plan=_load_fault_plan(args.fault_plan),
-        resume=not args.fresh,
-        retry_quarantined=args.retry_quarantined,
-        header_config=header,
-        **settings,
-    )
-    _print_campaign_result(result)
+    _print_campaign_result(run_campaign(jobs, config, header_config=header))
     return 0
 
 
@@ -474,6 +476,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
             f"journal {args.journal}: header carries no suite config; "
             "only journals written by 'campaign run' can be resumed here"
         )
+    settings = _campaign_config(args, config)
     if config.get("arch_json"):
         arch = architecture_from_dict(load_json(config["arch_json"]))
     else:
@@ -488,28 +491,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
         seeds=config["seeds"],
         row_stationary=config.get("row_stationary", False),
     )
-    retries = args.retries
-    if retries is None:
-        retries = config.get("retries")
-    if retries is None:
-        from repro.search.campaign import DEFAULT_RETRIES
-
-        retries = DEFAULT_RETRIES
-    result = run_campaign(
-        jobs,
-        journal_path=args.journal,
-        workers=args.workers or config.get("workers") or 1,
-        timeout_s=(
-            args.timeout if args.timeout is not None else config.get("timeout_s")
-        ),
-        retries=retries,
-        backoff_s=args.backoff,
-        resume=True,
-        retry_quarantined=args.retry_quarantined,
-        start_method=args.start_method,
-        header_config=config,
-    )
-    _print_campaign_result(result)
+    _print_campaign_result(run_campaign(jobs, settings, header_config=config))
     return 0
 
 

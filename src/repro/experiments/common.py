@@ -12,9 +12,8 @@ from repro.model.evaluator import Evaluation
 from repro.problem.workload import Workload
 from repro.search.campaign import (
     CampaignJob,
-    active_campaign,
+    active_session,
     default_job_id,
-    run_job_under_scope,
     search_job,
 )
 
@@ -37,9 +36,10 @@ def multi_seed_search(
 
     The search is always described as one :class:`CampaignJob` and run by
     :func:`repro.search.campaign.search_job`. Inside a
-    :func:`repro.search.campaign.campaign_scope` the job is journaled
-    (timeout, retry, resume-by-skip); otherwise it runs inline. The
-    returned evaluation is identical either way.
+    :func:`repro.search.campaign.campaign_scope` the job goes to the
+    scope's session and is journaled (timeout, retry, resume-by-skip);
+    otherwise it runs inline. The returned evaluation is identical either
+    way.
     """
     job = CampaignJob(
         job_id=default_job_id(
@@ -54,9 +54,9 @@ def multi_seed_search(
         seeds=tuple(seeds),
         constraints=constraints,
     )
-    campaign = active_campaign()
-    if campaign is not None:
-        return run_job_under_scope(campaign, job)
+    session = active_session()
+    if session is not None:
+        return session.submit(job)
     return search_job(job)[0]
 
 

@@ -47,6 +47,17 @@ JOURNAL_SCHEMA = 1
 TERMINAL_STATUSES = ("ok", "quarantined")
 
 
+def terminal_records(
+    records: List[Dict[str, Any]],
+) -> Dict[str, Dict[str, Any]]:
+    """Latest terminal (``kind == "job"``) record per job id in ``records``."""
+    terminal: Dict[str, Dict[str, Any]] = {}
+    for record in records:
+        if record.get("kind") == "job" and record.get("status") in TERMINAL_STATUSES:
+            terminal[record["job_id"]] = record
+    return terminal
+
+
 class Journal:
     """An append-only JSONL file of campaign records."""
 
@@ -157,13 +168,7 @@ class Journal:
 
     def terminal_jobs(self) -> Dict[str, Dict[str, Any]]:
         """Latest terminal (``kind == "job"``) record per job id."""
-        terminal: Dict[str, Dict[str, Any]] = {}
-        for record in self.read():
-            if record.get("kind") != "job":
-                continue
-            if record.get("status") in TERMINAL_STATUSES:
-                terminal[record["job_id"]] = record
-        return terminal
+        return terminal_records(self.read())
 
     def header(self) -> Dict[str, Any]:
         """The most recent campaign header record (config + job list)."""

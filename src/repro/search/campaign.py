@@ -2,16 +2,16 @@
 
 The paper's headline figures come from long multi-start random-search
 sweeps over whole workload zoos — exactly the runs that die halfway when
-one worker hangs on a pathological mapping or the driver is killed. This
-module runs a set of :class:`CampaignJob` s with:
+one worker hangs on a pathological mapping or the driver is killed. A
+:class:`CampaignSession` runs :class:`CampaignJob` s with:
 
 * an **append-only JSONL journal** (:class:`repro.io.journal.Journal`) of
-  terminal job records, fsynced per append, so an interrupted campaign
-  resumes by skipping journaled entries and a SIGKILL costs at most the
-  jobs that were in flight;
-* **per-job wall-clock timeouts** enforced by running each job in its own
-  worker process that the driver can reap, with bounded retry and
-  exponential backoff;
+  terminal job records, fsynced per append and read once per session, so
+  an interrupted campaign resumes by skipping journaled entries and a
+  SIGKILL costs at most the jobs that were in flight;
+* **per-attempt wall-clock timeouts**, enforced by running attempts in
+  long-lived worker processes that the driver can reap and replace,
+  with bounded retry and exponential backoff;
 * **quarantine**: a job that exhausts its retries becomes a structured
   failure record (`status: "quarantined"` with the last error payload)
   instead of aborting the sweep — ``InvalidMappingError`` /
@@ -25,8 +25,9 @@ Execution degrades gracefully: ``fork`` is tried first, then ``spawn``,
 then an inline (same-process) mode that still retries and journals but
 cannot enforce timeouts or survive crashes.
 
-The experiment drivers (fig. 8–13) opt in through a
-:func:`campaign_scope`; see :mod:`repro.experiments.common`.
+:func:`run_campaign` runs one job list in its own session; the
+experiment drivers (fig. 8–13) open a :func:`campaign_scope` whose
+session every nested search joins; see :mod:`repro.experiments.common`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -49,7 +50,7 @@ from repro.exceptions import (
     ReproError,
     SearchError,
 )
-from repro.io.journal import TERMINAL_STATUSES, Journal
+from repro.io.journal import TERMINAL_STATUSES, Journal, terminal_records
 from repro.obs import ProgressTracker
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.generator import MapspaceKind
@@ -60,8 +61,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.5
-DEFAULT_BACKOFF_FACTOR = 2.0
-_POLL_INTERVAL_S = 0.02
+_BACKOFF_FACTOR = 2.0
 _REAP_GRACE_S = 2.0
 
 
@@ -263,381 +263,416 @@ def _run_job_guarded(
         return "error", wrapped.payload()
 
 
-def _job_entry(job: CampaignJob, attempt: int, fault_plan, conn) -> None:
-    """Worker-process entry point: run one attempt, report through the pipe."""
+def _worker_loop(conn, fault_plan: Optional[FaultPlan], inherited) -> None:
+    """Worker-process entry point: run attempts until the driver hangs up.
+
+    Each message is one ``(job, attempt)``; the reply is
+    :func:`_run_job_guarded`'s result. ``inherited`` are the driver-side
+    pipe ends a forked worker got copies of. Closing them lets EOF arrive
+    when the driver closes its end or dies, so a killed driver leaves no
+    worker behind once the attempt in flight ends.
+    """
+    for other in inherited:
+        other.close()
     try:
-        conn.send(_run_job_guarded(job, attempt, fault_plan))
-    finally:
-        conn.close()
+        while True:
+            job, attempt = conn.recv()
+            conn.send(_run_job_guarded(job, attempt, fault_plan))
+    except (EOFError, OSError):
+        pass  # the driver closed the session or died
 
 
-def _pick_context(start_method: Optional[str]):
-    """Choose a multiprocessing context (fork, then spawn) or inline mode."""
-    from repro.search.worker_pool import spawn_usable
-
-    methods = (start_method,) if start_method else ("fork", "spawn")
-    for method in methods:
-        if method == "spawn" and not spawn_usable():
-            logger.warning("campaign: spawn skipped (__main__ not importable)")
-            continue
-        try:
-            import multiprocessing
-
-            return multiprocessing.get_context(method), method
-        except (ImportError, ValueError) as error:
-            logger.debug("campaign: start method %r unavailable: %s", method, error)
-    logger.warning(
-        "campaign: no multiprocessing start method usable; running inline "
-        "(per-job timeouts and crash isolation are disabled)"
-    )
-    return None, "inline"
+# ---------------------------------------------------------------- settings
 
 
-# ------------------------------------------------------------- the runner
+def _real(value: Any, types: tuple = (int, float)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
-@dataclass
-class _Pending:
-    job: CampaignJob
-    attempt: int = 0
-    eligible_at: float = 0.0
-    started_first: Optional[float] = None  # across attempts
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Every campaign setting, validated once when the config is built.
+
+    ``journal`` is the append-only JSONL checkpoint; ``None`` keeps the
+    timeout/retry semantics but persists nothing (no resume). ``workers``
+    jobs run at once, each attempt within ``timeout_s`` seconds of wall
+    clock (``None``: no limit). A failed attempt ``n`` (0-based) is retried
+    after ``backoff_s * 2**n`` seconds, at most ``retries`` times, and then
+    the job is quarantined. ``start_method`` forces "fork" or "spawn"; the
+    default tries both, then runs jobs inline (no timeouts, no crash
+    containment). ``fault_plan`` schedules faults for tests. ``resume``
+    skips jobs the journal already finished, except quarantined ones
+    when ``retry_quarantined`` is set.
+
+    Passing one to ``run_fig8`` … ``run_fig13`` (or entering a
+    :func:`campaign_scope`) runs every search inside as a journaled job.
+    """
+
+    journal: Optional[Union[str, Path]] = None
+    workers: int = 1
+    timeout_s: Optional[float] = None
+    retries: int = DEFAULT_RETRIES
+    backoff_s: float = DEFAULT_BACKOFF_S
+    start_method: Optional[str] = None
+    fault_plan: Optional[FaultPlan] = None
+    resume: bool = True
+    retry_quarantined: bool = False
+
+    def __post_init__(self) -> None:
+        timeout_s, backoff_s = self.timeout_s, self.backoff_s
+        for name, ok, rule in (
+            ("timeout_s", timeout_s is None or _real(timeout_s) and timeout_s > 0,
+             "None or a number > 0"),
+            ("retries", _real(self.retries, int) and self.retries >= 0, "an int >= 0"),
+            ("backoff_s", _real(backoff_s) and backoff_s >= 0, "a number >= 0"),
+            ("workers", _real(self.workers, int) and self.workers >= 1, "an int >= 1"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise CampaignError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass
-class _Running:
-    job: CampaignJob
-    attempt: int
+# ------------------------------------------------------------- the session
+
+
+@dataclass(eq=False)
+class _Worker:
     proc: Any
     conn: Any
-    started: float
-    started_first: float
-    deadline: Optional[float]
+
+    def reap(self, terminate: bool) -> None:
+        """Stop the process: SIGTERM first when ``terminate``, otherwise let
+        it exit on EOF; SIGKILL whatever outlives the grace period."""
+        self.conn.close()
+        if terminate:
+            self.proc.terminate()
+        self.proc.join(_REAP_GRACE_S)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+@dataclass
+class _Attempt:
+    job: CampaignJob
+    number: int = 0
+    eligible_at: float = 0.0
+    started_first: Optional[float] = None  # across attempts
+    deadline: Optional[float] = None
+    worker: Optional[_Worker] = None
+
+
+class CampaignSession:
+    """One campaign's journal and worker processes, shared by its runs.
+
+    The journal is read once, at opening; its terminal records and the
+    jobs the session finishes are what later runs replay. The start
+    method is picked at the first job that needs a worker; up to
+    ``config.workers`` workers start on demand and live until
+    :meth:`close`. A crash or hang costs only the attempt in flight: the
+    worker is reaped and its slot gets a fresh one at the next launch.
+    """
+
+    def __init__(self, config: CampaignConfig) -> None:
+        self.config = config
+        self.journal = Journal(config.journal) if config.journal is not None else None
+        records = self.journal.read() if self.journal is not None else []
+        self._has_records = bool(records)
+        self._done: Dict[str, JobOutcome] = {}
+        if config.resume:
+            for job_id, record in terminal_records(records).items():
+                if record["status"] == "quarantined" and config.retry_quarantined:
+                    continue
+                self._done[job_id] = JobOutcome.from_record(record)
+        self._context: Any = None
+        self.pool_mode: Optional[str] = None
+        self._idle: List[_Worker] = []
+        self._running: Dict[str, _Attempt] = {}
+
+    def close(self) -> None:
+        """Stop every worker: each exits on EOF once its pipe closes."""
+        for worker in self._idle:
+            worker.conn.close()
+        for worker in self._idle:
+            worker.reap(terminate=False)
+        self._idle.clear()
+
+    def submit(self, job: CampaignJob):
+        """Run (or replay) one job and return its best :class:`Evaluation`.
+
+        A quarantined job raises :class:`CampaignError` — an experiment
+        cannot compute its figure with a layer missing — but the journal
+        keeps every other job's result, so a rerun resumes instead of
+        starting over.
+        """
+        outcome = self.run([job]).outcomes[0]
+        if not outcome.ok:
+            raise CampaignError(
+                f"job {job.job_id!r} quarantined after {outcome.attempts} "
+                f"attempts: {outcome.error and outcome.error.get('message')}"
+            )
+        return evaluation_from_outcome(job, outcome)
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        record["time"] = time.time()
+        record["monotonic_s"] = time.monotonic()
+        self.journal.append(record)
+        self._has_records = True
+
+    def _beat(self, event: str, job_id: str, attempt: int) -> None:
+        """Record one lifecycle event: registry counter + journal record."""
+        obs.inc("campaign.events", event=event)
+        if self.journal is not None:
+            self._append(
+                {"kind": "heartbeat", "event": event, "job_id": job_id,
+                 "attempt": attempt}
+            )
+
+    def _launch(self, attempt: _Attempt) -> None:
+        """Hand ``attempt`` to an idle worker, starting one if none is idle."""
+        if self._idle:
+            attempt.worker = self._idle.pop()
+        else:
+            ours, theirs = self._context.Pipe()
+            inherited: List[Any] = []
+            if self.pool_mode == "fork":
+                inherited = [ours] + [a.worker.conn for a in self._running.values()]
+            proc = self._context.Process(
+                target=_worker_loop,
+                args=(theirs, self.config.fault_plan, inherited),
+                daemon=True,
+            )
+            proc.start()
+            theirs.close()
+            attempt.worker = _Worker(proc, ours)
+        try:
+            attempt.worker.conn.send((attempt.job, attempt.number))
+        except OSError:
+            pass  # died while idle: the wait below sees a crash
+        self._running[attempt.job.job_id] = attempt
+
+    def run(
+        self,
+        jobs: Sequence[CampaignJob],
+        max_jobs: Optional[int] = None,
+        header_config: Optional[Dict[str, Any]] = None,
+    ) -> CampaignResult:
+        """Run ``jobs`` (unique ids) with journaling, timeouts, retry and
+        quarantine; outcomes come back in job order.
+
+        Jobs with a terminal record are replayed, not rerun. ``max_jobs``
+        stops launching after that many *fresh* terminal outcomes (see
+        ``complete``). ``header_config`` is journaled in a ``kind:
+        "campaign"`` header (``resumed`` on a non-empty journal) that
+        ``campaign resume`` rebuilds the jobs from; an empty journal gets
+        a header either way.
+        """
+        from multiprocessing.connection import wait
+
+        config = self.config
+        ids = [job.job_id for job in jobs]
+        if len(set(ids)) != len(ids):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise CampaignError(f"duplicate job ids: {dupes}")
+        if self.journal is not None and (
+            header_config is not None or not self._has_records
+        ):
+            header: Dict[str, Any] = {
+                "kind": "campaign", "config": header_config or {}, "jobs": ids
+            }
+            if self._has_records:
+                header["resumed"] = True
+            self._append(header)
+
+        replayed = {i: self._done[i] for i in ids if i in self._done}
+        pending: Deque[_Attempt] = deque(
+            _Attempt(job=job) for job in jobs if job.job_id not in replayed
+        )
+        if pending and self.pool_mode is None:
+            from repro.search.worker_pool import start_contexts
+
+            self._context, self.pool_mode = next(
+                start_contexts(config.start_method), (None, "inline")
+            )
+            if self._context is None:
+                logger.warning(
+                    "campaign: no multiprocessing start method usable; running "
+                    "inline (per-job timeouts and crash isolation are disabled)"
+                )
+        fresh: Dict[str, JobOutcome] = {}
+        running = self._running
+        budget_left = max_jobs
+
+        # One unit per job; journal-replayed jobs count as already done, so a
+        # resumed campaign starts at the fraction it previously reached.
+        tracker = ProgressTracker(driver="campaign", total_units=len(jobs))
+        if replayed:
+            tracker.advance(len(replayed))
+
+        def finish(item: _Attempt, status: str, payload: Dict[str, Any]) -> None:
+            nonlocal budget_left
+            job = item.job
+            now = time.monotonic()
+            outcome = JobOutcome(
+                job_id=job.job_id,
+                status=status,
+                attempts=item.number + 1,
+                elapsed_s=now - (item.started_first or now),
+            )
+            if status == "ok":
+                outcome.metrics = payload["metrics"]
+                outcome.mapping = payload["mapping"]
+                outcome.num_evaluated = payload["num_evaluated"]
+                outcome.num_valid = payload["num_valid"]
+            else:
+                outcome.error = payload
+            self._beat("ok" if status == "ok" else "quarantine", job.job_id,
+                       item.number)
+            if self.journal is not None:
+                record = outcome.record(job)
+                self._append(record)
+                if config.resume:
+                    self._done[job.job_id] = JobOutcome.from_record(record)
+            fresh[job.job_id] = outcome
+            tracker.advance(1)
+            if budget_left is not None:
+                budget_left -= 1
+
+        def settle(item: _Attempt, status: str, payload: Dict[str, Any]) -> None:
+            """Finish ``item`` on success; otherwise journal the failed
+            attempt and re-queue it with backoff, or quarantine it."""
+            if status == "ok":
+                finish(item, status, payload)
+                return
+            job, number = item.job, item.number
+            if self.journal is not None:
+                self._append(
+                    {"kind": "attempt", "job_id": job.job_id,
+                     "attempt": number, "error": payload}
+                )
+            if number < config.retries:
+                self._beat("retry", job.job_id, number)
+                delay = config.backoff_s * (_BACKOFF_FACTOR ** number)
+                logger.info(
+                    "campaign: job %r attempt %d failed (%s); retrying in %.2fs",
+                    job.job_id, number, payload.get("type"), delay,
+                )
+                pending.append(
+                    _Attempt(
+                        job=job,
+                        number=number + 1,
+                        eligible_at=time.monotonic() + delay,
+                        started_first=item.started_first,
+                    )
+                )
+            else:
+                logger.warning(
+                    "campaign: job %r quarantined after %d attempts (%s)",
+                    job.job_id, number + 1, payload.get("type"),
+                )
+                finish(item, "quarantined", payload)
+
+        try:
+            while pending or running:
+                # Launch eligible pending attempts into free slots.
+                now = time.monotonic()
+                eligible = [p for p in pending if p.eligible_at <= now]
+                while (
+                    eligible
+                    and len(running) < config.workers
+                    and (budget_left is None or budget_left > 0)
+                ):
+                    item = eligible.pop(0)
+                    pending.remove(item)
+                    started = time.monotonic()
+                    if item.started_first is None:
+                        item.started_first = started
+                    self._beat("start", item.job.job_id, item.number)
+                    if self._context is None:
+                        # Inline mode: synchronous, no timeout enforcement.
+                        settle(item, *_run_job_guarded(
+                            item.job, item.number, config.fault_plan
+                        ))
+                        continue
+                    if config.timeout_s is not None:
+                        item.deadline = started + config.timeout_s
+                    self._launch(item)
+
+                # Out of budget with nothing in flight: stop early.
+                if budget_left is not None and budget_left <= 0 and not running:
+                    break
+                # Sleep until a result, a death, a deadline or a backoff ends.
+                wake = [r.deadline for r in running.values() if r.deadline is not None]
+                if len(running) < config.workers and (
+                    budget_left is None or budget_left > 0
+                ):
+                    wake += [p.eligible_at for p in pending]
+                timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
+                if not running:
+                    time.sleep(timeout or 0.0)
+                    continue
+                ready = set(wait(
+                    [r.worker.conn for r in running.values()]
+                    + [r.worker.proc.sentinel for r in running.values()],
+                    timeout,
+                ))
+
+                now = time.monotonic()
+                for job_id, run in list(running.items()):
+                    worker = run.worker
+                    dead = worker.proc.sentinel in ready
+                    if dead or worker.conn in ready:
+                        # A dying worker's pipe reads as EOF: a crash.
+                        try:
+                            message = worker.conn.recv() if worker.conn.poll() else None
+                        except (EOFError, OSError):
+                            message = None
+                        del running[job_id]
+                        if message is None or dead:
+                            worker.reap(terminate=False)
+                        else:
+                            self._idle.append(worker)
+                        if message is None:
+                            crash = JobCrashError(job_id, worker.proc.exitcode, run.number)
+                            message = ("error", crash.payload())
+                        settle(run, *message)
+                    elif run.deadline is not None and now >= run.deadline:
+                        worker.reap(terminate=True)
+                        del running[job_id]
+                        self._beat("timeout", job_id, run.number)
+                        late = JobTimeoutError(job_id, config.timeout_s, run.number)
+                        settle(run, "error", late.payload())
+        finally:
+            for run in running.values():
+                run.worker.reap(terminate=True)
+            running.clear()
+
+        outcomes: List[JobOutcome] = []
+        for job in jobs:
+            outcome = replayed.get(job.job_id) or fresh.get(job.job_id)
+            if outcome is not None:
+                outcomes.append(outcome)
+        complete = len(outcomes) == len(jobs)
+        if complete:
+            # Early-stopped runs (max_jobs) keep their honest fraction.
+            tracker.finish()
+        return CampaignResult(
+            outcomes=outcomes,
+            journal_path=str(config.journal) if config.journal is not None else None,
+            pool_mode=self.pool_mode or "inline",
+            complete=complete,
+        )
 
 
 def run_campaign(
     jobs: Sequence[CampaignJob],
-    journal_path: Optional[Union[str, Path]] = None,
-    workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-    fault_plan: Optional[FaultPlan] = None,
-    resume: bool = True,
-    retry_quarantined: bool = False,
-    start_method: Optional[str] = None,
+    config: CampaignConfig,
     max_jobs: Optional[int] = None,
     header_config: Optional[Dict[str, Any]] = None,
-    heartbeats: bool = True,
 ) -> CampaignResult:
-    """Run ``jobs`` with journaling, per-job timeouts, retry, and quarantine.
-
-    Args:
-        jobs: the work list; ids must be unique (they key the journal).
-        journal_path: append-only JSONL journal. ``None`` disables
-            persistence (no resume) but keeps timeout/retry semantics.
-        workers: jobs in flight simultaneously (each in its own process).
-        timeout_s: per-attempt wall-clock budget; ``None`` means no limit.
-        retries: failed attempts retried this many times before the job is
-            quarantined (so a job runs at most ``retries + 1`` times).
-        backoff_s / backoff_factor: attempt ``n`` (0-based) re-queues
-            after ``backoff_s * backoff_factor**n`` seconds.
-        fault_plan: deterministic fault schedule for tests.
-        resume: skip jobs that already have a terminal journal record.
-        retry_quarantined: treat journaled quarantines as pending again.
-        start_method: force "fork" or "spawn"; default tries both, then
-            degrades to inline execution (no timeout enforcement).
-        max_jobs: stop launching new work after this many *fresh* terminal
-            outcomes (interruption simulation / chunked execution); the
-            result's ``complete`` flag reports whether work remains.
-        header_config: when given, a ``kind: "campaign"`` header carrying
-            this config is appended (marked ``resumed`` on a non-empty
-            journal) — the batch CLI uses it so ``campaign resume`` can
-            rebuild the job list from the journal alone.
-        heartbeats: append ``kind: "heartbeat"`` lifecycle records
-            (start/retry/timeout/ok/quarantine, one per event) to the
-            journal so ``campaign_status`` / ``repro campaign status``
-            can report live per-job progress while the run is in flight.
-
-    Every journal record carries both ``time`` (wall clock, for humans)
-    and ``monotonic_s`` (``time.monotonic()``, for durations): deltas
-    between monotonic stamps written by the same driver process are
-    immune to NTP steps and suspend/resume wall-clock jumps.
-
-    Returns:
-        A :class:`CampaignResult` with one terminal outcome per processed
-        job, in the order jobs were given.
-    """
-    if workers < 1:
-        raise CampaignError("workers must be >= 1")
-    if retries < 0:
-        raise CampaignError("retries must be >= 0")
-    ids = [job.job_id for job in jobs]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise CampaignError(f"duplicate job ids: {dupes}")
-
-    journal = Journal(journal_path) if journal_path is not None else None
-    replayed: Dict[str, JobOutcome] = {}
-    if journal is not None:
-        existing = journal.terminal_jobs() if resume else {}
-        had_records = journal.exists() and bool(journal.read())
-        if header_config is not None or not had_records:
-            header: Dict[str, Any] = {
-                "kind": "campaign",
-                "config": header_config or {},
-                "jobs": ids,
-                "time": time.time(),
-                "monotonic_s": time.monotonic(),
-            }
-            if had_records:
-                header["resumed"] = True
-            journal.append(header)
-        for job_id, record in existing.items():
-            if record["status"] == "quarantined" and retry_quarantined:
-                continue
-            replayed[job_id] = JobOutcome.from_record(record)
-
-    pending: Deque[_Pending] = deque(
-        _Pending(job=job) for job in jobs if job.job_id not in replayed
-    )
-    context, pool_mode = (None, "inline")
-    if pending:
-        context, pool_mode = _pick_context(start_method)
-        if context is None and timeout_s is not None:
-            logger.warning(
-                "campaign: timeout_s=%s cannot be enforced in inline mode",
-                timeout_s,
-            )
-
-    fresh: Dict[str, JobOutcome] = {}
-    running: Dict[str, _Running] = {}
-    budget_left = max_jobs if max_jobs is not None else None
-
-    # One unit per job; journal-replayed jobs count as already done, so a
-    # resumed campaign starts at the fraction it previously reached.
-    tracker = ProgressTracker(driver="campaign", total_units=len(jobs))
-    if replayed:
-        tracker.advance(len(replayed))
-
-    def beat(event: str, job_id: str, attempt: int) -> None:
-        """Record one lifecycle event: registry counter + journal record."""
-        obs.inc("campaign.events", event=event)
-        if journal is None or not heartbeats:
-            return
-        journal.append(
-            {
-                "kind": "heartbeat",
-                "event": event,
-                "job_id": job_id,
-                "attempt": attempt,
-                "time": time.time(),
-                "monotonic_s": time.monotonic(),
-            }
-        )
-
-    def finish(
-        pend_or_run, status: str, attempt: int, payload: Dict[str, Any]
-    ) -> None:
-        nonlocal budget_left
-        job = pend_or_run.job
-        now = time.monotonic()
-        elapsed = now - (pend_or_run.started_first or now)
-        outcome = JobOutcome(
-            job_id=job.job_id,
-            status=status,
-            attempts=attempt + 1,
-            elapsed_s=elapsed,
-        )
-        if status == "ok":
-            outcome.metrics = payload["metrics"]
-            outcome.mapping = payload["mapping"]
-            outcome.num_evaluated = payload["num_evaluated"]
-            outcome.num_valid = payload["num_valid"]
-        else:
-            outcome.error = payload
-        beat("ok" if status == "ok" else "quarantine", job.job_id, attempt)
-        if journal is not None:
-            record = outcome.record(job)
-            record["time"] = time.time()
-            record["monotonic_s"] = time.monotonic()
-            journal.append(record)
-        fresh[job.job_id] = outcome
-        tracker.advance(1)
-        if budget_left is not None:
-            budget_left -= 1
-
-    def fail_attempt(job: CampaignJob, attempt: int, payload: Dict[str, Any],
-                     started_first: float) -> None:
-        """Journal a failed attempt; re-queue with backoff or quarantine."""
-        if journal is not None:
-            journal.append(
-                {
-                    "kind": "attempt",
-                    "job_id": job.job_id,
-                    "attempt": attempt,
-                    "error": payload,
-                    "time": time.time(),
-                    "monotonic_s": time.monotonic(),
-                }
-            )
-        if attempt < retries:
-            beat("retry", job.job_id, attempt)
-            delay = backoff_s * (backoff_factor ** attempt)
-            logger.info(
-                "campaign: job %r attempt %d failed (%s); retrying in %.2fs",
-                job.job_id, attempt, payload.get("type"), delay,
-            )
-            pending.append(
-                _Pending(
-                    job=job,
-                    attempt=attempt + 1,
-                    eligible_at=time.monotonic() + delay,
-                    started_first=started_first,
-                )
-            )
-        else:
-            logger.warning(
-                "campaign: job %r quarantined after %d attempts (%s)",
-                job.job_id, attempt + 1, payload.get("type"),
-            )
-            holder = _Pending(job=job, started_first=started_first)
-            finish(holder, "quarantined", attempt, payload)
-
-    def reap(run: _Running) -> None:
-        run.proc.terminate()
-        run.proc.join(_REAP_GRACE_S)
-        if run.proc.is_alive():
-            run.proc.kill()
-            run.proc.join()
-
-    try:
-        while pending or running:
-            now = time.monotonic()
-            progressed = False
-
-            # Launch eligible pending jobs into free slots.
-            eligible = [p for p in pending if p.eligible_at <= now]
-            while (
-                eligible
-                and len(running) < workers
-                and (budget_left is None or budget_left > 0)
-            ):
-                item = eligible.pop(0)
-                pending.remove(item)
-                started = time.monotonic()
-                started_first = (
-                    item.started_first if item.started_first is not None else started
-                )
-                beat("start", item.job.job_id, item.attempt)
-                if context is None:
-                    # Inline mode: synchronous, no timeout enforcement.
-                    status, payload = _run_job_guarded(
-                        item.job, item.attempt, fault_plan
-                    )
-                    if status == "ok":
-                        holder = _Pending(
-                            job=item.job, started_first=started_first
-                        )
-                        finish(holder, "ok", item.attempt, payload)
-                    else:
-                        fail_attempt(
-                            item.job, item.attempt, payload, started_first
-                        )
-                    progressed = True
-                    continue
-                parent_conn, child_conn = context.Pipe(duplex=False)
-                proc = context.Process(
-                    target=_job_entry,
-                    args=(item.job, item.attempt, fault_plan, child_conn),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                running[item.job.job_id] = _Running(
-                    job=item.job,
-                    attempt=item.attempt,
-                    proc=proc,
-                    conn=parent_conn,
-                    started=started,
-                    started_first=started_first,
-                    deadline=(started + timeout_s) if timeout_s else None,
-                )
-                progressed = True
-
-            # Poll running jobs for completion, crash, or timeout.
-            now = time.monotonic()
-            for job_id, run in list(running.items()):
-                if not run.proc.is_alive():
-                    run.proc.join()
-                    # A crashed worker's pipe reports readable at EOF, so
-                    # poll() alone cannot distinguish "sent a result" from
-                    # "died mid-write": treat EOF/short reads as a crash.
-                    try:
-                        message = run.conn.recv() if run.conn.poll() else None
-                    except (EOFError, OSError):
-                        message = None
-                    run.conn.close()
-                    del running[job_id]
-                    progressed = True
-                    if message is None:
-                        crash = JobCrashError(
-                            job_id, run.proc.exitcode, run.attempt
-                        )
-                        fail_attempt(
-                            run.job, run.attempt, crash.payload(),
-                            run.started_first,
-                        )
-                    else:
-                        status, payload = message
-                        if status == "ok":
-                            holder = _Pending(
-                                job=run.job, started_first=run.started_first
-                            )
-                            finish(holder, "ok", run.attempt, payload)
-                        else:
-                            fail_attempt(
-                                run.job, run.attempt, payload,
-                                run.started_first,
-                            )
-                elif run.deadline is not None and now >= run.deadline:
-                    reap(run)
-                    run.conn.close()
-                    del running[job_id]
-                    progressed = True
-                    beat("timeout", job_id, run.attempt)
-                    timeout = JobTimeoutError(job_id, timeout_s, run.attempt)
-                    fail_attempt(
-                        run.job, run.attempt, timeout.payload(),
-                        run.started_first,
-                    )
-
-            # Out of budget with nothing in flight: stop early.
-            if budget_left is not None and budget_left <= 0 and not running:
-                break
-            if not progressed:
-                time.sleep(_POLL_INTERVAL_S)
-    finally:
-        for run in running.values():
-            reap(run)
-            run.conn.close()
-
-    outcomes: List[JobOutcome] = []
-    for job in jobs:
-        outcome = replayed.get(job.job_id) or fresh.get(job.job_id)
-        if outcome is not None:
-            outcomes.append(outcome)
-    complete = len(outcomes) == len(jobs)
-    if complete:
-        # Early-stopped runs (max_jobs) keep their honest fraction.
-        tracker.finish()
-    return CampaignResult(
-        outcomes=outcomes,
-        journal_path=str(journal_path) if journal_path is not None else None,
-        pool_mode=pool_mode,
-        complete=complete,
-    )
+    """Run ``jobs`` in one :class:`CampaignSession` (see its :meth:`~CampaignSession.run`)."""
+    with closing(CampaignSession(config)) as session:
+        return session.run(jobs, max_jobs=max_jobs, header_config=header_config)
 
 
 # ------------------------------------------------------------------ status
@@ -748,12 +783,10 @@ def campaign_status(journal_path: Union[str, Path]) -> Dict[str, Any]:
     job lists (scoped experiment runs may append several) plus every job
     id that shows up in an attempt, heartbeat, or terminal record.
 
-    Heartbeat records (when the campaign ran with ``heartbeats=True``)
-    additionally yield per-job lifecycle ``counters`` (start / retry /
-    timeout / ok / quarantine events) and a ``running`` list: jobs whose
-    latest started attempt has neither failed nor reached a terminal
-    record yet — i.e. what is in flight *right now* while the journal is
-    still being written.
+    Heartbeat records yield per-job lifecycle ``counters`` (start /
+    retry / timeout / ok / quarantine events) and a ``running`` list:
+    jobs whose latest started attempt has neither failed nor reached a
+    terminal record yet, i.e. what is in flight right now.
 
     One-shot wrapper over :class:`CampaignStatusTracker`; followers that
     poll repeatedly should hold a tracker instead so each poll reads
@@ -765,81 +798,35 @@ def campaign_status(journal_path: Union[str, Path]) -> Dict[str, Any]:
 # ------------------------------------------- experiment-driver integration
 
 
-@dataclass
-class CampaignConfig:
-    """Fault-tolerance settings the experiment drivers thread through.
-
-    Passing one of these to ``run_fig8`` … ``run_fig13`` (or entering a
-    :func:`campaign_scope`) makes every per-layer search inside run as a
-    journaled campaign job with timeout/retry/quarantine semantics.
-    """
-
-    journal: Union[str, Path]
-    timeout_s: Optional[float] = None
-    retries: int = DEFAULT_RETRIES
-    backoff_s: float = DEFAULT_BACKOFF_S
-    backoff_factor: float = DEFAULT_BACKOFF_FACTOR
-    start_method: Optional[str] = None
-    fault_plan: Optional[FaultPlan] = None
-    retry_quarantined: bool = False
-    heartbeats: bool = True
+_ACTIVE_SESSION: Optional[CampaignSession] = None
 
 
-_ACTIVE_CONFIG: Optional[CampaignConfig] = None
-
-
-def active_campaign() -> Optional[CampaignConfig]:
-    """The campaign config installed by the innermost :func:`campaign_scope`."""
-    return _ACTIVE_CONFIG
+def active_session() -> Optional[CampaignSession]:
+    """The session opened by the innermost :func:`campaign_scope`."""
+    return _ACTIVE_SESSION
 
 
 @contextmanager
-def campaign_scope(config: Optional[CampaignConfig]) -> Iterator[None]:
-    """Install ``config`` as the ambient campaign for nested searches.
+def campaign_scope(
+    config: Optional[CampaignConfig],
+) -> Iterator[Optional[CampaignSession]]:
+    """Open a :class:`CampaignSession` for the searches nested inside.
 
-    ``None`` is a no-op scope, so drivers can wrap their bodies
+    The session is closed (its workers stopped) at scope exit. ``None``
+    keeps the enclosing session, if any, so drivers can wrap their bodies
     unconditionally: ``with campaign_scope(campaign): ...``.
     """
-    global _ACTIVE_CONFIG
-    previous = _ACTIVE_CONFIG
-    if config is not None:
-        _ACTIVE_CONFIG = config
-    try:
-        yield
-    finally:
-        _ACTIVE_CONFIG = previous
-
-
-def run_job_under_scope(config: CampaignConfig, job: CampaignJob):
-    """Run one scoped job and return its best :class:`Evaluation`.
-
-    The job executes (or replays from the journal) under the scope's
-    timeout/retry settings. A quarantined job raises
-    :class:`CampaignError` — an experiment cannot compute its figure with
-    a layer missing — but the journal keeps every other job's result, so
-    a rerun resumes instead of starting over.
-    """
-    result = run_campaign(
-        [job],
-        journal_path=config.journal,
-        workers=1,
-        timeout_s=config.timeout_s,
-        retries=config.retries,
-        backoff_s=config.backoff_s,
-        backoff_factor=config.backoff_factor,
-        fault_plan=config.fault_plan,
-        resume=True,
-        retry_quarantined=config.retry_quarantined,
-        start_method=config.start_method,
-        heartbeats=config.heartbeats,
-    )
-    outcome = result.outcomes[0]
-    if not outcome.ok:
-        raise CampaignError(
-            f"job {job.job_id!r} quarantined after {outcome.attempts} "
-            f"attempts: {outcome.error and outcome.error.get('message')}"
-        )
-    return evaluation_from_outcome(job, outcome)
+    global _ACTIVE_SESSION
+    if config is None:
+        yield _ACTIVE_SESSION
+        return
+    previous = _ACTIVE_SESSION
+    with closing(CampaignSession(config)) as session:
+        _ACTIVE_SESSION = session
+        try:
+            yield session
+        finally:
+            _ACTIVE_SESSION = previous
 
 
 def evaluation_from_outcome(job: CampaignJob, outcome: JobOutcome):

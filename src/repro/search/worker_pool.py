@@ -100,6 +100,27 @@ def spawn_usable() -> bool:
     return bool(main_file) and os.path.exists(main_file)
 
 
+def start_contexts(start_method: Optional[str]) -> Iterator[Tuple[Any, str]]:
+    """Yield ``(context, method)`` per usable start method: ``start_method``
+    alone when forced, else :data:`START_METHODS` in order (spawn only when
+    :func:`spawn_usable`). An exhausted ladder means running in-process."""
+    for method in (start_method,) if start_method else START_METHODS:
+        if method == "spawn" and not spawn_usable():
+            logger.warning(
+                "spawn start method skipped: __main__ is not importable "
+                "(interactive session?)"
+            )
+            continue
+        try:
+            import multiprocessing
+
+            context = multiprocessing.get_context(method)
+        except (ImportError, ValueError) as error:
+            logger.debug("start method %r unavailable: %s", method, error)
+            continue
+        yield context, method
+
+
 def run_jobs(
     entry: Callable[[Dict[str, Any], Any], Any],
     state: Dict[str, Any],
@@ -141,21 +162,7 @@ def run_jobs(
     job_list = list(jobs)
     factory = shared_factory or (lambda ctx: {})
     if workers > 1 and len(job_list) > 1:
-        methods = (start_method,) if start_method else START_METHODS
-        for method in methods:
-            if method == "spawn" and not spawn_usable():
-                logger.warning(
-                    "spawn start method skipped: __main__ is not importable "
-                    "(interactive session?)"
-                )
-                continue
-            try:
-                import multiprocessing
-
-                context = multiprocessing.get_context(method)
-            except (ImportError, ValueError) as error:
-                logger.debug("start method %r unavailable: %s", method, error)
-                continue
+        for context, method in start_contexts(start_method):
             try:
                 shared = factory(context)
                 full_state = {**state, **shared} if shared else state

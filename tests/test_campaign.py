@@ -84,7 +84,10 @@ class TestJournal:
 class TestRunCampaign:
     def test_small_campaign_completes(self, tmp_path):
         jobs = [_job("a", 60), _job("b", 100)]
-        result = run_campaign(jobs, journal_path=tmp_path / "j.jsonl")
+        result = run_campaign(
+            jobs,
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
+        )
         assert result.complete
         assert result.num_ok == 2
         assert set(result.best_edp()) == {"a", "b"}
@@ -94,12 +97,18 @@ class TestRunCampaign:
 
     def test_duplicate_job_ids_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="duplicate"):
-            run_campaign([_job("a"), _job("a")])
+            run_campaign([_job("a"), _job("a")], CampaignConfig())
 
     def test_resume_replays_identical_metrics(self, tmp_path):
         jobs = [_job("a", 60), _job("b", 100)]
-        first = run_campaign(jobs, journal_path=tmp_path / "j.jsonl")
-        second = run_campaign(jobs, journal_path=tmp_path / "j.jsonl")
+        first = run_campaign(
+            jobs,
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
+        )
+        second = run_campaign(
+            jobs,
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
+        )
         assert second.num_resumed == 2
         assert all(o.from_journal for o in second.outcomes)
         assert second.best_edp() == first.best_edp()
@@ -107,15 +116,23 @@ class TestRunCampaign:
     def test_interrupted_campaign_resume_parity(self, tmp_path):
         """A campaign cut short mid-run finishes to the same best EDPs."""
         jobs = [_job("a", 60), _job("b", 100), _job("c", 113)]
-        reference = run_campaign(jobs, journal_path=tmp_path / "ref.jsonl")
+        reference = run_campaign(
+            jobs,
+            CampaignConfig(journal=tmp_path / "ref.jsonl"),
+        )
 
         partial = run_campaign(
-            jobs, journal_path=tmp_path / "cut.jsonl", max_jobs=1
+            jobs,
+            CampaignConfig(journal=tmp_path / "cut.jsonl"),
+            max_jobs=1,
         )
         assert not partial.complete
         assert len(partial.outcomes) < len(jobs)
 
-        resumed = run_campaign(jobs, journal_path=tmp_path / "cut.jsonl")
+        resumed = run_campaign(
+            jobs,
+            CampaignConfig(journal=tmp_path / "cut.jsonl"),
+        )
         assert resumed.complete
         assert resumed.num_resumed >= 1
         assert resumed.best_edp() == reference.best_edp()
@@ -126,9 +143,11 @@ class TestRunCampaign:
         jobs = [_infeasible_job("doomed"), _job("fine", 60)]
         result = run_campaign(
             jobs,
-            journal_path=tmp_path / "j.jsonl",
-            retries=0,
-            backoff_s=0.01,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=0,
+                backoff_s=0.01,
+            ),
         )
         assert result.complete
         doomed = result.by_id()["doomed"]
@@ -143,10 +162,12 @@ class TestRunCampaign:
         )
         result = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=2,
-            backoff_s=0.01,
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=2,
+                backoff_s=0.01,
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.status == "quarantined"
@@ -161,13 +182,15 @@ class TestRunCampaign:
 
     def test_transient_fault_retried_to_success(self, tmp_path):
         plan = FaultPlan([Fault("a", 0, "raise", message="transient")])
-        clean = run_campaign([_job("a", 60)])
+        clean = run_campaign([_job("a", 60)], CampaignConfig())
         result = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=2,
-            backoff_s=0.01,
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=2,
+                backoff_s=0.01,
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.ok
@@ -180,21 +203,28 @@ class TestRunCampaign:
         )
         first = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=1,
-            backoff_s=0.01,
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=1,
+                backoff_s=0.01,
+                fault_plan=plan,
+            ),
         )
         assert first.by_id()["a"].status == "quarantined"
 
-        kept = run_campaign([_job("a", 60)], journal_path=tmp_path / "j.jsonl")
+        kept = run_campaign(
+            [_job("a", 60)],
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
+        )
         assert kept.by_id()["a"].status == "quarantined"
         assert kept.by_id()["a"].from_journal
 
         rescued = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retry_quarantined=True,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retry_quarantined=True,
+            ),
         )
         assert rescued.by_id()["a"].ok
 
@@ -211,12 +241,14 @@ class TestProcessIsolation:
         )
         result = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            timeout_s=0.4,
-            retries=1,
-            backoff_s=0.01,
-            start_method="fork",
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                timeout_s=0.4,
+                retries=1,
+                backoff_s=0.01,
+                start_method="fork",
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.status == "quarantined"
@@ -228,11 +260,13 @@ class TestProcessIsolation:
         plan = FaultPlan([Fault("a", 0, "hang", seconds=60.0)])
         result = run_campaign(
             [_job("a", 60)],
-            timeout_s=0.4,
-            retries=1,
-            backoff_s=0.01,
-            start_method="fork",
-            fault_plan=plan,
+            CampaignConfig(
+                timeout_s=0.4,
+                retries=1,
+                backoff_s=0.01,
+                start_method="fork",
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.ok
@@ -240,14 +274,16 @@ class TestProcessIsolation:
 
     def test_worker_crash_detected_and_retried(self, tmp_path):
         plan = FaultPlan([Fault("a", 0, "crash")])
-        clean = run_campaign([_job("a", 60)])
+        clean = run_campaign([_job("a", 60)], CampaignConfig())
         result = run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=1,
-            backoff_s=0.01,
-            start_method="fork",
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=1,
+                backoff_s=0.01,
+                start_method="fork",
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.ok
@@ -263,10 +299,12 @@ class TestProcessIsolation:
         plan = FaultPlan([Fault("a", attempt, "crash") for attempt in range(2)])
         result = run_campaign(
             [_job("a", 60)],
-            retries=1,
-            backoff_s=0.01,
-            start_method="fork",
-            fault_plan=plan,
+            CampaignConfig(
+                retries=1,
+                backoff_s=0.01,
+                start_method="fork",
+                fault_plan=plan,
+            ),
         )
         outcome = result.by_id()["a"]
         assert outcome.status == "quarantined"
@@ -279,7 +317,7 @@ class TestCampaignStatus:
         jobs = [_job("a", 60), _job("b", 100), _job("c", 113)]
         run_campaign(
             jobs,
-            journal_path=tmp_path / "j.jsonl",
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
             max_jobs=1,
             header_config={"suite": "test"},
         )
@@ -377,7 +415,10 @@ class TestHeartbeats:
     REQUIRED_KEYS = {"kind", "event", "job_id", "attempt", "time", "monotonic_s"}
 
     def test_heartbeats_written_with_required_keys(self, tmp_path):
-        run_campaign([_job("a", 60)], journal_path=tmp_path / "j.jsonl")
+        run_campaign(
+            [_job("a", 60)],
+            CampaignConfig(journal=tmp_path / "j.jsonl"),
+        )
         beats = [
             r
             for r in Journal(tmp_path / "j.jsonl").read()
@@ -396,10 +437,12 @@ class TestHeartbeats:
         )
         run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=1,
-            backoff_s=0.01,
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=1,
+                backoff_s=0.01,
+                fault_plan=plan,
+            ),
         )
         events = [
             r["event"]
@@ -408,23 +451,16 @@ class TestHeartbeats:
         ]
         assert events == ["start", "retry", "start", "quarantine"]
 
-    def test_heartbeats_false_suppresses_records(self, tmp_path):
-        run_campaign(
-            [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            heartbeats=False,
-        )
-        kinds = {r.get("kind") for r in Journal(tmp_path / "j.jsonl").read()}
-        assert "heartbeat" not in kinds
-
     def test_all_journal_records_carry_monotonic_s(self, tmp_path):
         plan = FaultPlan([Fault("a", 0, "raise", message="transient")])
         run_campaign(
             [_job("a", 60)],
-            journal_path=tmp_path / "j.jsonl",
-            retries=1,
-            backoff_s=0.01,
-            fault_plan=plan,
+            CampaignConfig(
+                journal=tmp_path / "j.jsonl",
+                retries=1,
+                backoff_s=0.01,
+                fault_plan=plan,
+            ),
         )
         for record in Journal(tmp_path / "j.jsonl").read():
             assert "monotonic_s" in record, record["kind"]
@@ -432,7 +468,10 @@ class TestHeartbeats:
 
     def test_status_reports_counters_and_running(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        run_campaign([_job("a", 60), _job("b", 100)], journal_path=path)
+        run_campaign(
+            [_job("a", 60), _job("b", 100)],
+            CampaignConfig(journal=path),
+        )
         status = campaign_status(path)
         assert status["running"] == []
         assert status["counters"]["a"] == {"start": 1, "ok": 1}
@@ -466,7 +505,10 @@ class TestHeartbeats:
 
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            run_campaign([_job("a", 60)], journal_path=tmp_path / "j.jsonl")
+            run_campaign(
+                [_job("a", 60)],
+                CampaignConfig(journal=tmp_path / "j.jsonl"),
+            )
         counter = registry.counter("campaign.events")
         assert counter.value(event="start") == 1.0
         assert counter.value(event="ok") == 1.0
@@ -536,7 +578,7 @@ class TestCampaignStatusTracker:
 
         path = tmp_path / "j.jsonl"
         jobs = [_job("a", 60), _job("b", 100)]
-        run_campaign(jobs, journal_path=path, max_jobs=1)
+        run_campaign(jobs, CampaignConfig(journal=path), max_jobs=1)
 
         tracker = CampaignStatusTracker(path)
         partial = tracker.poll()
@@ -547,7 +589,7 @@ class TestCampaignStatusTracker:
         # Re-polling a quiet journal folds nothing and stays identical.
         assert tracker.poll() == partial
 
-        run_campaign(jobs, journal_path=path)
+        run_campaign(jobs, CampaignConfig(journal=path))
         final = tracker.poll()
         assert final == campaign_status(path)
         assert final["complete"]
@@ -596,3 +638,137 @@ class TestCampaignStatusTracker:
         status = tracker.poll()
         assert status["total"] == 1
         assert status["pending"] == ["a"]
+
+
+class TestCampaignConfig:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"timeout_s": -1},
+            {"timeout_s": 0},
+            {"timeout_s": True},
+            {"timeout_s": "5"},
+            {"retries": -1},
+            {"retries": 1.5},
+            {"retries": True},
+            {"backoff_s": -0.1},
+            {"backoff_s": float("nan")},
+            {"backoff_s": False},
+            {"workers": 0},
+            {"workers": 2.0},
+            {"workers": True},
+        ],
+    )
+    def test_bad_settings_rejected_when_built(self, settings):
+        with pytest.raises(CampaignError, match=next(iter(settings))):
+            CampaignConfig(**settings)
+
+    def test_good_settings_accepted(self):
+        config = CampaignConfig(
+            timeout_s=0.5, retries=0, backoff_s=0, workers=3
+        )
+        assert config.workers == 3
+
+
+def _record_pid_search(monkeypatch, path):
+    """Patch ``search_job`` to append the running process id to ``path``."""
+    import repro.search.campaign as campaign
+
+    original = campaign.search_job
+
+    def search_job(job):
+        with open(path, "a") as handle:
+            handle.write(f"{job.job_id} {os.getpid()}\n")
+        return original(job)
+
+    monkeypatch.setattr(campaign, "search_job", search_job)
+
+
+def _pids(path):
+    return dict(line.split() for line in path.read_text().splitlines())
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="worker sessions need fork here"
+)
+class TestCampaignSession:
+    """A scope is one session: one journal read, long-lived workers."""
+
+    JOBS = [("a", 60), ("b", 100), ("c", 113), ("d", 96)]
+
+    def test_scope_runs_jobs_in_one_worker(self, tmp_path, monkeypatch):
+        _record_pid_search(monkeypatch, tmp_path / "pids")
+        config = CampaignConfig(
+            journal=tmp_path / "j.jsonl", start_method="fork"
+        )
+        with campaign_scope(config) as session:
+            for job_id, size in self.JOBS:
+                session.submit(_job(job_id, size))
+        pids = set(_pids(tmp_path / "pids").values())
+        assert len(pids) == 1
+        assert pids != {str(os.getpid())}
+
+    def test_scope_reads_journal_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = Journal.read
+
+        def read(self):
+            calls.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(Journal, "read", read)
+        with campaign_scope(CampaignConfig(journal=tmp_path / "j.jsonl")) as s:
+            for job_id, size in self.JOBS:
+                s.submit(_job(job_id, size))
+        assert len(calls) == 1
+
+    def test_crash_and_hang_cost_only_their_attempt(self, tmp_path, monkeypatch):
+        from repro.search.campaign import search_job
+
+        direct = {
+            job_id: search_job(_job(job_id, size))[0].edp
+            for job_id, size in self.JOBS
+        }
+        _record_pid_search(monkeypatch, tmp_path / "pids")
+        plan = FaultPlan(
+            [Fault("a", 0, "crash"), Fault("b", 0, "hang", seconds=60.0)]
+        )
+        config = CampaignConfig(
+            journal=tmp_path / "j.jsonl",
+            timeout_s=2.0,
+            retries=1,
+            backoff_s=0.01,
+            start_method="fork",
+            fault_plan=plan,
+        )
+        with campaign_scope(config) as session:
+            scoped = {
+                job_id: session.submit(_job(job_id, size)).edp
+                for job_id, size in self.JOBS
+            }
+        assert scoped == direct
+        records = Journal(tmp_path / "j.jsonl").read()
+        failures = [
+            (r["job_id"], r["error"]["type"])
+            for r in records if r["kind"] == "attempt"
+        ]
+        assert failures == [("a", "JobCrashError"), ("b", "JobTimeoutError")]
+        attempts = {
+            r["job_id"]: r["attempts"] for r in records if r["kind"] == "job"
+        }
+        assert attempts == {"a": 2, "b": 2, "c": 1, "d": 1}
+        # Each failure respawned the worker; c and d reuse b's retry worker.
+        pids = _pids(tmp_path / "pids")
+        assert pids["a"] != pids["b"]
+        assert pids["b"] == pids["c"] == pids["d"]
+
+    def test_no_worker_outlives_the_scope(self, tmp_path):
+        import multiprocessing
+
+        config = CampaignConfig(
+            journal=tmp_path / "j.jsonl", start_method="fork"
+        )
+        with campaign_scope(config) as session:
+            session.submit(_job("a", 60))
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []

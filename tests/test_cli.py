@@ -287,6 +287,47 @@ class TestCampaignCommand:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--timeout", "-1"],
+            ["--timeout", "0"],
+            ["--workers", "0"],
+            ["--retries", "-1"],
+            ["--backoff", "-0.5"],
+        ],
+    )
+    def test_bad_settings_fail_before_any_job(self, tmp_path, capsys, extra):
+        code, journal = self._run_toy(tmp_path, extra=extra)
+        assert code == 8  # CampaignError
+        assert "CampaignError" in capsys.readouterr().err
+        assert not journal.exists()
+
+    def test_resume_bad_settings_fail_before_any_job(self, tmp_path, capsys):
+        code, journal = self._run_toy(tmp_path)
+        assert code == 0
+        before = journal.read_text()
+        capsys.readouterr()
+        code = main(
+            ["campaign", "resume", "--journal", str(journal), "--workers", "0"]
+        )
+        assert code == 8
+        assert "workers" in capsys.readouterr().err
+        assert journal.read_text() == before
+
+    def test_experiment_bad_timeout_fails_before_any_job(self, tmp_path, capsys):
+        journal = tmp_path / "fig.jsonl"
+        code = main(
+            [
+                "experiment", "fig13", "--suite", "deepbench",
+                "--budget", "10", "--journal", str(journal),
+                "--timeout", "0",
+            ]
+        )
+        assert code == 8
+        assert "timeout_s" in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_resume_requires_suite_header(self, tmp_path, capsys):
         from repro.io.journal import Journal
 
