@@ -121,8 +121,10 @@ obs-smoke:
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py
 
+# The examples import the package from the checkout (no install needed);
+# the loop stops at the first example that fails.
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f; done
+	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 experiments:
 	$(PYTHON) -m repro experiment table1

@@ -17,98 +17,35 @@ Quickstart::
     print(result.best.edp, result.best.utilization)
 """
 
-from repro.arch import (
-    Architecture,
-    ComputeLevel,
-    StorageLevel,
-    eyeriss_like,
-    simba_like,
-    toy_glb_architecture,
-    toy_linear_architecture,
-)
-from repro.core import (
-    Mapper,
-    MapperConfig,
-    find_best_mapping,
-    sweep_pe_arrays,
-)
-from repro.energy import (
-    EnergyTable,
-    estimate_area_mm2,
-    estimate_energy_table,
-)
-from repro.mapping import (
-    Loop,
-    Mapping,
-    is_valid_mapping,
-    render_mapping,
-)
-from repro.mapspace import (
-    ConstraintSet,
-    MapSpace,
-    MapspaceKind,
-    count_mapspace_sizes,
-    make_mapspace,
-    pfm_mapspace,
-    ruby_mapspace,
-    ruby_s_mapspace,
-    ruby_t_mapspace,
-)
-from repro.model import Evaluation, Evaluator
-from repro.problem import (
-    ConvLayer,
-    GemmLayer,
-    TensorSpec,
-    Workload,
-    pad_dimension,
-)
-from repro.search import (
-    ExhaustiveSearch,
-    GeneticSearch,
-    RandomSearch,
-    SearchResult,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Architecture",
-    "ComputeLevel",
-    "StorageLevel",
-    "eyeriss_like",
-    "simba_like",
-    "toy_glb_architecture",
-    "toy_linear_architecture",
-    "Mapper",
-    "MapperConfig",
-    "find_best_mapping",
-    "sweep_pe_arrays",
-    "EnergyTable",
-    "estimate_area_mm2",
-    "estimate_energy_table",
-    "Loop",
-    "Mapping",
-    "is_valid_mapping",
-    "render_mapping",
-    "ConstraintSet",
-    "MapSpace",
-    "MapspaceKind",
-    "count_mapspace_sizes",
-    "make_mapspace",
-    "pfm_mapspace",
-    "ruby_mapspace",
-    "ruby_s_mapspace",
-    "ruby_t_mapspace",
-    "Evaluation",
-    "Evaluator",
-    "ConvLayer",
-    "GemmLayer",
-    "TensorSpec",
-    "Workload",
-    "pad_dimension",
-    "SearchResult",
-    "RandomSearch",
-    "ExhaustiveSearch",
-    "GeneticSearch",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".arch": (
+        "Architecture",
+        "ComputeLevel",
+        "StorageLevel",
+        "eyeriss_like",
+        "simba_like",
+        "toy_glb_architecture",
+        "toy_linear_architecture",
+    ),
+    ".core": ("Mapper", "MapperConfig", "find_best_mapping", "sweep_pe_arrays"),
+    ".energy": ("EnergyTable", "estimate_area_mm2", "estimate_energy_table"),
+    ".mapping": ("Loop", "Mapping", "is_valid_mapping", "render_mapping"),
+    ".mapspace": (
+        "ConstraintSet",
+        "MapSpace",
+        "MapspaceKind",
+        "count_mapspace_sizes",
+        "make_mapspace",
+        "pfm_mapspace",
+        "ruby_mapspace",
+        "ruby_s_mapspace",
+        "ruby_t_mapspace",
+    ),
+    ".model": ("Evaluation", "Evaluator"),
+    ".problem": ("ConvLayer", "GemmLayer", "TensorSpec", "Workload", "pad_dimension"),
+    ".search": ("SearchResult", "RandomSearch", "ExhaustiveSearch", "GeneticSearch"),
+}, own=("__version__",))

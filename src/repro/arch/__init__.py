@@ -10,11 +10,10 @@ stationary accelerator, a Simba-like multi-PE vector-MAC accelerator, and
 the toy linear arrays of Section III.
 """
 
-from repro.arch.level import ComputeLevel, StorageLevel
-from repro.arch.spec import Architecture
+from repro._exports import lazy_exports
 from repro.arch.eyeriss import eyeriss_like
 from repro.arch.simba import simba_like
-from repro.arch.toy import toy_glb_architecture, toy_linear_architecture
+from repro.arch.toy import toy_linear_architecture
 
 #: The named architecture presets, one table for every entry point: the
 #: CLI's ``--arch`` choices and the service's ``"arch": "<name>"``
@@ -26,13 +25,10 @@ ARCH_PRESETS = {
     "toy9": lambda: toy_linear_architecture(9),
 }
 
-__all__ = [
-    "ARCH_PRESETS",
-    "ComputeLevel",
-    "StorageLevel",
-    "Architecture",
-    "eyeriss_like",
-    "simba_like",
-    "toy_glb_architecture",
-    "toy_linear_architecture",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".level": ("ComputeLevel", "StorageLevel"),
+    ".spec": ("Architecture",),
+    ".eyeriss": ("eyeriss_like",),
+    ".simba": ("simba_like",),
+    ".toy": ("toy_glb_architecture", "toy_linear_architecture"),
+}, own=("ARCH_PRESETS",))

@@ -54,24 +54,14 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.arch import ARCH_PRESETS
-from repro.core.mapper import STRATEGIES, find_best_mapping
 from repro.exceptions import ReproError
-from repro.io import (
-    architecture_from_dict,
-    load_json,
-    mapping_from_dict,
-    mapping_to_dict,
-    save_json,
-    workload_from_dict,
-    workload_to_dict,
-)
-from repro.mapping.render import render_mapping
-from repro.mapspace.constraints import eyeriss_row_stationary
-from repro.model.evaluator import Evaluator
-from repro.problem.shorthand import shorthand_workload, split_shape
+from repro.search import STRATEGIES
 
 
 def _build_workload(args: argparse.Namespace):
+    from repro.io.serde import load_json, workload_from_dict
+    from repro.problem.shorthand import shorthand_workload, split_shape
+
     if args.workload_json:
         return workload_from_dict(load_json(args.workload_json))
     for op in ("conv", "gemm"):
@@ -82,6 +72,8 @@ def _build_workload(args: argparse.Namespace):
 
 
 def _build_arch(args: argparse.Namespace):
+    from repro.io.serde import architecture_from_dict, load_json
+
     if args.arch_json:
         return architecture_from_dict(load_json(args.arch_json))
     return ARCH_PRESETS[args.arch]()
@@ -168,6 +160,7 @@ def _obs_session(args: argparse.Namespace) -> Iterator[None]:
     if not trace and not metrics_out and serve is None and not progress:
         yield
         return
+    from repro.io.serde import save_json
     from repro.obs import (
         MetricsRegistry,
         ObsServer,
@@ -211,6 +204,11 @@ def _obs_session(args: argparse.Namespace) -> Iterator[None]:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.core.mapper import find_best_mapping
+    from repro.io.serde import mapping_to_dict, save_json, workload_to_dict
+    from repro.mapping.render import render_mapping
+    from repro.mapspace.constraints import eyeriss_row_stationary
+
     arch = _build_arch(args)
     workload = _build_workload(args)
     constraints = (
@@ -261,6 +259,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.io.serde import load_json, mapping_from_dict
+    from repro.mapping.render import render_mapping
+    from repro.model.evaluator import Evaluator
+
     arch = _build_arch(args)
     workload = _build_workload(args)
     mapping = mapping_from_dict(load_json(args.mapping))
@@ -374,6 +376,7 @@ def _parse_seeds(text: str) -> List[int]:
 def _load_fault_plan(path: Optional[str]):
     if not path:
         return None
+    from repro.io.serde import load_json
     from repro.utils.faults import FaultPlan
 
     return FaultPlan.from_dict(load_json(path))
@@ -467,6 +470,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     from repro.exceptions import CampaignError
     from repro.experiments.campaigns import build_campaign_jobs
     from repro.io.journal import Journal
+    from repro.io.serde import architecture_from_dict, load_json
     from repro.search.campaign import run_campaign
 
     header = Journal(args.journal).header()

@@ -1,24 +1,11 @@
 """High-level API: the Mapper facade, DSE sweeps, and reporting."""
 
-from repro.core.mapper import Mapper, MapperConfig, find_best_mapping
-from repro.core.metrics import geometric_mean, normalize_to, improvement_percent
-from repro.core.dse import DesignPoint, SweepResult, sweep_glb_sizes, sweep_pe_arrays
-from repro.core.report import format_table
-from repro.core.plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Mapper",
-    "MapperConfig",
-    "find_best_mapping",
-    "geometric_mean",
-    "normalize_to",
-    "improvement_percent",
-    "DesignPoint",
-    "SweepResult",
-    "sweep_pe_arrays",
-    "sweep_glb_sizes",
-    "format_table",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "ascii_scatter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".mapper": ("Mapper", "MapperConfig", "find_best_mapping"),
+    ".metrics": ("geometric_mean", "normalize_to", "improvement_percent"),
+    ".dse": ("DesignPoint", "SweepResult", "sweep_pe_arrays", "sweep_glb_sizes"),
+    ".report": ("format_table",),
+    ".plots": ("ascii_bar_chart", "ascii_line_chart", "ascii_scatter"),
+})

@@ -26,17 +26,10 @@ from repro.mapspace.factory import make_mapspace
 from repro.mapspace.generator import MapspaceKind
 from repro.model.evaluator import Evaluator
 from repro.problem.workload import Workload
-from repro.search.exhaustive import ExhaustiveSearch
-from repro.search.genetic import GeneticSearch
+from repro.search import POOLED_STRATEGIES, STRATEGIES
 from repro.search.loop import check_int, check_objective
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
-
-#: Search strategies a :class:`MapperConfig` can name.
-STRATEGIES = ("random", "exhaustive", "branch-bound", "genetic", "annealing")
-
-#: Strategies that can fan out over ``MapperConfig.workers`` processes.
-POOLED_STRATEGIES = ("random", "branch-bound")
 
 
 @dataclass(frozen=True)
@@ -209,6 +202,8 @@ class Mapper:
                 batch_engine=self.batch_engine,
             ).run()
         if strategy == "exhaustive":
+            from repro.search.exhaustive import ExhaustiveSearch
+
             return ExhaustiveSearch(
                 self.mapspace,
                 self.evaluator,
@@ -229,6 +224,8 @@ class Mapper:
                 start_method=self.config.start_method,
             ).run()
         if strategy == "genetic":
+            from repro.search.genetic import GeneticSearch
+
             return GeneticSearch(
                 self.mapspace,
                 self.evaluator,

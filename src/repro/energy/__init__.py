@@ -9,19 +9,12 @@ mapspaces evaluated on the same cost model, preserving this ordering
 preserves the paper's shapes.
 """
 
-from repro.energy.sram import sram_access_energy_pj, sram_area_mm2
-from repro.energy.dram import DRAM_ACCESS_PJ, dram_access_energy_pj
-from repro.energy.table import EnergyTable, LevelEnergy
-from repro.energy.accelergy import estimate_energy_table
-from repro.energy.area import estimate_area_mm2
+from repro._exports import lazy_exports
 
-__all__ = [
-    "sram_access_energy_pj",
-    "sram_area_mm2",
-    "DRAM_ACCESS_PJ",
-    "dram_access_energy_pj",
-    "EnergyTable",
-    "LevelEnergy",
-    "estimate_energy_table",
-    "estimate_area_mm2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".sram": ("sram_access_energy_pj", "sram_area_mm2"),
+    ".dram": ("DRAM_ACCESS_PJ", "dram_access_energy_pj"),
+    ".table": ("EnergyTable", "LevelEnergy"),
+    ".accelergy": ("estimate_energy_table",),
+    ".area": ("estimate_area_mm2",),
+})

@@ -17,43 +17,16 @@ pytest-benchmark and asserts the paper's qualitative claims.
 | fig13     | Figs. 13/14    | array sweep: Pareto frontier + improvements     |
 """
 
-from repro.experiments.common import multi_seed_search, best_metrics_by_kind
-from repro.experiments.fig07 import Fig7Result, format_fig7, run_fig7_scenario
-from repro.experiments.table01 import (
-    Table1Result,
-    format_table1,
-    run_table1,
-)
-from repro.experiments.fig08 import Fig8Result, format_fig8, run_fig8
-from repro.experiments.fig09 import Fig9Result, format_fig9, run_fig9
-from repro.experiments.fig10 import LayerComparison, format_fig10, run_fig10
-from repro.experiments.fig11 import format_fig11, run_fig11
-from repro.experiments.fig12 import format_fig12, run_fig12
-from repro.experiments.fig13 import Fig13Result, format_fig13, run_fig13
+from repro._exports import lazy_exports
 
-__all__ = [
-    "multi_seed_search",
-    "best_metrics_by_kind",
-    "Fig7Result",
-    "format_fig7",
-    "run_fig7_scenario",
-    "Table1Result",
-    "format_table1",
-    "run_table1",
-    "Fig8Result",
-    "format_fig8",
-    "run_fig8",
-    "Fig9Result",
-    "format_fig9",
-    "run_fig9",
-    "LayerComparison",
-    "format_fig10",
-    "run_fig10",
-    "format_fig11",
-    "run_fig11",
-    "format_fig12",
-    "run_fig12",
-    "Fig13Result",
-    "format_fig13",
-    "run_fig13",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".common": ("multi_seed_search", "best_metrics_by_kind"),
+    ".fig07": ("Fig7Result", "format_fig7", "run_fig7_scenario"),
+    ".table01": ("Table1Result", "format_table1", "run_table1"),
+    ".fig08": ("Fig8Result", "format_fig8", "run_fig8"),
+    ".fig09": ("Fig9Result", "format_fig9", "run_fig9"),
+    ".fig10": ("LayerComparison", "format_fig10", "run_fig10"),
+    ".fig11": ("format_fig11", "run_fig11"),
+    ".fig12": ("format_fig12", "run_fig12"),
+    ".fig13": ("Fig13Result", "format_fig13", "run_fig13"),
+})

@@ -5,28 +5,19 @@ interchange layer so architectures, workloads, and found mappings can be
 saved, versioned, and re-evaluated without Python code.
 """
 
-from repro.io.journal import Journal
-from repro.io.serde import (
-    architecture_from_dict,
-    architecture_to_dict,
-    load_json,
-    mapping_from_dict,
-    mapping_to_dict,
-    save_json,
-    workload_from_dict,
-    workload_to_dict,
-    write_text_atomic,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "architecture_from_dict",
-    "architecture_to_dict",
-    "mapping_from_dict",
-    "mapping_to_dict",
-    "workload_from_dict",
-    "workload_to_dict",
-    "load_json",
-    "save_json",
-    "write_text_atomic",
-    "Journal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".serde": (
+        "architecture_from_dict",
+        "architecture_to_dict",
+        "mapping_from_dict",
+        "mapping_to_dict",
+        "workload_from_dict",
+        "workload_to_dict",
+        "load_json",
+        "save_json",
+        "write_text_atomic",
+    ),
+    ".journal": ("Journal",),
+})

@@ -253,5 +253,17 @@ def save_json(obj: Dict[str, Any], path: Union[str, Path]) -> None:
 
 
 def load_json(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a serialized spec from ``path``."""
-    return json.loads(Path(path).read_text())
+    """Read a serialized spec (a JSON object) from ``path``.
+
+    Raises :class:`SpecError` naming ``path`` when the file cannot be
+    read, is not JSON, or holds something other than an object.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise SpecError(f"{path}: cannot read ({error.strerror or error})") from error
+    except ValueError as error:
+        raise SpecError(f"{path}: not valid JSON ({error})") from error
+    if not isinstance(data, dict):
+        raise SpecError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data

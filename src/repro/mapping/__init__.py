@@ -8,29 +8,18 @@ paper. ``R == P`` everywhere recovers classic perfect-factorization
 mappings.
 """
 
-from repro.mapping.loop import Loop
-from repro.mapping.nest import LevelNest, Mapping, PlacedLoop
-from repro.mapping.chains import (
-    chain_coverage,
-    chain_trip_count,
-    dim_chain,
-    temporal_steps,
-    tile_extent,
-)
-from repro.mapping.validity import check_mapping, is_valid_mapping
-from repro.mapping.render import render_mapping
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Loop",
-    "LevelNest",
-    "Mapping",
-    "PlacedLoop",
-    "chain_coverage",
-    "chain_trip_count",
-    "dim_chain",
-    "temporal_steps",
-    "tile_extent",
-    "check_mapping",
-    "is_valid_mapping",
-    "render_mapping",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".loop": ("Loop",),
+    ".nest": ("LevelNest", "Mapping", "PlacedLoop"),
+    ".chains": (
+        "chain_coverage",
+        "chain_trip_count",
+        "dim_chain",
+        "temporal_steps",
+        "tile_extent",
+    ),
+    ".validity": ("check_mapping", "is_valid_mapping"),
+    ".render": ("render_mapping",),
+})

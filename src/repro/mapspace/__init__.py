@@ -12,35 +12,20 @@ slots from the innermost level outward:
 * **Ruby-T** — free bounds at temporal slots only.
 """
 
-from repro.mapspace.constraints import ConstraintSet
-from repro.mapspace.slots import Slot, build_slots
-from repro.mapspace.allocation import DimAllocator, assign_remainders
-from repro.mapspace.generator import MapSpace, MapspaceKind
-from repro.mapspace.factory import (
-    make_mapspace,
-    pfm_mapspace,
-    ruby_mapspace,
-    ruby_s_mapspace,
-    ruby_t_mapspace,
-)
-from repro.mapspace.counting import MapspaceSizes, count_mapspace_sizes
-from repro.mapspace.chain_count import count_dim_chains, mapspace_upper_bound
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ConstraintSet",
-    "Slot",
-    "build_slots",
-    "DimAllocator",
-    "assign_remainders",
-    "MapSpace",
-    "MapspaceKind",
-    "make_mapspace",
-    "pfm_mapspace",
-    "ruby_mapspace",
-    "ruby_s_mapspace",
-    "ruby_t_mapspace",
-    "MapspaceSizes",
-    "count_mapspace_sizes",
-    "count_dim_chains",
-    "mapspace_upper_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".constraints": ("ConstraintSet",),
+    ".slots": ("Slot", "build_slots"),
+    ".allocation": ("DimAllocator", "assign_remainders"),
+    ".generator": ("MapSpace", "MapspaceKind"),
+    ".factory": (
+        "make_mapspace",
+        "pfm_mapspace",
+        "ruby_mapspace",
+        "ruby_s_mapspace",
+        "ruby_t_mapspace",
+    ),
+    ".counting": ("MapspaceSizes", "count_mapspace_sizes"),
+    ".chain_count": ("count_dim_chains", "mapspace_upper_bound"),
+})

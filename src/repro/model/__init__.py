@@ -8,51 +8,25 @@ paper's results: total operations, temporal steps, and per-sweep element
 traffic of relevant dimensions.
 """
 
-from repro.model.dataflow import TensorPath, tensor_paths
-from repro.model.access_counts import AccessCounts, compute_access_counts
-from repro.model.latency import compute_cycles, compute_utilization
-from repro.model.eval_cache import DEFAULT_CACHE_SIZE, EvaluationCache
-from repro.model.evaluator import Evaluation, Evaluator
-from repro.model.analysis import MappingReport, explain_mapping, format_report
-from repro.model.reference_sim import SimulationResult, simulate
-from repro.model.roofline import RooflinePoint, roofline_point
-from repro.model.diff import EvaluationDiff, diff_evaluations, format_diff
-from repro.model.sparsity import gated_evaluation
-from repro.model.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchEvaluator,
-    BatchLayout,
-    BatchOutcome,
-    MappingBatch,
-    pack_mappings,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "BatchEvaluator",
-    "BatchLayout",
-    "BatchOutcome",
-    "MappingBatch",
-    "pack_mappings",
-    "TensorPath",
-    "tensor_paths",
-    "AccessCounts",
-    "compute_access_counts",
-    "compute_cycles",
-    "compute_utilization",
-    "DEFAULT_CACHE_SIZE",
-    "EvaluationCache",
-    "Evaluation",
-    "Evaluator",
-    "MappingReport",
-    "explain_mapping",
-    "format_report",
-    "SimulationResult",
-    "simulate",
-    "RooflinePoint",
-    "roofline_point",
-    "EvaluationDiff",
-    "diff_evaluations",
-    "format_diff",
-    "gated_evaluation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".batch": (
+        "DEFAULT_BATCH_SIZE",
+        "BatchEvaluator",
+        "BatchLayout",
+        "BatchOutcome",
+        "MappingBatch",
+        "pack_mappings",
+    ),
+    ".dataflow": ("TensorPath", "tensor_paths"),
+    ".access_counts": ("AccessCounts", "compute_access_counts"),
+    ".latency": ("compute_cycles", "compute_utilization"),
+    ".eval_cache": ("DEFAULT_CACHE_SIZE", "EvaluationCache"),
+    ".evaluator": ("Evaluation", "Evaluator"),
+    ".analysis": ("MappingReport", "explain_mapping", "format_report"),
+    ".reference_sim": ("SimulationResult", "simulate"),
+    ".roofline": ("RooflinePoint", "roofline_point"),
+    ".diff": ("EvaluationDiff", "diff_evaluations", "format_diff"),
+    ".sparsity": ("gated_evaluation",),
+})

@@ -29,68 +29,42 @@ See ``docs/observability.md`` for the metric-name and span taxonomy,
 the live-endpoint routes, and the ledger format.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    TIMING_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
-from repro.obs.progress import (
-    ProgressPrinter,
-    ProgressTracker,
-    active_trackers,
-    current_progress_owner,
-    empty_progress_stats,
-    progress_owner,
-)
-from repro.obs.scope import (
-    ObsContext,
-    active_obs,
-    inc,
-    obs_scope,
-    observe,
-    set_gauge,
-    trace,
-)
-from repro.obs.server import ObsServer
-from repro.obs.tracing import (
-    SPAN_REQUIRED_KEYS,
-    Span,
-    Tracer,
-    flame_summary,
-    read_trace,
-    validate_span,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "TIMING_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObsContext",
-    "ObsServer",
-    "ProgressPrinter",
-    "ProgressTracker",
-    "active_trackers",
-    "current_progress_owner",
-    "progress_owner",
-    "empty_progress_stats",
-    "Span",
-    "SPAN_REQUIRED_KEYS",
-    "Tracer",
-    "active_obs",
-    "default_registry",
-    "flame_summary",
-    "inc",
-    "obs_scope",
-    "observe",
-    "read_trace",
-    "set_gauge",
-    "trace",
-    "validate_span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".metrics": (
+        "DEFAULT_BUCKETS",
+        "TIMING_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "default_registry",
+    ),
+    ".progress": (
+        "ProgressPrinter",
+        "ProgressTracker",
+        "active_trackers",
+        "current_progress_owner",
+        "empty_progress_stats",
+        "progress_owner",
+    ),
+    ".scope": (
+        "ObsContext",
+        "active_obs",
+        "inc",
+        "obs_scope",
+        "observe",
+        "set_gauge",
+        "trace",
+    ),
+    ".server": ("ObsServer",),
+    ".tracing": (
+        "SPAN_REQUIRED_KEYS",
+        "Span",
+        "Tracer",
+        "flame_summary",
+        "read_trace",
+        "validate_span",
+    ),
+})

@@ -22,10 +22,12 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.tracing import Tracer
+
+if TYPE_CHECKING:  # tracing loads only when a tracer is built
+    from repro.obs.tracing import Tracer
 
 
 @dataclass
@@ -71,11 +73,11 @@ def obs_scope(
     resolved_registry = registry if registry is not None else default_registry()
     # The owned tracer feeds span durations back into the same registry
     # (span.duration_seconds), so a bare trace_path gets both views.
-    owned_tracer = (
-        Tracer(trace_path, registry=resolved_registry)
-        if trace_path is not None
-        else None
-    )
+    owned_tracer = None
+    if trace_path is not None:
+        from repro.obs.tracing import Tracer
+
+        owned_tracer = Tracer(trace_path, registry=resolved_registry)
     context = ObsContext(
         registry=resolved_registry,
         tracer=tracer if tracer is not None else owned_tracer,

@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.io.journal import JOURNAL_SCHEMA, Journal
 from repro.obs.metrics import TIMING_BUCKETS, MetricsRegistry
 
 
@@ -89,7 +88,10 @@ class Tracer:
         path: Optional[Union[str, Path]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        from repro.io.journal import JOURNAL_SCHEMA
+
         self.path = Path(path) if path is not None else None
+        self._schema = JOURNAL_SCHEMA
         self.registry = registry
         self.records: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
@@ -139,7 +141,7 @@ class Tracer:
             stack.pop()
         record: Dict[str, Any] = {
             "kind": "span",
-            "schema": JOURNAL_SCHEMA,
+            "schema": self._schema,
             "name": span.name,
             "span_id": span.span_id,
             "parent_id": span.parent_id,
@@ -222,6 +224,8 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load span records from a JSONL trace (journal framing: torn-tail
     tolerant; non-span records — e.g. interleaved campaign records — are
     skipped)."""
+    from repro.io.journal import Journal
+
     return [r for r in Journal(path).read() if r.get("kind") == "span"]
 
 

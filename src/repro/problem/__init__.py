@@ -7,27 +7,14 @@ and GEMMs are built through the helpers in :mod:`repro.problem.conv` and
 :mod:`repro.problem.gemm`.
 """
 
-from repro.problem.tensor import ProjectionTerm, TensorSpec
-from repro.problem.workload import Workload
-from repro.problem.conv import ConvLayer, conv_workload
-from repro.problem.depthwise import DepthwiseConvLayer, depthwise_workload
-from repro.problem.groupconv import GroupConvLayer, group_conv_workload
-from repro.problem.gemm import GemmLayer, gemm_workload
-from repro.problem.padding import PaddingResult, pad_dimension, pad_to_multiple
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProjectionTerm",
-    "TensorSpec",
-    "Workload",
-    "ConvLayer",
-    "conv_workload",
-    "DepthwiseConvLayer",
-    "depthwise_workload",
-    "GroupConvLayer",
-    "group_conv_workload",
-    "GemmLayer",
-    "gemm_workload",
-    "PaddingResult",
-    "pad_dimension",
-    "pad_to_multiple",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".tensor": ("ProjectionTerm", "TensorSpec"),
+    ".workload": ("Workload",),
+    ".conv": ("ConvLayer", "conv_workload"),
+    ".depthwise": ("DepthwiseConvLayer", "depthwise_workload"),
+    ".groupconv": ("GroupConvLayer", "group_conv_workload"),
+    ".gemm": ("GemmLayer", "gemm_workload"),
+    ".padding": ("PaddingResult", "pad_dimension", "pad_to_multiple"),
+})

@@ -8,38 +8,29 @@ GAMMA-style genetic search as an extension — the paper notes Ruby is
 orthogonal to and composable with better search.
 """
 
-from repro.search.result import ConvergencePoint, SearchResult
-from repro.search.random_search import RandomSearch
-from repro.search.exhaustive import ExhaustiveSearch
-from repro.search.branch_bound import BranchBoundSearch
-from repro.search.genetic import GeneticSearch
-from repro.search.annealing import SimulatedAnnealing
-from repro.search.pareto_search import ParetoSearch, ParetoSearchResult
-from repro.search.campaign import (
-    CampaignConfig,
-    CampaignJob,
-    CampaignResult,
-    JobOutcome,
-    campaign_scope,
-    campaign_status,
-    run_campaign,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignJob",
-    "CampaignResult",
-    "JobOutcome",
-    "campaign_scope",
-    "campaign_status",
-    "run_campaign",
-    "ConvergencePoint",
-    "SearchResult",
-    "RandomSearch",
-    "ExhaustiveSearch",
-    "BranchBoundSearch",
-    "GeneticSearch",
-    "SimulatedAnnealing",
-    "ParetoSearch",
-    "ParetoSearchResult",
-]
+#: Search strategies a :class:`~repro.core.mapper.MapperConfig` can name.
+STRATEGIES = ("random", "exhaustive", "branch-bound", "genetic", "annealing")
+
+#: Strategies that can fan out over ``MapperConfig.workers`` processes.
+POOLED_STRATEGIES = ("random", "branch-bound")
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".campaign": (
+        "CampaignConfig",
+        "CampaignJob",
+        "CampaignResult",
+        "JobOutcome",
+        "campaign_scope",
+        "campaign_status",
+        "run_campaign",
+    ),
+    ".result": ("ConvergencePoint", "SearchResult"),
+    ".random_search": ("RandomSearch",),
+    ".exhaustive": ("ExhaustiveSearch",),
+    ".branch_bound": ("BranchBoundSearch",),
+    ".genetic": ("GeneticSearch",),
+    ".annealing": ("SimulatedAnnealing",),
+    ".pareto_search": ("ParetoSearch", "ParetoSearchResult"),
+}, own=("STRATEGIES", "POOLED_STRATEGIES"))

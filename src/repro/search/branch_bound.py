@@ -41,7 +41,7 @@ Search order and exactness:
   ``branch-bound-parity`` invariant in :mod:`repro.verify.invariants`.
 
 The walk itself lives in :class:`_SubtreeWalker`, parameterized by an
-*incumbent cell* (:class:`~repro.search.worker_pool.LocalIncumbent` here;
+*incumbent cell* (:class:`LocalIncumbent` here;
 :class:`~repro.search.worker_pool.SharedIncumbent` when
 :mod:`repro.search.branch_bound_parallel` fans subtrees over a worker
 pool with ``workers > 1``). Serial search reads and writes the local cell
@@ -61,6 +61,7 @@ terms only ever add energy or cycles.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,7 +78,6 @@ from repro.search.loop import (
     check_objective,
 )
 from repro.search.result import SearchResult
-from repro.search.worker_pool import LocalIncumbent
 from repro.utils import batching
 from repro.utils.rng import make_rng
 
@@ -100,6 +100,29 @@ FLUSH_ROWS = 4_096
 #: Leaf widths per block of sibling leaves whose suffix grids are
 #: computed in one call.
 FLUSH_ROWS_FACTOR = 8
+
+
+class LocalIncumbent:
+    """Process-local best-so-far cell (serial / sequential-fallback).
+
+    Same protocol as :class:`~repro.search.worker_pool.SharedIncumbent`
+    — ``read`` the current bound, ``offer`` a strictly-better candidate
+    metric — so search code is written once against the incumbent
+    interface.
+    """
+
+    def __init__(self, metric: float = math.inf) -> None:
+        self._metric = float(metric)
+
+    def read(self) -> float:
+        return self._metric
+
+    def offer(self, metric: float) -> bool:
+        """Install ``metric`` if strictly better; True when accepted."""
+        if not metric < self._metric:
+            return False
+        self._metric = float(metric)
+        return True
 
 
 def dims_branch_order(menus: Sequence[Tuple[str, Tuple]]) -> List[Tuple[str, Tuple]]:

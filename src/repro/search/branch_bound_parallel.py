@@ -52,7 +52,6 @@ from repro.search.loop import RunLedger
 from repro.search.result import SearchResult
 from repro.search.worker_pool import (
     OBS_SNAPSHOT_KEY,
-    LocalIncumbent,
     SharedIncumbent,
     collect_worker_obs,
     run_jobs,
@@ -148,7 +147,11 @@ def run_parallel_tree(search, engine) -> SearchResult:
     """
     from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
 
-    from repro.search.branch_bound import _SubtreeWalker, dims_branch_order
+    from repro.search.branch_bound import (
+        LocalIncumbent,
+        _SubtreeWalker,
+        dims_branch_order,
+    )
 
     mapspace = search.mapspace
     evaluator = search.evaluator

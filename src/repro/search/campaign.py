@@ -38,7 +38,10 @@ from collections import deque
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.arch.spec import Architecture
@@ -53,9 +56,11 @@ from repro.exceptions import (
 from repro.io.journal import TERMINAL_STATUSES, Journal, terminal_records
 from repro.obs import ProgressTracker
 from repro.mapspace.constraints import ConstraintSet
-from repro.mapspace.generator import MapspaceKind
 from repro.problem.workload import Workload
 from repro.utils.faults import FaultPlan
+
+if TYPE_CHECKING:  # the generator (and NumPy) load only when a job runs
+    from repro.mapspace.generator import MapspaceKind
 
 logger = logging.getLogger(__name__)
 
@@ -191,6 +196,7 @@ def search_job(job: CampaignJob) -> Tuple[Any, int, int]:
     the ``repro.search`` ↔ ``repro.core`` import cycle.
     """
     from repro.core.mapper import find_best_mapping
+    from repro.mapspace.generator import MapspaceKind
 
     best = None
     num_evaluated = 0
@@ -868,6 +874,8 @@ def default_job_id(
     searches share a journal entry only when they would produce identical
     results.
     """
+    from repro.mapspace.generator import MapspaceKind
+
     seed_part = ",".join(str(seed) for seed in seeds)
     return (
         f"{arch.name}|{workload.name}|{MapspaceKind(kind).value}|{objective}"

@@ -19,9 +19,9 @@ future parallel drivers) share one implementation:
   primitives. A ``multiprocessing.Value`` created under ``fork`` cannot
   be handed to a ``spawn`` pool, so the factory runs once per ladder
   attempt and its products are merged into the worker state.
-* :class:`SharedIncumbent` / :class:`LocalIncumbent` — the cross-process
-  best-so-far cell used by parallel branch-and-bound, with a process-
-  local stand-in exposing the same protocol for serial/sequential runs.
+* :class:`SharedIncumbent` — the cross-process best-so-far cell used by
+  parallel branch-and-bound; its process-local stand-in for serial and
+  sequential runs is :class:`~repro.search.branch_bound.LocalIncumbent`.
 * :func:`run_under_worker_obs` / :func:`collect_worker_obs` — the
   metrics-registry snapshot protocol: workers accumulate into a private
   registry and ship a picklable snapshot inside their result stats; the
@@ -206,28 +206,6 @@ def run_jobs(
     return results, "sequential", shared
 
 
-class LocalIncumbent:
-    """Process-local best-so-far cell (serial / sequential-fallback).
-
-    Same protocol as :class:`SharedIncumbent` — ``read`` the current
-    bound, ``offer`` a strictly-better candidate metric — so search code
-    is written once against the incumbent interface.
-    """
-
-    def __init__(self, metric: float = math.inf) -> None:
-        self._metric = float(metric)
-
-    def read(self) -> float:
-        return self._metric
-
-    def offer(self, metric: float) -> bool:
-        """Install ``metric`` if strictly better; True when accepted."""
-        if not metric < self._metric:
-            return False
-        self._metric = float(metric)
-        return True
-
-
 class SharedIncumbent:
     """Cross-process best-so-far cell for parallel branch-and-bound.
 
@@ -245,11 +223,14 @@ class SharedIncumbent:
     @staticmethod
     def factory(metric: float = math.inf) -> Callable[[Any], Dict[str, Any]]:
         """``shared_factory`` for :func:`run_jobs`: builds the incumbent
-        from the attempt's context, or a :class:`LocalIncumbent` when the
+        from the attempt's context, or a
+        :class:`~repro.search.branch_bound.LocalIncumbent` when the
         attempt is sequential (``ctx is None``)."""
 
         def build(ctx: Any) -> Dict[str, Any]:
             if ctx is None:
+                from repro.search.branch_bound import LocalIncumbent
+
                 return {"incumbent": LocalIncumbent(metric)}
             return {"incumbent": SharedIncumbent(ctx, metric)}
 

@@ -8,50 +8,33 @@ across requests, and journals accepted work so ``--resume`` recovers after
 a crash. See docs/service.md for the API and operational policies.
 """
 
-from repro.service.admission import (
-    DEFAULT_QUEUE_LIMIT,
-    PRIORITY_RANK,
-    AdmissionController,
-    validate_priority,
-)
-from repro.service.coalesce import (
-    EvaluatorPool,
-    SharedBatchEngine,
-    ThreadSafeEvaluationCache,
-    canonical_signature,
-    pair_signature,
-)
-from repro.service.jobs import (
-    JobManager,
-    SearchSpec,
-    ServiceJob,
-    parse_search_spec,
-    result_payload,
-)
-from repro.service.server import (
-    SERVICE_SCHEMA,
-    MappingService,
-    error_response,
-    service_routes,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "DEFAULT_QUEUE_LIMIT",
-    "EvaluatorPool",
-    "JobManager",
-    "MappingService",
-    "PRIORITY_RANK",
-    "SERVICE_SCHEMA",
-    "SearchSpec",
-    "ServiceJob",
-    "SharedBatchEngine",
-    "ThreadSafeEvaluationCache",
-    "canonical_signature",
-    "error_response",
-    "pair_signature",
-    "parse_search_spec",
-    "result_payload",
-    "service_routes",
-    "validate_priority",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".admission": (
+        "DEFAULT_QUEUE_LIMIT",
+        "PRIORITY_RANK",
+        "AdmissionController",
+        "validate_priority",
+    ),
+    ".coalesce": (
+        "EvaluatorPool",
+        "SharedBatchEngine",
+        "ThreadSafeEvaluationCache",
+        "canonical_signature",
+        "pair_signature",
+    ),
+    ".jobs": (
+        "JobManager",
+        "SearchSpec",
+        "ServiceJob",
+        "parse_search_spec",
+        "result_payload",
+    ),
+    ".server": (
+        "SERVICE_SCHEMA",
+        "MappingService",
+        "error_response",
+        "service_routes",
+    ),
+})

@@ -1,29 +1,18 @@
 """Shared numeric and collection utilities used across the repro package."""
 
-from repro.utils.mathx import (
-    ceil_div,
-    divisors,
-    mixed_radix_digits,
-    num_ordered_factorizations,
-    ordered_factorizations,
-    prime_factorization,
-    product,
-)
-from repro.utils.faults import Fault, FaultPlan
-from repro.utils.pareto import ParetoPoint, pareto_frontier
-from repro.utils.rng import make_rng
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Fault",
-    "FaultPlan",
-    "ceil_div",
-    "divisors",
-    "mixed_radix_digits",
-    "num_ordered_factorizations",
-    "ordered_factorizations",
-    "prime_factorization",
-    "product",
-    "ParetoPoint",
-    "pareto_frontier",
-    "make_rng",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".faults": ("Fault", "FaultPlan"),
+    ".mathx": (
+        "ceil_div",
+        "divisors",
+        "mixed_radix_digits",
+        "num_ordered_factorizations",
+        "ordered_factorizations",
+        "prime_factorization",
+        "product",
+    ),
+    ".pareto": ("ParetoPoint", "pareto_frontier"),
+    ".rng": ("make_rng",),
+})

@@ -23,46 +23,27 @@ Surfaced as ``repro verify [--quick|--deep]`` and ``make verify-diff``;
 see ``docs/verification.md`` for the oracle hierarchy and replay workflow.
 """
 
-from repro.verify.strategies import (
-    VerifyCase,
-    adversarial_cases,
-    eq5_chain,
-    preset_architecture,
-    preset_architecture_names,
-    random_case,
-    random_workload,
-)
-from repro.verify.differential import (
-    CaseReport,
-    DifferentialConfig,
-    DifferentialReport,
-    Divergence,
-    compare_case,
-    replay_counterexample,
-    run_differential,
-    shrink_case,
-)
-from repro.verify.invariants import (
-    InvariantReport,
-    run_invariants,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "VerifyCase",
-    "adversarial_cases",
-    "eq5_chain",
-    "preset_architecture",
-    "preset_architecture_names",
-    "random_case",
-    "random_workload",
-    "CaseReport",
-    "DifferentialConfig",
-    "DifferentialReport",
-    "Divergence",
-    "compare_case",
-    "replay_counterexample",
-    "run_differential",
-    "shrink_case",
-    "InvariantReport",
-    "run_invariants",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".strategies": (
+        "VerifyCase",
+        "adversarial_cases",
+        "eq5_chain",
+        "preset_architecture",
+        "preset_architecture_names",
+        "random_case",
+        "random_workload",
+    ),
+    ".differential": (
+        "CaseReport",
+        "DifferentialConfig",
+        "DifferentialReport",
+        "Divergence",
+        "compare_case",
+        "replay_counterexample",
+        "run_differential",
+        "shrink_case",
+    ),
+    ".invariants": ("InvariantReport", "run_invariants"),
+})

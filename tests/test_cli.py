@@ -459,3 +459,42 @@ class TestCampaignStatusHeartbeats:
         )
         assert code == 0
         assert "complete" in capsys.readouterr().out
+
+
+class TestSpecFiles:
+    """Every flag that reads a spec file turns a bad file into SpecError."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "--arch", "toy16", "--workload-json", "{spec}"],
+         ["search", "--arch-json", "{spec}", "--gemm", "M=8,N=4,K=4"],
+         ["evaluate", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
+          "--mapping", "{spec}"],
+         ["campaign", "run", "--suite", "toy", "--arch", "toy16",
+          "--journal", "{journal}", "--fault-plan", "{spec}"],
+         ["verify", "--replay", "{spec}"]],
+        ids=["workload-json", "arch-json", "mapping", "fault-plan", "replay"],
+    )
+    @pytest.mark.parametrize(
+        "content,needle",
+        [(None, "cannot read"),
+         ("{not json", "not valid JSON"),
+         ("[1]", "expected a JSON object, got list"),
+         ('"x"', "expected a JSON object, got str")],
+        ids=["missing", "not-json", "list", "string"],
+    )
+    def test_bad_spec_file_exits_with_spec_error_code(
+        self, argv, content, needle, tmp_path, capsys
+    ):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        journal = tmp_path / "journal.jsonl"
+        code = main(
+            [arg.format(spec=spec, journal=journal) for arg in argv]
+        )
+        assert code == SpecError.exit_code
+        err = capsys.readouterr().err
+        assert str(spec) in err
+        assert needle in err
+        assert not journal.exists()

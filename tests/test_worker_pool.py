@@ -18,9 +18,9 @@ import pytest
 from repro import obs
 from repro.exceptions import SearchError, WorkerError
 from repro.obs import MetricsRegistry, obs_scope
+from repro.search.branch_bound import LocalIncumbent
 from repro.search.worker_pool import (
     OBS_SNAPSHOT_KEY,
-    LocalIncumbent,
     SharedIncumbent,
     collect_worker_obs,
     run_jobs,
