@@ -51,8 +51,6 @@ def test_fig11_latency_objective(benchmark, bench_scale):
     Runs on a per-domain subset to stay fast; the claim is the geomean
     cycles ratio under a delay objective.
     """
-    from repro.experiments.fig11 import run_fig11_latency
-
     subset = (
         "db_vision_28x28",
         "db_speech_conv2",
@@ -63,7 +61,8 @@ def test_fig11_latency_objective(benchmark, bench_scale):
     )
     result = run_once(
         benchmark,
-        lambda: run_fig11_latency(
+        lambda: run_fig11(
+            objective="delay",
             seeds=(1, 2),
             max_evaluations=2_500 * bench_scale,
             patience=800 * bench_scale,

@@ -12,7 +12,10 @@ linear architecture:
    campaign must still exit 0;
 4. run the fig13 DeepBench sweep directly, with ``--journal``, and again
    on that journal (a replay) — all three must print byte-identical
-   reports; their wall times are printed, not checked.
+   reports; their wall times are printed, not checked;
+5. start a 2-worker parallel branch-and-bound search and SIGKILL one of
+   its worker processes — the search must exit with code 5 (a
+   ``WorkerError``) within 30 s and leave no worker process behind.
 
 Runs in a few tens of seconds; exits nonzero on any mismatch.
 """
@@ -99,7 +102,7 @@ def step_reference(workdir: Path) -> dict:
     if proc.returncode != 0:
         sys.exit(f"reference campaign failed:\n{proc.stderr.decode()}")
     results = _job_results(journal)
-    print(f"[1/4] reference campaign: {len(results)} jobs ok")
+    print(f"[1/5] reference campaign: {len(results)} jobs ok")
     return results
 
 
@@ -124,7 +127,7 @@ def step_kill_and_resume(workdir: Path, reference: dict) -> None:
     if interrupted >= len(reference):
         sys.exit("campaign finished before it could be interrupted; "
                  "raise --budget in this script")
-    print(f"[2/4] SIGKILLed campaign after {interrupted} jobs; resuming")
+    print(f"[2/5] SIGKILLed campaign after {interrupted} jobs; resuming")
 
     resumed = _run(
         [
@@ -194,7 +197,7 @@ def step_faults(workdir: Path, reference: dict) -> None:
         sys.exit(f"doomed job not quarantined: {results[doomed_job]}")
     ok = sum(1 for status, _ in results.values() if status == "ok")
     print(
-        f"[3/4] fault injection: crash retried to identical EDP, "
+        f"[3/5] fault injection: crash retried to identical EDP, "
         f"raiser quarantined ({ok} ok / 1 quarantined)"
     )
 
@@ -225,11 +228,75 @@ def step_experiment_parity(workdir: Path) -> None:
                 f"--- direct\n{outputs['direct'].decode()}\n"
                 f"--- {label}\n{outputs[label].decode()}"
             )
-    print("[4/4] fig13 deepbench: direct, journaled and replayed runs "
+    print("[4/5] fig13 deepbench: direct, journaled and replayed runs "
           "print identical reports")
     print("      wall s: " + ", ".join(
         f"{label} {seconds:.2f}" for label, seconds in walls.items()
     ))
+
+
+#: A search that runs well over 3 s on two workers (about 14 s on a
+#: 2-core x86 host), so the kill lands while units are in flight.
+KILL_SEARCH = [
+    sys.executable, "-m", "repro", "search", "--arch", "eyeriss",
+    "--row-stationary", "--conv", "C=1024,M=256,P=14,Q=14,R=1,S=1",
+    "--kind", "ruby-s", "--searcher", "branch-bound", "--workers", "2",
+    "--seed", "0",
+]
+
+
+def _children(pid: int) -> list:
+    found = subprocess.run(
+        ["pgrep", "-P", str(pid)], capture_output=True, text=True
+    )
+    return [int(line) for line in found.stdout.split()]
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def step_worker_kill() -> None:
+    proc = subprocess.Popen(
+        KILL_SEARCH, env=_env(), cwd=REPO,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    workers: list = []
+    deadline = time.monotonic() + 60
+    while len(workers) < 2 and time.monotonic() < deadline:
+        if proc.poll() is not None:
+            sys.exit("search finished before its workers could be killed")
+        workers = _children(proc.pid)
+        time.sleep(0.05)
+    if len(workers) < 2:
+        proc.kill()
+        sys.exit("search started no workers within 60 s")
+    os.kill(workers[0], signal.SIGKILL)
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        stragglers = set(workers) | set(_children(proc.pid))
+        proc.kill()
+        for pid in stragglers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        sys.exit("search hung after one of its workers was SIGKILLed")
+    if proc.returncode != 5:
+        sys.exit(
+            f"killed-worker search exited {proc.returncode}, expected 5:\n"
+            f"{stderr.decode()}"
+        )
+    survivors = [pid for pid in workers if _alive(pid)]
+    if survivors:
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        sys.exit(f"worker processes outlived the search: {survivors}")
+    print("[5/5] SIGKILLed one branch-and-bound worker: the search exited 5 "
+          "and no worker outlived it")
 
 
 def main() -> None:
@@ -239,6 +306,7 @@ def main() -> None:
         step_kill_and_resume(workdir, reference)
         step_faults(workdir, reference)
         step_experiment_parity(workdir)
+    step_worker_kill()
     print("campaign smoke: OK")
 
 

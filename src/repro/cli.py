@@ -298,65 +298,48 @@ def _experiment_campaign(args: argparse.Namespace):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.search.campaign import campaign_scope
+
+    # One scope for the whole figure: every search inside is a job of
+    # one session (journal read once, one worker set), or runs inline.
+    with campaign_scope(_experiment_campaign(args)):
+        print(_experiment_report(args))
+    return 0
+
+
+def _experiment_report(args: argparse.Namespace) -> str:
     from repro import experiments as ex
 
     name = args.name
-    campaign = _experiment_campaign(args)
+    budget = args.budget
     if name.startswith("fig7"):
         from repro.experiments.fig07 import SCENARIOS
 
         key = name[-1]
         if key not in SCENARIOS:
             raise SystemExit(f"unknown fig7 scenario {name!r}")
-        result = ex.run_fig7_scenario(
-            SCENARIOS[key](), evaluations=args.budget, runs=args.runs
-        )
-        print(ex.format_fig7(result))
-    elif name == "table1":
-        print(ex.format_table1(ex.run_table1()))
-    elif name == "fig8":
-        print(
-            ex.format_fig8(
-                ex.run_fig8(max_evaluations=args.budget, campaign=campaign)
+        return ex.format_fig7(
+            ex.run_fig7_scenario(
+                SCENARIOS[key](), evaluations=budget, runs=args.runs
             )
         )
-    elif name == "fig9":
-        print(
-            ex.format_fig9(
-                ex.run_fig9(max_evaluations=args.budget, campaign=campaign)
-            )
+    if name == "table1":
+        return ex.format_table1(ex.run_table1())
+    if name == "fig8":
+        return ex.format_fig8(ex.run_fig8(max_evaluations=budget))
+    if name == "fig9":
+        return ex.format_fig9(ex.run_fig9(max_evaluations=budget))
+    if name == "fig10":
+        return ex.format_fig10(ex.run_fig10(max_evaluations=budget))
+    if name == "fig11":
+        return ex.format_fig11(ex.run_fig11(max_evaluations=budget))
+    if name == "fig12":
+        return ex.format_fig12(ex.run_fig12(max_evaluations=budget))
+    if name in ("fig13", "fig14"):
+        return ex.format_fig13(
+            ex.run_fig13(suite=args.suite, max_evaluations=budget)
         )
-    elif name == "fig10":
-        print(
-            ex.format_fig10(
-                ex.run_fig10(max_evaluations=args.budget, campaign=campaign)
-            )
-        )
-    elif name == "fig11":
-        print(
-            ex.format_fig11(
-                ex.run_fig11(max_evaluations=args.budget, campaign=campaign)
-            )
-        )
-    elif name == "fig12":
-        print(
-            ex.format_fig12(
-                ex.run_fig12(max_evaluations=args.budget, campaign=campaign)
-            )
-        )
-    elif name in ("fig13", "fig14"):
-        print(
-            ex.format_fig13(
-                ex.run_fig13(
-                    suite=args.suite,
-                    max_evaluations=args.budget,
-                    campaign=campaign,
-                )
-            )
-        )
-    else:
-        raise SystemExit(f"unknown experiment {name!r}")
-    return 0
+    raise SystemExit(f"unknown experiment {name!r}")
 
 
 # ----------------------------------------------------------------- campaign

@@ -13,14 +13,13 @@ Ruby-S.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.arch.toy import toy_linear_architecture
 from repro.core.report import format_table
 from repro.experiments.common import multi_seed_search
 from repro.model.evaluator import Evaluation
 from repro.problem.padding import pad_dimension
-from repro.search.campaign import CampaignConfig, campaign_scope
 from repro.zoo.toy import fig8_workload
 
 DEFAULT_SIZES = (96, 100, 108, 113, 116, 120, 127, 128)
@@ -64,27 +63,24 @@ def run_fig8(
     num_pes: int = 16,
     seeds: Sequence[int] = (1, 2),
     max_evaluations: int = 1_500,
-    campaign: Optional[CampaignConfig] = None,
 ) -> Fig8Result:
     """Sweep dimension sizes for the three strategies.
 
-    With a ``campaign`` config, every (size, strategy) search runs as a
-    journaled, timeout/retry-protected campaign job and an interrupted
-    sweep resumes from the journal.
+    Inside a :func:`~repro.search.campaign.campaign_scope`, every
+    (size, strategy) search runs as a journaled campaign job.
     """
     arch = toy_linear_architecture(num_pes)
     result = Fig8Result(sizes=list(sizes))
     for strategy in STRATEGIES:
         result.edp[strategy] = []
         result.cycles[strategy] = []
-    with campaign_scope(campaign):
-        for size in sizes:
-            for strategy in STRATEGIES:
-                best = _evaluate_strategy(
-                    arch, size, strategy, seeds, max_evaluations
-                )
-                result.edp[strategy].append(best.edp)
-                result.cycles[strategy].append(best.cycles)
+    for size in sizes:
+        for strategy in STRATEGIES:
+            best = _evaluate_strategy(
+                arch, size, strategy, seeds, max_evaluations
+            )
+            result.edp[strategy].append(best.edp)
+            result.cycles[strategy].append(best.cycles)
     return result
 
 

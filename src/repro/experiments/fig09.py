@@ -17,7 +17,6 @@ from repro.core.report import format_table
 from repro.experiments.common import multi_seed_search
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.model.evaluator import Evaluation, Evaluator
-from repro.search.campaign import CampaignConfig, campaign_scope
 from repro.zoo.alexnet import alexnet_conv2
 from repro.zoo.handcrafted import alexnet_conv2_strip_mined
 
@@ -53,7 +52,6 @@ def run_fig9(
     seeds: Sequence[int] = (1, 2, 3),
     max_evaluations: int = 3_000,
     patience: Optional[int] = 1_000,
-    campaign: Optional[CampaignConfig] = None,
 ) -> Fig9Result:
     """Evaluate all three mapping sources on the Eyeriss baseline."""
     arch = eyeriss_like()
@@ -64,18 +62,17 @@ def run_fig9(
     )
     best_edp = {}
     peak_utilization = {}
-    with campaign_scope(campaign):
-        for kind in ("pfm", "ruby-s"):
-            best_edp[kind] = multi_seed_search(
-                arch, workload, kind, objective="edp", seeds=seeds,
-                max_evaluations=max_evaluations, patience=patience,
-                constraints=constraints,
-            )
-            peak_utilization[kind] = multi_seed_search(
-                arch, workload, kind, objective="delay", seeds=seeds,
-                max_evaluations=max_evaluations, patience=patience,
-                constraints=constraints,
-            )
+    for kind in ("pfm", "ruby-s"):
+        best_edp[kind] = multi_seed_search(
+            arch, workload, kind, objective="edp", seeds=seeds,
+            max_evaluations=max_evaluations, patience=patience,
+            constraints=constraints,
+        )
+        peak_utilization[kind] = multi_seed_search(
+            arch, workload, kind, objective="delay", seeds=seeds,
+            max_evaluations=max_evaluations, patience=patience,
+            constraints=constraints,
+        )
     return Fig9Result(
         handcrafted=handcrafted,
         best_edp=best_edp,

@@ -20,7 +20,6 @@ from repro.experiments.common import best_metrics_by_kind
 from repro.mapspace.constraints import ConstraintSet, eyeriss_row_stationary
 from repro.model.evaluator import Evaluation
 from repro.problem.workload import Workload
-from repro.search.campaign import CampaignConfig, campaign_scope
 from repro.zoo.resnet50 import resnet50_representative, resnet50_workloads
 
 
@@ -107,34 +106,33 @@ def compare_network(
     seeds: Sequence[int] = (1, 2, 3),
     max_evaluations: int = 3_000,
     patience: Optional[int] = 1_000,
-    campaign: Optional[CampaignConfig] = None,
 ) -> NetworkComparison:
     """Search both mapspaces for every layer of a network.
 
-    With a ``campaign`` config, every per-layer search is a journaled
-    campaign job: a killed run resumes from the journal, hung searches
-    are timed out and retried, and repeated failures are quarantined.
+    Inside a :func:`~repro.search.campaign.campaign_scope`, every
+    per-layer search is a journaled campaign job: a killed run resumes
+    from the journal, hung searches are timed out and retried, and
+    repeated failures are quarantined.
     """
     comparison = NetworkComparison()
-    with campaign_scope(campaign):
-        for workload, count in workloads:
-            best = best_metrics_by_kind(
-                arch,
-                workload,
-                kinds=(baseline_kind, challenger_kind),
-                seeds=seeds,
-                max_evaluations=max_evaluations,
-                patience=patience,
-                constraints=constraints,
+    for workload, count in workloads:
+        best = best_metrics_by_kind(
+            arch,
+            workload,
+            kinds=(baseline_kind, challenger_kind),
+            seeds=seeds,
+            max_evaluations=max_evaluations,
+            patience=patience,
+            constraints=constraints,
+        )
+        comparison.layers.append(
+            LayerComparison(
+                name=workload.name,
+                count=count,
+                baseline=best[baseline_kind],
+                challenger=best[challenger_kind],
             )
-            comparison.layers.append(
-                LayerComparison(
-                    name=workload.name,
-                    count=count,
-                    baseline=best[baseline_kind],
-                    challenger=best[challenger_kind],
-                )
-            )
+        )
     return comparison
 
 
@@ -145,7 +143,6 @@ def run_fig10(
     patience: Optional[int] = 1_000,
     mesh_x: int = 14,
     mesh_y: int = 12,
-    campaign: Optional[CampaignConfig] = None,
 ) -> NetworkComparison:
     """ResNet-50 on Eyeriss-like: Ruby-S vs PFM per layer."""
     arch = eyeriss_like(mesh_x, mesh_y)
@@ -159,7 +156,6 @@ def run_fig10(
         seeds=seeds,
         max_evaluations=max_evaluations,
         patience=patience,
-        campaign=campaign,
     )
 
 

@@ -17,7 +17,6 @@ from repro.core.report import format_table
 from repro.experiments.common import best_metrics_by_kind
 from repro.experiments.fig10 import LayerComparison
 from repro.mapspace.constraints import eyeriss_row_stationary
-from repro.search.campaign import CampaignConfig, campaign_scope
 from repro.zoo.deepbench import deepbench_workloads
 
 
@@ -53,82 +52,42 @@ def run_fig11(
     max_evaluations: int = 2_500,
     patience: Optional[int] = 800,
     subset: Optional[Sequence[str]] = None,
-    campaign: Optional[CampaignConfig] = None,
+    objective: str = "edp",
 ) -> Fig11Result:
     """DeepBench suite on Eyeriss-like: Ruby-S vs PFM per workload.
 
     GEMM workloads run unconstrained (the row-stationary split is a conv
     dataflow); conv workloads use the Eyeriss constraint set.
+    ``objective="delay"`` is the paper's latency variant: "When targeting
+    latency instead of EDP, Ruby-S generates mappings that reduce the
+    latency 14% compared to PFMs."
     """
     arch = eyeriss_like()
     conv_constraints = eyeriss_row_stationary()
     result = Fig11Result()
-    with campaign_scope(campaign):
-        for workload, domain in deepbench_workloads():
-            if subset is not None and workload.name not in subset:
-                continue
-            is_conv = "R" in workload.dim_names
-            best = best_metrics_by_kind(
-                arch,
-                workload,
-                kinds=("pfm", "ruby-s"),
-                seeds=seeds,
-                max_evaluations=max_evaluations,
-                patience=patience,
-                constraints=conv_constraints if is_conv else None,
+    for workload, domain in deepbench_workloads():
+        if subset is not None and workload.name not in subset:
+            continue
+        is_conv = "R" in workload.dim_names
+        best = best_metrics_by_kind(
+            arch,
+            workload,
+            kinds=("pfm", "ruby-s"),
+            objective=objective,
+            seeds=seeds,
+            max_evaluations=max_evaluations,
+            patience=patience,
+            constraints=conv_constraints if is_conv else None,
+        )
+        result.comparisons.append(
+            LayerComparison(
+                name=workload.name,
+                count=1,
+                baseline=best["pfm"],
+                challenger=best["ruby-s"],
             )
-            result.comparisons.append(
-                LayerComparison(
-                    name=workload.name,
-                    count=1,
-                    baseline=best["pfm"],
-                    challenger=best["ruby-s"],
-                )
-            )
-            result.domains[workload.name] = domain
-    return result
-
-
-def run_fig11_latency(
-    seeds: Sequence[int] = (1, 2),
-    max_evaluations: int = 2_500,
-    patience: Optional[int] = 800,
-    subset: Optional[Sequence[str]] = None,
-    campaign: Optional[CampaignConfig] = None,
-) -> Fig11Result:
-    """The paper's latency-objective variant.
-
-    "When targeting latency instead of EDP, Ruby-S generates mappings that
-    reduce the latency 14% compared to PFMs." Same setup as
-    :func:`run_fig11` but both searches minimize cycles.
-    """
-    arch = eyeriss_like()
-    conv_constraints = eyeriss_row_stationary()
-    result = Fig11Result()
-    with campaign_scope(campaign):
-        for workload, domain in deepbench_workloads():
-            if subset is not None and workload.name not in subset:
-                continue
-            is_conv = "R" in workload.dim_names
-            best = best_metrics_by_kind(
-                arch,
-                workload,
-                kinds=("pfm", "ruby-s"),
-                objective="delay",
-                seeds=seeds,
-                max_evaluations=max_evaluations,
-                patience=patience,
-                constraints=conv_constraints if is_conv else None,
-            )
-            result.comparisons.append(
-                LayerComparison(
-                    name=workload.name,
-                    count=1,
-                    baseline=best["pfm"],
-                    challenger=best["ruby-s"],
-                )
-            )
-            result.domains[workload.name] = domain
+        )
+        result.domains[workload.name] = domain
     return result
 
 

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from repro.arch.simba import simba_like
 from repro.experiments.fig10 import NetworkComparison, compare_network, format_fig10
-from repro.search.campaign import CampaignConfig
 from repro.zoo.resnet50 import resnet50_representative, resnet50_workloads
 
 
@@ -32,7 +31,6 @@ def run_fig12(
     seeds: Sequence[int] = (1, 2),
     max_evaluations: int = 2_500,
     patience: Optional[int] = 800,
-    campaign: Optional[CampaignConfig] = None,
 ) -> Fig12Result:
     """ResNet-50 on Simba-like, for the paper's two configurations."""
     workloads = (
@@ -44,7 +42,6 @@ def run_fig12(
         seeds=seeds,
         max_evaluations=max_evaluations,
         patience=patience,
-        campaign=campaign,
     )
     config9 = None
     if include_9pe:
@@ -54,7 +51,6 @@ def run_fig12(
             seeds=seeds,
             max_evaluations=max_evaluations,
             patience=patience,
-            campaign=campaign,
         )
     return Fig12Result(config15=config15, config9=config9)
 

@@ -22,7 +22,6 @@ from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.generator import MapspaceKind
 from repro.problem.padding import pad_to_multiple
 from repro.problem.workload import Workload
-from repro.search.campaign import CampaignConfig, campaign_scope
 from repro.utils.pareto import ParetoPoint, frontier_dominates, pareto_frontier
 from repro.zoo.deepbench import deepbench_representative
 from repro.zoo.resnet50 import resnet50_representative
@@ -98,13 +97,12 @@ def run_fig13(
     max_evaluations: int = 2_000,
     patience: Optional[int] = 600,
     include_padding: bool = False,
-    campaign: Optional[CampaignConfig] = None,
 ) -> Fig13Result:
     """Run the sweep for one suite ("resnet50" or "deepbench").
 
-    With a ``campaign`` config, each (design, workload, kind) search of
-    the sweep runs as a journaled campaign job (see
-    ``repro.core.dse.evaluate_network``).
+    Inside a :func:`~repro.search.campaign.campaign_scope`, each
+    (design, workload, kind) search of the sweep runs as a journaled
+    campaign job (see ``repro.core.dse.evaluate_network``).
     """
     if suite == "resnet50":
         workloads = resnet50_representative()
@@ -112,35 +110,34 @@ def run_fig13(
         workloads = deepbench_representative()
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    with campaign_scope(campaign):
-        sweep = sweep_pe_arrays(
-            workloads,
-            kinds=(MapspaceKind.PFM, MapspaceKind.RUBY_S),
-            array_shapes=shapes,
-            arch_builder=eyeriss_like,
-            constraints=eyeriss_row_stationary(),
-            max_evaluations=max_evaluations,
-            patience=patience,
-            seed=seeds_base,
-            restarts=2,
-        )
-        padded_sweep = None
-        if include_padding:
-            padded_points = []
-            for mesh_x, mesh_y in shapes:
-                padded = _padded_workloads(workloads, mesh_x, mesh_y)
-                partial = sweep_pe_arrays(
-                    padded,
-                    kinds=(MapspaceKind.PFM,),
-                    array_shapes=[(mesh_x, mesh_y)],
-                    arch_builder=eyeriss_like,
-                    constraints=eyeriss_row_stationary(),
-                    max_evaluations=max_evaluations,
-                    patience=patience,
-                    seed=seeds_base + 1,
-                )
-                padded_points.extend(partial.points)
-            padded_sweep = SweepResult(points=padded_points)
+    sweep = sweep_pe_arrays(
+        workloads,
+        kinds=(MapspaceKind.PFM, MapspaceKind.RUBY_S),
+        array_shapes=shapes,
+        arch_builder=eyeriss_like,
+        constraints=eyeriss_row_stationary(),
+        max_evaluations=max_evaluations,
+        patience=patience,
+        seed=seeds_base,
+        restarts=2,
+    )
+    padded_sweep = None
+    if include_padding:
+        padded_points = []
+        for mesh_x, mesh_y in shapes:
+            padded = _padded_workloads(workloads, mesh_x, mesh_y)
+            partial = sweep_pe_arrays(
+                padded,
+                kinds=(MapspaceKind.PFM,),
+                array_shapes=[(mesh_x, mesh_y)],
+                arch_builder=eyeriss_like,
+                constraints=eyeriss_row_stationary(),
+                max_evaluations=max_evaluations,
+                patience=patience,
+                seed=seeds_base + 1,
+            )
+            padded_points.extend(partial.points)
+        padded_sweep = SweepResult(points=padded_points)
     return Fig13Result(suite=suite, sweep=sweep, padded_sweep=padded_sweep)
 
 

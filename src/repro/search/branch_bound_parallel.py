@@ -6,7 +6,7 @@ whole enumerable space into disjoint subtrees. This driver turns each
 feasible, not-yet-prunable partition cell into a **work unit**, orders
 units by their admissible bound (workers start on promising subtrees,
 which tightens the shared incumbent early), and fans them over the
-reusable pool in :mod:`repro.search.worker_pool`.
+worker set in :mod:`repro.search.worker_pool`.
 
 Cross-process pruning — the part that makes this superlinear-friendly —
 runs through a :class:`~repro.search.worker_pool.SharedIncumbent`: a
@@ -264,20 +264,15 @@ def run_parallel_tree(search, engine) -> SearchResult:
         def _on_unit_result(result: Dict[str, Any]) -> None:
             ledger.progress.advance(walker.suffix_product[depth])
 
-        if jobs:
-            results, pool_mode, _ = run_jobs(
-                _unit_entry,
-                state,
-                jobs,
-                workers,
-                start_method=search.start_method,
-                shared_factory=SharedIncumbent.factory(
-                    float(walker.best_metric)
-                ),
-                on_result=_on_unit_result,
-            )
-        else:
-            results, pool_mode = [], "sequential"
+        results, pool_mode, _ = run_jobs(
+            _unit_entry,
+            state,
+            jobs,
+            workers,
+            start_method=search.start_method,
+            shared_factory=SharedIncumbent.factory(float(walker.best_metric)),
+            on_result=_on_unit_result,
+        )
         collect_worker_obs(results)
 
         # Merge unit counters into the driver's walker; re-price every

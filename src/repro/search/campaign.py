@@ -10,8 +10,9 @@ one worker hangs on a pathological mapping or the driver is killed. A
   an interrupted campaign resumes by skipping journaled entries and a
   SIGKILL costs at most the jobs that were in flight;
 * **per-attempt wall-clock timeouts**, enforced by running attempts in
-  long-lived worker processes that the driver can reap and replace,
-  with bounded retry and exponential backoff;
+  long-lived worker processes (:class:`repro.search.worker_pool.WorkerSet`)
+  that the driver can terminate and replace, with bounded retry and
+  exponential backoff;
 * **quarantine**: a job that exhausts its retries becomes a structured
   failure record (`status: "quarantined"` with the last error payload)
   instead of aborting the sweep — ``InvalidMappingError`` /
@@ -25,8 +26,8 @@ Execution degrades gracefully: ``fork`` is tried first, then ``spawn``,
 then an inline (same-process) mode that still retries and journals but
 cannot enforce timeouts or survive crashes.
 
-:func:`run_campaign` runs one job list in its own session; the
-experiment drivers (fig. 8–13) open a :func:`campaign_scope` whose
+:func:`run_campaign` runs one job list in its own session; a caller
+wraps a figure harness (fig. 8–13) in a :func:`campaign_scope` whose
 session every nested search joins; see :mod:`repro.experiments.common`.
 """
 
@@ -67,7 +68,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.5
 _BACKOFF_FACTOR = 2.0
-_REAP_GRACE_S = 2.0
 
 
 # ------------------------------------------------------------------- jobs
@@ -247,15 +247,17 @@ def _execute_job(job: CampaignJob) -> Dict[str, Any]:
 
 
 def _run_job_guarded(
-    job: CampaignJob, attempt: int, fault_plan: Optional[FaultPlan]
+    fault_plan: Optional[FaultPlan], work: Tuple[CampaignJob, int]
 ) -> Tuple[str, Dict[str, Any]]:
-    """Execute one job attempt, mapping every failure to a payload.
+    """Execute one ``(job, attempt)``, mapping every failure to a payload.
 
-    This is the graceful-degradation choke point: a ``ReproError`` from
-    any layer (invalid mapping, unbuildable mapspace, fruitless search)
-    comes back as a structured ``("error", payload)`` — never an
-    exception that could abort the campaign.
+    The campaign's worker entry point. This is the graceful-degradation
+    choke point: a ``ReproError`` from any layer (invalid mapping,
+    unbuildable mapspace, fruitless search) comes back as a structured
+    ``("error", payload)`` — never an exception that could abort the
+    campaign.
     """
+    job, attempt = work
     try:
         if fault_plan is not None:
             fault_plan.inject(job.job_id, attempt)
@@ -267,25 +269,6 @@ def _run_job_guarded(
             f"job {job.job_id!r} failed: {type(error).__name__}: {error}"
         )
         return "error", wrapped.payload()
-
-
-def _worker_loop(conn, fault_plan: Optional[FaultPlan], inherited) -> None:
-    """Worker-process entry point: run attempts until the driver hangs up.
-
-    Each message is one ``(job, attempt)``; the reply is
-    :func:`_run_job_guarded`'s result. ``inherited`` are the driver-side
-    pipe ends a forked worker got copies of. Closing them lets EOF arrive
-    when the driver closes its end or dies, so a killed driver leaves no
-    worker behind once the attempt in flight ends.
-    """
-    for other in inherited:
-        other.close()
-    try:
-        while True:
-            job, attempt = conn.recv()
-            conn.send(_run_job_guarded(job, attempt, fault_plan))
-    except (EOFError, OSError):
-        pass  # the driver closed the session or died
 
 
 # ---------------------------------------------------------------- settings
@@ -310,8 +293,8 @@ class CampaignConfig:
     skips jobs the journal already finished, except quarantined ones
     when ``retry_quarantined`` is set.
 
-    Passing one to ``run_fig8`` … ``run_fig13`` (or entering a
-    :func:`campaign_scope`) runs every search inside as a journaled job.
+    Entering a :func:`campaign_scope` with one around ``run_fig8`` …
+    ``run_fig13`` runs every search inside as a journaled job.
     """
 
     journal: Optional[Union[str, Path]] = None
@@ -341,23 +324,6 @@ class CampaignConfig:
 # ------------------------------------------------------------- the session
 
 
-@dataclass(eq=False)
-class _Worker:
-    proc: Any
-    conn: Any
-
-    def reap(self, terminate: bool) -> None:
-        """Stop the process: SIGTERM first when ``terminate``, otherwise let
-        it exit on EOF; SIGKILL whatever outlives the grace period."""
-        self.conn.close()
-        if terminate:
-            self.proc.terminate()
-        self.proc.join(_REAP_GRACE_S)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-
-
 @dataclass
 class _Attempt:
     job: CampaignJob
@@ -365,18 +331,17 @@ class _Attempt:
     eligible_at: float = 0.0
     started_first: Optional[float] = None  # across attempts
     deadline: Optional[float] = None
-    worker: Optional[_Worker] = None
 
 
 class CampaignSession:
-    """One campaign's journal and worker processes, shared by its runs.
+    """One campaign's journal and worker set, shared by its runs.
 
     The journal is read once, at opening; its terminal records and the
-    jobs the session finishes are what later runs replay. The start
-    method is picked at the first job that needs a worker; up to
-    ``config.workers`` workers start on demand and live until
+    jobs the session finishes are what later runs replay. The worker set
+    (:class:`~repro.search.worker_pool.WorkerSet`, ``config.workers``
+    processes) is built at the first job that needs one and lives until
     :meth:`close`. A crash or hang costs only the attempt in flight: the
-    worker is reaped and its slot gets a fresh one at the next launch.
+    worker is reaped and the next launch starts a fresh one.
     """
 
     def __init__(self, config: CampaignConfig) -> None:
@@ -390,18 +355,17 @@ class CampaignSession:
                 if record["status"] == "quarantined" and config.retry_quarantined:
                     continue
                 self._done[job_id] = JobOutcome.from_record(record)
-        self._context: Any = None
-        self.pool_mode: Optional[str] = None
-        self._idle: List[_Worker] = []
-        self._running: Dict[str, _Attempt] = {}
+        self._workers: Any = None
 
     def close(self) -> None:
-        """Stop every worker: each exits on EOF once its pipe closes."""
-        for worker in self._idle:
-            worker.conn.close()
-        for worker in self._idle:
-            worker.reap(terminate=False)
-        self._idle.clear()
+        """Stop every worker."""
+        if self._workers is not None:
+            self._workers.close()
+
+    @property
+    def pool_mode(self) -> str:
+        """The workers' start method, or "inline"."""
+        return getattr(self._workers, "mode", None) or "inline"
 
     def submit(self, job: CampaignJob):
         """Run (or replay) one job and return its best :class:`Evaluation`.
@@ -434,29 +398,6 @@ class CampaignSession:
                  "attempt": attempt}
             )
 
-    def _launch(self, attempt: _Attempt) -> None:
-        """Hand ``attempt`` to an idle worker, starting one if none is idle."""
-        if self._idle:
-            attempt.worker = self._idle.pop()
-        else:
-            ours, theirs = self._context.Pipe()
-            inherited: List[Any] = []
-            if self.pool_mode == "fork":
-                inherited = [ours] + [a.worker.conn for a in self._running.values()]
-            proc = self._context.Process(
-                target=_worker_loop,
-                args=(theirs, self.config.fault_plan, inherited),
-                daemon=True,
-            )
-            proc.start()
-            theirs.close()
-            attempt.worker = _Worker(proc, ours)
-        try:
-            attempt.worker.conn.send((attempt.job, attempt.number))
-        except OSError:
-            pass  # died while idle: the wait below sees a crash
-        self._running[attempt.job.job_id] = attempt
-
     def run(
         self,
         jobs: Sequence[CampaignJob],
@@ -473,8 +414,6 @@ class CampaignSession:
         ``campaign resume`` rebuilds the jobs from; an empty journal gets
         a header either way.
         """
-        from multiprocessing.connection import wait
-
         config = self.config
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
@@ -494,19 +433,18 @@ class CampaignSession:
         pending: Deque[_Attempt] = deque(
             _Attempt(job=job) for job in jobs if job.job_id not in replayed
         )
-        if pending and self.pool_mode is None:
-            from repro.search.worker_pool import start_contexts
+        if pending and self._workers is None:
+            from repro.search.worker_pool import WorkerSet, start_contexts
 
-            self._context, self.pool_mode = next(
-                start_contexts(config.start_method), (None, "inline")
+            self._workers = WorkerSet(
+                _run_job_guarded,
+                config.fault_plan,
+                config.workers,
+                start_contexts(config.start_method),
             )
-            if self._context is None:
-                logger.warning(
-                    "campaign: no multiprocessing start method usable; running "
-                    "inline (per-job timeouts and crash isolation are disabled)"
-                )
+        workers = self._workers
         fresh: Dict[str, JobOutcome] = {}
-        running = self._running
+        running: Dict[str, _Attempt] = {}
         budget_left = max_jobs
 
         # One unit per job; journal-replayed jobs count as already done, so a
@@ -585,7 +523,7 @@ class CampaignSession:
                 eligible = [p for p in pending if p.eligible_at <= now]
                 while (
                     eligible
-                    and len(running) < config.workers
+                    and workers.has_room()
                     and (budget_left is None or budget_left > 0)
                 ):
                     item = eligible.pop(0)
@@ -594,22 +532,18 @@ class CampaignSession:
                     if item.started_first is None:
                         item.started_first = started
                     self._beat("start", item.job.job_id, item.number)
-                    if self._context is None:
-                        # Inline mode: synchronous, no timeout enforcement.
-                        settle(item, *_run_job_guarded(
-                            item.job, item.number, config.fault_plan
-                        ))
-                        continue
-                    if config.timeout_s is not None:
+                    running[item.job.job_id] = item
+                    workers.submit(item.job.job_id, (item.job, item.number))
+                    # Inline attempts ran synchronously: no timeout.
+                    if config.timeout_s is not None and not workers.inline:
                         item.deadline = started + config.timeout_s
-                    self._launch(item)
 
                 # Out of budget with nothing in flight: stop early.
                 if budget_left is not None and budget_left <= 0 and not running:
                     break
                 # Sleep until a result, a death, a deadline or a backoff ends.
                 wake = [r.deadline for r in running.values() if r.deadline is not None]
-                if len(running) < config.workers and (
+                if workers.has_room() and (
                     budget_left is None or budget_left > 0
                 ):
                     wake += [p.eligible_at for p in pending]
@@ -617,41 +551,26 @@ class CampaignSession:
                 if not running:
                     time.sleep(timeout or 0.0)
                     continue
-                ready = set(wait(
-                    [r.worker.conn for r in running.values()]
-                    + [r.worker.proc.sentinel for r in running.values()],
-                    timeout,
-                ))
+                done = workers.wait(timeout)
 
                 now = time.monotonic()
                 for job_id, run in list(running.items()):
-                    worker = run.worker
-                    dead = worker.proc.sentinel in ready
-                    if dead or worker.conn in ready:
-                        # A dying worker's pipe reads as EOF: a crash.
-                        try:
-                            message = worker.conn.recv() if worker.conn.poll() else None
-                        except (EOFError, OSError):
-                            message = None
+                    if job_id in done:
                         del running[job_id]
-                        if message is None or dead:
-                            worker.reap(terminate=False)
-                        else:
-                            self._idle.append(worker)
-                        if message is None:
-                            crash = JobCrashError(job_id, worker.proc.exitcode, run.number)
+                        replied, message = done[job_id]
+                        if not replied:  # the worker died: a crash
+                            crash = JobCrashError(job_id, message, run.number)
                             message = ("error", crash.payload())
                         settle(run, *message)
                     elif run.deadline is not None and now >= run.deadline:
-                        worker.reap(terminate=True)
+                        workers.terminate(job_id)
                         del running[job_id]
                         self._beat("timeout", job_id, run.number)
                         late = JobTimeoutError(job_id, config.timeout_s, run.number)
                         settle(run, "error", late.payload())
         finally:
-            for run in running.values():
-                run.worker.reap(terminate=True)
-            running.clear()
+            for job_id in running:
+                workers.terminate(job_id)
 
         outcomes: List[JobOutcome] = []
         for job in jobs:
@@ -665,7 +584,7 @@ class CampaignSession:
         return CampaignResult(
             outcomes=outcomes,
             journal_path=str(config.journal) if config.journal is not None else None,
-            pool_mode=self.pool_mode or "inline",
+            pool_mode=self.pool_mode,
             complete=complete,
         )
 

@@ -6,13 +6,15 @@ the equivalent with a process pool: N workers each run an independent
 seeded :class:`~repro.search.random_search.RandomSearch`, and the best
 result (plus aggregate statistics) is merged.
 
-The pool is start-method agnostic. Shared, immutable state — the
-architecture, workload, constraints, and the energy table (estimated
-**once**, not per worker) — ships through a pool initializer, so jobs
-themselves are just ``(index, seed)`` pairs and the driver works under
-both ``fork`` and ``spawn``. Platforms with neither usable start method
-degrade to sequential execution of the same jobs; ``stats["pool_mode"]``
-records which mode actually ran.
+The workers are a :class:`~repro.search.worker_pool.WorkerSet` and
+start-method agnostic. Shared, immutable state — the architecture,
+workload, constraints, and the energy table (estimated **once**, not per
+worker) — ships once per worker at process start, so jobs themselves are
+just ``(index, seed)`` pairs and the driver works under both ``fork``
+and ``spawn``. Platforms with neither usable start method degrade to
+sequential execution of the same jobs; ``stats["pool_mode"]`` records
+which mode actually ran. A worker that dies mid-stream fails the search
+with a :class:`~repro.exceptions.WorkerError` for its ``(index, seed)``.
 """
 
 from __future__ import annotations

@@ -1,35 +1,16 @@
-"""Reusable process-pool machinery for parallel searches.
+"""Worker processes for campaigns and parallel searches.
 
-:mod:`repro.search.parallel` grew the original pool: a fork→spawn→
-sequential start-method ladder, an initializer that ships immutable
-search state once per worker instead of once per job, and a snapshot
-protocol that carries per-worker metrics registries back to the driver.
-The parallel branch-and-bound driver needs exactly the same machinery
-plus one more ingredient — *shared* mutable state (the incumbent bound)
-that must be created from the same multiprocessing context as the pool
-itself. This module hosts the generalized pieces so both searchers (and
-future parallel drivers) share one implementation:
-
-* :func:`run_jobs` — fan picklable jobs over a persistent pool of
-  workers, trying each start method before degrading to sequential
-  in-process execution; results come back in dispatch order regardless
-  of completion order.
-* ``shared_factory`` — a hook called with the pool's context (or
-  ``None`` on the sequential path) to build context-matched shared
-  primitives. A ``multiprocessing.Value`` created under ``fork`` cannot
-  be handed to a ``spawn`` pool, so the factory runs once per ladder
-  attempt and its products are merged into the worker state.
-* :class:`SharedIncumbent` — the cross-process best-so-far cell used by
-  parallel branch-and-bound; its process-local stand-in for serial and
-  sequential runs is :class:`~repro.search.branch_bound.LocalIncumbent`.
-* :func:`run_under_worker_obs` / :func:`collect_worker_obs` — the
-  metrics-registry snapshot protocol: workers accumulate into a private
-  registry and ship a picklable snapshot inside their result stats; the
-  driver pops and merges every snapshot into its ambient registry so
-  per-worker counters sum into the caller's scope.
-* :func:`worker_stack` and :func:`worker_errors` — the worker side both
-  drivers share: the per-process mapspace + evaluator, and job
-  attribution of failures.
+One worker layer, :class:`WorkerSet`, runs the campaign runner
+(:mod:`repro.search.campaign`), the parallel random search
+(:mod:`repro.search.parallel`) and parallel branch-and-bound
+(:mod:`repro.search.branch_bound_parallel`); :func:`run_jobs` is the
+searches' loop over it. The rest is the searches' shared worker side:
+:class:`SharedIncumbent`, a context-matched cross-process best-so-far
+cell (built by a ``shared_factory``); :func:`run_under_worker_obs` /
+:func:`collect_worker_obs`, which ship each worker's private metrics
+registry back as a snapshot and merge it into the driver's scope; and
+:func:`worker_stack` / :func:`worker_errors`, the per-process mapspace
+and evaluator and the job attribution of failures.
 """
 
 from __future__ import annotations
@@ -38,7 +19,8 @@ import logging
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
@@ -52,9 +34,9 @@ from repro.obs import MetricsRegistry
 logger = logging.getLogger(__name__)
 
 #: Start methods tried, in order, when the caller does not force one.
-#: ``fork`` is cheapest (no re-import, no pickling of the initializer
-#: state); ``spawn`` is the portable fallback (and the only option on
-#: Windows and recent macOS defaults).
+#: ``fork`` is cheapest (no re-import, no pickling of the worker state);
+#: ``spawn`` is the portable fallback (and the only option on Windows
+#: and recent macOS defaults).
 START_METHODS = ("fork", "spawn")
 
 #: Transient stats key a worker uses to ship its private metrics-registry
@@ -63,35 +45,17 @@ START_METHODS = ("fork", "spawn")
 #: assembled, so it is never visible to callers.
 OBS_SNAPSHOT_KEY = "_obs_registry"
 
-# Per-process (entry, state) installed by the pool initializer so
-# spawn-started workers (which re-import this module) can rebuild their
-# stack without re-pickling the shared state for every job.
-_POOL_STATE: Optional[Tuple[Callable[..., Any], Dict[str, Any]]] = None
-
-
-def _init_pool_worker(entry: Callable[..., Any], state: Dict[str, Any]) -> None:
-    """Pool initializer: stash the job entry point and shared state."""
-    global _POOL_STATE
-    _POOL_STATE = (entry, state)
-
-
-def _run_pool_job(indexed_job: Tuple[int, Any]) -> Tuple[int, Any]:
-    """Worker trampoline: run one job through the installed entry point."""
-    index, job = indexed_job
-    if _POOL_STATE is None:  # pragma: no cover - initializer always runs
-        raise SearchError("worker pool state not initialized")
-    entry, state = _POOL_STATE
-    return index, entry(state, job)
+#: Seconds a reaped worker gets to exit before it is SIGKILLed.
+_REAP_GRACE_S = 2.0
 
 
 def spawn_usable() -> bool:
     """True when ``spawn`` workers can bootstrap.
 
     Spawned children re-import ``__main__``; from an interactive session
-    (REPL, stdin script) there is no importable main module, the children
-    die during bootstrap, and the pool respawns them forever — a hang, not
-    an exception. Detect that case up front and fall through to the next
-    execution mode instead.
+    (REPL, stdin script) there is no importable main module and every
+    child dies during bootstrap. Detect that case up front and fall
+    through to the next execution mode instead.
     """
     main = sys.modules.get("__main__")
     if main is None or getattr(main, "__spec__", None) is not None:
@@ -121,6 +85,227 @@ def start_contexts(start_method: Optional[str]) -> Iterator[Tuple[Any, str]]:
         yield context, method
 
 
+def _worker_main(conn, entry, state, inherited) -> None:
+    """Worker-process body: run jobs until the driver hangs up.
+
+    Replies ``(True, entry(state, job))``, or ``(False, error)`` with the
+    worker's traceback as the error's ``__cause__``. Closing the
+    ``inherited`` driver-side pipe ends a forked worker got copies of
+    lets EOF arrive when the driver closes its end or dies.
+    """
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    for other in inherited:
+        other.close()
+    try:
+        while True:
+            job = conn.recv()
+            try:
+                reply = (True, entry(state, job))
+            except Exception as error:
+                traced = ExceptionWithTraceback(error, error.__traceback__)
+                reply = (False, traced)
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the driver closed the set or died
+
+
+@dataclass(eq=False)
+class _Worker:
+    proc: Any
+    conn: Any
+
+    def reap(self, terminate: bool) -> None:
+        """Stop the process: SIGTERM first when ``terminate``, otherwise let
+        it exit on EOF; SIGKILL whatever outlives the grace period."""
+        self.conn.close()
+        if terminate:
+            self.proc.terminate()
+        self.proc.join(_REAP_GRACE_S)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+class WorkerSet:
+    """Up to ``size`` worker processes, each running one job at a time.
+
+    ``entry(state, job)`` must be a picklable module-level callable.
+    Each worker gets ``(entry, state)`` once, as arguments at process
+    start; workers start on demand and live until :meth:`close`.
+
+    The first :meth:`submit` picks the first of ``contexts`` (see
+    :func:`start_contexts`) whose first worker starts, after merging
+    ``shared_factory(context)`` into ``state`` (a ``multiprocessing.Value``
+    must come from the context that starts the workers). With none, or
+    ``contexts=None``, jobs run inline, one at a time, with
+    ``shared_factory(None)``. :attr:`mode` is the start method or None.
+
+    :meth:`wait` maps each finished job key to ``(True, result)``, or to
+    ``(False, exitcode)`` when its worker died without replying. An
+    exception a job raised re-raises there (from :meth:`submit` inline).
+    """
+
+    def __init__(
+        self,
+        entry: Callable[[Any, Any], Any],
+        state: Any,
+        size: int,
+        contexts: Optional[Iterable[Tuple[Any, str]]],
+        shared_factory: Optional[Callable[[Any], Dict[str, Any]]] = None,
+    ) -> None:
+        self.size = size
+        self.mode: Optional[str] = None
+        self.shared: Dict[str, Any] = {}
+        self._entry = entry
+        self._base_state = state
+        self._state = state
+        self._contexts = contexts
+        self._factory = shared_factory or (lambda context: {})
+        self._context: Any = None
+        self._started = False
+        self._idle: List[_Worker] = []
+        self._busy: Dict[Any, _Worker] = {}
+        self._done: Dict[Any, Tuple[bool, Any]] = {}  # inline results
+
+    @property
+    def inline(self) -> bool:
+        """True once jobs run in the driver process."""
+        return self._started and self._context is None
+
+    @property
+    def running(self) -> int:
+        """Jobs submitted and not yet returned by :meth:`wait`."""
+        return len(self._busy) + len(self._done)
+
+    def has_room(self) -> bool:
+        """True when another job can start now (inline: one at a time)."""
+        return self.running < (1 if self.inline else self.size)
+
+    def _use(self, context: Any, method: Optional[str]) -> None:
+        """Adopt ``context`` and build the shared objects that match it."""
+        self._context, self.mode = context, method
+        self.shared = self._factory(context)
+        base = self._base_state
+        self._state = {**base, **self.shared} if self.shared else base
+
+    def _spawn(self) -> _Worker:
+        ours, theirs = self._context.Pipe()
+        inherited: List[Any] = []
+        if self.mode == "fork":
+            inherited = [ours] + [w.conn for w in self._idle]
+            inherited += [w.conn for w in self._busy.values()]
+        proc = self._context.Process(
+            target=_worker_main,
+            args=(theirs, self._entry, self._state, inherited),
+            daemon=True,
+        )
+        try:
+            proc.start()
+        finally:
+            theirs.close()
+        return _Worker(proc, ours)
+
+    def _first_worker(self) -> Optional[_Worker]:
+        """Pick the start method by starting the first worker under it."""
+        self._started = True
+        for context, method in self._contexts or ():
+            try:
+                self._use(context, method)
+                return self._spawn()
+            except (OSError, ValueError, RuntimeError) as error:
+                logger.warning(
+                    "start method %r failed (%s); trying next option",
+                    method, error,
+                )
+        if self._contexts is not None:
+            logger.warning(
+                "no multiprocessing start method usable; running jobs inline "
+                "(no timeouts, no crash isolation)"
+            )
+        self._use(None, None)
+        return None
+
+    def submit(self, key: Any, job: Any) -> None:
+        """Start ``job`` under ``key`` on an idle worker (or a new one)."""
+        if not self._started:
+            worker = self._first_worker()
+        elif self.inline:
+            worker = None
+        else:
+            worker = self._idle.pop() if self._idle else self._spawn()
+        if worker is None:
+            self._done[key] = (True, self._entry(self._state, job))
+            return
+        self._busy[key] = worker
+        try:
+            worker.conn.send(job)
+        except OSError:
+            pass  # died while idle: wait() reports it
+
+    def wait(
+        self, timeout: Optional[float] = None
+    ) -> Dict[Any, Tuple[bool, Any]]:
+        """Block until a job ends or ``timeout`` seconds pass; return the
+        finished jobs (see the class docstring). A dead worker is reaped."""
+        if self._done or not self._busy:
+            done, self._done = self._done, {}
+            return done
+        from multiprocessing.connection import wait
+
+        busy = self._busy
+        ready = set(wait(
+            [w.conn for w in busy.values()]
+            + [w.proc.sentinel for w in busy.values()],
+            timeout,
+        ))
+        done: Dict[Any, Tuple[bool, Any]] = {}
+        for key, worker in list(busy.items()):
+            dead = worker.proc.sentinel in ready
+            if not dead and worker.conn not in ready:
+                continue
+            # A dying worker's pipe reads as EOF.
+            try:
+                reply = worker.conn.recv() if worker.conn.poll() else None
+            except (EOFError, OSError):
+                reply = None
+            del busy[key]
+            if reply is None or dead:
+                worker.reap(terminate=False)
+            else:
+                self._idle.append(worker)
+            if reply is None:
+                done[key] = (False, worker.proc.exitcode)
+            elif not reply[0]:
+                raise reply[1]
+            else:
+                done[key] = reply
+        return done
+
+    def terminate(self, key: Any) -> None:
+        """Stop the worker running ``key``; its job is abandoned."""
+        self._done.pop(key, None)
+        worker = self._busy.pop(key, None)
+        if worker is not None:
+            worker.reap(terminate=True)
+
+    def close(self) -> None:
+        """Reap every worker: idle ones exit on EOF, busy ones are stopped."""
+        for key in list(self._busy):
+            self.terminate(key)
+        for worker in self._idle:
+            worker.reap(terminate=False)
+        self._idle.clear()
+
+
+def _job_seed(job: Any) -> int:
+    """The seed a job names: random-search jobs are ``(index, seed)``;
+    other jobs read 0, as branch-and-bound units do in their own errors."""
+    if isinstance(job, tuple) and len(job) == 2 and isinstance(job[1], int):
+        return job[1]
+    return 0
+
+
 def run_jobs(
     entry: Callable[[Dict[str, Any], Any], Any],
     state: Dict[str, Any],
@@ -130,80 +315,49 @@ def run_jobs(
     shared_factory: Optional[Callable[[Any], Dict[str, Any]]] = None,
     on_result: Optional[Callable[[Any], None]] = None,
 ) -> Tuple[List[Any], str, Dict[str, Any]]:
-    """Fan ``jobs`` over a process pool; returns (results, mode, shared).
+    """Fan ``jobs`` over a :class:`WorkerSet`; returns (results, mode, shared).
 
-    ``entry(state, job)`` must be a picklable module-level callable (spawn
-    workers import it by reference). ``state`` ships once per worker via
-    the pool initializer; jobs stay small. Results come back sorted by
-    dispatch order even though the pool consumes them via
-    ``imap_unordered`` (with a chunksize that amortizes IPC for large job
-    lists), so tie-breaking downstream is identical across pool modes.
+    ``entry``, ``state`` and ``shared_factory`` are as for
+    :class:`WorkerSet`. Results come back in dispatch order whatever the
+    completion order, so tie-breaking downstream is identical across
+    modes. ``mode`` is the start method that ran, or "sequential" when
+    the jobs ran in-process (one worker, one job, or no usable start
+    method); ``shared`` is the ``shared_factory`` dict the run used.
 
-    ``shared_factory(ctx)`` — when given — is called once per ladder
-    attempt with the candidate ``multiprocessing`` context (``None`` on
-    the sequential path) and returns a dict merged into the worker state.
-    Context-matched construction is mandatory for synchronization
-    primitives: a SemLock born under ``fork`` raises if shipped into a
-    ``spawn`` pool. The dict from the attempt that actually ran is
-    returned so the driver can read the shared objects afterwards.
+    ``on_result(result)`` — when given — is called in the driver once
+    per job **as its result arrives**, before the sorted list is built:
+    the hook parallel drivers stream progress through. Exceptions it
+    raises abort the run.
 
-    ``on_result(result)`` — when given — is called in the driver process
-    once per job **as its result arrives** (completion order on the pool
-    path, dispatch order sequentially), before the sorted result list is
-    assembled. This is the hook parallel drivers use to stream per-unit
-    progress into a live tracker; exceptions it raises propagate and
-    abort the run, so callbacks should be cheap and non-throwing.
-
-    Every candidate start method is tried before giving up on
-    parallelism; the sequential fallback still runs all jobs in-process.
+    An exception a job raised propagates; a worker that dies mid-job
+    raises :class:`WorkerError` for that job's dispatch index. Either
+    way every other worker is reaped before the error leaves.
     """
     if workers < 1:
         raise SearchError("workers must be >= 1")
     job_list = list(jobs)
-    factory = shared_factory or (lambda ctx: {})
-    if workers > 1 and len(job_list) > 1:
-        for context, method in start_contexts(start_method):
-            try:
-                shared = factory(context)
-                full_state = {**state, **shared} if shared else state
-                chunksize = max(1, len(job_list) // (workers * 4))
-                with context.Pool(
-                    processes=workers,
-                    initializer=_init_pool_worker,
-                    initargs=(entry, full_state),
-                ) as pool:
-                    indexed = []
-                    for pair in pool.imap_unordered(
-                        _run_pool_job,
-                        list(enumerate(job_list)),
-                        chunksize=chunksize,
-                    ):
-                        indexed.append(pair)
-                        if on_result is not None:
-                            on_result(pair[1])
-                indexed.sort(key=lambda pair: pair[0])
-                logger.info(
-                    "worker pool ran %d jobs via %s", len(job_list), method
-                )
-                return [result for _, result in indexed], method, shared
-            except (OSError, ValueError, RuntimeError) as error:
-                logger.warning(
-                    "start method %r failed (%s); trying next option",
-                    method,
-                    error,
-                )
-        logger.warning(
-            "no multiprocessing start method usable; running sequentially"
-        )
-    shared = factory(None)
-    full_state = {**state, **shared} if shared else state
-    results = []
-    for job in job_list:
-        result = entry(full_state, job)
-        results.append(result)
-        if on_result is not None:
-            on_result(result)
-    return results, "sequential", shared
+    contexts = (
+        start_contexts(start_method)
+        if workers > 1 and len(job_list) > 1 else None
+    )
+    results: List[Any] = [None] * len(job_list)
+    pending = list(enumerate(job_list))[::-1]
+    with closing(
+        WorkerSet(entry, state, workers, contexts, shared_factory)
+    ) as pool:
+        while pending or pool.running:
+            while pending and pool.has_room():
+                pool.submit(*pending.pop())
+            for index, (ok, value) in pool.wait().items():
+                if not ok:
+                    raise WorkerError(
+                        index, _job_seed(job_list[index]),
+                        f"worker process died (exitcode {value})",
+                    )
+                results[index] = value
+                if on_result is not None:
+                    on_result(value)
+    return results, pool.mode or "sequential", pool.shared
 
 
 class SharedIncumbent:
@@ -214,7 +368,7 @@ class SharedIncumbent:
     observe a garbage-small metric and wrongly prune a subtree containing
     the optimum, which would break the bit-exactness contract. Construct
     via :func:`SharedIncumbent.factory` so the primitive is born from the
-    pool's own context (see :func:`run_jobs`).
+    worker set's own context (see :class:`WorkerSet`).
     """
 
     def __init__(self, ctx: Any, metric: float = math.inf):
@@ -303,9 +457,9 @@ def worker_stack(state: Dict[str, Any]) -> Dict[str, Any]:
     worker prices its own stream, whose duplicate draws are too rare to
     pay for the lookups.
 
-    The stack is memoized in ``state`` itself under ``"stack"``: the pool
-    initializer installs one state dict per worker process, and the
-    sequential fallback shares one across a run's jobs, so each process
+    The stack is memoized in ``state`` itself under ``"stack"``: each
+    worker process gets its own state dict at start, and the inline
+    fallback shares one across a run's jobs, so each process
     builds the stack once and drops it with the search. A driver's entry
     point may add its own per-search pieces to the returned dict (the
     branch-and-bound worker adds its bound engine).
@@ -333,9 +487,9 @@ def worker_stack(state: Dict[str, Any]) -> Dict[str, Any]:
 def worker_errors(index: int, seed: int) -> Iterator[None]:
     """Re-raise any failure inside the block as a :class:`WorkerError`.
 
-    ``imap_unordered`` re-raises whatever bare exception a worker died
-    with, losing which job failed; wrapping attaches the job's
-    ``(index, seed)`` and pickles cleanly back to the driver.
+    A bare exception from a worker says nothing of which job failed;
+    wrapping attaches the job's ``(index, seed)`` and pickles cleanly
+    back to the driver.
     """
     try:
         yield

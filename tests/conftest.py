@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -75,3 +80,53 @@ def set_batch_size(monkeypatch):
         monkeypatch.setattr(batching, "DEFAULT_BATCH_SIZE", size)
 
     return set_size
+
+
+#: A script that runs ``run()`` and reports the WorkerError it raised
+#: (``index``) and how many worker processes outlived it (``children``).
+#: ``kill_self()`` SIGKILLs the calling process, as the OOM killer would.
+CRASH_SCRIPT = """
+import json, multiprocessing, os, signal
+from repro.exceptions import WorkerError
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+{body}
+
+if __name__ == "__main__":
+    index = None
+    try:
+        run()
+    except WorkerError as error:
+        index = error.index
+    print(json.dumps(
+        {{"index": index, "children": len(multiprocessing.active_children())}}
+    ))
+"""
+
+
+@pytest.fixture
+def crash_run(tmp_path):
+    """Run ``body`` (which defines ``run()``) as a script file in a fresh
+    interpreter and return its report; a run that hangs fails after 60 s.
+    A script file, not ``-c``, so spawn workers can import its entries."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+    def run(body):
+        script = tmp_path / "crash_script.py"
+        script.write_text(CRASH_SCRIPT.format(body=textwrap.dedent(body)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    return run

@@ -243,3 +243,38 @@ class TestObsMerge:
         assert improvements == len(result.curve) >= 1
         assert result.stats["progress"]["improvements"] == improvements
         assert result.stats["batch"]["candidates"] == result.num_evaluated
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+def test_killed_worker_fails_the_search(crash_run):
+    """A worker SIGKILLed mid-walk raises WorkerError for its unit
+    instead of hanging the driver, and every other worker is reaped."""
+    report = crash_run("""
+        import repro.search.branch_bound_parallel as parallel
+        from repro.arch import eyeriss_like
+        from repro.mapspace import MapspaceKind
+        from repro.mapspace.factory import make_mapspace
+        from repro.model import Evaluator
+        from repro.problem import GemmLayer
+        from repro.search import BranchBoundSearch
+
+        attributed = parallel.worker_errors
+
+
+        def killing(index, seed):
+            if index == 2:
+                kill_self()
+            return attributed(index, seed)
+
+
+        def run():
+            parallel.worker_errors = killing  # forked workers inherit it
+            arch = eyeriss_like()
+            workload = GemmLayer("g8x4x4", m=8, n=4, k=4).workload()
+            BranchBoundSearch(
+                make_mapspace(arch, workload, MapspaceKind.PFM),
+                Evaluator(arch, workload),
+                seed=0, workers=2, start_method="fork",
+            ).run()
+    """)
+    assert report == {"index": 2, "children": 0}

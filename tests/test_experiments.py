@@ -192,10 +192,10 @@ class TestFig13PaddingPath:
 
 class TestFig11Latency:
     def test_latency_variant_runs(self):
-        from repro.experiments.fig11 import run_fig11_latency
+        from repro.experiments.fig11 import run_fig11
 
-        result = run_fig11_latency(
-            seeds=(0,), max_evaluations=200, patience=80,
+        result = run_fig11(
+            objective="delay", seeds=(0,), max_evaluations=200, patience=80,
             subset=("db_vision_56x56", "db_gemm_ocr"),
         )
         assert len(result.comparisons) == 2

@@ -81,6 +81,21 @@ def test_search_entry_points_skip_unused_stacks(module):
 
 
 @pytest.mark.parametrize(
+    "module", ["repro.search.campaign", "repro.experiments.fig10"]
+)
+def test_campaign_imports_no_worker_layer(module):
+    # The worker layer loads when a campaign starts its first worker, so
+    # a figure harness that runs inline compiles none of it.
+    loaded = run_fresh(f"""
+        import json, sys
+        import {module}
+        worker_layer = ("multiprocessing", "repro.search.worker_pool")
+        print(json.dumps([m for m in worker_layer if m in sys.modules]))
+    """)
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--help"],
      ["obs", "summarize", "missing-trace.jsonl"],

@@ -281,3 +281,32 @@ class TestWorkerErrorContext:
         seeds = self._worker_seeds(9, 2)
         assert info.value.index in (0, 1)
         assert info.value.seed == seeds[info.value.index]
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+def test_killed_worker_fails_the_search(crash_run):
+    """A worker SIGKILLed mid-search raises WorkerError for its job
+    instead of hanging the driver, and every other worker is reaped."""
+    report = crash_run("""
+        import repro.search.parallel as parallel
+        from repro.arch import toy_glb_architecture
+        from repro.problem.gemm import vector_workload
+
+        attributed = parallel.worker_errors
+
+
+        def killing(index, seed):
+            if index == 1:
+                kill_self()
+            return attributed(index, seed)
+
+
+        def run():
+            parallel.worker_errors = killing  # forked workers inherit it
+            parallel.parallel_random_search(
+                toy_glb_architecture(6, 1024), vector_workload("v100", 100),
+                workers=2, max_evaluations=50, patience=None, seed=3,
+                start_method="fork",
+            )
+    """)
+    assert report == {"index": 1, "children": 0}

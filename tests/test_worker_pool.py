@@ -123,6 +123,29 @@ class TestRunJobs:
             run_jobs(_square_entry, {}, [1], workers=0)
 
 
+class TestWorkerDeath:
+    """A worker that dies mid-job fails the run; no worker outlives it."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_killed_worker_raises_for_its_job(self, crash_run, method):
+        report = crash_run(f"""
+            from repro.search.worker_pool import run_jobs
+
+
+            def entry(state, job):
+                if job == 3:
+                    kill_self()
+                return job
+
+
+            def run():
+                run_jobs(
+                    entry, {{}}, range(6), workers=2, start_method={method!r}
+                )
+        """)
+        assert report == {"index": 3, "children": 0}
+
+
 class TestIncumbents:
     @pytest.mark.parametrize(
         "make",
