@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Every target imports the package from this checkout's src/ (no
+# `make install` needed), ahead of whatever PYTHONPATH the caller set.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test coverage verify-diff verify-smoke bench bench-fast bench-cache bench-batch bench-sample bench-bnb bench-bnb-parallel bench-record bench-compare perfbench-test campaign-smoke obs-smoke service-smoke examples experiments clean
 
 install:
@@ -47,8 +51,10 @@ bench-cache:
 
 # Smoke benchmark for the vectorized batch engine: fails if the batch path
 # drops below 5x scalar throughput on the toy exhaustive sweep, falls behind
-# scalar on a ResNet-50 layer search, or diverges from scalar results.
-# Refreshes BENCH_batch_eval.json (the perf trajectory record).
+# scalar on a ResNet-50 layer search, prices conv5_expand's sweep from
+# per-chain tables < 1.2x faster than the column walk, enumerates that
+# sweep in factored steps < 2x faster than the flat unravel, or diverges
+# from any reference. Writes build/bench/BENCH_batch_eval.json.
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/test_perf_batch_eval.py --benchmark-only -s
 
@@ -96,7 +102,7 @@ bench-compare:
 # inputs, output checks, and the layer wrappers that patch the search,
 # batch and evaluator entry points by name. About 20 s.
 perfbench-test:
-	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
+	$(PYTHON) -m pytest perfbench -q
 
 # End-to-end robustness smoke: runs a tiny campaign, SIGKILLs it mid-run,
 # resumes from the journal, and checks best-EDP parity plus fault-injection
@@ -121,10 +127,9 @@ obs-smoke:
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py
 
-# The examples import the package from the checkout (no install needed);
-# the loop stops at the first example that fails.
+# The loop stops at the first example that fails.
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
 
 experiments:
 	$(PYTHON) -m repro experiment table1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from typing import (
     TYPE_CHECKING,
@@ -38,10 +39,10 @@ from repro.utils.rng import make_rng
 if TYPE_CHECKING:
     from repro.model.batch import MappingBatch
 
-#: Flat candidate indices unravelled per enumeration step. Bounded so the
-#: step's index, mask and gather temporaries stay small: on a conv5_expand
-#: sweep, 65,536-row steps raised peak RSS from 41 MB to 62 MB for no
-#: reliable speedup.
+#: Candidate cells (head rows x tail rows) masked per enumeration step.
+#: Bounded so the step's mask and extent temporaries stay small: on a
+#: conv5_expand PFM sweep (2-core host), 8,192-cell steps cut enumeration
+#: from about 0.06 s to 0.04 s but raised peak RSS by 1.6 MB.
 _INDEX_CHUNK = 2048
 
 
@@ -181,8 +182,9 @@ class MapSpace:
         :func:`~repro.model.batch.pack_mappings` packs it.
 
         Per draw this is one :meth:`DimAllocator.draw` call and one
-        :meth:`_level_cells` call; the nest positions of the whole batch
-        are then set by one NumPy scatter.
+        :meth:`_level_cells` call, all inside one ``mapspace.sample`` span
+        (``draws`` = ``n``); the nest positions of the whole batch are
+        then set by one NumPy scatter.
         """
         from repro.model.batch import MappingBatch
 
@@ -198,23 +200,28 @@ class MapSpace:
         lengths: List[int] = []
         bypass: Dict[int, list] = {}
         roll_bypass = self.explore_bypass and self._bypass_candidates
-        for i in range(n):
-            allocator, plans, order, budgets = self._draw_setup(randbelow, random_)
-            chains = allocator.draw(plans, order, budgets, randbelow, random_)
-            row_bounds, row_rems = zip(*chains)
-            row_cells = self._level_cells(row_bounds, randbelow)
-            bounds += row_bounds
-            rems += row_rems
-            cells += row_cells
-            lengths.append(len(row_cells))
-            if roll_bypass:
-                pairs = [
-                    pair
-                    for pair in self._bypass_candidates
-                    if random_() < self.BYPASS_PROBABILITY
-                ]
-                if pairs:
-                    bypass[i] = pairs
+        with _obs.trace("mapspace.sample", draws=n):
+            for i in range(n):
+                allocator, plans, order, budgets = self._draw_setup(
+                    randbelow, random_
+                )
+                chains = allocator.draw(
+                    plans, order, budgets, randbelow, random_
+                )
+                row_bounds, row_rems = zip(*chains)
+                row_cells = self._level_cells(row_bounds, randbelow)
+                bounds += row_bounds
+                rems += row_rems
+                cells += row_cells
+                lengths.append(len(row_cells))
+                if roll_bypass:
+                    pairs = [
+                        pair
+                        for pair in self._bypass_candidates
+                        if random_() < self.BYPASS_PROBABILITY
+                    ]
+                    if pairs:
+                        bypass[i] = pairs
 
         def slot_major(per_dim: List[Tuple[int, ...]]) -> np.ndarray:
             flat = np.fromiter(
@@ -647,8 +654,7 @@ class MapSpace:
             )
             return
         tables, chunks = self._feasible_index_rows(
-            prefixes, tags, chunk=max(_INDEX_CHUNK, batch_size),
-            capacity=capacity,
+            prefixes, tags, capacity=capacity
         )
         num_dims = len(tables)
 
@@ -710,60 +716,87 @@ class MapSpace:
 
         Returns ``(fans, extents, shared)``. ``fans`` pairs each dimension
         whose chains can change a fanout product with its chains' bounds
-        at the spatial slots. ``extents[d]`` is ``(len(tables[d]),
-        num_capacity_levels)`` int64: each chain's tile extent at every
-        bounded level, the product of its bounds at that level and inside
-        it (one column of :meth:`BatchLayout.capacity_extents`, per
-        chain). ``shared[d]`` is the extents every chain of the dimension
-        shares (a one-chain menu, say), or ``None``.
+        at the spatial slots, ``(num_spatial_slots, len(tables[d]))``.
+        ``extents[d]`` is ``(num_capacity_levels, len(tables[d]))`` int64:
+        each chain's tile extent at every bounded level, the product of
+        its bounds at that level and inside it (one row of
+        :meth:`BatchLayout.capacity_extents`, per chain). ``shared[d]`` is
+        the ``(num_capacity_levels,)`` extents every chain of the
+        dimension shares (a one-chain menu, say), or ``None``.
         """
         spatial = list(self._spatial_caps)
-        fans = [(d, table[:, 0, spatial]) for d, table in enumerate(tables)]
+        fans = [(d, table[:, 0, spatial].T) for d, table in enumerate(tables)]
         fans = [(d, fan) for d, fan in fans if (fan > 1).any()]
         levels = self.batch_layout().capacity_levels
         extents = []
         for table in tables:
-            ext = np.ones((len(table), len(levels)), dtype=np.int64)
+            ext = np.ones((len(levels), len(table)), dtype=np.int64)
             for j, (_, info) in enumerate(levels):
                 for c in info["cols"]:
-                    ext[:, j] *= table[:, 0, c]
+                    ext[j] *= table[:, 0, c]
             extents.append(ext)
-        shared = [ext[0] if (ext == ext[0]).all() else None for ext in extents]
+        shared = [
+            ext[:, 0] if (ext == ext[:, :1]).all() else None for ext in extents
+        ]
         return fans, extents, shared
 
-    def _fanout_fits(self, idx: "np.ndarray", fans: list) -> "np.ndarray":
-        """Which menu-index rows fit every joint fanout cap.
+    def _mask_side(
+        self, rows: "np.ndarray", dims: Sequence[int], masks: tuple,
+        axis: int, capacity: bool,
+    ) -> tuple:
+        """What the fanout and capacity masks read from one side of a block.
 
-        Dimensions whose chains are all 1 at every spatial slot never
-        change a fanout product; ``fans`` leaves them out.
+        A block joins every row of its head side (``axis`` 0) with every
+        row of its tail side (``axis`` 1); each side sets the dimensions
+        ``dims`` of its menu-index ``rows``. Returns ``(used, ext)``:
+        ``used`` is the side's ``(num_spatial_slots, n)`` fanout usage,
+        the product of its dims' bounds at each spatial slot clamped at
+        ``caps + 1`` (far from int64's range), and ``ext`` maps each of
+        its dims whose chains differ in extents to their extents at every
+        bounded level, ``(levels, n, 1)`` on the head side and ``(levels,
+        1, n)`` on the tail side (empty without ``capacity``).
         """
+        fans, extents, shared = masks
         caps = self._caps
-        ceiling = caps + 1  # clamps the products far from int64's range
-        used = np.ones((len(idx), len(caps)), np.int64)
+        used = np.ones((len(caps), len(rows)), np.int64)
         for d, fan in fans:
-            used *= fan[idx[:, d]]
-            np.minimum(used, ceiling, out=used)
-        return (used <= caps).all(axis=1)
+            if d in dims:
+                used *= fan.take(rows[:, d], axis=1)
+                np.minimum(used, caps[:, None] + 1, out=used)
+        ext = {}
+        if capacity:
+            shape = (-1, len(rows), 1) if axis == 0 else (-1, 1, len(rows))
+            for d in dims:
+                if shared[d] is None:
+                    ext[d] = extents[d].take(rows[:, d], axis=1).reshape(shape)
+        return used, ext
 
-    def _capacity_fits(
-        self, idx: "np.ndarray", extents: list, shared: list
-    ) -> "np.ndarray":
-        """Which menu-index rows fit every bounded level's capacity.
+    def _block_fits(
+        self, head: tuple, tail: tuple, masks: tuple, capacity: bool
+    ) -> Tuple["np.ndarray", Optional["np.ndarray"]]:
+        """Fanout and capacity masks of a head x tail block of candidates.
 
-        Per dim, its rows' ``(n, levels)`` extents, or the ``(levels,)``
-        ones all its chains share: a scalar for the capacity mask.
+        ``head`` and ``tail`` are :meth:`_mask_side` results. Returns two
+        ``(len(head rows), len(tail rows))`` bool masks: which candidates
+        fit every joint fanout cap, and (with ``capacity``, else ``None``)
+        which fit every bounded level. Capacity is decided on every cell
+        by one :meth:`BatchLayout.fits_capacity` call, each dimension's
+        extents broadcast from its side (or shared by all its chains).
         """
-        layout = self.batch_layout()
-        ext = [
-            table[idx[:, d]] if same is None else same
-            for d, (table, same) in enumerate(zip(extents, shared))
+        fit = np.logical_and.reduce(
+            head[0][:, :, None] * tail[0][:, None, :]
+            <= self._caps[:, None, None]
+        )
+        if not capacity:
+            return fit, None
+        ext = {**head[1], **tail[1]}
+        _, _, shared = masks
+        per_dim = [
+            ext[d] if same is None else same for d, same in enumerate(shared)
         ]
-        return layout.fits_capacity(
-            [
-                [e[..., j] for e in ext]
-                for j in range(len(layout.capacity_levels))
-            ],
-            len(idx),
+        levels = range(len(self.batch_layout().capacity_levels))
+        return fit, self.batch_layout().fits_capacity(
+            [[e[j] for e in per_dim] for j in levels], fit.shape
         )
 
     def _pinned_batches(
@@ -775,22 +808,26 @@ class MapSpace:
     ) -> Iterator["object"]:
         """:meth:`iter_prefix_batches` of fully pinned menu-index rows.
 
-        Each row is its own candidate, so the unravel is skipped: the
-        fanout and capacity masks apply to ``rows`` directly (the
+        Each row is its own candidate, so the unravel is skipped: ``rows``
+        are masked as the head of one block with an empty tail (the
         branch-and-bound leaf flush's case), and the survivors are cut
         into batches with the spans and ordinals the unravel path gives.
         """
-        layout = self.batch_layout()
         tables = [table for table, _ in self._menu_tables()]
-        fans, extents, shared = self._menu_masks
+        masks = self._menu_masks
+        check = capacity and bool(self.batch_layout().capacity_levels)
         tag_of = None if tags is None else np.asarray(tags, dtype=np.int64)
         with _obs.trace("mapspace.enumerate"):
-            feasible = np.flatnonzero(self._fanout_fits(rows, fans))
+            fit, room = self._block_fits(
+                self._mask_side(rows, range(len(tables)), masks, 0, check),
+                (np.ones((len(self._caps), 1), np.int64), {}),
+                masks,
+                check,
+            )
+            feasible = np.flatnonzero(fit[:, 0])
             kept = np.arange(len(feasible))
-            if capacity and layout.capacity_levels and len(feasible):
-                kept = kept[
-                    self._capacity_fits(rows[feasible], extents, shared)
-                ]
+            if room is not None:
+                kept = kept[room[feasible, 0]]
 
         def pack(part, start, end):
             picked = feasible[part]
@@ -850,7 +887,6 @@ class MapSpace:
         self,
         prefixes,
         tags: Optional[Sequence[int]] = None,
-        chunk: int = _INDEX_CHUNK,
         capacity: bool = False,
     ):
         """The fanout-feasible completions of ``prefixes`` as menu indices.
@@ -867,9 +903,15 @@ class MapSpace:
         left out of ``rows`` (``count`` still counts them).
 
         Every prefix spans a mixed-radix block of ``prod(free menu
-        lengths)`` candidates (one for a fully pinned prefix); the blocks
-        are laid end to end and cut into ``chunk``-row slices of flat
-        indices, each unravelled, masked and yielded as one array.
+        lengths)`` candidates (one for a fully pinned prefix), laid end to
+        end. Consecutive prefixes that leave the same dims free share a
+        factoring of their blocks: the *tail* is the longest suffix of
+        free dims whose menu product fits in one step of ``_INDEX_CHUNK``
+        cells, and the *head* is each prefix's pinned dims plus the other
+        free dims. The tail's rows, fanout usage and extents are built
+        once; each step unravels a block of head indices only, decides
+        fanout and capacity on the head x tail cells by broadcasting, and
+        gathers the rows of the cells that survive.
         """
         menus = self._menu_tables()
         foreign: List[Dict[tuple, int]] = [{} for _ in menus]
@@ -901,40 +943,66 @@ class MapSpace:
                 if extra else table
                 for (table, _), extra in zip(menus, foreign)
             ]
-            fans, extents, shared = self._mask_tables(tables)
+            masks = self._mask_tables(tables)
         else:
             tables = [table for table, _ in menus]
-            fans, extents, shared = self._menu_masks
-        layout = self.batch_layout()
+            masks = self._menu_masks
+        num_dims = len(menus)
         tag_of = np.asarray([0] * len(pins) if tags is None else tags, np.int64)
         radix = np.where(pins < 0, [len(table) for table, _ in menus], 1)
         if radix.astype(float).prod(axis=1).sum() >= 2.0 ** 62:
             raise MapspaceError("enumeration too large to index")
-        sizes = radix.prod(axis=1)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
         base = np.column_stack(
             [np.maximum(pins, 0), tag_of, np.zeros(len(pins), np.int64)]
         )
-        capacity = capacity and bool(layout.capacity_levels)
+        capacity = capacity and bool(self.batch_layout().capacity_levels)
+        # Runs of consecutive prefixes that leave the same dims free.
+        cuts = list(np.flatnonzero((radix[1:] != radix[:-1]).any(axis=1)) + 1)
+        runs = list(zip([0, *cuts], [*cuts, len(pins)])) if len(pins) else []
+        chunk = _INDEX_CHUNK
 
         def rows():
-            total = int(ends[-1]) if len(ends) else 0
             seen = 0
-            for a in range(0, total, chunk):
-                flat = np.arange(a, min(a + chunk, total))
-                pid = np.searchsorted(ends, flat, side="right")
-                local = flat - starts[pid]
-                idx = base[pid]
-                for d in reversed(range(len(menus))):
-                    local, digit = np.divmod(local, radix[pid, d])
-                    idx[:, d] += digit
-                idx = idx[self._fanout_fits(idx, fans)]
-                count = len(idx)
-                idx[:, -1] = np.arange(seen, seen + count)
-                seen += count
-                if capacity and count:
-                    idx = idx[self._capacity_fits(idx, extents, shared)]
-                yield count, idx
+            for lo, hi in runs:
+                digits = radix[lo].tolist()
+                free = [d for d in range(num_dims) if digits[d] > 1]
+                inner: List[int] = []
+                size = 1
+                while free and size * digits[free[-1]] <= chunk:
+                    inner.insert(0, free.pop())
+                    size *= digits[inner[0]]
+                tail = np.zeros((size, num_dims + 2), np.int64)
+                local = np.arange(size)
+                for d in reversed(inner):
+                    local, tail[:, d] = np.divmod(local, digits[d])
+                tail_side = self._mask_side(tail, inner, masks, 1, capacity)
+                # The head sets the prefix's pinned dims and the outer free
+                # dims ``free``.
+                outside = [d for d in range(num_dims) if d not in inner]
+                heads = math.prod(digits[d] for d in free)
+                total = (hi - lo) * heads
+                width = max(1, chunk // size)
+                for a in range(0, total, width):
+                    pid, local = np.divmod(
+                        np.arange(a, min(a + width, total)), heads
+                    )
+                    head = base[lo + pid]
+                    for d in reversed(free):
+                        local, digit = np.divmod(local, digits[d])
+                        head[:, d] += digit
+                    fit, room = self._block_fits(
+                        self._mask_side(head, outside, masks, 0, capacity),
+                        tail_side,
+                        masks,
+                        capacity,
+                    )
+                    order = np.cumsum(fit, axis=None)
+                    count = int(order[-1])
+                    cells = np.flatnonzero(fit if room is None else fit & room)
+                    outer_row, tail_row = np.divmod(cells, size)
+                    kept = head[outer_row] + tail[tail_row]
+                    kept[:, -1] = order[cells] + (seen - 1)
+                    seen += count
+                    yield count, kept
 
         return tables, rows()

@@ -514,34 +514,38 @@ class BatchLayout:
             extents.append(ext.T)
         return extents
 
-    def fits_capacity(self, extents: Sequence[Any], n: int) -> Any:
-        """Which of ``n`` rows fit every bounded level (``check_mapping``'s
+    def fits_capacity(self, extents: Sequence[Any], n: Any) -> Any:
+        """Which rows fit every bounded level (``check_mapping``'s
         capacity rule) given their tile extents.
 
         ``extents`` has one entry per :attr:`capacity_levels` level,
-        indexed by dim: dim ``d``'s ``(n,)`` int64 extents there, as
+        indexed by dim: dim ``d``'s int64 extents there, as
         :meth:`capacity_extents` gives them, or one int64 scalar that
-        every row shares. The batch kernel's validity stage passes
-        extents folded from packed rows; enumeration passes extents
-        gathered from per-chain tables, so it can drop rows that cannot
+        every row shares. ``n`` is the row count, or the shape the
+        extents broadcast to. The batch kernel's validity stage passes
+        ``(n,)`` extents folded from packed rows; enumeration passes
+        extents gathered from per-chain tables, a head x tail block's as
+        ``(B, 1)`` and ``(1, T)`` arrays, so it can drop rows that cannot
         fit before packing them. Both fold them through each kept
-        tensor's rank footprints in the same int64 arithmetic.
+        tensor's rank footprints in the same int64 arithmetic; a term
+        stays as small as its operands until it meets the other side.
         """
         valid = np.ones(n, dtype=bool)
         for (level_index, info), ext in zip(self.capacity_levels, extents):
-            shared = np.zeros(n, dtype=np.int64)
+            shared = 0
             for t in info["kept"]:
                 meta = self.tensors[t]
-                footprint = np.ones(n, dtype=np.int64)
+                footprint = 1
                 for rank in meta.ranks:
                     if len(rank) == 1 and rank[0][1] == 1:
                         # A one-dim rank's footprint is its extent.
-                        footprint *= ext[rank[0][0]]
+                        footprint = footprint * ext[rank[0][0]]
                         continue
-                    span = np.zeros(n, dtype=np.int64)
+                    # 1 + sum(coef * (extent - 1)), constant part first.
+                    span = 1 - sum(coef for _, coef in rank)
                     for d, coef in rank:
-                        span += coef * (ext[d] - 1)
-                    footprint *= span + 1
+                        span = span + (ext[d] if coef == 1 else coef * ext[d])
+                    footprint = footprint * span
                 words = np.maximum(
                     footprint * meta.bits_per_element // info["word_bits"], 1
                 )
@@ -549,7 +553,7 @@ class BatchLayout:
                 if partition is not None:
                     valid &= words <= partition
                 else:
-                    shared += words
+                    shared = shared + words
             if info["shared_capacity"] is not None:
                 valid &= shared <= info["shared_capacity"]
         return valid

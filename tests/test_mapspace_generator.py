@@ -1,5 +1,6 @@
 """Unit tests for MapSpace sampling, assembly, and enumeration."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from repro.mapspace import (
     ruby_s_mapspace,
     ruby_t_mapspace,
 )
+from repro.mapspace import generator
 from repro.mapspace.allocation import DimChain
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.obs import MetricsRegistry, obs_scope
@@ -249,13 +251,13 @@ class TestSlots:
         assert all(s.allows("Q") and not s.allows("P") for s in spatial)
 
 
-def _itertools_packer(space, prefixes, batch_size, tags=None):
+def _itertools_packer(space, prefixes, batch_size, tags=None, capacity=True):
     """The per-candidate packer that the vectorized enumeration replaced.
 
     Walks ``itertools.product`` over each prefix's per-dimension choices,
     checks the joint fanout one candidate at a time, drops the candidates
-    whose assembled mapping fails the scalar capacity check, and fills
-    batch rows one by one. Kept here as the row-for-row oracle: returns
+    whose assembled mapping fails the scalar capacity check (with
+    ``capacity``), and fills batch rows one by one. Kept here as the row-for-row oracle: returns
     ``(batches, count)``, one ``(size, bounds, rems, tags, ordinals)`` per
     batch (``ordinals`` being each row's position among all
     fanout-feasible candidates) and the fanout-feasible count.
@@ -279,7 +281,7 @@ def _itertools_packer(space, prefixes, batch_size, tags=None):
             ):
                 continue
             count += 1
-            if _fits(space, combo):
+            if not capacity or _fits(space, combo):
                 tag = tags[index] if tags is not None else 0
                 rows.append((combo, tag, count - 1))
     batches = []
@@ -319,15 +321,19 @@ def _fits(space, combo):
     return _FITS[key][1]
 
 
-def _assert_packs_like_oracle(space, prefixes, batch_size, tags=None):
+def _assert_packs_like_oracle(
+    space, prefixes, batch_size, tags=None, capacity=True
+):
     registry = MetricsRegistry()
     with obs_scope(registry):
         got = list(
             space.iter_prefix_batches(
-                prefixes, batch_size=batch_size, tags=tags
+                prefixes, batch_size=batch_size, tags=tags, capacity=capacity
             )
         )
-    want, count = _itertools_packer(space, prefixes, batch_size, tags)
+    want, count = _itertools_packer(
+        space, prefixes, batch_size, tags, capacity
+    )
     # A call whose trailing candidates all fail capacity ends with an
     # empty batch that carries their span.
     if got and not got[-1].size and len(got) == len(want) + 1:
@@ -413,9 +419,12 @@ class TestPackedEnumerationParity:
                 if name == "mixed"
                 else None
             )
-            got = _assert_packs_like_oracle(space, prefixes, batch_size, tags)
-            if name in ("infeasible", "empty"):
-                assert got == []
+            for capacity in (True, False):
+                got = _assert_packs_like_oracle(
+                    space, prefixes, batch_size, tags, capacity
+                )
+                if name in ("infeasible", "empty"):
+                    assert got == []
 
     @pytest.mark.parametrize("batch_size", [1, 7, 512])
     def test_eyeriss_conv5_expand(self, batch_size):
@@ -495,3 +504,50 @@ class TestPackedEnumerationParity:
                 assert np.array_equal(a.bounds, b.bounds)
                 assert np.array_equal(a.rems, b.rems)
                 assert np.array_equal(a.tags, b.tags)
+
+
+
+class TestPackedEnumerationSmallSteps(TestPackedEnumerationParity):
+    """The same parity with 1- and 5-cell enumeration steps.
+
+    Steps that small split every prefix's block into many head blocks,
+    leave the tail empty whenever the innermost free menu is wider than
+    a step, and put fully pinned prefixes, foreign chains and tags on
+    step boundaries.
+    """
+
+    @pytest.fixture(autouse=True, params=[1, 5], ids=["cells1", "cells5"])
+    def _step_cells(self, request, monkeypatch):
+        monkeypatch.setattr(generator, "_INDEX_CHUNK", request.param)
+
+
+def _batch_digest(space):
+    """sha256 over every batch's row count, ``menu_rows``, ``ordinals``
+    and ``span`` of ``space.iter_batches()``."""
+    digest = hashlib.sha256()
+    for batch in space.iter_batches():
+        digest.update(np.int64(batch.size).tobytes())
+        digest.update(np.ascontiguousarray(batch.menu_rows, np.int64).tobytes())
+        digest.update(np.ascontiguousarray(batch.ordinals, np.int64).tobytes())
+        digest.update(np.int64(batch.span).tobytes())
+    return digest.hexdigest()
+
+
+class TestConv5ExpandGolden:
+    """The conv5_expand PFM sweep's batches, pinned byte for byte.
+
+    The digest was taken from the flat-unravel enumeration that the
+    factored head x tail steps replaced.
+    """
+
+    def test_batches_and_count(self):
+        workload = {
+            layer.name: layer for layer, _ in RESNET50_LAYERS
+        }["conv5_expand"].workload()
+        space = pfm_mapspace(
+            eyeriss_like(), workload, constraints=eyeriss_row_stationary()
+        )
+        assert _batch_digest(space) == (
+            "97b80fb0373a7d6fa3419909454316d966945931386a4ae1b55c95018a7c18e4"
+        )
+        assert space.count_completions() == 446_145

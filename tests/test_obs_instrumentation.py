@@ -95,6 +95,49 @@ class TestSearchSpans:
             result.num_valid - batch["pruned"]
         )
 
+    def test_sample_spans_wrap_each_draw_loop(
+        self, toy_arch, vector100, toy_evaluator
+    ):
+        """``mapspace.sample`` opens once per ``sample_batch`` call, inside
+        the chunk's ``search.sample``, and its ``draws`` sum to the run's
+        ``mapspace.samples``."""
+        space = ruby_s_mapspace(toy_arch, vector100)
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        with obs_scope(registry=registry, tracer=tracer):
+            RandomSearch(
+                space, toy_evaluator, seed=0, max_evaluations=200
+            ).run()
+        by_id = {record["span_id"]: record for record in tracer.records}
+        samples = [r for r in tracer.records if r["name"] == "mapspace.sample"]
+        chunks = [r for r in tracer.records if r["name"] == "search.sample"]
+        assert samples and len(samples) == len(chunks)
+        assert all(
+            by_id[r["parent_id"]]["name"] == "search.sample" for r in samples
+        )
+        assert sum(r["attrs"]["draws"] for r in samples) == (
+            registry.counter("mapspace.samples").total()
+        )
+
+    def test_sample_span_is_null_when_off(self, monkeypatch, toy_arch, vector100):
+        """With obs off ``mapspace.sample`` is the shared null span."""
+        import random
+
+        from repro.obs import scope
+
+        opened = []
+        original = scope.trace
+
+        def spy(name, **attrs):
+            span = original(name, **attrs)
+            opened.append((name, span))
+            return span
+
+        monkeypatch.setattr(scope, "trace", spy)
+        ruby_s_mapspace(toy_arch, vector100).sample_batch(random.Random(0), 8)
+        assert [name for name, _ in opened] == ["mapspace.sample"]
+        assert opened[0][1] is scope._NULL_SPAN
+
     def test_enumerate_and_validity_spans(
         self, toy_arch, vector100, set_batch_size
     ):
