@@ -5,8 +5,10 @@ Exercises the full robustness story against the toy suite on the 16-PE
 linear architecture:
 
 1. run an uninterrupted reference campaign;
-2. start the same campaign on a second journal, SIGKILL it mid-run, and
-   resume it — per-job best EDP must match the reference exactly;
+2. start the same campaign on a second journal with a hang injected at
+   a mid-campaign job, SIGKILL it while that job sleeps, and resume it
+   (without the fault plan) — per-job best EDP must match the reference
+   exactly;
 3. run with an injected worker crash and an injected always-raising job —
    the crash must be retried to success, the raiser quarantined, and the
    campaign must still exit 0;
@@ -106,10 +108,28 @@ def step_reference(workdir: Path) -> dict:
     return results
 
 
+#: The job held asleep on its first attempt while step 2 kills the
+#: campaign, and for how long. It starts only after two earlier jobs have
+#: finished on the two workers, so the kill (sent once two terminal
+#: records are journaled) always lands while it sleeps, however fast the
+#: other jobs run; no ``--timeout`` is set, so the job would still finish
+#: with its normal result.
+HELD_JOB = "toy:fig8_d127:ruby-s"
+HOLD_S = 3.0
+
+
 def step_kill_and_resume(workdir: Path, reference: dict) -> None:
     journal = workdir / "interrupted.jsonl"
+    plan_path = workdir / "hold.json"
+    plan_path.write_text(json.dumps({
+        "schema": 1,
+        "faults": [
+            {"job": HELD_JOB, "attempt": 0, "kind": "hang",
+             "seconds": HOLD_S},
+        ],
+    }))
     proc = subprocess.Popen(
-        BASE_CMD + ["--journal", str(journal)],
+        BASE_CMD + ["--journal", str(journal), "--fault-plan", str(plan_path)],
         env=_env(),
         cwd=REPO,
         stdout=subprocess.DEVNULL,
@@ -118,16 +138,15 @@ def step_kill_and_resume(workdir: Path, reference: dict) -> None:
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline and _count_terminal(journal) < 2:
         if proc.poll() is not None:
-            sys.exit("campaign finished before it could be interrupted; "
-                     "raise --budget in this script")
+            sys.exit("campaign finished before it could be interrupted")
         time.sleep(0.05)
     proc.send_signal(signal.SIGKILL)
     proc.wait()
     interrupted = _count_terminal(journal)
-    if interrupted >= len(reference):
-        sys.exit("campaign finished before it could be interrupted; "
-                 "raise --budget in this script")
-    print(f"[2/5] SIGKILLed campaign after {interrupted} jobs; resuming")
+    if interrupted >= len(reference) or HELD_JOB in _job_results(journal):
+        sys.exit("campaign finished before it could be interrupted")
+    print(f"[2/5] SIGKILLed campaign after {interrupted} jobs, while "
+          f"{HELD_JOB} slept; resuming")
 
     resumed = _run(
         [

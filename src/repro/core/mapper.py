@@ -46,10 +46,14 @@ class MapperConfig:
         objective: "edp" (paper default), "energy", or "delay"
             ("cycles" and "latency" are stored as "delay").
         strategy: "random" (Timeloop-style), "exhaustive", "branch-bound"
-            (exact, with subtree pruning), "genetic", or "annealing".
-        max_evaluations: budget for the random strategy.
-        patience: consecutive-non-improving termination (random strategy);
-            the paper uses 3000.
+            (exact, with subtree pruning), or "genetic".
+        max_evaluations: evaluation budget of the heuristic strategies,
+            random and genetic (which breeds
+            ``max_evaluations // population_size - 1`` generations and
+            refuses a budget below two populations); the exact strategies
+            ignore it.
+        patience: consecutive-non-improving termination of the random
+            strategy (the paper uses 3000); genetic search ignores it.
         seed: RNG seed for reproducibility.
         constraints: dataflow constraints applied to the mapspace.
         use_batch: price candidates through the vectorized batch kernels
@@ -223,25 +227,14 @@ class Mapper:
                 workers=self.config.workers,
                 start_method=self.config.start_method,
             ).run()
-        if strategy == "genetic":
-            from repro.search.genetic import GeneticSearch
+        # "genetic", the last name MapperConfig accepts.
+        from repro.search.genetic import GeneticSearch
 
-            return GeneticSearch(
-                self.mapspace,
-                self.evaluator,
-                objective=self.config.objective,
-                seed=effective_seed,
-                use_batch=self.config.use_batch,
-                batch_engine=self.batch_engine,
-            ).run()
-        # "annealing", the last name MapperConfig accepts.
-        from repro.search.annealing import SimulatedAnnealing
-
-        return SimulatedAnnealing(
+        return GeneticSearch(
             self.mapspace,
             self.evaluator,
             objective=self.config.objective,
-            steps=self.config.max_evaluations,
+            max_evaluations=self.config.max_evaluations,
             seed=effective_seed,
             use_batch=self.config.use_batch,
             batch_engine=self.batch_engine,

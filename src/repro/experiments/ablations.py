@@ -148,7 +148,7 @@ class SearchAblationResult:
 def run_search_ablation(
     seed: int = 0,
     population: int = 40,
-    generations: int = 30,
+    max_evaluations: int = 1_240,
     workload=None,
 ) -> SearchAblationResult:
     """Compare search strategies (default: a misaligned pointwise layer)."""
@@ -160,7 +160,7 @@ def run_search_ablation(
     space = MapSpace(arch, workload, MapspaceKind.RUBY_S, constraints)
     genetic_result = GeneticSearch(
         space, evaluator, population_size=population,
-        generations=generations, seed=seed,
+        max_evaluations=max_evaluations, seed=seed,
     ).run()
     random_result = RandomSearch(
         space, evaluator, max_evaluations=genetic_result.num_evaluated,

@@ -3,8 +3,8 @@
 Long searches used to be silent until they returned: the registry counts
 *what happened* but nothing says *how far along* a run is. This module
 adds the missing sense. A :class:`ProgressTracker` pairs a total-work
-estimate (an evaluation budget, ``(generations + 1) * population``, the
-branch-and-bound partition-cell count, …) with completed-work
+estimate (an evaluation budget, whole populations of it for genetic
+search, the branch-and-bound partition-cell count, …) with completed-work
 accounting, an incumbent-convergence timeline (a bounded ring buffer of
 ``(monotonic_s, best_metric)`` recorded on each improvement), and an
 EWMA-throughput ETA.
@@ -18,8 +18,8 @@ discover in-flight trackers through the weak module registry
 its result is dropped.
 
 Totals are *estimates*, not contracts: exhaustive sweeps use the cheap
-pre-fanout-filter menu product (an upper bound), and annealing restarts
-may retry past their nominal step budget. ``fraction`` is therefore
+pre-fanout-filter menu product (an upper bound), and a random search
+that stops on patience ends short of its budget. ``fraction`` is therefore
 clamped to ``[0, 1]`` and :meth:`ProgressTracker.finish` snaps completed
 work to the total, so the fraction is monotonically nondecreasing and
 ends at 1.0 whenever a total is known.

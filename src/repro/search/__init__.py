@@ -11,7 +11,7 @@ orthogonal to and composable with better search.
 from repro._exports import lazy_exports
 
 #: Search strategies a :class:`~repro.core.mapper.MapperConfig` can name.
-STRATEGIES = ("random", "exhaustive", "branch-bound", "genetic", "annealing")
+STRATEGIES = ("random", "exhaustive", "branch-bound", "genetic")
 
 #: Strategies that can fan out over ``MapperConfig.workers`` processes.
 POOLED_STRATEGIES = ("random", "branch-bound")
@@ -31,6 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".exhaustive": ("ExhaustiveSearch",),
     ".branch_bound": ("BranchBoundSearch",),
     ".genetic": ("GeneticSearch",),
-    ".annealing": ("SimulatedAnnealing",),
     ".pareto_search": ("ParetoSearch", "ParetoSearchResult"),
 }, own=("STRATEGIES", "POOLED_STRATEGIES"))

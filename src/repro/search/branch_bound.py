@@ -588,6 +588,14 @@ class _SubtreeWalker:
 class BranchBoundSearch:
     """Exact best-first branch-and-bound over the per-dimension prefix tree.
 
+    Exact over canonical loop order only, like
+    :class:`~repro.search.exhaustive.ExhaustiveSearch`: the tree fixes
+    tile-size chains with every level's temporal loops in workload
+    dimension order (the bound tables assume it too), while the random
+    sampler also shuffles them. On conv5_expand PFM under
+    ``eyeriss_row_stationary()`` random search (100,000 evaluations,
+    seed 1) finds EDP 4.965e14 against this walk's 5.236e14.
+
     Args:
         mapspace: must be enumerable (same regime as exhaustive search).
         evaluator: prices candidates (through the batch engine).

@@ -30,6 +30,13 @@ class ExhaustiveSearch:
     ``prune-parity`` invariant checks pruned against unpruned pricing,
     and ``leaf-exactness`` table pricing against the column walk.
 
+    The sweep is exact over canonical loop order only: it enumerates
+    tile-size chains with every level's temporal loops in workload
+    dimension order, while the random sampler also shuffles them. On
+    conv5_expand PFM under ``eyeriss_row_stationary()`` random search
+    (100,000 evaluations, seed 1) finds EDP 4.965e14 against this
+    sweep's 5.236e14.
+
     Args:
         mapspace: must be small enough to enumerate.
         evaluator: prices each mapping.

@@ -22,7 +22,12 @@ from repro.mapspace.allocation import DimChain
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import pack_mappings
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_objective
+from repro.search.loop import (
+    RunLedger,
+    batch_engine_for,
+    check_int,
+    check_objective,
+)
 from repro.search.result import SearchResult
 from repro.utils.rng import make_rng
 
@@ -37,7 +42,12 @@ class GeneticSearch:
         evaluator: fitness function (lower objective = fitter).
         objective: optimization metric name.
         population_size: individuals per generation.
-        generations: number of generations to evolve.
+        max_evaluations: evaluation budget, the one every heuristic
+            strategy reads. The initial population and each bred
+            generation cost ``population_size`` evaluations, so the run
+            evolves ``max_evaluations // population_size - 1``
+            generations; a budget below ``2 * population_size`` (not
+            even one generation) raises :class:`SearchError`.
         mutation_rate: probability of mutating each offspring.
         tournament: tournament size for parent selection.
         seed: RNG seed or generator.
@@ -57,7 +67,7 @@ class GeneticSearch:
         evaluator: Evaluator,
         objective: str = "edp",
         population_size: int = 50,
-        generations: int = 20,
+        max_evaluations: int = 1_050,
         mutation_rate: float = 0.3,
         tournament: int = 3,
         seed: Optional[Union[int, random.Random]] = None,
@@ -66,8 +76,10 @@ class GeneticSearch:
     ) -> None:
         if population_size < 2:
             raise SearchError("population_size must be >= 2")
-        if generations < 1:
-            raise SearchError("generations must be >= 1")
+        # The initial population plus at least one bred generation.
+        check_int(
+            "max_evaluations", max_evaluations, minimum=2 * population_size
+        )
         if not 0.0 <= mutation_rate <= 1.0:
             raise SearchError("mutation_rate must be in [0, 1]")
         if tournament < 1:
@@ -76,7 +88,7 @@ class GeneticSearch:
         self.evaluator = evaluator
         self.objective = check_objective(objective)
         self.population_size = population_size
-        self.generations = generations
+        self.generations = max_evaluations // population_size - 1
         self.mutation_rate = mutation_rate
         self.tournament = tournament
         self.rng = make_rng(seed)

@@ -10,8 +10,8 @@ exactly), with bit-identical metrics either way, so no loop branches on
 how its rows are priced. Only the row-wise path looks rows up in the
 evaluator's cache (one lookup per candidate); kernel-priced rows never
 do, and only their improvements and fallback rows are stored. Random and
-Pareto search sample their chunks straight into packed rows; genetic and
-annealing search pack their assembled genomes with
+Pareto search sample their chunks straight into packed rows; genetic
+search packs each assembled population with
 :func:`~repro.model.batch.pack_mappings`.
 
 :class:`RunLedger` is the run's accounting and the one owner of its

@@ -35,7 +35,6 @@ from repro.problem import ConvLayer, GemmLayer
 from repro.problem.gemm import vector_workload
 from repro.problem.tensor import simple_tensor
 from repro.problem.workload import Workload
-from repro.search.annealing import SimulatedAnnealing
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticSearch
 from repro.search.pareto_search import ParetoSearch
@@ -244,26 +243,8 @@ def test_genetic_batch_parity():
             make_mapspace(arch, workload, "ruby-s"),
             Evaluator(arch, workload),
             population_size=14,
-            generations=5,
+            max_evaluations=84,
             seed=21,
-            use_batch=use_batch,
-        ).run()
-
-    _assert_same_result(search(False), search(True), check_stats_batch=True)
-
-
-def test_annealing_batch_parity():
-    """Batch-of-one pricing walks the same Metropolis chain."""
-    arch = eyeriss_like()
-    workload = GemmLayer("gemm", m=12, n=10, k=8).workload()
-
-    def search(use_batch):
-        return SimulatedAnnealing(
-            make_mapspace(arch, workload, "ruby-s"),
-            Evaluator(arch, workload),
-            steps=120,
-            restarts=2,
-            seed=13,
             use_batch=use_batch,
         ).run()
 
@@ -389,21 +370,14 @@ _ROW_WISE_GOLDEN = {
     ),
     "genetic": (
         lambda s, e: GeneticSearch(
-            s, e, population_size=12, generations=6, seed=4, use_batch=False
+            s, e, population_size=12, max_evaluations=84, seed=4,
+            use_batch=False,
         ),
         32324.596199892865,
         [(12, 64905.02974523378), (29, 64699.02436344157),
          (55, 43341.37098164936), (62, 43048.202908961044),
          (74, 32324.596199892865)],
         (84, 42, 38, 46),
-    ),
-    "annealing": (
-        lambda s, e: SimulatedAnnealing(
-            s, e, steps=150, seed=5, use_batch=False
-        ),
-        32207.722836272736,
-        [(29, 32207.722836272736)],
-        (179, 74, 106, 73),
     ),
     "exhaustive": (
         lambda s, e: ExhaustiveSearch(s, e, use_batch=False),

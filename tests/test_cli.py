@@ -68,7 +68,6 @@ class TestSearchCommand:
             ["--searcher", "exhaustive"],
             ["--searcher", "branch-bound"],
             ["--searcher", "genetic"],
-            ["--searcher", "annealing"],
         ],
     )
     def test_batch_size_flag_is_refused(self, extra, capsys):
@@ -91,6 +90,16 @@ class TestSearchCommand:
         )
         assert code == 5
         assert "workers" in capsys.readouterr().err
+
+    def test_genetic_budget_below_two_populations_exits_with_search_error(
+        self, capsys
+    ):
+        code = main(
+            ["search", "--arch", "toy16", "--gemm", "M=8,N=4,K=4",
+             "--searcher", "genetic", "--budget", "99"]
+        )
+        assert code == 5
+        assert "max_evaluations" in capsys.readouterr().err
 
     def test_search_saves_and_reevaluates(self, tmp_path, capsys):
         mapping_path = tmp_path / "m.json"

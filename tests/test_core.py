@@ -52,16 +52,10 @@ class TestMapper:
 
     def test_genetic_strategy(self, toy_arch, vector100):
         result = find_best_mapping(
-            toy_arch, vector100, kind="ruby-s", strategy="genetic", seed=0
+            toy_arch, vector100, kind="ruby-s", strategy="genetic", seed=0,
+            max_evaluations=200,
         )
         assert result.best is not None
-
-    def test_annealing_strategy(self, toy_arch, vector100):
-        result = find_best_mapping(
-            toy_arch, vector100, kind="ruby-s", strategy="annealing",
-            seed=0, max_evaluations=200,
-        )
-        assert result.best is not None and result.best.valid
 
     def test_unknown_strategy_rejected(self, toy_arch, vector100):
         with pytest.raises(SearchError):
@@ -70,7 +64,7 @@ class TestMapper:
     @pytest.mark.parametrize("batch_size", [0, -3])
     @pytest.mark.parametrize(
         "strategy",
-        ["random", "exhaustive", "branch-bound", "genetic", "annealing"],
+        ["random", "exhaustive", "branch-bound", "genetic"],
     )
     def test_bad_batch_size_rejected_for_every_strategy(
         self, toy_arch, vector100, strategy, batch_size

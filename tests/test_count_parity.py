@@ -27,7 +27,6 @@ from repro.search import (
     ExhaustiveSearch,
     GeneticSearch,
     RandomSearch,
-    SimulatedAnnealing,
 )
 from repro.search.parallel import parallel_random_search
 from repro.search.pareto_search import ParetoSearch
@@ -75,7 +74,7 @@ def _evaluator(space, cached=False):
 class TestSerialDrivers:
     @pytest.mark.parametrize("use_batch", [False, True])
     @pytest.mark.parametrize(
-        "driver", ["random", "exhaustive", "genetic", "annealing", "pareto"]
+        "driver", ["random", "exhaustive", "genetic", "pareto"]
     )
     def test_counts_agree(self, toy_space, driver, use_batch, set_batch_size):
         set_batch_size(256 if driver == "exhaustive" else 64)
@@ -89,11 +88,8 @@ class TestSerialDrivers:
                 toy_space, evaluator, use_batch=use_batch,
             ).run(),
             "genetic": lambda: GeneticSearch(
-                toy_space, evaluator, population_size=8, generations=3,
+                toy_space, evaluator, population_size=8, max_evaluations=32,
                 seed=0, use_batch=use_batch,
-            ).run(),
-            "annealing": lambda: SimulatedAnnealing(
-                toy_space, evaluator, steps=40, seed=0, use_batch=use_batch,
             ).run(),
             "pareto": lambda: ParetoSearch(
                 toy_space, evaluator, max_evaluations=300, seed=0,

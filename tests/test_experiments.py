@@ -142,7 +142,7 @@ class TestAblationHarnesses:
         from repro.problem import GemmLayer
 
         result = run_search_ablation(
-            population=10, generations=4,
+            population=10, max_evaluations=50,
             workload=GemmLayer("tiny", 24, 6, 8).workload(),
         )
         assert result.genetic.valid and result.random.valid

@@ -17,7 +17,6 @@ from repro.search import (
     ExhaustiveSearch,
     GeneticSearch,
     RandomSearch,
-    SimulatedAnnealing,
 )
 from repro.search.parallel import parallel_random_search
 
@@ -253,34 +252,12 @@ class TestSearchSpans:
                 toy_evaluator,
                 seed=0,
                 population_size=8,
-                generations=3,
+                max_evaluations=32,
             ).run()
         names = _span_names(tracer)
         assert "search.run" in names
         assert "search.generation" in names
         assert registry.counter("search.runs").value(driver="genetic") == 1.0
-
-    def test_annealing_emits_restart_spans_and_accept_counters(
-        self, toy_arch, vector100, toy_evaluator
-    ):
-        space = ruby_s_mapspace(toy_arch, vector100)
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        with obs_scope(registry=registry, tracer=tracer):
-            SimulatedAnnealing(
-                space,
-                toy_evaluator,
-                seed=0,
-                steps=75,
-                restarts=2,
-            ).run()
-        names = _span_names(tracer)
-        assert "search.run" in names
-        assert "search.restart" in names
-        assert registry.counter("search.runs").value(driver="annealing") == 1.0
-        accepts = registry.counter("search.accepts").value(driver="annealing")
-        rejects = registry.counter("search.rejects").value(driver="annealing")
-        assert accepts + rejects > 0
 
     def test_evaluator_and_cache_counters(self, toy_arch, vector100):
         space = pfm_mapspace(toy_arch, vector100)
@@ -334,7 +311,7 @@ class TestRunLedgerCounts:
 
     @pytest.mark.parametrize("use_batch", [False, True])
     @pytest.mark.parametrize(
-        "driver", ["random", "exhaustive", "genetic", "annealing", "pareto"]
+        "driver", ["random", "exhaustive", "genetic", "pareto"]
     )
     def test_candidates_and_improvements_match_result(
         self, toy_arch, vector100, driver, use_batch, set_batch_size
@@ -353,11 +330,8 @@ class TestRunLedgerCounts:
                 space, evaluator, use_batch=use_batch
             ).run(),
             "genetic": lambda: GeneticSearch(
-                space, evaluator, population_size=8, generations=3, seed=0,
-                use_batch=use_batch,
-            ).run(),
-            "annealing": lambda: SimulatedAnnealing(
-                space, evaluator, steps=40, seed=0, use_batch=use_batch
+                space, evaluator, population_size=8, max_evaluations=32,
+                seed=0, use_batch=use_batch,
             ).run(),
             "pareto": lambda: ParetoSearch(
                 space, evaluator, max_evaluations=150, seed=0,
@@ -504,7 +478,7 @@ class TestStatsSchemaStability:
 
 
 class TestUniformStatsSchema:
-    """All six searchers emit one top-level stats key set (satellite:
+    """All five searchers emit one top-level stats key set (satellite:
     schema uniformity, including the ``progress`` sub-dict)."""
 
     def test_six_searchers_identical_top_level_keys(self, toy_arch, vector100):
@@ -524,10 +498,8 @@ class TestUniformStatsSchema:
             ).run().stats,
             "exhaustive": ExhaustiveSearch(space, evaluator()).run().stats,
             "genetic": GeneticSearch(
-                space, evaluator(), population_size=8, generations=2, seed=0
-            ).run().stats,
-            "annealing": SimulatedAnnealing(
-                space, evaluator(), steps=20, seed=0
+                space, evaluator(), population_size=8, max_evaluations=24,
+                seed=0,
             ).run().stats,
             "branch-bound": BranchBoundSearch(
                 space, evaluator(), seed=0

@@ -23,7 +23,6 @@ from repro.search import (
     GeneticSearch,
     ParetoSearch,
     RandomSearch,
-    SimulatedAnnealing,
 )
 from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.pareto_search import _dominates, _dominates_xy
@@ -339,7 +338,7 @@ def test_cache_attached_engine_looks_up_only_row_wise(set_batch_size):
 
 # -- goldens ----------------------------------------------------------------
 
-#: Random, genetic and annealing runs on one toy Ruby space with bypass
+#: Random and genetic runs on one toy Ruby space with bypass
 #: exploration, as ``(best metric, best energy, best cycles, evaluated,
 #: curve)`` with floats in ``float.hex`` form, plus the Pareto frontier as
 #: ``(energy, cycles)`` pairs. Recorded before the sampler's hot path was
@@ -358,13 +357,6 @@ _GOLDENS = {
     "genetic": (
         "0x1.73a43ca0166f9p+18", "0x1.ef85a62ac894cp+13", 24, 112,
         ((7, "0x1.a75751833e6b0p+19"), (34, "0x1.73a43ca0166f9p+18")),
-    ),
-    "annealing": (
-        "0x1.d015011af637dp+18", "0x1.ef05568328c41p+13", 30, 356,
-        (
-            (5, "0x1.02885eff0f798p+20"), (6, "0x1.d0710a7ef0de6p+18"),
-            (65, "0x1.d015011af637dp+18"),
-        ),
     ),
 }
 _PARETO_GOLDEN = (
@@ -392,10 +384,8 @@ def test_searches_reproduce_their_goldens(searcher, set_batch_size):
             space, evaluator, max_evaluations=1500, patience=400, seed=3,
         ),
         "genetic": lambda: GeneticSearch(
-            space, evaluator, population_size=16, generations=6, seed=3
-        ),
-        "annealing": lambda: SimulatedAnnealing(
-            space, evaluator, steps=300, restarts=2, seed=3
+            space, evaluator, population_size=16, max_evaluations=112,
+            seed=3,
         ),
     }[searcher]
     result = search().run()

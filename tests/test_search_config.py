@@ -15,7 +15,6 @@ from repro.search import (
     ExhaustiveSearch,
     GeneticSearch,
     RandomSearch,
-    SimulatedAnnealing,
 )
 from repro.search.parallel import parallel_random_search
 from repro.search.pareto_search import ParetoSearch
@@ -83,7 +82,6 @@ def _searchers(objective, use_batch):
         "exhaustive": lambda: ExhaustiveSearch(space, evaluator, **common),
         "branch-bound": lambda: BranchBoundSearch(space, evaluator, **common),
         "genetic": lambda: GeneticSearch(space, evaluator, **common),
-        "annealing": lambda: SimulatedAnnealing(space, evaluator, **common),
         "parallel": lambda: parallel_random_search(
             space.arch, space.workload, workers=2, **common
         ),
@@ -93,8 +91,7 @@ def _searchers(objective, use_batch):
 @pytest.mark.parametrize("use_batch", [True, False])
 @pytest.mark.parametrize(
     "searcher",
-    ["random", "exhaustive", "branch-bound", "genetic", "annealing",
-     "parallel"],
+    ["random", "exhaustive", "branch-bound", "genetic", "parallel"],
 )
 def test_every_searcher_rejects_an_unknown_objective(searcher, use_batch):
     make = _searchers("bogus", use_batch)[searcher]

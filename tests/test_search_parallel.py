@@ -127,9 +127,7 @@ class TestParallelSearch:
 class TestMapperWorkers:
     """``MapperConfig.workers`` is the one parallelism setting."""
 
-    @pytest.mark.parametrize(
-        "strategy", ["exhaustive", "genetic", "annealing"]
-    )
+    @pytest.mark.parametrize("strategy", ["exhaustive", "genetic"])
     def test_rejected_for_strategies_without_a_pool(self, strategy):
         with pytest.raises(SearchError, match="workers"):
             MapperConfig(strategy=strategy, workers=2)

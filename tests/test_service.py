@@ -156,7 +156,7 @@ class TestParseSearchSpec:
     @pytest.mark.parametrize("batch_size", [0, -3])
     @pytest.mark.parametrize(
         "strategy",
-        ["random", "exhaustive", "branch-bound", "genetic", "annealing"],
+        ["random", "exhaustive", "branch-bound", "genetic"],
     )
     def test_bad_batch_size_rejected_for_every_strategy(
         self, strategy, batch_size
@@ -368,6 +368,27 @@ class TestJobManagerScheduling:
         with pytest.raises(SpecError):
             manager.cancel("j999999-deadbeef")
 
+    def test_genetic_budget_below_two_populations_fails_typed(self):
+        # Genetic search breeds whole populations of 50: a 99-evaluation
+        # budget cannot fund one generation, so the job fails as a
+        # SearchError instead of silently running another budget.
+        manager = JobManager(workers=1)
+        job, _ = manager.submit(
+            request_payload(strategy="genetic", max_evaluations=99)
+        )
+        manager.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not manager.get(job.id).terminal:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            manager.stop()
+        assert job.state == "failed"
+        assert job.error["type"] == "SearchError"
+        assert job.error["http_status"] == 422
+        assert "max_evaluations" in job.error["message"]
+
 
 class TestJobManagerResume:
     def test_unfinished_jobs_recovered_terminal_skipped(self, tmp_path):
@@ -404,20 +425,23 @@ class TestJobManagerResume:
         assert terminal == {first.id, second.id, third.id}
 
     def test_unparsable_journaled_spec_fails_alone(self, tmp_path):
-        # Requests journaled with search keys this version refuses (a
-        # batch_size, as older versions wrote, and a key no version knew),
-        # next to one it still accepts.
+        # Requests journaled with search values this version refuses (a
+        # batch_size, as older versions wrote, a key no version knew, and
+        # the retired annealing strategy), next to one it still accepts.
         old_path = str(tmp_path / "old.jsonl")
         before = JobManager(workers=1, journal_path=old_path)
         stale, _ = before.submit(request_payload(seed=1))
         good, _ = before.submit(request_payload(seed=2))
         bogus, _ = before.submit(request_payload(seed=3))
+        retired, _ = before.submit(request_payload(seed=4))
         journal_path = str(tmp_path / "svc.jsonl")
         for record in Journal(old_path).read():
             if record.get("job_id") == stale.id:
                 record["spec"]["search"]["batch_size"] = 512
             if record.get("job_id") == bogus.id:
                 record["spec"]["search"]["bogus_key"] = 1
+            if record.get("job_id") == retired.id:
+                record["spec"]["search"]["strategy"] = "annealing"
             Journal(journal_path).append(record)
         after = JobManager(workers=1, journal_path=journal_path)
         assert after.resume() == 1
@@ -437,7 +461,10 @@ class TestJobManagerResume:
             if r.get("kind") == "job"
         }
         assert terminal[good.id]["status"] == "ok"
-        for job, key in ((stale, "batch_size"), (bogus, "bogus_key")):
+        for job, key in (
+            (stale, "batch_size"), (bogus, "bogus_key"),
+            (retired, "annealing"),
+        ):
             failed = terminal[job.id]
             assert failed["status"] == "failed"
             assert failed["error"]["type"] == "SpecError"

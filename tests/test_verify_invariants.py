@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.mapspace.generator import MapspaceKind
+from repro.verify import invariants
 from repro.verify.invariants import (
     INVARIANTS,
     InvariantReport,
@@ -35,10 +37,21 @@ class TestIndividualInvariants:
         assert checked > 0
         assert violations == []
 
-    def test_seed_determinism_covers_all_six_searchers(self):
+    def test_seed_determinism_covers_every_searcher_and_kind(
+        self, monkeypatch
+    ):
+        kinds = []
+        real = invariants.MapSpace
+
+        def recording(arch, workload, kind, *args, **kwargs):
+            kinds.append(MapspaceKind(kind))
+            return real(arch, workload, kind, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "MapSpace", recording)
         checked, violations = check_seed_determinism(seed=0)
-        assert checked == 6
+        assert checked == 5
         assert violations == []
+        assert set(kinds) == set(MapspaceKind)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_invariants_hold_across_seeds(self, seed):
