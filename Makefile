@@ -54,7 +54,8 @@ bench-cache:
 # scalar on a ResNet-50 layer search, prices conv5_expand's sweep from
 # per-chain tables < 1.2x faster than the column walk, enumerates that
 # sweep in factored steps < 2x faster than the flat unravel, or diverges
-# from any reference. Writes build/bench/BENCH_batch_eval.json.
+# from any reference. Like every bench-* gate it prints its measurements
+# and writes no file; the ledger records BENCHMARK.json's workloads.
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/test_perf_batch_eval.py --benchmark-only -s
 
@@ -69,7 +70,6 @@ bench-sample:
 # Smoke benchmark for the branch-and-bound mapper: fails if it drops below
 # 2x batched-exhaustive speed on a ResNet-50 layer's Eyeriss mapspace,
 # stops pruning subtrees, or diverges from the exhaustive optimum.
-# Refreshes BENCH_branch_bound.json (the perf trajectory record).
 bench-bnb:
 	$(PYTHON) -m pytest benchmarks/test_perf_branch_bound.py --benchmark-only -s
 
@@ -77,22 +77,20 @@ bench-bnb:
 # work-sharing must beat the serial walk by >= 1.8x on a ResNet-50
 # layer's Eyeriss mapspace with a bit-identical optimum (the speedup
 # gate skips on < 4 cores; exactness is always asserted).
-# Refreshes BENCH_branch_bound_parallel.json.
 bench-bnb-parallel:
 	$(PYTHON) -m pytest benchmarks/test_perf_branch_bound_parallel.py --benchmark-only -s
 
-# Append the BENCH_*.json payloads the bench-* suites just wrote to the
-# untracked build/bench/ as one machine-tagged record to the
-# BENCH_HISTORY.jsonl regression ledger. The committed BENCH_*.json at
-# the repo root are reference samples; no benchmark rewrites them.
+# Run every BENCHMARK.json workload (three untraced runs, medians kept,
+# plus one traced run for the per-layer metrics) and append one
+# machine-tagged record to the BENCH_HISTORY.jsonl regression ledger.
+# Takes several minutes; run it on a quiet host.
 bench-record:
-	$(PYTHON) -m repro bench record build/bench/BENCH_batch_eval.json \
-	    build/bench/BENCH_branch_bound.json \
-	    build/bench/BENCH_branch_bound_parallel.json
+	$(PYTHON) -m repro bench record
 
 # Benchmark regression gate: diff the newest ledger record against its
-# (same-machine) baseline and exit nonzero on any >= 20% slowdown, then
-# self-test the gate on throwaway ledgers with an injected regression.
+# (same-machine) baseline and exit nonzero when an end-to-end metric
+# worsens past its BENCHMARK.json bound, then self-test the gate on
+# throwaway ledgers recorded from a fake benchmark command.
 # See docs/observability.md ("Benchmark ledger").
 bench-compare:
 	$(PYTHON) -m repro bench compare
@@ -120,8 +118,7 @@ obs-smoke:
 
 # End-to-end mapper-service smoke: launches `repro serve`, drives 20
 # concurrent clients (coalescing + shared warm cache asserted), checks
-# bit-identical best-EDP parity against a direct in-process search,
-# records a service_latency bench payload through the ledger, and
+# bit-identical best-EDP parity against a direct in-process search, and
 # SIGKILLs the server mid-queue to prove --resume loses no accepted
 # job. See scripts/service_smoke.py and docs/service.md.
 service-smoke:

@@ -19,17 +19,8 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import pytest
-
-from repro.io.serde import save_json
-
-#: Where the perf benchmarks write their measured ``BENCH_<name>.json``
-#: records: the untracked build directory, so running a benchmark never
-#: rewrites the committed samples at the repo root. ``make bench-record``
-#: reads them from here.
-BENCH_DIR = Path(__file__).resolve().parent.parent / "build" / "bench"
 
 
 def _scale() -> int:
@@ -59,17 +50,3 @@ def best_of(fn, rounds):
         result = fn()
         best_s = min(best_s, time.perf_counter() - start)
     return result, best_s
-
-
-class BenchRecord:
-    """One perf benchmark's record, ``BENCH_<name>.json`` in
-    :data:`BENCH_DIR`, rewritten as each case lands."""
-
-    def __init__(self, name: str) -> None:
-        self.path = BENCH_DIR / f"BENCH_{name}.json"
-        self._results: dict = {"benchmark": name, "cases": {}}
-
-    def __call__(self, case: str, payload: dict) -> None:
-        self._results["cases"][case] = payload
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        save_json(self._results, self.path)

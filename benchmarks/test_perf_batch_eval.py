@@ -13,21 +13,18 @@ Acceptance criteria from the batch-engine PR:
   >= 2x faster than the flat unravel it replaced,
 
 with results bit-identical in every case (asserted here too — a fast
-wrong answer is not a speedup). Measured numbers land in the untracked
-``build/bench/BENCH_batch_eval.json``, which ``make bench-record``
-appends to the regression ledger. Run via ``make bench-batch``.
+wrong answer is not a speedup). Run via ``make bench-batch``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from conftest import BenchRecord, best_of, run_once
+from conftest import best_of, run_once
 
 from repro.arch import eyeriss_like, toy_glb_architecture
 from repro.mapspace.constraints import eyeriss_row_stationary
@@ -41,7 +38,6 @@ from repro.utils.batching import DEFAULT_BATCH_SIZE
 from repro.problem.gemm import vector_workload
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
-_record = BenchRecord("batch_eval")
 
 def test_toy_exhaustive_sweep_5x(benchmark):
     """The headline criterion: >= 5x on the toy exhaustive sweep."""
@@ -71,16 +67,6 @@ def test_toy_exhaustive_sweep_5x(benchmark):
         f"scalar {scalar_rate:,.0f}/s, batch {batched_rate:,.0f}/s "
         f"-> {speedup:.1f}x "
         f"(pruned {batched.stats['batch']['pruned']})"
-    )
-    _record(
-        "toy_exhaustive_ruby_v100",
-        {
-            "num_mappings": scalar.num_evaluated,
-            "scalar_mappings_per_sec": round(scalar_rate, 1),
-            "batch_mappings_per_sec": round(batched_rate, 1),
-            "speedup": round(speedup, 2),
-            "pruned": batched.stats["batch"]["pruned"],
-        },
     )
     assert speedup >= 5.0
 
@@ -114,15 +100,6 @@ def test_resnet_layer_random_search_not_slower(benchmark):
         f"\nconv3_3x3 random search ({scalar.num_evaluated} draws): "
         f"scalar {scalar_rate:,.0f}/s, batch {batched_rate:,.0f}/s "
         f"-> {speedup:.1f}x"
-    )
-    _record(
-        "resnet50_conv3_3x3_random_ruby_s",
-        {
-            "num_mappings": scalar.num_evaluated,
-            "scalar_mappings_per_sec": round(scalar_rate, 1),
-            "batch_mappings_per_sec": round(batched_rate, 1),
-            "speedup": round(speedup, 2),
-        },
     )
     assert batched_rate >= scalar_rate
 
@@ -172,16 +149,6 @@ def test_conv5_expand_table_pricing_1_2x(benchmark):
         f"\nconv5_expand pfm sweep ({priced.num_evaluated} candidates, "
         f"{priced.stats['batch']['candidates']} priced rows): column walk "
         f"{walk_s:.3f}s, tables {table_s:.3f}s -> {speedup:.1f}x"
-    )
-    _record(
-        "resnet50_conv5_expand_table_pricing",
-        {
-            "num_mappings": priced.num_evaluated,
-            "priced_rows": priced.stats["batch"]["candidates"],
-            "column_walk_s": round(walk_s, 4),
-            "table_s": round(table_s, 4),
-            "speedup": round(speedup, 2),
-        },
     )
     assert priced.best_metric == walked.best_metric
     assert priced.num_evaluated == walked.num_evaluated
@@ -302,16 +269,6 @@ def test_conv5_expand_factored_enumeration_2x(benchmark):
         f"flat unravel {flat_s:.3f}s, factored {factored_s:.3f}s "
         f"-> {speedup:.1f}x"
     )
-    _record(
-        "resnet50_conv5_expand_enumeration",
-        {
-            "batches": len(got),
-            "rows": rows,
-            "flat_unravel_s": round(flat_s, 4),
-            "factored_s": round(factored_s, 4),
-            "speedup": round(speedup, 2),
-        },
-    )
     assert len(got) == len(want)
     for (rows_a, ords_a, span_a), (rows_b, ords_b, span_b) in zip(got, want):
         assert np.array_equal(rows_a, rows_b)
@@ -319,12 +276,3 @@ def test_conv5_expand_factored_enumeration_2x(benchmark):
         assert span_a == span_b
     assert sum(span for _, _, span in got) == 446_145
     assert speedup >= 2.0
-
-
-def test_results_file_is_valid_json():
-    """The trajectory file the next PR will diff against must parse."""
-    if not _record.path.exists():
-        pytest.skip("benchmarks above did not run")
-    data = json.loads(_record.path.read_text())
-    assert data["benchmark"] == "batch_eval"
-    assert data["cases"]

@@ -6,15 +6,12 @@ best-EDP mapping as the batched exhaustive sweep at >= 2x the speed, and
 the win must come from genuine subtree pruning (nonzero counters), not
 from evaluating fewer candidates by accident.
 
-Writes build/bench/BENCH_branch_bound.json (the perf trajectory record).
-
 Run with: pytest benchmarks/test_perf_branch_bound.py --benchmark-only -s
 """
 
 from __future__ import annotations
 
-
-from conftest import BenchRecord, best_of, run_once
+from conftest import best_of, run_once
 
 from repro.arch import eyeriss_like
 from repro.mapspace.constraints import eyeriss_row_stationary
@@ -24,7 +21,6 @@ from repro.search.branch_bound import BranchBoundSearch
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.zoo.resnet50 import RESNET50_LAYERS
 
-_record = BenchRecord("branch_bound")
 
 def _conv5_expand_setup():
     arch = eyeriss_like()
@@ -67,21 +63,6 @@ def test_resnet_layer_branch_bound_2x(benchmark):
         f"({speedup:.1f}x), priced {pruned.num_evaluated}, "
         f"subtrees pruned {bnb['subtrees_pruned']}"
     )
-    _record(
-        "conv5_expand_pfm",
-        {
-            "candidates": exact.num_evaluated,
-            "exhaustive_s": exact_s,
-            "branch_bound_s": pruned_s,
-            "speedup": speedup,
-            "priced": pruned.num_evaluated,
-            "subtrees_pruned": bnb["subtrees_pruned"],
-            "nodes_expanded": bnb["nodes_expanded"],
-            "leaves_deferred": bnb["leaves_deferred"],
-            "bound_tightness": bnb["bound_tightness"],
-            "best_edp": pruned.best_metric,
-        },
-    )
     # Exactness first: pruning must never change the answer.
     assert pruned.best_metric == exact.best_metric
     # The win must come from real subtree pruning.
@@ -107,11 +88,3 @@ def test_branch_bound_seed_stability(benchmark):
     first = run_once(benchmark, lambda: search(11))
     second = search(12)
     assert first.best_metric == second.best_metric
-    _record(
-        "seed_stability",
-        {
-            "best_edp": first.best_metric,
-            "priced_seed11": first.num_evaluated,
-            "priced_seed12": second.num_evaluated,
-        },
-    )

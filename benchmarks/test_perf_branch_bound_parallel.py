@@ -8,11 +8,8 @@ the win must come from genuine parallelism — not from pruning more (or
 fewer) subtrees.
 
 Exactness is asserted unconditionally; the speedup gate needs >= 4
-physical cores and is skipped (with the measurements still recorded)
+physical cores and is skipped (with the measurements still printed)
 on smaller machines.
-
-Writes build/bench/BENCH_branch_bound_parallel.json (the perf trajectory
-record).
 
 Run with: pytest benchmarks/test_perf_branch_bound_parallel.py --benchmark-only -s
 """
@@ -22,7 +19,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from conftest import BenchRecord, best_of, run_once
+from conftest import best_of, run_once
 
 from repro.arch import eyeriss_like
 from repro.mapspace.constraints import eyeriss_row_stationary
@@ -34,7 +31,6 @@ from repro.zoo.resnet50 import RESNET50_LAYERS
 WORKERS = 4
 SPEEDUP_FLOOR = 1.8
 
-_record = BenchRecord("branch_bound_parallel")
 
 def _conv5_expand_setup():
     arch = eyeriss_like()
@@ -71,22 +67,6 @@ def test_resnet_layer_parallel_speedup(benchmark):
         f"cores), pool={parallel.stats['pool_mode']} "
         f"units={pool['num_units']}"
     )
-    _record(
-        "conv5_expand_pfm_4w",
-        {
-            "workers": WORKERS,
-            "cores": cores,
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
-            "speedup": speedup,
-            "pool_mode": parallel.stats["pool_mode"],
-            "partition_depth": pool["partition_depth"],
-            "num_units": pool["num_units"],
-            "priced_serial": serial.num_evaluated,
-            "priced_parallel": parallel.num_evaluated,
-            "best_edp": parallel.best_metric,
-        },
-    )
     # Exactness is unconditional: work-sharing must never change the
     # answer, whatever the core count or pool mode.
     assert parallel.best_metric == serial.best_metric
@@ -94,7 +74,7 @@ def test_resnet_layer_parallel_speedup(benchmark):
     if cores < WORKERS:
         pytest.skip(
             f"speedup gate needs >= {WORKERS} cores (have {cores}); "
-            f"parity checked, measurements recorded"
+            f"parity checked, measurements printed"
         )
     assert parallel.stats["pool_mode"] in ("fork", "spawn"), (
         "pool degraded to sequential on a multi-core machine"

@@ -11,8 +11,7 @@ Drives a real ``repro serve`` subprocess through the acceptance contract:
 2. the service's best-EDP answer is bit-identical to a direct in-process
    :func:`find_best_mapping` run with the same seed and config;
 3. per-job ``/progress`` and ``/metrics`` are served from the same
-   listener, and request latencies are recorded as a ``service_latency``
-   payload that ``repro bench record`` accepts into the ledger;
+   listener;
 4. a SIGKILLed server restarted with ``--resume`` finishes every job it
    had accepted — no lost work, exactly one terminal record per job.
 
@@ -25,7 +24,6 @@ import json
 import os
 import re
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -212,51 +210,6 @@ def concurrent_load(url: str) -> None:
         f"load: {len(payloads)} concurrent requests -> {len(job_ids)} jobs, "
         f"coalesced={stats['coalesced']}, "
         f"cache hits={stats['pool']['cache']['hits']}, {elapsed:.2f}s wall"
-    )
-
-    # Latency profile for the bench ledger: per-job queue wait + run time
-    # as reported by the service itself.
-    latencies = []
-    for job_id in job_ids:
-        body = get_json(f"{url}/v1/jobs/{job_id}")
-        latencies.append((body["queue_wait_s"] or 0) + (body["run_s"] or 0))
-    latencies.sort()
-    payload = {
-        "benchmark": "service_latency",
-        "cases": {
-            "mixed_20_concurrent": {
-                "p50_s": statistics.median(latencies),
-                "p95_s": latencies[max(0, int(len(latencies) * 0.95) - 1)],
-                "throughput_rps": len(job_ids) / elapsed,
-                "requests": len(payloads),
-                "jobs": len(job_ids),
-            }
-        },
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        bench_path = Path(tmp) / "BENCH_SERVICE.json"
-        ledger_path = Path(tmp) / "BENCH_HISTORY.jsonl"
-        bench_path.write_text(json.dumps(payload))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "bench", "record",
-                str(bench_path), "--ledger", str(ledger_path),
-            ],
-            env=_env(), cwd=REPO, capture_output=True, text=True,
-        )
-        check(
-            proc.returncode == 0,
-            f"bench record rejected service_latency payload: {proc.stderr}",
-        )
-        check(
-            "3 metric(s)" in proc.stdout,
-            f"expected 3 tracked service metrics, got: {proc.stdout.strip()}",
-        )
-    print(
-        f"bench: service_latency recorded "
-        f"(p50={payload['cases']['mixed_20_concurrent']['p50_s']:.3f}s, "
-        f"p95={payload['cases']['mixed_20_concurrent']['p95_s']:.3f}s, "
-        f"{payload['cases']['mixed_20_concurrent']['throughput_rps']:.1f} jobs/s)"
     )
 
 

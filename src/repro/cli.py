@@ -15,10 +15,10 @@ Commands:
   ``campaign status``; ``status --follow`` polls a live journal).
 * ``obs`` — inspect a span-trace JSONL written via ``--trace``
   (``obs dump``, ``obs summarize``).
-* ``bench`` — benchmark regression ledger: ``bench record`` normalizes
-  BENCH_*.json payloads into a machine-tagged JSONL history,
-  ``bench compare`` diffs the latest record against its baseline and
-  exits nonzero on a thresholded regression.
+* ``bench`` — benchmark regression ledger: ``bench record`` runs the
+  workloads of ``BENCHMARK.json`` and appends one machine-tagged record
+  to a JSONL history, ``bench compare`` diffs the latest record against
+  its baseline and exits nonzero when a metric worsens past its bound.
 * ``serve`` — run the mapper-as-a-service HTTP server: JSON search
   requests over ``POST /v1/search`` with job polling, request
   coalescing, admission control, a warm evaluator cache, and journaled
@@ -582,10 +582,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_bench_record(args: argparse.Namespace) -> int:
     from repro.obs.bench import record_benchmarks
 
-    record = record_benchmarks(args.files, args.ledger, note=args.note)
+    record = record_benchmarks(args.ledger, note=args.note)
+    end_to_end = sum(e["kind"] == "end_to_end" for e in record["entries"])
     print(
-        f"recorded {len(record['entries'])} metric(s) from "
-        f"{', '.join(record['sources'])} into {args.ledger}"
+        f"recorded {end_to_end} end-to-end and "
+        f"{len(record['entries']) - end_to_end} per-layer metric(s) "
+        f"into {args.ledger}"
     )
     return 0
 
@@ -594,15 +596,13 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.obs.bench import compare_ledger, format_comparison
 
     comparison = compare_ledger(
-        args.ledger,
-        threshold=args.threshold,
-        prefer_same_machine=not args.any_machine,
+        args.ledger, prefer_same_machine=not args.any_machine
     )
     print(format_comparison(comparison))
     if not comparison.ok:
         print(
             f"bench compare: {len(comparison.regressions)} regression(s) "
-            f"beyond {args.threshold:.0%}",
+            "beyond their bounds",
             file=sys.stderr,
         )
         return 1
@@ -955,10 +955,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_record = bench_sub.add_parser(
         "record",
-        help="normalize BENCH_*.json payloads and append one ledger record",
-    )
-    bench_record.add_argument(
-        "files", nargs="+", help="benchmark JSON payloads (BENCH_*.json)"
+        help="run the workloads of ./BENCHMARK.json and append one ledger "
+        "record",
     )
     bench_record.add_argument(
         "--ledger", default="BENCH_HISTORY.jsonl",
@@ -972,15 +970,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_compare = bench_sub.add_parser(
         "compare",
         help="diff the newest ledger record against its baseline; exits 1 "
-        "on a thresholded regression",
+        "when an end-to-end metric worsens past its bound",
     )
     bench_compare.add_argument(
         "--ledger", default="BENCH_HISTORY.jsonl",
         help="ledger path (default BENCH_HISTORY.jsonl)",
-    )
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="relative worsening that counts as a regression (default 0.2)",
     )
     bench_compare.add_argument(
         "--any-machine", action="store_true",

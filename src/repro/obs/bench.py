@@ -1,80 +1,51 @@
-"""Benchmark regression ledger: normalize, record, compare.
+"""Benchmark regression ledger: record ``BENCHMARK.json``'s workloads, compare.
 
-The repo's performance story lives in three ad-hoc ``BENCH_*.json``
-files with three divergent schemas and no history — a speedup shipped in
-one PR can silently rot in the next. This module gives them one durable
-trajectory:
+``BENCHMARK.json`` at the repo root is the one definition of what is
+measured: the command that runs one workload, the workloads, and per
+metric its unit, which direction is better and — end-to-end metrics
+only — the relative bound by which a change may worsen it.
 
-* :func:`normalize_bench_payload` flattens any of the known benchmark
-  payloads (``batch_eval``, ``branch_bound``, ``branch_bound_parallel``)
-  into uniform ``(benchmark, case, metric, value, higher_is_better)``
-  entries, keeping only the metrics that *mean* something for regression
-  tracking (throughputs and wall-clocks, not counters like
-  ``candidates`` whose drift is not a performance signal).
-* :func:`record_benchmarks` appends one machine-tagged, schema-versioned
-  record to the ``BENCH_HISTORY.jsonl`` ledger — journal framing
+* :func:`record_benchmarks` runs every workload :data:`RUNS` times
+  untraced (each end-to-end metric keeps the median) and once traced
+  (the per-layer metrics), then appends one machine-tagged record of
+  ``(workload, metric, kind, value, unit, better, bound)`` entries to
+  the ``BENCH_HISTORY.jsonl`` ledger — journal framing
   (:class:`repro.io.journal.Journal`), so reads are torn-tail tolerant
-  and the file is append-only history, never rewritten.
+  and the file is append-only history. A failed or malformed run
+  raises :class:`BenchLedgerError` and appends nothing.
 * :func:`compare_ledger` diffs the newest record against its baseline
   (the most recent earlier record from the same machine when one
-  exists — cross-machine timing comparisons are noise) and flags any
-  metric that moved past the threshold in the bad direction.
-
-``repro bench record|compare`` is the CLI face; ``make bench-compare``
-wires the compare gate into CI, exiting nonzero on a ≥20% regression.
+  exists — cross-machine timing comparisons are noise) and gates each
+  end-to-end entry on its own bound; per-layer deltas are reported,
+  never gated.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import socket
+import statistics
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import BenchLedgerError
 from repro.io.journal import Journal
-from repro.io.serde import load_json
 
-#: Ledger record schema version.
-LEDGER_SCHEMA = 1
+#: Ledger record schema version. Schema-1 records (the retired
+#: micro-benchmark payloads) stay in the file as history and are skipped.
+LEDGER_SCHEMA = 2
 
-#: Default relative-change threshold: a metric that worsens by more than
-#: this fraction of its baseline is a regression.
-DEFAULT_THRESHOLD = 0.2
+#: Untraced runs per workload; each end-to-end metric keeps their median.
+RUNS = 3
 
-#: Per-benchmark regression-tracked metrics: ``metric -> higher_is_better``.
-#: Counters (candidates, priced rows, units) are deliberately absent:
-#: they characterize *what* ran, not how fast, and drift in them is a
-#: correctness-review question rather than a performance regression.
-_TRACKED_METRICS: Dict[str, Dict[str, bool]] = {
-    "batch_eval": {
-        "batch_mappings_per_sec": True,
-        "scalar_mappings_per_sec": True,
-        "speedup": True,
-    },
-    "branch_bound": {
-        "branch_bound_s": False,
-        "exhaustive_s": False,
-        "speedup": True,
-    },
-    "branch_bound_parallel": {
-        "parallel_s": False,
-        "serial_s": False,
-        "speedup": True,
-    },
-    # Mapper-service load profile (scripts/service_smoke.py): end-to-end
-    # request latency quantiles (submit -> terminal, queue wait included)
-    # and completed-search throughput under concurrent clients.
-    "service_latency": {
-        "p50_s": False,
-        "p95_s": False,
-        "throughput_rps": True,
-    },
-}
+#: Metric kinds: the spec's lists, indexed by the run's ``--trace`` flag.
+KINDS = ("end_to_end", "per_layer")
 
 
 def machine_fingerprint() -> Dict[str, Any]:
@@ -89,63 +60,76 @@ def machine_fingerprint() -> Dict[str, Any]:
     }
 
 
-def normalize_bench_payload(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Flatten one ``BENCH_*.json`` payload into uniform ledger entries.
-
-    Unknown benchmarks contribute no entries (recorded sources still list
-    them, so the omission is visible); cases missing a tracked metric are
-    skipped silently — e.g. ``branch_bound``'s ``seed_stability`` case
-    carries no wall-clock.
-    """
-    benchmark = payload.get("benchmark")
-    tracked = _TRACKED_METRICS.get(benchmark, {})
-    entries: List[Dict[str, Any]] = []
-    for case, fields in sorted(payload.get("cases", {}).items()):
-        if not isinstance(fields, dict):
-            continue
-        for metric, higher_is_better in sorted(tracked.items()):
-            value = fields.get(metric)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            entries.append(
-                {
-                    "benchmark": benchmark,
-                    "case": case,
-                    "metric": metric,
-                    "value": float(value),
-                    "higher_is_better": higher_is_better,
-                }
-            )
-    return entries
+def _run(spec: Dict[str, Any], workload: str, trace: int) -> Dict[str, float]:
+    """One run of ``workload``: the metrics of its result line (the last
+    line of its output), all declared for the run's kind."""
+    argv = [
+        *spec["command"], "--workload", workload,
+        "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
+    ]
+    print(f"bench: {workload} --trace {trace}", file=sys.stderr, flush=True)
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    where = f"workload {workload} (--trace {trace})"
+    if proc.returncode:
+        tail = " | ".join(proc.stderr.strip().splitlines()[-3:])
+        raise BenchLedgerError(f"{where} exited {proc.returncode}: {tail}")
+    last = (proc.stdout.strip().splitlines() or ["(no output)"])[-1]
+    try:
+        result = json.loads(last)
+        values = {name: m["value"] for name, m in result["metrics"].items()}
+        failed = result.get("failed", 0) > 0 or result.get("correct") is False
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise BenchLedgerError(
+            f"{where}: last line is not a result: {last!r}"
+        ) from None
+    if failed:
+        raise BenchLedgerError(
+            f"{where} failed {result.get('failed')} output checks"
+        )
+    unknown = set(values) - {m["name"] for m in spec[KINDS[trace]]}
+    if unknown:
+        raise BenchLedgerError(
+            f"{where} reports metrics BENCHMARK.json does not declare as "
+            f"{KINDS[trace]}: {sorted(unknown)}"
+        )
+    if not all(type(v) in (int, float) for v in values.values()):
+        raise BenchLedgerError(f"{where}: non-numeric metric in {values!r}")
+    return values
 
 
 def record_benchmarks(
-    paths: Sequence[Union[str, Path]],
-    ledger_path: Union[str, Path],
-    note: Optional[str] = None,
+    ledger_path: Union[str, Path], note: Optional[str] = None
 ) -> Dict[str, Any]:
-    """Normalize ``paths`` and append one record to the ledger.
-
-    Returns the appended record. Raises :class:`BenchLedgerError` when
-    no tracked metric survives normalization — an empty record would
-    poison the baseline chain.
-    """
-    entries: List[Dict[str, Any]] = []
-    sources: List[str] = []
-    for path in paths:
-        payload = load_json(path)
-        sources.append(Path(path).name)
-        entries.extend(normalize_bench_payload(payload))
-    if not entries:
+    """Run every workload of ``BENCHMARK.json`` in the working directory
+    and append one ledger record; return it. Raises
+    :class:`BenchLedgerError`, appending nothing, when the spec is
+    unreadable or any run fails."""
+    try:
+        spec = json.loads(Path("BENCHMARK.json").read_text())
+    except (OSError, ValueError) as error:
         raise BenchLedgerError(
-            f"no tracked benchmark metrics found in {sources!r}"
-        )
+            f"cannot read BENCHMARK.json: {error}"
+        ) from None
+    entries: List[Dict[str, Any]] = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        untraced = [_run(spec, workload, 0) for _ in range(RUNS)]
+        traced = [_run(spec, workload, 1)]
+        for kind, runs in zip(KINDS, (untraced, traced)):
+            for metric in spec[kind]:
+                name = metric["name"]
+                values = [run[name] for run in runs if name in run]
+                if values:
+                    entries.append({
+                        "workload": workload, "metric": name, "kind": kind,
+                        "value": float(statistics.median(values)),
+                        "unit": metric["unit"], "better": metric["better"],
+                        "bound": metric.get("bound"),
+                    })
     record: Dict[str, Any] = {
         "kind": "bench",
         "schema": LEDGER_SCHEMA,
         "time": time.time(),
         "machine": machine_fingerprint(),
-        "sources": sources,
         "entries": entries,
     }
     if note:
@@ -158,45 +142,46 @@ def record_benchmarks(
 class BenchDelta:
     """One metric's baseline-vs-current movement."""
 
-    benchmark: str
-    case: str
+    workload: str
     metric: str
+    kind: str
     baseline: float
     current: float
-    higher_is_better: bool
-    threshold: float
+    better: str
+    bound: Optional[float]  # None: reported, never gated
 
     @property
     def change(self) -> float:
         """Signed relative change, positive = better."""
         if self.baseline == 0:
             return 0.0
-        raw = (self.current - self.baseline) / abs(self.baseline)
-        return raw if self.higher_is_better else -raw
+        gain = self.current - self.baseline
+        if self.better != "higher":
+            gain = -gain
+        return gain / abs(self.baseline)
 
     @property
     def regressed(self) -> bool:
-        return self.change < -self.threshold
+        return self.bound is not None and self.change < -self.bound
 
     @property
     def improved(self) -> bool:
-        return self.change > self.threshold
+        return self.bound is not None and self.change > self.bound
 
     @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.benchmark, self.case, self.metric)
+    def key(self) -> Tuple[str, str]:
+        return (self.workload, self.metric)
 
 
 @dataclass
 class BenchComparison:
     """The outcome of :func:`compare_ledger`."""
 
-    baseline_time: float
-    current_time: float
     same_machine: bool
-    deltas: List[BenchDelta]
-    missing: List[Tuple[str, str, str]]  # in baseline, absent now
-    added: List[Tuple[str, str, str]]  # new now, absent in baseline
+    deltas: List[BenchDelta]  # end-to-end: gated on their bounds
+    layer_deltas: List[BenchDelta]  # per-layer: reported only
+    missing: List[Tuple[str, str]]  # in baseline, absent now
+    added: List[Tuple[str, str]]  # new now, absent in baseline
 
     @property
     def regressions(self) -> List[BenchDelta]:
@@ -210,19 +195,29 @@ class BenchComparison:
     def ok(self) -> bool:
         return not self.regressions
 
+    @property
+    def mover(self) -> Optional[BenchDelta]:
+        """The layer that moved: the largest relative per-layer change."""
+        return max(
+            self.layer_deltas, key=lambda d: abs(d.change), default=None
+        )
+
 
 def read_ledger(ledger_path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Bench records from the ledger, oldest first (journal framing:
-    torn trailing lines are tolerated, foreign kinds skipped)."""
+    """Current-schema bench records from the ledger, oldest first
+    (journal framing: torn trailing lines are tolerated; foreign kinds
+    and older schemas skipped)."""
     path = Path(ledger_path)
     if not path.exists():
         return []
-    return [r for r in Journal(path).read() if r.get("kind") == "bench"]
+    return [
+        r for r in Journal(path).read()
+        if r.get("kind") == "bench" and r.get("schema") == LEDGER_SCHEMA
+    ]
 
 
 def compare_ledger(
     ledger_path: Union[str, Path],
-    threshold: float = DEFAULT_THRESHOLD,
     prefer_same_machine: bool = True,
 ) -> BenchComparison:
     """Diff the newest ledger record against its baseline.
@@ -236,8 +231,9 @@ def compare_ledger(
     records = read_ledger(ledger_path)
     if len(records) < 2:
         raise BenchLedgerError(
-            f"ledger {ledger_path} holds {len(records)} bench record(s); "
-            "need at least two to compare (run `repro bench record` first)"
+            f"ledger {ledger_path} holds {len(records)} schema-"
+            f"{LEDGER_SCHEMA} bench record(s); need at least two to "
+            "compare (run `repro bench record` first)"
         )
     current = records[-1]
     earlier = records[:-1]
@@ -251,35 +247,26 @@ def compare_ledger(
     if baseline is None:
         baseline = earlier[-1]
 
-    def index(record: Dict[str, Any]) -> Dict[Tuple[str, str, str], Dict]:
-        return {
-            (e["benchmark"], e["case"], e["metric"]): e
-            for e in record.get("entries", [])
-        }
+    def index(record: Dict[str, Any]) -> Dict[Tuple[str, str], Dict]:
+        return {(e["workload"], e["metric"]): e for e in record["entries"]}
 
     base_entries = index(baseline)
     curr_entries = index(current)
     deltas = [
         BenchDelta(
-            benchmark=key[0],
-            case=key[1],
-            metric=key[2],
-            baseline=base_entries[key]["value"],
-            current=entry["value"],
-            higher_is_better=bool(entry["higher_is_better"]),
-            threshold=threshold,
+            *key, kind=e["kind"], baseline=base_entries[key]["value"],
+            current=e["value"], better=e["better"], bound=e["bound"],
         )
-        for key, entry in sorted(curr_entries.items())
+        for key, e in curr_entries.items()
         if key in base_entries
     ]
     return BenchComparison(
-        baseline_time=baseline.get("time", 0.0),
-        current_time=current.get("time", 0.0),
         same_machine=(
             baseline.get("machine", {}).get("host")
             == current.get("machine", {}).get("host")
         ),
-        deltas=deltas,
+        deltas=[d for d in deltas if d.kind == KINDS[0]],
+        layer_deltas=[d for d in deltas if d.kind == KINDS[1]],
         missing=sorted(k for k in base_entries if k not in curr_entries),
         added=sorted(k for k in curr_entries if k not in base_entries),
     )
@@ -288,42 +275,47 @@ def compare_ledger(
 def format_comparison(comparison: BenchComparison) -> str:
     """Human-readable comparison table (what ``repro bench compare``
     prints)."""
-    lines = [
-        f"{'benchmark/case/metric':<58} {'baseline':>12} {'current':>12} "
-        f"{'change':>8}  verdict"
-    ]
-    for delta in comparison.deltas:
-        label = f"{delta.benchmark}/{delta.case}/{delta.metric}"
-        if delta.regressed:
-            verdict = "REGRESSED"
-        elif delta.improved:
-            verdict = "improved"
-        else:
-            verdict = "ok"
-        lines.append(
-            f"{label:<58} {delta.baseline:>12.4g} {delta.current:>12.4g} "
-            f"{delta.change:>+7.1%}  {verdict}"
+
+    def row(delta: BenchDelta) -> str:
+        label = f"{delta.workload}/{delta.metric}"
+        return (
+            f"{label:<44} {delta.baseline:>12.4g} {delta.current:>12.4g} "
+            f"{delta.change:>+7.1%}"
         )
+
+    header = (
+        f"{'workload/metric':<44} {'baseline':>12} {'current':>12} "
+        f"{'change':>8}"
+    )
+    lines = [f"{header}  {'bound':>5}  verdict"]
+    for delta in comparison.deltas:
+        verdict = (
+            "REGRESSED" if delta.regressed
+            else "improved" if delta.improved else "ok"
+        )
+        bound = "-" if delta.bound is None else f"{delta.bound:.0%}"
+        lines.append(f"{row(delta)}  {bound:>5}  {verdict}")
+    if comparison.layer_deltas:
+        lines.append(f"per-layer (not gated)\n{header}")
+        lines.extend(row(delta) for delta in comparison.layer_deltas)
     for key in comparison.missing:
-        lines.append(f"{'/'.join(key):<58} (present in baseline only)")
+        lines.append(f"{'/'.join(key):<44} (present in baseline only)")
     for key in comparison.added:
-        lines.append(f"{'/'.join(key):<58} (new metric, no baseline)")
+        lines.append(f"{'/'.join(key):<44} (new metric, no baseline)")
     if not comparison.same_machine:
         lines.append(
             "note: baseline is from a different machine; "
             "timing deltas are unreliable"
         )
-    summary = (
+    mover = comparison.mover
+    if mover is not None:
+        lines.append(
+            f"the layer that moved: {mover.workload}/{mover.metric} "
+            f"{mover.change:+.1%}"
+        )
+    lines.append(
         f"{len(comparison.deltas)} compared, "
         f"{len(comparison.regressions)} regressed, "
         f"{len(comparison.improvements)} improved"
     )
-    lines.append(summary)
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """Tiny direct entry point (the full UX lives in ``repro bench``)."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench"] + list(argv if argv is not None else sys.argv[1:]))

@@ -75,6 +75,7 @@ from repro.search.loop import (
     BatchCounts,
     RunLedger,
     batch_engine_for,
+    check_int,
     check_objective,
 )
 from repro.search.result import SearchResult
@@ -641,21 +642,15 @@ class BranchBoundSearch:
         workers: int = 1,
         start_method: Optional[str] = None,
     ) -> None:
-        if warm_samples < 0:
-            raise SearchError("warm_samples must be >= 0")
-        if leaf_width < 1:
-            raise SearchError("leaf_width must be >= 1")
-        if workers < 1:
-            raise SearchError("workers must be >= 1")
         self.mapspace = mapspace
         self.evaluator = evaluator
         self.objective = check_objective(objective)
-        self.warm_samples = warm_samples
-        self.leaf_width = leaf_width
-        self.limit = limit
+        self.warm_samples = check_int("warm_samples", warm_samples, 0)
+        self.leaf_width = check_int("leaf_width", leaf_width, 1)
+        self.limit = check_int("limit", limit, 1, optional=True)
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.workers = workers
+        self.workers = check_int("workers", workers, 1)
         self.start_method = start_method
 
     def run(self) -> SearchResult:

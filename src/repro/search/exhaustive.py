@@ -7,7 +7,9 @@ from repro.exceptions import SearchError
 from repro.mapspace.generator import MapSpace
 from repro.model.batch import PartialBoundEngine
 from repro.model.evaluator import Evaluator
-from repro.search.loop import RunLedger, batch_engine_for, check_objective
+from repro.search.loop import (
+    RunLedger, batch_engine_for, check_int, check_objective,
+)
 from repro.search.result import SearchResult
 from repro.utils import batching
 
@@ -61,7 +63,7 @@ class ExhaustiveSearch:
         self.mapspace = mapspace
         self.evaluator = evaluator
         self.objective = check_objective(objective)
-        self.limit = limit
+        self.limit = check_int("limit", limit, 1)
         self.use_batch = use_batch
         self.batch_engine = batch_engine
 

@@ -85,18 +85,36 @@ def start_contexts(start_method: Optional[str]) -> Iterator[Tuple[Any, str]]:
         yield context, method
 
 
+def _exit_with_driver(sentinel) -> None:
+    """Watcher-thread body: end this worker process once the driver
+    process, whose ``sentinel`` turns ready when it exits, is gone."""
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
 def _worker_main(conn, entry, state, inherited) -> None:
     """Worker-process body: run jobs until the driver hangs up.
 
     Replies ``(True, entry(state, job))``, or ``(False, error)`` with the
     worker's traceback as the error's ``__cause__``. Closing the
     ``inherited`` driver-side pipe ends a forked worker got copies of
-    lets EOF arrive when the driver closes its end or dies.
+    lets EOF arrive when the driver closes its end or dies. EOF is only
+    read between jobs, so a watcher thread also ends the worker, mid-job,
+    once the driver process is gone.
     """
+    import multiprocessing
+    import threading
     from multiprocessing.pool import ExceptionWithTraceback
 
     for other in inherited:
         other.close()
+    threading.Thread(
+        target=_exit_with_driver,
+        args=(multiprocessing.parent_process().sentinel,),
+        daemon=True,
+    ).start()
     try:
         while True:
             job = conn.recv()

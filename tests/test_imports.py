@@ -100,10 +100,16 @@ def test_campaign_imports_no_worker_layer(module):
     [["--help"],
      ["obs", "summarize", "missing-trace.jsonl"],
      ["campaign", "status", "--journal", "missing-journal.jsonl"],
-     ["bench", "compare", "--ledger", "missing-ledger.jsonl"]],
-    ids=["help", "obs-summarize", "campaign-status", "bench-compare"],
+     ["bench", "compare", "--ledger", "missing-ledger.jsonl"],
+     ["bench", "record"]],
+    ids=["help", "obs-summarize", "campaign-status", "bench-compare",
+         "bench-record"],
 )
 def test_cli_without_a_search_skips_numpy(argv, tmp_path):
+    # `bench record` runs a fake benchmark's command in subprocesses.
+    from tests.fake_bench import steady_plan, write_benchmark
+
+    write_benchmark(tmp_path, steady_plan())
     loaded = run_fresh(f"""
         import contextlib, io, json, os, runpy, sys
         os.chdir({str(tmp_path)!r})
@@ -117,6 +123,8 @@ def test_cli_without_a_search_skips_numpy(argv, tmp_path):
         print(json.dumps([m for m in ("numpy", "repro.search.loop") if m in sys.modules]))
     """)
     assert loaded == []
+    recorded = (tmp_path / "BENCH_HISTORY.jsonl").exists()
+    assert recorded == (argv == ["bench", "record"])
 
 
 SEARCH_SETUP = """

@@ -107,8 +107,17 @@ def test_every_searcher_rejects_an_unknown_objective(searcher, use_batch):
         lambda s, e, **kw: RandomSearch(s, e, max_evaluations="x", **kw),
         lambda s, e, **kw: RandomSearch(s, e, patience=1.5, **kw),
         lambda s, e, **kw: ParetoSearch(s, e, max_evaluations=0, **kw),
+        lambda s, e, **kw: BranchBoundSearch(s, e, warm_samples=1.5, **kw),
+        lambda s, e, **kw: BranchBoundSearch(s, e, leaf_width=2.5, **kw),
+        lambda s, e, **kw: BranchBoundSearch(s, e, workers=True, **kw),
+        lambda s, e, **kw: BranchBoundSearch(s, e, limit="x", **kw),
+        lambda s, e, **kw: BranchBoundSearch(s, e, limit=0, **kw),
+        lambda s, e, **kw: ExhaustiveSearch(s, e, limit="x", **kw),
+        lambda s, e, **kw: ExhaustiveSearch(s, e, limit=None, **kw),
     ],
-    ids=["random-budget", "random-patience", "pareto-budget"],
+    ids=["random-budget", "random-patience", "pareto-budget",
+         "bnb-warm-samples", "bnb-leaf-width", "bnb-workers", "bnb-limit",
+         "bnb-limit-zero", "exhaustive-limit", "exhaustive-limit-none"],
 )
 def test_sampling_searchers_reject_bad_counts(make, use_batch):
     space, evaluator = _toy()

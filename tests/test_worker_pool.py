@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 
 import pytest
 
@@ -144,6 +145,56 @@ class TestWorkerDeath:
                 )
         """)
         assert report == {"index": 3, "children": 0}
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="reads /proc"
+    )
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_killed_driver_takes_its_busy_worker_down(self, crash_run, method):
+        report = crash_run(f"""
+            import tempfile, time
+            from repro.search.worker_pool import WorkerSet, start_contexts
+
+
+            def hold(pidfile, job):
+                with open(pidfile, "w") as out:
+                    out.write(str(os.getpid()))
+                time.sleep(60)
+
+
+            def drive(pidfile):
+                workers = WorkerSet(hold, pidfile, 1, start_contexts({method!r}))
+                workers.submit(0, None)
+                workers.wait()
+
+
+            def alive(pid):  # a zombie has exited
+                try:
+                    with open(f"/proc/{{pid}}/stat") as stat:
+                        return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+                except FileNotFoundError:
+                    return False
+
+
+            def run():
+                pidfile = os.path.join(tempfile.mkdtemp(), "worker.pid")
+                driver = multiprocessing.get_context("fork").Process(
+                    target=drive, args=(pidfile,)
+                )
+                driver.start()
+                while not (os.path.exists(pidfile) and open(pidfile).read()):
+                    time.sleep(0.05)
+                worker = int(open(pidfile).read())
+                os.kill(driver.pid, signal.SIGKILL)
+                driver.join()
+                deadline = time.monotonic() + 5
+                while alive(worker) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                if alive(worker):
+                    os.kill(worker, signal.SIGKILL)
+                    raise AssertionError("the worker outlived its driver by 5 s")
+        """)
+        assert report == {"index": None, "children": 0}
 
 
 class TestIncumbents:
