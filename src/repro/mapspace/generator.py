@@ -13,6 +13,7 @@ import math
 import random
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -634,7 +635,7 @@ class MapSpace:
         ``prefixes`` may also be given as menu-index rows: an
         ``(n, num_dims)`` int64 array in workload dim order holding each
         pinned dimension's index into :meth:`dim_chain_menus` and ``-1``
-        for a free dimension — the branch-and-bound leaf flush's form,
+        for a free dimension — the branch-and-bound leaf pricing's form,
         which skips resolving chain objects.
 
         ``tags`` — when given, one int per prefix — stamps every row of a
@@ -714,9 +715,9 @@ class MapSpace:
     def _mask_tables(self, tables: List["np.ndarray"]) -> tuple:
         """What the fanout and capacity masks read, per dimension's chains.
 
-        Returns ``(fans, extents, shared)``. ``fans`` pairs each dimension
-        whose chains can change a fanout product with its chains' bounds
-        at the spatial slots, ``(num_spatial_slots, len(tables[d]))``.
+        Returns ``(fans, extents, shared)``. ``fans`` maps each dimension
+        whose chains can change a fanout product to its chains' bounds at
+        the spatial slots, ``(num_spatial_slots, len(tables[d]))``.
         ``extents[d]`` is ``(num_capacity_levels, len(tables[d]))`` int64:
         each chain's tile extent at every bounded level, the product of
         its bounds at that level and inside it (one row of
@@ -725,8 +726,8 @@ class MapSpace:
         dimension shares (a one-chain menu, say), or ``None``.
         """
         spatial = list(self._spatial_caps)
-        fans = [(d, table[:, 0, spatial].T) for d, table in enumerate(tables)]
-        fans = [(d, fan) for d, fan in fans if (fan > 1).any()]
+        fans = {d: table[:, 0, spatial].T for d, table in enumerate(tables)}
+        fans = {d: fan for d, fan in fans.items() if (fan > 1).any()}
         levels = self.batch_layout().capacity_levels
         extents = []
         for table in tables:
@@ -740,64 +741,66 @@ class MapSpace:
         ]
         return fans, extents, shared
 
-    def _mask_side(
-        self, rows: "np.ndarray", dims: Sequence[int], masks: tuple,
-        axis: int, capacity: bool,
-    ) -> tuple:
-        """What the fanout and capacity masks read from one side of a block.
+    def block_fits(
+        self,
+        index: Sequence[Any],
+        shape: Tuple[int, ...],
+        capacity: bool = True,
+        masks: Optional[tuple] = None,
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Fanout and capacity masks of a block of candidates.
 
-        A block joins every row of its head side (``axis`` 0) with every
-        row of its tail side (``axis`` 1); each side sets the dimensions
-        ``dims`` of its menu-index ``rows``. Returns ``(used, ext)``:
-        ``used`` is the side's ``(num_spatial_slots, n)`` fanout usage,
-        the product of its dims' bounds at each spatial slot clamped at
-        ``caps + 1`` (far from int64's range), and ``ext`` maps each of
-        its dims whose chains differ in extents to their extents at every
-        bounded level, ``(levels, n, 1)`` on the head side and ``(levels,
-        1, n)`` on the tail side (empty without ``capacity``).
+        ``index[d]`` holds dimension ``d``'s menu indices (workload dim
+        order, into :meth:`dim_chain_menus` or into the tables ``masks``
+        was built from): an int, or an int64 array of ``len(shape)`` dims
+        that broadcasts to ``shape``. Each candidate of the block takes
+        every dimension's chain from its position there: a list of rows
+        passes each dim's column, and enumeration's head x tail blocks
+        pass ``(B, 1)`` and ``(1, T)`` columns. Returns two bool masks
+        that broadcast to ``shape``: which candidates fit every joint
+        fanout cap, and (with ``capacity``, else all True) which fit
+        every bounded level. Per-chain fanout factors are multiplied for
+        all caps at once, smallest shapes first, so a product spans a
+        head x tail block only once both sides have joined it; usage is
+        clamped at ``caps + 1`` (far from int64's range).
         """
+        if masks is None:
+            self._menu_tables()
+            masks = self._menu_masks
         fans, extents, shared = masks
-        caps = self._caps
-        used = np.ones((len(caps), len(rows)), np.int64)
-        for d, fan in fans:
-            if d in dims:
-                used *= fan.take(rows[:, d], axis=1)
-                np.minimum(used, caps[:, None] + 1, out=used)
-        ext = {}
-        if capacity:
-            shape = (-1, len(rows), 1) if axis == 0 else (-1, 1, len(rows))
-            for d in dims:
-                if shared[d] is None:
-                    ext[d] = extents[d].take(rows[:, d], axis=1).reshape(shape)
-        return used, ext
-
-    def _block_fits(
-        self, head: tuple, tail: tuple, masks: tuple, capacity: bool
-    ) -> Tuple["np.ndarray", Optional["np.ndarray"]]:
-        """Fanout and capacity masks of a head x tail block of candidates.
-
-        ``head`` and ``tail`` are :meth:`_mask_side` results. Returns two
-        ``(len(head rows), len(tail rows))`` bool masks: which candidates
-        fit every joint fanout cap, and (with ``capacity``, else ``None``)
-        which fit every bounded level. Capacity is decided on every cell
-        by one :meth:`BatchLayout.fits_capacity` call, each dimension's
-        extents broadcast from its side (or shared by all its chains).
-        """
-        fit = np.logical_and.reduce(
-            head[0][:, :, None] * tail[0][:, None, :]
-            <= self._caps[:, None, None]
+        order = sorted(range(len(index)), key=lambda d: np.shape(index[d]))
+        slots = (len(self._caps),) + (1,) * len(shape)
+        used: Any = np.ones(slots, np.int64)
+        for d in order:
+            if d in fans:
+                factor = fans[d].take(index[d], axis=1)
+                if not np.ndim(index[d]):
+                    factor = factor.reshape(slots)
+                used = np.minimum(used * factor, (self._caps + 1).reshape(slots))
+        fit = np.broadcast_to(
+            np.logical_and.reduce(used <= self._caps.reshape(slots)), shape
         )
-        if not capacity:
-            return fit, None
-        ext = {**head[1], **tail[1]}
-        _, _, shared = masks
+        levels = self.batch_layout().capacity_levels
+        if not (capacity and levels):
+            return fit, np.broadcast_to(True, shape)
         per_dim = [
-            ext[d] if same is None else same for d, same in enumerate(shared)
+            extents[d].take(index[d], axis=1) if same is None else same
+            for d, same in enumerate(shared)
         ]
-        levels = range(len(self.batch_layout().capacity_levels))
-        return fit, self.batch_layout().fits_capacity(
-            [[e[j] for e in per_dim] for j in levels], fit.shape
+        room = self.batch_layout().fits_capacity(
+            [[e[j] for e in per_dim] for j in range(len(levels))], shape
         )
+        return fit, room
+
+    def menu_mapping(self, row: Sequence[int]) -> Mapping:
+        """The mapping of one menu-index row (workload dim order), as an
+        enumerated batch materializes it (:meth:`MappingBatch.mapping_at`)."""
+        cells = np.stack(
+            [table[k] for (table, _), k in zip(self._menu_tables(), row)],
+            axis=-1,
+        )
+        layout = self.batch_layout()
+        return layout.materialize(cells[0], cells[1], layout.grid_pos)
 
     def _pinned_batches(
         self,
@@ -809,25 +812,16 @@ class MapSpace:
         """:meth:`iter_prefix_batches` of fully pinned menu-index rows.
 
         Each row is its own candidate, so the unravel is skipped: ``rows``
-        are masked as the head of one block with an empty tail (the
-        branch-and-bound leaf flush's case), and the survivors are cut
-        into batches with the spans and ordinals the unravel path gives.
+        are masked as a one-axis block (the branch-and-bound leaf
+        pricing's case), and the survivors are cut into batches with the
+        spans and ordinals the unravel path gives.
         """
         tables = [table for table, _ in self._menu_tables()]
-        masks = self._menu_masks
-        check = capacity and bool(self.batch_layout().capacity_levels)
         tag_of = None if tags is None else np.asarray(tags, dtype=np.int64)
         with _obs.trace("mapspace.enumerate"):
-            fit, room = self._block_fits(
-                self._mask_side(rows, range(len(tables)), masks, 0, check),
-                (np.ones((len(self._caps), 1), np.int64), {}),
-                masks,
-                check,
-            )
-            feasible = np.flatnonzero(fit[:, 0])
-            kept = np.arange(len(feasible))
-            if room is not None:
-                kept = kept[room[feasible, 0]]
+            fit, room = self.block_fits(rows.T, (len(rows),), capacity)
+            feasible = np.flatnonzero(fit)
+            kept = np.arange(len(feasible))[room[feasible]]
 
         def pack(part, start, end):
             picked = feasible[part]
@@ -908,9 +902,9 @@ class MapSpace:
         factoring of their blocks: the *tail* is the longest suffix of
         free dims whose menu product fits in one step of ``_INDEX_CHUNK``
         cells, and the *head* is each prefix's pinned dims plus the other
-        free dims. The tail's rows, fanout usage and extents are built
-        once; each step unravels a block of head indices only, decides
-        fanout and capacity on the head x tail cells by broadcasting, and
+        free dims. The tail's rows are built once; each step unravels a
+        block of head indices only, decides fanout and capacity on the
+        head x tail cells by broadcasting (:meth:`block_fits`), and
         gathers the rows of the cells that survive.
         """
         menus = self._menu_tables()
@@ -975,10 +969,9 @@ class MapSpace:
                 local = np.arange(size)
                 for d in reversed(inner):
                     local, tail[:, d] = np.divmod(local, digits[d])
-                tail_side = self._mask_side(tail, inner, masks, 1, capacity)
+                tail_index = {d: tail[None, :, d] for d in inner}
                 # The head sets the prefix's pinned dims and the outer free
                 # dims ``free``.
-                outside = [d for d in range(num_dims) if d not in inner]
                 heads = math.prod(digits[d] for d in free)
                 total = (hi - lo) * heads
                 width = max(1, chunk // size)
@@ -990,15 +983,18 @@ class MapSpace:
                     for d in reversed(free):
                         local, digit = np.divmod(local, digits[d])
                         head[:, d] += digit
-                    fit, room = self._block_fits(
-                        self._mask_side(head, outside, masks, 0, capacity),
-                        tail_side,
-                        masks,
+                    fit, room = self.block_fits(
+                        [
+                            tail_index.get(d, head[:, d, None])
+                            for d in range(num_dims)
+                        ],
+                        (len(head), size),
                         capacity,
+                        masks,
                     )
                     order = np.cumsum(fit, axis=None)
                     count = int(order[-1])
-                    cells = np.flatnonzero(fit if room is None else fit & room)
+                    cells = np.flatnonzero(fit & room)
                     outer_row, tail_row = np.divmod(cells, size)
                     kept = head[outer_row] + tail[tail_row]
                     kept[:, -1] = order[cells] + (seen - 1)

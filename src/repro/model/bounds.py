@@ -4,8 +4,8 @@
 everything the cost model needs per (dimension, chain): cycle factors,
 delivered tiles and qualifying positions per boundary cut, and projection
 factors at every cutoff. Branch-and-bound bounds partial assignments from
-those tables, and the exhaustive sweep and the leaf flush price
-enumerated rows from them through
+those tables, and the exhaustive sweep and branch-and-bound's leaf
+pricing price enumerated rows from them through
 :meth:`~repro.model.batch.BatchEvaluator.evaluate_batch`.
 
 :mod:`repro.model.batch` re-exports the engine, where its callers look
@@ -33,6 +33,18 @@ if TYPE_CHECKING:
 #: The partial-bound grid computes in int64; :class:`PartialBoundEngine`
 #: refuses workloads whose products could reach this.
 _INT64_LIMIT = float(2**63)
+
+#: The dtypes of :meth:`PartialBoundEngine._grid_bounds`' work arrays:
+#: one boundary's rank product, one traffic product (and, once the energy
+#: sum is done, the cycle count), one gathered projection factor, one
+#: energy term and the energy sum.
+_WORK_DTYPES = {
+    "base": np.int64, "traffic": np.int64, "factor": np.int64,
+    "term": np.float64, "energy": np.float64,
+}
+
+#: The work arrays shaped like the whole grid.
+_GRID_WORK = ("base", "traffic", "term", "energy")
 
 
 def _rank_box_min(
@@ -113,8 +125,8 @@ class PartialBoundEngine:
     :meth:`row_cycles`, :meth:`row_traffic`) instead of packing the rows
     and walking their columns. The output tensor's spatial-only
     multipliers, which the bound drops, are the cutoff -1 column of the
-    same factor tables. Exhaustive search and the branch-and-bound leaf
-    flush price through it; the column walk stays the oracle (the
+    same factor tables. Exhaustive search and branch-and-bound's leaf
+    pricing use it; the column walk stays the oracle (the
     ``leaf-exactness`` invariant).
 
     The formula has two implementations: the scalar :meth:`bound` (Python
@@ -226,6 +238,8 @@ class PartialBoundEngine:
         }
         self._build_row_tables(arrays)
         self._check_int64_range()
+        #: :meth:`_grid_bounds`' work arrays, by name.
+        self._work_arrays: Dict[str, Any] = {}
 
     def _check_int64_range(self) -> None:
         """Refuse a layout whose grid products could wrap in int64.
@@ -697,6 +711,21 @@ class PartialBoundEngine:
         with obs.trace("bound.child"):
             return self._grid_bounds(assigned, [branch_dim], objective)
 
+    def _work(self, name: str, shape: Tuple[int, ...]) -> Any:
+        """Work array ``name`` of ``shape`` (contents undefined).
+
+        One flat buffer per name, grown on demand and reused by every
+        later grid: a fresh grid-sized temporary per product would be
+        paged in anew on each call.
+        """
+        size = math.prod(shape)
+        buffer = self._work_arrays.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._work_arrays[name] = np.empty(
+                size, dtype=_WORK_DTYPES[name]
+            )
+        return buffer[:size].reshape(shape)
+
     def _grid_bounds(
         self,
         assigned: Dict[str, int],
@@ -718,6 +747,10 @@ class PartialBoundEngine:
         from the cutoff-indexed tables: an assigned chain's row, a free
         dimension's menu minimum, or a swept dimension's whole
         (menu, cutoff) table gathered along its axis.
+
+        Products and the energy sum that span the whole grid go into the
+        engine's work arrays (:meth:`_work`); the returned grid is always
+        a fresh array.
         """
         layout = self.layout
         engine = self.engine
@@ -747,6 +780,15 @@ class PartialBoundEngine:
             view = [1] * len(axes)
             view[axis] = grid[axis]
             menu_idx[dim] = picks[dim].reshape(view)
+        cells = math.prod(grid)
+        work = {name: self._work(name, grid) for name in _GRID_WORK}
+
+        def into(name: str, ufunc: Any, a: Any, b: Any) -> Any:
+            """``ufunc(a, b)``, into work array ``name`` when an operand
+            spans the whole grid (in place when ``a`` is that array)."""
+            if getattr(a, "size", 1) == cells or getattr(b, "size", 1) == cells:
+                return ufunc(a, b, out=work[name])
+            return ufunc(a, b)
 
         def factor(
             dim: str, cut: int, parent: int, inner: bool, cutoff_idx: Any
@@ -756,25 +798,36 @@ class PartialBoundEngine:
                 # The cutoff grid spans relevant dims only, so it is 1
                 # along this dim's axis: gather the picked rows at every
                 # cutoff and swap the row axis into that place.
-                cells = table[picks[dim]].take(cutoff_idx, axis=1)
-                if not cells.ndim - 1:
-                    return cells.reshape(menu_idx[dim].shape)
+                rows = table[picks[dim]]
+                if not np.ndim(cutoff_idx):
+                    return rows[:, cutoff_idx].reshape(menu_idx[dim].shape)
+                cells = rows.take(
+                    cutoff_idx,
+                    axis=1,
+                    out=self._work("factor", (len(rows), *cutoff_idx.shape)),
+                )
                 return cells.swapaxes(0, axes.index(dim) + 1)[0]
             idx = assigned.get(dim)
             return (table_min if idx is None else table[idx])[cutoff_idx]
 
-        cycles: Any = np.int64(1)
-        for dim in layout.dims:
-            idx = assigned.get(dim)
-            if dim in menu_idx:
-                cycles = cycles * self.cycles[dim][menu_idx[dim]]
-            elif idx is not None:
-                cycles = cycles * int(self.cycles[dim][idx])
-            else:
-                cycles = cycles * self.min_cycles[dim]
+        def cycles_grid() -> Any:
+            cycles: Any = np.int64(1)
+            for dim in layout.dims:
+                idx = assigned.get(dim)
+                if dim in menu_idx:
+                    factor_d = self.cycles[dim][menu_idx[dim]]
+                elif idx is not None:
+                    factor_d = int(self.cycles[dim][idx])
+                else:
+                    factor_d = self.min_cycles[dim]
+                cycles = into("traffic", np.multiply, cycles, factor_d)
+            return cycles
+
         if objective == "delay":
             return (
-                np.broadcast_to(cycles, grid).astype(float).reshape(shape)
+                np.broadcast_to(cycles_grid(), grid)
+                .astype(float)
+                .reshape(shape)
             )
         energy: Any = np.float64(engine.compute_energy)
         for meta in layout.tensors:
@@ -815,7 +868,7 @@ class PartialBoundEngine:
                         best = (
                             total if best is None else np.minimum(best, total)
                         )
-                    base = base * best
+                    base = into("base", np.multiply, base, best)
                 # Cutoff lower bound, as in bound(); swept relevant dims
                 # make it a grid of cutoffs.
                 cutoff: Any = -1
@@ -830,34 +883,32 @@ class PartialBoundEngine:
                         qual = self.qual_min[dim][cut]
                     cutoff = np.maximum(cutoff, qual)
                 cutoff_idx = cutoff + 1
-                # Traffic: the rank sums times the projection factors
-                # (all-1 factor tables skipped).
-                outer: Any = base
-                inner: Any = base
-                for d in meta.irrelevant_idx:
-                    dim = layout.dims[d]
-                    if (dim, cut, parent, False) not in self.unit_factors:
-                        outer = outer * factor(
-                            dim, cut, parent, False, cutoff_idx
-                        )
-                    if (
-                        child is not None
-                        and (dim, cut, parent, True) not in self.unit_factors
-                    ):
-                        inner = inner * factor(
-                            dim, cut, parent, True, cutoff_idx
-                        )
+                # Traffic, outer then inner: the rank sums times the
+                # projection factors (all-1 factor tables skipped), each
+                # priced into the energy sum before the next is formed.
                 if not meta.is_output:
-                    energy = energy + engine.read_pj[parent] * outer
+                    terms = [(engine.read_pj[parent], False)]
                     if child is not None:
-                        energy = energy + engine.write_pj[child] * inner
+                        terms.append((engine.write_pj[child], True))
                 else:
-                    energy = energy + engine.write_pj[parent] * outer
+                    terms = [(engine.write_pj[parent], False)]
                     if child is not None:
-                        energy = energy + engine.read_pj[child] * inner
+                        terms.append((engine.read_pj[child], True))
+                for pj, inner in terms:
+                    traffic: Any = base
+                    for d in meta.irrelevant_idx:
+                        dim = layout.dims[d]
+                        if (dim, cut, parent, inner) not in self.unit_factors:
+                            traffic = into(
+                                "traffic", np.multiply, traffic,
+                                factor(dim, cut, parent, inner, cutoff_idx),
+                            )
+                    term = into("term", np.multiply, pj, traffic)
+                    energy = into("energy", np.add, energy, term)
         if objective == "energy":
             return np.broadcast_to(energy, grid).astype(float).reshape(shape)
-        edp = energy * cycles.astype(float)
+        # The float product of energy and the int64 cycles, fresh.
+        edp = np.multiply(energy, cycles_grid())
         return np.broadcast_to(edp, grid).reshape(shape)
 
     def bound(self, assigned: Dict[str, int], objective: str = "edp") -> float:

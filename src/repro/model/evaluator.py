@@ -138,9 +138,11 @@ class Evaluator:
 
         Skips the cache *lookup* (the batch engine's kernel-priced rows
         and their improvements never look the cache up) but still records
-        the evaluation, so a later row-wise lookup of it hits.
+        the evaluation, so a later row-wise lookup of it hits. Traced as
+        the ``evaluator.fresh`` span.
         """
-        evaluation = self._evaluate_uncached(mapping)
+        with _obs.trace("evaluator.fresh"):
+            evaluation = self._evaluate_uncached(mapping)
         if self.cache is not None:
             self.cache.put(mapping.signature(), evaluation)
         return evaluation

@@ -149,6 +149,7 @@ class BenchDelta:
     current: float
     better: str
     bound: Optional[float]  # None: reported, never gated
+    unit: str = ""
 
     @property
     def change(self) -> float:
@@ -197,9 +198,15 @@ class BenchComparison:
 
     @property
     def mover(self) -> Optional[BenchDelta]:
-        """The layer that moved: the largest relative per-layer change."""
+        """The layer that moved: the per-layer seconds entry that moved
+        the most seconds. Counts and fractions never name it, and neither
+        does a relative change: near zero (a fraction crossing it, a
+        layer that takes microseconds) it is noise, not a layer moving.
+        """
         return max(
-            self.layer_deltas, key=lambda d: abs(d.change), default=None
+            (d for d in self.layer_deltas if d.unit == "s"),
+            key=lambda d: abs(d.current - d.baseline),
+            default=None,
         )
 
 
@@ -256,6 +263,7 @@ def compare_ledger(
         BenchDelta(
             *key, kind=e["kind"], baseline=base_entries[key]["value"],
             current=e["value"], better=e["better"], bound=e["bound"],
+            unit=e.get("unit", ""),
         )
         for key, e in curr_entries.items()
         if key in base_entries
@@ -311,7 +319,7 @@ def format_comparison(comparison: BenchComparison) -> str:
     if mover is not None:
         lines.append(
             f"the layer that moved: {mover.workload}/{mover.metric} "
-            f"{mover.change:+.1%}"
+            f"{mover.change:+.1%} ({mover.current - mover.baseline:+.4g} s)"
         )
     lines.append(
         f"{len(comparison.deltas)} compared, "

@@ -24,18 +24,25 @@ Search order and exactness:
   front of the heap proves every remaining node prunable and the search
   terminates with the exact optimum.
 * **leaf batches** — once a subtree is small enough, it is buffered
-  rather than branched; buffered subtrees flush together through
-  :meth:`MapSpace.iter_prefix_batches`, which masks the completions of
-  *many* subtrees as fully pinned menu-index rows (no unravel) and cuts
-  them into shared full-width batches (tiny per-leaf batches would
-  otherwise dominate the runtime). At flush time each buffered
-  bound is re-checked against the incumbent — which usually improved
-  since the leaf was popped — so late leaves are often cut without
-  enumerating a row. Sibling leaves get their per-completion bound grids
-  one block per call when their parent is expanded, keeping only cells
-  under the cut of the moment. Surviving rows are priced from the bound
-  engine's per-chain tables by the bit-exact vectorized engine, with
-  row-level pruning against the same incumbent.
+  rather than branched. When a node's children are such leaves, their
+  per-completion bound grids are computed one block of siblings per
+  :meth:`~repro.model.bounds.PartialBoundEngine.suffix_bounds` call, and
+  only cells under the cut of the moment are kept. The leaves keep that
+  block as their record (:class:`_LeafBlock`). Buffered leaves flush
+  together. The first flush that holds a leaf of a block prices the
+  block: fanout and capacity are decided for its cells under that
+  flush's cut by the enumeration's rule (:meth:`MapSpace.block_fits`),
+  and the feasible ones are priced, all blocks of the flush in one
+  :meth:`MapSpace.iter_prefix_batches` pass of fully pinned menu-index
+  rows priced from the bound engine's per-chain tables
+  (:meth:`~repro.model.batch.BatchEvaluator.evaluate_batch` with
+  ``tables``). Leaves without a record (fully assigned leaves, the
+  root, and leaves expanded before any incumbent existed) get their
+  blocks at flush. The rest of a flush is bookkeeping: each leaf's
+  bound and each kept cell's bound is re-checked against the incumbent
+  (which usually improved since the leaf was popped), cut cells are
+  pruned, feasible ones counted, and improvements offered in candidate
+  order.
   The returned best-EDP is therefore bit-identical to
   :class:`~repro.search.exhaustive.ExhaustiveSearch` — asserted by the
   ``branch-bound-parity`` invariant in :mod:`repro.verify.invariants`.
@@ -54,16 +61,28 @@ The tree walk runs for every evaluator configuration. When the engine's
 row-wise switch is off (``use_batch=False``, or NoC/static energy,
 bandwidth stalls or 2**53+ operations, which its kernels do not model),
 leaf rows are priced one by one through the scalar evaluator and the run
-reports ``mode="scalar"``. The bounds stay admissible there: the extra
-terms only ever add energy or cycles.
+reports ``mode="scalar"``. Every leaf is then priced at flush, so the
+scalar evaluator sees only the cells that survive the flush's cut. The
+bounds stay admissible there: the extra terms only ever add energy or
+cycles.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -77,6 +96,7 @@ from repro.search.loop import (
     batch_engine_for,
     check_int,
     check_objective,
+    lazy_evaluation,
 )
 from repro.search.result import SearchResult
 from repro.utils import batching
@@ -87,20 +107,94 @@ DEFAULT_WARM_SAMPLES = 64
 
 #: Default subtree size below which completions are priced as batches
 #: rather than branched further. Leaves get a dense per-completion bound
-#: sweep at flush time, so wide leaves are cheap: the sweep is a handful
-#: of broadcast kernels, and only surviving cells are ever enumerated.
+#: sweep (one per block of siblings), so wide leaves are cheap: the sweep
+#: is a handful of broadcast kernels, and only surviving cells are ever
+#: priced.
 DEFAULT_LEAF_WIDTH = 4_096
 
 #: Buffered leaf rows (pre-fanout-filter estimate) that trigger a flush.
-#: Large enough that flushes pack full batches; small enough that the
-#: incumbent stays fresh between flushes. A constant of the walk, not a
-#: multiple of the batch size, so the tree counts do not depend on how a
-#: flush chunks its rows.
+#: Small enough that the incumbent stays fresh between flushes. A
+#: constant of the walk, not a multiple of the batch size, so the tree
+#: counts do not depend on how pricing chunks its rows.
 FLUSH_ROWS = 4_096
 
 #: Leaf widths per block of sibling leaves whose suffix grids are
 #: computed in one call.
 FLUSH_ROWS_FACTOR = 8
+
+
+class _LeafBlock:
+    """Kept cells of a block of sibling leaves: what their flushes read.
+
+    ``rows`` holds each leaf's menu-index row in workload dim order
+    (``-1`` at the free dims, which all leaves of a block share). Each
+    leaf's kept cells, those of its suffix grid under the cut when the
+    grid was computed, lie in ``starts[j]:starts[j + 1]`` of ``index``
+    (flat grid index) and ``values`` (bound). A leaf's record is the
+    pair ``(block, j)``.
+
+    A block is priced once (:meth:`_SubtreeWalker._price`), at the cut of
+    the first flush that holds one of its leaves. Only the cells under
+    that cut can be candidates then or later (the cut only falls); for
+    them pricing sets ``fan`` (fits every joint fanout cap) and
+    ``priced`` (also fits every bounded level when the engine is
+    vectorized: a row the engine prices), False elsewhere. Each leaf's
+    priced cells then lie in ``priced_starts[j]:priced_starts[j + 1]``
+    of ``valid``, ``metric`` and ``cells`` (the cell's menu-index row,
+    the handle its mapping is rebuilt from), and ``evaluations`` holds
+    the full evaluations the engine made anyway (fallback rows, and
+    every row when pricing row-wise), keyed by priced-cell position.
+    """
+
+    __slots__ = (
+        "rows", "starts", "index", "values", "fan", "priced",
+        "priced_starts", "valid", "metric", "cells", "evaluations",
+    )
+
+    def __init__(self, rows, starts, index, values) -> None:
+        self.rows = rows
+        self.starts = starts
+        self.index = index
+        self.values = values
+        self.fan: Optional[np.ndarray] = None
+        self.priced: Optional[np.ndarray] = None
+        self.priced_starts: Optional[np.ndarray] = None
+        self.valid: Optional[np.ndarray] = None
+        self.metric: Optional[np.ndarray] = None
+        self.cells: Optional[np.ndarray] = None
+        self.evaluations: Dict[int, Evaluation] = {}
+
+    def kept(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf ``j``'s kept cells: ``(values, fan, priced)``."""
+        a, b = self.starts[j], self.starts[j + 1]
+        return self.values[a:b], self.fan[a:b], self.priced[a:b]
+
+    def outcomes(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Leaf ``j``'s priced cells: ``(valid, metric)``."""
+        a, b = self.priced_starts[j], self.priced_starts[j + 1]
+        return self.valid[a:b], self.metric[a:b]
+
+    def single(self, j: int) -> "_LeafBlock":
+        """Leaf ``j`` as a block of its own (views of this one's cells)."""
+        a, b = self.starts[j], self.starts[j + 1]
+        return _LeafBlock(
+            self.rows[j:j + 1], np.array([0, b - a]), self.index[a:b],
+            self.values[a:b],
+        )
+
+    def cell_rows(self, cells: np.ndarray, menu_lens: np.ndarray) -> np.ndarray:
+        """Kept cells ``cells`` as fully pinned menu-index rows."""
+        leaf = np.searchsorted(self.starts, cells, side="right") - 1
+        rows = self.rows[leaf]
+        free = self.rows[0] < 0
+        if free.any():
+            rows[:, free] = np.stack(
+                np.unravel_index(
+                    self.index[cells], tuple(menu_lens[free])
+                ),
+                axis=1,
+            )
+        return rows
 
 
 class LocalIncumbent:
@@ -142,15 +236,15 @@ class _SubtreeWalker:
     walks its assigned top-level subtree with a
     :class:`~repro.search.worker_pool.SharedIncumbent`. The walker keeps
     a cached cut metric (``_cut``) refreshed from the incumbent at every
-    node pop, flush, and batch — the points where the serial search read
+    node pop and flush — the points where the serial search read
     ``best_metric`` — and re-reads it whenever an ``offer`` loses a race,
     so pruning is never done against anything but a real candidate's
     true metric. Under the local cell this is bit-for-bit the original
     serial trajectory.
 
     Alongside the incumbent the walker tracks its own best candidate
-    (evaluation, metric, and menu-index signature in workload dim order)
-    so a parallel driver can re-price every worker's claim and return a
+    (metric, and menu-index signature in workload dim order) so a
+    parallel driver can re-price every worker's claim and return a
     bit-identical best metric regardless of race timing.
 
     The walker owns its walk's counts: priced and valid rows, the batch
@@ -216,16 +310,15 @@ class _SubtreeWalker:
         #: ``suffix_product[len(root)]`` — the progress-total invariant
         #: the branch-bound tests pin.
         self.cells_covered = 0.0
-        self.best: Optional[Evaluation] = None
         self.best_metric = float("inf")
         self.best_signature: Optional[Tuple[int, ...]] = None
 
         self._cut = float(incumbent.read())
-        # Leaf subtrees are buffered and flushed together so their rows
-        # pack into shared full-width batches (a per-leaf iter_batches
-        # call would emit mostly-empty batches and the per-batch kernel
-        # overhead would swamp the pruning win).
-        self._leaf_buffer: List[Tuple[float, Tuple[int, ...], Optional[tuple]]] = []
+        # Leaf subtrees are buffered and flushed together, each with its
+        # bound and its record (None until the flush prices it).
+        self._leaf_buffer: List[
+            Tuple[float, Tuple[int, ...], Optional[Tuple[_LeafBlock, int]]]
+        ] = []
         self._leaf_rows = 0
         #: Cells per block of sibling leaves whose suffix grids are
         #: computed in one call.
@@ -252,26 +345,24 @@ class _SubtreeWalker:
         """Offer a true candidate metric, priced as row ``at`` of the
         walk, to the incumbent.
 
-        The evaluation is materialized only when the candidate beats the
-        cached cut (same laziness as before). A losing offer — possible
-        only under a shared incumbent, when another worker posted a
-        better true metric first — refreshes the cut instead.
+        ``make_evaluation`` builds the candidate's full evaluation; it is
+        handed to the ledger, which calls it only for the run's final
+        best. A losing offer — possible only under a shared incumbent,
+        when another worker posted a better true metric first —
+        refreshes the cut instead.
         """
         if not metric < self._cut:
             return False
-
-        evaluation = make_evaluation()
         if signature is None:
             signature = (-1,) * len(self.workload_dims)
         if not self.incumbent.offer(metric):
             self._cut = float(self.incumbent.read())
             return False
         self._cut = metric
-        self.best = evaluation
         self.best_metric = metric
         self.best_signature = tuple(int(x) for x in signature)
         if self.ledger is not None:
-            self.ledger.improved(metric, evaluation, at)
+            self.ledger.improved(metric, make_evaluation, at)
         return True
 
     def price_mappings(self, mappings) -> None:
@@ -289,26 +380,20 @@ class _SubtreeWalker:
         # can never improve and are skipped without a Python step.
         for i in np.flatnonzero(outcome.valid & (outcome.metric < self._cut)):
             i = int(i)
-
-            def make_evaluation(i=i):
-                evaluation = outcome.evaluations.get(i)
-                if evaluation is not None:
-                    return evaluation
-                return self.evaluator.evaluate_fresh(mappings[i])
-
             self._consider(
-                float(outcome.metric[i]), make_evaluation, base + i + 1
+                float(outcome.metric[i]),
+                lazy_evaluation(
+                    outcome.evaluations, i, self.evaluator, mappings[i]
+                ),
+                base + i + 1,
             )
 
-    def _count(self, outcome, batch=None) -> int:
-        """Count a priced batch's candidates (an enumerated batch's span);
-        returns the count before it."""
+    def _count(self, outcome) -> int:
+        """Count a priced batch of mappings; returns the count before it."""
         base = self.evaluations
-        self.evaluations += (
-            outcome.valid.size if batch is None else batch.candidates
-        )
+        self.evaluations += outcome.valid.size
         self.num_valid += int(outcome.valid.sum())
-        self.batch += BatchCounts.of(outcome, batch)
+        self.batch += BatchCounts.of(outcome)
         return base
 
     # -- the walk --------------------------------------------------------
@@ -327,14 +412,15 @@ class _SubtreeWalker:
         }
         root_bound = self.bound_engine.bound(root_assigned, self.objective)
         # Heap entries: (bound, insertion counter, chain-index tuple
-        # along dims_order, the leaf's cells from _sibling_cells or None).
-        # The counter makes ties deterministic (the cells are never
-        # compared).
+        # along dims_order, record). A leaf's record is the (_LeafBlock,
+        # j) pair _sibling_cells built for it, or None (every other
+        # node, and leaves that get theirs at flush). The counter makes
+        # ties deterministic (records are never compared).
         heap: List[Tuple[float, int, Tuple[int, ...], Optional[tuple]]] = [
             (root_bound, 0, tuple(root_indices), None)
         ]
         while heap:
-            node_bound, _, indices, cells = heapq.heappop(heap)
+            node_bound, _, indices, record = heapq.heappop(heap)
             self._cut = float(self.incumbent.read())
             if (
                 self._cut != float("inf")
@@ -359,7 +445,7 @@ class _SubtreeWalker:
                 # priced (or cut) at flush time. Counted separately from
                 # expansions so both stats stay meaningful.
                 self.leaves_deferred += 1
-                self._leaf_buffer.append((node_bound, indices, cells))
+                self._leaf_buffer.append((node_bound, indices, record))
                 self._leaf_rows += self.suffix_product[depth]
                 if self._leaf_rows >= FLUSH_ROWS:
                     self.flush_leaves()
@@ -396,13 +482,12 @@ class _SubtreeWalker:
                     self._cover(self.suffix_product[depth + 1])
                     continue
                 children.append((k, child_bound))
-            sibling_cells = self._sibling_cells(
+            records = self._sibling_cells(
                 assigned, dim, depth + 1, [k for k, _ in children]
             )
-            for (k, child_bound), leaf_cells in zip(children, sibling_cells):
+            for (k, child_bound), child in zip(children, records):
                 heapq.heappush(
-                    heap,
-                    (child_bound, self._counter, indices + (k,), leaf_cells),
+                    heap, (child_bound, self._counter, indices + (k,), child)
                 )
                 self._counter += 1
 
@@ -418,172 +503,375 @@ class _SubtreeWalker:
         dim: str,
         depth: int,
         children: List[int],
-    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """Suffix-grid cells of a node's ``children`` (their menu indices
-        along ``dim``), computed one block of siblings at a time.
+    ) -> List[Optional[Tuple[_LeafBlock, int]]]:
+        """Records of a node's ``children`` (their menu indices along
+        ``dim``) at ``depth``, built when the node is expanded.
 
-        Children at ``depth`` that will be deferred as leaves with free
-        dimensions differ only in ``dim``, so one :meth:`suffix_bounds`
-        call with ``siblings`` prices a block of about
-        ``FLUSH_ROWS_FACTOR * leaf_width`` of their cells. Per child only
-        the flat indices and values of cells under the current cut are
-        kept. The cut only falls, so at flush these hold every cell the
-        flush-time cut keeps. Inner nodes, fully assigned leaves, and
-        every child while there is no incumbent, get ``None``: such a
-        leaf prices its own grid at flush, as a root leaf does.
+        Only children that will be deferred as leaves with free
+        dimensions get one (:meth:`_leaf_blocks`), and only while there
+        is an incumbent to cut their cells against. The cut only falls,
+        so at flush their records hold every cell the flush-time cut
+        keeps. Every other child gets ``None``; a leaf without a record
+        gets one at flush.
         """
-        from repro.model.batch import PRUNE_MARGIN
-
-        cells_per_leaf = self.suffix_product[depth]
         if (
             not children
             or depth == self.num_dims
-            or cells_per_leaf > self.leaf_width
+            or self.suffix_product[depth] > self.leaf_width
             or self._cut == float("inf")
         ):
             return [None] * len(children)
-        axis = [d for d in self.workload_dims if d not in assigned].index(dim)
+        return self._leaf_blocks(assigned, dim, children)
+
+    def _leaf_blocks(
+        self,
+        assigned: Dict[str, int],
+        dim: Optional[str],
+        children: List[int],
+    ) -> List[Tuple[_LeafBlock, int]]:
+        """Records of the leaves ``assigned | {dim: k}`` for ``k`` in
+        ``children`` (with ``dim`` None, of the one leaf ``assigned``),
+        built one block of siblings at a time.
+
+        The leaves differ only in ``dim``, so one :meth:`suffix_bounds`
+        call with ``siblings`` bounds a block of about
+        ``FLUSH_ROWS_FACTOR * leaf_width`` of their cells. Per leaf only
+        cells under the current cut are kept (all of them while there is
+        no incumbent). A block is priced
+        once, by the first flush that holds one of its leaves
+        (:meth:`flush_leaves`). When the engine prices row-wise each leaf
+        gets a block of its own, so the scalar evaluator prices only
+        cells of leaves that flush.
+        """
+        from repro.model.batch import PRUNE_MARGIN
+
+        parent = self._leaf_row(assigned)
+        free = np.flatnonzero(parent < 0)
+        if dim is not None:
+            d = self.workload_dims.index(dim)
+            axis = int(np.searchsorted(free, d))
+            free = free[free != d]
+        leaf_shape = tuple(self._menu_lens[free].tolist())
+        cells_per_leaf = math.prod(leaf_shape)
         per_block = max(1, self._block_cells // cells_per_leaf)
-        cells: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+        records: List[Tuple[_LeafBlock, int]] = []
         for start in range(0, len(children), per_block):
-            ks = np.array(children[start:start + per_block], dtype=np.int64)
-            grid = self.bound_engine.suffix_bounds(
-                assigned, self.objective, siblings=(dim, ks)
+            if dim is None:
+                rows = parent[None, :]
+                grid = self.bound_engine.suffix_bounds(
+                    assigned, self.objective
+                )
+            else:
+                ks = np.array(
+                    children[start:start + per_block], dtype=np.int64
+                )
+                rows = np.repeat(parent[None, :], ks.size, axis=0)
+                rows[:, d] = ks
+                # Leaf j's own suffix grid is slice j along dim's axis.
+                grid = np.moveaxis(
+                    self.bound_engine.suffix_bounds(
+                        assigned, self.objective, siblings=(dim, ks)
+                    ),
+                    axis,
+                    0,
+                )
+            grid = grid.reshape(-1)
+            if self._cut != float("inf"):
+                kept = np.flatnonzero(
+                    grid * (1.0 - PRUNE_MARGIN) < self._cut
+                )
+            else:
+                kept = np.arange(grid.size)
+            block = _LeafBlock(
+                rows,
+                np.searchsorted(
+                    kept, np.arange(len(rows) + 1) * cells_per_leaf
+                ),
+                # The smallest dtype that holds a leaf's flat grid index.
+                (kept % cells_per_leaf).astype(
+                    np.min_scalar_type(cells_per_leaf)
+                ),
+                grid[kept],
             )
-            # Row j: child ks[j]'s own suffix grid, flattened.
-            grid = np.moveaxis(grid, axis, 0).reshape(ks.size, -1)
-            under = grid * (1.0 - PRUNE_MARGIN) < self._cut
-            for values, mask in zip(grid, under):
-                keep = np.flatnonzero(mask)
-                cells.append((keep, values[keep]))
-        return cells
+            if self.engine.vectorize:
+                records += [(block, j) for j in range(len(rows))]
+            else:
+                records += [(block.single(j), 0) for j in range(len(rows))]
+        return records
+
+    def _orphan_records(
+        self, bounds: Sequence[float], indices: Sequence[Tuple[int, ...]]
+    ) -> List[Tuple[_LeafBlock, int]]:
+        """Records, built at flush, of the leaves that got none at
+        expansion (``indices`` along ``dims_order``, in order).
+
+        Fully assigned leaves form one block, each one cell carrying the
+        leaf's ``bounds`` entry. The others get one block of siblings per
+        parent
+        (:meth:`_leaf_blocks`, cut at the flush's cut); a walk whose root
+        is itself a leaf gets the root's.
+        """
+        records: List[Any] = [None] * len(indices)
+        full = [
+            i for i, leaf in enumerate(indices) if len(leaf) == self.num_dims
+        ]
+        if full:
+            order = [
+                [dim for dim, _ in self.dims_order].index(dim)
+                for dim in self.workload_dims
+            ]
+            rows = np.array([indices[i] for i in full], np.int64)[:, order]
+            block = _LeafBlock(
+                rows,
+                np.arange(len(rows) + 1),
+                np.zeros(len(rows), dtype=np.uint8),
+                np.array([bounds[i] for i in full], dtype=float),
+            )
+            for j, i in enumerate(full):
+                records[i] = (block, j)
+        siblings: Dict[Optional[tuple], List[int]] = {}
+        for i, leaf in enumerate(indices):
+            if len(leaf) < self.num_dims:
+                siblings.setdefault(leaf[:-1] if leaf else None, []).append(i)
+        for parent, members in siblings.items():
+            if parent is None:
+                blocks = self._leaf_blocks({}, None, [None])
+            else:
+                blocks = self._leaf_blocks(
+                    {self.dims_order[d][0]: k for d, k in enumerate(parent)},
+                    self.dims_order[len(parent)][0],
+                    [indices[i][-1] for i in members],
+                )
+            for i, record in zip(members, blocks):
+                records[i] = record
+        return records
+
+    def _leaf_row(self, assigned: Dict[str, int]) -> np.ndarray:
+        """``assigned`` as a menu-index row in workload dim order."""
+        return np.array(
+            [assigned.get(dim, -1) for dim in self.workload_dims],
+            dtype=np.int64,
+        )
+
+    def _decide(self, blocks: List[_LeafBlock], cut: float) -> None:
+        """Decide fanout and capacity for the cells of ``blocks`` under
+        ``cut``, and keep the rows of those the engine will price
+        (``cells``). Cells over the cut stay undecided (``fan`` and
+        ``priced`` False): no later cut keeps them.
+
+        Consecutive blocks are decided together, one
+        :meth:`MapSpace.block_fits` call on their cells' fully pinned
+        rows per ``FLUSH_ROWS`` or so cells, so the rows of a flush's
+        many small blocks are masked at once and those of many large
+        ones are never all built at the same time.
+        """
+        from repro.model.batch import PRUNE_MARGIN
+
+        def decide(group: List[Tuple[_LeafBlock, np.ndarray]]) -> None:
+            parts = [
+                block.cell_rows(under, self._menu_lens)
+                for block, under in group
+            ]
+            rows = np.concatenate(parts)
+            fan, room = self.mapspace.block_fits(
+                rows.T, (len(rows),), self.engine.vectorize
+            )
+            fits = fan & room
+            start = 0
+            for (block, under), part in zip(group, parts):
+                end = start + len(part)
+                block.fan = np.zeros(block.values.size, dtype=bool)
+                block.fan[under] = fan[start:end]
+                block.priced = np.zeros(block.values.size, dtype=bool)
+                block.priced[under] = fits[start:end]
+                block.priced_starts = np.concatenate(
+                    [[0], np.cumsum(block.priced)]
+                )[block.starts]
+                block.cells = part[fits[start:end]]
+                start = end
+
+        group: List[Tuple[_LeafBlock, np.ndarray]] = []
+        cells = 0
+        for block in blocks:
+            under = (
+                np.flatnonzero(block.values * (1.0 - PRUNE_MARGIN) < cut)
+                if cut != float("inf")
+                else np.arange(block.values.size)
+            )
+            group.append((block, under))
+            cells += under.size
+            if cells >= FLUSH_ROWS:
+                decide(group)
+                group, cells = [], 0
+        if group:
+            decide(group)
+
+    def _price(self, blocks: List[_LeafBlock]) -> None:
+        """Price the decided cells of ``blocks`` in one enumeration pass.
+
+        Their rows go through one :meth:`MapSpace.iter_prefix_batches`
+        call, which cuts them into batches, and the engine, from the
+        bound engine's tables, with row pruning against the current cut:
+        a pruned row's metric is ``inf``, which no later cut can be
+        above. The enumeration masks pinned rows itself (its callers may
+        pass any), so these rows, which :meth:`_decide` kept, pass that
+        mask a second time. The kernel's rows are counted in ``batch``
+        here; the cells count as candidates only when their leaf flushes.
+        """
+        pinned = np.concatenate([block.cells for block in blocks])
+        valid = np.zeros(len(pinned), dtype=bool)
+        metric = np.full(len(pinned), float("inf"))
+        evaluations: Dict[int, Evaluation] = {}
+        if len(pinned):
+            with obs.trace(
+                "search.leaf_price",
+                cells=sum(block.index.size for block in blocks),
+                rows=len(pinned),
+            ):
+                for batch in self.mapspace.iter_prefix_batches(
+                    pinned,
+                    batch_size=batching.DEFAULT_BATCH_SIZE,
+                    tags=np.arange(len(pinned)),
+                    capacity=self.engine.vectorize,
+                ):
+                    outcome = self.engine.evaluate_batch(
+                        batch,
+                        objective=self.objective,
+                        incumbent=self._cut,
+                        prune=True,
+                        tables=self.bound_engine,
+                    )
+                    self.batch += BatchCounts.of(outcome, batch)
+                    valid[batch.tags] = outcome.valid
+                    metric[batch.tags] = outcome.metric
+                    for i, evaluation in outcome.evaluations.items():
+                        evaluations[int(batch.tags[i])] = evaluation
+        starts = np.cumsum([0] + [len(block.cells) for block in blocks])
+        for block, start, end in zip(blocks, starts, starts[1:]):
+            block.valid = valid[start:end]
+            block.metric = metric[start:end]
+        for i, evaluation in evaluations.items():
+            b = int(np.searchsorted(starts, i, side="right")) - 1
+            blocks[b].evaluations[i - int(starts[b])] = evaluation
 
     def flush_leaves(self) -> None:
-        """Price every buffered leaf subtree through shared batches.
+        """Account every buffered leaf subtree against the current cut.
 
         At flush time each leaf's stored bound is re-checked against the
         incumbent — which usually improved since the leaf was popped —
-        and surviving leaves get a dense per-completion bound sweep
-        (:meth:`suffix_bounds`): complete assignments are the tightest
-        bounds the engine can state, and a cell cut there is never even
-        enumerated into a batch. A leaf whose cells its parent's sibling
-        block already priced re-checks just the cells it kept.
+        and so is each cell its record kept: complete assignments are
+        the tightest bounds the engine can state. Leaves without a
+        record get one now (:meth:`_orphan_records`). Every block not
+        yet priced has its cells under this flush's cut decided
+        (:meth:`_decide`) and priced, all blocks in one :meth:`_price`
+        call.
 
-        Surviving cells are fully pinned menu-index rows: they are
-        masked for fanout and capacity and cut into batches by
-        :meth:`MapSpace.iter_prefix_batches` without an unravel, and
-        priced from the bound engine's tables without being packed.
-        Rows are counted by candidate: each batch's span includes the
-        cells the enumeration proved capacity-infeasible, and each row's
-        candidate number is its ordinal within that span.
+        The rest is bookkeeping against the cut read at the flush's
+        start: cut cells go to ``subtrees_pruned``, kept fanout-feasible
+        cells are the walk's candidates (``num_evaluated``, checked
+        against ``limit``), those the engine priced valid go to
+        ``num_valid``, and kept capacity-infeasible ones to
+        ``batch.infeasible``. Improvements are offered in candidate
+        order, each numbered by its position among the flush's
+        candidates.
         """
         from repro.model.batch import PRUNE_MARGIN
 
         if not self._leaf_buffer:
             return
-        self._cut = float(self.incumbent.read())
-        dims_order = self.dims_order
-        # Surviving cells as menu-index rows in workload dim order, packed
-        # without ever building chain dicts.
-        blocks = [np.empty((0, self.num_dims), dtype=np.int64)]
-        for leaf_bound, leaf_indices, cells in self._leaf_buffer:
-            if (
-                self._cut != float("inf")
-                and leaf_bound * (1.0 - PRUNE_MARGIN) >= self._cut
-            ):
+        self._cut = cut = float(self.incumbent.read())
+        finite = cut != float("inf")
+        leaves: List[Optional[Tuple[_LeafBlock, int]]] = []
+        leaf_cells = 0
+        orphans: List[Tuple[int, float, Tuple[int, ...]]] = []
+        for leaf_bound, leaf_indices, record in self._leaf_buffer:
+            resolved = self.suffix_product[len(leaf_indices)]
+            if finite and leaf_bound * (1.0 - PRUNE_MARGIN) >= cut:
                 self.subtrees_pruned += 1
-                self._cover(self.suffix_product[len(leaf_indices)])
+                self._cover(resolved)
                 continue
-            assigned = {
-                dims_order[i][0]: k for i, k in enumerate(leaf_indices)
-            }
-            row = np.array(
-                [assigned.get(dim, -1) for dim in self.workload_dims],
-                dtype=np.int64,
-            )
-            if len(leaf_indices) == self.num_dims:
-                blocks.append(row[None, :])
-                continue
-            if cells is None:
-                index, flat = None, self.bound_engine.suffix_bounds(
-                    assigned, self.objective
-                ).reshape(-1)
-            else:
-                index, flat = cells
-            if self._cut != float("inf"):
-                keep = np.flatnonzero(
-                    flat * (1.0 - PRUNE_MARGIN) < self._cut
-                )
-                if index is not None:
-                    keep = index[keep]
-                cut = self.suffix_product[len(leaf_indices)] - keep.size
-                self.subtrees_pruned += cut
-                # Each cut cell is one complete assignment.
-                self._cover(cut)
-            else:
-                keep = np.arange(flat.size) if index is None else index
-            # suffix_bounds lays its axes out in workload dim order over
-            # the free dims, which are exactly the row's -1 entries.
-            rows = np.repeat(row[None, :], keep.size, axis=0)
-            rows[:, row < 0] = np.stack(
-                np.unravel_index(keep, tuple(self._menu_lens[row < 0])), axis=1
-            )
-            blocks.append(rows)
+            if record is None:
+                orphans.append((len(leaves), leaf_bound, leaf_indices))
+            leaves.append(record)
+            leaf_cells += resolved
         self._leaf_buffer.clear()
         self._leaf_rows = 0
-        pinned = np.concatenate(blocks)
-        if not len(pinned):
-            return
-        resolved = 0
-        with obs.trace("search.leaf_flush", subtrees=len(pinned)):
-            for batch in self.mapspace.iter_prefix_batches(
-                pinned,
-                batch_size=batching.DEFAULT_BATCH_SIZE,
-                tags=np.arange(len(pinned)),
-                capacity=self.engine.vectorize,
+        if orphans:
+            positions, bounds, indices = zip(*orphans)
+            for position, record in zip(
+                positions, self._orphan_records(bounds, indices)
             ):
-                if (
-                    self.limit is not None
-                    and self.evaluations + batch.candidates > self.limit
-                ):
-                    raise SearchError(
-                        f"branch-and-bound search exceeded limit of "
-                        f"{self.limit} priced mappings"
-                    )
-                self._cut = float(self.incumbent.read())
-                outcome = self.engine.evaluate_batch(
-                    batch,
-                    objective=self.objective,
-                    incumbent=self._cut,
-                    prune=True,
-                    tables=self.bound_engine,
+                leaves[position] = record
+        if not leaves:
+            return
+        pending = list(
+            {id(block): block for block, _ in leaves if block.fan is None}
+            .values()
+        )
+        with obs.trace("search.leaf_flush", leaves=len(leaves)):
+            if pending:
+                self._decide(pending, cut)
+            values, fan, priced = (
+                np.concatenate(part)
+                for part in zip(*(block.kept(j) for block, j in leaves))
+            )
+            keep = (
+                values * (1.0 - PRUNE_MARGIN) < cut
+                if finite
+                else np.ones(values.size, dtype=bool)
+            )
+            candidate = keep & fan
+            total = int(np.count_nonzero(candidate))
+            if (
+                total
+                and self.limit is not None
+                and self.evaluations + total > self.limit
+            ):
+                raise SearchError(
+                    f"branch-and-bound search exceeded limit of "
+                    f"{self.limit} priced mappings"
                 )
-                base = self._count(outcome, batch)
-                resolved += batch.candidates
-                self._cover(batch.candidates)
-                live = outcome.valid & ~outcome.pruned
-                for i in np.flatnonzero(live & (outcome.metric < self._cut)):
-                    i = int(i)
-                    metric = float(outcome.metric[i])
-                    tag = int(batch.tags[i])
-
-                    def make_evaluation(outcome=outcome, batch=batch, i=i):
-                        evaluation = outcome.evaluations.get(i)
-                        if evaluation is not None:
-                            return evaluation
-                        return self.evaluator.evaluate_fresh(
-                            batch.mapping_at(i)
-                        )
-
-                    self._consider(
-                        metric,
-                        make_evaluation,
-                        base + batch.ordinal(i) + 1,
-                        signature=tuple(pinned[tag].tolist()),
-                    )
-        # Pinned cells the joint-fanout filter dropped are in no batch's
-        # span; they are resolved all the same.
-        self._cover(len(pinned) - resolved)
+            if pending:
+                self._price(pending)
+            valid, metric = (
+                np.concatenate(part)
+                for part in zip(*(block.outcomes(j) for block, j in leaves))
+            )
+            # Each cut cell is one complete assignment; the kept ones are
+            # resolved here too, as candidates or as infeasible.
+            self.subtrees_pruned += leaf_cells - int(np.count_nonzero(keep))
+            self._cover(leaf_cells)
+            at = self.evaluations
+            self.evaluations += total
+            live = keep[priced]
+            self.batch.infeasible += total - int(np.count_nonzero(live))
+            live &= valid
+            self.num_valid += int(np.count_nonzero(live))
+            hits = np.flatnonzero(live & (metric < self._cut))
+            if not hits.size:
+                return
+            # A priced cell's candidate number within the flush, and where
+            # its block holds it.
+            number = np.cumsum(candidate)[np.flatnonzero(priced)]
+            sizes = [
+                int(block.priced_starts[j + 1] - block.priced_starts[j])
+                for block, j in leaves
+            ]
+            ends = np.cumsum(sizes)
+            for h in hits.tolist():
+                leaf = int(np.searchsorted(ends, h, side="right"))
+                block, j = leaves[leaf]
+                i = int(block.priced_starts[j] - ends[leaf]) + sizes[leaf] + h
+                row = block.cells[i].copy()
+                self._consider(
+                    float(metric[h]),
+                    lazy_evaluation(
+                        block.evaluations, i, self.evaluator,
+                        functools.partial(self.mapspace.menu_mapping, row),
+                    ),
+                    at + int(number[h]),
+                    signature=tuple(row.tolist()),
+                )
 
 
 class BranchBoundSearch:
@@ -681,7 +969,9 @@ class BranchBoundSearch:
                 mapspace.assemble(chains, rng=None) for chains in chain_sets
             ]
             walker.price_mappings(mappings)
-        return walker.best_metric if walker.best is not None else None
+        if walker.best_signature is None:
+            return None
+        return walker.best_metric
 
     def _run_tree(self, engine) -> SearchResult:
         from repro.model.batch import PartialBoundEngine

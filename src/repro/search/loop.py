@@ -30,10 +30,11 @@ over once.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -81,6 +82,26 @@ def check_int(
             f"got {value!r}"
         )
     return value
+
+
+def lazy_evaluation(
+    evaluations: Dict[int, Evaluation], i: int, evaluator: Evaluator,
+    mapping: Any,
+) -> Callable[[], Evaluation]:
+    """Row ``i``'s full evaluation, built only when called.
+
+    That is ``evaluations[i]`` when the engine made it anyway (a fallback
+    row, or any row priced row-wise), else the row's mapping priced
+    through :meth:`Evaluator.evaluate_fresh`. ``mapping`` is the mapping,
+    or a callable that builds it (so a row that never becomes the final
+    best is never materialized).
+    """
+    evaluation = evaluations.get(i)
+    if evaluation is not None:
+        return lambda: evaluation
+    if callable(mapping):
+        return lambda: evaluator.evaluate_fresh(mapping())
+    return functools.partial(evaluator.evaluate_fresh, mapping)
 
 
 def batch_engine_for(
@@ -186,8 +207,12 @@ class RunLedger:
     ``"batch"`` when the engine's kernels price the rows and ``"scalar"``
     when its row-wise switch is off.
 
+    An improvement is recorded with a callable that builds its full
+    :class:`Evaluation`; only the final best's is called, once, by
+    :meth:`result`.
+
     Args:
-        evaluator: the run's evaluator (re-prices improvements lazily).
+        evaluator: the run's evaluator (re-prices the final best).
             Its attached cache, if any, is baselined here so a shared
             cache reports this run's delta.
         driver: metric label, e.g. ``"random"``.
@@ -225,7 +250,7 @@ class RunLedger:
         self.num_valid = 0
         self.batch = BatchCounts()
         self.bnb = _bnb_stats()
-        self.best: Optional[Evaluation] = None
+        self._make_best: Optional[Callable[[], Evaluation]] = None
         self.best_metric = float("inf")
         self.curve: List[ConvergencePoint] = []
 
@@ -289,11 +314,13 @@ class RunLedger:
         self.count_batch(BatchCounts.of(outcome, batch))
 
     def improved(
-        self, metric: float, evaluation: Evaluation, at: int
+        self, metric: float, make_evaluation: Callable[[], Evaluation],
+        at: int,
     ) -> None:
-        """The improvement hook: ``evaluation`` is the new incumbent,
-        found at candidate number ``at`` of the run."""
-        self.best = evaluation
+        """The improvement hook: the candidate ``make_evaluation`` builds
+        is the new incumbent, found at candidate number ``at`` of the
+        run."""
+        self._make_best = make_evaluation
         self.best_metric = metric
         self.curve.append(ConvergencePoint(evaluations=at, best_metric=metric))
         obs.inc("search.improvements", driver=self.driver)
@@ -308,8 +335,8 @@ class RunLedger:
         Valid rows are counted with an array sum; only rows that beat the
         incumbent on entry are walked (in row order, so the improvement
         sequence matches a row-by-row walk). Returns the rows that
-        improved the incumbent, ascending; an improvement without a full
-        evaluation is re-priced through :meth:`Evaluator.evaluate_fresh`.
+        improved the incumbent, ascending. An improvement keeps its
+        mapping, not a full evaluation (see :func:`lazy_evaluation`).
         An enumerated batch counts its whole span, and each improvement is
         numbered by its row's ordinal within it.
         """
@@ -322,12 +349,14 @@ class RunLedger:
             i = int(i)
             metric = float(outcome.metric[i])
             if metric < self.best_metric:
-                evaluation = outcome.evaluations.get(i)
-                if evaluation is None:
-                    evaluation = self.evaluator.evaluate_fresh(
-                        batch.mapping_at(i)
-                    )
-                self.improved(metric, evaluation, base + batch.ordinal(i) + 1)
+                self.improved(
+                    metric,
+                    lazy_evaluation(
+                        outcome.evaluations, i, self.evaluator,
+                        batch.mapping_at(i),
+                    ),
+                    base + batch.ordinal(i) + 1,
+                )
                 improved.append(i)
         return improved
 
@@ -349,7 +378,7 @@ class RunLedger:
         self.count_batch(walk.batch)
         tightness = (
             root_bound / self.best_metric
-            if self.best is not None and self.best_metric > 0
+            if self._make_best is not None and self.best_metric > 0
             else None
         )
         self.bnb = _bnb_stats(
@@ -378,8 +407,9 @@ class RunLedger:
         return payload
 
     def result(self, terminated_by: str) -> SearchResult:
+        """The run's result; builds the final best's evaluation."""
         return SearchResult(
-            best=self.best,
+            best=self._make_best() if self._make_best is not None else None,
             objective=self.objective,
             num_evaluated=self.evaluations,
             num_valid=self.num_valid,

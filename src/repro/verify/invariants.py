@@ -26,7 +26,7 @@ answers are known a priori:
   packing fails the scalar capacity check, and every packed one passes
   it, on all four kinds with and without fixed permutations;
 * **Leaf exactness** — enumerated rows priced from the per-chain tables
-  (the exhaustive sweep's and the branch-and-bound leaf flush's pricing)
+  (the exhaustive sweep's and the branch-and-bound leaf pricing)
   equal the column walk on the same rows packed, bit for bit, in
   validity, pruning, cycles, energy, metric and utilization, and in the
   batch counts a run reports;

@@ -287,6 +287,33 @@ class TestCompare:
         assert "per-layer (not gated)" in text
         assert "the layer that moved: w/batch.kernel_s -200.0%" in text
 
+    def test_mover_ranks_seconds_moved_not_relative_change(self, tmp_path):
+        """A fraction crossing zero and a count that jumps tenfold never
+        name the layer that moved, and neither does a large relative
+        change of a layer that takes microseconds: the per-layer seconds
+        entry that moved the most seconds does."""
+        ledger = tmp_path / "ledger.jsonl"
+        layer = dict(kind="per_layer", bound=None)
+
+        def record(frac, rows, tiny_s, suffix_s):
+            return (
+                entry("wall_s", 2.0),
+                {**entry("obs.on_overhead_frac", frac, **layer),
+                 "unit": "frac"},
+                {**entry("bnb.rows_priced", rows, **layer), "unit": "count"},
+                entry("evaluator.fresh_s", tiny_s, **layer),
+                entry("bound.suffix_s", suffix_s, **layer),
+            )
+
+        append(ledger, *record(0.01, 100.0, 0.001, 0.20))
+        append(ledger, *record(-0.0116, 1000.0, 0.004, 0.15))
+        comparison = compare_ledger(ledger)
+        assert comparison.mover.metric == "bound.suffix_s"
+        text = format_comparison(comparison)
+        assert (
+            "the layer that moved: w/bound.suffix_s +25.0% (-0.05 s)" in text
+        )
+
     def test_threshold_boundary_is_not_regression(self):
         def delta(current):
             return BenchDelta(

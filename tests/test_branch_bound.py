@@ -16,6 +16,7 @@ Three layers of guarantees, mirroring the construction:
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -32,12 +33,15 @@ from repro.exceptions import SearchError, SpecError
 from repro.mapspace import MapspaceKind
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.counting import count_mapspace_size
-from repro.mapspace.factory import make_mapspace
+from repro.mapspace.factory import make_mapspace, pfm_mapspace
+from repro.mapspace.generator import MapSpace
 from repro.model import Evaluator
 from repro.model.batch import BatchEvaluator, PartialBoundEngine
 from repro.problem import ConvLayer, GemmLayer
 from repro.search import BranchBoundSearch
+from repro.search.branch_bound import _SubtreeWalker
 from repro.search.exhaustive import ExhaustiveSearch
+from repro.zoo.resnet50 import RESNET50_LAYERS
 
 
 def _toy():
@@ -559,3 +563,99 @@ class TestTablesMatchScalarReference:
         for (table, table_min) in be.factors.values():
             assert np.array_equal(table_min, table.min(axis=0))
         assert cells == sum(t.size for t, _ in be.factors.values())
+
+
+def _resnet_pfm(name):
+    """A ResNet-50 layer's row-stationary PFM space on Eyeriss."""
+    arch = eyeriss_like()
+    workload = {
+        layer.name: layer for layer, _ in RESNET50_LAYERS
+    }[name].workload()
+    return (
+        pfm_mapspace(arch, workload, constraints=eyeriss_row_stationary()),
+        Evaluator(arch, workload),
+    )
+
+
+def _toy_gemm(kind):
+    arch = _toy()
+    workload = GemmLayer("small_gemm", m=12, n=10, k=8).workload()
+    return make_mapspace(arch, workload, kind), Evaluator(arch, workload)
+
+
+class TestLeafPricing:
+    """Sibling blocks are priced once, and the flush only does the
+    bookkeeping; the walk is the one a per-flush pricing pass makes."""
+
+    #: (best metric, num_evaluated, num_valid, digest of the best
+    #: mapping's signature, the curve and ``stats["bnb"]``) of seed-0
+    #: walks, recorded when every flush priced its own cells.
+    FINGERPRINTS = {
+        ("conv5_expand", None): (
+            523603827315777.7, 13184, 323, "29b272d793498446"),
+        ("conv5_reduce", None): (
+            529265104909884.1, 16760, 557, "49e7d1b2268c4c38"),
+        ("pfm", 16): (10277933.818093512, 2494, 188, "7f55bf64ca33c801"),
+        ("pfm", 64): (10277933.818093512, 2494, 188, "7f55bf64ca33c801"),
+        ("ruby", 16): (10277933.818093512, 4160, 84, "7efef71064f19a23"),
+        ("ruby", 64): (10277933.818093512, 2677, 72, "714e0037b9746573"),
+        ("ruby-s", 16): (10277933.818093512, 3574, 224, "f0d2ebcd903792a2"),
+        ("ruby-s", 64): (10277933.818093512, 1374, 80, "2cae2fe381d9dd63"),
+        ("ruby-t", 16): (10277933.818093512, 4160, 69, "4048ea19e3925bd3"),
+        ("ruby-t", 64): (10277933.818093512, 3096, 152, "76beaca148287d1b"),
+    }
+
+    @pytest.mark.parametrize("case,leaf_width", sorted(
+        FINGERPRINTS, key=lambda key: (key[0], key[1] or 0)
+    ))
+    def test_walk_fingerprint(self, case, leaf_width):
+        """ResNet-50 conv5 layers (default leaf width) and the toy GEMM in
+        all four kinds (16- and 64-cell leaves)."""
+        if leaf_width is None:
+            space, evaluator = _resnet_pfm(case)
+            options = {}
+        else:
+            space, evaluator = _toy_gemm(case)
+            options = {"leaf_width": leaf_width}
+        result = BranchBoundSearch(space, evaluator, seed=0, **options).run()
+        digest = hashlib.sha256(repr((
+            result.best.mapping.signature(),
+            [(p.evaluations, p.best_metric) for p in result.curve],
+            sorted(result.stats["bnb"].items()),
+        )).encode()).hexdigest()[:16]
+        assert (
+            result.best_metric, result.num_evaluated, result.num_valid, digest
+        ) == self.FINGERPRINTS[(case, leaf_width)]
+
+    def test_one_enumeration_pass_per_block(self, monkeypatch):
+        """A vectorized walk enters ``iter_prefix_batches`` at most once per
+        sibling block, plus once per flush that holds leaves without a
+        record (a per-flush pricing pass entered it 122 times on
+        conv5_expand)."""
+        counts = {"passes": 0, "blocks": 0, "flushes": 0}
+        iter_prefix_batches = MapSpace.iter_prefix_batches
+        suffix_bounds = PartialBoundEngine.suffix_bounds
+        flush_leaves = _SubtreeWalker.flush_leaves
+
+        def passes(self, *args, **kwargs):
+            counts["passes"] += 1
+            return iter_prefix_batches(self, *args, **kwargs)
+
+        def blocks(self, assigned, objective="edp", siblings=None):
+            counts["blocks"] += siblings is not None
+            return suffix_bounds(self, assigned, objective, siblings)
+
+        def flushes(self):
+            counts["flushes"] += any(
+                record is None for _, _, record in self._leaf_buffer
+            )
+            return flush_leaves(self)
+
+        monkeypatch.setattr(MapSpace, "iter_prefix_batches", passes)
+        monkeypatch.setattr(PartialBoundEngine, "suffix_bounds", blocks)
+        monkeypatch.setattr(_SubtreeWalker, "flush_leaves", flushes)
+        space, evaluator = _resnet_pfm("conv5_expand")
+        result = BranchBoundSearch(space, evaluator, seed=0).run()
+        assert result.num_evaluated == 13184
+        assert counts["blocks"] > 0
+        assert 0 < counts["passes"] <= counts["blocks"] + counts["flushes"]

@@ -175,12 +175,13 @@ class TestSearchSpans:
         assert registry.counter("batch.infeasible").total() == batch["infeasible"]
 
     def test_enumerate_and_validity_spans_are_null_when_off(
-        self, monkeypatch, toy_arch, vector100, set_batch_size
+        self, monkeypatch, toy_arch, vector100, small_gemm, set_batch_size
     ):
-        """With obs off both spans are the shared null span."""
+        """With obs off every span is the shared null span."""
         set_batch_size(64)
         from repro import obs
         from repro.obs import scope
+        from repro.search import BranchBoundSearch
 
         opened = []
         original = scope.trace
@@ -197,9 +198,45 @@ class TestSearchSpans:
             ruby_mapspace(toy_arch, vector100),
             Evaluator(toy_arch, vector100),
         ).run()
+        # Branch-and-bound adds its leaf pricing and, for its final best,
+        # a fresh evaluation.
+        BranchBoundSearch(
+            pfm_mapspace(toy_arch, small_gemm),
+            Evaluator(toy_arch, small_gemm), seed=0, leaf_width=16,
+        ).run()
         names = {name for name, _ in opened}
-        assert {"mapspace.enumerate", "batch.validity"} <= names
+        assert {
+            "mapspace.enumerate", "batch.validity", "search.leaf_price",
+            "search.leaf_flush", "evaluator.fresh",
+        } <= names
         assert all(span is scope._NULL_SPAN for _, span in opened)
+
+    def test_leaf_spans_under_branch_bound(self, toy_arch, small_gemm):
+        """``search.leaf_price`` opens once per pricing pass of the leaf
+        regime and its ``rows`` sum to the kernel rows the walk priced;
+        ``search.leaf_flush`` wraps each flush's bookkeeping, and the only
+        ``evaluator.fresh`` is the final best's, built after the walk."""
+        from repro.search import BranchBoundSearch
+        from repro.search.branch_bound import DEFAULT_WARM_SAMPLES
+
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        with obs_scope(registry=registry, tracer=tracer):
+            result = BranchBoundSearch(
+                pfm_mapspace(toy_arch, small_gemm),
+                Evaluator(toy_arch, small_gemm), seed=0, leaf_width=16,
+            ).run()
+        by_name = {}
+        for record in tracer.records:
+            by_name.setdefault(record["name"], []).append(record)
+        priced = by_name["search.leaf_price"]
+        assert sum(r["attrs"]["rows"] for r in priced) == (
+            result.stats["batch"]["candidates"] - DEFAULT_WARM_SAMPLES
+        )
+        assert all(r["attrs"]["cells"] >= r["attrs"]["rows"] for r in priced)
+        assert by_name["search.leaf_flush"]
+        assert len(result.curve) > 1
+        assert len(by_name["evaluator.fresh"]) == 1
 
     def test_bound_spans_one_per_call_under_search_run(
         self, monkeypatch, toy_arch, small_gemm

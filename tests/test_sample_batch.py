@@ -190,7 +190,9 @@ def _oracle_random(space, evaluator, seed, max_evaluations, patience,
                     evaluation = outcome.evaluations.get(i)
                     if evaluation is None:
                         evaluation = evaluator.evaluate_fresh(mapping)
-                    ledger.improved(metric, evaluation, base + i + 1)
+                    ledger.improved(
+                        metric, lambda e=evaluation: e, base + i + 1
+                    )
                     consecutive = 0
                 else:
                     consecutive += 1
