@@ -21,7 +21,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -337,7 +336,10 @@ class MapSpace:
 
         ``chains`` may be a prefix: unassigned dimensions contribute a
         spatial bound of at least 1, so a prefix that already exceeds a
-        cap has no feasible completion and its subtree can be discarded.
+        cap has no feasible completion. Serves chains that need not be
+        in any menu (genetic repair, :meth:`enumerate_mappings`); menu
+        indices go through :meth:`block_fits`, which decides the same
+        rule for a whole block at once.
         """
         for offset, slot in enumerate(self.slots):
             if not slot.spatial:
@@ -353,7 +355,8 @@ class MapSpace:
     #
     # The flat enumeration (enumerate_mappings / iter_batches) walks the
     # cartesian product of per-dimension chain menus. A *prefix* fixes the
-    # chains of a subset of dimensions; the prefix tree over dimensions is
+    # chains of a subset of dimensions, as one row of menu indices (-1 for
+    # a free dimension); the prefix tree over dimensions is
     # the decomposition under which the cost model factors exactly (cycles
     # are a per-dim product, delivered-tile counts are per-dim folds), so a
     # hierarchical searcher can bound and prune whole subtrees before they
@@ -394,21 +397,24 @@ class MapSpace:
             total *= len(menu)
         return total
 
-    def count_completions(
-        self, prefix: Optional[Dict[str, DimChain]] = None
-    ) -> int:
-        """Exact number of enumerated mappings completing ``prefix``.
+    def count_completions(self, prefixes: Optional[np.ndarray] = None) -> int:
+        """Exact number of enumerated mappings completing ``prefixes``.
 
-        Counts the joint-fanout-filtered product of the unassigned menus
-        with the prefix dims pinned; ``prefix=None`` counts the whole flat
-        enumeration. Summed over all chains of any one dimension this
-        reproduces the flat count exactly (the prefix tree partitions the
-        enumeration) — asserted by the prefix-counting tests. Counts the
-        candidates :meth:`iter_prefix_batches` resolves (the sum of its
-        batches' spans, capacity-infeasible candidates included), without
-        packing.
+        ``prefixes`` are menu-index rows as :meth:`iter_prefix_batches`
+        takes them; ``None`` is the one all-free row, the whole flat
+        enumeration. Counts the joint-fanout-filtered product of each
+        row's free menus with its pinned dims fixed, summed over the
+        rows. Over all chains of any one dimension this reproduces the
+        flat count exactly (the prefix tree partitions the enumeration)
+        — asserted by the prefix-counting tests. Counts the candidates
+        :meth:`iter_prefix_batches` resolves (the sum of its batches'
+        spans, capacity-infeasible candidates included), without packing.
         """
-        return sum(count for count, _ in self._feasible_index_rows([prefix])[1])
+        rows = self._free_row() if prefixes is None else prefixes
+        return sum(
+            count
+            for count, _ in self._feasible_index_rows(self._check_rows(rows))
+        )
 
     def sample_many(
         self, count: int, rng: Optional[random.Random] = None
@@ -543,7 +549,6 @@ class MapSpace:
     def iter_batches(
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        prefix: Optional[Dict[str, DimChain]] = None,
         capacity: bool = True,
     ) -> Iterator["object"]:
         """Exhaustively enumerate straight into packed columnar batches.
@@ -558,55 +563,48 @@ class MapSpace:
         against the scalar evaluator; rows can still be materialized on
         demand via :meth:`MappingBatch.mapping_at`.
 
-        ``prefix`` pins some dimensions to fixed chains and enumerates
-        only the completions — the leaf-pricing primitive of the
-        branch-and-bound searcher. The prefix dims keep their menu slot in
-        the product order, so iterating every prefix of one dimension
-        reproduces the flat enumeration order exactly.
-
-        ``capacity`` is :meth:`iter_prefix_batches`' capacity prefilter.
+        This is :meth:`iter_prefix_batches` of the one all-free row;
+        ``capacity`` is its capacity prefilter.
         """
         yield from self.iter_prefix_batches(
-            [prefix or {}], batch_size=batch_size, capacity=capacity
+            self._free_row(), batch_size=batch_size, capacity=capacity
         )
 
-    def partition_prefixes(
-        self, dims: Sequence[str]
-    ) -> List[Tuple[Tuple[int, ...], Dict[str, DimChain]]]:
+    def partition_prefixes(self, dims: Sequence[str]) -> List[Tuple[int, ...]]:
         """Partition the chain product into subtree work units over ``dims``.
 
         The cross product of the named dimensions' menus defines disjoint
-        subtrees that jointly cover the whole enumerable space; units
-        whose prefix already violates a joint fanout cap are dropped (no
-        completion of theirs is enumerable). Each surviving unit is
-        returned as ``(indices, prefix)`` — the menu-index tuple along
-        ``dims`` plus the pinned-chain dict ready for
-        :meth:`chains_within_fanout` / :meth:`iter_prefix_batches` — so a
-        parallel driver can bound, order, and dispatch them as jobs while
-        workers reconstruct the same unit from the tiny index tuple.
+        subtrees that jointly cover the whole enumerable space. Each unit
+        is its menu-index tuple along ``dims``, in product order; units
+        whose pinned chains already break a joint fanout cap are dropped
+        (no completion of theirs is enumerable), decided for the whole
+        product by one :meth:`block_fits` call. A parallel driver bounds,
+        orders and dispatches the units as jobs, and workers rebuild the
+        same subtree from the tiny index tuple.
         """
         menus = dict(self.dim_chain_menus())
-        menu_list = [(dim, menus[dim]) for dim in dims]
-        units: List[Tuple[Tuple[int, ...], Dict[str, DimChain]]] = []
-        for combo in itertools.product(
-            *(range(len(menu)) for _, menu in menu_list)
-        ):
-            prefix = {
-                dim: menu[k] for (dim, menu), k in zip(menu_list, combo)
-            }
-            if not self.chains_within_fanout(prefix):
-                continue
-            units.append((combo, prefix))
-        return units
+        shape = tuple(len(menus[dim]) for dim in dims)
+        index: List[Any] = [None] * len(self._dim_names)
+        for dim, axis in zip(dims, np.ix_(*map(np.arange, shape))):
+            index[self._dim_names.index(dim)] = axis
+        fit, _ = self.block_fits(index, shape, capacity=False)
+        return [tuple(unit) for unit in np.argwhere(fit).tolist()]
 
     def iter_prefix_batches(
         self,
-        prefixes: Union[Sequence[Optional[Dict[str, DimChain]]], np.ndarray],
+        prefixes: np.ndarray,
         batch_size: int = DEFAULT_BATCH_SIZE,
         tags: Optional[Sequence[int]] = None,
         capacity: bool = True,
     ) -> Iterator["object"]:
         """Enumerate many prefixes' completions into *shared* packed batches.
+
+        ``prefixes`` are menu-index rows: an ``(n, num_dims)`` integer
+        array in workload dim order holding each pinned dimension's index
+        into :meth:`dim_chain_menus` and ``-1`` for a free dimension
+        (:meth:`iter_batches` passes one all-free row). Rows of another
+        shape or dtype, or with an index outside ``[-1, menu length)``,
+        raise :class:`~repro.exceptions.MapspaceError`.
 
         Rows from consecutive prefixes share one fill buffer, so pricing a
         large set of small subtrees (the branch-and-bound leaf regime)
@@ -632,31 +630,24 @@ class MapSpace:
         candidate number. A call whose trailing candidates all fail
         capacity ends with an empty batch that carries their span.
 
-        ``prefixes`` may also be given as menu-index rows: an
-        ``(n, num_dims)`` int64 array in workload dim order holding each
-        pinned dimension's index into :meth:`dim_chain_menus` and ``-1``
-        for a free dimension — the branch-and-bound leaf pricing's form,
-        which skips resolving chain objects.
-
         ``tags`` — when given, one int per prefix — stamps every row of a
         yielded batch with its source prefix's tag in ``batch.tags``, so
         callers that pack many subtrees into one batch can recover which
         subtree an improving row came from (provenance survives the
         fanout and capacity filters, which silently drop rows).
         """
-        layout = self.batch_layout()
+        prefixes = self._check_rows(prefixes)
         if batch_size < 1:
             raise MapspaceError("batch_size must be >= 1")
         if tags is not None and len(tags) != len(prefixes):
             raise MapspaceError("tags must align one-to-one with prefixes")
-        if isinstance(prefixes, np.ndarray) and (prefixes >= 0).all():
+        if (prefixes >= 0).all():
             yield from self._pinned_batches(
                 prefixes, batch_size, tags, capacity
             )
             return
-        tables, chunks = self._feasible_index_rows(
-            prefixes, tags, capacity=capacity
-        )
+        tables = self._menu_tables()
+        chunks = self._feasible_index_rows(prefixes, tags, capacity=capacity)
         num_dims = len(tables)
 
         def pack(rows, start, end):
@@ -690,26 +681,45 @@ class MapSpace:
         if len(held) or total > resolved:
             yield pack(held, resolved, total)
 
-    def _menu_tables(self) -> List[Tuple["np.ndarray", Dict[tuple, int]]]:
-        """Per-dimension ``(table, index_of)`` of the chain menus (cached).
+    def _free_row(self) -> np.ndarray:
+        """The one all-free prefix row: the whole flat enumeration."""
+        return np.full((1, len(self._dim_names)), -1, dtype=np.int64)
+
+    def _check_rows(self, rows: Any) -> np.ndarray:
+        """``rows`` as int64 menu-index prefix rows, or MapspaceError."""
+        rows = np.asarray(rows)
+        lens = np.array([len(table) for table in self._menu_tables()])
+        if (
+            rows.ndim != 2
+            or rows.shape[1] != len(lens)
+            or not np.issubdtype(rows.dtype, np.integer)
+        ):
+            raise MapspaceError(
+                f"prefix rows must be a 2-D integer array of width "
+                f"{len(lens)}, got {rows.dtype} of shape {rows.shape}"
+            )
+        if ((rows < -1) | (rows >= lens)).any():
+            raise MapspaceError(
+                f"prefix rows must hold menu indices in [-1, menu length) "
+                f"(menu lengths {lens.tolist()})"
+            )
+        return rows.astype(np.int64, copy=False)
+
+    def _menu_tables(self) -> List["np.ndarray"]:
+        """Per-dimension tables of the chain menus (cached).
 
         ``table[k]`` is menu chain ``k`` as a ``(2, num_slots)`` int64 pair
-        of bounds and remainders; ``index_of`` maps a chain's ``(bounds,
-        remainders)`` to ``k``, so pinned chains resolve by value.
+        of bounds and remainders. What :meth:`block_fits` reads of them
+        (:meth:`_mask_tables`) is cached alongside.
         """
         if self._menu_tables_cache is None:
             self._menu_tables_cache = [
-                (
-                    np.array(
-                        [(c.bounds, c.remainders) for c in menu], np.int64
-                    ).reshape(-1, 2, len(self.slots)),
-                    {(c.bounds, c.remainders): k for k, c in enumerate(menu)},
-                )
+                np.array(
+                    [(c.bounds, c.remainders) for c in menu], np.int64
+                ).reshape(-1, 2, len(self.slots))
                 for _, menu in self.dim_chain_menus()
             ]
-            self._menu_masks = self._mask_tables(
-                [table for table, _ in self._menu_tables_cache]
-            )
+            self._menu_masks = self._mask_tables(self._menu_tables_cache)
         return self._menu_tables_cache
 
     def _mask_tables(self, tables: List["np.ndarray"]) -> tuple:
@@ -746,32 +756,33 @@ class MapSpace:
         index: Sequence[Any],
         shape: Tuple[int, ...],
         capacity: bool = True,
-        masks: Optional[tuple] = None,
     ) -> Tuple["np.ndarray", "np.ndarray"]:
         """Fanout and capacity masks of a block of candidates.
 
         ``index[d]`` holds dimension ``d``'s menu indices (workload dim
-        order, into :meth:`dim_chain_menus` or into the tables ``masks``
-        was built from): an int, or an int64 array of ``len(shape)`` dims
-        that broadcasts to ``shape``. Each candidate of the block takes
-        every dimension's chain from its position there: a list of rows
-        passes each dim's column, and enumeration's head x tail blocks
-        pass ``(B, 1)`` and ``(1, T)`` columns. Returns two bool masks
-        that broadcast to ``shape``: which candidates fit every joint
-        fanout cap, and (with ``capacity``, else all True) which fit
-        every bounded level. Per-chain fanout factors are multiplied for
-        all caps at once, smallest shapes first, so a product spans a
-        head x tail block only once both sides have joined it; usage is
-        clamped at ``caps + 1`` (far from int64's range).
+        order, into :meth:`dim_chain_menus`): an int, an int64 array of
+        ``len(shape)`` dims that broadcasts to ``shape``, or ``None`` for
+        a free dimension, which is skipped (no fanout factor, no tile
+        extent): a block of prefixes fits as
+        :meth:`chains_within_fanout` decides each. Each candidate of the
+        block takes every other dimension's chain from its position
+        there: a list of rows passes each dim's column, enumeration's
+        head x tail blocks pass ``(B, 1)`` and ``(1, T)`` columns, and
+        branch-and-bound's node expansion passes its branching menu as
+        one axis. Returns two bool masks that broadcast to ``shape``:
+        which candidates fit every joint fanout cap, and (with
+        ``capacity``, else all True) which fit every bounded level.
+        Per-chain fanout factors are multiplied for all caps at once,
+        smallest shapes first, so a product spans a head x tail block
+        only once both sides have joined it; usage is clamped at
+        ``caps + 1`` (far from int64's range).
         """
-        if masks is None:
-            self._menu_tables()
-            masks = self._menu_masks
-        fans, extents, shared = masks
-        order = sorted(range(len(index)), key=lambda d: np.shape(index[d]))
+        self._menu_tables()
+        fans, extents, shared = self._menu_masks
+        pinned = [d for d, k in enumerate(index) if k is not None]
         slots = (len(self._caps),) + (1,) * len(shape)
         used: Any = np.ones(slots, np.int64)
-        for d in order:
+        for d in sorted(pinned, key=lambda d: np.shape(index[d])):
             if d in fans:
                 factor = fans[d].take(index[d], axis=1)
                 if not np.ndim(index[d]):
@@ -784,7 +795,9 @@ class MapSpace:
         if not (capacity and levels):
             return fit, np.broadcast_to(True, shape)
         per_dim = [
-            extents[d].take(index[d], axis=1) if same is None else same
+            np.ones(len(levels), np.int64) if index[d] is None
+            else extents[d].take(index[d], axis=1) if same is None
+            else same
             for d, same in enumerate(shared)
         ]
         room = self.batch_layout().fits_capacity(
@@ -796,8 +809,7 @@ class MapSpace:
         """The mapping of one menu-index row (workload dim order), as an
         enumerated batch materializes it (:meth:`MappingBatch.mapping_at`)."""
         cells = np.stack(
-            [table[k] for (table, _), k in zip(self._menu_tables(), row)],
-            axis=-1,
+            [table[k] for table, k in zip(self._menu_tables(), row)], axis=-1
         )
         layout = self.batch_layout()
         return layout.materialize(cells[0], cells[1], layout.grid_pos)
@@ -816,7 +828,7 @@ class MapSpace:
         pricing's case), and the survivors are cut into batches with the
         spans and ordinals the unravel path gives.
         """
-        tables = [table for table, _ in self._menu_tables()]
+        tables = self._menu_tables()
         tag_of = None if tags is None else np.asarray(tags, dtype=np.int64)
         with _obs.trace("mapspace.enumerate"):
             fit, room = self.block_fits(rows.T, (len(rows),), capacity)
@@ -879,22 +891,21 @@ class MapSpace:
 
     def _feasible_index_rows(
         self,
-        prefixes,
+        pins: np.ndarray,
         tags: Optional[Sequence[int]] = None,
         capacity: bool = False,
-    ):
-        """The fanout-feasible completions of ``prefixes`` as menu indices.
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """The fanout-feasible completions of the prefix rows ``pins`` as
+        menu indices.
 
-        Returns ``(tables, chunks)``. ``tables`` holds one array per
-        dimension: the cached menu table, plus any pinned chain found in no
-        menu appended after it. ``chunks`` yields one ``(count, rows)``
-        pair per step: ``count`` fanout-feasible candidates, in
-        :meth:`iter_batches` order, and ``rows``, an ``(n, num_dims + 2)``
-        int64 array of those candidates: one index into ``tables`` per
-        dimension, then the row's prefix tag, then its 0-based position
-        among all fanout-feasible candidates of the call. With
-        ``capacity`` set, rows whose tiles overflow a bounded level are
-        left out of ``rows`` (``count`` still counts them).
+        Yields one ``(count, rows)`` pair per step: ``count``
+        fanout-feasible candidates, in :meth:`iter_batches` order, and
+        ``rows``, an ``(n, num_dims + 2)`` int64 array of those
+        candidates: one menu index per dimension, then the row's prefix
+        tag, then its 0-based position among all fanout-feasible
+        candidates of the call. With ``capacity`` set, rows whose tiles
+        overflow a bounded level are left out of ``rows`` (``count``
+        still counts them).
 
         Every prefix spans a mixed-radix block of ``prod(free menu
         lengths)`` candidates (one for a fully pinned prefix), laid end to
@@ -908,42 +919,9 @@ class MapSpace:
         gathers the rows of the cells that survive.
         """
         menus = self._menu_tables()
-        foreign: List[Dict[tuple, int]] = [{} for _ in menus]
-
-        def resolve(d: int, chain: DimChain) -> int:
-            key = (chain.bounds, chain.remainders)
-            if key in menus[d][1]:
-                return menus[d][1][key]
-            return len(menus[d][0]) + foreign[d].setdefault(key, len(foreign[d]))
-
-        if isinstance(prefixes, np.ndarray):
-            pins = prefixes
-        else:
-            prefixes = [prefix or {} for prefix in prefixes]
-            pins = np.empty((len(prefixes), len(menus)), dtype=np.int64)
-            for d, dim in enumerate(self.workload.dim_names):
-                # Many prefixes pin the same few chain objects: resolve
-                # each distinct object once, then map the column.
-                column = [prefix.get(dim) for prefix in prefixes]
-                ids = list(map(id, column))
-                index = {
-                    key: -1 if chain is None else resolve(d, chain)
-                    for key, chain in dict(zip(ids, column)).items()
-                }
-                pins[:, d] = list(map(index.__getitem__, ids))
-        if any(foreign):
-            tables = [
-                np.concatenate([table, np.array(list(extra), np.int64)])
-                if extra else table
-                for (table, _), extra in zip(menus, foreign)
-            ]
-            masks = self._mask_tables(tables)
-        else:
-            tables = [table for table, _ in menus]
-            masks = self._menu_masks
         num_dims = len(menus)
         tag_of = np.asarray([0] * len(pins) if tags is None else tags, np.int64)
-        radix = np.where(pins < 0, [len(table) for table, _ in menus], 1)
+        radix = np.where(pins < 0, [len(table) for table in menus], 1)
         if radix.astype(float).prod(axis=1).sum() >= 2.0 ** 62:
             raise MapspaceError("enumeration too large to index")
         base = np.column_stack(
@@ -954,51 +932,47 @@ class MapSpace:
         cuts = list(np.flatnonzero((radix[1:] != radix[:-1]).any(axis=1)) + 1)
         runs = list(zip([0, *cuts], [*cuts, len(pins)])) if len(pins) else []
         chunk = _INDEX_CHUNK
+        seen = 0
+        for lo, hi in runs:
+            digits = radix[lo].tolist()
+            free = [d for d in range(num_dims) if digits[d] > 1]
+            inner: List[int] = []
+            size = 1
+            while free and size * digits[free[-1]] <= chunk:
+                inner.insert(0, free.pop())
+                size *= digits[inner[0]]
+            tail = np.zeros((size, num_dims + 2), np.int64)
+            local = np.arange(size)
+            for d in reversed(inner):
+                local, tail[:, d] = np.divmod(local, digits[d])
+            tail_index = {d: tail[None, :, d] for d in inner}
+            # The head sets the prefix's pinned dims and the outer free
+            # dims ``free``.
+            heads = math.prod(digits[d] for d in free)
+            total = (hi - lo) * heads
+            width = max(1, chunk // size)
+            for a in range(0, total, width):
+                pid, local = np.divmod(
+                    np.arange(a, min(a + width, total)), heads
+                )
+                head = base[lo + pid]
+                for d in reversed(free):
+                    local, digit = np.divmod(local, digits[d])
+                    head[:, d] += digit
+                fit, room = self.block_fits(
+                    [
+                        tail_index.get(d, head[:, d, None])
+                        for d in range(num_dims)
+                    ],
+                    (len(head), size),
+                    capacity,
+                )
+                order = np.cumsum(fit, axis=None)
+                count = int(order[-1])
+                cells = np.flatnonzero(fit & room)
+                outer_row, tail_row = np.divmod(cells, size)
+                kept = head[outer_row] + tail[tail_row]
+                kept[:, -1] = order[cells] + (seen - 1)
+                seen += count
+                yield count, kept
 
-        def rows():
-            seen = 0
-            for lo, hi in runs:
-                digits = radix[lo].tolist()
-                free = [d for d in range(num_dims) if digits[d] > 1]
-                inner: List[int] = []
-                size = 1
-                while free and size * digits[free[-1]] <= chunk:
-                    inner.insert(0, free.pop())
-                    size *= digits[inner[0]]
-                tail = np.zeros((size, num_dims + 2), np.int64)
-                local = np.arange(size)
-                for d in reversed(inner):
-                    local, tail[:, d] = np.divmod(local, digits[d])
-                tail_index = {d: tail[None, :, d] for d in inner}
-                # The head sets the prefix's pinned dims and the outer free
-                # dims ``free``.
-                heads = math.prod(digits[d] for d in free)
-                total = (hi - lo) * heads
-                width = max(1, chunk // size)
-                for a in range(0, total, width):
-                    pid, local = np.divmod(
-                        np.arange(a, min(a + width, total)), heads
-                    )
-                    head = base[lo + pid]
-                    for d in reversed(free):
-                        local, digit = np.divmod(local, digits[d])
-                        head[:, d] += digit
-                    fit, room = self.block_fits(
-                        [
-                            tail_index.get(d, head[:, d, None])
-                            for d in range(num_dims)
-                        ],
-                        (len(head), size),
-                        capacity,
-                        masks,
-                    )
-                    order = np.cumsum(fit, axis=None)
-                    count = int(order[-1])
-                    cells = np.flatnonzero(fit & room)
-                    outer_row, tail_row = np.divmod(cells, size)
-                    kept = head[outer_row] + tail[tail_row]
-                    kept[:, -1] = order[cells] + (seen - 1)
-                    seen += count
-                    yield count, kept
-
-        return tables, rows()

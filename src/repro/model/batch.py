@@ -977,14 +977,16 @@ class BatchEvaluator:
             fallback = batch.fallback | tables.row_overflow(rows)
             with obs.trace("batch.validity", rows=n):
                 valid = tables.row_valid(rows)
-            cycles = tables.row_cycles(rows)
+            with obs.trace("batch.cycles", rows=n):
+                cycles = tables.row_cycles(rows)
             traffic = functools.partial(tables.row_traffic, rows)
         else:
             bounds, rems, pos = batch.bounds, batch.rems, batch.pos
             fallback = batch.fallback | self._overflow_rows(bounds)
             with obs.trace("batch.validity", rows=n):
                 valid = self._validity(bounds, rems)
-            cycles = self._cycles(bounds, rems)
+            with obs.trace("batch.cycles", rows=n):
+                cycles = self._cycles(bounds, rems)
             traffic = functools.partial(self._traffic, bounds, rems, pos)
         cycles_f = cycles.astype(np.float64)
         pruned = np.zeros(n, dtype=bool)

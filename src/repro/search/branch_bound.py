@@ -452,40 +452,36 @@ class _SubtreeWalker:
                 continue
             self.nodes_expanded += 1
             dim, menu = dims_order[depth]
-            prefix = {
-                dims_order[i][0]: dims_order[i][1][k]
-                for i, k in enumerate(indices)
-            }
             assigned = {
                 dims_order[i][0]: k for i, k in enumerate(indices)
             }
             # One vectorized call prices the whole menu of children —
-            # per-child scalar bounds were the walk's hotspot.
+            # per-child scalar bounds were the walk's hotspot — and one
+            # mask decides which of them can fit the fanout caps.
             child_bounds = self.bound_engine.child_bounds(
                 assigned, dim, self.objective
             )
-            children: List[Tuple[int, float]] = []
-            for k, chain in enumerate(menu):
-                prefix[dim] = chain
-                if not self.mapspace.chains_within_fanout(prefix):
-                    # No completion fits the fanout caps; not a bound
-                    # decision, so counted separately.
-                    self.infeasible_subtrees += 1
-                    self._cover(self.suffix_product[depth + 1])
-                    continue
-                child_bound = float(child_bounds[k])
-                if (
-                    self._cut != float("inf")
-                    and child_bound * (1.0 - PRUNE_MARGIN) >= self._cut
-                ):
-                    self.subtrees_pruned += 1
-                    self._cover(self.suffix_product[depth + 1])
-                    continue
-                children.append((k, child_bound))
-            records = self._sibling_cells(
-                assigned, dim, depth + 1, [k for k, _ in children]
+            index: List[Any] = [assigned.get(w) for w in self.workload_dims]
+            index[self.workload_dims.index(dim)] = np.arange(len(menu))
+            fits, _ = self.mapspace.block_fits(
+                index, (len(menu),), capacity=False
             )
-            for (k, child_bound), child in zip(children, records):
+            live = fits
+            if self._cut != float("inf"):
+                cut_off = child_bounds * (1.0 - PRUNE_MARGIN) >= self._cut
+                live = fits & ~cut_off
+            # Children no completion of which fits the fanout caps are not
+            # a bound decision, so they are counted separately.
+            infeasible = len(menu) - int(np.count_nonzero(fits))
+            pruned = int(np.count_nonzero(fits)) - int(np.count_nonzero(live))
+            self.infeasible_subtrees += infeasible
+            self.subtrees_pruned += pruned
+            self._cover((infeasible + pruned) * self.suffix_product[depth + 1])
+            children = np.flatnonzero(live).tolist()
+            records = self._sibling_cells(assigned, dim, depth + 1, children)
+            for k, child_bound, child in zip(
+                children, child_bounds[children].tolist(), records
+            ):
                 heapq.heappush(
                     heap, (child_bound, self._counter, indices + (k,), child)
                 )

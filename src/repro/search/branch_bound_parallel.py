@@ -2,9 +2,12 @@
 
 The prefix tree decomposes naturally at its top levels: the cross
 product of the first one or two ``dims_order`` menus partitions the
-whole enumerable space into disjoint subtrees. This driver turns each
-feasible, not-yet-prunable partition cell into a **work unit**, orders
-units by their admissible bound (workers start on promising subtrees,
+whole enumerable space into disjoint subtrees.
+:meth:`~repro.mapspace.generator.MapSpace.partition_prefixes` gives the
+cells that can fit the fanout caps as menu-index tuples. This driver
+turns each such cell that its bound does not prune yet into a **work
+unit** (the tuple is all a worker receives), orders units by their
+admissible bound (workers start on promising subtrees,
 which tightens the shared incumbent early), and fans them over the
 worker set in :mod:`repro.search.worker_pool`.
 
@@ -19,12 +22,14 @@ strict improvement is ever cut — the optimum always survives in some
 worker's local best.
 
 Bit-exactness despite races: workers return their *claimed* best (a
-menu-index signature), and the driver re-prices every claim through its
-own evaluator, in unit dispatch order, against the warm-start
-incumbent. ``min`` over true re-priced metrics is invariant to incumbent
-race timing, so the returned best metric is bit-identical to serial
-search (ties between co-optimal mappings may resolve to a different
-argmin; the parity invariant compares metrics). The convergence curve
+menu-index signature), and the driver rebuilds each claim's mapping
+from it (:meth:`~repro.mapspace.generator.MapSpace.menu_mapping`) and
+re-prices every claim through its own evaluator, in unit dispatch
+order, against the warm-start incumbent. ``min`` over true re-priced
+metrics is invariant to incumbent race timing, so the returned best
+metric is bit-identical to serial search (ties between co-optimal
+mappings may resolve to a different argmin; the parity invariant
+compares metrics). The convergence curve
 is the driver's local view (warm start + re-price improvements) with
 driver-local evaluation indices, and it is the only place improvements
 are recorded: an arriving unit advances progress, nothing more.
@@ -156,8 +161,6 @@ def run_parallel_tree(search, engine) -> SearchResult:
     mapspace = search.mapspace
     evaluator = search.evaluator
     menus = mapspace.dim_chain_menus()
-    menu_map = dict(menus)
-    workload_dims = [dim for dim, _ in menus]
     bound_engine = PartialBoundEngine(engine, menus)
     dims_order = dims_branch_order(menus)
     num_dims = len(menus)
@@ -219,7 +222,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
         # subtrees (the incumbent tightens fastest that way).
         cut = float(walker.incumbent.read())
         bounded: List[Tuple[float, Tuple[int, ...]]] = []
-        for indices, _ in units:
+        for indices in units:
             assigned = {
                 part_dims[i]: k for i, k in enumerate(indices)
             }
@@ -305,12 +308,7 @@ def run_parallel_tree(search, engine) -> SearchResult:
             )
             if metric == float("inf"):
                 continue
-            signature = result["signature"]
-            chains = {
-                dim: menu_map[dim][signature[i]]
-                for i, dim in enumerate(workload_dims)
-            }
-            claim_mappings.append(mapspace.assemble(chains, rng=None))
+            claim_mappings.append(mapspace.menu_mapping(result["signature"]))
         if claim_mappings:
             walker.price_mappings(claim_mappings)
         ledger.close_tree(walker, root_bound, warm_metric)

@@ -102,6 +102,15 @@ def _cell_metrics(space, evaluator, objective="edp"):
     return dict(zip(cells, metrics))
 
 
+def _pin(space, **pins):
+    """One menu-index prefix row: ``pins`` maps dim to menu index, every
+    other dim is free (-1)."""
+    return np.array(
+        [[pins.get(dim, -1) for dim, _ in space.dim_chain_menus()]],
+        dtype=np.int64,
+    )
+
+
 class TestPrefixEnumeration:
     @pytest.mark.parametrize("kind", list(MapspaceKind))
     def test_prefix_counts_partition_flat_count(self, vector100, kind):
@@ -114,7 +123,8 @@ class TestPrefixEnumeration:
         ).raw
         for dim, menu in space.dim_chain_menus():
             by_prefix = sum(
-                space.count_completions({dim: chain}) for chain in menu
+                space.count_completions(_pin(space, **{dim: k}))
+                for k in range(len(menu))
             )
             assert by_prefix == flat
 
@@ -124,29 +134,28 @@ class TestPrefixEnumeration:
         flat = space.count_completions()
         assert flat > 0
         for dim, menu in space.dim_chain_menus():
-            assert (
-                sum(space.count_completions({dim: chain}) for chain in menu)
-                == flat
+            rows = np.concatenate(
+                [_pin(space, **{dim: k}) for k in range(len(menu))]
             )
+            assert space.count_completions(rows) == flat
         # A two-dim prefix partitions one dim's sub-count the same way.
-        (d0, menu0), (d1, menu1) = space.dim_chain_menus()[:2]
-        for chain0 in menu0[:3]:
-            assert space.count_completions({d0: chain0}) == sum(
-                space.count_completions({d0: chain0, d1: chain1})
-                for chain1 in menu1
+        (d0, _), (d1, menu1) = space.dim_chain_menus()[:2]
+        for k0 in range(3):
+            assert space.count_completions(_pin(space, **{d0: k0})) == sum(
+                space.count_completions(_pin(space, **{d0: k0, d1: k1}))
+                for k1 in range(len(menu1))
             )
 
     def test_batch_counts_match_prefix_counts(self, small_gemm):
         space = make_mapspace(_toy(), small_gemm, "pfm")
-        dim, menu = space.dim_chain_menus()[0]
-        for chain in menu[:4]:
+        dim, _ = space.dim_chain_menus()[0]
+        for k in range(4):
+            row = _pin(space, **{dim: k})
             batched = sum(
                 batch.candidates
-                for batch in space.iter_batches(
-                    batch_size=64, prefix={dim: chain}
-                )
+                for batch in space.iter_prefix_batches(row, batch_size=64)
             )
-            assert batched == space.count_completions({dim: chain})
+            assert batched == space.count_completions(row)
 
     def test_prefix_batches_reproduce_flat_stream(self, small_gemm):
         """Concatenating one dim's prefix batches equals the flat stream."""
@@ -162,20 +171,49 @@ class TestPrefixEnumeration:
         flat_bounds, flat_rems = stacked(space.iter_batches(batch_size=128))
         pref_bounds, pref_rems = stacked(
             space.iter_prefix_batches(
-                [{dim: chain} for chain in menu], batch_size=128
+                np.concatenate(
+                    [_pin(space, **{dim: k}) for k in range(len(menu))]
+                ),
+                batch_size=128,
             )
         )
         assert np.array_equal(flat_bounds, pref_bounds)
         assert np.array_equal(flat_rems, pref_rems)
 
+    @pytest.mark.parametrize("kind", list(MapspaceKind))
+    def test_partition_prefixes_keep_the_fanout_feasible_units(
+        self, small_gemm, kind
+    ):
+        """Work units are the product's fanout-feasible index tuples, in
+        product order, and their subtrees cover the flat count."""
+        space = make_mapspace(_toy(), small_gemm, kind.value)
+        menus = dict(space.dim_chain_menus())
+        for dims in (["N"], ["K", "M"], ["M", "N", "K"]):
+            want = [
+                combo
+                for combo in itertools.product(
+                    *(range(len(menus[dim])) for dim in dims)
+                )
+                if space.chains_within_fanout(
+                    {dim: menus[dim][k] for dim, k in zip(dims, combo)}
+                )
+            ]
+            units = space.partition_prefixes(dims)
+            assert units == want
+            rows = np.concatenate(
+                [_pin(space, **dict(zip(dims, unit))) for unit in units]
+            )
+            assert space.count_completions(rows) == space.count_completions()
+
     def test_infeasible_prefix_counts_zero(self, small_gemm):
         space = make_mapspace(_toy(), small_gemm, "pfm")
         menus = space.dim_chain_menus()
         full = {dim: menu[0] for dim, menu in menus}
+        row = _pin(space, **{dim: 0 for dim, _ in menus})
         if space.chains_within_fanout(full):
-            assert space.count_completions(full) == 1
+            assert space.count_completions(row) == 1
         else:
-            assert space.count_completions(full) == 0
+            assert space.count_completions(row) == 0
 
 
 class TestBoundAdmissibility:

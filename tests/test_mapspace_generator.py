@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.arch import eyeriss_like, toy_glb_architecture
+from repro.exceptions import MapspaceError
 from repro.mapping import is_valid_mapping
 from repro.mapping.validity import capacity_violations
 from repro.mapspace import (
@@ -22,7 +23,6 @@ from repro.mapspace import (
     ruby_t_mapspace,
 )
 from repro.mapspace import generator
-from repro.mapspace.allocation import DimChain
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
@@ -254,16 +254,18 @@ class TestSlots:
 def _itertools_packer(space, prefixes, batch_size, tags=None, capacity=True):
     """The per-candidate packer that the vectorized enumeration replaced.
 
-    Walks ``itertools.product`` over each prefix's per-dimension choices,
-    checks the joint fanout one candidate at a time, drops the candidates
-    whose assembled mapping fails the scalar capacity check (with
-    ``capacity``), and fills batch rows one by one. Kept here as the row-for-row oracle: returns
+    Maps each menu-index prefix row back to chains (a pinned index to
+    its menu chain, ``-1`` to the whole menu), walks ``itertools.product``
+    over those per-dimension choices, checks the joint fanout one
+    candidate at a time, drops the candidates whose assembled mapping
+    fails the scalar capacity check (with ``capacity``), and fills batch
+    rows one by one. Kept here as the row-for-row oracle: returns
     ``(batches, count)``, one ``(size, bounds, rems, tags, ordinals)`` per
     batch (``ordinals`` being each row's position among all
     fanout-feasible candidates) and the fanout-feasible count.
     """
     dims = list(space.workload.dim_names)
-    menus = dict(space.dim_chain_menus())
+    menus = [menu for _, menu in space.dim_chain_menus()]
     caps = [
         (offset, slot.fanout_cap)
         for offset, slot in enumerate(space.slots)
@@ -271,9 +273,10 @@ def _itertools_packer(space, prefixes, batch_size, tags=None, capacity=True):
     ]
     rows = []
     count = 0
-    for index, prefix in enumerate(prefixes):
-        prefix = prefix or {}
-        per_dim = [[prefix[d]] if d in prefix else menus[d] for d in dims]
+    for index, prefix in enumerate(np.asarray(prefixes).tolist()):
+        per_dim = [
+            [menu[k]] if k >= 0 else menu for menu, k in zip(menus, prefix)
+        ]
         for combo in itertools.product(*per_dim):
             if not all(
                 math.prod(chain.bounds[offset] for chain in combo) <= cap
@@ -369,36 +372,40 @@ def _assert_packs_like_oracle(
 
 
 def _prefix_cases(space, rng, full_count):
-    """Named prefix lists: flat, partial, fully pinned, mixed, infeasible."""
-    menus = space.dim_chain_menus()
-    (d0, menu0), (d1, menu1) = menus[0], menus[1]
-    partial = [{d0: chain} for chain in menu0[:6]] + [
-        {d0: rng.choice(menu0), d1: rng.choice(menu1)} for _ in range(6)
+    """Named lists of menu-index prefix rows: flat, partial, fully pinned,
+    mixed, infeasible."""
+    menus = [menu for _, menu in space.dim_chain_menus()]
+    free = [-1] * len(menus)
+
+    def pick(menu):
+        return rng.choice(range(len(menu)))
+
+    partial = [[k] + free[1:] for k in range(6)] + [
+        [pick(menus[0]), pick(menus[1])] + free[2:] for _ in range(6)
     ]
-    full = [
-        {dim: rng.choice(menu) for dim, menu in menus}
-        for _ in range(full_count)
-    ]
+    full = [[pick(menu) for menu in menus] for _ in range(full_count)]
     # A two-dim prefix already over a fanout cap, and a full completion.
     infeasible = next(
         pair
         for pair in (
-            {d0: rng.choice(menu0), d1: rng.choice(menu1)}
-            for _ in range(100_000)
+            [pick(menus[0]), pick(menus[1])] for _ in range(100_000)
         )
-        if not space.chains_within_fanout(pair)
+        if not space.chains_within_fanout(
+            {menu[k].dim: menu[k] for menu, k in zip(menus, pair)}
+        )
     )
-    infeasible_full = {dim: rng.choice(menu) for dim, menu in menus}
-    infeasible_full.update(infeasible)
-    mixed = full[:5] + partial[:3] + full[5:] + [None] + partial[3:]
-    return {
-        "flat": [{}],
+    infeasible_full = infeasible + [pick(menu) for menu in menus][2:]
+    mixed = full[:5] + partial[:3] + full[5:] + [free] + partial[3:]
+    cases = {
+        "flat": [free],
         "partial": partial,
         "pinned": full,
         "mixed": mixed,
-        "infeasible": [infeasible, infeasible_full],
-        "empty": [],
+        "infeasible": [infeasible + free[2:], infeasible_full],
     }
+    cases = {name: np.array(rows, np.int64) for name, rows in cases.items()}
+    cases["empty"] = np.empty((0, len(menus)), np.int64)
+    return cases
 
 
 class TestPackedEnumerationParity:
@@ -434,77 +441,22 @@ class TestPackedEnumerationParity:
         space = pfm_mapspace(
             eyeriss_like(), workload, constraints=eyeriss_row_stationary()
         )
-        menus = dict(space.dim_chain_menus())
+        lens = {dim: len(menu) for dim, menu in space.dim_chain_menus()}
         rng = random.Random(7)
-        prefixes = [
-            {dim: rng.choice(menu) for dim, menu in menus.items()}
-            for _ in range(300)
-        ]
-        prefixes[100:100] = [
-            {"C": rng.choice(menus["C"]), "M": rng.choice(menus["M"])}
-            for _ in range(20)
-        ]
-        prefixes.insert(50, {"M": rng.choice(menus["M"])})
+
+        def row(*pinned):
+            return [
+                rng.choice(range(lens[dim])) if dim in pinned else -1
+                for dim in lens
+            ]
+
+        prefixes = [row(*lens) for _ in range(300)]
+        prefixes[100:100] = [row("C", "M") for _ in range(20)]
+        prefixes.insert(50, row("M"))
         tags = list(range(len(prefixes)))
-        _assert_packs_like_oracle(space, prefixes, batch_size, tags)
-
-    def test_chains_from_outside_the_menus(self):
-        """Pinned chains pack by value, whichever object carries them."""
-        arch = toy_glb_architecture(num_pes=6, glb_bytes=1024)
-        workload = GemmLayer("g", m=6, n=5, k=4).workload()
-        space = pfm_mapspace(arch, workload)
-        ruby_menus = dict(ruby_mapspace(arch, workload).dim_chain_menus())
-        (d0, menu0), (d1, _) = space.dim_chain_menus()[:2]
-        # A fresh object equal in value to a menu chain.
-        twin = DimChain(d0, tuple(menu0[3].bounds), tuple(menu0[3].remainders))
-        assert twin is not menu0[3]
-        # An imperfect chain: in the Ruby menu, absent from the PFM one.
-        foreign = next(
-            c for c in ruby_menus[d1] if c not in space.dim_chain_menus()[1][1]
+        _assert_packs_like_oracle(
+            space, np.array(prefixes, np.int64), batch_size, tags
         )
-        prefixes = [{d0: twin}, {d1: foreign}, {d0: twin, d1: foreign}]
-        for batch_size in (1, 7, 512):
-            _assert_packs_like_oracle(space, prefixes, batch_size)
-
-        def stacked(prefix):
-            return np.concatenate(
-                [b.bounds for b in space.iter_batches(prefix=prefix)]
-            )
-
-        assert np.array_equal(stacked({d0: twin}), stacked({d0: menu0[3]}))
-        assert space.count_completions({d1: foreign}) == sum(
-            b.candidates for b in space.iter_batches(prefix={d1: foreign})
-        )
-
-    def test_menu_index_rows_pack_like_chain_dicts(self):
-        """The leaf flush's index-row form equals the chain-dict form."""
-        space = make_mapspace(
-            toy_glb_architecture(num_pes=6, glb_bytes=1024),
-            GemmLayer("g", m=6, n=5, k=4).workload(),
-            "ruby-s",
-        )
-        menus = space.dim_chain_menus()
-        prefixes = _prefix_cases(space, random.Random(3), 40)["mixed"]
-        rows = np.array(
-            [
-                [
-                    menu.index(prefix[dim]) if prefix and dim in prefix else -1
-                    for dim, menu in menus
-                ]
-                for prefix in prefixes
-            ],
-            dtype=np.int64,
-        )
-        tags = list(range(len(prefixes)))
-        for batch_size in (1, 7, 512):
-            by_dict = list(space.iter_prefix_batches(prefixes, batch_size, tags))
-            by_rows = list(space.iter_prefix_batches(rows, batch_size, tags))
-            assert len(by_dict) == len(by_rows)
-            for a, b in zip(by_dict, by_rows):
-                assert np.array_equal(a.bounds, b.bounds)
-                assert np.array_equal(a.rems, b.rems)
-                assert np.array_equal(a.tags, b.tags)
-
 
 
 class TestPackedEnumerationSmallSteps(TestPackedEnumerationParity):
@@ -512,13 +464,79 @@ class TestPackedEnumerationSmallSteps(TestPackedEnumerationParity):
 
     Steps that small split every prefix's block into many head blocks,
     leave the tail empty whenever the innermost free menu is wider than
-    a step, and put fully pinned prefixes, foreign chains and tags on
-    step boundaries.
+    a step, and put fully pinned prefixes and tags on step boundaries.
     """
 
     @pytest.fixture(autouse=True, params=[1, 5], ids=["cells1", "cells5"])
     def _step_cells(self, request, monkeypatch):
         monkeypatch.setattr(generator, "_INDEX_CHUNK", request.param)
+
+
+def _toy_gemm_space(kind="pfm"):
+    return make_mapspace(
+        toy_glb_architecture(num_pes=6, glb_bytes=1024),
+        GemmLayer("g", m=6, n=5, k=4).workload(),
+        kind,
+    )
+
+
+class TestPrefixRows:
+    """Menu-index prefix rows are checked where they enter, and
+    ``block_fits`` decides partial prefixes as ``chains_within_fanout``."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[16, 0, 0]],  # M's PFM menu has 16 chains
+            [[0, 0]],
+            [[0.0, 0.0, 0.0]],
+            [[-2, 0, 0]],
+            [0, 0, 0],
+            [[0, 0, None]],
+        ],
+        ids=["past-menu", "narrow", "float", "below-free", "1-d", "object"],
+    )
+    def test_bad_rows_raise(self, rows):
+        space = _toy_gemm_space()
+        with pytest.raises(MapspaceError):
+            space.count_completions(rows)
+        with pytest.raises(MapspaceError):
+            list(space.iter_prefix_batches(rows))
+
+    @pytest.mark.parametrize("kind", list(MapspaceKind))
+    def test_block_fits_skips_free_dims(self, kind):
+        space = _toy_gemm_space(kind.value)
+        menus = space.dim_chain_menus()
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for _ in range(60):
+            pinned = rng.random(len(menus)) < 0.6
+            rows = np.stack(
+                [rng.integers(0, len(menu), 32) for _, menu in menus], axis=1
+            )
+            index = [
+                rows[:, d] if pinned[d] else None for d in range(len(menus))
+            ]
+            if pinned.sum() == 1:
+                # One pinned chain for the whole block, given as an int.
+                d = int(np.flatnonzero(pinned)[0])
+                rows[:, d] = rows[0, d]
+                index[d] = int(rows[0, d])
+            fit, room = space.block_fits(index, (len(rows),), capacity=False)
+            want = [
+                space.chains_within_fanout(
+                    {
+                        dim: menu[k]
+                        for (dim, menu), k, on in zip(menus, row, pinned)
+                        if on
+                    }
+                )
+                for row in rows.tolist()
+            ]
+            assert np.array_equal(fit, want)
+            assert room.all()
+            verdicts.update(want)
+        assert verdicts == {True, False}
 
 
 def _batch_digest(space):

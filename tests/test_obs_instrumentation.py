@@ -142,8 +142,9 @@ class TestSearchSpans:
     ):
         """``mapspace.enumerate`` wraps the index-row steps (generation and
         capacity prefilter) of an exhaustive sweep, ``batch.validity`` the
-        kernel's validity stage once per priced batch; the prefilter's
-        dropped candidates are counted once, as ``infeasible``."""
+        kernel's validity stage once per priced batch and ``batch.cycles``
+        its cycle stage; the prefilter's dropped candidates are counted
+        once, as ``infeasible``."""
         set_batch_size(64)
         space = ruby_mapspace(toy_arch, vector100)
         count = space.count_completions()
@@ -165,6 +166,11 @@ class TestSearchSpans:
         )
         assert all(
             by_id[r["parent_id"]]["name"] == "search.batch" for r in validity
+        )
+        cycles = [r for r in tracer.records if r["name"] == "batch.cycles"]
+        assert [r["attrs"] for r in cycles] == [r["attrs"] for r in validity]
+        assert all(
+            by_id[r["parent_id"]]["name"] == "search.batch" for r in cycles
         )
         batch = result.stats["batch"]
         assert len(validity) == batch["batches"]
@@ -206,8 +212,8 @@ class TestSearchSpans:
         ).run()
         names = {name for name, _ in opened}
         assert {
-            "mapspace.enumerate", "batch.validity", "search.leaf_price",
-            "search.leaf_flush", "evaluator.fresh",
+            "mapspace.enumerate", "batch.validity", "batch.cycles",
+            "search.leaf_price", "search.leaf_flush", "evaluator.fresh",
         } <= names
         assert all(span is scope._NULL_SPAN for _, span in opened)
 

@@ -24,6 +24,7 @@ from repro.problem import GemmLayer
 from repro.search import BranchBoundSearch, ExhaustiveSearch
 from repro.service.coalesce import SharedBatchEngine
 from repro.verify.invariants import check_leaf_exactness
+from tests.test_mapspace_generator import _assert_packs_like_oracle
 
 
 def _gemm_space(kind="pfm", arch=None, m=12, n=10, k=8):
@@ -66,38 +67,31 @@ class TestMenuRowBatches:
             assert batch.bounds.shape[0] == batch.size
 
     @pytest.mark.parametrize("capacity", [True, False])
-    def test_pinned_rows_skip_the_unravel_exactly(self, capacity):
-        """Fully pinned index rows (the leaf flush's) batch exactly as
-        the same prefixes given as chains, which take the unravel."""
+    def test_pinned_rows_skip_the_unravel_exactly(self, capacity, monkeypatch):
+        """Fully pinned index rows (the leaf flush's) skip the unravel and
+        batch exactly as the per-candidate oracle packs them."""
         _, _, space = _gemm_space("ruby-s")
-        menus = space.dim_chain_menus()
+        unravelled = []
+
+        def unravel(*args, **kwargs):
+            unravelled.append(args)
+            return feasible_index_rows(*args, **kwargs)
+
+        feasible_index_rows = space._feasible_index_rows
+        monkeypatch.setattr(space, "_feasible_index_rows", unravel)
         rng = np.random.default_rng(0)
         pinned = np.stack(
-            [rng.integers(0, len(menu), 3000) for _, menu in menus], axis=1
+            [
+                rng.integers(0, len(menu), 3000)
+                for _, menu in space.dim_chain_menus()
+            ],
+            axis=1,
         )
-        prefixes = [
-            {dim: menu[k] for (dim, menu), k in zip(menus, row)}
-            for row in pinned.tolist()
-        ]
-        tags = np.arange(len(pinned)) * 3
-        expected = list(
-            space.iter_prefix_batches(
-                prefixes, batch_size=64, tags=tags, capacity=capacity
-            )
+        got = _assert_packs_like_oracle(
+            space, pinned, 64, np.arange(len(pinned)) * 3, capacity
         )
-        got = list(
-            space.iter_prefix_batches(
-                pinned, batch_size=64, tags=tags, capacity=capacity
-            )
-        )
-        assert len(got) == len(expected) > 1
-        for a, b in zip(got, expected):
-            assert (a.span, a.size) == (b.span, b.size)
-            assert np.array_equal(a.tags, b.tags)
-            assert np.array_equal(a.ordinals, b.ordinals)
-            assert np.array_equal(a.bounds, b.bounds)
-            assert np.array_equal(a.rems, b.rems)
-            assert (a.menu_rows is None) == (not capacity)
+        assert len(got) > 1 and not unravelled
+        assert all((b.menu_rows is None) == (not capacity) for b in got)
 
 
 class TestLeafExactness:
