@@ -9,7 +9,7 @@ block per nonunit fanout, exactly as in Timeloop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.arch.level import ComputeLevel, StorageLevel
 from repro.exceptions import SpecError
@@ -50,10 +50,6 @@ class Architecture:
                 f"architecture {self.name}: outermost level "
                 f"{self.levels[0].name} must be unbounded (capacity None)"
             )
-
-    @property
-    def num_storage_levels(self) -> int:
-        return len(self.levels)
 
     @property
     def innermost(self) -> StorageLevel:
@@ -126,7 +122,3 @@ class Architecture:
             mesh_x=self.mesh_x,
             mesh_y=self.mesh_y,
         )
-
-    def capacity_summary(self) -> Dict[str, Optional[int]]:
-        """``{level_name: total words}`` for quick inspection."""
-        return {level.name: level.total_capacity_words for level in self.levels}

@@ -130,8 +130,7 @@ def _format_search_stats(stats: Dict) -> List[str]:
     pool = stats.get("pool")
     if pool:
         lines.append(
-            f"  pool: {pool['workers']} workers  "
-            f"depth={pool['partition_depth']}  units={pool['num_units']:,}"
+            f"  pool: {pool['workers']} workers  units={pool['num_units']:,}"
         )
     for row in stats.get("workers", ()):
         rate = row.get("evals_per_sec") or 0.0
@@ -620,7 +619,7 @@ VERIFY_PROFILES = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Cross-check every evaluation path and the metamorphic invariants."""
-    from repro.exceptions import VerificationError
+    from repro.exceptions import SpecError, VerificationError
     from repro.verify.differential import (
         DifferentialConfig,
         replay_counterexample,
@@ -628,6 +627,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     from repro.verify.invariants import run_invariants
 
+    if args.cases is not None and args.cases < 1:
+        raise SpecError(f"--cases must be >= 1, got {args.cases}")
     if args.replay:
         report = replay_counterexample(args.replay)
         for divergence in report.divergences:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -33,16 +33,3 @@ def improvement_percent(baseline: float, improved: float) -> float:
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return 100.0 * (baseline - improved) / baseline
-
-
-def best_per_key(
-    rows: Sequence[Mapping[str, float]], key: str
-) -> Dict[str, float]:
-    """Minimum of ``row[key]`` grouped by ``row['group']`` — sweep helper."""
-    best: Dict[str, float] = {}
-    for row in rows:
-        group = row["group"]  # type: ignore[index]
-        value = row[key]
-        if group not in best or value < best[group]:
-            best[group] = value
-    return best

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.eyeriss import eyeriss_like
 from repro.arch.spec import Architecture
-from repro.core.metrics import geometric_mean
 from repro.core.report import format_table
 from repro.experiments.common import best_metrics_by_kind
 from repro.mapspace.constraints import ConstraintSet, eyeriss_row_stationary
@@ -87,10 +86,6 @@ class NetworkComparison:
     def network_energy_ratio(self) -> float:
         totals = self.network_totals()
         return totals["challenger_energy"] / totals["baseline_energy"]
-
-    @property
-    def geomean_layer_edp_ratio(self) -> float:
-        return geometric_mean([layer.edp_ratio for layer in self.layers])
 
     @property
     def best_layer_edp_ratio(self) -> float:

@@ -37,7 +37,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, SpecError
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +74,17 @@ class Journal:
     def exists(self) -> bool:
         return self.path.exists()
 
+    def _open(self, mode: str):
+        """Open the journal file; a path that cannot be opened (a
+        directory, no permission) is a :class:`SpecError`."""
+        try:
+            return open(self.path, mode)
+        except OSError as error:
+            raise SpecError(
+                f"journal {self.path}: cannot open "
+                f"({error.strerror or error})"
+            ) from error
+
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record as a single fsynced JSON line.
 
@@ -88,7 +99,7 @@ class Journal:
         with self._lock:
             if self.path.parent and not self.path.parent.exists():
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as handle:
+            with self._open("a") as handle:
                 handle.write(line + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -102,7 +113,8 @@ class Journal:
         """
         if not self.exists():
             return []
-        lines = self.path.read_text().splitlines()
+        with self._open("r") as handle:
+            lines = handle.read().splitlines()
         records: List[Dict[str, Any]] = []
         for number, line in enumerate(lines):
             if not line.strip():
@@ -144,7 +156,7 @@ class Journal:
         """
         if not self.exists():
             return [], offset
-        with open(self.path, "rb") as handle:
+        with self._open("rb") as handle:
             handle.seek(offset)
             data = handle.read()
         records: List[Dict[str, Any]] = []

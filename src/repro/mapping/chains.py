@@ -23,7 +23,7 @@ this recursion applied to sub-chains:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.mapping.loop import Loop
 from repro.mapping.nest import Mapping, PlacedLoop
@@ -89,31 +89,3 @@ def tile_extent(loops: Iterable[Loop]) -> int:
     for loop in loops:
         extent *= loop.bound
     return extent
-
-
-def extent_sum(loops_above: Sequence[Loop], coverage: int) -> int:
-    """Sum of tile extents over one full sweep of the loops above a boundary.
-
-    The tiles delivered along a dim partition its ``coverage`` points
-    exactly (Eq. 5), so the summed extents equal the coverage. Provided as
-    a named helper so call sites document the invariant they rely on.
-    """
-    del loops_above  # the identity holds regardless of the prefix split
-    return coverage
-
-
-def perfect_chain(factors: Sequence[Loop]) -> bool:
-    """True if every loop of the chain is a perfect factor."""
-    return all(loop.is_perfect for loop in factors)
-
-
-def split_chain_at_position(
-    chain: Sequence[PlacedLoop], boundary_position: int
-) -> tuple:
-    """Split a placed chain into (above, below) a global nest position.
-
-    ``above`` contains loops with ``position < boundary_position``.
-    """
-    above = [p for p in chain if p.position < boundary_position]
-    below = [p for p in chain if p.position >= boundary_position]
-    return above, below

@@ -570,26 +570,6 @@ class MapSpace:
             self._free_row(), batch_size=batch_size, capacity=capacity
         )
 
-    def partition_prefixes(self, dims: Sequence[str]) -> List[Tuple[int, ...]]:
-        """Partition the chain product into subtree work units over ``dims``.
-
-        The cross product of the named dimensions' menus defines disjoint
-        subtrees that jointly cover the whole enumerable space. Each unit
-        is its menu-index tuple along ``dims``, in product order; units
-        whose pinned chains already break a joint fanout cap are dropped
-        (no completion of theirs is enumerable), decided for the whole
-        product by one :meth:`block_fits` call. A parallel driver bounds,
-        orders and dispatches the units as jobs, and workers rebuild the
-        same subtree from the tiny index tuple.
-        """
-        menus = dict(self.dim_chain_menus())
-        shape = tuple(len(menus[dim]) for dim in dims)
-        index: List[Any] = [None] * len(self._dim_names)
-        for dim, axis in zip(dims, np.ix_(*map(np.arange, shape))):
-            index[self._dim_names.index(dim)] = axis
-        fit, _ = self.block_fits(index, shape, capacity=False)
-        return [tuple(unit) for unit in np.argwhere(fit).tolist()]
-
     def iter_prefix_batches(
         self,
         prefixes: np.ndarray,

@@ -90,14 +90,6 @@ class AccessCounts:
         """Reads plus writes at one storage level."""
         return self.level_reads(level) + self.level_writes(level)
 
-    def tensor_reads(self, tensor: str) -> int:
-        """Total reads of one tensor across all levels."""
-        return sum(v for (_, name), v in self.reads.items() if name == tensor)
-
-    def tensor_writes(self, tensor: str) -> int:
-        """Total writes of one tensor across all levels."""
-        return sum(v for (_, name), v in self.writes.items() if name == tensor)
-
 
 @dataclass(frozen=True)
 class _BoundaryTraffic:

@@ -223,10 +223,14 @@ def validate_span(record: Dict[str, Any]) -> List[str]:
 def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load span records from a JSONL trace (journal framing: torn-tail
     tolerant; non-span records — e.g. interleaved campaign records — are
-    skipped)."""
+    skipped). A trace file that does not exist is a :class:`SpecError`."""
+    from repro.exceptions import SpecError
     from repro.io.journal import Journal
 
-    return [r for r in Journal(path).read() if r.get("kind") == "span"]
+    journal = Journal(path)
+    if not journal.exists():
+        raise SpecError(f"trace {journal.path}: no such file")
+    return [r for r in journal.read() if r.get("kind") == "span"]
 
 
 # -- flame summary --------------------------------------------------------

@@ -105,24 +105,3 @@ def conv_workload(layer: ConvLayer) -> Workload:
         dims=layer.dim_sizes,
         tensors=[weights, inputs, outputs],
     )
-
-
-def depthwise_pointwise_equivalent(layer: ConvLayer) -> Workload:
-    """Workload for a 1x1 (pointwise) convolution with the same C/M/P/Q.
-
-    Pointwise layers are where the paper reports Ruby-S's largest ResNet-50
-    wins (their dims are typically misaligned with the 14x12 array).
-    """
-    pointwise = ConvLayer(
-        name=layer.name + "_pw",
-        n=layer.n,
-        c=layer.c,
-        m=layer.m,
-        p=layer.p,
-        q=layer.q,
-        r=1,
-        s=1,
-        stride_h=1,
-        stride_w=1,
-    )
-    return conv_workload(pointwise)

@@ -223,9 +223,18 @@ class LocalIncumbent:
 def dims_branch_order(menus: Sequence[Tuple[str, Tuple]]) -> List[Tuple[str, Tuple]]:
     """Branch the widest menus first: that is where bounds can cut the
     largest subtrees, and it keeps the frontier small. Ties break on
-    workload dim order, so the trajectory is fully deterministic — and
-    identical between the serial walk and the parallel partitioning."""
+    workload dim order, so the trajectory is fully deterministic."""
     return sorted(menus, key=lambda pair: (-len(pair[1]), pair[0]))
+
+
+def tree_engines(mapspace: MapSpace, evaluator: Evaluator, use_batch: bool):
+    """The batch engine, bound engine and branch order of a tree walk:
+    built by the driver, and once per process by each parallel worker."""
+    from repro.model.batch import PartialBoundEngine
+
+    engine = batch_engine_for(mapspace, evaluator, use_batch)
+    menus = mapspace.dim_chain_menus()
+    return engine, PartialBoundEngine(engine, menus), dims_branch_order(menus)
 
 
 class _SubtreeWalker:
@@ -233,7 +242,7 @@ class _SubtreeWalker:
 
     One implementation serves both regimes: the serial search walks the
     whole tree with a :class:`LocalIncumbent`, and each parallel worker
-    walks its assigned top-level subtree with a
+    walks its assigned subtree with a
     :class:`~repro.search.worker_pool.SharedIncumbent`. The walker keeps
     a cached cut metric (``_cut``) refreshed from the incumbent at every
     node pop and flush — the points where the serial search read
@@ -404,8 +413,6 @@ class _SubtreeWalker:
         Returns the root's bound. Buffered leaves are flushed before
         returning, so the walker's best is final when this returns.
         """
-        from repro.model.batch import PRUNE_MARGIN
-
         dims_order = self.dims_order
         root_assigned = {
             dims_order[i][0]: k for i, k in enumerate(root_indices)
@@ -420,23 +427,10 @@ class _SubtreeWalker:
             (root_bound, 0, tuple(root_indices), None)
         ]
         while heap:
-            node_bound, _, indices, record = heapq.heappop(heap)
-            self._cut = float(self.incumbent.read())
-            if (
-                self._cut != float("inf")
-                and node_bound * (1.0 - PRUNE_MARGIN) >= self._cut
-            ):
-                # Best-first: every remaining node's bound is at least
-                # this one, so the whole frontier is proved prunable.
-                self.subtrees_pruned += 1 + len(heap)
-                self._cover(
-                    self.suffix_product[len(indices)]
-                    + sum(
-                        self.suffix_product[len(entry[2])] for entry in heap
-                    )
-                )
-                heap.clear()
+            entry = self._pop(heap)
+            if entry is None:
                 break
+            node_bound, _, indices, record = entry
             depth = len(indices)
             if depth == self.num_dims or (
                 self.suffix_product[depth] <= self.leaf_width
@@ -450,48 +444,105 @@ class _SubtreeWalker:
                 if self._leaf_rows >= FLUSH_ROWS:
                     self.flush_leaves()
                 continue
-            self.nodes_expanded += 1
-            dim, menu = dims_order[depth]
-            assigned = {
-                dims_order[i][0]: k for i, k in enumerate(indices)
-            }
-            # One vectorized call prices the whole menu of children —
-            # per-child scalar bounds were the walk's hotspot — and one
-            # mask decides which of them can fit the fanout caps.
-            child_bounds = self.bound_engine.child_bounds(
-                assigned, dim, self.objective
-            )
-            index: List[Any] = [assigned.get(w) for w in self.workload_dims]
-            index[self.workload_dims.index(dim)] = np.arange(len(menu))
-            fits, _ = self.mapspace.block_fits(
-                index, (len(menu),), capacity=False
-            )
-            live = fits
-            if self._cut != float("inf"):
-                cut_off = child_bounds * (1.0 - PRUNE_MARGIN) >= self._cut
-                live = fits & ~cut_off
-            # Children no completion of which fits the fanout caps are not
-            # a bound decision, so they are counted separately.
-            infeasible = len(menu) - int(np.count_nonzero(fits))
-            pruned = int(np.count_nonzero(fits)) - int(np.count_nonzero(live))
-            self.infeasible_subtrees += infeasible
-            self.subtrees_pruned += pruned
-            self._cover((infeasible + pruned) * self.suffix_product[depth + 1])
-            children = np.flatnonzero(live).tolist()
-            records = self._sibling_cells(assigned, dim, depth + 1, children)
-            for k, child_bound, child in zip(
-                children, child_bounds[children].tolist(), records
-            ):
-                heapq.heappush(
-                    heap, (child_bound, self._counter, indices + (k,), child)
-                )
-                self._counter += 1
+            self._expand(heap, indices, leaf_records=True)
 
         # Leaves buffered after the last threshold flush (including any
         # left when the frontier drained) still need pricing; the flush
         # re-checks their bounds against the final incumbent.
         self.flush_leaves()
         return root_bound
+
+    def frontier(self, target: int) -> List[Tuple[int, ...]]:
+        """The whole tree's best-first frontier, as parallel work units:
+        menu-index tuples along ``dims_order`` in (bound, insertion)
+        order.
+
+        Nodes pop and expand as in :meth:`walk`, leaf-sized ones too,
+        until the heap holds ``target`` nodes or only fully assigned
+        ones. Pruned and infeasible children are covered here, so
+        ``cells_covered`` plus every unit's subtree is the whole tree.
+        No leaf records are built: each unit's walk builds its own.
+        """
+        heap = [(self.bound_engine.bound({}, self.objective), 0, (), None)]
+        full = []
+        while heap and len(heap) + len(full) < target:
+            entry = self._pop(heap)
+            if entry is None:
+                break
+            if len(entry[2]) == self.num_dims:
+                full.append(entry)
+            else:
+                self._expand(heap, entry[2], leaf_records=False)
+        return [entry[2] for entry in sorted(heap + full)]
+
+    def _pop(self, heap: List[tuple]) -> Optional[tuple]:
+        """Pop the best node, or None once its bound is cut: best-first,
+        every remaining node's bound is at least this one, so the whole
+        frontier is proved prunable (and covered)."""
+        from repro.model.batch import PRUNE_MARGIN
+
+        entry = heapq.heappop(heap)
+        self._cut = float(self.incumbent.read())
+        if (
+            self._cut != float("inf")
+            and entry[0] * (1.0 - PRUNE_MARGIN) >= self._cut
+        ):
+            self.subtrees_pruned += 1 + len(heap)
+            self._cover(
+                self.suffix_product[len(entry[2])]
+                + sum(self.suffix_product[len(node[2])] for node in heap)
+            )
+            heap.clear()
+            return None
+        return entry
+
+    def _expand(
+        self, heap: List[tuple], indices: Tuple[int, ...], leaf_records: bool
+    ) -> None:
+        """Push node ``indices``' live children onto ``heap``, with their
+        records when ``leaf_records``; cut and infeasible ones are
+        counted and covered."""
+        from repro.model.batch import PRUNE_MARGIN
+
+        depth = len(indices)
+        self.nodes_expanded += 1
+        dim, menu = self.dims_order[depth]
+        assigned = {self.dims_order[i][0]: k for i, k in enumerate(indices)}
+        # One vectorized call prices the whole menu of children —
+        # per-child scalar bounds were the walk's hotspot — and one
+        # mask decides which of them can fit the fanout caps.
+        child_bounds = self.bound_engine.child_bounds(
+            assigned, dim, self.objective
+        )
+        index: List[Any] = [assigned.get(w) for w in self.workload_dims]
+        index[self.workload_dims.index(dim)] = np.arange(len(menu))
+        fits, _ = self.mapspace.block_fits(
+            index, (len(menu),), capacity=False
+        )
+        live = fits
+        if self._cut != float("inf"):
+            cut_off = child_bounds * (1.0 - PRUNE_MARGIN) >= self._cut
+            live = fits & ~cut_off
+        # Children no completion of which fits the fanout caps are not
+        # a bound decision, so they are counted separately.
+        infeasible = len(menu) - int(np.count_nonzero(fits))
+        pruned = int(np.count_nonzero(fits)) - int(np.count_nonzero(live))
+        self.infeasible_subtrees += infeasible
+        self.subtrees_pruned += pruned
+        self._cover((infeasible + pruned) * self.suffix_product[depth + 1])
+        children = np.flatnonzero(live).tolist()
+        records = (
+            self._sibling_cells(assigned, dim, depth + 1, children)
+            if leaf_records
+            else [None] * len(children)
+        )
+        for k, child_bound, child in zip(
+            children, child_bounds[children].tolist(), records
+        ):
+            heapq.heappush(
+                heap, (child_bound, self._counter, indices + (k,), child)
+            )
+            self._counter += 1
 
     def _sibling_cells(
         self,
@@ -900,10 +951,10 @@ class BranchBoundSearch:
         use_batch: price leaf rows through the vectorized kernels;
             without it they are priced row by row through the scalar
             evaluator (same tree, same answer).
-        workers: fan top-level subtrees over a process pool when > 1
-            (see :mod:`repro.search.branch_bound_parallel`); the best
-            metric is bit-identical to the serial walk, and it is the only
-            reproducible result. What each unit prices depends on when
+        workers: fan the tree's best-first frontier over a process pool
+            when > 1 (see :mod:`repro.search.branch_bound_parallel`); the
+            best metric is bit-identical to the serial walk, and it is the
+            only reproducible result. What each unit prices depends on when
             it reads the shared incumbent, so ``num_evaluated``,
             ``stats["bnb"]`` counts (``subtrees_pruned`` among them) and
             the argmin among co-optimal ties vary from run to run at a
@@ -937,14 +988,6 @@ class BranchBoundSearch:
         self.workers = check_int("workers", workers, 1)
         self.start_method = start_method
 
-    def run(self) -> SearchResult:
-        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
-        if self.workers > 1:
-            from repro.search.branch_bound_parallel import run_parallel_tree
-
-            return run_parallel_tree(self, engine)
-        return self._run_tree(engine)
-
     # -- the tree walk ---------------------------------------------------
 
     def _warm_start(self, walker: _SubtreeWalker) -> Optional[float]:
@@ -969,26 +1012,25 @@ class BranchBoundSearch:
             return None
         return walker.best_metric
 
-    def _run_tree(self, engine) -> SearchResult:
-        from repro.model.batch import PartialBoundEngine
-
+    def run(self) -> SearchResult:
+        """Warm-start, walk the tree (or, with ``workers > 1``, fan its
+        best-first frontier over a pool) and close the run."""
         mapspace = self.mapspace
-        menus = mapspace.dim_chain_menus()
-        bound_engine = PartialBoundEngine(engine, menus)
-        dims_order = dims_branch_order(menus)
-
+        engine, bound_engine, dims_order = tree_engines(
+            mapspace, self.evaluator, self.use_batch
+        )
         # Total work = the pre-filter menu product: every cell is either
         # priced, pruned, or proved infeasible exactly once, so the
         # walker's covered-cells accounting lands exactly on this number.
-        total_cells = 1
-        for _, menu in menus:
-            total_cells *= len(menu)
+        total_cells = math.prod(len(menu) for _, menu in dims_order)
         ledger = RunLedger(
             self.evaluator, "branch-bound", self.objective,
             total_units=total_cells, engine=engine,
         )
+        pool: Dict[str, Any] = {}
         with ledger, obs.trace(
-            "search.run", driver="branch-bound", mode=ledger.mode,
+            "search.run", driver="branch-bound",
+            mode="parallel" if self.workers > 1 else ledger.mode,
             objective=self.objective,
         ):
             walker = _SubtreeWalker(
@@ -1004,6 +1046,17 @@ class BranchBoundSearch:
                 ledger=ledger,
             )
             warm_metric = self._warm_start(walker)
-            root_bound = walker.walk(())
+            if self.workers > 1:
+                from repro.search import branch_bound_parallel as parallel
+
+                root_bound = float(bound_engine.bound({}, self.objective))
+                units = walker.frontier(
+                    parallel.UNITS_PER_WORKER * self.workers
+                )
+                pool = parallel.walk_units(self, walker, units)
+            else:
+                root_bound = walker.walk(())
             ledger.close_tree(walker, root_bound, warm_metric)
-        return ledger.result("exhausted")
+        result = ledger.result("exhausted")
+        result.stats.update(pool)
+        return result

@@ -1,15 +1,17 @@
 """Parallel branch-and-bound: subtree work-sharing over a process pool.
 
-The prefix tree decomposes naturally at its top levels: the cross
-product of the first one or two ``dims_order`` menus partitions the
-whole enumerable space into disjoint subtrees.
-:meth:`~repro.mapspace.generator.MapSpace.partition_prefixes` gives the
-cells that can fit the fanout caps as menu-index tuples. This driver
-turns each such cell that its bound does not prune yet into a **work
-unit** (the tuple is all a worker receives), orders units by their
-admissible bound (workers start on promising subtrees,
-which tightens the shared incumbent early), and fans them over the
-worker set in :mod:`repro.search.worker_pool`.
+:class:`~repro.search.branch_bound.BranchBoundSearch` is the one driver
+for serial and parallel searches: it builds the ledger, the walker and
+the warm start, and with ``workers > 1`` it asks its walker for the
+tree's best-first frontier
+(:meth:`~repro.search.branch_bound._SubtreeWalker.frontier`, about
+``UNITS_PER_WORKER`` nodes per worker). The frontier expands nodes with
+the walk's own rule, so fanout-infeasible and bound-cut subtrees are
+resolved before dispatch, and its nodes come out in ascending-bound
+order (workers start on promising subtrees, which tightens the shared
+incumbent early). :func:`walk_units` fans those **work units** (the
+index tuple is all a worker receives) over the worker set in
+:mod:`repro.search.worker_pool`.
 
 Cross-process pruning — the part that makes this superlinear-friendly —
 runs through a :class:`~repro.search.worker_pool.SharedIncumbent`: a
@@ -53,8 +55,6 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from repro import obs
-from repro.search.loop import RunLedger
-from repro.search.result import SearchResult
 from repro.search.worker_pool import (
     OBS_SNAPSHOT_KEY,
     SharedIncumbent,
@@ -67,31 +67,22 @@ from repro.search.worker_pool import (
 
 #: Target work units per worker. More units than workers keeps the pool
 #: busy when subtree costs are skewed (the whole point of work-sharing);
-#: the partition depth grows to two levels when one level is too coarse.
+#: the frontier expands past the first tree level when it is too coarse.
 UNITS_PER_WORKER = 4
 
 
 def _walk_stack(state: Dict[str, Any]) -> Dict[str, Any]:
-    """The worker stack plus its batch and bound engines (built once)."""
+    """The worker stack plus its tree engines (built once)."""
+    from repro.search.branch_bound import tree_engines
+
     stack = worker_stack(state)
-    if "bound_engine" in stack:
-        return stack
-    from repro.model.batch import BatchEvaluator, PartialBoundEngine
-
-    from repro.search.branch_bound import dims_branch_order
-
-    mapspace = stack["mapspace"]
-    engine = BatchEvaluator(
-        stack["evaluator"],
-        layout=mapspace.batch_layout(),
-        vectorize=state["use_batch"],
-    )
-    menus = mapspace.dim_chain_menus()
-    stack.update(
-        engine=engine,
-        bound_engine=PartialBoundEngine(engine, menus),
-        dims_order=dims_branch_order(menus),
-    )
+    if "bound_engine" not in stack:
+        stack.update(zip(
+            ("engine", "bound_engine", "dims_order"),
+            tree_engines(
+                stack["mapspace"], stack["evaluator"], state["use_batch"]
+            ),
+        ))
     return stack
 
 
@@ -123,7 +114,6 @@ def _unit_entry(
         )
     result = {
         "unit": index,
-        "kind": "walk",
         "elapsed_s": time.perf_counter() - started,
         "metric": walker.best_metric,
         "signature": walker.best_signature,
@@ -142,184 +132,87 @@ def _unit_entry(
     return result
 
 
-def run_parallel_tree(search, engine) -> SearchResult:
-    """Drive ``BranchBoundSearch`` with ``workers > 1`` (see module doc).
+def walk_units(
+    search, walker, units: List[Tuple[int, ...]]
+) -> Dict[str, Any]:
+    """Walk ``units`` (the driver walker's frontier) over ``search``'s
+    pool against a shared incumbent seeded from ``walker``'s best.
 
-    The driver warm-starts serially (seeding the shared incumbent),
-    partitions and bound-orders the top of the tree, fans units over the
-    pool, and re-prices every worker claim so the returned best metric
-    is bit-identical to the serial walk.
+    Each unit's counters are summed into ``walker``, progress advances by
+    a unit's subtree as it arrives, and every claimed best is re-priced
+    through ``walker`` (see module doc). Returns the ``pool_mode`` and
+    ``pool`` entries of the run's stats.
     """
-    from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
-
-    from repro.search.branch_bound import (
-        LocalIncumbent,
-        _SubtreeWalker,
-        dims_branch_order,
-    )
-
     mapspace = search.mapspace
     evaluator = search.evaluator
-    menus = mapspace.dim_chain_menus()
-    bound_engine = PartialBoundEngine(engine, menus)
-    dims_order = dims_branch_order(menus)
-    num_dims = len(menus)
-    workers = search.workers
-
-    # Progress total: the pre-filter menu product (every full assignment
-    # the partition covers). Partition-time pruning and per-unit arrivals
-    # advance against it driver-side; workers never touch the tracker.
-    total_units = 1
-    for _, menu in menus:
-        total_units *= len(menu)
-    ledger = RunLedger(
-        evaluator, "branch-bound", search.objective,
-        total_units=total_units, engine=engine,
-    )
-    with ledger, obs.trace(
-        "search.run", driver="branch-bound", mode="parallel",
-        objective=search.objective, workers=workers,
-    ):
-        # Driver-side walker: hosts warm start, partition-time
-        # pruning counters, and the final re-price — all through the
-        # same incumbent protocol as the serial search.
-        walker = _SubtreeWalker(
-            mapspace,
-            engine,
-            evaluator,
-            bound_engine,
-            dims_order,
-            objective=search.objective,
-            leaf_width=search.leaf_width,
-            limit=search.limit,
-            incumbent=LocalIncumbent(),
-            ledger=ledger,
-        )
-        warm_metric = search._warm_start(walker)
-        root_bound = float(bound_engine.bound({}, search.objective))
-
-        # Partition the first one or two tree levels into work units
-        # (two when one level is too coarse to balance the pool).
-        depth = 1
-        if num_dims > 1 and len(dims_order[0][1]) < (
-            UNITS_PER_WORKER * workers
-        ):
-            depth = 2
-        depth = min(depth, num_dims)
-        part_dims = [dims_order[i][0] for i in range(depth)]
-        units = mapspace.partition_prefixes(part_dims)
-        total_cells = 1
-        for i in range(depth):
-            total_cells *= len(dims_order[i][1])
-        walker.infeasible_subtrees += total_cells - len(units)
-        # Every infeasible partition cell resolves a whole subtree.
-        walker._cover(
-            (total_cells - len(units)) * walker.suffix_product[depth]
-        )
-
-        # Bound every unit; prune against the warm incumbent before
-        # dispatch; order the rest so workers start on promising
-        # subtrees (the incumbent tightens fastest that way).
-        cut = float(walker.incumbent.read())
-        bounded: List[Tuple[float, Tuple[int, ...]]] = []
-        for indices in units:
-            assigned = {
-                part_dims[i]: k for i, k in enumerate(indices)
-            }
-            unit_bound = float(
-                bound_engine.bound(assigned, search.objective)
-            )
-            if (
-                cut != float("inf")
-                and unit_bound * (1.0 - PRUNE_MARGIN) >= cut
-            ):
-                walker.subtrees_pruned += 1
-                walker._cover(walker.suffix_product[depth])
-                continue
-            bounded.append((unit_bound, indices))
-        bounded.sort()
-
-        # Each unit is a worker-side walk of its subtree, keeping the
-        # serial walk's flush-time bound re-check against the live
-        # incumbent.
-        jobs = [(j, indices) for j, (_, indices) in enumerate(bounded)]
-        state: Dict[str, Any] = {
-            "arch": mapspace.arch,
-            "workload": mapspace.workload,
-            "kind": mapspace.kind,
-            "constraints": mapspace.constraints,
-            "energy_table": evaluator.energy_table,
-            "evaluator_options": {
-                "include_noc": evaluator.include_noc,
-                "include_static": evaluator.include_static,
-                "clock_ghz": evaluator.clock_ghz,
-            },
-            "use_batch": search.use_batch,
-            "objective": search.objective,
-            "leaf_width": search.leaf_width,
-            "limit": search.limit,
-            "obs": obs.active_obs() is not None,
-        }
-        # Stream per-unit completion into the driver's tracker as
-        # results arrive: a finished unit resolves its whole subtree.
-        # Its claimed best is an improvement only once the re-price
-        # below accepts it.
-        def _on_unit_result(result: Dict[str, Any]) -> None:
-            ledger.progress.advance(walker.suffix_product[depth])
-
-        results, pool_mode, _ = run_jobs(
-            _unit_entry,
-            state,
-            jobs,
-            workers,
-            start_method=search.start_method,
-            shared_factory=SharedIncumbent.factory(float(walker.best_metric)),
-            on_result=_on_unit_result,
-        )
-        collect_worker_obs(results)
-
-        # Merge unit counters into the driver's walker; re-price every
-        # claimed best through the driver's evaluator, in dispatch
-        # order, so ties resolve deterministically and the metric is
-        # race-independent.
-        unit_rows: List[Dict[str, Any]] = []
-        claim_mappings: List[Any] = []
-        for result in results:
-            counters = result["counters"]
-            walker.evaluations += counters["evaluations"]
-            walker.num_valid += counters["num_valid"]
-            walker.batch += result["batch"]
-            walker.nodes_expanded += counters["nodes_expanded"]
-            walker.leaves_deferred += counters["leaves_deferred"]
-            walker.subtrees_pruned += counters["subtrees_pruned"]
-            walker.infeasible_subtrees += counters["infeasible_subtrees"]
-            metric = result["metric"]
-            unit_rows.append(
-                {
-                    "unit": result["unit"],
-                    "kind": result["kind"],
-                    "evaluations": counters["evaluations"],
-                    "subtrees_pruned": counters["subtrees_pruned"],
-                    "elapsed_s": result["elapsed_s"],
-                    "metric": (
-                        metric if metric != float("inf") else None
-                    ),
-                }
-            )
-            if metric == float("inf"):
-                continue
-            claim_mappings.append(mapspace.menu_mapping(result["signature"]))
-        if claim_mappings:
-            walker.price_mappings(claim_mappings)
-        ledger.close_tree(walker, root_bound, warm_metric)
-
-    result = ledger.result("exhausted")
-    stats = result.stats
-    stats["pool_mode"] = pool_mode
-    stats["pool"] = {
-        "workers": workers,
-        "partition_depth": depth,
-        "num_units": len(jobs),
-        "units": unit_rows,
+    state: Dict[str, Any] = {
+        "arch": mapspace.arch,
+        "workload": mapspace.workload,
+        "kind": mapspace.kind,
+        "constraints": mapspace.constraints,
+        "energy_table": evaluator.energy_table,
+        "evaluator_options": {
+            "include_noc": evaluator.include_noc,
+            "include_static": evaluator.include_static,
+            "clock_ghz": evaluator.clock_ghz,
+        },
+        "use_batch": search.use_batch,
+        "objective": search.objective,
+        "leaf_width": search.leaf_width,
+        "limit": search.limit,
+        "obs": obs.active_obs() is not None,
     }
-    return result
+
+    # A finished unit resolves its whole subtree. Its claimed best is an
+    # improvement only once the re-price below accepts it.
+    def _on_unit_result(result: Dict[str, Any]) -> None:
+        unit = units[result["unit"]]
+        walker.ledger.progress.advance(walker.suffix_product[len(unit)])
+
+    results, pool_mode, _ = run_jobs(
+        _unit_entry,
+        state,
+        list(enumerate(units)),
+        search.workers,
+        start_method=search.start_method,
+        shared_factory=SharedIncumbent.factory(float(walker.best_metric)),
+        on_result=_on_unit_result,
+    )
+    collect_worker_obs(results)
+
+    # Merge unit counters into the driver's walker; re-price every
+    # claimed best through the driver's evaluator, in dispatch order, so
+    # ties resolve deterministically and the metric is race-independent.
+    unit_rows: List[Dict[str, Any]] = []
+    claim_mappings: List[Any] = []
+    for result in results:
+        counters = result["counters"]
+        walker.evaluations += counters["evaluations"]
+        walker.num_valid += counters["num_valid"]
+        walker.batch += result["batch"]
+        walker.nodes_expanded += counters["nodes_expanded"]
+        walker.leaves_deferred += counters["leaves_deferred"]
+        walker.subtrees_pruned += counters["subtrees_pruned"]
+        walker.infeasible_subtrees += counters["infeasible_subtrees"]
+        metric = result["metric"]
+        unit_rows.append(
+            {
+                "unit": result["unit"],
+                "evaluations": counters["evaluations"],
+                "subtrees_pruned": counters["subtrees_pruned"],
+                "elapsed_s": result["elapsed_s"],
+                "metric": metric if metric != float("inf") else None,
+            }
+        )
+        if metric != float("inf"):
+            claim_mappings.append(mapspace.menu_mapping(result["signature"]))
+    if claim_mappings:
+        walker.price_mappings(claim_mappings)
+    return {
+        "pool_mode": pool_mode,
+        "pool": {
+            "workers": search.workers,
+            "num_units": len(units),
+            "units": unit_rows,
+        },
+    }

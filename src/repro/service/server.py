@@ -29,8 +29,7 @@ same structured errors campaign journals record.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Optional
+from typing import Optional
 
 from repro import obs
 from repro.exceptions import AdmissionError, ReproError, SpecError
@@ -213,10 +212,15 @@ class MappingService:
                 registry=self._registry, tracer=self._tracer
             )
             self._scope.__enter__()
-        if self._resume:
-            self.recovered = self.manager.resume()
-        self.manager.start()
-        self.server.start()
+        try:
+            if self._resume:
+                self.recovered = self.manager.resume()
+            self.manager.start()
+            self.server.start()
+        except BaseException:
+            # A failed start leaves no scope, worker or listener behind.
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:
@@ -240,8 +244,3 @@ class MappingService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-
-def request_json(payload: Any) -> bytes:
-    """Encode a request body for tests and the smoke client."""
-    return json.dumps(payload).encode("utf-8")

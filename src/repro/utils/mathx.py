@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 def product(values: Iterable[int]) -> int:
@@ -169,8 +169,3 @@ def balanced_split(n: int, parts: int) -> Tuple[int, ...]:
         raise ValueError(f"cannot split {n} into {parts} positive parts")
     base, extra = divmod(n, parts)
     return tuple(base + (1 if i < extra else 0) for i in range(parts))
-
-
-def dict_product(sizes: Dict[str, int]) -> int:
-    """Product of the values of a ``{dim: size}`` dictionary."""
-    return product(sizes.values())

@@ -180,31 +180,6 @@ class TestPrefixEnumeration:
         assert np.array_equal(flat_bounds, pref_bounds)
         assert np.array_equal(flat_rems, pref_rems)
 
-    @pytest.mark.parametrize("kind", list(MapspaceKind))
-    def test_partition_prefixes_keep_the_fanout_feasible_units(
-        self, small_gemm, kind
-    ):
-        """Work units are the product's fanout-feasible index tuples, in
-        product order, and their subtrees cover the flat count."""
-        space = make_mapspace(_toy(), small_gemm, kind.value)
-        menus = dict(space.dim_chain_menus())
-        for dims in (["N"], ["K", "M"], ["M", "N", "K"]):
-            want = [
-                combo
-                for combo in itertools.product(
-                    *(range(len(menus[dim])) for dim in dims)
-                )
-                if space.chains_within_fanout(
-                    {dim: menus[dim][k] for dim, k in zip(dims, combo)}
-                )
-            ]
-            units = space.partition_prefixes(dims)
-            assert units == want
-            rows = np.concatenate(
-                [_pin(space, **dict(zip(dims, unit))) for unit in units]
-            )
-            assert space.count_completions(rows) == space.count_completions()
-
     def test_infeasible_prefix_counts_zero(self, small_gemm):
         space = make_mapspace(_toy(), small_gemm, "pfm")
         menus = space.dim_chain_menus()

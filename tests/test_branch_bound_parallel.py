@@ -11,6 +11,9 @@ like the parallel random search does.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.arch import (
@@ -22,10 +25,18 @@ from repro.exceptions import SearchError
 from repro.mapspace import MapspaceKind
 from repro.mapspace.factory import make_mapspace
 from repro.model import Evaluator
+from repro.model.batch import PRUNE_MARGIN, PartialBoundEngine
 from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
 from repro.search import BranchBoundSearch
+from repro.search.branch_bound import (
+    LocalIncumbent,
+    _SubtreeWalker,
+    dims_branch_order,
+)
+from repro.search.branch_bound_parallel import UNITS_PER_WORKER
 from repro.search.exhaustive import ExhaustiveSearch
+from repro.search.loop import batch_engine_for
 
 
 def _toy_fixture(kind=MapspaceKind.PFM):
@@ -40,6 +51,96 @@ def _eyeriss_fixture():
     workload = GemmLayer("g8x4x4", m=8, n=4, k=4).workload()
     space = make_mapspace(arch, workload, MapspaceKind.PFM)
     return space, Evaluator(arch, workload)
+
+
+def _driver_walker(space, evaluator):
+    """A walker set up like the driver's, warm-started at seed 0."""
+    search = BranchBoundSearch(space, evaluator, seed=0)
+    engine = batch_engine_for(space, evaluator, True)
+    menus = space.dim_chain_menus()
+    walker = _SubtreeWalker(
+        space, engine, evaluator, PartialBoundEngine(engine, menus),
+        dims_branch_order(menus), objective="edp",
+        leaf_width=search.leaf_width, limit=search.limit,
+        incumbent=LocalIncumbent(),
+    )
+    search._warm_start(walker)
+    return walker
+
+
+def _assert_covers(walker, units):
+    """The frontier's resolved cells plus its units' subtrees are every
+    cell of the tree, each once."""
+    total = math.prod(len(menu) for _, menu in walker.dims_order)
+    assert walker.cells_covered + sum(
+        walker.suffix_product[len(unit)] for unit in units
+    ) == total
+
+
+class TestFrontier:
+    """The driver's work units are its walker's best-first frontier."""
+
+    def test_wide_first_menu_gives_its_live_cells_by_bound(self):
+        """With a first menu of at least the target, the units are what
+        partitioning that menu gave: its fanout-feasible cells the warm
+        incumbent does not cut, sorted by their scalar bounds."""
+        space, evaluator = _eyeriss_fixture()
+        walker = _driver_walker(space, evaluator)
+        dim, menu = walker.dims_order[0]
+        target = UNITS_PER_WORKER * 2
+        assert len(menu) >= target
+        index = [None] * len(walker.workload_dims)
+        index[walker.workload_dims.index(dim)] = np.arange(len(menu))
+        fits, _ = space.block_fits(index, (len(menu),), capacity=False)
+        cut = walker.incumbent.read()
+        want = []
+        for k in np.flatnonzero(fits).tolist():
+            bound = float(walker.bound_engine.bound({dim: k}, "edp"))
+            if bound * (1.0 - PRUNE_MARGIN) < cut:
+                want.append((bound, (k,)))
+        units = walker.frontier(target)
+        assert units == [unit for _, unit in sorted(want)]
+        _assert_covers(walker, units)
+
+    @pytest.mark.parametrize("kind", [MapspaceKind.PFM, MapspaceKind.RUBY_S])
+    def test_deeper_frontier_covers_the_tree(self, kind):
+        """A target above the first menu expands further, best-first, and
+        its units stay disjoint subtrees in ascending-bound order."""
+        space, evaluator = _toy_fixture(kind)
+        walker = _driver_walker(space, evaluator)
+        target = 2 * len(walker.dims_order[0][1])
+        units = walker.frontier(target)
+        assert len(units) >= target
+        assert max(len(unit) for unit in units) >= 2
+        assert len(set(units)) == len(units)
+        assert not any(
+            other[:len(unit)] == unit
+            for unit in units for other in units if other != unit
+        )
+        bounds = [
+            float(walker.bound_engine.bound(
+                {walker.dims_order[d][0]: k for d, k in enumerate(unit)},
+                "edp",
+            ))
+            for unit in units
+        ]
+        assert bounds == sorted(bounds)
+        _assert_covers(walker, units)
+
+    def test_stops_when_every_unit_is_fully_assigned(self):
+        space, evaluator = _toy_fixture()
+        walker = _driver_walker(space, evaluator)
+        units = walker.frontier(10**6)
+        assert units
+        assert all(len(unit) == walker.num_dims for unit in units)
+        _assert_covers(walker, units)
+
+    def test_pools_get_units_to_share(self):
+        """Two workers get several units on both parallel fixtures (the
+        killed-worker test kills the worker that takes unit 2)."""
+        for space, evaluator in (_toy_fixture(), _eyeriss_fixture()):
+            walker = _driver_walker(space, evaluator)
+            assert len(walker.frontier(UNITS_PER_WORKER * 2)) >= 3
 
 
 class TestParallelParity:
@@ -115,10 +216,6 @@ class TestParallelParity:
             space, evaluator, seed=0, workers=2, leaf_width=4
         ).run()
         assert parallel.best_metric == serial.best_metric
-        kinds = {
-            row["kind"] for row in parallel.stats["pool"]["units"]
-        }
-        assert kinds == {"walk"}
         bnb = parallel.stats["bnb"]
         # Deep walks must both expand interior nodes and defer leaves —
         # the two counters are distinct stats and both must register.
@@ -140,11 +237,9 @@ class TestParallelStats:
         assert result.stats["pool_mode"] in ("fork", "spawn", "sequential")
         pool = result.stats["pool"]
         assert pool["workers"] == 2
-        assert pool["partition_depth"] >= 1
         assert pool["num_units"] == len(pool["units"])
         assert "transport" not in pool
         for row in pool["units"]:
-            assert row["kind"] == "walk"
             assert row["evaluations"] >= 0
             assert row["elapsed_s"] >= 0.0
 

@@ -1,12 +1,14 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import gc
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.exceptions import SpecError
+from repro.obs import active_obs
 from repro.problem.shorthand import shorthand_workload, split_shape
 
 
@@ -401,6 +403,16 @@ class TestObsFlags:
         assert "search.run" in out
         assert "span" in out  # header row
 
+    @pytest.mark.parametrize("command", ["dump", "summarize"])
+    def test_obs_missing_trace_exits_with_spec_error(
+        self, command, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["obs", command, str(missing)]) == SpecError.exit_code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(missing) in captured.err
+
     def test_obs_summarize_empty_trace_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -507,3 +519,36 @@ class TestSpecFiles:
         assert str(spec) in err
         assert needle in err
         assert not journal.exists()
+
+
+class TestUnopenableJournal:
+    """A journal path that is a directory is a SpecError, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["campaign", "status", "--journal", "{journal}"],
+         ["campaign", "run", "--suite", "toy", "--arch", "toy16",
+          "--journal", "{journal}"],
+         ["serve", "--port", "0", "--journal", "{journal}"]],
+        ids=["campaign-status", "campaign-run", "serve"],
+    )
+    def test_directory_journal_exits_with_spec_error(
+        self, argv, tmp_path, capsys
+    ):
+        code = main([arg.format(journal=tmp_path) for arg in argv])
+        assert code == SpecError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error (SpecError):")
+        assert str(tmp_path) in err and err.count("\n") == 1
+        # A service whose start failed leaves no obs scope installed.
+        gc.collect()
+        assert active_obs() is None
+
+
+class TestVerifyCases:
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_cases_below_one_fail_before_any_check(self, cases, capsys):
+        assert main(["verify", "--cases", cases]) == SpecError.exit_code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cases must be >= 1" in captured.err
