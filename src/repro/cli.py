@@ -352,7 +352,15 @@ def _parse_kinds(text: str) -> List[str]:
 
 
 def _parse_seeds(text: str) -> List[int]:
-    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    from repro.exceptions import SpecError
+
+    try:
+        seeds = [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise SpecError(f"--seeds must list integers, got {text!r}")
+    return seeds
 
 
 def _load_fault_plan(path: Optional[str]):

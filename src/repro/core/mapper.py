@@ -27,9 +27,10 @@ from repro.mapspace.generator import MapspaceKind
 from repro.model.evaluator import Evaluator
 from repro.problem.workload import Workload
 from repro.search import POOLED_STRATEGIES, STRATEGIES
-from repro.search.loop import check_int, check_objective
+from repro.search.loop import check_int, check_kind, check_objective
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
+from repro.utils.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,11 @@ class MapperConfig:
             stores every evaluation); the kernels never look it up and
             store only improvements and fallback rows.
         workers: process count. With ``workers > 1`` the random strategy
-            runs that many independent seeded streams
-            (:func:`~repro.search.parallel.parallel_random_search`, the
-            paper's multi-thread setup; ``max_evaluations`` and
-            ``patience`` apply per worker), and branch-bound shares its
+            runs that many independent streams, seeded from ``seed``, as
+            one best-of-seeds job
+            (:func:`~repro.search.campaign.search_job`, the paper's
+            multi-thread setup; ``max_evaluations`` and ``patience``
+            apply per stream), and branch-bound shares its
             subtrees over the pool with a shared incumbent (results stay
             bit-identical to the serial walk). The other strategies have
             no pool and reject ``workers > 1``.
@@ -86,13 +88,7 @@ class MapperConfig:
     start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        try:
-            MapspaceKind(self.kind)
-        except (TypeError, ValueError):
-            raise SearchError(
-                f"unknown mapspace kind {self.kind!r}; use "
-                f"{', '.join(kind.value for kind in MapspaceKind)}"
-            ) from None
+        check_kind(self.kind)
         object.__setattr__(
             self, "objective", check_objective(self.objective)
         )
@@ -175,24 +171,31 @@ class Mapper:
     def _run(
         self, seed: Optional[Union[int, random.Random]] = None
     ) -> SearchResult:
-        effective_seed = seed if seed is not None else self.config.seed
-        strategy = self.config.strategy
-        if strategy == "random" and self.config.workers > 1:
-            from repro.search.parallel import parallel_random_search
+        config = self.config
+        effective_seed = seed if seed is not None else config.seed
+        strategy = config.strategy
+        if strategy == "random" and config.workers > 1:
+            from repro.search.campaign import CampaignJob, search_job
 
-            return parallel_random_search(
-                self.arch,
-                self.workload,
-                kind=self.config.kind,
-                constraints=self.config.constraints,
-                objective=self.config.objective,
-                max_evaluations=self.config.max_evaluations,
-                patience=self.config.patience,
-                workers=self.config.workers,
-                seed=effective_seed,
+            rng = make_rng(effective_seed)
+            seeds = tuple(rng.getrandbits(32) for _ in range(config.workers))
+            job = CampaignJob(
+                job_id=self.workload.name,
+                arch=self.arch,
+                workload=self.workload,
+                kind=MapspaceKind(config.kind).value,
+                objective=config.objective,
+                max_evaluations=config.max_evaluations,
+                patience=config.patience,
+                seeds=seeds,
+                constraints=config.constraints,
+            )
+            return search_job(
+                job,
+                workers=config.workers,
+                start_method=config.start_method,
+                use_batch=config.use_batch,
                 energy_table=self.evaluator.energy_table,
-                start_method=self.config.start_method,
-                use_batch=self.config.use_batch,
             )
         if strategy == "random":
             return RandomSearch(

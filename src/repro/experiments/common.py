@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.arch.spec import Architecture
@@ -13,8 +12,8 @@ from repro.problem.workload import Workload
 from repro.search.campaign import (
     CampaignJob,
     active_session,
+    best_of_seeds,
     default_job_id,
-    search_job,
 )
 
 
@@ -57,7 +56,7 @@ def multi_seed_search(
     session = active_session()
     if session is not None:
         return session.submit(job)
-    return search_job(job)[0]
+    return best_of_seeds(job).best
 
 
 def best_metrics_by_kind(
@@ -85,8 +84,3 @@ def best_metrics_by_kind(
         for kind in kinds
     }
 
-
-def spawn_seeds(base_seed: int, count: int) -> list:
-    """Derive ``count`` deterministic seeds from one base seed."""
-    rng = random.Random(base_seed)
-    return [rng.getrandbits(32) for _ in range(count)]

@@ -16,7 +16,8 @@ Everything is dependency-free, thread-safe (one lock per registry), and
 snapshot-oriented: :meth:`MetricsRegistry.snapshot` produces a plain dict
 that pickles across process pools, and :meth:`MetricsRegistry.merge`
 folds a child snapshot back into a parent registry — the aggregation
-path :mod:`repro.search.parallel` uses for per-worker metrics.
+path the worker pool (:mod:`repro.search.worker_pool`) uses for
+per-worker metrics.
 
 Exporters: :meth:`MetricsRegistry.to_json` (stable machine-readable
 payload for ``--metrics-out``) and :meth:`MetricsRegistry.to_prometheus`

@@ -1057,6 +1057,6 @@ class BranchBoundSearch:
             else:
                 root_bound = walker.walk(())
             ledger.close_tree(walker, root_bound, warm_metric)
-        result = ledger.result("exhausted")
+            result = ledger.result("exhausted")
         result.stats.update(pool)
         return result

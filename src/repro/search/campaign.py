@@ -61,7 +61,9 @@ from repro.problem.workload import Workload
 from repro.utils.faults import FaultPlan
 
 if TYPE_CHECKING:  # the generator (and NumPy) load only when a job runs
+    from repro.energy.table import EnergyTable
     from repro.mapspace.generator import MapspaceKind
+    from repro.search.result import SearchResult
 
 logger = logging.getLogger(__name__)
 
@@ -185,54 +187,171 @@ class CampaignResult:
 # ------------------------------------------------------- worker execution
 
 
-def search_job(job: CampaignJob) -> Tuple[Any, int, int]:
-    """Run a job's seeds through ``find_best_mapping``, best one wins.
+def search_job(
+    job: CampaignJob,
+    workers: int = 1,
+    start_method: Optional[str] = None,
+    use_batch: bool = True,
+    energy_table: Optional["EnergyTable"] = None,
+) -> "SearchResult":
+    """Run one :class:`RandomSearch` per seed of ``job``; the best wins.
 
-    The one description of a best-of-seeds search: campaign workers run
-    it under the journal and ``multi_seed_search`` runs it inline, so
-    journaled and direct experiments compute the same figure. Returns
-    ``(best Evaluation, num_evaluated, num_valid)`` summed over seeds.
-    The mapper is imported lazily so this module never participates in
-    the ``repro.search`` ↔ ``repro.core`` import cycle.
+    The one best-of-seeds body (the paper's independent search threads),
+    behind campaign jobs, ``multi_seed_search`` and the mapper's random
+    strategy with ``workers > 1``. Each process prices all its seeds on
+    one mapspace and evaluator, with ``energy_table`` (estimated once here
+    when omitted). One worker runs the seeds here, in order; more fan them
+    out over :func:`~repro.search.worker_pool.run_jobs`, where a failing
+    seed raises :class:`~repro.exceptions.WorkerError`.
+
+    Budget and patience apply per seed. Counts and ``stats["batch"]`` are
+    summed over seeds; ``best`` (``None`` if no seed found a valid
+    mapping), ``curve`` and ``terminated_by`` are the winner's, the
+    earliest seed winning a tie. ``stats`` adds ``pool_mode`` and one
+    ``workers`` row per seed.
     """
-    from repro.core.mapper import find_best_mapping
+    from repro.energy.accelergy import estimate_energy_table
+    from repro.search.loop import (
+        BatchCounts, RunLedger, check_int, check_kind, check_objective,
+    )
+    from repro.search.result import SearchResult
+
+    objective = check_objective(job.objective)
+    check_kind(job.kind)
+    check_int("max_evaluations", job.max_evaluations, minimum=1)
+    if not job.seeds:
+        raise SearchError(f"job {job.job_id!r} has no seeds to search")
+    state = {
+        "job": job,
+        "energy_table": energy_table or estimate_energy_table(job.arch),
+        "use_batch": use_batch,
+        "obs": obs.active_obs() is not None,
+    }
+    # Progress advances a whole seed at a time (finishing snaps it).
+    ledger = RunLedger(
+        None, "seeds", objective,
+        total_units=len(job.seeds) * job.max_evaluations,
+    )
+
+    def on_result(result: "SearchResult") -> None:
+        # Each seed's own ledger published its counts: sum them, only.
+        ledger.evaluations += result.num_evaluated
+        ledger.num_valid += result.num_valid
+        batch = result.stats["batch"]
+        ledger.batch += BatchCounts(
+            batch["batches"], batch["candidates"], batch["pruned"],
+            batch["fallback"], batch["infeasible"],
+        )
+        ledger.progress.advance(result.num_evaluated)
+        if result.best is not None:
+            metric = result.best.metric(objective)
+            if metric < ledger.best_metric:
+                ledger.best_metric = metric
+                ledger.progress.improved(metric)
+
+    with ledger, obs.trace(
+        "search.run", driver="seeds", workers=workers, objective=objective
+    ):
+        if workers == 1:
+            results, pool_mode = [], "sequential"
+            for seed in job.seeds:
+                results.append(_seed_search(state, seed))
+                on_result(results[-1])
+        else:
+            from repro.search import worker_pool
+
+            results, pool_mode, _ = worker_pool.run_jobs(
+                _pool_seed_search, state, list(enumerate(job.seeds)),
+                workers, start_method=start_method, on_result=on_result,
+            )
+            worker_pool.collect_worker_obs(result.stats for result in results)
+        winner = min(
+            (result for result in results if result.best is not None),
+            key=lambda result: result.best.metric(objective),
+            default=None,
+        )
+        ledger.stop()
+    stats = ledger.stats()
+    del stats["bnb"]  # no tree walk
+    stats["pool_mode"] = pool_mode
+    stats["workers"] = [
+        {"worker": index, "seed": seed, "num_evaluated": result.num_evaluated,
+         "num_valid": result.num_valid, "terminated_by": result.terminated_by,
+         "elapsed_s": result.stats["elapsed_s"],
+         "evals_per_sec": result.stats["evals_per_sec"]}
+        for index, (seed, result) in enumerate(zip(job.seeds, results))
+    ]
+    return SearchResult(
+        best=winner.best if winner else None,
+        objective=objective,
+        num_evaluated=ledger.evaluations,
+        num_valid=ledger.num_valid,
+        terminated_by=winner.terminated_by if winner else "budget",
+        curve=winner.curve if winner else [],
+        stats=stats,
+    )
+
+
+def _seed_search(state: Dict[str, Any], seed: int) -> "SearchResult":
+    """One seed's search on the job's stack, built at the first seed a
+    process runs (each pool worker holds its own ``state``)."""
+    from repro.search.random_search import RandomSearch
+
+    job = state["job"]
+    if "stack" not in state:
+        from repro.mapspace.factory import make_mapspace
+        from repro.model.evaluator import Evaluator
+
+        state["stack"] = (
+            make_mapspace(job.arch, job.workload, job.kind, job.constraints),
+            Evaluator(job.arch, job.workload, state["energy_table"]),
+        )
+    return RandomSearch(
+        *state["stack"], objective=job.objective, seed=seed,
+        max_evaluations=job.max_evaluations, patience=job.patience,
+        use_batch=state["use_batch"],
+    ).run()
+
+
+def _pool_seed_search(
+    state: Dict[str, Any], work: Tuple[int, int]
+) -> "SearchResult":
+    """Pool entry point: :func:`_seed_search` of ``work = (index, seed)``,
+    under a private registry whose snapshot rides back in the stats when
+    the driver had an observability scope."""
+    from repro.search.worker_pool import (
+        OBS_SNAPSHOT_KEY, run_under_worker_obs, worker_errors,
+    )
+
+    with worker_errors(*work):
+        result, snapshot = run_under_worker_obs(
+            state["obs"], lambda: _seed_search(state, work[1])
+        )
+    if snapshot is not None:
+        result.stats[OBS_SNAPSHOT_KEY] = snapshot
+    return result
+
+
+def best_of_seeds(job: CampaignJob) -> "SearchResult":
+    """:func:`search_job` here, or :class:`SearchError` when no seed
+    found a valid mapping (what a figure or campaign job needs)."""
     from repro.mapspace.generator import MapspaceKind
 
-    best = None
-    num_evaluated = 0
-    num_valid = 0
-    for seed in job.seeds:
-        result = find_best_mapping(
-            job.arch,
-            job.workload,
-            kind=job.kind,
-            objective=job.objective,
-            seed=seed,
-            max_evaluations=job.max_evaluations,
-            patience=job.patience,
-            constraints=job.constraints,
-        )
-        num_evaluated += result.num_evaluated
-        num_valid += result.num_valid
-        if result.best is None:
-            continue
-        if best is None or result.best.metric(job.objective) < best.metric(
-            job.objective
-        ):
-            best = result.best
-    if best is None:
+    result = search_job(job)
+    if result.best is None:
         raise SearchError(
             f"no valid {MapspaceKind(job.kind).value} mapping found for "
             f"{job.workload.name} on {job.arch.name}"
         )
-    return best, num_evaluated, num_valid
+    return result
 
 
 def _execute_job(job: CampaignJob) -> Dict[str, Any]:
     """Run one job's search; returns the journal payload."""
     from repro.io.serde import mapping_to_dict
 
-    best, num_evaluated, num_valid = search_job(job)
+    result = best_of_seeds(job)
+    best = result.best
     return {
         "metrics": {
             "edp": best.edp,
@@ -241,8 +360,8 @@ def _execute_job(job: CampaignJob) -> Dict[str, Any]:
             "utilization": best.utilization,
         },
         "mapping": mapping_to_dict(best.mapping),
-        "num_evaluated": num_evaluated,
-        "num_valid": num_valid,
+        "num_evaluated": result.num_evaluated,
+        "num_valid": result.num_valid,
     }
 
 

@@ -100,7 +100,7 @@ class ExhaustiveSearch:
                         tables=tables,
                     )
                 ledger.record_batch(batch, outcome)
-        return ledger.result("exhausted")
+            return ledger.result("exhausted")
 
     def _tables(self, engine):
         """The per-chain tables enumerated rows are priced from, or None.

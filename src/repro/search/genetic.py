@@ -148,7 +148,7 @@ class GeneticSearch:
                     pool.sort(key=lambda pair: pair[0])
                     scored = pool[: self.population_size]
                 obs.inc("search.generations", driver="genetic")
-        return ledger.result("budget")
+            return ledger.result("budget")
 
     def _select(self, scored: List[Tuple[float, Genome]]) -> Genome:
         contenders = [

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import SearchError
-from repro.mapspace.generator import MapSpace
+from repro.mapspace.generator import MapSpace, MapspaceKind
 from repro.model.batch import BatchEvaluator, BatchOutcome, MappingBatch
 from repro.model.evaluator import OBJECTIVES, Evaluation, Evaluator
 from repro.obs import TIMING_BUCKETS, ProgressTracker
@@ -60,6 +60,17 @@ def check_objective(objective: Any) -> str:
             f"unknown objective {objective!r}; use edp, energy, or delay"
         )
     return "delay" if objective in ("cycles", "latency") else objective
+
+
+def check_kind(kind: Any) -> MapspaceKind:
+    """The :class:`MapspaceKind` ``kind`` names, or :class:`SearchError`."""
+    try:
+        return MapspaceKind(kind)
+    except (TypeError, ValueError):
+        raise SearchError(
+            f"unknown mapspace kind {kind!r}; use "
+            f"{', '.join(known.value for known in MapspaceKind)}"
+        ) from None
 
 
 def check_int(
@@ -201,9 +212,11 @@ def _bnb_stats(
 class RunLedger:
     """Accounting for one search run.
 
-    Use as a context manager around the run: it times the run, and on a
-    clean exit finishes the progress tracker and publishes
-    ``search.runs`` / ``search.run_seconds``. ``mode`` reads
+    Use as a context manager around the run: it times the run, and at
+    :meth:`stop` (or a clean exit) finishes the progress tracker and
+    publishes ``search.runs`` / ``search.run_seconds``. Build the result
+    inside the run's ``search.run`` span, so the span and the clock both
+    cover the final best's pricing. ``mode`` reads
     ``"batch"`` when the engine's kernels price the rows and ``"scalar"``
     when its row-wise switch is off.
 
@@ -246,6 +259,7 @@ class RunLedger:
         )
         self.elapsed_s = 0.0
         self._started = 0.0
+        self._stopped = False
         self.evaluations = 0
         self.num_valid = 0
         self.batch = BatchCounts()
@@ -259,16 +273,24 @@ class RunLedger:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed_s = time.perf_counter() - self._started
         if exc_type is None:
-            self.progress.finish()
-            obs.inc("search.runs", driver=self.driver)
-            obs.observe(
-                "search.run_seconds",
-                self.elapsed_s,
-                buckets=TIMING_BUCKETS,
-                driver=self.driver,
-            )
+            self.stop()
+
+    def stop(self) -> None:
+        """Stop the run's clock, finish its progress and publish
+        ``search.runs`` / ``search.run_seconds``, once."""
+        if self._stopped:
+            return
+        self._stopped = True
+        self.elapsed_s = time.perf_counter() - self._started
+        self.progress.finish()
+        obs.inc("search.runs", driver=self.driver)
+        obs.observe(
+            "search.run_seconds",
+            self.elapsed_s,
+            buckets=TIMING_BUCKETS,
+            driver=self.driver,
+        )
 
     def price_batch(
         self, batch: MappingBatch, prune: bool = False
@@ -407,9 +429,12 @@ class RunLedger:
         return payload
 
     def result(self, terminated_by: str) -> SearchResult:
-        """The run's result; builds the final best's evaluation."""
+        """The run's result: builds the final best's evaluation, then
+        stops the run."""
+        best = self._make_best() if self._make_best is not None else None
+        self.stop()
         return SearchResult(
-            best=self._make_best() if self._make_best is not None else None,
+            best=best,
             objective=self.objective,
             num_evaluated=self.evaluations,
             num_valid=self.num_valid,

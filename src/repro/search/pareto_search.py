@@ -151,10 +151,11 @@ class ParetoSearch:
                     ]
                     frontier.append(evaluation)
                     ledger.progress.improved(float(len(frontier)))
-        frontier.sort(key=lambda e: (e.energy_pj, e.cycles))
-        return ParetoSearchResult(
-            frontier=frontier,
-            num_evaluated=ledger.evaluations,
-            num_valid=ledger.num_valid,
-            stats=ledger.stats(),
-        )
+            frontier.sort(key=lambda e: (e.energy_pj, e.cycles))
+            ledger.stop()
+            return ParetoSearchResult(
+                frontier=frontier,
+                num_evaluated=ledger.evaluations,
+                num_valid=ledger.num_valid,
+                stats=ledger.stats(),
+            )

@@ -25,9 +25,9 @@ from repro.utils import batching
 from repro.utils.rng import make_rng
 
 #: The paper's per-thread termination criterion (Section IV-B): 3000
-#: consecutive valid non-improving mappings. Shared by :class:`RandomSearch`
-#: and :func:`~repro.search.parallel.parallel_random_search` so the
-#: sequential and parallel drivers agree.
+#: consecutive valid non-improving mappings. It applies per stream, so
+#: each seed of a best-of-seeds job
+#: (:func:`~repro.search.campaign.search_job`) is judged on its own.
 DEFAULT_PATIENCE = 3_000
 
 
@@ -131,4 +131,4 @@ class RandomSearch:
                 ):
                     terminated_by = "patience"
                     break
-        return ledger.result(terminated_by)
+            return ledger.result(terminated_by)

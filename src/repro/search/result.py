@@ -45,11 +45,10 @@ class SearchResult:
             a branch-and-bound tree walk) and a ``progress`` sub-dict.
             Cached evaluators add a ``cache`` sub-dict (hits/misses/
             hit_rate/size/max_entries; hits and misses are the cache's
-            delta over the run). The parallel
-            drivers add ``pool_mode`` ("fork", "spawn", or "sequential");
-            random multi-start adds a ``workers`` list with per-worker
-            counts (and carries no ``bnb``), parallel branch-and-bound a
-            ``pool`` breakdown.
+            delta over the run). Pooled runs add ``pool_mode`` ("fork",
+            "spawn", or "sequential"): a best-of-seeds search with a
+            ``workers`` list of per-seed counts (and no ``bnb``),
+            parallel branch-and-bound with a ``pool`` breakdown.
     """
 
     best: Optional[Evaluation]

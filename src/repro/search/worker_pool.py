@@ -1,8 +1,8 @@
 """Worker processes for campaigns and parallel searches.
 
-One worker layer, :class:`WorkerSet`, runs the campaign runner
-(:mod:`repro.search.campaign`), the parallel random search
-(:mod:`repro.search.parallel`) and parallel branch-and-bound
+One worker layer, :class:`WorkerSet`, runs the campaign runner and
+the pooled best-of-seeds search (both in :mod:`repro.search.campaign`)
+and parallel branch-and-bound
 (:mod:`repro.search.branch_bound_parallel`); :func:`run_jobs` is the
 searches' loop over it. The rest is the searches' shared worker side:
 :class:`SharedIncumbent`, a context-matched cross-process best-so-far

@@ -41,8 +41,9 @@ answers are known a priori:
   ``sample_chains`` / ``resample_dim`` draw the oracle's chains — also
   under a ``random.Random`` subclass that overrides ``random()``;
 * **Seed determinism** — each of the five searchers run twice from one
-  seed produces the same trajectory, and ``parallel_random_search`` finds
-  the same best metric under fork and spawn start methods.
+  seed produces the same trajectory, and a best-of-seeds
+  :func:`~repro.search.campaign.search_job` finds the same best metric
+  under fork and spawn start methods.
 
 Each invariant is a seed-deterministic callable returning a list of
 violation strings, so the CLI can run them without Hypothesis; the
@@ -82,7 +83,7 @@ from repro.search import (
     RandomSearch,
 )
 from repro.search.branch_bound import DEFAULT_LEAF_WIDTH
-from repro.search.parallel import parallel_random_search
+from repro.search.campaign import CampaignJob, search_job
 from repro.utils.mathx import ceil_div, divisors
 
 #: Multiprocessing start methods the determinism invariant compares.
@@ -1009,40 +1010,31 @@ def check_seed_determinism(seed: int = 0) -> Tuple[int, List[str]]:
 def check_parallel_start_methods(
     seed: int = 0, max_evaluations: int = 240, workers: int = 2
 ) -> Tuple[int, List[str]]:
-    """Fork and spawn parallel searches agree on the best mapping found."""
+    """A best-of-seeds job over a fork pool and over a spawn pool finds
+    the same best mapping."""
     import multiprocessing
 
     _, arch, workload = _toy_setup(seed)
+    job = CampaignJob(
+        "start-method-determinism", arch, workload,
+        max_evaluations=max_evaluations,
+        seeds=tuple(range(seed, seed + workers)),
+    )
     available = multiprocessing.get_all_start_methods()
     fingerprints: Dict[str, Tuple] = {}
-    checked = 0
-    violations: List[str] = []
-    for method in START_METHODS:
-        if method not in available:
-            continue
-        checked += 1
-        result = parallel_random_search(
-            arch,
-            workload,
-            kind=MapspaceKind.RUBY_S,
-            max_evaluations=max_evaluations,
-            patience=None,
-            workers=workers,
-            seed=seed,
-            start_method=method,
-        )
-        best = result.best
+    for method in (m for m in START_METHODS if m in available):
+        best = search_job(job, workers=workers, start_method=method).best
         fingerprints[method] = (
             (best.mapping.signature(), best.energy_pj, best.cycles)
             if best is not None
             else None
         )
     if len(set(fingerprints.values())) > 1:
-        violations.append(
-            "start-method-determinism: parallel search best differs across "
+        return len(fingerprints), [
+            "start-method-determinism: best-of-seeds best differs across "
             + ", ".join(sorted(fingerprints))
-        )
-    return checked, violations
+        ]
+    return len(fingerprints), []
 
 
 #: The invariant registry, in the order the CLI reports them.

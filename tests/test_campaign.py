@@ -95,6 +95,13 @@ class TestRunCampaign:
             assert outcome.metrics["edp"] > 0
             assert outcome.mapping is not None
 
+    def test_job_without_seeds_is_rejected_by_cause(self):
+        from repro.exceptions import SearchError
+        from repro.search.campaign import search_job
+
+        with pytest.raises(SearchError, match="no seeds"):
+            search_job(_job(seeds=()))
+
     def test_duplicate_job_ids_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="duplicate"):
             run_campaign([_job("a"), _job("a")], CampaignConfig())
@@ -726,7 +733,7 @@ class TestCampaignSession:
         from repro.search.campaign import search_job
 
         direct = {
-            job_id: search_job(_job(job_id, size))[0].edp
+            job_id: search_job(_job(job_id, size)).best.edp
             for job_id, size in self.JOBS
         }
         _record_pid_search(monkeypatch, tmp_path / "pids")

@@ -314,6 +314,13 @@ class TestCampaignCommand:
         assert "CampaignError" in capsys.readouterr().err
         assert not journal.exists()
 
+    @pytest.mark.parametrize("seeds", ["1,x", "", ","])
+    def test_bad_seeds_fail_before_any_job(self, tmp_path, capsys, seeds):
+        code, journal = self._run_toy(tmp_path, extra=["--seeds", seeds])
+        assert code == 2  # SpecError
+        assert "--seeds" in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_resume_bad_settings_fail_before_any_job(self, tmp_path, capsys):
         code, journal = self._run_toy(tmp_path)
         assert code == 0

@@ -4,7 +4,7 @@ A run's candidate, improvement and batch-kernel counts are owned by its
 :class:`~repro.search.loop.RunLedger`; ``SearchResult.stats``, the
 registry behind ``/metrics`` and the tracker behind ``/progress`` are
 all fed from it. These tests run every driver on both pricers, serial
-and parallel branch-and-bound, parallel random search and a second
+and parallel branch-and-bound, a pooled best-of-seeds search and a second
 service job on a reused evaluator-pool entry, each under its own
 registry, and check that the readers report the same numbers.
 """
@@ -28,7 +28,7 @@ from repro.search import (
     GeneticSearch,
     RandomSearch,
 )
-from repro.search.parallel import parallel_random_search
+from repro.search.campaign import CampaignJob, search_job
 from repro.search.pareto_search import ParetoSearch
 from repro.service import JobManager
 
@@ -145,12 +145,16 @@ class TestParallelDrivers:
     def test_parallel_random(self, toy_space):
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            result = parallel_random_search(
-                toy_space.arch, toy_space.workload, kind="ruby-s",
-                workers=2, max_evaluations=200, patience=None, seed=3,
+            result = search_job(
+                CampaignJob(
+                    job_id="seeds", arch=toy_space.arch,
+                    workload=toy_space.workload, kind="ruby-s",
+                    max_evaluations=200, patience=None, seeds=(3, 4),
+                ),
+                workers=2,
             )
-        # Its curve is the winning worker's by design, so only the
-        # candidate and batch counts are pool-wide.
+        # Its curve is the winning seed's by design, so only the
+        # candidate and batch counts are summed over seeds.
         batch = assert_counts_agree(result, registry, scalar_incumbent=False)
         assert batch["candidates"] == result.num_evaluated
 

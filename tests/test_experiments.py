@@ -29,7 +29,7 @@ from repro.experiments.ablations import (
     run_sampler_ablation,
     run_search_ablation,
 )
-from repro.experiments.common import multi_seed_search, spawn_seeds
+from repro.experiments.common import multi_seed_search
 from repro.experiments.fig07 import SCENARIOS
 
 
@@ -169,10 +169,6 @@ class TestCommonHelpers:
                 impossible, vector100, "pfm", seeds=(0,),
                 max_evaluations=50, patience=None,
             )
-
-    def test_spawn_seeds_deterministic(self):
-        assert spawn_seeds(7, 3) == spawn_seeds(7, 3)
-        assert spawn_seeds(7, 3) != spawn_seeds(8, 3)
 
 
 class TestFig13PaddingPath:

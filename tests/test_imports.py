@@ -95,6 +95,31 @@ def test_campaign_imports_no_worker_layer(module):
     assert loaded == []
 
 
+def test_inline_seeds_load_no_worker_layer():
+    # A best-of-seeds job with one worker runs its seeds in this process:
+    # the pool, and multiprocessing with it, never load. A one-worker
+    # mapper search never loads the best-of-seeds body at all.
+    loaded = run_fresh(textwrap.dedent(SEARCH_SETUP) + textwrap.dedent("""
+        from repro import find_best_mapping
+        result = find_best_mapping(
+            arch, workload, max_evaluations=100, patience=None, seed=0,
+            workers=1,
+        )
+        assert result.best is not None
+        campaign = "repro.search.campaign" in sys.modules
+        from repro.experiments.common import multi_seed_search
+        multi_seed_search(
+            arch, workload, "ruby-s", seeds=(1, 2), max_evaluations=100,
+            patience=None,
+        )
+        worker_layer = ("multiprocessing", "repro.search.worker_pool")
+        print(json.dumps(
+            [campaign] + [m for m in worker_layer if m in sys.modules]
+        ))
+    """))
+    assert loaded == [False]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"],

@@ -18,7 +18,14 @@ from repro.search import (
     GeneticSearch,
     RandomSearch,
 )
-from repro.search.parallel import parallel_random_search
+from repro.search.campaign import CampaignJob, search_job
+
+
+def _seeds_job(arch, workload, seeds, budget):
+    return CampaignJob(
+        job_id="seeds", arch=arch, workload=workload, kind="pfm",
+        max_evaluations=budget, patience=None, seeds=seeds,
+    )
 
 
 def _span_names(tracer):
@@ -402,14 +409,8 @@ class TestParallelObs:
     ):
         registry = MetricsRegistry()
         with obs_scope(registry=registry):
-            result = parallel_random_search(
-                toy_arch,
-                vector100,
-                kind="pfm",
-                workers=2,
-                max_evaluations=100,
-                patience=None,
-                seed=7,
+            result = search_job(
+                _seeds_job(toy_arch, vector100, (7, 8), 100), workers=2
             )
         # The transient per-worker snapshot never reaches callers.
         assert "_obs_registry" not in result.stats
@@ -417,7 +418,7 @@ class TestParallelObs:
         # plus the pool-level run from the driver. Candidates are counted
         # once, by the workers that priced them.
         assert registry.counter("search.runs").value(driver="random") == 2.0
-        assert registry.counter("search.runs").value(driver="parallel") == 1.0
+        assert registry.counter("search.runs").value(driver="seeds") == 1.0
         assert (
             registry.counter("search.candidates").total()
             == registry.counter("search.candidates").value(driver="random")
@@ -425,14 +426,8 @@ class TestParallelObs:
         )
 
     def test_no_snapshot_key_when_obs_inactive(self, toy_arch, vector100):
-        result = parallel_random_search(
-            toy_arch,
-            vector100,
-            kind="pfm",
-            workers=2,
-            max_evaluations=100,
-            patience=None,
-            seed=7,
+        result = search_job(
+            _seeds_job(toy_arch, vector100, (7, 8), 100), workers=2
         )
         assert "_obs_registry" not in result.stats
 
@@ -490,14 +485,8 @@ class TestStatsSchemaStability:
                 max_evaluations=100,
                 use_batch=True,
             ).run()
-            pooled = parallel_random_search(
-                toy_arch,
-                vector100,
-                kind="pfm",
-                workers=2,
-                max_evaluations=50,
-                patience=None,
-                seed=3,
+            pooled = search_job(
+                _seeds_job(toy_arch, vector100, (3, 4), 50), workers=2
             )
             return scalar, cached, batched, pooled
 
@@ -557,6 +546,63 @@ class TestUniformStatsSchema:
             assert set(stats["progress"]) == set(empty_progress_stats())
             assert set(stats["bnb"]) == set(empty_bnb_stats())
             assert stats["progress"]["completed_units"] > 0
+
+
+class TestOneRootSpan:
+    """A traced run is one span tree: the result, with its lazily priced
+    final best, is built inside ``search.run``, and the run's clock stops
+    there too."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        ["random", "genetic", "exhaustive", "pareto", "branch-bound", "seeds"],
+    )
+    def test_final_best_nests_under_search_run(
+        self, toy_arch, vector100, driver
+    ):
+        from repro.search.branch_bound import BranchBoundSearch
+        from repro.search.pareto_search import ParetoSearch
+
+        space = pfm_mapspace(toy_arch, vector100)
+        evaluator = Evaluator(toy_arch, vector100)
+        runs = {
+            "random": lambda: RandomSearch(
+                space, evaluator, seed=0, max_evaluations=100
+            ).run(),
+            "genetic": lambda: GeneticSearch(
+                space, evaluator, population_size=8, max_evaluations=24,
+                seed=0,
+            ).run(),
+            "exhaustive": lambda: ExhaustiveSearch(space, evaluator).run(),
+            "pareto": lambda: ParetoSearch(
+                space, evaluator, max_evaluations=100, seed=0
+            ).run(),
+            "branch-bound": lambda: BranchBoundSearch(
+                space, evaluator, seed=0
+            ).run(),
+            "seeds": lambda: search_job(
+                _seeds_job(toy_arch, vector100, (1, 2), 100)
+            ),
+        }
+        tracer = Tracer()
+        with obs_scope(registry=MetricsRegistry(), tracer=tracer):
+            result = runs[driver]()
+        records = tracer.records
+        roots = [r for r in records if r["parent_id"] is None]
+        assert [r["name"] for r in roots] == ["search.run"]
+        by_id = {r["span_id"]: r for r in records}
+
+        def under_search_run(record):
+            while record["parent_id"] is not None:
+                record = by_id[record["parent_id"]]
+                if record["name"] == "search.run":
+                    return True
+            return False
+
+        fresh = [r for r in records if r["name"] == "evaluator.fresh"]
+        assert fresh
+        assert all(under_search_run(r) for r in fresh)
+        assert 0 < result.stats["elapsed_s"] <= roots[0]["duration_s"] + 0.05
 
 
 class TestTraceFileFromSearch:

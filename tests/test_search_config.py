@@ -16,7 +16,7 @@ from repro.search import (
     GeneticSearch,
     RandomSearch,
 )
-from repro.search.parallel import parallel_random_search
+from repro.search.campaign import CampaignJob, search_job
 from repro.search.pareto_search import ParetoSearch
 from repro.service import parse_search_spec
 
@@ -82,8 +82,12 @@ def _searchers(objective, use_batch):
         "exhaustive": lambda: ExhaustiveSearch(space, evaluator, **common),
         "branch-bound": lambda: BranchBoundSearch(space, evaluator, **common),
         "genetic": lambda: GeneticSearch(space, evaluator, **common),
-        "parallel": lambda: parallel_random_search(
-            space.arch, space.workload, workers=2, **common
+        "parallel": lambda: search_job(
+            CampaignJob(
+                job_id="seeds", arch=space.arch, workload=space.workload,
+                objective=objective, seeds=(1, 2),
+            ),
+            workers=2, use_batch=use_batch,
         ),
     }
 

@@ -1,15 +1,17 @@
-"""Unit tests for the parallel multi-start search."""
+"""Unit tests for the best-of-seeds search and its worker pool."""
 
 import pytest
 
 from repro.arch import toy_glb_architecture
-from repro.core.mapper import MapperConfig, find_best_mapping
+from repro.core.mapper import Mapper, MapperConfig, find_best_mapping
+from repro.energy.accelergy import estimate_energy_table
 from repro.exceptions import SearchError
 from repro.mapspace import ruby_s_mapspace
 from repro.model import EvaluationCache, Evaluator
 from repro.problem.gemm import vector_workload
 from repro.search import RandomSearch
-from repro.search.parallel import parallel_random_search
+from repro.search.campaign import CampaignJob, search_job
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture
@@ -17,71 +19,66 @@ def setting():
     return toy_glb_architecture(6, 1024), vector_workload("v100", 100)
 
 
+def _job(setting, seeds, budget, kind="ruby-s", patience=None):
+    arch, workload = setting
+    return CampaignJob(
+        job_id="seeds", arch=arch, workload=workload, kind=kind,
+        max_evaluations=budget, patience=patience, seeds=tuple(seeds),
+    )
+
+
+def _mapper_seeds(base_seed, workers):
+    """The streams ``find_best_mapping(workers=N, seed=s)`` runs."""
+    rng = make_rng(base_seed)
+    return tuple(rng.getrandbits(32) for _ in range(workers))
+
+
 class TestParallelSearch:
     def test_single_worker_runs(self, setting):
-        arch, workload = setting
-        result = parallel_random_search(
-            arch, workload, workers=1, max_evaluations=300,
-            patience=None, seed=0,
-        )
+        result = search_job(_job(setting, [0], 300))
         assert result.best is not None and result.best.valid
         assert result.num_evaluated == 300
+        assert result.stats["pool_mode"] == "sequential"
 
     def test_multi_worker_aggregates_counts(self, setting):
-        arch, workload = setting
-        result = parallel_random_search(
-            arch, workload, workers=3, max_evaluations=200,
-            patience=None, seed=0,
-        )
+        result = search_job(_job(setting, [0, 1, 2], 200), workers=3)
         assert result.best is not None
         assert result.num_evaluated == 600
         assert result.num_valid <= 600
 
     def test_deterministic_given_seed(self, setting):
         arch, workload = setting
-        a = parallel_random_search(
-            arch, workload, workers=2, max_evaluations=150,
-            patience=None, seed=11,
-        )
-        b = parallel_random_search(
-            arch, workload, workers=2, max_evaluations=150,
-            patience=None, seed=11,
+        a, b = (
+            find_best_mapping(
+                arch, workload, workers=2, max_evaluations=150,
+                patience=None, seed=11,
+            )
+            for _ in range(2)
         )
         assert a.best_metric == b.best_metric
+        assert a.best.mapping == b.best.mapping
 
     def test_more_workers_never_worse(self, setting):
-        arch, workload = setting
-        one = parallel_random_search(
-            arch, workload, workers=1, max_evaluations=150,
-            patience=None, seed=3,
-        )
-        # Same seed stream: the 1-worker stream is the first of the
-        # 4-worker streams, so the merged best can only improve.
-        four = parallel_random_search(
-            arch, workload, workers=4, max_evaluations=150,
-            patience=None, seed=3,
-        )
+        one = search_job(_job(setting, [3], 150))
+        # The one-seed stream is the first of the four, so the merged
+        # best can only improve.
+        four = search_job(_job(setting, [3, 4, 5, 6], 150), workers=4)
         assert four.best_metric <= one.best_metric
 
     def test_rejects_bad_workers(self, setting):
-        arch, workload = setting
-        with pytest.raises(SearchError):
-            parallel_random_search(arch, workload, workers=0)
+        with pytest.raises(SearchError, match="workers"):
+            search_job(_job(setting, [0], 50), workers=0)
 
     def test_stats_expose_pool_and_workers(self, setting):
-        arch, workload = setting
-        result = parallel_random_search(
-            arch, workload, workers=3, max_evaluations=100,
-            patience=None, seed=5,
-        )
+        result = search_job(_job(setting, [5, 6, 7], 100), workers=3)
         stats = result.stats
         assert stats["pool_mode"] in ("fork", "spawn", "sequential")
         assert stats["evals_per_sec"] > 0
         rows = stats["workers"]
-        assert len(rows) == 3
+        assert [row["seed"] for row in rows] == [5, 6, 7]
         assert sum(row["num_evaluated"] for row in rows) == result.num_evaluated
         assert sum(row["num_valid"] for row in rows) == result.num_valid
-        # Workers price uncached: a parallel run is N serial streams.
+        # Seeds price uncached: a best-of-seeds run is N serial streams.
         assert "cache" not in stats
         assert not any("cache_hit_rate" in row for row in rows)
 
@@ -112,16 +109,31 @@ class TestParallelSearch:
 
     def test_no_valid_reports_none(self, setting):
         # An impossible architecture: nothing valid to find.
-        from repro.arch import toy_glb_architecture
-
-        arch = toy_glb_architecture(num_pes=6, glb_bytes=4)
         _, workload = setting
-        result = parallel_random_search(
-            arch, workload, kind="pfm", workers=2, max_evaluations=50,
-            patience=None, seed=0,
+        impossible = (toy_glb_architecture(num_pes=6, glb_bytes=4), workload)
+        result = search_job(
+            _job(impossible, _mapper_seeds(0, 2), 50, kind="pfm"), workers=2
         )
         assert result.best is None
         assert result.num_evaluated == 100
+
+    def test_shared_stack_matches_one_search_per_seed(self, setting):
+        # One mapspace and evaluator serve every seed; each seed still
+        # draws and prices the stream a search of its own would.
+        arch, workload = setting
+        merged = search_job(_job(setting, [1, 2, 3], 120, patience=40))
+        alone = [
+            find_best_mapping(
+                arch, workload, max_evaluations=120, patience=40, seed=seed,
+            )
+            for seed in (1, 2, 3)
+        ]
+        assert merged.num_evaluated == sum(r.num_evaluated for r in alone)
+        assert merged.num_valid == sum(r.num_valid for r in alone)
+        winner = min(alone, key=lambda r: r.best_metric)
+        assert merged.best.mapping == winner.best.mapping
+        assert merged.curve == winner.curve
+        assert merged.terminated_by == winner.terminated_by
 
 
 class TestMapperWorkers:
@@ -143,17 +155,30 @@ class TestMapperWorkers:
     @pytest.mark.parametrize("seed", [0, 9])
     def test_random_workers_run_the_parallel_pool(self, setting, seed):
         arch, workload = setting
-        kwargs = dict(
-            kind="ruby-s", max_evaluations=150, patience=60,
-            workers=2, seed=seed,
-        )
         mapped = find_best_mapping(
-            arch, workload, strategy="random", **kwargs
+            arch, workload, strategy="random", kind="ruby-s",
+            max_evaluations=150, patience=60, workers=2, seed=seed,
         )
-        pooled = parallel_random_search(arch, workload, **kwargs)
+        pooled = search_job(
+            _job(setting, _mapper_seeds(seed, 2), 150, patience=60),
+            workers=2,
+        )
         assert mapped.best_metric == pooled.best_metric
+        assert mapped.best.mapping == pooled.best.mapping
         assert mapped.num_evaluated == pooled.num_evaluated
         assert len(mapped.stats["workers"]) == 2
+
+    def test_random_workers_price_with_the_mappers_energy_table(
+        self, setting
+    ):
+        arch, workload = setting
+        table = estimate_energy_table(arch).scaled(3.0)
+        config = MapperConfig(
+            max_evaluations=100, patience=None, seed=0, workers=2
+        )
+        best = Mapper(arch, workload, config, energy_table=table).run().best
+        priced = Evaluator(arch, workload, table).evaluate(best.mapping)
+        assert best.energy_pj == priced.energy_pj
 
 
 class TestStartMethods:
@@ -161,12 +186,10 @@ class TestStartMethods:
     paper's 24-thread setup must not silently degrade to one core on
     spawn-only platforms), with identical results in every mode."""
 
+    SEEDS = _mapper_seeds(13, 4)
+
     def _run(self, setting, **kwargs):
-        arch, workload = setting
-        return parallel_random_search(
-            arch, workload, workers=4, max_evaluations=80,
-            patience=None, seed=13, **kwargs,
-        )
+        return search_job(_job(setting, self.SEEDS, 80), workers=4, **kwargs)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_forced_start_method_runs_multiprocess(self, setting, method):
@@ -178,12 +201,8 @@ class TestStartMethods:
     def test_spawn_parity_with_single_worker_and_fork(self, setting):
         spawn = self._run(setting, start_method="spawn")
         fork = self._run(setting, start_method="fork")
-        arch, workload = setting
-        one = parallel_random_search(
-            arch, workload, workers=1, max_evaluations=80,
-            patience=None, seed=13,
-        )
-        # Same seed stream everywhere: worker 0's stream IS the 1-worker
+        one = search_job(_job(setting, self.SEEDS[:1], 80))
+        # Same seed stream everywhere: seed 0's stream IS the one-seed
         # run, so the merged best can only improve on it — and fork vs
         # spawn must agree exactly.
         assert spawn.best_metric == fork.best_metric
@@ -217,28 +236,25 @@ class TestWorkerErrorContext:
 
         monkeypatch.setattr(RandomSearch, "run", explode)
 
-    @staticmethod
-    def _worker_seeds(base_seed, workers):
-        from repro.utils.rng import make_rng
-
-        rng = make_rng(base_seed)
-        return [rng.getrandbits(32) for _ in range(workers)]
-
     def test_single_worker_reports_index_and_seed(self, setting, monkeypatch):
         from repro.exceptions import WorkerError
 
+        # One seed on the pool path runs in this process, still
+        # attributed to its (index, seed).
         self._raise_in_search(monkeypatch)
-        arch, workload = setting
         with pytest.raises(WorkerError) as info:
-            parallel_random_search(
-                arch, workload, workers=1, max_evaluations=50,
-                patience=None, seed=7,
-            )
+            search_job(_job(setting, [7], 50), workers=2)
         assert info.value.index == 0
-        assert info.value.seed == self._worker_seeds(7, 1)[0]
+        assert info.value.seed == 7
         assert "synthetic search failure" in str(info.value)
         payload = info.value.payload()
         assert payload["index"] == 0 and payload["seed"] == info.value.seed
+
+    def test_inline_seeds_raise_the_search_error(self, setting, monkeypatch):
+        # With one worker no pool runs, so nothing wraps the error.
+        self._raise_in_search(monkeypatch)
+        with pytest.raises(RuntimeError, match="synthetic search failure"):
+            search_job(_job(setting, [7, 8], 50))
 
     def test_sequential_fallback_reports_failing_job(
         self, setting, monkeypatch
@@ -252,14 +268,10 @@ class TestWorkerErrorContext:
             "multiprocessing.get_context", explode, raising=True
         )
         self._raise_in_search(monkeypatch)
-        arch, workload = setting
         with pytest.raises(WorkerError) as info:
-            parallel_random_search(
-                arch, workload, workers=3, max_evaluations=50,
-                patience=None, seed=5,
-            )
+            search_job(_job(setting, [5, 6, 7], 50), workers=3)
         assert info.value.index == 0  # jobs run in order; first one dies
-        assert info.value.seed == self._worker_seeds(5, 3)[0]
+        assert info.value.seed == 5
 
     @pytest.mark.skipif(
         not hasattr(__import__("os"), "fork"), reason="needs fork"
@@ -270,13 +282,11 @@ class TestWorkerErrorContext:
         from repro.exceptions import WorkerError
 
         self._raise_in_search(monkeypatch)
-        arch, workload = setting
+        seeds = (9, 10)
         with pytest.raises(WorkerError) as info:
-            parallel_random_search(
-                arch, workload, workers=2, max_evaluations=50,
-                patience=None, seed=9, start_method="fork",
+            search_job(
+                _job(setting, seeds, 50), workers=2, start_method="fork"
             )
-        seeds = self._worker_seeds(9, 2)
         assert info.value.index in (0, 1)
         assert info.value.seed == seeds[info.value.index]
 
@@ -286,11 +296,12 @@ def test_killed_worker_fails_the_search(crash_run):
     """A worker SIGKILLed mid-search raises WorkerError for its job
     instead of hanging the driver, and every other worker is reaped."""
     report = crash_run("""
-        import repro.search.parallel as parallel
+        import repro.search.worker_pool as worker_pool
         from repro.arch import toy_glb_architecture
         from repro.problem.gemm import vector_workload
+        from repro.search.campaign import CampaignJob, search_job
 
-        attributed = parallel.worker_errors
+        attributed = worker_pool.worker_errors
 
 
         def killing(index, seed):
@@ -300,11 +311,12 @@ def test_killed_worker_fails_the_search(crash_run):
 
 
         def run():
-            parallel.worker_errors = killing  # forked workers inherit it
-            parallel.parallel_random_search(
-                toy_glb_architecture(6, 1024), vector_workload("v100", 100),
-                workers=2, max_evaluations=50, patience=None, seed=3,
-                start_method="fork",
+            worker_pool.worker_errors = killing  # forked workers inherit it
+            job = CampaignJob(
+                job_id="killed", arch=toy_glb_architecture(6, 1024),
+                workload=vector_workload("v100", 100), kind="ruby-s",
+                max_evaluations=50, patience=None, seeds=(3, 4),
             )
+            search_job(job, workers=2, start_method="fork")
     """)
     assert report == {"index": 1, "children": 0}
