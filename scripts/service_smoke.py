@@ -5,15 +5,17 @@ Drives a real ``repro serve`` subprocess through the acceptance contract:
 
 1. a live server absorbs 20+ concurrent requests (mixed identical and
    distinct specs) with every submission accepted, every job reaching
-   ``ok``, and the coalesce counter > 0 (identical in-flight requests
-   shared one job); the ``use_batch: false`` requests earn shared-cache
-   hits, and the kernel-priced ones make no cache lookups;
+   ``ok``, at least two worker processes serving them, and the coalesce
+   counter > 0 (identical in-flight requests shared one job); the
+   ``use_batch: false`` requests earn warm-cache hits, and the
+   kernel-priced ones make no cache lookups;
 2. the service's best-EDP answer is bit-identical to a direct in-process
    :func:`find_best_mapping` run with the same seed and config;
 3. per-job ``/progress`` and ``/metrics`` are served from the same
    listener;
-4. a SIGKILLed server restarted with ``--resume`` finishes every job it
-   had accepted — no lost work, exactly one terminal record per job.
+4. a SIGKILLed server leaves no worker process alive after a grace
+   period, and restarted with ``--resume`` it finishes every job it had
+   accepted — no lost work, exactly one terminal record per job.
 
 Runs in well under a minute; exits nonzero on any failure.
 """
@@ -46,6 +48,8 @@ CONCURRENT_CLIENTS = 20
 IDENTICAL_CLIENTS = 8  # submissions sharing one spec (must coalesce)
 PARITY_SEED = 7
 PARITY_BUDGET = 500
+#: Seconds a SIGKILLed server's workers get to notice and exit.
+WORKER_EXIT_GRACE_S = 5.0
 
 
 def fail(message: str) -> None:
@@ -99,6 +103,22 @@ def row_wise_spec(seed: int, max_evaluations: int) -> dict:
         "workload": {"gemm": {"m": 24, "n": 12, "k": 48}},
         "use_batch": False,
     }
+
+
+def alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        pass  # no procfs: ask the kernel instead
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def launch(journal: str, resume: bool = False) -> tuple:
@@ -188,6 +208,13 @@ def concurrent_load(url: str) -> None:
         len(identical_ids) == 1,
         f"identical in-flight requests did not share one job: {identical_ids}",
     )
+    bodies = [get_json(f"{url}/v1/jobs/{job_id}") for job_id in job_ids]
+    pids = {body["worker_pid"] for body in bodies}
+    check(
+        len(pids) >= 2,
+        f"{len(job_ids)} concurrent jobs ran in {len(pids)} worker "
+        f"process(es): {pids}",
+    )
     stats = get_json(url + "/v1/stats")
     check(
         stats["coalesced"] > 0,
@@ -207,8 +234,8 @@ def concurrent_load(url: str) -> None:
             f"batch-path job {job_id} looked the cache up: {cache}",
         )
     print(
-        f"load: {len(payloads)} concurrent requests -> {len(job_ids)} jobs, "
-        f"coalesced={stats['coalesced']}, "
+        f"load: {len(payloads)} concurrent requests -> {len(job_ids)} jobs "
+        f"on {len(pids)} worker processes, coalesced={stats['coalesced']}, "
         f"cache hits={stats['pool']['cache']['hits']}, {elapsed:.2f}s wall"
     )
 
@@ -238,10 +265,12 @@ def parity(url: str) -> None:
 
 
 def crash_recovery(journal: str) -> None:
-    """SIGKILL mid-queue; --resume finishes every accepted job."""
+    """SIGKILL mid-queue: its workers exit; --resume finishes every
+    accepted job."""
     proc, url = launch(journal)
     accepted = []
     try:
+        workers = [row["pid"] for row in get_json(url + "/v1/stats")["workers"]]
         for seed in range(100, 105):
             status, body = post_json(
                 url + "/v1/search", spec(seed, 5000)
@@ -252,6 +281,16 @@ def crash_recovery(journal: str) -> None:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
     print(f"crash: SIGKILLed server with {len(accepted)} accepted jobs")
+    deadline = time.time() + WORKER_EXIT_GRACE_S
+    while any(alive(pid) for pid in workers) and time.time() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if alive(pid)]
+    check(
+        not survivors,
+        f"workers {survivors} outlived the SIGKILLed server by "
+        f"{WORKER_EXIT_GRACE_S:.0f}s",
+    )
+    print(f"crash: all {len(workers)} workers of the killed server exited")
 
     resumed, resumed_url = launch(journal, resume=True)
     try:

@@ -345,9 +345,17 @@ def _experiment_report(args: argparse.Namespace) -> str:
 
 
 def _parse_kinds(text: str) -> List[str]:
+    from repro.exceptions import SearchError, SpecError
+    from repro.search.loop import check_kind
+
     kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
     if not kinds:
-        raise SystemExit("--kinds must name at least one mapspace kind")
+        raise SpecError(f"--kinds must name mapspace kinds, got {text!r}")
+    try:
+        for kind in kinds:
+            check_kind(kind)
+    except SearchError as error:
+        raise SpecError(f"--kinds: {error}") from None
     return kinds
 
 
@@ -704,8 +712,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_entries=args.cache_entries,
     )
     try:
-        # The scope stays installed for the server's lifetime so worker
-        # threads record into the registry the listener exposes.
+        # The scope stays installed for the server's lifetime so the
+        # workers' metrics merge into the registry the listener exposes.
         with obs_scope(registry=registry, tracer=tracer), service:
             if service.recovered:
                 print(
@@ -1039,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="search worker threads (default 2)",
+        help="search worker processes (default 2)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=32,
@@ -1057,8 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pool-size", type=int, default=None,
-        help="warm (arch, workload) evaluator entries kept across "
-        "requests (default 8)",
+        help="warm (arch, workload) evaluator entries each worker keeps "
+        "across requests (default 8)",
     )
     serve.add_argument(
         "--cache-entries", type=int, default=None,

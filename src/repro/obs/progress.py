@@ -34,6 +34,7 @@ candidate on the batched paths.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -60,11 +61,22 @@ RATE_ALPHA = 0.3
 _TRACKERS_LOCK = threading.Lock()
 _TRACKERS: "weakref.WeakSet[ProgressTracker]" = weakref.WeakSet()
 
-# Ambient per-thread tracker owner. Drivers that run many searches
-# concurrently in one process (the mapper service's worker threads) tag
-# each run with a job id here; trackers created inside the scope pick the
-# tag up, so live consumers can tell concurrent searches apart without
-# threading an id through every searcher signature.
+
+def _reset_lock_after_fork() -> None:
+    """A forked child runs only the forking thread, so a lock another
+    parent thread held at the fork would never be released there."""
+    global _TRACKERS_LOCK
+    _TRACKERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+# Ambient per-thread tracker owner. Drivers that run searches for many
+# clients (the mapper service's workers) tag each run with a job id
+# here; trackers created inside the scope pick the tag up, so live
+# consumers can tell concurrent searches apart without threading an id
+# through every searcher signature.
 _OWNER = threading.local()
 
 

@@ -150,7 +150,8 @@ class WorkerSet:
 
     ``entry(state, job)`` must be a picklable module-level callable.
     Each worker gets ``(entry, state)`` once, as arguments at process
-    start; workers start on demand and live until :meth:`close`.
+    start; workers start on demand (or all at once, :meth:`start`) and
+    live until :meth:`close`.
 
     The first :meth:`submit` picks the first of ``contexts`` (see
     :func:`start_contexts`) whose first worker starts, after merging
@@ -243,6 +244,17 @@ class WorkerSet:
             )
         self._use(None, None)
         return None
+
+    def start(self) -> List[int]:
+        """Start workers now, up to ``size``, instead of on demand; returns
+        the idle workers' pids (none when jobs run inline)."""
+        if not self._started:
+            worker = self._first_worker()
+            if worker is not None:
+                self._idle.append(worker)
+        while not self.inline and self.running + len(self._idle) < self.size:
+            self._idle.append(self._spawn())
+        return [worker.proc.pid for worker in self._idle]
 
     def submit(self, key: Any, job: Any) -> None:
         """Start ``job`` under ``key`` on an idle worker (or a new one)."""

@@ -2,10 +2,10 @@
 
 ``repro serve`` turns the one-shot :func:`~repro.core.mapper.find_best_mapping`
 flow into a process that accepts JSON search requests over HTTP, runs them
-on a bounded worker pool behind admission control, coalesces identical
+in worker processes behind admission control, coalesces identical
 in-flight requests, keeps evaluators (and their evaluation caches) warm
-across requests, and journals accepted work so ``--resume`` recovers after
-a crash. See docs/service.md for the API and operational policies.
+in each worker across requests, and journals accepted work so ``--resume``
+recovers after a crash. See docs/service.md for the API and operational policies.
 """
 
 from repro._exports import lazy_exports
@@ -19,8 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     ".coalesce": (
         "EvaluatorPool",
-        "SharedBatchEngine",
-        "ThreadSafeEvaluationCache",
         "canonical_signature",
         "pair_signature",
     ),

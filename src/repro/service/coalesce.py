@@ -1,4 +1,4 @@
-"""Request coalescing and the shared warm-evaluator pool.
+"""Request coalescing and the per-worker warm-evaluator pool.
 
 Two forms of sharing keep a mapper service cheap under repeated load:
 
@@ -9,16 +9,17 @@ Two forms of sharing keep a mapper service cheap under repeated load:
    SHA-256 over the sorted-JSON serde dicts, so a preset-name request and
    the equivalent full-dict request coalesce.
 
-2. **Evaluator warm-keep** — repeated requests against the same
+2. **Evaluator warm-keep** — each service worker process keeps an
+   :class:`EvaluatorPool`: repeated requests against the same
    ``(architecture, workload)`` pair reuse one
-   :class:`~repro.model.evaluator.Evaluator` carrying a thread-safe
-   :class:`~repro.model.eval_cache.EvaluationCache` and one shared
-   :class:`~repro.model.batch.BatchEvaluator`. The pool
-   is bounded; eviction is *warm-keep*: cold entries (fewest cache hits
-   since admission) go first, and entries pinned by in-flight jobs are
-   never evicted regardless of temperature. Only row-wise
-   (``use_batch=False``) searches look the cache up, so entries that
-   served only kernel-priced searches earn no hits and go
+   :class:`~repro.model.evaluator.Evaluator` with its
+   :class:`~repro.model.eval_cache.EvaluationCache` and one
+   :class:`~repro.model.batch.BatchEvaluator`. A worker runs one search
+   at a time, so nothing in an entry is locked. The pool is bounded;
+   eviction is *warm-keep*: cold entries (fewest cache hits) go first,
+   and an entry pinned by the running job is never evicted. Only
+   row-wise (``use_batch=False``) searches look the cache up, so entries
+   that served only kernel-priced searches earn no hits and go
    least-recently-used first.
 """
 
@@ -26,15 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arch.spec import Architecture
 from repro.energy.table import EnergyTable
 from repro.exceptions import ServiceError
 from repro.io.serde import architecture_to_dict, workload_to_dict
 from repro.model.eval_cache import EvaluationCache
-from repro.model.evaluator import Evaluation, Evaluator
+from repro.model.evaluator import Evaluator
 from repro.problem.workload import Workload
 
 #: Default bound on distinct (arch, workload) evaluator entries kept warm.
@@ -61,62 +61,6 @@ def pair_signature(arch: Architecture, workload: Workload) -> str:
     )
 
 
-class ThreadSafeEvaluationCache(EvaluationCache):
-    """An :class:`EvaluationCache` safe to share across worker threads.
-
-    The parent is deliberately lock-free (single-owner search loops); the
-    service shares one cache per (arch, workload) entry across its worker
-    pool, so lookups and inserts here take a lock. Counter updates ride
-    inside it, keeping hit/miss stats exact under concurrency.
-    """
-
-    __slots__ = ("_cache_lock",)
-
-    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
-        super().__init__(max_entries)
-        self._cache_lock = threading.Lock()
-
-    def get(self, key: Hashable) -> Optional[Evaluation]:
-        with self._cache_lock:
-            return super().get(key)
-
-    def put(self, key: Hashable, evaluation: Evaluation) -> None:
-        with self._cache_lock:
-            super().put(key, evaluation)
-
-    def clear(self) -> None:
-        with self._cache_lock:
-            super().clear()
-
-
-class SharedBatchEngine:
-    """Serialize access to one :class:`BatchEvaluator` across threads.
-
-    Concurrent searches sharing one engine take turns inside its pricing
-    calls. The engine keeps no per-run counts: each search's ledger
-    counts its own rows from the outcomes. A plain lock suffices: batch
-    calls are long enough that contention is amortized. Kernel-priced
-    rows never look up the entry's cache; only row-wise searches
-    (``use_batch=False``) on the entry do. Every other attribute (the
-    layout, the energy coefficients, the row-wise switch) is a constant
-    of the wrapped engine and is read through without the lock, so a
-    :class:`~repro.model.bounds.PartialBoundEngine` builds on either.
-    """
-
-    def __init__(self, engine: Any) -> None:
-        self._engine = engine
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name: str) -> Any:
-        if name == "_engine":  # not set yet (e.g. while unpickling)
-            raise AttributeError(name)
-        return getattr(self._engine, name)
-
-    def evaluate_batch(self, *args: Any, **kwargs: Any) -> Any:
-        with self._lock:
-            return self._engine.evaluate_batch(*args, **kwargs)
-
-
 class _PoolEntry:
     """One warm (architecture, workload) evaluator slot."""
 
@@ -128,7 +72,6 @@ class _PoolEntry:
         "cache",
         "engine",
         "pins",
-        "admitted_hits",
         "last_used",
     )
 
@@ -138,8 +81,8 @@ class _PoolEntry:
         arch: Architecture,
         workload: Workload,
         evaluator: Evaluator,
-        cache: ThreadSafeEvaluationCache,
-        engine: SharedBatchEngine,
+        cache: EvaluationCache,
+        engine: Any,
     ) -> None:
         self.signature = signature
         self.arch = arch
@@ -148,14 +91,11 @@ class _PoolEntry:
         self.cache = cache
         self.engine = engine
         self.pins = 0
-        # Hit count at admission: temperature is hits *since* this entry
-        # joined the pool, so a re-admitted pair starts cold again.
-        self.admitted_hits = 0
         self.last_used = 0
 
     def temperature(self) -> int:
         """Cache hits earned since admission — the warm-keep key."""
-        return self.cache.hits - self.admitted_hits
+        return self.cache.hits
 
 
 class EvaluatorPool:
@@ -182,7 +122,6 @@ class EvaluatorPool:
         self.max_entries = max_entries
         self.cache_entries = cache_entries
         self.energy_table = energy_table
-        self._lock = threading.Lock()
         self._entries: Dict[str, _PoolEntry] = {}
         self._clock = 0
         self.admissions = 0
@@ -190,90 +129,76 @@ class EvaluatorPool:
         self.evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
+
+    def signatures(self) -> List[str]:
+        """The pair signatures of the entries kept warm."""
+        return list(self._entries)
 
     def acquire(
         self, arch: Architecture, workload: Workload
     ) -> Tuple[_PoolEntry, bool]:
         """Pin and return the entry for this pair; build one on miss.
 
-        Returns ``(entry, reused)``. The build (energy table + batch
-        layout precompute) runs outside the pool lock so a cold miss
-        does not stall warm acquires; the small race where two threads
-        build the same pair resolves by keeping the first-registered
-        entry.
+        Returns ``(entry, reused)``.
         """
-        with self._lock:
-            signature = pair_signature(arch, workload)
-            entry = self._entries.get(signature)
-            if entry is not None:
-                entry.pins += 1
-                self._clock += 1
-                entry.last_used = self._clock
-                self.reuses += 1
-                return entry, True
-        built = self._build(signature, arch, workload)
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                entry = built
-                entry.admitted_hits = entry.cache.hits
-                self._entries[signature] = entry
-                self.admissions += 1
-                reused = False
-            else:
-                reused = True
-                self.reuses += 1
-            # Pin and touch BEFORE the eviction sweep: a freshly admitted
-            # entry must not be its own (coldest, never-used) victim.
-            entry.pins += 1
-            self._clock += 1
-            entry.last_used = self._clock
-            if not reused:
-                self._evict_cold_locked()
-            return entry, reused
+        signature = pair_signature(arch, workload)
+        entry = self._entries.get(signature)
+        reused = entry is not None
+        if reused:
+            self.reuses += 1
+        else:
+            entry = self._entries[signature] = self._build(
+                signature, arch, workload
+            )
+            self.admissions += 1
+        # Pin and touch BEFORE the eviction sweep: a freshly admitted
+        # entry must not be its own (coldest, never-used) victim.
+        entry.pins += 1
+        self._clock += 1
+        entry.last_used = self._clock
+        if not reused:
+            self._evict_cold()
+        return entry, reused
 
     def release(self, entry: _PoolEntry) -> None:
         """Drop one pin; an over-bound pool sheds cold entries here."""
-        with self._lock:
-            if entry.pins <= 0:
-                raise ServiceError(
-                    f"evaluator pool entry {entry.signature[:8]} released "
-                    f"more times than acquired"
-                )
-            entry.pins -= 1
-            self._evict_cold_locked()
+        if entry.pins <= 0:
+            raise ServiceError(
+                f"evaluator pool entry {entry.signature[:8]} released "
+                f"more times than acquired"
+            )
+        entry.pins -= 1
+        self._evict_cold()
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            entries = list(self._entries.values())
-            return {
-                "size": len(entries),
-                "max_entries": self.max_entries,
-                "admissions": self.admissions,
-                "reuses": self.reuses,
-                "evictions": self.evictions,
-                "pinned": sum(1 for e in entries if e.pins > 0),
-                "cache": {
-                    "hits": sum(e.cache.hits for e in entries),
-                    "misses": sum(e.cache.misses for e in entries),
-                },
-            }
+        entries = list(self._entries.values())
+        return {
+            "size": len(entries),
+            "max_entries": self.max_entries,
+            "admissions": self.admissions,
+            "reuses": self.reuses,
+            "evictions": self.evictions,
+            "pinned": sum(1 for e in entries if e.pins > 0),
+            "cache": {
+                "hits": sum(e.cache.hits for e in entries),
+                "misses": sum(e.cache.misses for e in entries),
+            },
+        }
 
     def _build(
         self, signature: str, arch: Architecture, workload: Workload
     ) -> _PoolEntry:
-        cache = ThreadSafeEvaluationCache(self.cache_entries)
+        cache = EvaluationCache(self.cache_entries)
         evaluator = Evaluator(
             arch, workload, self.energy_table, cache=cache
         )
         from repro.model.batch import BatchEvaluator
 
-        engine = SharedBatchEngine(BatchEvaluator(evaluator))
+        engine = BatchEvaluator(evaluator)
         return _PoolEntry(signature, arch, workload, evaluator, cache, engine)
 
-    def _evict_cold_locked(self) -> None:
+    def _evict_cold(self) -> None:
         while len(self._entries) > self.max_entries:
             evictable: List[_PoolEntry] = [
                 e for e in self._entries.values() if e.pins == 0

@@ -1,12 +1,29 @@
-"""Job table, worker pool, and journal-backed persistence for the service.
+"""Job table, worker processes, and journal-backed persistence for the service.
 
 A submitted search becomes a :class:`ServiceJob`: parsed spec, canonical
 signature, priority, and a lifecycle ``queued -> running -> ok | failed``
 (or ``cancelled`` while still queued). The :class:`JobManager` owns the
-priority queue, the worker threads that drain it, the per-(arch, workload)
-warm-evaluator pool, and — when given a journal path — a crash-safe record
-of every accepted request, so ``repro serve --resume`` re-enqueues exactly
-the jobs that were accepted but never finished.
+priority queue, the worker processes that run the searches, and — when
+given a journal path — a crash-safe record of every accepted request, so
+``repro serve --resume`` re-enqueues exactly the jobs that were accepted
+but never finished.
+
+Queueing, coalescing, admission and the journal stay in the server
+process. Each of the ``workers`` processes is a one-worker
+:class:`~repro.search.worker_pool.WorkerSet` with its own warm
+:class:`~repro.service.coalesce.EvaluatorPool`, fed one job at a time by
+its own server thread. A queued job goes to an idle worker that has its
+(arch, workload) pair warm, else to any idle worker. The reply carries
+the :class:`SearchResult`, the worker's pool figures and its metrics
+snapshot; while the search runs, the worker copies its progress tracker
+into an array it shares with the server.
+
+Fork safety: every worker forks in :meth:`JobManager.start`, before the
+service starts a thread, and again only to replace a worker that died.
+Other threads of the process (an embedder's, another service's) may hold
+locks at a fork, so the repro module locks a worker touches are reset in
+the child (``os.register_at_fork`` in :mod:`repro.obs.progress`), and
+the worker never records into the metrics scope it inherited.
 
 Journal record kinds (sharing the campaign journal's framing — fsynced
 single-line appends, torn-tail-tolerant reads):
@@ -25,16 +42,28 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import mmap
+import os
+import signal
+import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.arch import ARCH_PRESETS
 from repro.arch.spec import Architecture
 from repro.core.mapper import Mapper, MapperConfig
-from repro.exceptions import ReproError, SearchError, ServiceError, SpecError
+from repro.exceptions import (
+    ReproError,
+    SearchError,
+    ServiceError,
+    SpecError,
+    WorkerError,
+)
 from repro.io.journal import Journal
 from repro.io.serde import (
     architecture_from_dict,
@@ -43,22 +72,33 @@ from repro.io.serde import (
     workload_from_dict,
     workload_to_dict,
 )
-from repro.obs.progress import progress_owner
+from repro.obs.progress import active_trackers, progress_owner
 from repro.problem.shorthand import shorthand_workload
 from repro.problem.workload import Workload
 from repro.search.result import SearchResult
+from repro.search.worker_pool import (
+    OBS_SNAPSHOT_KEY,
+    WorkerSet,
+    collect_worker_obs,
+    run_under_worker_obs,
+    start_contexts,
+)
 from repro.service.admission import (
     DEFAULT_QUEUE_LIMIT,
     PRIORITY_RANK,
     AdmissionController,
     validate_priority,
 )
-from repro.service.coalesce import EvaluatorPool, canonical_signature
+from repro.service.coalesce import (
+    EvaluatorPool,
+    canonical_signature,
+    pair_signature,
+)
 
 #: Search-config request keys and their MapperConfig defaults. ``workers``
-#: and ``start_method`` are deliberately absent: process-pool search inside
-#: a threaded service is a resource-management decision the operator makes
-#: via server flags, not individual requests.
+#: and ``start_method`` are deliberately absent: the service's worker
+#: processes are a resource-management decision the operator makes via
+#: server flags, not individual requests.
 _SEARCH_KEYS = (
     "kind",
     "objective",
@@ -214,6 +254,12 @@ class ServiceJob:
         self.error: Optional[Dict[str, Any]] = None
         #: Requests served by this job beyond the first (coalesced).
         self.attached = 0
+        #: The (arch, workload) pair: a worker's pool key.
+        self.pair = pair_signature(spec.arch, spec.workload)
+        #: The worker process that ran the job, and the seconds its
+        #: search took there (``run_s`` minus this is dispatch and IPC).
+        self.worker_pid: Optional[int] = None
+        self.search_s: Optional[float] = None
 
     @property
     def signature(self) -> str:
@@ -243,6 +289,8 @@ class ServiceJob:
             "submitted_s": self.submitted_s,
             "queue_wait_s": self.queue_wait_s(),
             "run_s": self.run_s(),
+            "search_s": self.search_s,
+            "worker_pid": self.worker_pid,
             "coalesced_requests": self.attached,
         }
         if include_result and self.result is not None:
@@ -275,15 +323,265 @@ def result_payload(result: SearchResult) -> Dict[str, Any]:
     return body
 
 
+#: Tracker figures a worker publishes for its running search, in the
+#: slots after the job tag (NaN stands for null).
+PROGRESS_FIELDS = (
+    "total_units",
+    "completed_units",
+    "fraction",
+    "eta_s",
+    "rate_units_per_s",
+    "improvements",
+    "best_metric",
+    "elapsed_s",
+)
+
+#: Seconds between a worker's progress publications.
+PROGRESS_PUBLISH_S = 0.05
+
+#: Fork order of service worker processes, across managers.
+_FORKS = itertools.count(1)
+
+
+class _Stopped(Exception):
+    """The service closed a job's worker before the job finished."""
+
+
+class _ProgressCell:
+    """A job tag and that job's :data:`PROGRESS_FIELDS` in an anonymous
+    shared mapping, written by a forked worker and read by the server
+    (NaN stands for null)."""
+
+    _TAG = struct.Struct("d")
+    _FIGURES = struct.Struct(f"{len(PROGRESS_FIELDS)}d")
+
+    def __init__(self) -> None:
+        self._memory = mmap.mmap(-1, self._TAG.size + self._FIGURES.size)
+
+    def begin(self, tag: int) -> None:
+        """Clear the figures, then tag them as job ``tag``'s: a reader
+        that sees its tag before and after a read never mixes two jobs'
+        figures."""
+        self._TAG.pack_into(self._memory, 0, -1.0)
+        self._FIGURES.pack_into(
+            self._memory, self._TAG.size, *[math.nan] * len(PROGRESS_FIELDS)
+        )
+        self._TAG.pack_into(self._memory, 0, float(tag))
+
+    def publish(self, snapshot: Dict[str, Any]) -> None:
+        self._FIGURES.pack_into(
+            self._memory,
+            self._TAG.size,
+            *[
+                math.nan if snapshot[name] is None else float(snapshot[name])
+                for name in PROGRESS_FIELDS
+            ],
+        )
+
+    def read(self, tag: int) -> Optional[Dict[str, Any]]:
+        """Job ``tag``'s figures, or None before its worker published."""
+        (before,) = self._TAG.unpack_from(self._memory)
+        values = self._FIGURES.unpack_from(self._memory, self._TAG.size)
+        (after,) = self._TAG.unpack_from(self._memory)
+        figures = dict(zip(PROGRESS_FIELDS, values))
+        if before != tag or after != tag or math.isnan(
+            figures["completed_units"]
+        ):
+            return None
+        return {
+            name: None if math.isnan(value) else value
+            for name, value in figures.items()
+        }
+
+
+@contextmanager
+def _publishing(cell: _ProgressCell, owner: str, tag: int) -> Iterator[None]:
+    """Copy the newest tracker ``owner`` owns into ``cell`` every
+    :data:`PROGRESS_PUBLISH_S` while the body runs."""
+    cell.begin(tag)
+    stop = threading.Event()
+
+    def publish() -> None:
+        while not stop.wait(PROGRESS_PUBLISH_S):
+            trackers = active_trackers(owner)
+            if trackers:
+                cell.publish(trackers[-1].snapshot())
+
+    thread = threading.Thread(
+        target=publish, name="repro-service-progress", daemon=True
+    )
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _serve_job(
+    state: Dict[str, Any], request: Tuple[str, int, SearchSpec, bool]
+) -> Dict[str, Any]:
+    """Worker-process body of one job: its search on this process's pool.
+
+    ``request`` is ``(job_id, tag, spec, observe)``. The search records
+    into a private registry whenever a scope is active here: a forked
+    worker inherits the server's scope, whose lock another server thread
+    may have held at the fork. The registry snapshot is shipped back only
+    when the server observes (``observe``).
+    """
+    job_id, tag, spec, observe = request
+    pool = state.get("pool")
+    if pool is None:
+        pool = state["pool"] = EvaluatorPool(**state["pool_kwargs"])
+
+    def search() -> SearchResult:
+        entry, reused = pool.acquire(spec.arch, spec.workload)
+        if reused:
+            obs.inc("service.pool_reuse")
+        try:
+            with progress_owner(job_id), _publishing(
+                state["progress"], job_id, tag
+            ):
+                mapper = Mapper(
+                    entry.arch,
+                    entry.workload,
+                    spec.config,
+                    evaluator=entry.evaluator,
+                    batch_engine=entry.engine,
+                )
+                return mapper.run()
+        finally:
+            pool.release(entry)
+
+    start = time.perf_counter()
+    result, snapshot = run_under_worker_obs(
+        observe or obs.active_obs() is not None, search
+    )
+    return {
+        "result": result,
+        "search_s": time.perf_counter() - start,
+        "pid": os.getpid(),
+        "pool": pool.stats(),
+        "warm": pool.signatures(),
+        OBS_SNAPSHOT_KEY: snapshot if observe else None,
+    }
+
+
+class _ServiceWorker:
+    """One worker process and the server thread that feeds it jobs.
+
+    ``job`` is the job dispatched to it (None while idle); ``pid``,
+    ``jobs_run``, ``pool`` and ``warm`` (its pool's pair signatures) are
+    the process's figures as of its last reply. The owning
+    :class:`JobManager`'s lock guards ``job``.
+    """
+
+    def __init__(self, index: int, pool_kwargs: Dict[str, Any]) -> None:
+        self.index = index
+        self.cell = _ProgressCell()
+        self.processes = WorkerSet(
+            _serve_job,
+            {"pool_kwargs": pool_kwargs, "progress": self.cell},
+            1,
+            start_contexts("fork"),
+        )
+        self.job: Optional[ServiceJob] = None
+        self.thread: Optional[threading.Thread] = None
+        self.forked = 0  # fork order, for _close_workers
+        # A bad pool shape fails here, in the server, not in every job.
+        self._empty_pool = EvaluatorPool(**pool_kwargs).stats()
+        self.pid: Optional[int] = None
+        self.jobs_run = 0
+        self.pool = self._empty_pool
+        self.warm: List[str] = []
+
+    def start(self) -> None:
+        """Fork the worker process (again, after a crash) with SIGINT
+        blocked: the child inherits the mask, so a terminal's Ctrl-C
+        reaches only the server, which stops its workers itself."""
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pids = self.processes.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        if self.processes.inline:
+            raise ServiceError("service workers need the fork start method")
+        self.forked = next(_FORKS)
+        self.pid, self.jobs_run = pids[0], 0
+        self.pool, self.warm = self._empty_pool, []
+
+    def run(self, job: ServiceJob, observe: bool) -> Dict[str, Any]:
+        """Send ``job`` to the process and block for its reply.
+
+        A job whose process died fails as :class:`WorkerError`, and a
+        fresh process takes the worker's next job.
+        """
+        self.processes.submit(job.id, (job.id, job.seq, job.spec, observe))
+        done: Dict[Any, Tuple[bool, Any]] = {}
+        while not done:
+            if not self.processes.running:
+                raise _Stopped(job.id)
+            done = self.processes.wait()
+        ok, reply = done[job.id]
+        if not ok:
+            pid = self.pid
+            self.start()
+            raise WorkerError(
+                job.seq,
+                job.spec.config.seed,
+                f"service worker process {pid} died (exitcode {reply})",
+            )
+        return reply
+
+    def record(self, reply: Dict[str, Any]) -> None:
+        self.pid = reply["pid"]
+        self.jobs_run += 1
+        self.pool = reply["pool"]
+        self.warm = reply["warm"]
+
+    def row(self) -> Dict[str, Any]:
+        """This worker's ``/v1/stats`` row."""
+        return {"pid": self.pid, "jobs_run": self.jobs_run, "pool": self.pool}
+
+    def progress(self, job: ServiceJob) -> Optional[Dict[str, Any]]:
+        """``job``'s tracker snapshot as last published, or None before
+        its search published one."""
+        figures = self.cell.read(job.seq)
+        if figures is None:
+            return None
+        figures["improvements"] = int(figures["improvements"])
+        return {
+            "driver": job.spec.config.strategy,
+            "owner": job.id,
+            **figures,
+            "done": False,
+            "timeline": [],
+        }
+
+
+def _sum_pools(pools: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-worker pool figures summed key by key."""
+    total = {
+        key: sum(pool[key] for pool in pools)
+        for key in pools[0]
+        if key != "cache"
+    }
+    total["cache"] = {
+        key: sum(pool["cache"][key] for pool in pools)
+        for key in pools[0]["cache"]
+    }
+    return total
+
+
 class JobManager:
-    """Priority queue + worker pool + journal behind the service routes.
+    """Priority queue + worker processes + journal behind the service routes.
 
     Args:
-        workers: worker-thread count (each runs one search at a time).
+        workers: worker-process count (each runs one search at a time).
         queue_limit: admission bound on queued jobs (429 beyond it).
         journal_path: when given, accepted requests and terminal outcomes
             are journaled for ``--resume``.
-        pool_size / cache_entries: warm-evaluator pool shape
+        pool_size / cache_entries: each worker's warm-evaluator pool shape
             (see :class:`~repro.service.coalesce.EvaluatorPool`).
     """
 
@@ -304,7 +602,9 @@ class JobManager:
             pool_kwargs["max_entries"] = pool_size
         if cache_entries is not None:
             pool_kwargs["cache_entries"] = cache_entries
-        self.pool = EvaluatorPool(**pool_kwargs)
+        self._workers = [
+            _ServiceWorker(index, pool_kwargs) for index in range(workers)
+        ]
         self.journal = Journal(journal_path) if journal_path else None
 
         self._lock = threading.Lock()
@@ -316,7 +616,7 @@ class JobManager:
         #: skipped lazily on pop.
         self._queue: List[Tuple[int, int, str]] = []
         self._seq = itertools.count(1)
-        self._threads: List[threading.Thread] = []
+        self._started = False
         self._shutdown = False
         self.coalesced = 0
         self.completed = 0
@@ -325,9 +625,11 @@ class JobManager:
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Journal the service start and launch the worker threads."""
-        if self._threads:
+        """Journal the service start, fork the workers, then start the
+        threads that feed them."""
+        if self._started:
             raise ServiceError("job manager already started")
+        self._started = True
         if self.journal is not None:
             self.journal.append(
                 {
@@ -338,23 +640,45 @@ class JobManager:
                     "queue_limit": self.admission.queue_limit,
                 }
             )
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-service-worker-{index}",
+        try:
+            for worker in self._workers:
+                worker.start()
+        except BaseException:
+            self._close_workers()
+            raise
+        for worker in self._workers:
+            worker.thread = threading.Thread(
+                target=self._serve,
+                args=(worker,),
+                name=f"repro-service-worker-{worker.index}",
                 daemon=True,
             )
-            thread.start()
-            self._threads.append(thread)
+            worker.thread.start()
+        with self._work:
+            self._dispatch_locked()
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Stop workers after their current job; queued jobs stay journaled."""
+        """Stop after the running jobs finish, or after ``timeout_s``, when
+        their workers are stopped and the jobs left unjournaled; queued
+        jobs stay journaled."""
         with self._work:
             self._shutdown = True
             self._work.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=timeout_s)
-        self._threads = []
+        deadline = time.monotonic() + timeout_s
+        for worker in self._workers:
+            if worker.thread is not None:
+                worker.thread.join(max(0.0, deadline - time.monotonic()))
+                worker.thread = None
+        self._close_workers()
+
+    def _close_workers(self) -> None:
+        # Newest first: a forked worker holds copies of the pipe ends of
+        # the workers forked before it, so each sees EOF only once every
+        # later one is gone.
+        for worker in sorted(
+            self._workers, key=lambda worker: worker.forked, reverse=True
+        ):
+            worker.processes.close()
 
     def resume(self) -> int:
         """Re-enqueue journaled requests that never reached a terminal state.
@@ -491,7 +815,7 @@ class JobManager:
             )
             obs.inc("service.accepted")
             obs.set_gauge("service.queue_depth", float(queued + 1))
-            self._work.notify()
+            self._dispatch_locked()
         return job, False
 
     def get(self, job_id: str) -> Optional[ServiceJob]:
@@ -501,9 +825,9 @@ class JobManager:
     def cancel(self, job_id: str) -> ServiceJob:
         """Cancel a *queued* job; running/terminal jobs raise 409.
 
-        Searches have no preemption point, so a running job cannot be
-        cancelled — the client polls it to completion (it stays cached
-        for any identical future request anyway).
+        A running job cannot be cancelled — the client polls it to
+        completion (it stays cached for any identical future request
+        anyway).
         """
         with self._work:
             job = self._jobs.get(job_id)
@@ -534,41 +858,70 @@ class JobManager:
             states: Dict[str, int] = {state: 0 for state in JOB_STATES}
             for job in self._jobs.values():
                 states[job.state] += 1
+            rows = [worker.row() for worker in self._workers]
             return {
                 "jobs": states,
                 "coalesced": self.coalesced,
                 "rejected": self.admission.rejected,
                 "completed": self.completed,
                 "failed": self.failed,
-                "workers": self.workers,
+                "workers": rows,
                 "queue_limit": self.admission.queue_limit,
                 "mean_latency_s": self.admission.mean_latency_s(),
-                "pool": self.pool.stats(),
+                "pool": _sum_pools([row["pool"] for row in rows]),
             }
+
+    def progress(self, job_id: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Tracker snapshots of the running searches (only ``job_id``'s
+        when given), as their workers last published them."""
+        with self._lock:
+            running = [
+                (worker, worker.job)
+                for worker in self._workers
+                if worker.job is not None
+                and job_id in (None, worker.job.id)
+            ]
+        snapshots = [worker.progress(job) for worker, job in running]
+        return [snapshot for snapshot in snapshots if snapshot is not None]
 
     # ------------------------------------------------------------- execution
 
-    def _next_job(self) -> Optional[ServiceJob]:
-        """Block for the next runnable job; None means shutdown."""
-        with self._work:
-            while True:
-                if self._shutdown:
-                    # Queued jobs stay journaled for --resume rather
-                    # than stretching shutdown by a whole queue drain.
-                    return None
-                while self._queue:
-                    _, _, job_id = heapq.heappop(self._queue)
-                    job = self._jobs[job_id]
-                    if job.state != "queued":
-                        continue  # cancelled while queued
-                    job.state = "running"
-                    job.started_monotonic = time.monotonic()
-                    return job
-                self._work.wait()
+    def _dispatch_locked(self) -> None:
+        """Hand queued jobs, best first, to idle workers: to one that has
+        the job's (arch, workload) pair warm, else to any."""
+        if self._shutdown or not self._started:
+            return
+        idle = [worker for worker in self._workers if worker.job is None]
+        while idle and self._queue:
+            _, _, job_id = heapq.heappop(self._queue)
+            job = self._jobs[job_id]
+            if job.state != "queued":
+                continue  # cancelled while queued
+            worker = next(
+                (worker for worker in idle if job.pair in worker.warm),
+                idle[0],
+            )
+            idle.remove(worker)
+            job.state = "running"
+            job.started_monotonic = time.monotonic()
+            worker.job = job
+            self._work.notify_all()
 
-    def _worker_loop(self) -> None:
+    def _next_job(self, worker: _ServiceWorker) -> Optional[ServiceJob]:
+        """Block for the job dispatched to ``worker``; None means shutdown.
+
+        Queued jobs stay journaled for --resume rather than stretching
+        shutdown by a whole queue drain.
+        """
+        with self._work:
+            while worker.job is None and not self._shutdown:
+                self._work.wait()
+            return worker.job
+
+    def _serve(self, worker: _ServiceWorker) -> None:
+        """Server-thread body: run each job dispatched to ``worker``."""
         while True:
-            job = self._next_job()
+            job = self._next_job(worker)
             if job is None:
                 return
             wait_s = job.queue_wait_s() or 0.0
@@ -578,6 +931,8 @@ class JobManager:
                 job.result = result_payload(result)
                 job.error = None
                 status = "ok"
+            except _Stopped:
+                return  # stop() closed the worker: --resume reruns the job
             except ReproError as error:
                 job.error = error.payload()
                 status = "failed"
@@ -598,6 +953,8 @@ class JobManager:
                     self.completed += 1
                 else:
                     self.failed += 1
+                worker.job = None
+                self._dispatch_locked()
             run_s = job.run_s() or 0.0
             self.admission.observe_latency(run_s)
             obs.observe("service.search_latency_s", run_s)
@@ -605,28 +962,22 @@ class JobManager:
             self._journal_terminal(job)
 
     def _execute(self, job: ServiceJob) -> SearchResult:
-        """Run one job's search against the warm pool, owning its progress."""
-        spec = job.spec
-        entry, reused = self.pool.acquire(spec.arch, spec.workload)
-        if reused:
-            obs.inc("service.pool_reuse")
-        try:
-            with progress_owner(job.id), obs.trace(
-                "service.job",
-                job_id=job.id,
-                strategy=spec.config.strategy,
-                reused_evaluator=reused,
-            ):
-                mapper = Mapper(
-                    entry.arch,
-                    entry.workload,
-                    spec.config,
-                    evaluator=entry.evaluator,
-                    batch_engine=entry.engine,
-                )
-                return mapper.run()
-        finally:
-            self.pool.release(entry)
+        """Run one job's search on the worker it was dispatched to."""
+        with self._lock:
+            worker = next(w for w in self._workers if w.job is job)
+        with obs.trace(
+            "service.job",
+            job_id=job.id,
+            strategy=job.spec.config.strategy,
+            worker=worker.index,
+        ):
+            reply = worker.run(job, obs.active_obs() is not None)
+        collect_worker_obs([reply])
+        with self._lock:
+            worker.record(reply)
+        job.worker_pid = reply["pid"]
+        job.search_s = reply["search_s"]
+        return reply["result"]
 
     def _journal_terminal(self, job: ServiceJob) -> None:
         if self.journal is None:

@@ -14,10 +14,13 @@ route                           behaviour
                                 ``Retry-After`` when the queue is full
 ``GET /v1/jobs``                all jobs, oldest first
 ``GET /v1/jobs/<id>``           one job's state / result / error
-``GET /v1/jobs/<id>/progress``  job state + live tracker snapshots owned
-                                by that job
+``GET /v1/jobs/<id>/progress``  job state + the live tracker snapshot its
+                                worker publishes
 ``DELETE /v1/jobs/<id>``        cancel a *queued* job (running: ``409``)
-``GET /v1/stats``               queue/pool/coalescing counters
+``GET /v1/stats``               queue/pool/coalescing counters and one
+                                row per worker process
+``GET /progress``               every running job's tracker snapshot
+                                (``?job=<id>`` keeps one job's)
 ==============================  ==========================================
 
 Errors map through the exception taxonomy: every
@@ -29,17 +32,18 @@ same structured errors campaign journals record.
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.exceptions import AdmissionError, ReproError, SpecError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import (
+    PROGRESS_SCHEMA,
     ObsServer,
     RouteRequest,
     RouteResponse,
     RouteSet,
-    progress_payload,
 )
 from repro.obs.tracing import Tracer
 from repro.service.admission import DEFAULT_QUEUE_LIMIT
@@ -76,8 +80,21 @@ def _guarded(handler):
     return wrapped
 
 
+def _progress_body(
+    manager: JobManager, job_id: Optional[str] = None
+) -> Dict[str, Any]:
+    """The ``/progress`` schema over the searches the workers run."""
+    return {
+        "schema": PROGRESS_SCHEMA,
+        "time": time.time(),
+        "searches": manager.progress(job_id),
+    }
+
+
 def service_routes(manager: JobManager) -> RouteSet:
-    """The ``/v1`` route bundle over one :class:`JobManager`."""
+    """The ``/v1`` route bundle over one :class:`JobManager`, plus the
+    ``/progress`` that replaces the telemetry plane's: the searches run
+    in worker processes, not in the server's own trackers."""
     routes = RouteSet()
 
     def submit(request: RouteRequest) -> RouteResponse:
@@ -117,7 +134,7 @@ def service_routes(manager: JobManager) -> RouteSet:
 
     def job_progress(request: RouteRequest) -> RouteResponse:
         job = _job(request)
-        body = progress_payload(job=job.id)
+        body = _progress_body(manager, job.id)
         body.update(
             {
                 "job_id": job.id,
@@ -138,10 +155,16 @@ def service_routes(manager: JobManager) -> RouteSet:
         body["schema"] = SERVICE_SCHEMA
         return RouteResponse.json(body)
 
+    def progress(request: RouteRequest) -> RouteResponse:
+        return RouteResponse.json(
+            _progress_body(manager, request.query.get("job"))
+        )
+
     job_path = r"/v1/jobs/(?P<job_id>[A-Za-z0-9_.\-]+)"
     routes.add("POST", "/v1/search", _guarded(submit))
     routes.add("GET", "/v1/jobs", _guarded(list_jobs))
     routes.add("GET", "/v1/stats", _guarded(stats))
+    routes.add("GET", "/progress", progress)
     routes.add_pattern("GET", job_path, _guarded(get_job))
     routes.add_pattern("GET", job_path + "/progress", _guarded(job_progress))
     routes.add_pattern("DELETE", job_path, _guarded(cancel_job))
@@ -156,12 +179,12 @@ class MappingService:
             it as the ambient obs scope so searches record into it).
         tracer: span source for ``/flame``.
         host / port: bind address (``port=0`` picks an ephemeral port).
-        workers: search worker threads.
+        workers: search worker processes.
         queue_limit: admission bound (429 beyond it).
         journal_path: service journal for crash recovery; ``None``
             disables persistence.
         resume: recover journaled unfinished jobs before serving.
-        pool_size / cache_entries: warm-evaluator pool shape.
+        pool_size / cache_entries: each worker's warm-evaluator pool shape.
     """
 
     def __init__(
@@ -198,12 +221,13 @@ class MappingService:
         self.recovered = 0
 
     def start(self) -> "MappingService":
-        """Recover (when asked), start workers, then bind the listener.
+        """Recover (when asked), fork the workers, then bind the listener.
 
         Installs the service's registry as the ambient obs scope for its
-        lifetime so worker-thread searches (and the service's own
-        counters) land on the ``/metrics`` this listener serves, without
-        requiring every embedder to wrap the service in ``obs_scope``.
+        lifetime so the workers' search metrics (merged from each reply)
+        and the service's own counters land on the ``/metrics`` this
+        listener serves, without requiring every embedder to wrap the
+        service in ``obs_scope``.
         """
         if self._scope is None:
             from repro.obs import obs_scope

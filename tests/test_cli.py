@@ -321,6 +321,13 @@ class TestCampaignCommand:
         assert "--seeds" in capsys.readouterr().err
         assert not journal.exists()
 
+    @pytest.mark.parametrize("kinds", ["bogus", "pfm,bogus", "", ","])
+    def test_bad_kinds_fail_before_any_job(self, tmp_path, capsys, kinds):
+        code, journal = self._run_toy(tmp_path, extra=["--kinds", kinds])
+        assert code == 2  # SpecError
+        assert "--kinds" in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_resume_bad_settings_fail_before_any_job(self, tmp_path, capsys):
         code, journal = self._run_toy(tmp_path)
         assert code == 0

@@ -190,7 +190,7 @@ def test_second_service_job_on_a_reused_pool_entry():
             jobs.append((job, registry))
     finally:
         manager.stop()
-    assert manager.pool.stats()["reuses"] == 1
+    assert manager.stats()["pool"]["reuses"] == 1
     job, registry = jobs[1]
     result = job.result
     stats = result["stats"]

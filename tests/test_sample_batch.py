@@ -26,7 +26,7 @@ from repro.search import (
 )
 from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.pareto_search import _dominates, _dominates_xy
-from repro.service.coalesce import SharedBatchEngine, ThreadSafeEvaluationCache
+from repro.model.eval_cache import EvaluationCache
 from repro.verify.invariants import (
     _sample_parity_fixtures,
     check_sample_parity,
@@ -296,12 +296,12 @@ def test_patience_stops_exactly_after_a_mid_chunk_improvement(
 
 
 def test_cache_attached_engine_looks_up_only_row_wise(set_batch_size):
-    """The shared kernel engine never looks the cache up and matches an
-    uncached run; a row-wise run looks up once per candidate, in the
-    per-candidate oracle's order."""
+    """A kernel engine over a cached evaluator never looks the cache up
+    and matches an uncached run; a row-wise run looks up once per
+    candidate, in the per-candidate oracle's order."""
     space = _eyeriss_space("conv5_expand", MapspaceKind.RUBY_S)
 
-    class RecordingCache(ThreadSafeEvaluationCache):
+    class RecordingCache(EvaluationCache):
         def get(self, key):
             self.keys.append(key)
             return super().get(key)
@@ -314,9 +314,7 @@ def test_cache_attached_engine_looks_up_only_row_wise(set_batch_size):
     set_batch_size(256)
     kwargs = dict(max_evaluations=1500, patience=600)
     evaluator, keys = cached()
-    engine = SharedBatchEngine(
-        BatchEvaluator(evaluator, layout=space.batch_layout())
-    )
+    engine = BatchEvaluator(evaluator, layout=space.batch_layout())
     got = RandomSearch(space, evaluator, seed=1, batch_engine=engine,
                        **kwargs).run()
     want = RandomSearch(space, Evaluator(space.arch, space.workload), seed=1,

@@ -1,5 +1,7 @@
 """Mapper-service concurrency tests: coalescing under parallel clients,
-journal integrity, monotone per-job progress, and warm-cache reuse.
+journal integrity, monotone per-job progress, warm-cache reuse, and the
+worker processes (parallel runs, warm-pair dispatch, a killed worker,
+clean stop, fork safety).
 
 Determinism under concurrency comes from construction, not sleeps: a
 gate holds the single worker on a blocker job while client threads race
@@ -8,6 +10,9 @@ hard invariant here, not a timing hope.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -18,6 +23,7 @@ import pytest
 from repro.io.journal import Journal
 from repro.obs import progress_owner
 from repro.obs.metrics import MetricsRegistry
+from repro.obs import progress as progress_module
 from repro.obs.progress import ProgressTracker, active_trackers
 from repro.service import MappingService
 
@@ -286,3 +292,128 @@ class TestProgressOwnershipIsolation:
             gauge = registry.gauge("search.progress_fraction")
             assert gauge.value(driver="random") == 0.4
             tracker.finish()
+
+
+def job_interval(body):
+    """(start, end) of a job's run on the server's wall clock."""
+    start = body["submitted_s"] + body["queue_wait_s"]
+    return start, start + body["run_s"]
+
+
+class TestWorkerProcesses:
+    """Each service worker is a forked process running one search at a
+    time; the server keeps the queue, the journal and the figures."""
+
+    def test_two_jobs_run_at_once_in_two_worker_processes(self):
+        with MappingService(MetricsRegistry(), workers=2) as service:
+            pids = {row["pid"] for row in
+                    get_json(service.url + "/v1/stats")["workers"]}
+            assert len(pids) == 2 and os.getpid() not in pids
+            ids = [
+                post_json(service.url + "/v1/search",
+                          spec(seed, max_evaluations=20_000))[1]["job_id"]
+                for seed in (1, 2)
+            ]
+            states = wait_all_terminal(service.url, ids)
+            assert all(states[job_id] == "ok" for job_id in ids)
+            bodies = [get_json(f"{service.url}/v1/jobs/{job_id}")
+                      for job_id in ids]
+            assert {body["worker_pid"] for body in bodies} == pids
+            (start_a, end_a), (start_b, end_b) = map(job_interval, bodies)
+            assert start_a < end_b and start_b < end_a
+            for body in bodies:
+                assert 0 < body["search_s"] <= body["run_s"]
+            stats = get_json(service.url + "/v1/stats")
+            assert [row["jobs_run"] for row in stats["workers"]] == [1, 1]
+            assert stats["pool"]["admissions"] == sum(
+                row["pool"]["admissions"] for row in stats["workers"]
+            ) == 2
+
+    def test_a_repeat_goes_to_the_worker_with_its_pair_warm(self):
+        with MappingService(MetricsRegistry(), workers=2) as service:
+            payload = spec(5, use_batch=False)
+            _, first = post_json(service.url + "/v1/search", payload)
+            wait_all_terminal(service.url, [first["job_id"]])
+            _, second = post_json(service.url + "/v1/search", payload)
+            wait_all_terminal(service.url, [second["job_id"]])
+            first, second = (
+                get_json(f"{service.url}/v1/jobs/{body['job_id']}")
+                for body in (first, second)
+            )
+            assert second["worker_pid"] == first["worker_pid"]
+            assert second["result"]["stats"]["cache"]["hit_rate"] >= 0.5
+
+    def test_killed_worker_fails_only_its_job(self, tmp_path):
+        journal_path = str(tmp_path / "service.jsonl")
+        service = MappingService(
+            MetricsRegistry(), workers=1, journal_path=journal_path
+        )
+        with service:
+            (victim,) = [row["pid"] for row in
+                         get_json(service.url + "/v1/stats")["workers"]]
+            _, body = post_json(service.url + "/v1/search",
+                                spec(3, max_evaluations=10_000_000))
+            job_id = body["job_id"]
+            # Published progress means the search is under way there.
+            deadline = time.monotonic() + 60
+            while not get_json(
+                f"{service.url}/v1/jobs/{job_id}/progress"
+            )["searches"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            listed = get_json(f"{service.url}/progress?job={job_id}")
+            assert [s["owner"] for s in listed["searches"]] == [job_id]
+            os.kill(victim, signal.SIGKILL)
+            wait_all_terminal(service.url, [job_id])
+            failed = get_json(f"{service.url}/v1/jobs/{job_id}")
+            assert failed["state"] == "failed"
+            assert failed["error"]["type"] == "WorkerError"
+            assert failed["error"]["http_status"] == 422
+            assert str(victim) in failed["error"]["message"]
+
+            _, body = post_json(service.url + "/v1/search", spec(4))
+            wait_all_terminal(service.url, [body["job_id"]])
+            after = get_json(f"{service.url}/v1/jobs/{body['job_id']}")
+            assert after["state"] == "ok"
+            assert after["worker_pid"] not in (None, victim)
+        terminal = {
+            record["job_id"]: record["status"]
+            for record in Journal(journal_path).read()
+            if record.get("kind") == "job"
+        }
+        assert terminal == {job_id: "failed", body["job_id"]: "ok"}
+
+    def test_stop_leaves_no_child_process(self):
+        with MappingService(MetricsRegistry(), workers=2) as service:
+            _, body = post_json(service.url + "/v1/search", spec(6))
+            wait_all_terminal(service.url, [body["job_id"]])
+            assert len(multiprocessing.active_children()) >= 2
+        assert multiprocessing.active_children() == []
+
+    def test_workers_fork_safely_while_another_thread_holds_tracker_lock(
+        self,
+    ):
+        # Workers fork before the service starts a thread, but another
+        # thread of the process may hold a repro lock at the fork: the
+        # child resets the locks its search takes (the progress tracker
+        # registry's here), so the search still runs.
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with progress_module._TRACKERS_LOCK:
+                held.set()
+                release.wait(timeout=60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            with MappingService(MetricsRegistry(), workers=1) as service:
+                _, body = post_json(service.url + "/v1/search", spec(8))
+                states = wait_all_terminal(
+                    service.url, [body["job_id"]], timeout_s=30
+                )
+                assert states[body["job_id"]] == "ok"
+        finally:
+            release.set()
+            holder.join()

@@ -22,7 +22,7 @@ from repro.model import BatchEvaluator, Evaluator
 from repro.model.batch import PartialBoundEngine, pack_menu_rows
 from repro.problem import GemmLayer
 from repro.search import BranchBoundSearch, ExhaustiveSearch
-from repro.service.coalesce import SharedBatchEngine
+from repro.model.eval_cache import EvaluationCache
 from repro.verify.invariants import check_leaf_exactness
 from tests.test_mapspace_generator import _assert_packs_like_oracle
 
@@ -221,13 +221,12 @@ class TestRefusedBoundLayouts:
 
 
 def test_shared_engine_builds_tables():
-    """The service's lock-wrapped engine prices enumerated rows from
+    """An engine over a cache-attached evaluator, as a service worker's
+    pool entries share across its jobs, prices enumerated rows from
     tables too, with the same answer."""
     arch, workload, space = _gemm_space("ruby-s")
-    evaluator = Evaluator(arch, workload)
-    shared = SharedBatchEngine(
-        BatchEvaluator(evaluator, layout=space.batch_layout())
-    )
+    evaluator = Evaluator(arch, workload, cache=EvaluationCache())
+    shared = BatchEvaluator(evaluator, layout=space.batch_layout())
     assert PartialBoundEngine(shared, space.dim_chain_menus()).layout is (
         space.batch_layout()
     )
