@@ -122,17 +122,13 @@ class Mapper:
         energy_table: optional pre-built energy table (ignored when an
             ``evaluator`` is injected — it already owns one).
         evaluator: optional pre-built evaluator for this exact
-            (arch, workload) pair. Long-lived drivers — the mapper
-            service — inject one carrying a shared
-            :class:`~repro.model.eval_cache.EvaluationCache`. Only
-            row-wise pricing (``use_batch=False``) looks candidates up
-            in it, so repeated row-wise requests skip re-pricing;
-            vectorized searches only store their improvements and
+            (arch, workload) pair. The mapper service passes one whose
+            :class:`~repro.model.eval_cache.EvaluationCache` lives
+            across requests. Only row-wise pricing (``use_batch=False``)
+            looks candidates up in it: a repeated row-wise request reads
+            its evaluations back, while within one search few lookups
+            hit. Vectorized searches only store their improvements and
             scalar-fallback rows there.
-        batch_engine: optional pre-built (or shared)
-            :class:`~repro.model.batch.BatchEvaluator` handed through to
-            the batch-capable searchers; must have been built against
-            this mapper's mapspace layout.
     """
 
     def __init__(
@@ -142,7 +138,6 @@ class Mapper:
         config: Optional[MapperConfig] = None,
         energy_table: Optional[EnergyTable] = None,
         evaluator: Optional[Evaluator] = None,
-        batch_engine=None,
     ) -> None:
         self.arch = arch
         self.workload = workload
@@ -152,7 +147,6 @@ class Mapper:
             if evaluator is not None
             else Evaluator(arch, workload, energy_table)
         )
-        self.batch_engine = batch_engine
         self.mapspace = make_mapspace(
             arch, workload, self.config.kind, self.config.constraints
         )
@@ -206,7 +200,6 @@ class Mapper:
                 patience=self.config.patience,
                 seed=effective_seed,
                 use_batch=self.config.use_batch,
-                batch_engine=self.batch_engine,
             ).run()
         if strategy == "exhaustive":
             from repro.search.exhaustive import ExhaustiveSearch
@@ -216,7 +209,6 @@ class Mapper:
                 self.evaluator,
                 objective=self.config.objective,
                 use_batch=self.config.use_batch,
-                batch_engine=self.batch_engine,
             ).run()
         if strategy == "branch-bound":
             from repro.search.branch_bound import BranchBoundSearch
@@ -240,7 +232,6 @@ class Mapper:
             max_evaluations=self.config.max_evaluations,
             seed=effective_seed,
             use_batch=self.config.use_batch,
-            batch_engine=self.batch_engine,
         ).run()
 
 

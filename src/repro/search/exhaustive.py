@@ -47,8 +47,6 @@ class ExhaustiveSearch:
         use_batch: price candidates through the batch kernels when they
             price this evaluator exactly. Candidates are packed
             :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE` per batch.
-        batch_engine: optional shared engine to price through instead of
-            building one.
     """
 
     def __init__(
@@ -58,19 +56,15 @@ class ExhaustiveSearch:
         objective: str = "edp",
         limit: int = 1_000_000,
         use_batch: bool = True,
-        batch_engine=None,
     ) -> None:
         self.mapspace = mapspace
         self.evaluator = evaluator
         self.objective = check_objective(objective)
         self.limit = check_int("limit", limit, 1)
         self.use_batch = use_batch
-        self.batch_engine = batch_engine
 
     def run(self) -> SearchResult:
-        engine = batch_engine_for(
-            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
-        )
+        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
         tables = self._tables(engine)
         # The pre-filter menu product is cheap and only an over-estimate:
         # the tracker snaps the fraction to 1.0 at the end.

@@ -57,8 +57,6 @@ class GeneticSearch:
             assembled in population order before scoring (pricing
             consumes no RNG) and the engine is bit-exact, so the evolution
             trajectory is the same either way. Each population is priced as one chunk.
-        batch_engine: optional shared engine to price through instead of
-            building one.
     """
 
     def __init__(
@@ -72,7 +70,6 @@ class GeneticSearch:
         tournament: int = 3,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_engine=None,
     ) -> None:
         if population_size < 2:
             raise SearchError("population_size must be >= 2")
@@ -93,13 +90,10 @@ class GeneticSearch:
         self.tournament = tournament
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_engine = batch_engine
 
     def run(self) -> SearchResult:
         """Evolve the population and return the best mapping found."""
-        engine = batch_engine_for(
-            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
-        )
+        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
         ledger = RunLedger(
             self.evaluator, "genetic", self.objective,
             total_units=(self.generations + 1) * self.population_size,

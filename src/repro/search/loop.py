@@ -1,7 +1,7 @@
 """The one search loop: one pricer, and a ledger for the run.
 
 Every search prices its candidates through one
-:class:`~repro.model.batch.BatchEvaluator`, built (or injected) by
+:class:`~repro.model.batch.BatchEvaluator`, built per run by
 :func:`batch_engine_for`. The engine prices a packed
 :class:`~repro.model.batch.MappingBatch` through its vectorized kernels,
 or row by row through the scalar evaluator when its row-wise switch is
@@ -116,22 +116,10 @@ def lazy_evaluation(
 
 
 def batch_engine_for(
-    mapspace: MapSpace,
-    evaluator: Evaluator,
-    use_batch: bool,
-    injected: Any = None,
-) -> Any:
-    """The pricing engine for this search.
-
-    With ``use_batch`` set, an injected engine (the service's shared,
-    lock-wrapped engine) is used as is; it must match this mapspace's
-    layout, which the service guarantees by keying engines on the same
-    (arch, workload, kind, constraints) signature. Otherwise a fresh
-    engine is built on the mapspace's layout, with its row-wise switch
-    off when ``use_batch`` is not set.
-    """
-    if use_batch and injected is not None:
-        return injected
+    mapspace: MapSpace, evaluator: Evaluator, use_batch: bool
+) -> BatchEvaluator:
+    """The pricing engine for this search: built on the mapspace's
+    layout, with its row-wise switch off when ``use_batch`` is not set."""
     return BatchEvaluator(
         evaluator, layout=mapspace.batch_layout(), vectorize=use_batch
     )
@@ -141,8 +129,7 @@ def batch_engine_for(
 class BatchCounts:
     """Rows a run priced through the batch kernel: ``stats["batch"]``.
 
-    Derived from each :class:`~repro.model.batch.BatchOutcome`'s masks, so
-    a run counts only its own rows however many runs share one engine. A
+    Derived from each :class:`~repro.model.batch.BatchOutcome`'s masks. A
     row that carries an evaluation without being a fallback row was
     priced with the row-wise switch off and never reached the kernel.
     ``infeasible`` counts the enumerated candidates the enumeration

@@ -57,8 +57,6 @@ class RandomSearch:
             either way (see :mod:`repro.search.loop`). Candidates are
             sampled and priced in chunks of
             :data:`~repro.utils.batching.DEFAULT_BATCH_SIZE`.
-        batch_engine: optional shared engine to price through instead of
-            building one.
     """
 
     def __init__(
@@ -70,7 +68,6 @@ class RandomSearch:
         patience: Optional[int] = DEFAULT_PATIENCE,
         seed: Optional[Union[int, random.Random]] = None,
         use_batch: bool = True,
-        batch_engine=None,
     ) -> None:
         self.mapspace = mapspace
         self.evaluator = evaluator
@@ -83,13 +80,10 @@ class RandomSearch:
         )
         self.rng = make_rng(seed)
         self.use_batch = use_batch
-        self.batch_engine = batch_engine
 
     def run(self) -> SearchResult:
         """Run the search to termination."""
-        engine = batch_engine_for(
-            self.mapspace, self.evaluator, self.use_batch, self.batch_engine
-        )
+        engine = batch_engine_for(self.mapspace, self.evaluator, self.use_batch)
         ledger = RunLedger(
             self.evaluator, "random", self.objective,
             total_units=self.max_evaluations, engine=engine,

@@ -435,23 +435,15 @@ def _serve_job(
         pool = state["pool"] = EvaluatorPool(**state["pool_kwargs"])
 
     def search() -> SearchResult:
-        entry, reused = pool.acquire(spec.arch, spec.workload)
+        evaluator, reused = pool.acquire(spec.arch, spec.workload)
         if reused:
             obs.inc("service.pool_reuse")
-        try:
-            with progress_owner(job_id), _publishing(
-                state["progress"], job_id, tag
-            ):
-                mapper = Mapper(
-                    entry.arch,
-                    entry.workload,
-                    spec.config,
-                    evaluator=entry.evaluator,
-                    batch_engine=entry.engine,
-                )
-                return mapper.run()
-        finally:
-            pool.release(entry)
+        with progress_owner(job_id), _publishing(
+            state["progress"], job_id, tag
+        ):
+            return Mapper(
+                spec.arch, spec.workload, spec.config, evaluator=evaluator
+            ).run()
 
     start = time.perf_counter()
     result, snapshot = run_under_worker_obs(

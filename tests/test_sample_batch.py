@@ -16,7 +16,6 @@ from repro.mapspace import ConstraintSet, MapspaceKind
 from repro.mapspace.constraints import eyeriss_row_stationary
 from repro.mapspace.generator import MapSpace
 from repro.model import Evaluator, pack_mappings
-from repro.model.batch import BatchEvaluator
 from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
 from repro.search import (
@@ -162,10 +161,10 @@ def test_packed_rows_rebuild_their_own_loop_order():
 
 
 def _oracle_random(space, evaluator, seed, max_evaluations, patience,
-                   batch_size=512, use_batch=True, engine=None):
+                   batch_size=512, use_batch=True):
     """The per-candidate random search: sample ``Mapping``s, pack the list,
     then walk the priced rows one candidate at a time."""
-    engine = batch_engine_for(space, evaluator, use_batch, engine)
+    engine = batch_engine_for(space, evaluator, use_batch)
     ledger = RunLedger(evaluator, "random", "edp",
                        total_units=max_evaluations, engine=engine)
     rng = random.Random(seed)
@@ -314,9 +313,7 @@ def test_cache_attached_engine_looks_up_only_row_wise(set_batch_size):
     set_batch_size(256)
     kwargs = dict(max_evaluations=1500, patience=600)
     evaluator, keys = cached()
-    engine = BatchEvaluator(evaluator, layout=space.batch_layout())
-    got = RandomSearch(space, evaluator, seed=1, batch_engine=engine,
-                       **kwargs).run()
+    got = RandomSearch(space, evaluator, seed=1, **kwargs).run()
     want = RandomSearch(space, Evaluator(space.arch, space.workload), seed=1,
                         **kwargs).run()
     _assert_same_run(got, want)

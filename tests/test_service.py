@@ -40,6 +40,7 @@ from repro.service import (
     EvaluatorPool,
     JobManager,
     MappingService,
+    pair_signature,
     parse_search_spec,
 )
 
@@ -210,52 +211,42 @@ class TestEvaluatorPool:
         second, reused_second = pool.acquire(arch, workload)
         assert not reused_first and reused_second
         assert first is second
-        assert first.evaluator.cache is first.cache
-        pool.release(first)
-        pool.release(second)
+        assert first.cache is not None
+        assert first.cache.max_entries == pool.cache_entries
         assert pool.stats()["reuses"] == 1
 
-    def test_cold_entries_evicted_before_warm(self):
+    def test_least_recently_used_entry_evicted(self):
         pool = EvaluatorPool(max_entries=2)
-        cold_pair = self._pair(m=10)
-        warm_pair = self._pair(m=20)
-        cold, _ = pool.acquire(*cold_pair)
-        warm, _ = pool.acquire(*warm_pair)
-        # Warm the second entry: hits since admission are its temperature.
-        mapping = None
+        old_pair, used_pair = self._pair(m=10), self._pair(m=20)
+        old, _ = pool.acquire(*old_pair)
+        used, _ = pool.acquire(*used_pair)
+        # Cache hits do not rank entries; only acquisition order does.
         from repro.mapspace.factory import make_mapspace
         import random
 
-        space = make_mapspace(warm_pair[0], warm_pair[1], "ruby-s")
+        space = make_mapspace(*old_pair, "ruby-s")
         mapping = space.sample(random.Random(0))
-        warm.evaluator.evaluate(mapping)
-        warm.evaluator.evaluate(mapping)  # second call is the hit
-        assert warm.temperature() >= 1
-        pool.release(cold)
-        pool.release(warm)
-        third, _ = pool.acquire(*self._pair(m=30))
-        pool.release(third)
-        sigs = {e.signature for e in pool._entries.values()}
-        assert warm.signature in sigs  # warm kept
-        assert cold.signature not in sigs  # cold evicted
-        assert pool.stats()["evictions"] == 1
+        old.evaluate(mapping)
+        old.evaluate(mapping)  # the second call is a hit
+        assert old.cache.hits == 1
+        assert pool.acquire(*old_pair) == (old, True)
+        pool.acquire(*self._pair(m=30))
+        assert pool.signatures() == [
+            pair_signature(*old_pair), pair_signature(*self._pair(m=30))
+        ]
+        assert pool.acquire(*used_pair)[0] is not used  # rebuilt cold
+        stats = pool.stats()
+        assert (stats["size"], stats["admissions"], stats["evictions"]) == (
+            2, 4, 2
+        )
+        assert "pinned" not in stats
 
-    def test_pinned_entries_never_evicted(self):
-        pool = EvaluatorPool(max_entries=1)
-        first, _ = pool.acquire(*self._pair(m=10))
-        second, _ = pool.acquire(*self._pair(m=20))
-        # Both pinned: pool grows past its bound instead of evicting.
-        assert len(pool) == 2
-        pool.release(first)
-        pool.release(second)
-        assert len(pool) == 1
-
-    def test_release_without_acquire_raises(self):
-        pool = EvaluatorPool(max_entries=1)
-        entry, _ = pool.acquire(*self._pair())
-        pool.release(entry)
-        with pytest.raises(ServiceError, match="released"):
-            pool.release(entry)
+    @pytest.mark.parametrize("shape", [
+        {"max_entries": 0}, {"cache_entries": 0}, {"cache_entries": -5},
+    ])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ServiceError, match="evaluator pool needs"):
+            EvaluatorPool(**shape)
 
 
 def _fake_result():
@@ -362,6 +353,11 @@ class TestJobManagerScheduling:
         finally:
             manager.release_gate.set()
             manager.stop()
+
+    @pytest.mark.parametrize("entries", [0, -5])
+    def test_bad_cache_entries_rejected_at_construction(self, entries):
+        with pytest.raises(ServiceError, match="cache_entries >= 1"):
+            JobManager(workers=1, cache_entries=entries)
 
     def test_cancel_unknown_job(self):
         manager = GatedManager(workers=1)
@@ -507,8 +503,8 @@ class TestServiceHTTP:
         assert best["energy_pj"] == direct.best.energy_pj
 
     def test_second_job_on_a_reused_entry_counts_its_own_rows(self, service):
-        # Both jobs price through the pool entry's one shared batch
-        # engine; each job's batch stats must hold only its own rows.
+        # Both jobs price through the pool entry's one cached evaluator;
+        # each job's batch stats must hold only its own rows.
         finals = []
         for seed in (21, 22):
             _, body, _ = post_json(
@@ -673,14 +669,31 @@ class TestServiceHTTP:
             wait_terminal(service.url, job_id)
 
 
+def _serve_env():
+    """The environment a ``repro serve`` subprocess imports this tree in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 class TestServeSubprocess:
+    @pytest.mark.parametrize("entries", ["0", "-5"])
+    def test_bad_cache_entries_exit_before_serving(self, entries):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--cache-entries", entries],
+            capture_output=True, env=_serve_env(), text=True, timeout=60,
+        )
+        assert done.returncode == ServiceError.exit_code
+        assert "serving mapper API" not in done.stdout
+        assert "cache_entries >= 1" in done.stderr
+
     def test_sigkill_then_resume_loses_no_accepted_jobs(self, tmp_path):
         journal = str(tmp_path / "serve.jsonl")
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
+        env = _serve_env()
         args = [
             sys.executable, "-m", "repro", "serve",
             "--workers", "1", "--journal", journal,
