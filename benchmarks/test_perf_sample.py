@@ -1,13 +1,17 @@
 """Sampler benchmark: packed-row sampling against the per-candidate oracle.
 
-Random search draws its candidates with ``MapSpace.sample_batch``: one
-slot walk per draw and one NumPy position scatter per batch. The sampler
-it replaced drew each candidate slot by slot, assembled a ``Mapping`` and
-packed the list (``per_candidate_sample`` + ``pack_mappings``, kept in
-``repro.verify`` as the oracle of the RNG stream). On four ResNet-50
-layers' Eyeriss mapspaces, PFM and Ruby-S (the paper's Fig. 10 spaces),
-``sample_batch`` must draw bit-identical arrays from equal seeds at >= 4x
-the oracle's draws per second.
+Random search draws its candidates with ``MapSpace.sample_batch``: per
+draw, one slot walk whose integer draws are ``random.Random``'s
+``getrandbits`` rejection loop written inline, one chain-table lookup per
+dimension (chain ids with their bounds, remainders and loop-cell bits)
+and one read of each level's loops from the OR of those bits; per batch,
+one NumPy gather of the rows by chain id and one position scatter. The
+sampler it replaced drew each candidate slot by slot, assembled a
+``Mapping`` and packed the list (``per_candidate_sample`` +
+``pack_mappings``, kept in ``repro.verify`` as the oracle of the RNG
+stream). On four ResNet-50 layers' Eyeriss mapspaces, PFM and Ruby-S (the
+paper's Fig. 10 spaces), ``sample_batch`` must draw bit-identical arrays
+from equal seeds at >= 4x the oracle's draws per second.
 
 Run with: pytest benchmarks/test_perf_sample.py --benchmark-only -s
 """

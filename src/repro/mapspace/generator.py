@@ -8,6 +8,7 @@ respecting joint spatial-fanout budgets across dimensions.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
@@ -29,7 +30,14 @@ from repro.arch.spec import Architecture
 from repro.exceptions import MapspaceError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
-from repro.mapspace.allocation import DimAllocator, DimChain
+from repro.mapspace.allocation import (
+    ChainTable,
+    DimAllocator,
+    DimChain,
+    bound_tables,
+    cell_bits,
+    check_rng,
+)
 from repro.mapspace.constraints import ConstraintSet
 from repro.mapspace.slots import Slot, build_slots
 from repro.obs import scope as _obs
@@ -44,6 +52,14 @@ if TYPE_CHECKING:
 #: conv5_expand PFM sweep (2-core host), 8,192-cell steps cut enumeration
 #: from about 0.06 s to 0.04 s but raised peak RSS by 1.6 MB.
 _INDEX_CHUNK = 2048
+
+
+@functools.lru_cache(maxsize=None)
+def _swaps(length: int) -> Tuple[Tuple[int, int], ...]:
+    """``random.shuffle``'s swap loop over ``length`` items: one ``(k,
+    bits)`` per step, ``k`` from ``length - 1`` down to 1, drawing ``j <=
+    k`` from ``getrandbits(bits)`` with ``bits = (k + 1).bit_length()``."""
+    return tuple((k, (k + 1).bit_length()) for k in range(length - 1, 0, -1))
 
 
 class MapspaceKind(str, enum.Enum):
@@ -124,30 +140,32 @@ class MapSpace:
             if slot.spatial
         }
         self._caps = np.array(list(self._spatial_caps.values()), np.int64)
-        # Per level: (name, temporal slots, spatial slots, fixed-permutation
-        # rank per flat cell or None); a slot is ``(offset, offset *
-        # num_dims)``, the base of its flat cells.
+        # Per level: (name, mask of its cells, lazily filled nest entries
+        # per masked cell set, fixed-permutation rank per flat cell or
+        # None). A cell is ``offset * num_dims + d`` (see ``cell_bits``).
         num_dims = len(self._dim_names)
         self._level_plan: List[tuple] = []
         for level_index, level in enumerate(arch.levels):
-            offsets = [
-                (o, o * num_dims) for o, slot in enumerate(self.slots)
-                if slot.level_index == level_index
-            ]
+            level_mask = 0
+            for offset, slot in enumerate(self.slots):
+                if slot.level_index == level_index:
+                    level_mask |= ((1 << num_dims) - 1) << (offset * num_dims)
             fixed = self.constraints.permutation(level.name)
             rank = {dim: i for i, dim in enumerate(fixed or ())}
             self._level_plan.append((
                 level.name,
-                tuple(c for c in offsets if not self.slots[c[0]].spatial),
-                tuple(c for c in offsets if self.slots[c[0]].spatial),
+                level_mask,
+                {},
                 [
                     rank.get(self._dim_names[cell % num_dims], len(rank))
                     for cell in range(len(self.slots) * num_dims)
                 ]
                 if fixed else None,
             ))
-        # The sampler's per-allocator plans (workload dim order) and the
-        # fresh spatial budgets of one draw, indexed by slot offset.
+        # The sampler's per-allocator plans (workload dim order), the
+        # chain tables both allocators draw into with one NumPy row
+        # (bounds then remainders) per chain, the dim shuffle's swaps, and
+        # the fresh spatial budgets of one draw, indexed by slot offset.
         self._dim_plans = {
             allocator: [
                 allocator.plan(dim, self._sizes[dim]) for dim in self._dim_names
@@ -155,6 +173,13 @@ class MapSpace:
             for allocator in (self.allocator, self._perfect_allocator)
             if allocator is not None
         }
+        self._tables = [
+            ChainTable(self._sizes[dim], d, num_dims)
+            for d, dim in enumerate(self._dim_names)
+        ]
+        self._reset_rows()
+        self._dim_order = list(range(num_dims))
+        self._dim_swaps = _swaps(num_dims)
         self._budgets = [slot.fanout_cap for slot in self.slots]
         self._batch_layout = None
         self._dim_chain_menus: Optional[List[Tuple[str, Tuple[DimChain, ...]]]] = None
@@ -181,39 +206,48 @@ class MapSpace:
         keeps its ``Mapping``, exactly as
         :func:`~repro.model.batch.pack_mappings` packs it.
 
-        Per draw this is one :meth:`DimAllocator.draw` call and one
-        :meth:`_level_cells` call, all inside one ``mapspace.sample`` span
-        (``draws`` = ``n``); the nest positions of the whole batch are
-        then set by one NumPy scatter.
+        The RNG must pass :func:`~repro.mapspace.allocation.check_rng`
+        (``random.Random`` and ``SystemRandom`` do); any other raises
+        :class:`MapspaceError` before a draw. Every integer draw is
+        ``random.Random._randbelow_with_getrandbits`` inlined on
+        ``rng.getrandbits`` with its bit length precomputed. Per draw this
+        is one :meth:`DimAllocator.draw` call, which yields a chain id per
+        dimension into the space's chain tables and the OR of the chains'
+        cell bits, and one :meth:`_nest_cells` call, which reads each
+        level's loops from that mask; all of it runs inside one
+        ``mapspace.sample`` span (``draws`` = ``n``). The batch's bounds
+        and remainders are then gathered from the tables' NumPy rows by
+        chain id and its nest positions set by one scatter. The tables
+        hold at most ``_CHAIN_MEMO_LIMIT`` chains (~460 B each on Eyeriss,
+        ~30 MB) at the start of a call; they are cleared between calls,
+        never inside one.
         """
         from repro.model.batch import MappingBatch
 
         rng = make_rng(rng)
-        randbelow, random_ = rng._randbelow, rng.random
+        check_rng(rng)
+        getrandbits, random_ = rng.getrandbits, rng.random
         _obs.inc("mapspace.samples", n)
         num_slots, num_dims = len(self.slots), len(self._dim_names)
-        # One per-slot tuple per (draw, dim), and the concatenated nest
-        # cells with one length per draw, turned into arrays at the end.
-        bounds: List[Tuple[int, ...]] = []
-        rems: List[Tuple[int, ...]] = []
+        tables = self._bounded_tables()
+        # Each draw's chain ids (workload dim order), and the concatenated
+        # nest cells with each draw's end, turned into arrays at the end.
+        ids: List[int] = []
         cells: List[int] = []
-        lengths: List[int] = []
+        ends: List[int] = []
         bypass: Dict[int, list] = {}
         roll_bypass = self.explore_bypass and self._bypass_candidates
         with _obs.trace("mapspace.sample", draws=n):
             for i in range(n):
                 allocator, plans, order, budgets = self._draw_setup(
-                    randbelow, random_
+                    getrandbits, random_
                 )
-                chains = allocator.draw(
-                    plans, order, budgets, randbelow, random_
+                row, mask = allocator.draw(
+                    plans, tables, order, budgets, getrandbits, random_
                 )
-                row_bounds, row_rems = zip(*chains)
-                row_cells = self._level_cells(row_bounds, randbelow)
-                bounds += row_bounds
-                rems += row_rems
-                cells += row_cells
-                lengths.append(len(row_cells))
+                ids += row
+                self._nest_cells(mask, getrandbits, cells)
+                ends.append(len(cells))
                 if roll_bypass:
                     pairs = [
                         pair
@@ -223,19 +257,14 @@ class MapSpace:
                     if pairs:
                         bypass[i] = pairs
 
-        def slot_major(per_dim: List[Tuple[int, ...]]) -> np.ndarray:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(per_dim),
-                np.int64,
-                count=n * num_dims * num_slots,
-            )
-            return np.ascontiguousarray(
-                flat.reshape(n, num_dims, num_slots).transpose(0, 2, 1)
-            )
-
+        chain_ids = np.array(ids, dtype=np.int64).reshape(n, num_dims)
+        gathered = np.empty((n, num_dims, 2 * num_slots), dtype=np.int64)
+        for d in range(num_dims):
+            gathered[:, d] = self._rows(d)[chain_ids[:, d]]
         # A draw's k-th cell sits at nest position k.
-        counts = np.array(lengths, dtype=np.int64)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        ends_at = np.array(ends, dtype=np.int64)
+        counts = np.diff(ends_at, prepend=0)
+        starts = np.repeat(ends_at - counts, counts)
         pos = np.full(n * num_slots * num_dims, -1, dtype=np.int64)
         pos[
             np.repeat(np.arange(n) * (num_slots * num_dims), counts)
@@ -243,8 +272,12 @@ class MapSpace:
         ] = np.arange(len(cells)) - starts
         batch = MappingBatch(
             layout=self.batch_layout(),
-            bounds=slot_major(bounds),
-            rems=slot_major(rems),
+            bounds=np.ascontiguousarray(
+                gathered[:, :, :num_slots].transpose(0, 2, 1)
+            ),
+            rems=np.ascontiguousarray(
+                gathered[:, :, num_slots:].transpose(0, 2, 1)
+            ),
             pos=pos.reshape(n, num_slots, num_dims),
             fallback=np.zeros(n, dtype=bool),
         )
@@ -260,10 +293,43 @@ class MapSpace:
             batch.fallback[rows] = True
         return batch
 
+    def _reset_rows(self) -> None:
+        """Empty the tables' NumPy rows: per dim, an array whose first
+        ``_rows_filled[d]`` rows mirror the table (the rest is spare)."""
+        width = 2 * len(self.slots)
+        self._table_rows = [np.empty((0, width), np.int64) for _ in self._tables]
+        self._rows_filled = [0] * len(self._tables)
+
+    def _bounded_tables(self) -> List[ChainTable]:
+        """The chain tables, cleared first if they reached their bound
+        (with their NumPy rows and the levels' nest entries)."""
+        if bound_tables(self._tables):
+            self._reset_rows()
+            for _, _, entries, _ in self._level_plan:
+                entries.clear()
+        return self._tables
+
+    def _rows(self, d: int) -> np.ndarray:
+        """Dimension ``d``'s chain table as NumPy rows of bounds then
+        remainders, indexed by chain id: the chains added since the last
+        call are appended, into an array grown by doubling."""
+        table, rows = self._tables[d], self._table_rows[d]
+        filled, count = self._rows_filled[d], len(table.bounds)
+        if filled < count:
+            if count > len(rows):
+                grown = np.empty((max(count, 2 * len(rows)), rows.shape[1]), np.int64)
+                grown[:filled] = rows[:filled]
+                rows = self._table_rows[d] = grown
+            rows[filled:count] = [
+                b + r for b, r in zip(table.bounds[filled:], table.rems[filled:])
+            ]
+            self._rows_filled[d] = count
+        return rows
+
     PERFECT_SEED_PROBABILITY = 0.15
 
     def _draw_setup(
-        self, randbelow: Callable[[int], int], random_: Callable[[], float]
+        self, getrandbits: Callable[[int], int], random_: Callable[[], float]
     ) -> Tuple[DimAllocator, list, List[int], List[int]]:
         """One draw's allocator, its plans, dim order and fresh budgets.
 
@@ -276,26 +342,36 @@ class MapSpace:
             and random_() < self.PERFECT_SEED_PROBABILITY
         ):
             allocator = self._perfect_allocator
-        order = list(range(len(self._dim_names)))
-        for k in range(len(order) - 1, 0, -1):
-            j = randbelow(k + 1)
+        order = self._dim_order[:]
+        for k, bits in self._dim_swaps:
+            j = getrandbits(bits)
+            while j > k:
+                j = getrandbits(bits)
             order[k], order[j] = order[j], order[k]
-        return allocator, self._dim_plans[allocator], order, list(self._budgets)
+        return allocator, self._dim_plans[allocator], order, self._budgets[:]
 
     def sample_chains(
         self, rng: Optional[random.Random] = None
     ) -> Dict[str, DimChain]:
         """Sample per-dimension bound chains under the joint fanout budget.
 
-        The dict iterates in the draw's (shuffled) dim order.
+        The dict iterates in the draw's (shuffled) dim order. The RNG is
+        held to :meth:`sample_batch`'s requirement.
         """
         rng = make_rng(rng)
-        randbelow, random_ = rng._randbelow, rng.random
-        allocator, plans, order, budgets = self._draw_setup(randbelow, random_)
-        chains = allocator.draw(plans, order, budgets, randbelow, random_)
+        check_rng(rng)
+        getrandbits, random_ = rng.getrandbits, rng.random
+        tables = self._bounded_tables()
+        allocator, plans, order, budgets = self._draw_setup(getrandbits, random_)
+        ids, _ = allocator.draw(
+            plans, tables, order, budgets, getrandbits, random_
+        )
         names = self._dim_names
         return {
-            names[k]: DimChain(names[k], *chains[k]) for k in order
+            names[k]: DimChain(
+                names[k], tables[k].bounds[ids[k]], tables[k].rems[ids[k]]
+            )
+            for k in order
         }
 
     def resample_dim(
@@ -308,6 +384,7 @@ class MapSpace:
 
         The fanout budget offered to ``dim`` is whatever the other
         dimensions leave free — the mutation operator of the genetic search.
+        The RNG is held to :meth:`sample_batch`'s requirement.
         """
         rng = make_rng(rng)
         budgets = self.remaining_budgets(chains, exclude=dim)
@@ -426,15 +503,25 @@ class MapSpace:
     def assemble(
         self, chains: Dict[str, DimChain], rng: Optional[random.Random] = None
     ) -> Mapping:
-        """Build a Mapping from per-dim chains, ordering loops per level."""
+        """Build a Mapping from per-dim chains, ordering loops per level.
+
+        With ``rng`` each level's temporal loops are shuffled as
+        :meth:`sample_batch` shuffles them (the RNG is held to its
+        requirement); without, they keep canonical order.
+        """
         ordered = [chains[dim] for dim in self._dim_names]
         num_dims = len(ordered)
+        getrandbits = None
+        if rng is not None:
+            check_rng(rng)
+            getrandbits = rng.getrandbits
+        mask = 0
+        for d, chain in enumerate(ordered):
+            mask |= cell_bits(chain.bounds, d, num_dims)
+        cells: List[int] = []
+        self._nest_cells(mask, getrandbits, cells)
         temporal: List[List[Loop]] = [[] for _ in self._level_plan]
         spatial: List[List[Loop]] = [[] for _ in self._level_plan]
-        cells = self._level_cells(
-            [chain.bounds for chain in ordered],
-            rng._randbelow if rng is not None else None,
-        )
         for cell in cells:
             offset, d = divmod(cell, num_dims)
             slot = self.slots[offset]
@@ -458,44 +545,59 @@ class MapSpace:
             )
         )
 
-    def _level_cells(
+    def _nest_cells(
         self,
-        bounds: Sequence[Sequence[int]],
-        randbelow: Optional[Callable[[int], int]],
-    ) -> List[int]:
-        """Every loop of the nest as a flat cell, in nest order.
+        mask: int,
+        getrandbits: Optional[Callable[[int], int]],
+        cells: List[int],
+    ) -> None:
+        """Append every loop of the nest to ``cells``, in nest order.
 
-        ``bounds[d][offset]`` is dimension ``d``'s bound at a slot; the
-        cell ``offset * num_dims + d`` holds a loop when it exceeds 1.
-        Levels come outer to inner, each as its temporal cells then its
-        spatial cells. The temporal cells are shuffled with ``randbelow``
-        (a ``random.Random``'s ``_randbelow``, in ``random.shuffle``'s own
-        swap loop) when it is given, then stably sorted by the level's
-        fixed permutation — the one loop-order rule behind both
-        :meth:`assemble` and the rows of :meth:`sample_batch`. Spatial
-        cells keep slot, then dim, order.
+        ``mask`` holds the nest's loops as cell bits (``cell_bits`` of
+        each dim's chain). Levels come outer to inner, each as its
+        temporal cells then its spatial cells, both in slot, then dim,
+        order, read from the level's table of ``mask``'s cells on it
+        (filled on first use). The temporal cells of a level with two or
+        more are shuffled with ``random.shuffle``'s own swap loop when
+        ``getrandbits`` is given (``m`` loops make ``m - 1`` integer
+        draws), then stably sorted by the level's fixed permutation — the
+        one loop-order rule behind both :meth:`assemble` and the rows of
+        :meth:`sample_batch`.
         """
-        dims = range(len(bounds))
-        cells: List[int] = []
-        for _, temporal, spatial, rank in self._level_plan:
-            loops = [
-                base + d for o, base in temporal for d in dims if bounds[d][o] > 1
-            ]
-            if randbelow is not None:
-                for k in range(len(loops) - 1, 0, -1):
-                    j = randbelow(k + 1)
-                    loops[k], loops[j] = loops[j], loops[k]
-            if rank is not None:
-                loops.sort(key=rank.__getitem__)
-            cells += loops
-            if spatial:
-                cells += [
-                    base + d
-                    for o, base in spatial
-                    for d in dims
-                    if bounds[d][o] > 1
-                ]
-        return cells
+        for _, level_mask, entries, rank in self._level_plan:
+            key = mask & level_mask
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = self._level_entry(key)
+            loops, swaps, tail = entry
+            if swaps:
+                loops = list(loops)
+                if getrandbits is not None:
+                    for k, bits in swaps:
+                        j = getrandbits(bits)
+                        while j > k:
+                            j = getrandbits(bits)
+                        loops[k], loops[j] = loops[j], loops[k]
+                if rank is not None:
+                    loops.sort(key=rank.__getitem__)
+                cells += loops
+            cells += tail
+
+    def _level_entry(self, key: int) -> tuple:
+        """One level's ``(temporal cells, their swaps, tail)`` for the
+        cell bits ``key``: a level with fewer than two temporal loops has
+        nothing to order and keeps them in ``tail`` before its spatial
+        cells."""
+        num_dims = len(self._dim_names)
+        temporal: List[int] = []
+        spatial: List[int] = []
+        for cell in range(key.bit_length()):
+            if key >> cell & 1:
+                is_spatial = self.slots[cell // num_dims].spatial
+                (spatial if is_spatial else temporal).append(cell)
+        if len(temporal) < 2:
+            return (), (), tuple(temporal + spatial)
+        return tuple(temporal), _swaps(len(temporal)), tuple(spatial)
 
     def enumerate_mappings(
         self, limit: Optional[int] = None

@@ -66,7 +66,8 @@ class EvaluatorPool:
     :class:`~repro.model.eval_cache.EvaluationCache` per (arch, workload)
     pair. ``acquire`` returns a pair's evaluator, building it on a miss;
     admitting a pair past ``max_entries`` evicts the least recently
-    acquired one.
+    acquired one. The cache counters of :meth:`stats` count over the
+    pool's life: an evicted entry's hits and misses stay in them.
     """
 
     def __init__(
@@ -88,6 +89,9 @@ class EvaluatorPool:
         self.admissions = 0
         self.reuses = 0
         self.evictions = 0
+        # Cache hits and misses of the evicted entries.
+        self._evicted_hits = 0
+        self._evicted_misses = 0
 
     def signatures(self) -> List[str]:
         """The pair signatures of the entries kept warm."""
@@ -108,8 +112,10 @@ class EvaluatorPool:
         )
         self.admissions += 1
         if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            _, evicted = self._entries.popitem(last=False)
             self.evictions += 1
+            self._evicted_hits += evicted.cache.hits
+            self._evicted_misses += evicted.cache.misses
         return evaluator, False
 
     def stats(self) -> Dict[str, Any]:
@@ -121,7 +127,9 @@ class EvaluatorPool:
             "reuses": self.reuses,
             "evictions": self.evictions,
             "cache": {
-                "hits": sum(cache.hits for cache in caches),
-                "misses": sum(cache.misses for cache in caches),
+                "hits": self._evicted_hits
+                + sum(cache.hits for cache in caches),
+                "misses": self._evicted_misses
+                + sum(cache.misses for cache in caches),
             },
         }

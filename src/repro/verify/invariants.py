@@ -38,8 +38,10 @@ answers are known a priori:
   fallback flags and mappings, and leaves the RNG in the same state, as
   the per-candidate sampler it replaced (:func:`per_candidate_sample`:
   slot-by-slot chains, ``Mapping`` assembly, :func:`pack_mappings`), and
-  ``sample_chains`` / ``resample_dim`` draw the oracle's chains — also
-  under a ``random.Random`` subclass that overrides ``random()``;
+  ``sample_chains`` / ``resample_dim`` draw the oracle's chains; a
+  ``random.Random`` subclass that overrides ``random()`` only (whose
+  integer stream the sampler's inlined draw cannot follow) is refused
+  before any draw, with its RNG untouched;
 * **Seed determinism** — each of the five searchers run twice from one
   seed produces the same trajectory, and a best-of-seeds
   :func:`~repro.search.campaign.search_job` finds the same best metric
@@ -62,6 +64,7 @@ import numpy as np
 from repro.arch import toy_glb_architecture, toy_linear_architecture
 from repro.arch.eyeriss import eyeriss_like
 from repro.energy.accelergy import estimate_energy_table
+from repro.exceptions import MapspaceError
 from repro.mapping.loop import Loop
 from repro.mapping.nest import LevelNest, Mapping
 from repro.mapping.validity import capacity_violations
@@ -601,8 +604,10 @@ def per_candidate_sample(space: MapSpace, rng: random.Random) -> Mapping:
     Kept as the oracle of its RNG stream and rows: the perfect-allocator
     roll, the dim shuffle, slot-by-slot chains, ``Loop``/``LevelNest``
     assembly with each level's temporal shuffle and fixed-permutation
-    sort, then the bypass rolls — none of it shared with the mapspace's
-    draw memos or loop-order helper.
+    sort, then the bypass rolls, all through ``random.Random``'s own
+    ``random``, ``choice``, ``randint`` and ``shuffle`` — none of it
+    shared with the mapspace's inlined draws, chain tables or loop-order
+    helper.
     """
     allocator = space.allocator
     if (
@@ -664,7 +669,7 @@ class _FloatOnlyRandom(random.Random):
 
     CPython then draws its integers through
     ``_randbelow_without_getrandbits``, a different rejection loop than
-    the default ``getrandbits`` one; the sampler must follow it too.
+    the default ``getrandbits`` one, so the sampler must refuse it.
     """
 
     def random(self) -> float:
@@ -672,7 +677,7 @@ class _FloatOnlyRandom(random.Random):
 
 
 def _sample_parity_fixtures(seed: int):
-    """(label, mapspace, RNG class) triples covering every sampling branch."""
+    """(label, mapspace) pairs covering every sampling branch."""
     from repro.mapspace.constraints import eyeriss_row_stationary
     from repro.zoo.resnet50 import resnet50_representative
 
@@ -707,13 +712,36 @@ def _sample_parity_fixtures(seed: int):
         )
         for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S)
     ]
-    fixtures = [(label, space, random.Random) for label, space in fixtures]
-    fixtures.append((
-        "ruby+bypass+float-only-rng",
-        MapSpace(arch, workload, MapspaceKind.RUBY, explore_bypass=True),
-        _FloatOnlyRandom,
-    ))
     return fixtures
+
+
+def _float_only_rng_refused(seed: int) -> List[str]:
+    """Every sampling entry point refuses a :class:`_FloatOnlyRandom`
+    with a :class:`MapspaceError` naming it, before drawing anything."""
+    _, arch, workload = _toy_setup(seed)
+    space = MapSpace(arch, workload, MapspaceKind.RUBY, explore_bypass=True)
+    chains = space.sample_chains(random.Random(seed))
+    dim = space.workload.dim_names[0]
+    calls = {
+        "sample_batch": lambda rng: space.sample_batch(rng, 4),
+        "sample_chains": space.sample_chains,
+        "resample_dim": lambda rng: space.resample_dim(chains, dim, rng),
+        "assemble": lambda rng: space.assemble(chains, rng),
+    }
+    violations = []
+    for name, call in calls.items():
+        rng = _FloatOnlyRandom(seed)
+        state = rng.getstate()
+        try:
+            call(rng)
+        except MapspaceError as error:
+            if _FloatOnlyRandom.__name__ not in str(error):
+                violations.append(f"{name} refused it without naming the class")
+        else:
+            violations.append(f"{name} drew from it instead of refusing it")
+        if rng.getstate() != state:
+            violations.append(f"{name} drew from it before refusing it")
+    return violations
 
 
 def _chain_parity(space: MapSpace, rng, oracle_rng, draws: int) -> List[str]:
@@ -778,14 +806,17 @@ def check_sample_parity(
     ``mapping_at(i)`` and the final RNG state must all match. Then
     ``sample_chains`` and ``resample_dim`` are held to
     :func:`_per_candidate_chain` the same way (:func:`_chain_parity`).
+    One more fixture, ``ruby+bypass+float-only-rng``, checks that an RNG
+    whose integer stream the sampler cannot follow is refused untouched
+    (:func:`_float_only_rng_refused`).
     """
     from repro.model.batch import pack_mappings
 
     checked = 0
     violations: List[str] = []
-    for label, space, make_rng in _sample_parity_fixtures(seed):
+    for label, space in _sample_parity_fixtures(seed):
         checked += 1
-        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
         batch = space.sample_batch(rng, samples)
         mappings = [
             per_candidate_sample(space, oracle_rng) for _ in range(samples)
@@ -814,9 +845,15 @@ def check_sample_parity(
         violations += [
             f"sample-parity: {label} {problem}"
             for problem in _chain_parity(
-                space, make_rng(seed + 1), make_rng(seed + 1), samples // 4
+                space, random.Random(seed + 1), random.Random(seed + 1),
+                samples // 4,
             )
         ]
+    checked += 1
+    violations += [
+        f"sample-parity: ruby+bypass+float-only-rng {problem}"
+        for problem in _float_only_rng_refused(seed)
+    ]
     return checked, violations
 
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.arch import eyeriss_like, toy_glb_architecture
-from repro.mapspace import ConstraintSet, MapspaceKind
+from repro.exceptions import MapspaceError
+from repro.mapspace import ConstraintSet, MapspaceKind, allocation
+from repro.mapspace.allocation import ChainTable
 from repro.mapspace.constraints import eyeriss_row_stationary
-from repro.mapspace.generator import MapSpace
+from repro.mapspace.generator import MapSpace, _swaps
 from repro.model import Evaluator, pack_mappings
 from repro.obs import MetricsRegistry, obs_scope
 from repro.problem import GemmLayer
@@ -27,6 +29,7 @@ from repro.search.loop import RunLedger, batch_engine_for
 from repro.search.pareto_search import _dominates, _dominates_xy
 from repro.model.eval_cache import EvaluationCache
 from repro.verify.invariants import (
+    _FloatOnlyRandom,
     _sample_parity_fixtures,
     check_sample_parity,
     per_candidate_sample,
@@ -53,19 +56,17 @@ def _eyeriss_space(layer_name, kind):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sample_parity_invariant_is_clean(seed):
     checked, violations = check_sample_parity(seed)
-    assert checked == len(_sample_parity_fixtures(seed))
+    # Every fixture, plus the refused float-only RNG.
+    assert checked == len(_sample_parity_fixtures(seed)) + 1
     assert violations == []
 
 
 @pytest.mark.parametrize(
-    "label", [label for label, _, _ in _sample_parity_fixtures(0)]
+    "label", [label for label, _ in _sample_parity_fixtures(0)]
 )
 def test_chunked_draws_continue_one_stream(label):
-    space, make_rng = {
-        label: (space, make_rng)
-        for label, space, make_rng in _sample_parity_fixtures(0)
-    }[label]
-    rng, oracle_rng = make_rng(5), make_rng(5)
+    space = dict(_sample_parity_fixtures(0))[label]
+    rng, oracle_rng = random.Random(5), random.Random(5)
     drawn = []
     for n in (1, 7, 24):
         batch = space.sample_batch(rng, n)
@@ -131,6 +132,135 @@ def test_samples_counter_counts_one_per_draw():
         space.sample_many(5, random.Random(0))
     counters = registry.snapshot()["counters"]
     assert sum(counters["mapspace.samples"].values()) == 43
+
+
+# -- the inlined integer draw -------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_inlined_draw_replays_randbelow(seed):
+    """The sampler's integer draw below ``n``, ``r = getrandbits(k)`` until
+    ``r < n`` with ``k = n.bit_length()`` (``_swaps`` precomputes ``k``
+    for the shuffles' ``j <= k`` form), equals ``random.Random._randbelow``
+    value for value and leaves the same state."""
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for n in range(1, 4097):
+        bits = n.bit_length()
+        r = rng.getrandbits(bits)
+        while r >= n:
+            r = rng.getrandbits(bits)
+        assert r == oracle._randbelow(n)
+    assert rng.getstate() == oracle.getstate()
+    for k, bits in _swaps(4097):
+        j = rng.getrandbits(bits)
+        while j > k:
+            j = rng.getrandbits(bits)
+        assert j == oracle._randbelow(k + 1)
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_divisor_memo_holds_each_draws_bit_lengths():
+    space = _eyeriss_space("conv1_7x7", MapspaceKind.RUBY_S)
+    space.sample_batch(random.Random(0), 300)
+    memo = space.allocator._divisor_memo
+    assert memo
+    for (residue, cap), (opts, count, bits, cap_bits) in memo.items():
+        assert opts == tuple(d for d in range(1, cap + 1) if residue % d == 0)
+        assert (count, bits, cap_bits) == (
+            len(opts), len(opts).bit_length(), cap.bit_length()
+        )
+
+
+@pytest.mark.parametrize(
+    "entry", ["sample_batch", "sample_chains", "resample_dim", "assemble",
+              "sample_chain"],
+)
+def test_float_only_rng_is_refused_before_any_draw(entry):
+    space = _toy_space(explore_bypass=True)
+    chains = space.sample_chains(random.Random(0))
+    call = {
+        "sample_batch": lambda rng: space.sample_batch(rng, 3),
+        "sample_chains": space.sample_chains,
+        "resample_dim": lambda rng: space.resample_dim(chains, "M", rng),
+        "assemble": lambda rng: space.assemble(chains, rng),
+        "sample_chain": lambda rng: space.allocator.sample_chain(
+            "M", 12, rng, {}
+        ),
+    }[entry]
+    rng = _FloatOnlyRandom(3)
+    state = rng.getstate()
+    with pytest.raises(MapspaceError, match="_FloatOnlyRandom"):
+        call(rng)
+    assert rng.getstate() == state
+
+
+def test_system_random_is_accepted():
+    space = _toy_space()
+    assert space.sample_batch(random.SystemRandom(), 5).size == 5
+    assert set(space.sample_chains(random.SystemRandom())) == set(
+        space.workload.dim_names
+    )
+
+
+# -- every Fig. 10 space -----------------------------------------------------
+
+_FIG10_SPACES = [
+    (workload.name, kind)
+    for workload, _ in resnet50_representative()
+    for kind in (MapspaceKind.PFM, MapspaceKind.RUBY_S)
+]
+
+
+def _assert_chunks_replay_the_oracle(space, seed, chunks):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    batches = [space.sample_batch(rng, n) for n in chunks]
+    want = [per_candidate_sample(space, oracle_rng) for _ in range(sum(chunks))]
+    oracle = pack_mappings(space.batch_layout(), want)
+    for name in ("bounds", "rems", "pos", "fallback"):
+        got = np.concatenate([getattr(batch, name) for batch in batches])
+        assert np.array_equal(got, getattr(oracle, name)), name
+    drawn = [batch.mapping_at(i) for batch in batches for i in range(batch.size)]
+    assert drawn == want
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("layer,kind", _FIG10_SPACES)
+def test_every_fig10_space_replays_the_oracle(layer, kind):
+    _assert_chunks_replay_the_oracle(
+        _eyeriss_space(layer, kind), seed=1, chunks=(1, 7, 192)
+    )
+
+
+@pytest.mark.parametrize("kind", [MapspaceKind.PFM, MapspaceKind.RUBY_S])
+def test_chain_table_resets_keep_the_stream(kind, monkeypatch):
+    """With the table bound lowered to 8 chains, the tables are cleared
+    between calls (ids drawn in one call stay valid to its end) and the
+    rows and stream still match the oracle on every Fig. 10 layer."""
+    clears = []
+    clear = ChainTable.clear
+
+    def counting_clear(table):
+        clears.append(table)
+        clear(table)
+
+    monkeypatch.setattr(allocation, "_CHAIN_MEMO_LIMIT", 8)
+    for layer, _ in resnet50_representative():
+        space = _eyeriss_space(layer.name, kind)
+        monkeypatch.setattr(ChainTable, "clear", counting_clear)
+        _assert_chunks_replay_the_oracle(space, seed=1, chunks=(1, 7, 192, 7))
+        monkeypatch.setattr(ChainTable, "clear", clear)
+        # The last two calls each started from full tables.
+        assert len(clears) == 2 * len(space.workload.dim_names)
+        clears.clear()
+
+
+def test_sample_parity_holds_across_table_resets(monkeypatch):
+    """``sample_chains`` and ``resample_dim`` (the allocator's own tables)
+    cross resets too: the whole invariant at a 16-chain bound."""
+    monkeypatch.setattr(allocation, "_CHAIN_MEMO_LIMIT", 16)
+    checked, violations = check_sample_parity(1)
+    assert checked == len(_sample_parity_fixtures(1)) + 1
+    assert violations == []
 
 
 # -- pos-aware materialization ----------------------------------------------

@@ -241,6 +241,25 @@ class TestEvaluatorPool:
         )
         assert "pinned" not in stats
 
+    def test_cache_counters_survive_eviction(self):
+        from repro.mapspace.factory import make_mapspace
+        import random
+
+        pool = EvaluatorPool(max_entries=1)
+        first_pair = self._pair(m=10)
+        evaluator, _ = pool.acquire(*first_pair)
+        mapping = make_mapspace(*first_pair, "ruby-s").sample(random.Random(0))
+        evaluator.evaluate(mapping)
+        evaluator.evaluate(mapping)
+        assert pool.stats()["cache"] == {"hits": 1, "misses": 1}
+        other, _ = pool.acquire(*self._pair(m=20))
+        assert pool.stats()["evictions"] == 1
+        assert pool.stats()["cache"] == {"hits": 1, "misses": 1}
+        other.evaluate(make_mapspace(*self._pair(m=20), "ruby-s").sample(
+            random.Random(0)
+        ))
+        assert pool.stats()["cache"] == {"hits": 1, "misses": 2}
+
     @pytest.mark.parametrize("shape", [
         {"max_entries": 0}, {"cache_entries": 0}, {"cache_entries": -5},
     ])
